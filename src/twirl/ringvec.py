@@ -80,7 +80,7 @@ class ResidueRing:
                 conv[..., i + j] = (conv[..., i + j] + a[..., i] * b[..., j]) % self.pm
         out = conv[..., :e].copy()
         for j in range(e - 1):
-            out = (out + conv[..., e + j][..., None] * self.red[j][None, :]) % self.pm
+            out = (out + conv[..., e + j][..., None] * self.red[j]) % self.pm
         return out % self.pm
 
     def add(self, a, b):
@@ -117,32 +117,8 @@ class ResidueRing:
         out = (out + (c0 // self.p)[..., None] * self.p_over_pi[None, :]) % self.pm
         return out
 
-    def inv_units(self, a: np.ndarray) -> np.ndarray:
-        """Inverse of unit entries (Newton iteration)."""
-        p = self.p
-        r = a[..., 0] % p
-        inv_table = np.zeros(p, dtype=np.int64)
-        for v in range(1, p):
-            inv_table[v] = pow(v, -1, p)
-        w = np.zeros_like(a)
-        w[..., 0] = inv_table[r]
-        two = self.scalar(2)
-        steps = max(1, (self.e * self.ms).bit_length())
-        for _ in range(steps):
-            t = self.sub(two, self.mul(a, w))
-            w = self.mul(w, t)
-        return w
-
 
 _gl2_cache: dict = {}
-
-
-def gl2_unit_count(ctx: LocalFieldCtx, level: int) -> int:
-    """|GL_2(O/pi^level)|."""
-    p = ctx.p
-    q4 = p ** 4
-    gl2_res = (p * p - 1) * (p * p - p)
-    return gl2_res * q4 ** (level - 1)
 
 
 def iter_gl2(ctx: LocalFieldCtx, level: int, ring: ResidueRing | None = None):

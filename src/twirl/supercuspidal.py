@@ -11,6 +11,7 @@ the character value is Lambda_1(b + c/pi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -120,20 +121,16 @@ class CuspidalData:
             return CharacterValue.zero(self.p)
         return self.psi(g)
 
-    def f_split(self, g: Mat, part: int) -> CharacterValue:
-        """f_0 (det valuation 0 piece) or f_1 (valuation 1 piece)."""
-        d = g.det()
-        if d.val != part:
-            return CharacterValue.zero(self.p)
-        return self.f(g)
-
     # -- support and locality metadata used by the integrator -----------------
 
     detval_support = frozenset((0, 1))
 
     def value_level(self, parity: int) -> int:
-        """f(kappa Y kappa^t) with Y integral depends on kappa mod
-        pi^level: 2 on the det-valuation-0 piece, 3 on the other."""
+        """Congruence level at which `support_scan` enumerates kappa: 2 on
+        the det-valuation-0 piece, 3 on the other.  f(kappa Y kappa^vdash)
+        with Y integral depends only on kappa mod pi^2 for both parities,
+        so level 2 already suffices; the scan keeps 3 on the odd piece so
+        that its reported `kappa_level` stays fixed."""
         return 2 + (1 if parity else 0)
 
     def support_prefilter(self, y: Mat, form: GroupForm) -> str | None:
@@ -149,105 +146,147 @@ class CuspidalData:
 
     # -- exact averaged evaluation over K --------------------------------------
 
-    def kappa_average(self, y: Mat, form: GroupForm, level: int | None = None
-                      ) -> CharacterValue:
-        """Exact integral over kappa in GL_2(O) of f(kappa y kappa^t) with
-        vol(K) = 1.  The enumeration runs at the locality level of f (the
-        integrand is invariant under 1 + pi^level M_2(O) on the right), so
-        the finite average equals the Haar integral; passing a larger
-        `level` recomputes at that depth, which must give the same value."""
-        parity = y.det().val % 2
-        level = max(self.value_level(parity), level or 0)
-        key = (y.residue_key(level + 1), parity, level)
-        got = self._avg_cache.get(key)
-        if got is not None:
-            return got
-        out = self._kappa_average_vec(y, parity, level)
-        self._avg_cache[key] = out
-        return out
+    def kappa_average(self, y: Mat, form: GroupForm) -> CharacterValue:
+        """Exact integral over kappa in K = GL_2(O) of f(kappa y kappa^vdash)
+        with vol(K) = 1, for integral y and the orthogonal twist.
 
-    def _kappa_average_vec(self, y: Mat, parity: int, level: int
-                           ) -> CharacterValue:
-        ctx = self.ctx
-        s = level
-        ring = ResidueRing(ctx, max(s, 2))
-        y_res = [[ring.from_elem(y.rows[i][j]) for j in range(2)]
-                 for i in range(2)]
-        p = ctx.p
+        Why one level and GL_2(O/pi) x (y + pi Im L_y) suffice:
+        - f(X) depends only on X mod pi^2 once the parity of ord det X is
+          fixed: the support tests are congruences mod pi (after
+          X -> pi_E^(-1) X on the odd piece, which reads X mod pi^2), and
+          Lambda_1(b + c/pi) has the maximal ideal as its kernel.  So the
+          integral is the mean over kappa in GL_2(O/pi^2), on both pieces.
+        - Each kappa mod pi^2 is k n with k the digit lift of kappa mod pi
+          and n = 1 + pi A in the kernel N of reduction mod pi, and
+          n y n^vdash = y + pi L_y(A) mod pi^2, where
+          L_y(A) = A y + y A^vdash mod pi is F_p-linear in A.
+        - So the N-orbit of y mod pi^2 is the affine set y + pi Im L_y,
+          every point of it hit |ker L_y| times, and the integral is the
+          mean of f(k (y + pi v) k^vdash) over k in GL_2(O/pi) (digit
+          lifts) and v in Im L_y.
+
+        The value depends only on y mod pi^2 and the parity of ord det y,
+        which is the cache key.  `kappa_average_oracle` enumerates all of
+        GL_2(O/pi^level) instead, and the tests hold the two equal."""
+        if form.kind != "orthogonal":
+            raise DomainError("kappa_average implements the orthogonal twist "
+                              f"only, not {form.kind!r}")
+        parity = y.det().val % 2
+        key = (y.residue_key(2), parity)
+        got = self._avg_cache.get(key)
+        if got is None:
+            got = self._kappa_average_coset(y, parity)
+            self._avg_cache[key] = got
+        return got
+
+    def _kappa_average_coset(self, y: Mat, parity: int) -> CharacterValue:
+        p = self.p
+        ring = ResidueRing(self.ctx, 2)
+        y_orbit = _n_orbit(ring, _residues(ring, y))
         counts = np.zeros(p, dtype=np.int64)
         total = 0
-        for a, b, c, d in iter_gl2(ctx, level, ring):
-            total += a.shape[0]
-            cnt = _f_exponent_counts(ring, a, b, c, d, y_res, parity, p)
-            counts += cnt
-        value = CharacterValue.from_exponent_counts(p, counts.tolist())
-        return value.scale(_frac(1, total))
+        for k in iter_gl2(self.ctx, 1, ring):
+            # one chunk per residue of kappa_00 keeps memory flat in p
+            for r in range(p):
+                sel = ring.residue_mod_p(k[0]) == r
+                k_r = tuple(z[sel][:, None, :] for z in k)
+                total += _count_f(ring, k_r, y_orbit, parity, counts)
+        return _mean(p, counts, total)
 
-    # -- pointwise evaluation on residue matrices (dual route, for tests) ------
+    def kappa_average_oracle(self, y: Mat, level: int) -> CharacterValue:
+        """The same integral by enumerating all of GL_2(O/pi^level),
+        orthogonal twist; any level >= 2 gives the exact value.  Kept as
+        the test oracle for `kappa_average`."""
+        ring = ResidueRing(self.ctx, level)
+        y_res = _residues(ring, y)
+        parity = y.det().val % 2
+        counts = np.zeros(self.p, dtype=np.int64)
+        total = 0
+        for k in iter_gl2(self.ctx, level, ring):
+            total += _count_f(ring, k, y_res, parity, counts)
+        return _mean(self.p, counts, total)
 
-    def f_on_residues(self, x: Mat) -> CharacterValue:
-        return self.f(x)
+
+# -- f on residue matrices -------------------------------------------------------
+#
+# A residue matrix is the tuple (x00, x01, x10, x11) of coefficient arrays of
+# shape (..., e); leading shapes broadcast.
 
 
-def _frac(a, b):
-    from fractions import Fraction
-
-    return Fraction(a, b)
+def _residues(ring: ResidueRing, x: Mat):
+    return tuple(ring.from_elem(v) for row in x.rows for v in row)
 
 
-def _f_values(ring: ResidueRing, a, b, c, d, y_res, parity: int):
-    """Evaluate f(kappa Y kappa^t) on a chunk of kappa residues.
-    Returns (support mask, Lambda exponents mod p on the support)."""
+def _mat_mul(ring: ResidueRing, m, n):
+    m00, m01, m10, m11 = m
+    n00, n01, n10, n11 = n
+
+    def dot(u, v, s, t):
+        return ring.add(ring.mul(u, v), ring.mul(s, t))
+
+    return (dot(m00, n00, m01, n10), dot(m00, n01, m01, n11),
+            dot(m10, n00, m11, n10), dot(m10, n01, m11, n11))
+
+
+def _vdash(m):
+    """The orthogonal twisted transpose w m^t w = [[d, b], [c, a]]."""
+    a, b, c, d = m
+    return (d, b, c, a)
+
+
+def _twist(ring: ResidueRing, k, y):
+    """k Y k^vdash."""
+    return _mat_mul(ring, _mat_mul(ring, k, y), _vdash(k))
+
+
+def _n_orbit(ring: ResidueRing, y):
+    """The orbit y + pi Im L_y of y mod pi^2 under y -> n y n^vdash,
+    n in 1 + pi M_2(O), one row per point.  Im L_y is found by applying
+    L_y(A) = A y + y A^vdash mod pi to all p^4 matrices A mod pi; no rank
+    is assumed."""
     p = ring.p
-    y00, y01 = y_res[0]
-    y10, y11 = y_res[1]
-    # T = kappa * Y
-    t00 = ring.add(ring.mul(a, y00), ring.mul(b, y10))
-    t01 = ring.add(ring.mul(a, y01), ring.mul(b, y11))
-    t10 = ring.add(ring.mul(c, y00), ring.mul(d, y10))
-    t11 = ring.add(ring.mul(c, y01), ring.mul(d, y11))
-    # X = T * kappa^t, kappa^t = [[d, b], [c, a]]
-    x00 = ring.add(ring.mul(t00, d), ring.mul(t01, c))
-    x01 = ring.add(ring.mul(t00, b), ring.mul(t01, a))
-    x10 = ring.add(ring.mul(t10, d), ring.mul(t11, c))
-    x11 = ring.add(ring.mul(t10, b), ring.mul(t11, a))
-    alive = np.ones(x00.shape[0], dtype=bool)
+    a = tuple(ring.from_digit_grid(1)[i]
+              for i in np.indices((p,) * 4).reshape(4, -1))
+    image = zip(_mat_mul(ring, a, y), _mat_mul(ring, y, _vdash(a)))
+    image = np.unique(np.stack([ring.residue_mod_p(ring.add(u, v))
+                                for u, v in image]), axis=1)
+    pi = ring.pi_pows[1]
+    return tuple(ring.add(y_ij, (v_ij[:, None] * pi) % ring.pm)
+                 for y_ij, v_ij in zip(y, image))
+
+
+def _f_on_residues(ring: ResidueRing, x, parity: int):
+    """f on residue matrices X whose ord det has the given parity; reads
+    X mod pi^2 only.  Returns (support mask, Lambda_1 exponents mod p); the
+    exponents mean something only where the mask holds."""
+    p = ring.p
+    x00, x01, x10, x11 = x
+    live = True
     if parity:
         # X <- pi_E^(-1) X = [[x10/pi, x11/pi], [x00, x01]]
-        ok = ring.divisible_by_pi(x10) & ring.divisible_by_pi(x11)
-        alive &= ok
-        nx00 = ring.div_pi(np.where(ok[..., None], x10, 0))
-        nx01 = ring.div_pi(np.where(ok[..., None], x11, 0))
-        x00, x01, x10, x11 = nx00, nx01, x00, x01
-    exps = np.zeros(x00.shape[0], dtype=np.int64)
-    taken = np.zeros(x00.shape[0], dtype=bool)
-    for r in range(1, p):
-        rinv = ring.scalar(pow(r, -1, ring.pm))
-        h00 = ring.mul(rinv, x00)
-        h10 = ring.mul(rinv, x10)
-        h11 = ring.mul(rinv, x11)
-        mask = (
-            alive
-            & ~taken
-            & (ring.residue_mod_p(ring.sub(h00, ring.scalar(1))) == 0)
-            & (ring.residue_mod_p(h10) == 0)
-            & (ring.residue_mod_p(ring.sub(h11, ring.scalar(1))) == 0)
-        )
-        if not mask.any():
-            continue
-        taken |= mask
-        h01 = ring.mul(rinv, x01)
-        arg = ring.add(h01, ring.div_pi(np.where(mask[..., None], h10, 0)))
-        exps = np.where(mask, ring.residue_mod_p(arg), exps)
-    return taken, exps
+        live = ring.divisible_by_pi(x10) & ring.divisible_by_pi(x11)
+        x00, x01, x10, x11 = ring.div_pi(x10), ring.div_pi(x11), x00, x01
+    # X = r h with h in I_1 forces r = x00 mod pi; then
+    # Lambda_1(h01 + h10/pi) = Lambda_1((x01 + x10/pi) / r)
+    r = ring.residue_mod_p(x00)
+    mask = (live & (r != 0) & ring.divisible_by_pi(x10)
+            & (ring.residue_mod_p(x11) == r))
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    arg = ring.residue_mod_p(ring.add(x01, ring.div_pi(x10)))
+    return mask, (arg * inv[r]) % p
 
 
-def _f_exponent_counts(ring: ResidueRing, a, b, c, d, y_res, parity: int,
-                       p: int) -> np.ndarray:
-    mask, exps = _f_values(ring, a, b, c, d, y_res, parity)
-    if not mask.any():
-        return np.zeros(p, dtype=np.int64)
-    return np.bincount(exps[mask], minlength=p)
+def _count_f(ring: ResidueRing, k, y_res, parity: int, counts) -> int:
+    """Add the Lambda_1 exponents of f(k Y k^vdash) over the rows of k to
+    `counts`; return the number of rows."""
+    mask, exps = _f_on_residues(ring, _twist(ring, k, y_res), parity)
+    counts += np.bincount(exps[mask], minlength=ring.p)
+    return mask.size
+
+
+def _mean(p: int, counts, total: int) -> CharacterValue:
+    value = CharacterValue.from_exponent_counts(p, counts.tolist())
+    return value.scale(Fraction(1, total))
 
 
 # -- support scanning ----------------------------------------------------------
@@ -374,17 +413,14 @@ def _kappa_witness(data: CuspidalData, y: Mat, level: int) -> Mat | None:
     f(kappa y kappa^t) != 0, or None if the scan is exhaustive-empty."""
     ctx = data.ctx
     ring = ResidueRing(ctx, max(level, 2))
-    y_res = [[ring.from_elem(y.rows[i][j]) for j in range(2)] for i in range(2)]
+    y_res = _residues(ring, y)
     parity = y.det().val % 2
-    for a, b, c, d in iter_gl2(ctx, level, ring):
-        mask, _ = _f_values(ring, a, b, c, d, y_res, parity)
+    for k in iter_gl2(ctx, level, ring):
+        mask, _ = _f_on_residues(ring, _twist(ring, k, y_res), parity)
         idx = np.flatnonzero(mask)
         if idx.size:
-            k = int(idx[0])
-            return Mat(ctx, [
-                [_lift(ring, a[k]), _lift(ring, b[k])],
-                [_lift(ring, c[k]), _lift(ring, d[k])],
-            ])
+            a, b, c, d = (_lift(ring, z[idx[0]]) for z in k)
+            return Mat(ctx, [[a, b], [c, d]])
     return None
 
 

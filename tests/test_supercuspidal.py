@@ -9,6 +9,7 @@ from twirl import (
     DomainError,
     Mat,
     TorusElem,
+    TruncationSpec,
     level_character,
     make_field,
     member,
@@ -16,10 +17,20 @@ from twirl import (
     orthogonal_form,
     parse_elem,
     support_scan,
+    symplectic_form,
     vdash,
 )
 from twirl.cyclotomic import CharacterValue
-from twirl.supercuspidal import pi_e_matrix, pi_e_inverse_power
+from twirl.integrator import orbit_strata
+from twirl.ringvec import ResidueRing
+from twirl.supercuspidal import (
+    _f_on_residues,
+    _lift,
+    _n_orbit,
+    _residues,
+    pi_e_inverse_power,
+    pi_e_matrix,
+)
 
 
 def ctx5():
@@ -28,6 +39,10 @@ def ctx5():
 
 def ctx2():
     return make_field(2, 2, (-2, 0, 1), 24)
+
+
+def ctx3():
+    return make_field(3, 1, (-3, 1), 12)
 
 
 def rand_i1(c, rng):
@@ -187,20 +202,146 @@ def test_kappa_average_matches_bruteforce():
         b = c.from_digits(-j, digits) if j else c.zero()
         g0 = n_b(c, b) * a_e(c, 2)
         y = g0 * x * vdash(g0, form)
-        assert data.kappa_average(y, form) == brute(y, 2)
+        want = brute(y, 2)
+        assert data.kappa_average_oracle(y, 2) == want
+        assert data.kappa_average(y, form) == want
 
 
 def test_kappa_average_level_stability():
-    """Averaging one or two congruence levels deeper gives the same exact
-    value (the integrand is right-invariant at the locality level)."""
+    """The enumeration oracle one or two congruence levels deeper gives the
+    same exact value (the integrand is right-invariant at level 2)."""
     c = ctx2()
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     alpha = c.one() + c.pi(2)
     y = norm_preimage(TorusElem(alpha), form).inverse().shift(2)
-    v2 = data.kappa_average(y, form)
-    assert v2 == data._kappa_average_vec(y, 0, 3)
-    assert v2 == data._kappa_average_vec(y, 0, 4)
+    v2 = data.kappa_average_oracle(y, 2)
+    assert v2 == data.kappa_average_oracle(y, 3)
+    assert v2 == data.kappa_average_oracle(y, 4)
+    assert v2 == data.kappa_average(y, form)
+
+
+class _RecordingData(CuspidalData):
+    """Records every y the pipeline averages over."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.seen = []
+
+    def kappa_average(self, y, form):
+        self.seen.append(y)
+        return super().kappa_average(y, form)
+
+
+@pytest.mark.parametrize("mk, specs", [
+    (ctx2, ("1+pi^2", "1+pi^3", "1+pi+pi^2")),
+    (ctx5, ("-1+pi", "-1+pi*u", "-1+pi^2")),
+])
+def test_kappa_average_matches_oracle_on_live_strata(mk, specs):
+    """The coset evaluation equals the GL_2(O/pi^2) enumeration on every
+    live orbit stratum."""
+    c = mk()
+    form = orthogonal_form(c, 2)
+    data = _RecordingData(c)
+    trunc = TruncationSpec(b_window=6)
+    for spec in specs:
+        x = norm_preimage(TorusElem(parse_elem(c, spec)), form).inverse()
+        orbit_strata(data, form, x, trunc)
+    assert data.seen
+    fresh = CuspidalData(c)
+    for y in data.seen:
+        assert fresh.kappa_average(y, form) == data.kappa_average_oracle(y, 2)
+
+
+@pytest.mark.parametrize("mk, count", [(ctx2, 8), (ctx3, 3)])
+def test_kappa_average_odd_piece_matches_level_three(mk, count):
+    """On det-valuation-1 y, level 2 suffices: the coset evaluation equals
+    the GL_2(O/pi^3) enumeration."""
+    c = mk()
+    data = CuspidalData(c)
+    form = orthogonal_form(c, 2)
+    rng = random.Random(11)
+    ys = [pi_e_matrix(c)]
+    while len(ys) < count:
+        y = Mat.random_integral(c, 2, rng)
+        if y.det().val == 1:
+            ys.append(y)
+    values = [data.kappa_average(y, form) for y in ys]
+    assert values == [data.kappa_average_oracle(y, 3) for y in ys]
+    if c.p == 2:
+        assert values[0] == CharacterValue.rational(2, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
+def test_n_orbit_matches_conjugation(mk):
+    """y + pi Im L_y is exactly {n y n^vdash mod pi^2 : n in 1 + pi M_2(O)}."""
+    c = mk()
+    form = orthogonal_form(c, 2)
+    ring = ResidueRing(c, 2)
+    rng = random.Random(14)
+    digits = [c.from_digits(1, (d,)) if d else c.zero() for d in range(c.p)]
+    for _ in range(2):
+        y = Mat.random_integral(c, 2, rng)
+        want = set()
+        for a in itertools.product(digits, repeat=4):
+            n = Mat.identity(c, 2) + Mat(c, [list(a[:2]), list(a[2:])])
+            want.add((n * y * vdash(n, form)).residue_key(2))
+        rows = _n_orbit(ring, _residues(ring, y))
+        got = {Mat(c, [[_lift(ring, z[i]) for z in rows[:2]],
+                       [_lift(ring, z[i]) for z in rows[2:]]]).residue_key(2)
+               for i in range(rows[0].shape[0])}
+        assert got == want
+
+
+@pytest.mark.parametrize("mk", [ctx2, ctx5])
+def test_f_depends_on_residue_mod_pi_squared(mk):
+    """f(X) = f(X + pi^2 Z) for integral X with ord det X in {0, 1} and
+    integral Z: the lemma behind the (y mod pi^2, parity) cache key."""
+    c = mk()
+    data = CuspidalData(c)
+    ring = ResidueRing(c, 2)
+    rng = random.Random(12)
+    pe = pi_e_matrix(c)
+    done = nonzero = 0
+    while done < 80:
+        if rng.random() < 0.5:
+            # a point of the support, so the character values get tested
+            u = c.random_unit(rng)
+            x = Mat.diag(c, [u, u]) * rand_i1(c, rng)
+            if rng.random() < 0.5:
+                x = pe * x
+        else:
+            x = Mat.random_integral(c, 2, rng)
+        if x.det().val not in (0, 1):
+            continue
+        z = Mat.random_integral(c, 2, rng).shift(2)
+        v = data.f(x)
+        assert data.f(x + z) == v
+        # the vectorized evaluation agrees pointwise
+        rows = tuple(z[None] for z in _residues(ring, x))
+        mask, exps = _f_on_residues(ring, rows, x.det().val % 2)
+        assert v == (CharacterValue.root(c.p, int(exps[0])) if mask[0]
+                     else CharacterValue.zero(c.p))
+        done += 1
+        nonzero += not v.is_zero()
+    assert nonzero >= 20
+
+
+def test_kappa_average_rejects_symplectic_form():
+    """kappa_average implements the orthogonal twist only.  With the
+    symplectic form k y k^vdash = det(k) y for y = 1, so the true average
+    is 1, while the orthogonal evaluation gives 0."""
+    c = ctx3()
+    data = CuspidalData(c)
+    y = Mat.identity(c, 2)
+    sf = symplectic_form(c, 2)
+    rng = random.Random(13)
+    for _ in range(5):
+        kap = Mat.random_integral(c, 2, rng, unit_det=True)
+        assert data.f(kap * y * vdash(kap, sf)) == CharacterValue.one(3)
+    assert data.kappa_average(y, orthogonal_form(c, 2)).is_zero()
+    with pytest.raises(DomainError):
+        data.kappa_average(y, sf)
 
 
 def test_kappa_average_conjugation_invariance():
