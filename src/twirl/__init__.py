@@ -20,7 +20,6 @@ from .errors import (
     SingularGammaMinusOne,
     TailNonzero,
     TwirlError,
-    UnexpectedPole,
     WindowOverflow,
 )
 from .integrator import (
@@ -54,7 +53,6 @@ from .matlattice import (
     gnorm,
     iwasawa,
     lattice_ord,
-    lattice_ord_star,
     mat_ord,
     n_of,
     nu,

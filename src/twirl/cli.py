@@ -12,11 +12,11 @@ Config files are INI-style:
     [pipeline]
     regime = odd
     k_max = 6
-    depth_m = 3
     b_window = 12
+    e_window = 8
     gamma_depth = 5
     unit_depth = 2
-    workers = 1
+    dedup = true
 
     [output]
     format = json
@@ -24,7 +24,8 @@ Config files are INI-style:
     [selftest]
     seed = 7
 
-Exit codes: 0 success, 2 honest-truncation failure (TailNonzero or
+Every [pipeline] key is listed above; any other key is an error.  Exit
+codes: 0 success, 2 honest-truncation failure (TailNonzero or
 NoStabilization), 1 any other error.  TWIRL_OUTPUT_DIR overrides output
 directories; no other environment variables are read.
 """
@@ -56,6 +57,10 @@ from .twisted import TorusElem, norm_preimage, twisted_discriminant
 from .weights import WeightQuery, weight_closed, weight_oracle
 
 
+PIPELINE_KEYS = frozenset({"regime", "k_max", "b_window", "e_window",
+                           "gamma_depth", "unit_depth", "dedup"})
+
+
 @dataclass
 class RunConfig:
     ctx: object
@@ -78,21 +83,25 @@ class RunConfig:
             int(f["precision"]),
         )
         pl = cp["pipeline"] if cp.has_section("pipeline") else {}
+        unknown = sorted(set(pl) - PIPELINE_KEYS)
+        if unknown:
+            raise TwirlError(f"unknown [pipeline] keys: {', '.join(unknown)}")
         regime = pl.get("regime", "odd" if ctx.p != 2 else "even")
         if regime == "even" and not (ctx.p == 2 and ctx.e >= 2):
             raise TwirlError("even regime requires p = 2 with ramification >= 2")
         trunc = TruncationSpec(
-            depth_m=int(pl.get("depth_m", 3)),
             b_window=int(pl.get("b_window", 12)),
             e_window=int(pl.get("e_window", 8)),
             gamma_depth=int(pl.get("gamma_depth", 5)),
             k_max=int(pl.get("k_max", 8)),
             unit_depth=int(pl.get("unit_depth", 2)),
             dedup=pl.get("dedup", "true").lower() != "false",
-            workers=int(pl.get("workers", 1)),
         )
-        if trunc.k_max < 0 or trunc.gamma_depth < 1 or trunc.b_window < 1:
-            raise TwirlError("pipeline windows must be positive")
+        if (trunc.k_max < 0 or trunc.e_window < 0 or trunc.gamma_depth < 1
+                or trunc.b_window < 1 or trunc.unit_depth < 1):
+            raise TwirlError("pipeline windows out of range: need k_max >= 0, "
+                             "e_window >= 0, gamma_depth, b_window and "
+                             "unit_depth >= 1")
         out = cp["output"] if cp.has_section("output") else {}
         fmt = out.get("format", "json")
         path_out = out.get("path")
@@ -169,7 +178,8 @@ def cmd_support_scan(cfg: RunConfig, args) -> int:
     form = orthogonal_form(ctx, 2)
     data = CuspidalData(ctx)
     alpha = parse_elem(ctx, args.alpha)
-    rep = support_scan(data, form, TorusElem(alpha), depth=args.depth)
+    rep = support_scan(data, form, TorusElem(alpha), depth=args.depth,
+                       b_window=cfg.trunc.b_window)
     _emit(_json_dump(rep.to_json()), args.out or cfg.out_path)
     return 0
 

@@ -63,7 +63,3 @@ class NoStabilization(TwirlError):
     def __init__(self, message, table=None):
         super().__init__(message)
         self.table = table
-
-
-class UnexpectedPole(TwirlError):
-    """Denominator has a pole near the unit circle away from u = 1."""

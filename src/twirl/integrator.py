@@ -10,13 +10,14 @@ coordinate.  Central classes are normalized to volume 1 each.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import CharacterValue, MeasureValue
 from .errors import NotRegular, TailNonzero
-from .localfield import Elem, INF, LocalFieldCtx, SquareClassSet, square_class_reps
+from .localfield import (Elem, INF, LocalFieldCtx, SquareClassSet,
+                         square_class_reps, unit_digit_tuples)
 from .matlattice import Mat, a_e, mat_ord, n_b, vdash
 from .twisted import TorusElem, norm_preimage, twisted_discriminant
 
@@ -26,14 +27,12 @@ class TruncationSpec:
     """Finite windows for the stratified enumeration; every window is
     either provably exhaustive or reported."""
 
-    depth_m: int = 3
     b_window: int = 12
     e_window: int = 8
     gamma_depth: int = 5
     k_max: int = 8
     unit_depth: int = 2
     dedup: bool = True
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -65,19 +64,12 @@ def torus_strata(ctx: LocalFieldCtx, trunc: TruncationSpec,
     for sign in signs:
         base = ctx.from_int(sign)
         for e in range(1, trunc.gamma_depth + 1):
-            for digits in _unit_digit_tuples(p, ud):
+            for digits in unit_digit_tuples(p, ud):
                 v = ctx.from_digits(0, digits)
                 alpha = base * (ctx.one() + v.shift(e))
                 vol = Fraction(1, q ** (e + ud - 1) * (q - 1))
                 out.append(TorusStratum(alpha, vol, f"sign{sign}-e{e}",
                                         sign=sign, e=e))
-    return out
-
-
-def _unit_digit_tuples(p: int, depth: int):
-    out = [(d,) for d in range(1, p)]
-    for _ in range(depth - 1):
-        out = [t + (d,) for t in out for d in range(p)]
     return out
 
 
@@ -108,24 +100,21 @@ def _b_orbit_reps(ctx: LocalFieldCtx, j: int, dedup: bool):
     got = _orbit_cache.get(key)
     if got is not None:
         return got
-    p = ctx.p
-    tuples = [(d,) for d in range(1, p)]
-    for _ in range(j - 1):
-        tuples = [t + (d,) for t in tuples for d in range(p)]
+    tuples = unit_digit_tuples(ctx.p, j)
     if not dedup:
         out = [(t, 1) for t in tuples]
         _orbit_cache[key] = out
         return out
-    # orbit of the digit tuple under multiplication by unit squares mod pi^j
+    # orbit of the digit tuple under multiplication by unit squares mod pi^j;
+    # the units mod pi^j have the same digit tuples as the cosets
     reps = []
     seen = set()
-    units = _unit_digit_tuples(p, j)
     for t in tuples:
         if t in seen:
             continue
         b = ctx.from_digits(0, t)
         orbit = set()
-        for u in units:
+        for u in tuples:
             s = ctx.from_digits(0, u)
             orbit.add((s * s * b).residue_digits(j))
         orbit = {o for o in orbit if o[0] != 0}
@@ -135,11 +124,27 @@ def _b_orbit_reps(ctx: LocalFieldCtx, j: int, dedup: bool):
     return reps
 
 
-def orbit_strata(data, form, x: Mat, trunc: TruncationSpec):
-    """Strata of G/T (Iwasawa i and b windows) for the integrand
-    f(g X g^t), X diagonal.  The i window is forced by the determinant
-    valuations in the support of f; the b window is a hard integrality
-    bound.  Returns OrbitStratum entries including dead strata."""
+class Coset(NamedTuple):
+    """One (i, b) coset stratum g0 = n_b a_i of G/T and the argument
+    y = g0 x g0^vdash it hands to f; `dead` is the support prefilter's
+    reason, or None when the stratum is live."""
+
+    i: int
+    j: int
+    digits: tuple
+    weight: int
+    g0: Mat
+    y: Mat
+    dead: str | None
+
+
+def coset_strata(data, form, x: Mat, b_window: int, dedup: bool):
+    """Walk the (i, b) Iwasawa coset strata of G/T for f(g x g^vdash),
+    x diagonal, in lexicographic order: i ascending over the exponents the
+    det-valuation support of f forces, then b level j = 0 .. jmax, then
+    the digits of b.  For x = diag(x0, x1) the (0, 1) entry of y is
+    pi^i b (x0 + x1), so y integral forces j <= i + ord(x0 + x1) = jmax;
+    a jmax beyond `b_window` raises TailNonzero before level 0 of that i."""
     ctx = data.ctx
     if not (x.rows[0][1].is_zero() and x.rows[1][0].is_zero()):
         raise ValueError("orbit strata require a diagonal argument")
@@ -147,45 +152,41 @@ def orbit_strata(data, form, x: Mat, trunc: TruncationSpec):
     if d is INF:
         raise NotRegular("singular argument")
     trace_ord = (x.rows[0][0] + x.rows[1][1]).val
-    out = []
     for target in sorted(data.detval_support):
         if (target - d) % 2 != 0:
             continue
         i = (target - d) // 2
-        if abs(i) > trunc.e_window:
+        jmax = b_window if trace_ord is INF else max(0, i + trace_ord)
+        if jmax > b_window:
             raise TailNonzero(
-                f"Iwasawa exponent window {trunc.e_window} below the forced "
-                f"level {i}",
-                stratum=("i", i),
-            )
-        d1 = x.rows[0][0].val + i
-        d2 = x.rows[1][1].val + i
-        if d1 < 0 or d2 < 0:
-            out.append(OrbitStratum(i, 0, (), 1, 0, None,
-                                    dead="diagonal not integral"))
-            continue
-        if trace_ord is INF:
-            jmax = trunc.b_window
-        else:
-            jmax = max(0, i + trace_ord)
-        if jmax > trunc.b_window:
-            raise TailNonzero(
-                f"b window {trunc.b_window} below hard bound {jmax}",
+                f"b window {b_window} below hard bound {jmax}",
                 stratum=(i, jmax),
             )
         for j in range(0, jmax + 1):
-            for digits, weight in _b_orbit_reps(ctx, j, trunc.dedup):
+            for digits, weight in _b_orbit_reps(ctx, j, dedup):
                 b = ctx.from_digits(-j, digits) if j else ctx.zero()
                 g0 = n_b(ctx, b) * a_e(ctx, i)
                 y = g0 * x * vdash(g0, form)
-                dead = data.support_prefilter(y, form)
-                delta1 = _delta1_coset(i, j)
-                if dead is not None:
-                    out.append(OrbitStratum(i, j, digits, weight, delta1,
-                                            None, dead=dead))
-                    continue
-                favg = data.kappa_average(y, form)
-                out.append(OrbitStratum(i, j, digits, weight, delta1, favg))
+                yield Coset(i, j, digits, weight, g0, y,
+                            data.support_prefilter(y, form))
+
+
+def orbit_strata(data, form, x: Mat, trunc: TruncationSpec):
+    """Strata of G/T (Iwasawa i and b windows) for the integrand
+    f(g X g^t), X diagonal.  The i window is forced by the determinant
+    valuations in the support of f; the b window is a hard integrality
+    bound.  Returns OrbitStratum entries including dead strata."""
+    out = []
+    for c in coset_strata(data, form, x, trunc.b_window, trunc.dedup):
+        if abs(c.i) > trunc.e_window:
+            raise TailNonzero(
+                f"Iwasawa exponent window {trunc.e_window} below the forced "
+                f"level {c.i}",
+                stratum=("i", c.i),
+            )
+        favg = None if c.dead else data.kappa_average(c.y, form)
+        out.append(OrbitStratum(c.i, c.j, c.digits, c.weight,
+                                _delta1_coset(c.i, c.j), favg, dead=c.dead))
     return out
 
 
@@ -275,8 +276,7 @@ class CoefficientTable:
         }
 
 
-def _gamma_contribution(args):
-    data, form, stratum, ks, trunc, scs, omega = args
+def _gamma_contribution(data, form, stratum, ks, trunc, scs, omega):
     gamma = TorusElem(stratum.alpha)
     x = norm_preimage(gamma, form).inverse()
     drep = twisted_discriminant(x, form)
@@ -296,12 +296,8 @@ def assemble_coefficients(data, form, trunc: TruncationSpec, omega=None,
     scs = square_class_reps(ctx)
     ks = tuple(range(0, trunc.k_max + 1))
     strata = torus_strata(ctx, trunc, include_verification)
-    jobs = [(data, form, s, ks, trunc, scs, omega) for s in strata]
-    if trunc.workers > 1:
-        with ThreadPoolExecutor(max_workers=trunc.workers) as ex:
-            results = list(ex.map(_gamma_contribution, jobs))
-    else:
-        results = [_gamma_contribution(j) for j in jobs]
+    results = [_gamma_contribution(data, form, s, ks, trunc, scs, omega)
+               for s in strata]
     values = {k: CharacterValue.zero(ctx.p) for k in ks}
     per_stratum = []
     for stratum, (tab, _audit) in zip(strata, results):

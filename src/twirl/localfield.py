@@ -551,15 +551,6 @@ def ord_of(x: Elem):
     return x.val
 
 
-def abs_q(x: Elem) -> Fraction:
-    """|x| = q^{-ord(x)} as an exact rational (0 for x = 0)."""
-    v = x.val
-    if v is INF:
-        return Fraction(0)
-    q = Fraction(x.ctx.q)
-    return q ** (-v)
-
-
 # -- square classes ----------------------------------------------------------
 
 
@@ -585,11 +576,14 @@ def _unit_square_level(ctx: LocalFieldCtx) -> int:
     return 2 * ord2 + 1
 
 
-def _unit_residues(ctx: LocalFieldCtx, level: int):
-    """All digit tuples of unit residues mod pi^level."""
-    p = ctx.p
+def unit_digit_tuples(p: int, n: int) -> list:
+    """The digit tuples (d_0, ..., d_(n-1)) with d_0 != 0, in lexicographic
+    order: the units mod pi^n, or the level-n cosets of F/O with leading
+    digit nonzero.  [()] when n = 0."""
+    if n == 0:
+        return [()]
     tuples = [(d,) for d in range(1, p)]
-    for _ in range(level - 1):
+    for _ in range(n - 1):
         tuples = [t + (d,) for t in tuples for d in range(p)]
     return tuples
 
@@ -604,7 +598,7 @@ def _square_residues(ctx: LocalFieldCtx) -> frozenset:
         return got
     level = _unit_square_level(ctx)
     s = set()
-    for t in _unit_residues(ctx, level):
+    for t in unit_digit_tuples(ctx.p, level):
         w = ctx.from_digits(0, t)
         s.add((w * w).residue_digits(level))
     out = frozenset(s)
@@ -637,15 +631,15 @@ def square_class_reps(ctx: LocalFieldCtx) -> SquareClassSet:
             n += 1
         unit_reps = (ctx.one(), ctx.from_int(n))
     else:
-        level = _unit_square_level(ctx)
+        tuples = unit_digit_tuples(ctx.p, _unit_square_level(ctx))
         reps: list[Elem] = []
         seen: set = set()
-        for t in _unit_residues(ctx, level):
+        for t in tuples:
             if t in seen:
                 continue
             u = ctx.from_digits(0, t)
             reps.append(u)
-            for t2 in _unit_residues(ctx, level):
+            for t2 in tuples:
                 v = ctx.from_digits(0, t2)
                 if is_square(u / v):
                     seen.add(t2)
@@ -667,10 +661,6 @@ def additive_char(x: Elem):
     if x.val < 0:
         raise DomainError("additive character is only defined on O")
     return CharacterValue.root(x.ctx.p, x.residue())
-
-
-def elem_to_str(x: Elem) -> str:
-    return str(x)
 
 
 def parse_elem(ctx: LocalFieldCtx, text: str) -> Elem:

@@ -251,10 +251,6 @@ def lattice_ord(lat: LatticeSpec) -> int:
     return -lat.i
 
 
-def lattice_ord_star(lat: LatticeSpec) -> int:
-    return -lat.i
-
-
 def scaled_lattice_ord(g: Mat, lat: LatticeSpec, h: Mat | None = None):
     """ord(g L h) computed from the images of the matrix-unit generators."""
     ctx = g.ctx

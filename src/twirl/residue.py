@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import CharacterValue
-from .errors import NoStabilization, UnexpectedPole
+from .errors import NoStabilization
 
 # -- small dense polynomial helpers over Fraction --------------------------------
 
@@ -38,13 +38,6 @@ def _pmul(a, b):
 
 def _pscale(a, r):
     return [x * Fraction(r) for x in a]
-
-
-def _peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 # -- exact polynomial fit ---------------------------------------------------------
@@ -112,12 +105,12 @@ def _poly_eval(poly, k: int) -> CharacterValue:
 
 @dataclass(frozen=True)
 class RationalSeries:
-    """N(u) / (1-u)^pole_power / V(u), N with CharacterValue coefficients,
-    V a rational polynomial with V(1) != 0."""
+    """N(u) / (1-u)^pole_power, N with CharacterValue coefficients.  The
+    only denominator zero is u = 1, since `closed_form` builds every series
+    over (1-u)^(d+1)."""
 
     num: tuple
     pole_power: int
-    extra_den: tuple = (Fraction(1),)
 
     @property
     def p(self) -> int:
@@ -125,30 +118,25 @@ class RationalSeries:
 
     def series(self, count: int):
         """Taylor coefficients at u = 0 (exact)."""
-        inv = _series_inverse(list(self.extra_den), count)
         geo = [Fraction(1)] * count
         out_q = geo
         for _ in range(self.pole_power - 1):
             out_q = _series_mul_q(out_q, geo, count)
         if self.pole_power == 0:
             out_q = [Fraction(1)] + [Fraction(0)] * (count - 1)
-        den_series = _series_mul_q(out_q, inv, count)
         out = []
         for k in range(count):
             acc = CharacterValue.zero(self.p)
             for m, cm in enumerate(self.num):
                 if m > k:
                     break
-                acc = acc + cm.scale(den_series[k - m])
+                acc = acc + cm.scale(out_q[k - m])
             out.append(acc)
         return out
 
     def eval_complex(self, u: float):
         num = sum(c.complex() * u**m for m, c in enumerate(self.num))
-        vden = 0.0
-        for c in reversed(self.extra_den):
-            vden = vden * u + float(c)
-        return num / ((1 - u) ** self.pole_power * vden)
+        return num / (1 - u) ** self.pole_power
 
 
 def _series_mul_q(a, b, count):
@@ -272,13 +260,9 @@ def laurent_at_zero(rs: RationalSeries, n: int, q: int,
                     extra_orders: int = 2) -> LaurentData:
     """Substitute u = q^(-2ns) = exp(-z), z = 2n ln(q) s, and expand the
     Laurent series at s = 0.  The s^(-m) coefficient is an exact rational
-    (vector) times (ln q)^(-m).  Pole detection is algebraic: the only
-    denominator zero on the unit circle must be u = 1."""
+    (vector) times (ln q)^(-m).  The pole at s = 0 comes only from the
+    (1-u)^d factor, the one denominator a RationalSeries has."""
     d = rs.pole_power
-    if len(rs.extra_den) > 1:
-        if _peval(list(rs.extra_den), Fraction(1)) == 0:
-            raise UnexpectedPole("extra denominator vanishes at u = 1")
-        _check_unit_circle(rs.extra_den)
     count = d + extra_orders + 1
     # N(e^-z) as a z-series with CharacterValue coefficients
     p = rs.p
@@ -289,20 +273,12 @@ def laurent_at_zero(rs: RationalSeries, n: int, q: int,
         # e^(-mz) = sum_t (-m)^t z^t / t!
         for t in range(count):
             nser[t] = nser[t] + cm.scale(Fraction((-m) ** t, math.factorial(t)))
-    # V(e^-z) rational z-series
-    vser = [Fraction(0)] * count
-    for m, vm in enumerate(rs.extra_den):
-        if vm:
-            for t in range(count):
-                vser[t] += vm * Fraction((-m) ** t, math.factorial(t))
-    vinv = _series_inverse(vser, count)
     # G(z) = (1 - e^-z)/z = sum_t (-1)^t z^t/(t+1)!
     g = [Fraction((-1) ** t, math.factorial(t + 1)) for t in range(count)]
     gd = [Fraction(1)] + [Fraction(0)] * (count - 1)
     for _ in range(d):
         gd = _series_mul_q(gd, g, count)
-    gdi = _series_inverse(gd, count)
-    wq = _series_mul_q(vinv, gdi, count)
+    wq = _series_inverse(gd, count)
     lser = [CharacterValue.zero(p) for _ in range(count)]
     for i in range(count):
         if nser[i].is_zero():
@@ -320,20 +296,6 @@ def laurent_at_zero(rs: RationalSeries, n: int, q: int,
         scaled = cv.scale(Fraction(2 * n) ** spow)
         terms.append(LaurentTerm(spow, scaled, spow))
     return LaurentData(n, q, terms)
-
-
-def _check_unit_circle(extra_den, tol: float = 1e-9):
-    import numpy as np
-
-    coeffs = [float(c) for c in extra_den]
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
-    if len(coeffs) <= 1:
-        return
-    roots = np.roots(list(reversed(coeffs)))
-    for r in roots:
-        if abs(abs(r) - 1.0) < tol:
-            raise UnexpectedPole(f"denominator root {r} near the unit circle")
 
 
 def spot_check(rs: RationalSeries, laur: LaurentData, n: int, q: int,
@@ -375,8 +337,9 @@ class ResidueSeries:
             "poly": [c.to_json() for c in self.poly],
             "closed_form": {
                 "num": [c.to_json() for c in self.closed.num],
+                # "extra" is the further denominator factor, always 1
                 "den": {"one_minus_u_power": self.closed.pole_power,
-                        "extra": [str(c) for c in self.closed.extra_den]},
+                        "extra": ["1"]},
             },
             "laurent": self.laurent.to_json(),
             "checks": self.checks,

@@ -301,7 +301,7 @@ def check_odd_factorization(seed: int) -> CheckResult:
     ctx = _ctx5()
     form = orthogonal_form(ctx, 2)
     data = CuspidalData(ctx)
-    trunc = TruncationSpec(depth_m=3, gamma_depth=5, k_max=6, unit_depth=2)
+    trunc = TruncationSpec(gamma_depth=5, k_max=6, unit_depth=2)
     table = assemble_coefficients(data, form, trunc)
     c0 = table.values[0]
     ok = all(table.values[k] == c0.scale(4 * k + 1) for k in table.ks)
@@ -332,7 +332,7 @@ def even_pipeline_summary(gamma_depth: int = 6, k_max: int = 8,
     ctx = _ctx2()
     form = orthogonal_form(ctx, 2)
     data = CuspidalData(ctx)
-    trunc = TruncationSpec(depth_m=3, gamma_depth=gamma_depth, k_max=k_max,
+    trunc = TruncationSpec(gamma_depth=gamma_depth, k_max=k_max,
                            unit_depth=unit_depth)
     table = assemble_coefficients(data, form, trunc)
     vals = [table.values[k] for k in table.ks]
@@ -408,45 +408,48 @@ def check_residue_benchmark(seed: int) -> CheckResult:
     )
 
 
+def _clear_caches():
+    """Empty the module-level caches so the next run starts cold."""
+    from . import integrator, localfield, ringvec
+
+    for cache in (integrator._orbit_cache, ringvec._gl2_cache,
+                  localfield._square_residue_cache):
+        cache.clear()
+
+
 def check_determinism(seed: int) -> CheckResult:
+    """The coeffs CSV and the residue JSON come out byte-identical from a
+    cold start (module caches emptied) and from a warm rerun."""
     t0 = time.time()
     from . import cli
 
-    cfg_tpl = (
+    cfg = (
         "[field]\np = 2\ne = 2\neisenstein = -2,0,1\nprecision = 16\n\n"
         "[pipeline]\nregime = even\nk_max = 4\ngamma_depth = 3\n"
-        "unit_depth = 2\nworkers = {workers}\n\n"
-        "[output]\nformat = csv\n\n[selftest]\nseed = {seed}\n"
+        "unit_depth = 2\n\n"
+        f"[output]\nformat = csv\n\n[selftest]\nseed = {seed}\n"
     )
-    outputs = []
+    runs = {}
     with tempfile.TemporaryDirectory() as td:
-        for tag, workers in (("a", 1), ("b", 1), ("c", 3)):
-            cfgp = os.path.join(td, f"cfg{tag}.ini")
-            outp = os.path.join(td, f"out{tag}.csv")
-            with open(cfgp, "w") as fh:
-                fh.write(cfg_tpl.format(workers=workers, seed=seed))
-            rc = cli.main(["coeffs", "--config", cfgp, "--out", outp])
-            with open(outp, "rb") as fh:
-                outputs.append((rc, fh.read()))
-        jouts = []
-        for tag, workers in (("ja", 1), ("jb", 2)):
-            cfgp = os.path.join(td, f"cfg{tag}.ini")
-            outp = os.path.join(td, f"out{tag}.json")
-            with open(cfgp, "w") as fh:
-                fh.write(cfg_tpl.format(workers=workers, seed=seed)
-                         .replace("format = csv", "format = json"))
-            rc = cli.main(["residue", "--config", cfgp, "--out", outp])
-            with open(outp, "rb") as fh:
-                jouts.append((rc, fh.read()))
-    ok = (
-        all(rc == 0 for rc, _ in outputs + jouts)
-        and outputs[0][1] == outputs[1][1] == outputs[2][1]
-        and jouts[0][1] == jouts[1][1]
-    )
+        cfgp = os.path.join(td, "cfg.ini")
+        with open(cfgp, "w") as fh:
+            fh.write(cfg)
+        for command in ("coeffs", "residue"):
+            for start in ("cold", "warm"):
+                if start == "cold":
+                    _clear_caches()
+                outp = os.path.join(td, f"{command}-{start}.out")
+                rc = cli.main([command, "--config", cfgp, "--out", outp])
+                with open(outp, "rb") as fh:
+                    runs[command, start] = (rc, fh.read())
+    ok = (all(rc == 0 for rc, _ in runs.values())
+          and all(runs[c, "cold"] == runs[c, "warm"]
+                  for c in ("coeffs", "residue")))
     return CheckResult(
-        "11 byte-identical runs across seeds and workers",
+        "11 byte-identical runs from cold and warm caches",
         ok,
-        f"csv bytes {len(outputs[0][1])}, json bytes {len(jouts[0][1])}",
+        f"csv bytes {len(runs['coeffs', 'cold'][1])}, "
+        f"json bytes {len(runs['residue', 'cold'][1])}",
         time.time() - t0,
     )
 

@@ -17,8 +17,9 @@ import numpy as np
 
 from .cyclotomic import CharacterValue
 from .errors import DomainError
+from .integrator import coset_strata
 from .localfield import INF, Elem, LocalFieldCtx, additive_char
-from .matlattice import GroupForm, Mat, a_e, mat_ord, n_b, vdash
+from .matlattice import GroupForm, Mat, mat_ord, vdash
 from .ringvec import ResidueRing, iter_gl2
 from .twisted import TorusElem, is_eps_symmetric, norm_preimage
 
@@ -339,57 +340,39 @@ def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
                  depth: int = 6, b_window: int = 12) -> ScanReport:
     """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^t) != 0.
 
-    The det-valuation parity forces i; integrality bounds the b window;
-    eps-symmetry mod p and the other prefilters are kappa-free.  Surviving
-    strata are settled by exact enumeration of kappa at the stabilized
-    congruence level (that level is <= depth in every supported case, so an
-    empty scan is exhaustive over all of K)."""
+    Walks every (i, b) coset stratum (`integrator.coset_strata`, no
+    deduplication, so the first witness is the lexicographic one); the
+    det-valuation parity forces i, integrality bounds the b level, and a
+    bound beyond `b_window` raises TailNonzero.  The prefilters are
+    kappa-free.  Surviving strata are settled by exact enumeration of
+    kappa at the stabilized congruence level (that level is <= depth in
+    every supported case, so an empty scan is exhaustive over all of K)."""
     ctx = data.ctx
     x = norm_preimage(gamma, form).inverse()
     regime = _classify_regime(ctx, gamma.alpha)
-    d = x.det().val
-    icands = []
-    for target in (0, 1):
-        if (target - d) % 2 == 0:
-            icands.append((target - d) // 2)
     strata: list[ScanStratum] = []
     witness = None
     kappa_level_used = 0
-    trace = x.rows[0][0] + x.rows[1][1]
-    for i in icands:
-        # hard bound on the b level from integrality of the (0,1) entry
-        off_ord = trace.val
-        jmax = b_window if off_ord is INF else max(0, i + off_ord)
-        jmax = min(jmax, b_window)
-        for j in range(0, jmax + 1):
-            for digits in _b_digit_tuples(ctx.p, j):
-                b = ctx.from_digits(-j, digits) if j else ctx.zero()
-                g0 = n_b(ctx, b) * a_e(ctx, i)
-                y = g0 * x * vdash(g0, form)
-                dead = data.support_prefilter(y, form)
-                if dead is not None:
-                    strata.append(ScanStratum(i, j, digits, dead))
-                    continue
-                level = min(depth, data.value_level(y.det().val % 2))
-                kappa_level_used = max(kappa_level_used, level)
-                kap = _kappa_witness(data, y, level)
-                if kap is None:
-                    strata.append(ScanStratum(i, j, digits, "kappa scan empty"))
-                    continue
-                strata.append(ScanStratum(i, j, digits, "witness"))
-                gw = kap * g0
-                witness = {
-                    "i": i,
-                    "b_level": j,
-                    "b": list(digits),
-                    "kappa": kap.to_digit_lists(4),
-                    "value": data.f(gw * x * vdash(gw, form)).to_json(),
-                }
-                break
-            if witness:
-                break
-        if witness:
-            break
+    for c in coset_strata(data, form, x, b_window, dedup=False):
+        if c.dead is not None:
+            strata.append(ScanStratum(c.i, c.j, c.digits, c.dead))
+            continue
+        level = min(depth, data.value_level(c.y.det().val % 2))
+        kappa_level_used = max(kappa_level_used, level)
+        kap = _kappa_witness(data, c.y, level)
+        if kap is None:
+            strata.append(ScanStratum(c.i, c.j, c.digits, "kappa scan empty"))
+            continue
+        strata.append(ScanStratum(c.i, c.j, c.digits, "witness"))
+        gw = kap * c.g0
+        witness = {
+            "i": c.i,
+            "b_level": c.j,
+            "b": list(c.digits),
+            "kappa": kap.to_digit_lists(4),
+            "value": data.f(gw * x * vdash(gw, form)).to_json(),
+        }
+        break
     if witness is None and regime == "alpha-unit-even":
         regime_out = "even-none"
     elif witness is None:
@@ -397,15 +380,6 @@ def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
     else:
         regime_out = regime + "-witness"
     return ScanReport(regime_out, witness, strata, kappa_level_used)
-
-
-def _b_digit_tuples(p: int, j: int):
-    if j == 0:
-        return [()]
-    out = [(d,) for d in range(1, p)]
-    for _ in range(j - 1):
-        out = [t + (d,) for t in out for d in range(p)]
-    return out
 
 
 def _kappa_witness(data: CuspidalData, y: Mat, level: int) -> Mat | None:

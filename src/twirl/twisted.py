@@ -305,12 +305,6 @@ def weyl_discriminant(gamma: TorusElem, h_kind: str = "orthogonal-split"):
     raise ValueError(f"unknown H kind {h_kind!r}")
 
 
-def phi_s(gamma: TorusElem, form: GroupForm) -> int:
-    """log_q max(1, |D_eps(S(gamma))|^(-1)); always >= 0."""
-    s = norm_preimage(gamma, form)
-    return twisted_discriminant(s, form).phi
-
-
 # -- randomized twisted-centralizer verification --------------------------------
 
 

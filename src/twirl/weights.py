@@ -166,18 +166,6 @@ def square_class_weight(g: Mat, h: Mat | None, scs: SquareClassSet, k: int,
     return total
 
 
-def square_class_weight_from_delta(delta1: int, card_units: int, k: int) -> int:
-    """GL_2 fast path for trivial omega and L = M_2(O): the class sum
-    collapses to |O^x/(O^x)^2| (2 Delta_1 + 4k + 1), vanishing when
-    Delta_1 < -2k."""
-    total = 0
-    for shift in (0, 1):  # unit classes, pi classes
-        d = delta1 - shift
-        if d >= -2 * k:
-            total += d + 2 * k + 1
-    return card_units * total
-
-
 @dataclass(frozen=True)
 class SymbolicWeight:
     """Per-class weights with the formal |alpha|^(-ns) factor recorded as an

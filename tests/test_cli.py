@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +18,6 @@ regime = odd
 k_max = 3
 gamma_depth = 2
 unit_depth = 2
-workers = 1
 
 [output]
 format = json
@@ -109,6 +110,47 @@ def test_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text(ODD_CFG.replace("regime = odd", "regime = even"))
     assert cli.main(["coeffs", "--config", str(p)]) == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    ("unit_depth = 2", "unit_depth = 0"),
+    ("unit_depth = 2", "unit_depth = 2\ne_window = -1"),
+    ("unit_depth = 2", "unit_depth = 2\nworkers = 1"),
+    ("unit_depth = 2", "unit_depth = 2\ndepth_m = 3"),
+    ("gamma_depth = 2", "gama_depth = 2"),
+])
+def test_rejected_pipeline_config(tmp_path, old, new):
+    """Windows out of range and unknown [pipeline] keys exit 1 before any
+    work; unit_depth = 0 would run with every volume q times too large."""
+    p = tmp_path / "bad.ini"
+    p.write_text(EVEN_CFG.replace(old, new))
+    assert cli.main(["coeffs", "--config", str(p)]) == 1
+
+
+def test_support_scan_short_b_window_exit_code(tmp_path):
+    p = tmp_path / "short.ini"
+    p.write_text(ODD_CFG.replace("k_max = 3", "k_max = 3\nb_window = 2"))
+    assert cli.main(["support-scan", "--config", str(p),
+                     "--alpha", "1+pi^4"]) == 2
+
+
+def test_cold_and_warm_cache_same_bytes(even_cfg, tmp_path):
+    """A fresh interpreter (every cache cold) and a warm rerun in this
+    process write the same coeffs CSV and residue JSON bytes."""
+    import twirl
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(twirl.__file__)))
+    csv_cfg = tmp_path / "csv.ini"
+    csv_cfg.write_text(EVEN_CFG.replace("format = json", "format = csv"))
+    for command, cfg in (("coeffs", str(csv_cfg)), ("residue", even_cfg)):
+        cold, warm = tmp_path / f"{command}.cold", tmp_path / f"{command}.warm"
+        subprocess.run([sys.executable, "-m", "twirl.cli", command,
+                        "--config", cfg, "--out", str(cold)],
+                       env=env, check=True, timeout=300)
+        for _ in range(2):
+            assert cli.main([command, "--config", cfg, "--out", str(warm)]) == 0
+        assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_output_dir_override(odd_cfg, tmp_path, monkeypatch):

@@ -106,23 +106,13 @@ def test_dedup_matches_full_enumeration():
         c = mk()
         data = CuspidalData(c)
         form = orthogonal_form(c, 2)
-        base = dict(depth_m=3, gamma_depth=3, k_max=3, unit_depth=2)
+        base = dict(gamma_depth=3, k_max=3, unit_depth=2)
         t1 = assemble_coefficients(data, form,
                                    TruncationSpec(dedup=True, **base))
         t2 = assemble_coefficients(data, form,
                                    TruncationSpec(dedup=False, **base))
         for k in t1.ks:
             assert t1.values[k] == t2.values[k]
-
-
-def test_workers_same_result():
-    c = ctx2()
-    data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
-    base = dict(gamma_depth=3, k_max=3, unit_depth=2)
-    t1 = assemble_coefficients(data, form, TruncationSpec(workers=1, **base))
-    t2 = assemble_coefficients(data, form, TruncationSpec(workers=4, **base))
-    assert t1.values == t2.values
 
 
 def test_verification_strata_contribute_zero():

@@ -12,7 +12,6 @@ from twirl import (
     gnorm,
     iwasawa,
     lattice_ord,
-    lattice_ord_star,
     make_field,
     mat_ord,
     n_of,
@@ -52,7 +51,6 @@ def test_mat_ord_product_inequality():
 
 def test_lattice_ords():
     assert lattice_ord(LatticeSpec(0)) == 0
-    assert lattice_ord_star(LatticeSpec(0)) == 0
     assert lattice_ord(LatticeSpec(3)) == -3
 
 
@@ -68,7 +66,7 @@ def test_scaled_lattice_inequalities():
         got = scaled_lattice_ord(g, lat, h)
         assert got >= mat_ord(g) + mat_ord(h) + lattice_ord(lat)
         star = scaled_lattice_ord_star(g, lat, h)
-        assert star <= lattice_ord_star(lat) - mat_ord(g.inverse()) - \
+        assert star <= lattice_ord(lat) - mat_ord(g.inverse()) - \
             mat_ord(h.inverse())
         assert got <= star  # L inside pi^ord L_0 and pi^ord* L_0 inside L
 

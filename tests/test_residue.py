@@ -5,7 +5,6 @@ import pytest
 from twirl import (
     NoStabilization,
     RationalSeries,
-    UnexpectedPole,
     closed_form,
     fit_polynomial,
     laurent_at_zero,
@@ -92,17 +91,6 @@ def test_laurent_polynomial_no_principal():
     assert laur.residue() is None
 
 
-def test_unexpected_pole():
-    # extra denominator (1 + u) has a root on the unit circle
-    rs = RationalSeries((q2(1),), 1, (Fraction(1), Fraction(1)))
-    with pytest.raises(UnexpectedPole):
-        laurent_at_zero(rs, 2, 5)
-    # vanishing at u = 1 is also rejected
-    rs2 = RationalSeries((q2(1),), 0, (Fraction(1), Fraction(-1)))
-    with pytest.raises(UnexpectedPole):
-        laurent_at_zero(rs2, 2, 5)
-
-
 def test_head_shift_preserves_principal_part():
     """Dropping leading k-terms changes only the holomorphic part."""
     coeffs = [q2(4 * k + 1) for k in range(10)]
@@ -124,6 +112,8 @@ def test_classify_and_report():
     assert rep.regime == "odd-factorized"
     assert rep.checks["re_expansion_exact"]
     assert rep.checks["spot_check_ok"]
+    den = rep.to_json()["closed_form"]["den"]
+    assert den == {"one_minus_u_power": 2, "extra": ["1"]}
     affine = [q2(3 + 2 * k) for k in range(8)]
     assert classify_regime(affine) == "even-weighted"
     zero = [q2(0)] * 6

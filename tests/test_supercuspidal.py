@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from twirl import (
     CuspidalData,
     DomainError,
     Mat,
+    TailNonzero,
     TorusElem,
     TruncationSpec,
     level_character,
@@ -389,6 +392,42 @@ def test_support_scan_regimes():
     assert rep2.witness["i"] == 2
     j = rep2.to_json()
     assert j["regime"].endswith("witness")
+
+
+SCAN_SHA256 = {
+    (ctx5, "pi"): "95db047d7229f02a2adb395ac259725986869d80d250519df7e208843dfbebc1",
+    (ctx5, "pi^2"): "664380ba1a977b2ddd4142e0c891f1244d3d5ef78110807e0bf84029275dc449",
+    (ctx5, "pi^-1"): "95db047d7229f02a2adb395ac259725986869d80d250519df7e208843dfbebc1",
+    (ctx5, "2"): "10f57a2459ae6194459bf19853786ca51fc36a639aa418d0b9849586b09c501f",
+    (ctx5, "1+pi"): "505b9c8dd19640f9b4af4287c12ae09f96f65f9c915e971e2b207b8db4d3cbf0",
+    (ctx5, "-1+pi"): "7e4059857791acd59739aab60edea78e0be899908b984e34ef45c482a2531828",
+    (ctx2, "1+pi^2"): "4f33b5e2a6db32f2757b927cf7568042122098fdf4884cb8947ad66428aa76fc",
+}
+
+
+@pytest.mark.parametrize("mk, spec", list(SCAN_SHA256))
+def test_support_scan_golden_bytes(mk, spec):
+    """The scan report bytes (searched strata, verdicts, witness) are
+    pinned; "pi^2" has a non-integral diagonal on its only stratum."""
+    c = mk()
+    rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
+                       TorusElem(parse_elem(c, spec)))
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_SHA256[mk, spec]
+
+
+def test_support_scan_raises_on_short_b_window():
+    """alpha = 1 + pi^4 forces b levels up to 4: a window of 2 raises
+    instead of reporting a truncated scan as exhaustive."""
+    c = make_field(5, 1, (-5, 1), 30)
+    data = CuspidalData(c)
+    form = orthogonal_form(c, 2)
+    gamma = TorusElem(parse_elem(c, "1+pi^4"))
+    with pytest.raises(TailNonzero):
+        support_scan(data, form, gamma, b_window=2)
+    rep = support_scan(data, form, gamma)
+    assert not rep.found()
+    assert max(s.b_level for s in rep.strata) == 4
 
 
 def test_support_scan_randomized_regimes():
