@@ -31,7 +31,7 @@ print("character value:", level_character(m))
 
 print("\nsupport scans (p = 2, pi^2 = 2):")
 for spec in ("1+pi^2", "1+pi", "pi", "pi^-1"):
-    rep = support_scan(data2, form2, TorusElem(parse_elem(ctx2, spec)), depth=6)
+    rep = support_scan(data2, form2, TorusElem(parse_elem(ctx2, spec)))
     tag = "witness" if rep.found() else "none"
     print(f"  alpha = {spec:8s} -> {tag:8s} ({rep.regime}, "
           f"{len(rep.strata)} strata examined)")
@@ -41,7 +41,7 @@ data5 = CuspidalData(ctx5)
 form5 = orthogonal_form(ctx5, 2)
 print("\nsupport scans (p = 5):")
 for spec in ("pi", "2", "1+pi", "-1+pi"):
-    rep = support_scan(data5, form5, TorusElem(parse_elem(ctx5, spec)), depth=6)
+    rep = support_scan(data5, form5, TorusElem(parse_elem(ctx5, spec)))
     tag = "witness" if rep.found() else "none"
     print(f"  alpha = {spec:8s} -> {tag:8s} ({rep.regime})")
 print("\nonly alpha = -1 mod p survives at odd p; every unit survives at p = 2")

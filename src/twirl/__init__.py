@@ -37,7 +37,6 @@ from .localfield import (
     additive_char,
     is_square,
     make_field,
-    ord_of,
     parse_context,
     parse_elem,
     square_class_reps,

@@ -24,10 +24,14 @@ Config files are INI-style:
     [selftest]
     seed = 7
 
-Every [pipeline] key is listed above; any other key is an error.  Exit
-codes: 0 success, 2 honest-truncation failure (TailNonzero or
-NoStabilization), 1 any other error.  TWIRL_OUTPUT_DIR overrides output
-directories; no other environment variables are read.
+Every [pipeline] key is listed above; any other key is an error, and so
+is a value that is not an integer, a window out of range, a precision
+below 2*gamma_depth + 2*ord(2) + 6, or a regime other than the one p
+selects ("even" at p = 2 with e >= 2, "odd" at odd p; the even regime
+adds the weight-only constants to the residue report).  Exit codes: 0
+success, 2 honest-truncation failure (TailNonzero or NoStabilization), 1
+any other error.  TWIRL_OUTPUT_DIR overrides output directories; no other
+environment variables are read.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ from .twisted import TorusElem, norm_preimage, twisted_discriminant
 from .weights import WeightQuery, weight_closed, weight_oracle
 
 
-PIPELINE_KEYS = frozenset({"regime", "k_max", "b_window", "e_window",
-                           "gamma_depth", "unit_depth", "dedup"})
+WINDOW_KEYS = ("k_max", "b_window", "e_window", "gamma_depth", "unit_depth")
+PIPELINE_KEYS = frozenset(WINDOW_KEYS + ("regime", "dedup"))
 
 
 @dataclass
@@ -76,40 +80,53 @@ class RunConfig:
         with open(path) as fh:
             cp.read_file(fh)
         f = cp["field"]
-        ctx = make_field(
-            int(f["p"]),
-            int(f["e"]),
-            tuple(int(c) for c in f["eisenstein"].split(",")),
-            int(f["precision"]),
-        )
         pl = cp["pipeline"] if cp.has_section("pipeline") else {}
         unknown = sorted(set(pl) - PIPELINE_KEYS)
         if unknown:
             raise TwirlError(f"unknown [pipeline] keys: {', '.join(unknown)}")
-        regime = pl.get("regime", "odd" if ctx.p != 2 else "even")
-        if regime == "even" and not (ctx.p == 2 and ctx.e >= 2):
+        ctx = make_field(
+            _int(f["p"], "p"),
+            _int(f["e"], "e"),
+            tuple(_int(c, "eisenstein") for c in f["eisenstein"].split(",")),
+            _int(f["precision"], "precision"),
+        )
+        expected = "even" if ctx.p == 2 else "odd"
+        regime = pl.get("regime", expected)
+        if regime != expected:
+            raise TwirlError(f"regime must be {expected} at p = {ctx.p}, "
+                             f"not {regime!r}")
+        if regime == "even" and ctx.e < 2:
             raise TwirlError("even regime requires p = 2 with ramification >= 2")
         trunc = TruncationSpec(
-            b_window=int(pl.get("b_window", 12)),
-            e_window=int(pl.get("e_window", 8)),
-            gamma_depth=int(pl.get("gamma_depth", 5)),
-            k_max=int(pl.get("k_max", 8)),
-            unit_depth=int(pl.get("unit_depth", 2)),
             dedup=pl.get("dedup", "true").lower() != "false",
+            **{k: _int(pl[k], k) for k in WINDOW_KEYS if k in pl},
         )
         if (trunc.k_max < 0 or trunc.e_window < 0 or trunc.gamma_depth < 1
                 or trunc.b_window < 1 or trunc.unit_depth < 1):
             raise TwirlError("pipeline windows out of range: need k_max >= 0, "
                              "e_window >= 0, gamma_depth, b_window and "
                              "unit_depth >= 1")
+        need = 2 * trunc.gamma_depth + 2 * ctx.from_int(2).val + 6
+        if ctx.precision < need:
+            raise TwirlError(f"precision {ctx.precision} below "
+                             f"2*gamma_depth + 2*ord(2) + 6 = {need}")
         out = cp["output"] if cp.has_section("output") else {}
         fmt = out.get("format", "json")
         path_out = out.get("path")
         if path_out and os.environ.get("TWIRL_OUTPUT_DIR"):
             path_out = os.path.join(os.environ["TWIRL_OUTPUT_DIR"],
                                     os.path.basename(path_out))
-        seed = int(cp["selftest"].get("seed", 7)) if cp.has_section("selftest") else 7
+        sel = cp["selftest"] if cp.has_section("selftest") else {}
+        seed = _int(sel.get("seed", "7"), "seed")
         return RunConfig(ctx, regime, trunc, fmt, path_out, seed)
+
+
+def _int(text: str, key: str) -> int:
+    """The config value `text` of `key` as an int, or a config error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise TwirlError(f"{key} = {text!r} is not an integer") from None
 
 
 def _emit(text: str, path: str | None):
@@ -178,7 +195,7 @@ def cmd_support_scan(cfg: RunConfig, args) -> int:
     form = orthogonal_form(ctx, 2)
     data = CuspidalData(ctx)
     alpha = parse_elem(ctx, args.alpha)
-    rep = support_scan(data, form, TorusElem(alpha), depth=args.depth,
+    rep = support_scan(data, form, TorusElem(alpha),
                        b_window=cfg.trunc.b_window)
     _emit(_json_dump(rep.to_json()), args.out or cfg.out_path)
     return 0
@@ -235,7 +252,7 @@ def cmd_residue(cfg: RunConfig, args) -> int:
     rep = residue_report(coeffs, n=2, q=cfg.ctx.q)
     out = rep.to_json()
     out["metadata"] = table.metadata
-    if cfg.ctx.p == 2 and cfg.ctx.e >= 2:
+    if cfg.regime == "even":
         a, b, incs = coefficient_A_B(data, form, cfg.trunc)
         out["weight_only_constants"] = {
             "A": str(a),
@@ -281,7 +298,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", required=True)
     sp = add("support-scan", cmd_support_scan)
     sp.add_argument("--alpha", required=True)
-    sp.add_argument("--depth", type=int, default=6)
     sp = add("psik", cmd_psik)
     sp.add_argument("--alpha", required=True)
     add("coeffs", cmd_coeffs)
@@ -290,7 +306,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest")
     sp.add_argument("--fast", action="store_true")
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--config")
     sp.set_defaults(fn=cmd_selftest, selftest=True)
     return ap
 

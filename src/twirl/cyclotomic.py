@@ -150,9 +150,6 @@ class MeasureValue:
     def scale(self, r) -> "MeasureValue":
         return MeasureValue(self.value.scale(r), self.half_q_power)
 
-    def shift_q(self, halves: int) -> "MeasureValue":
-        return MeasureValue(self.value, self.half_q_power + halves)
-
     def is_zero(self) -> bool:
         return self.value.is_zero()
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import CharacterValue, MeasureValue
-from .errors import NotRegular, TailNonzero
+from .errors import NotRegular, PrecisionExhausted, TailNonzero
 from .localfield import (Elem, INF, LocalFieldCtx, SquareClassSet,
                          square_class_reps, unit_digit_tuples)
 from .matlattice import Mat, a_e, mat_ord, n_b, vdash
@@ -195,17 +195,15 @@ def _delta1_coset(i: int, j: int) -> int:
     return i - j
 
 
-def class_weight_from_delta(delta1: int, scs: SquareClassSet, k: int,
-                            omega=None) -> int:
+def class_weight_from_delta(delta1: int, scs: SquareClassSet, k: int) -> int:
     """Square-class weight sum evaluated through the closed volume formula:
-    sum over representatives alpha of omega(alpha) w_k with
+    sum over representatives alpha of w_k with
     Delta_1 -> Delta_1 - ord(alpha)."""
-    vals = [1] * len(scs.reps) if omega is None else list(omega)
     total = 0
-    for sign, rep in zip(vals, scs.reps):
+    for rep in scs.reps:
         dd = delta1 - rep.val
         if dd >= -2 * k:
-            total += sign * (dd + 2 * k + 1)
+            total += dd + 2 * k + 1
     return total
 
 
@@ -213,7 +211,7 @@ def class_weight_from_delta(delta1: int, scs: SquareClassSet, k: int,
 
 
 def orbit_weight_integral(data, form, gamma: TorusElem, ks, trunc: TruncationSpec,
-                          scs: SquareClassSet | None = None, omega=None):
+                          scs: SquareClassSet | None = None):
     """psi_k(gamma) = integral over G/T of f(g S(gamma)^(-1) g^t) W_k(g)
     for each k in ks; returns {k: CharacterValue} plus the strata."""
     if not gamma.regular:
@@ -229,7 +227,7 @@ def orbit_weight_integral(data, form, gamma: TorusElem, ks, trunc: TruncationSpe
         for s in strata:
             if s.dead or s.f_avg is None or s.f_avg.is_zero():
                 continue
-            w = class_weight_from_delta(s.delta1, scs, k, omega)
+            w = class_weight_from_delta(s.delta1, scs, k)
             if w:
                 acc = acc + s.f_avg.scale(s.weight * w)
         table[k] = acc
@@ -276,27 +274,39 @@ class CoefficientTable:
         }
 
 
-def _gamma_contribution(data, form, stratum, ks, trunc, scs, omega):
-    gamma = TorusElem(stratum.alpha)
-    x = norm_preimage(gamma, form).inverse()
+def _regular_preimage(form, alpha: Elem, label: str):
+    """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) and its
+    twisted discriminant report.  x is regular for every torus stratum
+    (its twisted centralizer is the torus), so a report that says
+    otherwise means the working precision could not decide a discriminant
+    digit: raise rather than use its valuation."""
+    x = norm_preimage(TorusElem(alpha), form).inverse()
     drep = twisted_discriminant(x, form)
+    if not drep.regular:
+        raise PrecisionExhausted(
+            f"twisted discriminant at {label} has kernel dim "
+            f"{drep.kernel_dim} at precision {alpha.ctx.precision}")
+    return x, drep
+
+
+def _gamma_contribution(data, form, stratum, ks, trunc, scs):
+    _x, drep = _regular_preimage(form, stratum.alpha, stratum.label)
     scale = stratum.vol * Fraction(data.ctx.q) ** (-drep.ord_value)
-    table, strata = orbit_weight_integral(data, form, gamma, ks, trunc, scs,
-                                          omega)
+    table, strata = orbit_weight_integral(data, form, TorusElem(stratum.alpha),
+                                          ks, trunc, scs)
     # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1); |W(T)| = 1
     out = {k: table[k].scale(2 * scale) for k in ks}
     return out, strata
 
 
-def assemble_coefficients(data, form, trunc: TruncationSpec, omega=None,
-                          include_verification: bool = True) -> CoefficientTable:
+def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable:
     """The coefficient table c_k of the series sum_k c_k q^(-2nks):
     c_k = 2 sum over torus strata of vol * |D_eps| * psi_k."""
     ctx = data.ctx
     scs = square_class_reps(ctx)
     ks = tuple(range(0, trunc.k_max + 1))
-    strata = torus_strata(ctx, trunc, include_verification)
-    results = [_gamma_contribution(data, form, s, ks, trunc, scs, omega)
+    strata = torus_strata(ctx, trunc)
+    results = [_gamma_contribution(data, form, s, ks, trunc, scs)
                for s in strata]
     values = {k: CharacterValue.zero(ctx.p) for k in ks}
     per_stratum = []
@@ -329,14 +339,12 @@ def rg_term(data, form, trunc: TruncationSpec) -> CharacterValue:
     ctx = data.ctx
     acc = CharacterValue.zero(ctx.p)
     for stratum in torus_strata(ctx, trunc, include_verification=False):
-        gamma = TorusElem(stratum.alpha)
-        x = norm_preimage(gamma, form).inverse()
+        x, drep = _regular_preimage(form, stratum.alpha, stratum.label)
         if mat_ord(x) < 0 or x.det().val not in (0,):
             continue
         dead = data.support_prefilter(x, form)
         if dead is not None:
             continue
-        drep = twisted_discriminant(x, form)
         favg = data.kappa_average(x, form)
         acc = acc + favg.scale(stratum.vol * Fraction(ctx.q) ** (-drep.ord_value))
     return acc
@@ -355,10 +363,7 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
     b_total = Fraction(0)
     increments = []
     for e in range(1, trunc.gamma_depth + 1):
-        alpha = ctx.one() + ctx.pi(e)
-        gamma = TorusElem(alpha)
-        x = norm_preimage(gamma, form).inverse()
-        drep = twisted_discriminant(x, form)
+        _x, drep = _regular_preimage(form, ctx.one() + ctx.pi(e), f"1+pi^{e}")
         deps = Fraction(q) ** (-drep.ord_value)
         vol = Fraction(1, q ** e)
         # interior shell: b levels j = 0 .. e-1; level j has q^j - q^(j-1)

@@ -545,12 +545,6 @@ def _pi_power_poly(ctx: LocalFieldCtx, k: int) -> tuple[int, ...]:
     return out
 
 
-def ord_of(x: Elem):
-    """Valuation ord(x) in Z or +inf.  ord(xy) = ord x + ord y and
-    ord(x+y) >= min(ord x, ord y) hold exactly."""
-    return x.val
-
-
 # -- square classes ----------------------------------------------------------
 
 

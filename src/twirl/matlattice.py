@@ -76,12 +76,6 @@ class Mat:
 
     # -- basics ---------------------------------------------------------------
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def entry(self, i, j) -> Elem:
-        return self.rows[i][j]
-
     def column(self, j):
         return [self.rows[i][j] for i in range(self.n)]
 
@@ -121,12 +115,6 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(self.ctx, [[self.rows[j][i] for j in range(self.n)]
                               for i in range(self.n)])
-
-    def trace(self) -> Elem:
-        t = self.ctx.zero()
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
 
     def det(self) -> Elem:
         n = self.n
@@ -431,14 +419,6 @@ class CosetRep:
     def to_matrix(self) -> Mat:
         ctx = self.kappa.ctx
         return self.kappa * n_b(ctx, self.b) * a_e(ctx, self.e)
-
-    def serialize(self, digits: int = 8):
-        bv = self.b.val
-        return {
-            "kappa": self.kappa.to_digit_lists(digits),
-            "b": None if bv is INF else (bv, list(self.b.unit_digits(-bv))),
-            "e": self.e,
-        }
 
 
 def n_b(ctx: LocalFieldCtx, b: Elem) -> Mat:

@@ -256,14 +256,14 @@ class LaurentData:
         ]
 
 
-def laurent_at_zero(rs: RationalSeries, n: int, q: int,
-                    extra_orders: int = 2) -> LaurentData:
+def laurent_at_zero(rs: RationalSeries, n: int, q: int) -> LaurentData:
     """Substitute u = q^(-2ns) = exp(-z), z = 2n ln(q) s, and expand the
-    Laurent series at s = 0.  The s^(-m) coefficient is an exact rational
-    (vector) times (ln q)^(-m).  The pole at s = 0 comes only from the
-    (1-u)^d factor, the one denominator a RationalSeries has."""
+    Laurent series at s = 0 through s^2.  The s^(-m) coefficient is an
+    exact rational (vector) times (ln q)^(-m).  The pole at s = 0 comes
+    only from the (1-u)^d factor, the one denominator a RationalSeries
+    has."""
     d = rs.pole_power
-    count = d + extra_orders + 1
+    count = d + 3
     # N(e^-z) as a z-series with CharacterValue coefficients
     p = rs.p
     nser = [CharacterValue.zero(p) for _ in range(count)]
@@ -289,7 +289,7 @@ def laurent_at_zero(rs: RationalSeries, n: int, q: int,
     terms = []
     for idx, cv in enumerate(lser):
         spow = idx - d
-        if spow > extra_orders:
+        if spow > 2:
             break
         if cv.is_zero():
             continue
@@ -298,12 +298,12 @@ def laurent_at_zero(rs: RationalSeries, n: int, q: int,
     return LaurentData(n, q, terms)
 
 
-def spot_check(rs: RationalSeries, laur: LaurentData, n: int, q: int,
-               svals=(1e-3, 1e-4)) -> float:
+def spot_check(rs: RationalSeries, laur: LaurentData, n: int, q: int) -> float:
     """Relative error between direct evaluation of the rational function at
-    u = q^(-2ns) and the Laurent approximation, maximized over svals."""
+    u = q^(-2ns) and the Laurent approximation, maximized over
+    s in {1e-3, 1e-4}."""
     worst = 0.0
-    for s in svals:
+    for s in (1e-3, 1e-4):
         u = q ** (-2 * n * s)
         direct = rs.eval_complex(u)
         approx = laur.eval_float(s)
@@ -360,10 +360,9 @@ def classify_regime(coeffs) -> str:
     return "unclassified"
 
 
-def residue_report(coeffs, n: int, q: int, max_degree: int = 1,
-                   run_spot_check: bool = True) -> ResidueSeries:
-    """coefficient table -> polynomial fit -> closed form -> Laurent data,
-    with the regime classification and exactness checks."""
+def residue_report(coeffs, n: int, q: int) -> ResidueSeries:
+    """coefficient table -> degree-1 polynomial fit -> closed form ->
+    Laurent data, with the regime classification and exactness checks."""
     regime = classify_regime(coeffs)
     if regime == "zero":
         p = coeffs[0].p
@@ -371,13 +370,11 @@ def residue_report(coeffs, n: int, q: int, max_degree: int = 1,
         return ResidueSeries(n, q, list(coeffs), [CharacterValue.zero(p)], 0,
                              zero_rs, LaurentData(n, q, []), regime,
                              {"identically_zero": True})
-    poly, k0 = fit_polynomial(coeffs, max_degree)
+    poly, k0 = fit_polynomial(coeffs, 1)
     rs = closed_form(poly, k0, list(coeffs[:k0]))
     ok = verify_expansion(rs, coeffs)
     laur = laurent_at_zero(rs, n, q)
-    checks = {"re_expansion_exact": ok}
-    if run_spot_check:
-        err = spot_check(rs, laur, n, q)
-        checks["spot_check_rel_err"] = err
-        checks["spot_check_ok"] = err <= 1e-6
+    err = spot_check(rs, laur, n, q)
+    checks = {"re_expansion_exact": ok, "spot_check_rel_err": err,
+              "spot_check_ok": err <= 1e-6}
     return ResidueSeries(n, q, list(coeffs), poly, k0, rs, laur, regime, checks)

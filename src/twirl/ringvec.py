@@ -89,14 +89,6 @@ class ResidueRing:
     def sub(self, a, b):
         return (a - b) % self.pm
 
-    def neg(self, a):
-        return (-a) % self.pm
-
-    def scalar(self, n: int) -> np.ndarray:
-        v = np.zeros(self.e, dtype=np.int64)
-        v[0] = n % self.pm
-        return v
-
     def is_unit(self, a) -> np.ndarray:
         return (a[..., 0] % self.p) != 0
 
@@ -118,43 +110,19 @@ class ResidueRing:
         return out
 
 
-_gl2_cache: dict = {}
-
-
-def iter_gl2(ctx: LocalFieldCtx, level: int, ring: ResidueRing | None = None):
-    """Yield GL_2(O/pi^level) as chunks of coefficient arrays (a, b, c, d).
-    Small levels are materialized and cached; larger ones stream."""
-    if ring is None:
-        ring = ResidueRing(ctx, max(level, 2))
-    key = (ctx.p, ctx.e, ctx.eisenstein, level, ring.s)
-    got = _gl2_cache.get(key)
-    if got is not None:
-        yield got
-        return
+def iter_gl2(ctx: LocalFieldCtx, level: int, ring: ResidueRing):
+    """Yield GL_2(O/pi^level) as coefficient arrays (a, b, c, d) in `ring`,
+    one chunk per leading entry a; the rows come in lexicographic order of
+    the indices of (a, b, c, d) in `ring.from_digit_grid(level)`."""
     table = ring.from_digit_grid(level)
     m = table.shape[0]
-    if m ** 4 <= 1_500_000:
-        ia, ib, ic, id_ = np.meshgrid(
-            np.arange(m), np.arange(m), np.arange(m), np.arange(m), indexing="ij"
-        )
-        a = table[ia.ravel()]
-        b = table[ib.ravel()]
-        c = table[ic.ravel()]
-        d = table[id_.ravel()]
-        det = ring.sub(ring.mul(a, d), ring.mul(b, c))
-        mask = ring.is_unit(det)
-        out = (a[mask], b[mask], c[mask], d[mask])
-        _gl2_cache[key] = out
-        yield out
-        return
     ib, ic, id_ = np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
                               indexing="ij")
-    ib, ic, id_ = ib.ravel(), ic.ravel(), id_.ravel()
-    b = table[ib]
-    c = table[ic]
-    d = table[id_]
-    for i in range(m):
-        a = np.broadcast_to(table[i], b.shape).copy()
+    b = table[ib.ravel()]
+    c = table[ic.ravel()]
+    d = table[id_.ravel()]
+    for row in table:
+        a = np.broadcast_to(row, b.shape).copy()
         det = ring.sub(ring.mul(a, d), ring.mul(b, c))
         mask = ring.is_unit(det)
         yield (a[mask], b[mask], c[mask], d[mask])

@@ -278,14 +278,14 @@ def check_support_vanishing(seed: int) -> CheckResult:
     bad = []
     for spec in cases_none:
         alpha = parse_elem(ctx, spec)
-        rep = support_scan(data, form, TorusElem(alpha), depth=6)
+        rep = support_scan(data, form, TorusElem(alpha))
         if rep.found():
             bad.append(spec)
     ctx2 = _ctx2()
     form2 = orthogonal_form(ctx2, 2)
     data2 = CuspidalData(ctx2)
     alpha = parse_elem(ctx2, "1+pi^2")
-    rep2 = support_scan(data2, form2, TorusElem(alpha), depth=6)
+    rep2 = support_scan(data2, form2, TorusElem(alpha))
     if not rep2.found():
         bad.append("1+pi^2 (expected witness)")
     return CheckResult(
@@ -313,8 +313,7 @@ def check_odd_factorization(seed: int) -> CheckResult:
     # K-average cancels exactly for odd p with this inducing datum
     from .localfield import parse_elem
 
-    witness = support_scan(data, form,
-                           TorusElem(parse_elem(ctx, "-1+pi")), depth=4)
+    witness = support_scan(data, form, TorusElem(parse_elem(ctx, "-1+pi")))
     nonvac = witness.found()
     return CheckResult(
         "8 odd-characteristic factorization c_k = (4k+1) c_0",
@@ -410,10 +409,9 @@ def check_residue_benchmark(seed: int) -> CheckResult:
 
 def _clear_caches():
     """Empty the module-level caches so the next run starts cold."""
-    from . import integrator, localfield, ringvec
+    from . import integrator, localfield
 
-    for cache in (integrator._orbit_cache, ringvec._gl2_cache,
-                  localfield._square_residue_cache):
+    for cache in (integrator._orbit_cache, localfield._square_residue_cache):
         cache.clear()
 
 

@@ -126,14 +126,6 @@ class CuspidalData:
 
     detval_support = frozenset((0, 1))
 
-    def value_level(self, parity: int) -> int:
-        """Congruence level at which `support_scan` enumerates kappa: 2 on
-        the det-valuation-0 piece, 3 on the other.  f(kappa Y kappa^vdash)
-        with Y integral depends only on kappa mod pi^2 for both parities,
-        so level 2 already suffices; the scan keeps 3 on the odd piece so
-        that its reported `kappa_level` stays fixed."""
-        return 2 + (1 if parity else 0)
-
     def support_prefilter(self, y: Mat, form: GroupForm) -> str | None:
         """Necessary conditions for some K-twisted conjugate of y to meet
         the support; returns a reason string when the stratum is dead."""
@@ -186,12 +178,10 @@ class CuspidalData:
         y_orbit = _n_orbit(ring, _residues(ring, y))
         counts = np.zeros(p, dtype=np.int64)
         total = 0
+        # one chunk per residue of kappa_00 keeps memory flat in p
         for k in iter_gl2(self.ctx, 1, ring):
-            # one chunk per residue of kappa_00 keeps memory flat in p
-            for r in range(p):
-                sel = ring.residue_mod_p(k[0]) == r
-                k_r = tuple(z[sel][:, None, :] for z in k)
-                total += _count_f(ring, k_r, y_orbit, parity, counts)
+            k = tuple(z[:, None, :] for z in k)
+            total += _count_f(ring, k, y_orbit, parity, counts)
         return _mean(p, counts, total)
 
     def kappa_average_oracle(self, y: Mat, level: int) -> CharacterValue:
@@ -337,7 +327,7 @@ def _classify_regime(ctx: LocalFieldCtx, alpha: Elem) -> str:
 
 
 def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
-                 depth: int = 6, b_window: int = 12) -> ScanReport:
+                 b_window: int = 12) -> ScanReport:
     """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^t) != 0.
 
     Walks every (i, b) coset stratum (`integrator.coset_strata`, no
@@ -345,21 +335,24 @@ def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
     det-valuation parity forces i, integrality bounds the b level, and a
     bound beyond `b_window` raises TailNonzero.  The prefilters are
     kappa-free.  Surviving strata are settled by exact enumeration of
-    kappa at the stabilized congruence level (that level is <= depth in
-    every supported case, so an empty scan is exhaustive over all of K)."""
+    kappa mod pi^2, which is exhaustive over all of K on both parities
+    (see `CuspidalData.kappa_average`).  In practice every live stratum
+    has ord det y = 0: y = pi^i [[x0, b(x0 + x1)], [0, x1]] for diagonal
+    x, so an integral y with ord det y = 1 has {ord y00, ord y11} = {0, 1},
+    y00 - y11 is a unit, and the prefilter finds y not eps-symmetric mod p.
+    `kappa_level` is 2 once a live stratum was scanned, 0 otherwise."""
     ctx = data.ctx
     x = norm_preimage(gamma, form).inverse()
     regime = _classify_regime(ctx, gamma.alpha)
     strata: list[ScanStratum] = []
     witness = None
-    kappa_level_used = 0
+    kappa_level = 0
     for c in coset_strata(data, form, x, b_window, dedup=False):
         if c.dead is not None:
             strata.append(ScanStratum(c.i, c.j, c.digits, c.dead))
             continue
-        level = min(depth, data.value_level(c.y.det().val % 2))
-        kappa_level_used = max(kappa_level_used, level)
-        kap = _kappa_witness(data, c.y, level)
+        kappa_level = 2
+        kap = _kappa_witness(data, c.y)
         if kap is None:
             strata.append(ScanStratum(c.i, c.j, c.digits, "kappa scan empty"))
             continue
@@ -379,17 +372,17 @@ def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
         regime_out = regime
     else:
         regime_out = regime + "-witness"
-    return ScanReport(regime_out, witness, strata, kappa_level_used)
+    return ScanReport(regime_out, witness, strata, kappa_level)
 
 
-def _kappa_witness(data: CuspidalData, y: Mat, level: int) -> Mat | None:
-    """First kappa residue (lexicographic digit order) with
-    f(kappa y kappa^t) != 0, or None if the scan is exhaustive-empty."""
+def _kappa_witness(data: CuspidalData, y: Mat) -> Mat | None:
+    """First kappa mod pi^2 (lexicographic digit order) with
+    f(kappa y kappa^t) != 0, or None if there is none."""
     ctx = data.ctx
-    ring = ResidueRing(ctx, max(level, 2))
+    ring = ResidueRing(ctx, 2)
     y_res = _residues(ring, y)
     parity = y.det().val % 2
-    for k in iter_gl2(ctx, level, ring):
+    for k in iter_gl2(ctx, 2, ring):
         mask, _ = _f_on_residues(ring, _twist(ring, k, y_res), parity)
         idx = np.flatnonzero(mask)
         if idx.size:

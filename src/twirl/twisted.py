@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotRegular, PrecisionExhausted, Singular, SingularGammaMinusOne
+from .errors import NotRegular, PrecisionExhausted, SingularGammaMinusOne
 from .localfield import INF, Elem, LocalFieldCtx
 from .matlattice import GroupForm, Mat, mat_ord, nu, vdash
 
@@ -143,19 +143,16 @@ class DiscriminantReport:
 
 def _trailing_zeros(coeffs, cutoff: int):
     """Number of leading (low-degree) coefficients that vanish at working
-    precision, and the first surviving coefficient."""
+    precision, and the first surviving coefficient.  A coefficient whose
+    valuation the precision cannot decide raises PrecisionExhausted."""
     for i, c in enumerate(coeffs):
-        try:
-            v = c.val
-        except PrecisionExhausted:
-            continue
+        v = c.val
         if v is not INF and v < cutoff:
             return i, c
     raise NotRegular("all characteristic coefficients vanish at precision")
 
 
-def twisted_discriminant(delta: Mat, form: GroupForm,
-                         expected_dim: int | None = None) -> DiscriminantReport:
+def twisted_discriminant(delta: Mat, form: GroupForm) -> DiscriminantReport:
     """det(Ad(delta) o d_eps - 1) on the quotient of the full matrix algebra
     by the twisted-centralizer Lie algebra, computed as the lowest nonzero
     characteristic-polynomial coefficient of the defining operator."""
@@ -164,12 +161,11 @@ def twisted_discriminant(delta: Mat, form: GroupForm,
     coeffs = charpoly(op, ctx)
     cutoff = ctx.precision - 2 * ctx.e
     r, low = _trailing_zeros(coeffs, cutoff)
-    expected = expected_dim if expected_dim is not None else delta.n // 2
     return DiscriminantReport(
         ord_value=low.val,
         kernel_dim=r,
         charpoly_lowterm=low,
-        regular=(r == expected),
+        regular=(r == delta.n // 2),
     )
 
 
@@ -360,8 +356,7 @@ def _solve_mod_p(rows, rhs, p):
 
 
 def twisted_centralizer_sample(gamma: TorusElem, form: GroupForm, m: int,
-                               trials: int, rng, slack: int | None = None
-                               ) -> CentralizerReport:
+                               trials: int, rng) -> CentralizerReport:
     """Enumerate the solution tree of g X g^vdash = X (X = S(gamma)^(-1))
     modulo pi^m by level-one brute force plus linear lifting, then sample
     solutions and test membership in the diagonal torus mod pi^(m-1)."""
@@ -369,8 +364,6 @@ def twisted_centralizer_sample(gamma: TorusElem, form: GroupForm, m: int,
     p = ctx.p
     x = norm_preimage(gamma, form).inverse()
     a = max(0, -min(0, mat_ord(x)))
-    if slack is None:
-        slack = a
     xt = x.shift(a)  # integral rescaling
     n = form.n
     basis = []
@@ -439,7 +432,7 @@ def twisted_centralizer_sample(gamma: TorusElem, form: GroupForm, m: int,
             outside.append(g)
     return CentralizerReport(
         depth=m,
-        slack=slack,
+        slack=a,
         tree_leaves=len(leaves),
         sampled=trials,
         all_in_torus=not outside,

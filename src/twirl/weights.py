@@ -25,7 +25,6 @@ class WeightQuery:
     rank: int
     h: Mat | None = None
     lattice: LatticeSpec = field(default_factory=lambda: LatticeSpec(0))
-    clubsuit: bool = True
 
 
 def _keff(q: WeightQuery) -> int:
@@ -43,8 +42,6 @@ def weight_closed(q: WeightQuery) -> int:
     full split rank the condition is vacuous."""
     if q.h is not None:
         raise ClubsuitViolated("closed form requires h = 1")
-    if not q.clubsuit:
-        raise ClubsuitViolated("torus does not satisfy the split-compact hypothesis")
     k = _keff(q)
     g = q.g
     for j in range(q.rank, g.n - q.rank):
@@ -150,8 +147,7 @@ def _omega_values(scs: SquareClassSet, omega):
 
 def square_class_weight(g: Mat, h: Mat | None, scs: SquareClassSet, k: int,
                         omega=None, rank: int = 1,
-                        lattice: LatticeSpec | None = None,
-                        use_oracle: bool = True) -> int:
+                        lattice: LatticeSpec | None = None) -> int:
     """Signed sum over square classes of w_k(g x_alpha^(-1), h).  For
     g in GL_2(O), h = 1, trivial omega this is |O^x/(O^x)^2| times
     (2 Delta_1(g) + 4k + 1) when Delta_1(g) >= -2k."""
@@ -160,9 +156,7 @@ def square_class_weight(g: Mat, h: Mat | None, scs: SquareClassSet, k: int,
     total = 0
     for w_sign, rep in zip(vals, scs.reps):
         gx = g * scaling_block(rep, g.n).inverse()
-        query = WeightQuery(gx, k, rank, h, lat)
-        wk = weight_oracle(query) if use_oracle or h is not None else weight_closed(query)
-        total += w_sign * wk
+        total += w_sign * weight_oracle(WeightQuery(gx, k, rank, h, lat))
     return total
 
 

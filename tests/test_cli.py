@@ -68,7 +68,7 @@ def test_dtwist_json(odd_cfg, tmp_path):
 def test_support_scan_json(odd_cfg, tmp_path):
     out = tmp_path / "s.json"
     assert cli.main(["support-scan", "--config", odd_cfg, "--alpha", "pi",
-                     "--depth", "6", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["witness"] is None
     assert rep["regime"] == "alpha-noncompact"
@@ -118,13 +118,65 @@ def test_bad_config_exit_code(tmp_path):
     ("unit_depth = 2", "unit_depth = 2\nworkers = 1"),
     ("unit_depth = 2", "unit_depth = 2\ndepth_m = 3"),
     ("gamma_depth = 2", "gama_depth = 2"),
+    ("k_max = 3", "k_max = eight"),
+    ("regime = even", "regime = banana"),
+    ("regime = even", "regime = odd"),
+    ("gamma_depth = 2", "gamma_depth = 5"),
 ])
 def test_rejected_pipeline_config(tmp_path, old, new):
-    """Windows out of range and unknown [pipeline] keys exit 1 before any
-    work; unit_depth = 0 would run with every volume q times too large."""
+    """Windows out of range, unknown [pipeline] keys, non-integer values,
+    a regime other than the one p selects and a precision below
+    2*gamma_depth + 2*ord(2) + 6 exit 1 before any work; unit_depth = 0
+    would run with every volume q times too large."""
     p = tmp_path / "bad.ini"
     p.write_text(EVEN_CFG.replace(old, new))
     assert cli.main(["coeffs", "--config", str(p)]) == 1
+
+
+def test_removed_flags_are_rejected(odd_cfg):
+    parser = cli.make_parser()
+    for argv in (["support-scan", "--config", odd_cfg, "--alpha", "pi",
+                  "--depth", "6"],
+                 ["selftest", "--config", odd_cfg]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+
+
+DEEP_CFG = """[field]
+p = 2
+e = 2
+eisenstein = -2,0,1
+precision = {n}
+
+[pipeline]
+regime = even
+k_max = 2
+gamma_depth = 6
+unit_depth = 3
+
+[output]
+format = csv
+"""
+
+
+def test_coeffs_bytes_do_not_depend_on_precision(tmp_path, capsys):
+    """Above the precision rule (22 here) the coeffs CSV is byte-identical;
+    below it the config is refused with exit 1.  At precision 16 the run
+    used to print c_0 = 5997/1024 instead of 20791/32768, exit 0."""
+    outs = []
+    for n in (16, 22, 30):
+        cfg = tmp_path / f"deep{n}.ini"
+        cfg.write_text(DEEP_CFG.format(n=n))
+        out = tmp_path / f"deep{n}.csv"
+        rc = cli.main(["coeffs", "--config", str(cfg), "--out", str(out)])
+        if n == 16:
+            assert rc == 1
+            assert "precision 16 below" in capsys.readouterr().err
+        else:
+            assert rc == 0
+            outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[1].startswith(b"0,20791/32768")
 
 
 def test_support_scan_short_b_window_exit_code(tmp_path):

@@ -6,6 +6,7 @@ from twirl import (
     CuspidalData,
     Mat,
     NotRegular,
+    PrecisionExhausted,
     TailNonzero,
     TorusElem,
     TruncationSpec,
@@ -50,8 +51,6 @@ def test_class_weight_from_delta():
     assert class_weight_from_delta(0, scs, 1) == 10
     assert class_weight_from_delta(0, scs, 0) == 2
     assert class_weight_from_delta(-3, scs, 1) == 0
-    omega = [1, -1, 1, -1]
-    assert class_weight_from_delta(0, scs, 1, omega) == 0
 
 
 def test_orbit_strata_shape_even():
@@ -120,7 +119,7 @@ def test_verification_strata_contribute_zero():
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=2, k_max=2, unit_depth=2)
-    table = assemble_coefficients(data, form, trunc, include_verification=True)
+    table = assemble_coefficients(data, form, trunc)
     for label, e, sign, vol, tab in table.per_stratum:
         if label.startswith("unit-class") or label.startswith("noncompact"):
             assert all(v.is_zero() for v in tab.values())
@@ -239,3 +238,15 @@ def test_even_pipeline_affine_and_positive_constant():
     d2 = [vals[k + 2] - vals[k + 1].scale(2) + vals[k]
           for k in range(len(vals) - 2)]
     assert all(v.is_zero() for v in d2)
+
+
+@pytest.mark.parametrize("precision, label", [(16, "sign1-e5"),
+                                              (18, "sign1-e6")])
+def test_undecidable_discriminant_raises(precision, label):
+    """Below the precision rule the twisted discriminant of a deep torus
+    stratum is not decidable (kernel dim 2 instead of 1): the pipeline
+    raises instead of using its valuation."""
+    c = make_field(2, 2, (-2, 0, 1), precision)
+    trunc = TruncationSpec(gamma_depth=6, unit_depth=3, k_max=2)
+    with pytest.raises(PrecisionExhausted, match=label):
+        assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)

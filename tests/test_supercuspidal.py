@@ -24,7 +24,7 @@ from twirl import (
     vdash,
 )
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import orbit_strata
+from twirl.integrator import coset_strata, orbit_strata
 from twirl.ringvec import ResidueRing
 from twirl.supercuspidal import (
     _f_on_residues,
@@ -46,6 +46,10 @@ def ctx2():
 
 def ctx3():
     return make_field(3, 1, (-3, 1), 12)
+
+
+def ctx7():
+    return make_field(7, 1, (-7, 1), 12)
 
 
 def rand_i1(c, rng):
@@ -381,13 +385,13 @@ def test_support_scan_regimes():
     d5 = CuspidalData(c5)
     f5 = orthogonal_form(c5, 2)
     for spec in ("pi", "pi^2", "pi^-1", "2", "1+pi"):
-        rep = support_scan(d5, f5, TorusElem(parse_elem(c5, spec)), depth=6)
+        rep = support_scan(d5, f5, TorusElem(parse_elem(c5, spec)))
         assert not rep.found(), spec
-    rep = support_scan(d5, f5, TorusElem(parse_elem(c5, "-1+pi")), depth=6)
+    rep = support_scan(d5, f5, TorusElem(parse_elem(c5, "-1+pi")))
     assert rep.found()
     c2 = ctx2()
     rep2 = support_scan(CuspidalData(c2), orthogonal_form(c2, 2),
-                        TorusElem(parse_elem(c2, "1+pi^2")), depth=6)
+                        TorusElem(parse_elem(c2, "1+pi^2")))
     assert rep2.found()
     assert rep2.witness["i"] == 2
     j = rep2.to_json()
@@ -440,17 +444,64 @@ def test_support_scan_randomized_regimes():
     for _ in range(50):
         v = rng.choice([-2, -1, 1, 2])
         alpha = c.random_unit(rng).shift(v)
-        assert not support_scan(d, form, TorusElem(alpha), depth=6).found()
+        assert not support_scan(d, form, TorusElem(alpha)).found()
     # unit alpha away from +-1 mod p
     done = 0
     while done < 50:
         alpha = c.random_unit(rng)
         if alpha.residue() in (1, 4):
             continue
-        assert not support_scan(d, form, TorusElem(alpha), depth=6).found()
+        assert not support_scan(d, form, TorusElem(alpha)).found()
         done += 1
     # odd residue characteristic with alpha = 1 mod p
     for _ in range(50):
         e = rng.randrange(1, 5)
         alpha = c.one() + c.random_unit(rng).shift(e)
-        assert not support_scan(d, form, TorusElem(alpha), depth=6).found()
+        assert not support_scan(d, form, TorusElem(alpha)).found()
+
+
+@pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
+def test_odd_det_valuation_strata_are_dead(mk):
+    """y = pi^i [[x0, b(x0 + x1)], [0, x1]] with ord det y = 1 has y00 - y11
+    a unit, so the prefilter kills every such coset, and a scan only ever
+    enumerates kappa mod pi^2."""
+    c = mk()
+    data = CuspidalData(c)
+    form = orthogonal_form(c, 2)
+    rng = random.Random(21)
+    levels = set()
+    alphas = [c.pi(1), c.pi(-1), c.pi(3), c.one() + c.pi(1),
+              c.pi(1) - c.one(), c.pi(3) - c.one()]
+    while len(alphas) < 14:
+        a = c.random_elem(rng, -2, 3)
+        if not (a.is_zero() or a == c.one() or a == -c.one()):
+            alphas.append(a)
+    for alpha in alphas:
+        x = norm_preimage(TorusElem(alpha), form).inverse()
+        for cos in coset_strata(data, form, x, 12, dedup=False):
+            if cos.y.det().val % 2:
+                assert cos.dead is not None, alpha
+        levels.add(support_scan(data, form, TorusElem(alpha)).kappa_level)
+    assert levels == {0, 2}
+
+
+@pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5, ctx7])
+def test_kappa_average_vanishes_at_odd_p(mk):
+    """N = 1 + pi M_2(O) lies in I_1 and f(n X n^vdash) = Lambda(n)^2 f(X);
+    at odd p Lambda^2 is nontrivial on N, so every K-average is 0.  At
+    p = 2 the factor is 1 and some average is not 0."""
+    c = mk()
+    data = CuspidalData(c)
+    form = orthogonal_form(c, 2)
+    rng = random.Random(23)
+    values = []
+    while len(values) < (40 if c.p == 2 else 10):
+        y = Mat.random_integral(c, 2, rng)
+        if y.det().val in (0, 1):
+            values.append(data.kappa_average(y, form))
+            if c.p == 3:
+                assert values[-1] == data.kappa_average_oracle(y, 2)
+    if c.p == 2:
+        assert any(not v.is_zero() for v in values)
+    else:
+        assert all(v.is_zero() for v in values)
