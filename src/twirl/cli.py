@@ -141,15 +141,15 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _coeff_csv(table) -> str:
+def _coeff_csv(ks, values) -> str:
+    """One CSV row per k of the CharacterValue table `values`: its
+    cyclotomic coordinates and a zero q half-power."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    p = table.values[0].p
-    header = ["k"] + [f"coord{i}" for i in range(p - 1)] + ["q_half_power"]
-    w.writerow(header)
-    for k in table.ks:
-        v = table.values[k]
-        w.writerow([k] + [str(c) for c in v.coords] + [0])
+    p = values[ks[0]].p
+    w.writerow(["k"] + [f"coord{i}" for i in range(p - 1)] + ["q_half_power"])
+    for k in ks:
+        w.writerow([k] + [str(c) for c in values[k].coords] + [0])
     return buf.getvalue()
 
 
@@ -207,15 +207,8 @@ def cmd_psik(cfg: RunConfig, args) -> int:
     data = CuspidalData(ctx)
     alpha = parse_elem(ctx, args.alpha)
     ks = range(0, cfg.trunc.k_max + 1)
-    table, _ = orbit_weight_integral(data, form, TorusElem(alpha), ks,
-                                     cfg.trunc)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    p = ctx.p
-    w.writerow(["k"] + [f"coord{i}" for i in range(p - 1)] + ["q_half_power"])
-    for k in ks:
-        w.writerow([k] + [str(c) for c in table[k].coords] + [0])
-    _emit(buf.getvalue(), args.out or cfg.out_path)
+    table = orbit_weight_integral(data, form, TorusElem(alpha), ks, cfg.trunc)
+    _emit(_coeff_csv(ks, table), args.out or cfg.out_path)
     return 0
 
 
@@ -224,7 +217,7 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
     form = orthogonal_form(cfg.ctx, 2)
     table = assemble_coefficients(data, form, cfg.trunc)
     if cfg.out_format == "csv":
-        _emit(_coeff_csv(table), args.out or cfg.out_path)
+        _emit(_coeff_csv(table.ks, table.values), args.out or cfg.out_path)
     else:
         _emit(_json_dump(table.to_json()), args.out or cfg.out_path)
     return 0
@@ -263,7 +256,7 @@ def cmd_residue(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_selftest(cfg: RunConfig | None, args) -> int:
+def cmd_selftest(args) -> int:
     from . import selftest
 
     results = selftest.run_all(fast=args.fast, seed=args.seed)
@@ -284,12 +277,11 @@ def make_parser() -> argparse.ArgumentParser:
                                              "over ramified p-adic fields")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_config=True):
+    def add(name, fn):
         sp = sub.add_parser(name)
-        if needs_config:
-            sp.add_argument("--config", required=True)
+        sp.add_argument("--config", required=True)
         sp.add_argument("--out")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=lambda args: fn(RunConfig.load(args.config), args))
         return sp
 
     sp = add("wfactor", cmd_wfactor)
@@ -306,17 +298,14 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest")
     sp.add_argument("--fast", action="store_true")
     sp.add_argument("--seed", type=int, default=7)
-    sp.set_defaults(fn=cmd_selftest, selftest=True)
+    sp.set_defaults(fn=cmd_selftest)
     return ap
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if getattr(args, "selftest", False):
-            return cmd_selftest(None, args)
-        cfg = RunConfig.load(args.config)
-        return args.fn(cfg, args)
+        return args.fn(args)
     except (TailNonzero, NoStabilization) as exc:
         print(f"truncation failure: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,11 @@ vol(K) = 1 and each coset b + O carrying mass 1, which is the G-invariant
 normalization with vol_T(T cap K) = 1; the b strata of level j >= 1 have
 total mass q^j - q^(j-1).  Torus measure: vol(O^x) = 1 via the eigenvalue
 coordinate.  Central classes are normalized to volume 1 each.
+
+One pass per torus stratum gamma: `_regular_preimage` gives
+x = S(gamma)^(-1) and |D_eps(gamma)|, `orbit_strata` the (i, b) cosets
+of G/T with the K-average of f on each live one, and `_psi_k` weighs
+each live coset by the closed square-class weight at Delta_1 = i - j.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import NamedTuple
 
 from .cyclotomic import CharacterValue, MeasureValue
 from .errors import NotRegular, PrecisionExhausted, TailNonzero
-from .localfield import (Elem, INF, LocalFieldCtx, SquareClassSet,
-                         square_class_reps, unit_digit_tuples)
+from .localfield import (Elem, INF, LocalFieldCtx, square_class_reps,
+                         unit_digit_tuples)
 from .matlattice import Mat, a_e, mat_ord, n_b, vdash
 from .twisted import TorusElem, norm_preimage, twisted_discriminant
 
@@ -76,17 +81,6 @@ def torus_strata(ctx: LocalFieldCtx, trunc: TruncationSpec,
 # -- coset strata of G/T ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitStratum:
-    i: int
-    b_level: int
-    b_digits: tuple
-    weight: int          # number of b cosets this representative stands for
-    delta1: int
-    f_avg: CharacterValue
-    dead: str | None = None
-
-
 _orbit_cache: dict = {}
 
 
@@ -125,9 +119,11 @@ def _b_orbit_reps(ctx: LocalFieldCtx, j: int, dedup: bool):
 
 
 class Coset(NamedTuple):
-    """One (i, b) coset stratum g0 = n_b a_i of G/T and the argument
+    """One (i, b) coset stratum g0 = n_b a_i of G/T (b of level j, so
+    Delta_1(g0) = i - j) standing for `weight` b cosets, and the argument
     y = g0 x g0^vdash it hands to f; `dead` is the support prefilter's
-    reason, or None when the stratum is live."""
+    reason, or None when the stratum is live.  `orbit_strata` fills in
+    f_avg, the K-average of f at y, on live strata."""
 
     i: int
     j: int
@@ -136,6 +132,7 @@ class Coset(NamedTuple):
     g0: Mat
     y: Mat
     dead: str | None
+    f_avg: CharacterValue | None = None
 
 
 def coset_strata(data, form, x: Mat, b_window: int, dedup: bool):
@@ -173,9 +170,10 @@ def coset_strata(data, form, x: Mat, b_window: int, dedup: bool):
 
 def orbit_strata(data, form, x: Mat, trunc: TruncationSpec):
     """Strata of G/T (Iwasawa i and b windows) for the integrand
-    f(g X g^t), X diagonal.  The i window is forced by the determinant
+    f(g x g^vdash), x diagonal.  The i window is forced by the determinant
     valuations in the support of f; the b window is a hard integrality
-    bound.  Returns OrbitStratum entries including dead strata."""
+    bound.  Returns the `Coset` records of `coset_strata`, dead ones
+    included, with f_avg set on the live ones."""
     out = []
     for c in coset_strata(data, form, x, trunc.b_window, trunc.dedup):
         if abs(c.i) > trunc.e_window:
@@ -184,54 +182,48 @@ def orbit_strata(data, form, x: Mat, trunc: TruncationSpec):
                 f"level {c.i}",
                 stratum=("i", c.i),
             )
-        favg = None if c.dead else data.kappa_average(c.y, form)
-        out.append(OrbitStratum(c.i, c.j, c.digits, c.weight,
-                                _delta1_coset(c.i, c.j), favg, dead=c.dead))
+        if c.dead is None:
+            c = c._replace(f_avg=data.kappa_average(c.y, form))
+        out.append(c)
     return out
 
 
-def _delta1_coset(i: int, j: int) -> int:
-    """Delta_1(n_b a_i) = ord(col_1) + ord(col_2) = i + min(ord b, 0)."""
-    return i - j
-
-
-def class_weight_from_delta(delta1: int, scs: SquareClassSet, k: int) -> int:
-    """Square-class weight sum evaluated through the closed volume formula:
-    sum over representatives alpha of w_k with
-    Delta_1 -> Delta_1 - ord(alpha)."""
-    total = 0
-    for rep in scs.reps:
-        dd = delta1 - rep.val
-        if dd >= -2 * k:
-            total += dd + 2 * k + 1
-    return total
+def class_weight_from_delta(delta1: int, units: int, k: int) -> int:
+    """Square-class weight sum at Delta_1 = delta1: the closed volume
+    formula w_k = Delta + 2k + 1 (0 below Delta = -2k) summed over the
+    representatives alpha of F^x/(F^x)^2 with Delta -> delta1 - ord(alpha).
+    `square_class_reps` has `units` representatives of valuation 0 and
+    `units` of valuation 1."""
+    return units * (max(0, delta1 + 2 * k + 1) + max(0, delta1 + 2 * k))
 
 
 # -- the integrals ----------------------------------------------------------------
 
 
-def orbit_weight_integral(data, form, gamma: TorusElem, ks, trunc: TruncationSpec,
-                          scs: SquareClassSet | None = None):
-    """psi_k(gamma) = integral over G/T of f(g S(gamma)^(-1) g^t) W_k(g)
-    for each k in ks; returns {k: CharacterValue} plus the strata."""
-    if not gamma.regular:
-        raise NotRegular("gamma must be regular")
-    ctx = data.ctx
-    if scs is None:
-        scs = square_class_reps(ctx)
-    x = norm_preimage(gamma, form).inverse()
-    strata = orbit_strata(data, form, x, trunc)
+def _psi_k(data, form, x: Mat, ks, trunc: TruncationSpec, units: int):
+    """{k: psi_k} for x = S(gamma)^(-1): the sum over live orbit strata of
+    weight * f_avg * class_weight_from_delta(i - j, units, k)."""
+    live = [s for s in orbit_strata(data, form, x, trunc)
+            if s.f_avg is not None and not s.f_avg.is_zero()]
     table = {}
     for k in ks:
-        acc = CharacterValue.zero(ctx.p)
-        for s in strata:
-            if s.dead or s.f_avg is None or s.f_avg.is_zero():
-                continue
-            w = class_weight_from_delta(s.delta1, scs, k)
+        acc = CharacterValue.zero(data.ctx.p)
+        for s in live:
+            w = class_weight_from_delta(s.i - s.j, units, k)
             if w:
                 acc = acc + s.f_avg.scale(s.weight * w)
         table[k] = acc
-    return table, strata
+    return table
+
+
+def orbit_weight_integral(data, form, gamma: TorusElem, ks, trunc: TruncationSpec):
+    """psi_k(gamma) = integral over G/T of f(g S(gamma)^(-1) g^vdash) W_k(g)
+    for each k in ks, as {k: CharacterValue}."""
+    if not gamma.regular:
+        raise NotRegular("gamma must be regular")
+    x = norm_preimage(gamma, form).inverse()
+    units = square_class_reps(data.ctx).card_units
+    return _psi_k(data, form, x, ks, trunc, units)
 
 
 def orbital_twisted(data, form, delta: Mat, trunc: TruncationSpec
@@ -243,12 +235,10 @@ def orbital_twisted(data, form, delta: Mat, trunc: TruncationSpec
     if not rep.regular:
         raise NotRegular("delta is not eps-regular")
     ctx = data.ctx
-    strata = orbit_strata(data, form, delta, trunc)
     acc = CharacterValue.zero(ctx.p)
-    for s in strata:
-        if s.dead or s.f_avg is None:
-            continue
-        acc = acc + s.f_avg.scale(s.weight)
+    for s in orbit_strata(data, form, delta, trunc):
+        if s.f_avg is not None:
+            acc = acc + s.f_avg.scale(s.weight)
     return MeasureValue(acc, half_q_power=-rep.ord_value)
 
 
@@ -276,11 +266,14 @@ class CoefficientTable:
 
 def _regular_preimage(form, alpha: Elem, label: str):
     """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) and its
-    twisted discriminant report.  x is regular for every torus stratum
-    (its twisted centralizer is the torus), so a report that says
-    otherwise means the working precision could not decide a discriminant
-    digit: raise rather than use its valuation."""
-    x = norm_preimage(TorusElem(alpha), form).inverse()
+    twisted discriminant report.  gamma must be regular (alpha != +-1).
+    x is then regular (its twisted centralizer is the torus), so a report
+    that says otherwise means the working precision could not decide a
+    discriminant digit: raise rather than use its valuation."""
+    gamma = TorusElem(alpha)
+    if not gamma.regular:
+        raise NotRegular(f"gamma must be regular at {label}")
+    x = norm_preimage(gamma, form).inverse()
     drep = twisted_discriminant(x, form)
     if not drep.regular:
         raise PrecisionExhausted(
@@ -289,28 +282,21 @@ def _regular_preimage(form, alpha: Elem, label: str):
     return x, drep
 
 
-def _gamma_contribution(data, form, stratum, ks, trunc, scs):
-    _x, drep = _regular_preimage(form, stratum.alpha, stratum.label)
-    scale = stratum.vol * Fraction(data.ctx.q) ** (-drep.ord_value)
-    table, strata = orbit_weight_integral(data, form, TorusElem(stratum.alpha),
-                                          ks, trunc, scs)
-    # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1); |W(T)| = 1
-    out = {k: table[k].scale(2 * scale) for k in ks}
-    return out, strata
-
-
 def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable:
     """The coefficient table c_k of the series sum_k c_k q^(-2nks):
-    c_k = 2 sum over torus strata of vol * |D_eps| * psi_k."""
+    c_k = 2 sum over torus strata of vol * |D_eps| * psi_k.  Each stratum
+    builds x = S(gamma)^(-1) and |D_eps| once, in `_regular_preimage`."""
     ctx = data.ctx
-    scs = square_class_reps(ctx)
+    units = square_class_reps(ctx).card_units
     ks = tuple(range(0, trunc.k_max + 1))
-    strata = torus_strata(ctx, trunc)
-    results = [_gamma_contribution(data, form, s, ks, trunc, scs)
-               for s in strata]
     values = {k: CharacterValue.zero(ctx.p) for k in ks}
     per_stratum = []
-    for stratum, (tab, _audit) in zip(strata, results):
+    for stratum in torus_strata(ctx, trunc):
+        x, drep = _regular_preimage(form, stratum.alpha, stratum.label)
+        # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1); |W(T)| = 1
+        scale = 2 * stratum.vol * Fraction(ctx.q) ** (-drep.ord_value)
+        psi = _psi_k(data, form, x, ks, trunc, units)
+        tab = {k: psi[k].scale(scale) for k in ks}
         for k in ks:
             values[k] = values[k] + tab[k]
         per_stratum.append((stratum.label, stratum.e, stratum.sign,
@@ -325,7 +311,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
         "additive_character": "zeta_p^(x mod p-ideal)",
         "q": ctx.q,
         "two_n": 4,
-        "card_unit_square_classes": scs.card_units,
+        "card_unit_square_classes": units,
         "gamma_depth": trunc.gamma_depth,
         "unit_depth": trunc.unit_depth,
     }

@@ -69,6 +69,7 @@ class LocalFieldCtx:
     coeff_mod: int = field(init=False, compare=False)      # p^M
     _red: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     _p_over_pi: tuple[int, ...] = field(init=False, compare=False)
+    _p_unit: tuple[int, ...] = field(init=False, compare=False)     # p / pi^e
 
     def __post_init__(self):
         p, e, coeffs, n = self.p, self.e, tuple(self.eisenstein), self.precision
@@ -102,13 +103,17 @@ class LocalFieldCtx:
                 ((cur[i - 1] if i > 0 else 0) + top * base[i]) % pm for i in range(e)
             )
         object.__setattr__(self, "_red", tuple(red))
-        # p / pi as a unit polynomial: p = -pi^e / (b0 + b1 pi + ...),
-        # where coeffs[i] = p * b_i for i < e
+        # p / pi as a unit polynomial: b0 p = -pi^e - p (b1 pi + b2 pi^2
+        # + ...), where coeffs[i] = p * b_i for i < e, so
+        # p / pi = -b0^(-1) (pi^(e-1) + p (b1 + b2 pi + ...))
         b = [coeffs[i] // p for i in range(e)]
         b0_inv = pow(b[0] % pm, -1, pm)
-        pop = [(-b0_inv * b[i + 1]) % pm for i in range(e - 1)]
+        pop = [(-b0_inv * p * b[i + 1]) % pm for i in range(e - 1)]
         pop.append((-b0_inv) % pm)
         object.__setattr__(self, "_p_over_pi", tuple(pop))
+        # p / pi^e = -(b0 + b1 pi + ...)^(-1), the unit part of p
+        object.__setattr__(self, "_p_unit",
+                           self.poly_inv(tuple((-c) % pm for c in b)))
 
     # -- polynomial helpers (coefficients mod p^M, the Eisenstein relation) --
 
@@ -187,7 +192,10 @@ class LocalFieldCtx:
             return self.zero()
         v = _vp(n, self.p)
         u = (n // self.p ** v) % self.coeff_mod
-        return Elem(self, self.e * v, (u,) + (0,) * (self.e - 1), True)
+        coeffs = (u,) + (0,) * (self.e - 1)
+        for _ in range(v):
+            coeffs = self.poly_mul(coeffs, self._p_unit)
+        return Elem(self, self.e * v, coeffs, True)
 
     def from_rational(self, r: Fraction | int) -> "Elem":
         r = Fraction(r)
@@ -509,7 +517,6 @@ class Elem:
         # hash at the full N window; elements that lost too much validity
         # hash coarsely (still consistent with __eq__: equal values share
         # representatives at every shared level)
-        n, e = self.ctx.precision, self.ctx.e
         x = self.normalized()
         if x.is_zero():
             return hash((self.ctx.p, "zero"))

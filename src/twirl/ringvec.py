@@ -110,7 +110,7 @@ class ResidueRing:
         return out
 
 
-def iter_gl2(ctx: LocalFieldCtx, level: int, ring: ResidueRing):
+def iter_gl2(level: int, ring: ResidueRing):
     """Yield GL_2(O/pi^level) as coefficient arrays (a, b, c, d) in `ring`,
     one chunk per leading entry a; the rows come in lexicographic order of
     the indices of (a, b, c, d) in `ring.from_digit_grid(level)`."""

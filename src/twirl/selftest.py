@@ -49,12 +49,6 @@ def _ctx21(n: int = 14):
     return make_field(2, 1, (-2, 1), n)
 
 
-def _timed(fn):
-    t0 = time.time()
-    passed, detail = fn()
-    return passed, detail, time.time() - t0
-
-
 def _random_regular_alpha(ctx, rng):
     while True:
         a = ctx.random_elem(rng, -2, 3)

@@ -179,7 +179,7 @@ class CuspidalData:
         counts = np.zeros(p, dtype=np.int64)
         total = 0
         # one chunk per residue of kappa_00 keeps memory flat in p
-        for k in iter_gl2(self.ctx, 1, ring):
+        for k in iter_gl2(1, ring):
             k = tuple(z[:, None, :] for z in k)
             total += _count_f(ring, k, y_orbit, parity, counts)
         return _mean(p, counts, total)
@@ -193,7 +193,7 @@ class CuspidalData:
         parity = y.det().val % 2
         counts = np.zeros(self.p, dtype=np.int64)
         total = 0
-        for k in iter_gl2(self.ctx, level, ring):
+        for k in iter_gl2(level, ring):
             total += _count_f(ring, k, y_res, parity, counts)
         return _mean(self.p, counts, total)
 
@@ -382,7 +382,7 @@ def _kappa_witness(data: CuspidalData, y: Mat) -> Mat | None:
     ring = ResidueRing(ctx, 2)
     y_res = _residues(ring, y)
     parity = y.det().val % 2
-    for k in iter_gl2(ctx, 2, ring):
+    for k in iter_gl2(2, ring):
         mask, _ = _f_on_residues(ring, _twist(ring, k, y_res), parity)
         idx = np.flatnonzero(mask)
         if idx.size:

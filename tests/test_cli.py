@@ -84,6 +84,36 @@ def test_psik_csv(even_cfg, tmp_path):
     assert len(lines) == 5  # header + k = 0..3
 
 
+MIDDLE_TERM_CFG = """[field]
+p = {p}
+e = 2
+eisenstein = {eis}
+precision = 16
+
+[pipeline]
+regime = {regime}
+k_max = 2
+gamma_depth = 2
+unit_depth = 1
+
+[output]
+format = csv
+"""
+
+
+@pytest.mark.parametrize("p, eis, regime", [(2, "-2,2,1", "even"),
+                                            (3, "-3,3,1", "odd")])
+def test_coeffs_middle_term_eisenstein(tmp_path, p, eis, regime):
+    """Fields whose Eisenstein polynomial has a nonzero middle coefficient
+    run the whole coeffs chain (division by pi once lost the factor p on
+    those terms)."""
+    cfg = tmp_path / "mid.ini"
+    cfg.write_text(MIDDLE_TERM_CFG.format(p=p, eis=eis, regime=regime))
+    out = tmp_path / "mid.csv"
+    assert cli.main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4  # header + k = 0..2
+
+
 def test_coeffs_and_rg(odd_cfg, tmp_path):
     out = tmp_path / "c.json"
     assert cli.main(["coeffs", "--config", odd_cfg, "--out", str(out)]) == 0

@@ -21,8 +21,12 @@ from twirl import (
     rg_term,
     square_class_reps,
 )
+from twirl import integrator
 from twirl.cyclotomic import CharacterValue
 from twirl.integrator import class_weight_from_delta, orbit_strata, torus_strata
+from twirl.localfield import unit_digit_tuples
+from twirl.matlattice import a_e, delta, n_b
+from twirl.weights import square_class_weight
 
 
 def ctx5():
@@ -46,11 +50,30 @@ def test_torus_strata_volumes():
 
 
 def test_class_weight_from_delta():
-    c = ctx5()
+    units = square_class_reps(ctx5()).card_units
+    assert class_weight_from_delta(0, units, 1) == 10
+    assert class_weight_from_delta(0, units, 0) == 2
+    assert class_weight_from_delta(-3, units, 1) == 0
+
+
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+def test_class_weight_matches_counting_oracle(mk):
+    """The closed class weight at Delta_1 = i - j equals the counting
+    oracle summed over every square class at the coset representative
+    n_b a_i, b of level j (first and last leading-digit tuple)."""
+    c = mk()
     scs = square_class_reps(c)
-    assert class_weight_from_delta(0, scs, 1) == 10
-    assert class_weight_from_delta(0, scs, 0) == 2
-    assert class_weight_from_delta(-3, scs, 1) == 0
+    for i in range(-2, 4):
+        for j in range(0, 4):
+            tuples = unit_digit_tuples(c.p, j)
+            bs = ([c.zero()] if j == 0 else
+                  [c.from_digits(-j, t) for t in (tuples[0], tuples[-1])])
+            for b in bs:
+                g = n_b(c, b) * a_e(c, i)
+                assert delta(g, 1) == i - j
+                for k in range(0, 4):
+                    assert (class_weight_from_delta(i - j, scs.card_units, k)
+                            == square_class_weight(g, None, scs, k))
 
 
 def test_orbit_strata_shape_even():
@@ -60,14 +83,15 @@ def test_orbit_strata_shape_even():
     x = norm_preimage(TorusElem(c.one() + c.pi(3)), form).inverse()
     strata = orbit_strata(data, form, x, TruncationSpec(b_window=12))
     live = [s for s in strata if not s.dead]
+    assert all(s.f_avg is None for s in strata if s.dead)
     assert {s.i for s in live} == {3}
-    assert {s.b_level for s in live} == {0, 1, 2, 3}
+    assert {s.j for s in live} == {0, 1, 2, 3}
     # Delta_1 of the coset representative is i - j
     for s in live:
-        assert s.delta1 == s.i - s.b_level
+        assert delta(s.g0, 1) == s.i - s.j
     # interior strata away from the two deepest levels average to 1
     for s in live:
-        if s.b_level <= s.i - 2:
+        if s.j <= s.i - 2:
             assert s.f_avg == CharacterValue.one(2)
 
 
@@ -80,7 +104,7 @@ def test_psi_k_vanishing_regimes():
         from twirl import parse_elem
 
         alpha = parse_elem(c, spec)
-        table, strata = orbit_weight_integral(
+        table = orbit_weight_integral(
             data, form, TorusElem(alpha), range(3), trunc)
         assert all(table[k].is_zero() for k in range(3))
     with pytest.raises(NotRegular):
@@ -92,10 +116,26 @@ def test_psi_k_positive_even():
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=4, k_max=3)
-    table, _ = orbit_weight_integral(
+    table = orbit_weight_integral(
         data, form, TorusElem(c.one() + c.pi(2)), range(4), trunc)
     for k in range(4):
         assert table[k].rational_part() > 0
+
+
+def test_one_norm_preimage_per_torus_stratum(monkeypatch):
+    """assemble_coefficients builds x = S(gamma)^(-1) once per torus
+    stratum."""
+    c = ctx2()
+    trunc = TruncationSpec(gamma_depth=2, k_max=1, unit_depth=2)
+    calls = []
+
+    def counting(gamma, form):
+        calls.append(gamma)
+        return norm_preimage(gamma, form)
+
+    monkeypatch.setattr(integrator, "norm_preimage", counting)
+    assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
+    assert len(calls) == len(torus_strata(c, trunc))
 
 
 def test_dedup_matches_full_enumeration():
@@ -238,6 +278,17 @@ def test_even_pipeline_affine_and_positive_constant():
     d2 = [vals[k + 2] - vals[k + 1].scale(2) + vals[k]
           for k in range(len(vals) - 2)]
     assert all(v.is_zero() for v in d2)
+
+
+def test_central_torus_stratum_raises():
+    """Over x^2 + 2, 2 = -pi^2, so the representative 1 + pi^2 of the
+    torus stratum sign1-e2 is -1: the pipeline refuses it instead of
+    integrating at a central gamma."""
+    c = make_field(2, 2, (2, 0, 1), 24)
+    assert c.one() + c.pi(2) == -c.one()
+    trunc = TruncationSpec(gamma_depth=2, unit_depth=3, k_max=1)
+    with pytest.raises(NotRegular, match="sign1-e2"):
+        assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
 
 
 @pytest.mark.parametrize("precision, label", [(16, "sign1-e5"),

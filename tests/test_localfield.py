@@ -68,6 +68,33 @@ def test_ring_axioms(mk):
         assert (x - x).is_zero()
 
 
+@pytest.mark.parametrize("p, e, eis", [
+    (2, 2, (-2, 0, 1)),             # x^2 - 2, no middle term (control)
+    (2, 2, (-2, 2, 1)),             # x^2 + 2x - 2
+    (2, 2, (6, -2, 1)),             # x^2 - 2x + 6
+    (3, 2, (-3, 3, 1)),             # x^2 + 3x - 3
+    (5, 3, (-5, 5, 0, 1)),          # x^3 + 5x - 5
+])
+def test_middle_coefficient_arithmetic(p, e, eis):
+    """With E = x^e + p (b0 + b1 x + ...), p / pi = -b0^(-1) (pi^(e-1) +
+    p (b1 + b2 pi + ...)): the middle terms carry the factor p.  The
+    integer p, built as 1 + ... + 1, is pi * (p / pi) and from_int(p);
+    products and sums undo exactly."""
+    c = make_field(p, e, eis, 20)
+    ps = c.zero()
+    for _ in range(p):
+        ps = ps + c.one()
+    assert c.pi() * (ps / c.pi()) == ps
+    assert c.from_int(p) == ps
+    assert c.from_int(3 * p * p) == c.from_int(3) * ps * ps
+    rng = random.Random(1)
+    for _ in range(150):
+        x = c.random_elem(rng, -2, 3)
+        y = c.random_elem(rng, -2, 3)
+        assert (x * y) / y == x
+        assert (x + y) - y == x
+
+
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
 def test_ord_is_valuation(mk):
     c = mk()

@@ -18,7 +18,7 @@ def test_iter_gl2_rows(p, e, eis, level):
     ring = ResidueRing(ctx, max(level, 2))
     index = {tuple(r): i for i, r in enumerate(ring.from_digit_grid(level))}
     keys = []
-    for a, b, c, d in iter_gl2(ctx, level, ring):
+    for a, b, c, d in iter_gl2(level, ring):
         det = ring.sub(ring.mul(a, d), ring.mul(b, c))
         assert ring.is_unit(det).all()
         keys.extend(tuple(index[tuple(z[i])] for z in (a, b, c, d))
