@@ -12,11 +12,8 @@ Config files are INI-style:
     [pipeline]
     regime = odd
     k_max = 6
-    b_window = 12
-    e_window = 8
     gamma_depth = 5
     unit_depth = 2
-    dedup = true
 
     [output]
     format = json
@@ -25,13 +22,14 @@ Config files are INI-style:
     seed = 7
 
 Every [pipeline] key is listed above; any other key is an error, and so
-is a value that is not an integer, a window out of range, a precision
-below 2*gamma_depth + 2*ord(2) + 6, or a regime other than the one p
-selects ("even" at p = 2 with e >= 2, "odd" at odd p; the even regime
-adds the weight-only constants to the residue report).  Exit codes: 0
-success, 2 honest-truncation failure (TailNonzero or NoStabilization), 1
-any other error.  TWIRL_OUTPUT_DIR overrides output directories; no other
-environment variables are read.
+is a missing file or [field] section, a value that is not an integer, a
+window out of range, a precision below 2*gamma_depth + 2*ord(2) + 6, or
+a regime other than the one p selects ("even" at p = 2 with e >= 2,
+"odd" at odd p; the even regime adds the weight-only constants to the
+residue report).  The G/T walk has no window; `support-scan` walks b
+levels up to 12.  Exit codes: 0 success, 2 honest-truncation failure
+(TailNonzero or NoStabilization), 1 any other error.  TWIRL_OUTPUT_DIR
+overrides output directories; no other environment variables are read.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import NoStabilization, TailNonzero, TwirlError
 from .integrator import (
@@ -61,8 +59,9 @@ from .twisted import TorusElem, norm_preimage, twisted_discriminant
 from .weights import WeightQuery, weight_closed, weight_oracle
 
 
-WINDOW_KEYS = ("k_max", "b_window", "e_window", "gamma_depth", "unit_depth")
-PIPELINE_KEYS = frozenset(WINDOW_KEYS + ("regime", "dedup"))
+WINDOW_KEYS = tuple(f.name for f in fields(TruncationSpec))
+PIPELINE_KEYS = frozenset(WINDOW_KEYS + ("regime",))
+FIELD_KEYS = ("p", "e", "eisenstein", "precision")
 
 
 @dataclass
@@ -77,9 +76,15 @@ class RunConfig:
     @staticmethod
     def load(path: str) -> "RunConfig":
         cp = configparser.ConfigParser()
-        with open(path) as fh:
-            cp.read_file(fh)
-        f = cp["field"]
+        try:
+            with open(path) as fh:
+                cp.read_file(fh)
+        except (OSError, configparser.Error) as exc:
+            raise TwirlError(f"cannot read config: {exc}") from None
+        f = cp["field"] if cp.has_section("field") else {}
+        missing = [k for k in FIELD_KEYS if k not in f]
+        if missing:
+            raise TwirlError("config lacks [field] keys: " + ", ".join(missing))
         pl = cp["pipeline"] if cp.has_section("pipeline") else {}
         unknown = sorted(set(pl) - PIPELINE_KEYS)
         if unknown:
@@ -98,14 +103,10 @@ class RunConfig:
         if regime == "even" and ctx.e < 2:
             raise TwirlError("even regime requires p = 2 with ramification >= 2")
         trunc = TruncationSpec(
-            dedup=pl.get("dedup", "true").lower() != "false",
-            **{k: _int(pl[k], k) for k in WINDOW_KEYS if k in pl},
-        )
-        if (trunc.k_max < 0 or trunc.e_window < 0 or trunc.gamma_depth < 1
-                or trunc.b_window < 1 or trunc.unit_depth < 1):
+            **{k: _int(pl[k], k) for k in WINDOW_KEYS if k in pl})
+        if trunc.k_max < 0 or trunc.gamma_depth < 1 or trunc.unit_depth < 1:
             raise TwirlError("pipeline windows out of range: need k_max >= 0, "
-                             "e_window >= 0, gamma_depth, b_window and "
-                             "unit_depth >= 1")
+                             "gamma_depth and unit_depth >= 1")
         need = 2 * trunc.gamma_depth + 2 * ctx.from_int(2).val + 6
         if ctx.precision < need:
             raise TwirlError(f"precision {ctx.precision} below "
@@ -195,8 +196,7 @@ def cmd_support_scan(cfg: RunConfig, args) -> int:
     form = orthogonal_form(ctx, 2)
     data = CuspidalData(ctx)
     alpha = parse_elem(ctx, args.alpha)
-    rep = support_scan(data, form, TorusElem(alpha),
-                       b_window=cfg.trunc.b_window)
+    rep = support_scan(data, form, TorusElem(alpha))
     _emit(_json_dump(rep.to_json()), args.out or cfg.out_path)
     return 0
 
@@ -207,7 +207,7 @@ def cmd_psik(cfg: RunConfig, args) -> int:
     data = CuspidalData(ctx)
     alpha = parse_elem(ctx, args.alpha)
     ks = range(0, cfg.trunc.k_max + 1)
-    table = orbit_weight_integral(data, form, TorusElem(alpha), ks, cfg.trunc)
+    table = orbit_weight_integral(data, form, TorusElem(alpha), ks)
     _emit(_coeff_csv(ks, table), args.out or cfg.out_path)
     return 0
 

@@ -8,9 +8,11 @@ total mass q^j - q^(j-1).  Torus measure: vol(O^x) = 1 via the eigenvalue
 coordinate.  Central classes are normalized to volume 1 each.
 
 One pass per torus stratum gamma: `_regular_preimage` gives
-x = S(gamma)^(-1) and |D_eps(gamma)|, `orbit_strata` the (i, b) cosets
-of G/T with the K-average of f on each live one, and `_psi_k` weighs
-each live coset by the closed square-class weight at Delta_1 = i - j.
+x = S(gamma)^(-1) and |D_eps(gamma)|, `orbit_strata` the (i, j) levels
+of G/T in closed form with the K-average of f on each live class of b,
+and `_psi_k` weighs each live class by the closed square-class weight at
+Delta_1 = i - j.  `coset_strata` walks every coset by `Mat` products; it
+serves `support_scan` and is the oracle for `orbit_strata`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import CharacterValue, MeasureValue
-from .errors import NotRegular, PrecisionExhausted, TailNonzero
+from .errors import DomainError, NotRegular, PrecisionExhausted, TailNonzero
 from .localfield import (Elem, INF, LocalFieldCtx, square_class_reps,
                          unit_digit_tuples)
 from .matlattice import Mat, a_e, mat_ord, n_b, vdash
@@ -29,15 +31,15 @@ from .twisted import TorusElem, norm_preimage, twisted_discriminant
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Finite windows for the stratified enumeration; every window is
-    either provably exhaustive or reported."""
+    """Finite windows of the pipeline: `k_max` bounds the coefficient
+    table, `gamma_depth` and `unit_depth` the torus strata.  The G/T walk
+    needs none (`orbit_strata`).  `gamma_depth` is not proved exhaustive:
+    the torus strata beyond it contribute, and nothing reports that tail
+    yet."""
 
-    b_window: int = 12
-    e_window: int = 8
     gamma_depth: int = 5
     k_max: int = 8
     unit_depth: int = 2
-    dedup: bool = True
 
 
 @dataclass(frozen=True)
@@ -81,110 +83,116 @@ def torus_strata(ctx: LocalFieldCtx, trunc: TruncationSpec,
 # -- coset strata of G/T ---------------------------------------------------------
 
 
-_orbit_cache: dict = {}
-
-
-def _b_orbit_reps(ctx: LocalFieldCtx, j: int, dedup: bool):
-    """Representatives of the level-j cosets of F/O (leading digit nonzero),
-    optionally deduplicated by the unit-square action b -> u^2 b mod O with
-    exact orbit weights."""
-    if j == 0:
-        return [((), 1)]
-    key = (ctx.p, ctx.e, ctx.eisenstein, j, dedup)
-    got = _orbit_cache.get(key)
-    if got is not None:
-        return got
-    tuples = unit_digit_tuples(ctx.p, j)
-    if not dedup:
-        out = [(t, 1) for t in tuples]
-        _orbit_cache[key] = out
-        return out
-    # orbit of the digit tuple under multiplication by unit squares mod pi^j;
-    # the units mod pi^j have the same digit tuples as the cosets
-    reps = []
-    seen = set()
-    for t in tuples:
-        if t in seen:
-            continue
-        b = ctx.from_digits(0, t)
-        orbit = set()
-        for u in tuples:
-            s = ctx.from_digits(0, u)
-            orbit.add((s * s * b).residue_digits(j))
-        orbit = {o for o in orbit if o[0] != 0}
-        seen |= orbit
-        reps.append((t, len(orbit)))
-    _orbit_cache[key] = reps
-    return reps
-
-
 class Coset(NamedTuple):
-    """One (i, b) coset stratum g0 = n_b a_i of G/T (b of level j, so
-    Delta_1(g0) = i - j) standing for `weight` b cosets, and the argument
-    y = g0 x g0^vdash it hands to f; `dead` is the support prefilter's
-    reason, or None when the stratum is live.  `orbit_strata` fills in
-    f_avg, the K-average of f at y, on live strata."""
+    """The (i, b) coset strata g0 = n_b a_i of G/T (b of level j, so
+    Delta_1(g0) = i - j) whose b start with `digits` (on a dead level of
+    `orbit_strata`, all of level j), `weight` cosets in all, and the
+    argument y = g0 x g0^vdash of f at b = pi^(-j) digits; `dead` is the
+    support prefilter's reason, or None when the strata are live.
+    `orbit_strata` fills in f_avg, the K-average of f at y, on live ones."""
 
     i: int
     j: int
     digits: tuple
     weight: int
-    g0: Mat
     y: Mat
     dead: str | None
     f_avg: CharacterValue | None = None
 
+    @property
+    def g0(self) -> Mat:
+        ctx = self.y.ctx
+        b = ctx.from_digits(-self.j, self.digits)
+        return n_b(ctx, b) * a_e(ctx, self.i)
 
-def coset_strata(data, form, x: Mat, b_window: int, dedup: bool):
-    """Walk the (i, b) Iwasawa coset strata of G/T for f(g x g^vdash),
-    x diagonal, in lexicographic order: i ascending over the exponents the
-    det-valuation support of f forces, then b level j = 0 .. jmax, then
-    the digits of b.  For x = diag(x0, x1) the (0, 1) entry of y is
-    pi^i b (x0 + x1), so y integral forces j <= i + ord(x0 + x1) = jmax;
-    a jmax beyond `b_window` raises TailNonzero before level 0 of that i."""
-    ctx = data.ctx
+
+def _forced_levels(data, x: Mat):
+    """ord(x0 + x1) for x = diag(x0, x1), and the Iwasawa exponents i that
+    the det-valuation support of f forces, each with its b-level bound:
+    y = pi^i [[x0, b(x0 + x1)], [0, x1]], so an integral y forces
+    j <= jmax = max(0, i + ord(x0 + x1)).  A zero trace raises: x is not
+    regular (its orbital integral diverges) or, for x = S(gamma)^(-1)
+    whose trace is -1, the precision could not decide the sum."""
     if not (x.rows[0][1].is_zero() and x.rows[1][0].is_zero()):
         raise ValueError("orbit strata require a diagonal argument")
     d = x.det().val
     if d is INF:
         raise NotRegular("singular argument")
-    trace_ord = (x.rows[0][0] + x.rows[1][1]).val
-    for target in sorted(data.detval_support):
-        if (target - d) % 2 != 0:
-            continue
-        i = (target - d) // 2
-        jmax = b_window if trace_ord is INF else max(0, i + trace_ord)
+    t = (x.rows[0][0] + x.rows[1][1]).val
+    if t is INF:
+        raise PrecisionExhausted(
+            f"trace x0 + x1 reads 0 at precision {x.ctx.precision}: x is "
+            "not regular, or the precision cannot decide the trace")
+    forced = [(target - d) // 2 for target in sorted(data.detval_support)
+              if (target - d) % 2 == 0]
+    return t, [(i, max(0, i + t)) for i in forced]
+
+
+def coset_strata(data, form, x: Mat, b_window: int):
+    """Walk every (i, b) Iwasawa coset of G/T for f(g x g^vdash), x
+    diagonal, one `Coset` of weight 1 each, y by `Mat` products, in
+    lexicographic order: i ascending over the exponents the det-valuation
+    support of f forces, then b level j = 0 .. jmax, then the digits of b.
+    A jmax beyond `b_window` raises TailNonzero before level 0 of that i.
+    Serves `support_scan` and, as the oracle, the tests of `orbit_strata`."""
+    ctx = data.ctx
+    _t, levels = _forced_levels(data, x)
+    for i, jmax in levels:
         if jmax > b_window:
             raise TailNonzero(
                 f"b window {b_window} below hard bound {jmax}",
                 stratum=(i, jmax),
             )
         for j in range(0, jmax + 1):
-            for digits, weight in _b_orbit_reps(ctx, j, dedup):
-                b = ctx.from_digits(-j, digits) if j else ctx.zero()
-                g0 = n_b(ctx, b) * a_e(ctx, i)
+            for digits in unit_digit_tuples(ctx.p, j):
+                g0 = n_b(ctx, ctx.from_digits(-j, digits)) * a_e(ctx, i)
                 y = g0 * x * vdash(g0, form)
-                yield Coset(i, j, digits, weight, g0, y,
+                yield Coset(i, j, digits, 1, y,
                             data.support_prefilter(y, form))
 
 
-def orbit_strata(data, form, x: Mat, trunc: TruncationSpec):
-    """Strata of G/T (Iwasawa i and b windows) for the integrand
-    f(g x g^vdash), x diagonal.  The i window is forced by the determinant
-    valuations in the support of f; the b window is a hard integrality
-    bound.  Returns the `Coset` records of `coset_strata`, dead ones
-    included, with f_avg set on the live ones."""
+def orbit_strata(data, form, x: Mat):
+    """The (i, j) levels of G/T for the integrand f(g x g^vdash), x =
+    diag(x0, x1), with the K-average of f on each live class, as a list of
+    `Coset` records.
+
+    On the coset n_b a_i, y = pi^i [[x0, b(x0 + x1)], [0, x1]] (vdash of
+    n_b is n_b, of a_i is diag(1, pi^i)).  The det support of f forces i,
+    and integrality bounds j (`_forced_levels`).  Within a level only
+    y01 = pi^i b (x0 + x1) moves, with fixed valuation u = i - j + t,
+    t = ord(x0 + x1).  The prefilter reads y01 only through its valuation,
+    so it runs once per level, on the first class; a dead level is one
+    record of weight (q-1) q^(j-1) (1 at j = 0).  f reads y only mod
+    pi^level, level = `data.residue_level`, and y01 mod pi^level reads
+    the first n = min(j, max(1, level - u)) digits of b, so a live level
+    splits into the classes of those digits, weight q^(j-n) each."""
+    if form.kind != "orthogonal":
+        raise DomainError("the closed form of y needs the orthogonal twist")
+    ctx = data.ctx
+    q, level = ctx.q, data.residue_level
+    x0, x1 = x.rows[0][0], x.rows[1][1]
+    trace = x0 + x1
+    t, levels = _forced_levels(data, x)
+
+    def y_at(i, j, digits):
+        y01 = (ctx.from_digits(-j, digits) * trace).shift(i)
+        return Mat(ctx, [[x0.shift(i), y01], [ctx.zero(), x1.shift(i)]])
+
     out = []
-    for c in coset_strata(data, form, x, trunc.b_window, trunc.dedup):
-        if abs(c.i) > trunc.e_window:
-            raise TailNonzero(
-                f"Iwasawa exponent window {trunc.e_window} below the forced "
-                f"level {c.i}",
-                stratum=("i", c.i),
-            )
-        if c.dead is None:
-            c = c._replace(f_avg=data.kappa_average(c.y, form))
-        out.append(c)
+    for i, jmax in levels:
+        for j in range(0, jmax + 1):
+            n = min(j, max(1, level - (i - j + t)))
+            classes = unit_digit_tuples(ctx.p, n)
+            y = y_at(i, j, classes[0])
+            dead = data.support_prefilter(y, form)
+            if dead is not None:
+                out.append(Coset(i, j, classes[0],
+                                 (q - 1) * q ** (j - 1) if j else 1, y, dead))
+                continue
+            for digits in classes:
+                y = y_at(i, j, digits)
+                out.append(Coset(i, j, digits, q ** (j - n), y, None,
+                                 data.kappa_average(y, form)))
     return out
 
 
@@ -200,10 +208,10 @@ def class_weight_from_delta(delta1: int, units: int, k: int) -> int:
 # -- the integrals ----------------------------------------------------------------
 
 
-def _psi_k(data, form, x: Mat, ks, trunc: TruncationSpec, units: int):
+def _psi_k(data, form, x: Mat, ks, units: int):
     """{k: psi_k} for x = S(gamma)^(-1): the sum over live orbit strata of
     weight * f_avg * class_weight_from_delta(i - j, units, k)."""
-    live = [s for s in orbit_strata(data, form, x, trunc)
+    live = [s for s in orbit_strata(data, form, x)
             if s.f_avg is not None and not s.f_avg.is_zero()]
     table = {}
     for k in ks:
@@ -216,18 +224,17 @@ def _psi_k(data, form, x: Mat, ks, trunc: TruncationSpec, units: int):
     return table
 
 
-def orbit_weight_integral(data, form, gamma: TorusElem, ks, trunc: TruncationSpec):
+def orbit_weight_integral(data, form, gamma: TorusElem, ks):
     """psi_k(gamma) = integral over G/T of f(g S(gamma)^(-1) g^vdash) W_k(g)
     for each k in ks, as {k: CharacterValue}."""
     if not gamma.regular:
         raise NotRegular("gamma must be regular")
     x = norm_preimage(gamma, form).inverse()
     units = square_class_reps(data.ctx).card_units
-    return _psi_k(data, form, x, ks, trunc, units)
+    return _psi_k(data, form, x, ks, units)
 
 
-def orbital_twisted(data, form, delta: Mat, trunc: TruncationSpec
-                    ) -> MeasureValue:
+def orbital_twisted(data, form, delta: Mat) -> MeasureValue:
     """Normalized twisted orbital integral
     |D_eps(delta)|^(1/2) * integral over G/(twisted centralizer) of
     f(g delta g^t)."""
@@ -236,7 +243,7 @@ def orbital_twisted(data, form, delta: Mat, trunc: TruncationSpec
         raise NotRegular("delta is not eps-regular")
     ctx = data.ctx
     acc = CharacterValue.zero(ctx.p)
-    for s in orbit_strata(data, form, delta, trunc):
+    for s in orbit_strata(data, form, delta):
         if s.f_avg is not None:
             acc = acc + s.f_avg.scale(s.weight)
     return MeasureValue(acc, half_q_power=-rep.ord_value)
@@ -295,7 +302,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
         x, drep = _regular_preimage(form, stratum.alpha, stratum.label)
         # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1); |W(T)| = 1
         scale = 2 * stratum.vol * Fraction(ctx.q) ** (-drep.ord_value)
-        psi = _psi_k(data, form, x, ks, trunc, units)
+        psi = _psi_k(data, form, x, ks, units)
         tab = {k: psi[k].scale(scale) for k in ks}
         for k in ks:
             values[k] = values[k] + tab[k]

@@ -402,16 +402,15 @@ def check_residue_benchmark(seed: int) -> CheckResult:
 
 
 def _clear_caches():
-    """Empty the module-level caches so the next run starts cold."""
-    from . import integrator, localfield
+    """Empty the module-level cache so the next run starts cold."""
+    from . import localfield
 
-    for cache in (integrator._orbit_cache, localfield._square_residue_cache):
-        cache.clear()
+    localfield._square_residue_cache.clear()
 
 
 def check_determinism(seed: int) -> CheckResult:
     """The coeffs CSV and the residue JSON come out byte-identical from a
-    cold start (module caches emptied) and from a warm rerun."""
+    cold start (module cache emptied) and from a warm rerun."""
     t0 = time.time()
     from . import cli
 

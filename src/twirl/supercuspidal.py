@@ -125,6 +125,8 @@ class CuspidalData:
     # -- support and locality metadata used by the integrator -----------------
 
     detval_support = frozenset((0, 1))
+    # f reads its argument only mod pi^residue_level (`kappa_average`)
+    residue_level = 2
 
     def support_prefilter(self, y: Mat, form: GroupForm) -> str | None:
         """Necessary conditions for some K-twisted conjugate of y to meet
@@ -165,7 +167,7 @@ class CuspidalData:
             raise DomainError("kappa_average implements the orthogonal twist "
                               f"only, not {form.kind!r}")
         parity = y.det().val % 2
-        key = (y.residue_key(2), parity)
+        key = (y.residue_key(self.residue_level), parity)
         got = self._avg_cache.get(key)
         if got is None:
             got = self._kappa_average_coset(y, parity)
@@ -174,7 +176,7 @@ class CuspidalData:
 
     def _kappa_average_coset(self, y: Mat, parity: int) -> CharacterValue:
         p = self.p
-        ring = ResidueRing(self.ctx, 2)
+        ring = ResidueRing(self.ctx, self.residue_level)
         y_orbit = _n_orbit(ring, _residues(ring, y))
         counts = np.zeros(p, dtype=np.int64)
         total = 0
@@ -330,8 +332,8 @@ def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
                  b_window: int = 12) -> ScanReport:
     """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^t) != 0.
 
-    Walks every (i, b) coset stratum (`integrator.coset_strata`, no
-    deduplication, so the first witness is the lexicographic one); the
+    Walks every (i, b) coset stratum (`integrator.coset_strata`, one
+    record per coset, so the first witness is the lexicographic one); the
     det-valuation parity forces i, integrality bounds the b level, and a
     bound beyond `b_window` raises TailNonzero.  The prefilters are
     kappa-free.  Surviving strata are settled by exact enumeration of
@@ -340,18 +342,19 @@ def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
     has ord det y = 0: y = pi^i [[x0, b(x0 + x1)], [0, x1]] for diagonal
     x, so an integral y with ord det y = 1 has {ord y00, ord y11} = {0, 1},
     y00 - y11 is a unit, and the prefilter finds y not eps-symmetric mod p.
-    `kappa_level` is 2 once a live stratum was scanned, 0 otherwise."""
+    `kappa_level` is `data.residue_level` once a live stratum was scanned,
+    0 otherwise."""
     ctx = data.ctx
     x = norm_preimage(gamma, form).inverse()
     regime = _classify_regime(ctx, gamma.alpha)
     strata: list[ScanStratum] = []
     witness = None
     kappa_level = 0
-    for c in coset_strata(data, form, x, b_window, dedup=False):
+    for c in coset_strata(data, form, x, b_window):
         if c.dead is not None:
             strata.append(ScanStratum(c.i, c.j, c.digits, c.dead))
             continue
-        kappa_level = 2
+        kappa_level = data.residue_level
         kap = _kappa_witness(data, c.y)
         if kap is None:
             strata.append(ScanStratum(c.i, c.j, c.digits, "kappa scan empty"))
@@ -379,10 +382,10 @@ def _kappa_witness(data: CuspidalData, y: Mat) -> Mat | None:
     """First kappa mod pi^2 (lexicographic digit order) with
     f(kappa y kappa^t) != 0, or None if there is none."""
     ctx = data.ctx
-    ring = ResidueRing(ctx, 2)
+    ring = ResidueRing(ctx, data.residue_level)
     y_res = _residues(ring, y)
     parity = y.det().val % 2
-    for k in iter_gl2(2, ring):
+    for k in iter_gl2(ring.s, ring):
         mask, _ = _f_on_residues(ring, _twist(ring, k, y_res), parity)
         idx = np.flatnonzero(mask)
         if idx.size:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotRegular, PrecisionExhausted, SingularGammaMinusOne
+from .errors import NotRegular, SingularGammaMinusOne
 from .localfield import INF, Elem, LocalFieldCtx
 from .matlattice import GroupForm, Mat, mat_ord, nu, vdash
 
@@ -178,17 +178,6 @@ def twisted_discriminant_oracle(delta: Mat, form: GroupForm) -> DiscriminantRepo
     m = len(op)
     cutoff = ctx.precision - 2 * ctx.e
 
-    def vec_ord(v):
-        w = INF
-        for x in v:
-            try:
-                xv = x.val
-            except PrecisionExhausted:
-                continue
-            if xv < w:
-                w = xv
-        return w
-
     # kernel via row reduction with minimal-valuation pivoting
     rows = [list(r) for r in op]
     pivots = []  # (row, col)
@@ -226,7 +215,7 @@ def twisted_discriminant_oracle(delta: Mat, form: GroupForm) -> DiscriminantRepo
         v[j] = ctx.one()
         for i0, j0 in pivots:
             v[j0] = -rows[i0][j]
-        w = vec_ord(v)
+        w = min(x.val for x in v)
         kernel.append([x.shift(-w) if not x.is_zero() else x for x in v])
 
     # complete the saturated kernel basis to a lattice basis: column-reduce

@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from twirl import cli
+from twirl import TruncationSpec, cli
 
 ODD_CFG = """[field]
 p = 5
@@ -145,6 +146,9 @@ def test_bad_config_exit_code(tmp_path):
 @pytest.mark.parametrize("old, new", [
     ("unit_depth = 2", "unit_depth = 0"),
     ("unit_depth = 2", "unit_depth = 2\ne_window = -1"),
+    ("unit_depth = 2", "unit_depth = 2\ne_window = 8"),
+    ("unit_depth = 2", "unit_depth = 2\nb_window = 12"),
+    ("unit_depth = 2", "unit_depth = 2\ndedup = true"),
     ("unit_depth = 2", "unit_depth = 2\nworkers = 1"),
     ("unit_depth = 2", "unit_depth = 2\ndepth_m = 3"),
     ("gamma_depth = 2", "gama_depth = 2"),
@@ -153,14 +157,40 @@ def test_bad_config_exit_code(tmp_path):
     ("regime = even", "regime = odd"),
     ("gamma_depth = 2", "gamma_depth = 5"),
 ])
-def test_rejected_pipeline_config(tmp_path, old, new):
-    """Windows out of range, unknown [pipeline] keys, non-integer values,
-    a regime other than the one p selects and a precision below
+def test_rejected_pipeline_config(tmp_path, capsys, old, new):
+    """Windows out of range, unknown [pipeline] keys (among them the
+    removed e_window, b_window and dedup), non-integer values, a regime
+    other than the one p selects and a precision below
     2*gamma_depth + 2*ord(2) + 6 exit 1 before any work; unit_depth = 0
     would run with every volume q times too large."""
     p = tmp_path / "bad.ini"
     p.write_text(EVEN_CFG.replace(old, new))
     assert cli.main(["coeffs", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if new.splitlines()[-1].split(" = ")[0] not in cli.PIPELINE_KEYS:
+        assert "unknown [pipeline] keys" in err
+
+
+def test_pipeline_keys_are_truncation_fields():
+    """Every [pipeline] key but regime is a TruncationSpec field, which
+    the pipeline reads, and every field has a key."""
+    assert cli.PIPELINE_KEYS == ({"regime"}
+                                 | {f.name for f in fields(TruncationSpec)})
+
+
+@pytest.mark.parametrize("case, err", [
+    ("missing-file", "cannot read config"),
+    ("no-field-section", "config lacks [field] keys"),
+])
+def test_unreadable_config_exit_code(tmp_path, capsys, case, err):
+    """A missing config file and a config without [field] are error lines
+    with exit 1, not tracebacks."""
+    p = tmp_path / "cfg.ini"
+    if case == "no-field-section":
+        p.write_text(ODD_CFG[ODD_CFG.index("[pipeline]"):])
+    assert cli.main(["coeffs", "--config", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {err}")
 
 
 def test_removed_flags_are_rejected(odd_cfg):
@@ -209,11 +239,19 @@ def test_coeffs_bytes_do_not_depend_on_precision(tmp_path, capsys):
     assert outs[0].splitlines()[1].startswith(b"0,20791/32768")
 
 
-def test_support_scan_short_b_window_exit_code(tmp_path):
-    p = tmp_path / "short.ini"
-    p.write_text(ODD_CFG.replace("k_max = 3", "k_max = 3\nb_window = 2"))
-    assert cli.main(["support-scan", "--config", str(p),
-                     "--alpha", "1+pi^4"]) == 2
+def test_support_scan_short_b_window_exit_code(tmp_path, capsys):
+    """alpha = 1 + pi^13 forces b level 13, beyond the scan's window of
+    12: exit 2.  At precision 18 the trace of S(gamma)^(-1) reads 0 (its
+    entries carry 13 digits), and the scan stops with exit 1 instead of
+    walking every b level of the window."""
+    rcs = {}
+    for n in (18, 40):
+        p = tmp_path / f"deep{n}.ini"
+        p.write_text(ODD_CFG.replace("precision = 18", f"precision = {n}"))
+        rcs[n] = cli.main(["support-scan", "--config", str(p),
+                           "--alpha=1+pi^13"])
+    assert rcs == {18: 1, 40: 2}
+    assert "reads 0 at precision 18" in capsys.readouterr().err
 
 
 def test_cold_and_warm_cache_same_bytes(even_cfg, tmp_path):

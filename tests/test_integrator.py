@@ -1,3 +1,4 @@
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from twirl import (
     Mat,
     NotRegular,
     PrecisionExhausted,
-    TailNonzero,
     TorusElem,
     TruncationSpec,
     assemble_coefficients,
@@ -23,7 +23,8 @@ from twirl import (
 )
 from twirl import integrator
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import class_weight_from_delta, orbit_strata, torus_strata
+from twirl.integrator import (class_weight_from_delta, coset_strata,
+                              orbit_strata, torus_strata)
 from twirl.localfield import unit_digit_tuples
 from twirl.matlattice import a_e, delta, n_b
 from twirl.weights import square_class_weight
@@ -81,7 +82,7 @@ def test_orbit_strata_shape_even():
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     x = norm_preimage(TorusElem(c.one() + c.pi(3)), form).inverse()
-    strata = orbit_strata(data, form, x, TruncationSpec(b_window=12))
+    strata = orbit_strata(data, form, x)
     live = [s for s in strata if not s.dead]
     assert all(s.f_avg is None for s in strata if s.dead)
     assert {s.i for s in live} == {3}
@@ -99,25 +100,22 @@ def test_psi_k_vanishing_regimes():
     c = ctx5()
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
-    trunc = TruncationSpec(gamma_depth=3, k_max=2)
     for spec in ("pi", "2"):
         from twirl import parse_elem
 
         alpha = parse_elem(c, spec)
-        table = orbit_weight_integral(
-            data, form, TorusElem(alpha), range(3), trunc)
+        table = orbit_weight_integral(data, form, TorusElem(alpha), range(3))
         assert all(table[k].is_zero() for k in range(3))
     with pytest.raises(NotRegular):
-        orbit_weight_integral(data, form, TorusElem(c.one()), range(2), trunc)
+        orbit_weight_integral(data, form, TorusElem(c.one()), range(2))
 
 
 def test_psi_k_positive_even():
     c = ctx2()
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
-    trunc = TruncationSpec(gamma_depth=4, k_max=3)
     table = orbit_weight_integral(
-        data, form, TorusElem(c.one() + c.pi(2)), range(4), trunc)
+        data, form, TorusElem(c.one() + c.pi(2)), range(4))
     for k in range(4):
         assert table[k].rational_part() > 0
 
@@ -136,22 +134,6 @@ def test_one_norm_preimage_per_torus_stratum(monkeypatch):
     monkeypatch.setattr(integrator, "norm_preimage", counting)
     assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
     assert len(calls) == len(torus_strata(c, trunc))
-
-
-def test_dedup_matches_full_enumeration():
-    """The square-class deduplicated coset representatives with orbit
-    weights give the same coefficients as enumerating every coset."""
-    for mk in (ctx5, ctx2):
-        c = mk()
-        data = CuspidalData(c)
-        form = orthogonal_form(c, 2)
-        base = dict(gamma_depth=3, k_max=3, unit_depth=2)
-        t1 = assemble_coefficients(data, form,
-                                   TruncationSpec(dedup=True, **base))
-        t2 = assemble_coefficients(data, form,
-                                   TruncationSpec(dedup=False, **base))
-        for k in t1.ks:
-            assert t1.values[k] == t2.values[k]
 
 
 def test_verification_strata_contribute_zero():
@@ -173,6 +155,7 @@ class IntegralIndicator:
     membership bit."""
 
     detval_support = frozenset((0,))
+    residue_level = 2
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -188,6 +171,84 @@ class IntegralIndicator:
         return CharacterValue.one(self.ctx.p)
 
 
+# p = 2: x^2 - 2, x^2 + 2x - 2, x^3 - 2; p = 3: x - 3, x^2 + 3x - 3;
+# p = 5: x - 5, x - 10; p = 7: x - 7 (with a torus depth each)
+LEVEL_WALK_FIELDS = [
+    ((2, 2, (-2, 0, 1)), 4), ((2, 2, (-2, 2, 1)), 4), ((2, 3, (-2, 0, 0, 1)), 4),
+    ((3, 1, (-3, 1)), 3), ((3, 2, (-3, 3, 1)), 3),
+    ((5, 1, (-5, 1)), 3), ((5, 1, (-10, 1)), 3), ((7, 1, (-7, 1)), 2),
+]
+
+
+def _by_level(records):
+    out = defaultdict(list)
+    for r in records:
+        out[r.i, r.j].append(r)
+    return out
+
+
+def test_level_walk_matches_coset_walk():
+    """`orbit_strata` against the full `coset_strata` walk grouped by
+    (i, j) level, on every torus stratum at the given depth (the
+    verification strata included), for `CuspidalData` and the indicator
+    of M_2(O): one verdict per level, one record per dead level and at
+    most (q-1) q per live one, equal total weights, the closed-form y
+    equal to the Mat product at the same b, equal weighted counts of
+    y mod pi^2, and equal sums of weight * f_avg.  Every odd-p average
+    is 0, so there the key counts carry the check."""
+    for (p, e, eis), depth in LEVEL_WALK_FIELDS:
+        c = make_field(p, e, eis, 20)
+        q, form = c.q, orthogonal_form(c, 2)
+        strata = torus_strata(c, TruncationSpec(gamma_depth=depth,
+                                                unit_depth=1))
+        for data in (CuspidalData(c), IntegralIndicator(c)):
+            for stratum in strata:
+                where = (eis, type(data).__name__, stratum.label)
+                x = norm_preimage(TorusElem(stratum.alpha), form).inverse()
+                full = _by_level(coset_strata(data, form, x, 64))
+                fast = _by_level(orbit_strata(data, form, x))
+                assert full.keys() == fast.keys(), where
+                for (i, j), cosets in full.items():
+                    records = fast[i, j]
+                    verdicts = {r.dead for r in cosets}
+                    assert len(verdicts) == 1, where
+                    assert {r.dead for r in records} == verdicts, where
+                    assert sum(r.weight for r in records) == len(cosets)
+                    assert len(records) <= (1 if verdicts != {None}
+                                            else (q - 1) * q), where
+                    y_at = {r.digits: r.y for r in cosets}
+                    for r in records:
+                        pad = (0,) * (j - len(r.digits))
+                        assert r.y == y_at[r.digits + pad], where
+                    if verdicts != {None}:
+                        continue
+                    lvl = data.residue_level
+                    keys_full, keys_fast = Counter(), Counter()
+                    want = got = CharacterValue.zero(p)
+                    for r in cosets:
+                        keys_full[r.y.residue_key(lvl)] += 1
+                        want = want + data.kappa_average(r.y, form)
+                    for r in records:
+                        keys_fast[r.y.residue_key(lvl)] += r.weight
+                        got = got + r.f_avg.scale(r.weight)
+                    assert keys_fast == keys_full, where
+                    assert got == want, where
+
+
+def test_zero_trace_raises():
+    """x = diag(1, -1) has trace 0: not regular, so both walks raise
+    instead of walking b levels up to the window (a precision-starved
+    x = S(gamma)^(-1), whose trace is -1, reads the same way)."""
+    c = ctx5()
+    form = orthogonal_form(c, 2)
+    x = Mat.diag(c, [c.one(), -c.one()])
+    for data in (CuspidalData(c), IntegralIndicator(c)):
+        with pytest.raises(PrecisionExhausted, match="trace"):
+            next(coset_strata(data, form, x, 12))
+        with pytest.raises(PrecisionExhausted, match="precision 18"):
+            orbit_strata(data, form, x)
+
+
 def test_orbital_twisted_indicator():
     """Orbital integral of the K-invariant indicator equals |D_eps|^(1/2)
     times the number of coset strata whose representative stays integral,
@@ -197,7 +258,7 @@ def test_orbital_twisted_indicator():
     f = IntegralIndicator(c)
     alpha = c.from_int(2)
     delta = norm_preimage(TorusElem(alpha), form).inverse()
-    got = orbital_twisted(f, form, delta, TruncationSpec(b_window=10))
+    got = orbital_twisted(f, form, delta)
     # independent count: i = 0 forced by det; Y integral iff
     # ord(b) + ord(trace) >= 0, so only the b in O class survives
     tr = delta.rows[0][0] + delta.rows[1][1]
@@ -211,7 +272,7 @@ def test_orbital_twisted_indicator():
     singular = Mat.diag(c, [c.one(), -c.one()])
     assert twisted_discriminant(singular, form).kernel_dim == 3
     with pytest.raises(NotRegular):
-        orbital_twisted(f, form, singular, TruncationSpec())
+        orbital_twisted(f, form, singular)
 
 
 def test_orbital_zero_function():
@@ -223,19 +284,8 @@ def test_orbital_zero_function():
             return CharacterValue.zero(5)
 
     delta = norm_preimage(TorusElem(c.from_int(2)), form).inverse()
-    got = orbital_twisted(Zero(c), form, delta, TruncationSpec())
+    got = orbital_twisted(Zero(c), form, delta)
     assert got.value.is_zero()
-
-
-def test_tail_nonzero_on_small_window():
-    c = ctx2()
-    data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
-    x = norm_preimage(TorusElem(c.one() + c.pi(4)), form).inverse()
-    with pytest.raises(TailNonzero):
-        orbit_strata(data, form, x, TruncationSpec(b_window=2))
-    with pytest.raises(TailNonzero):
-        orbit_strata(data, form, x, TruncationSpec(e_window=3))
 
 
 def test_rg_relation_odd():

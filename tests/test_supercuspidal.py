@@ -12,7 +12,6 @@ from twirl import (
     Mat,
     TailNonzero,
     TorusElem,
-    TruncationSpec,
     level_character,
     make_field,
     member,
@@ -250,10 +249,9 @@ def test_kappa_average_matches_oracle_on_live_strata(mk, specs):
     c = mk()
     form = orthogonal_form(c, 2)
     data = _RecordingData(c)
-    trunc = TruncationSpec(b_window=6)
     for spec in specs:
         x = norm_preimage(TorusElem(parse_elem(c, spec)), form).inverse()
-        orbit_strata(data, form, x, trunc)
+        orbit_strata(data, form, x)
     assert data.seen
     fresh = CuspidalData(c)
     for y in data.seen:
@@ -478,7 +476,7 @@ def test_odd_det_valuation_strata_are_dead(mk):
             alphas.append(a)
     for alpha in alphas:
         x = norm_preimage(TorusElem(alpha), form).inverse()
-        for cos in coset_strata(data, form, x, 12, dedup=False):
+        for cos in coset_strata(data, form, x, 12):
             if cos.y.det().val % 2:
                 assert cos.dead is not None, alpha
         levels.add(support_scan(data, form, TorusElem(alpha)).kappa_level)
