@@ -3,9 +3,11 @@ twisted centralizer.
 
 For gamma = diag(alpha, 1/alpha) in the split torus the norm preimage is
 S(gamma) = diag(alpha - 1, 1/alpha - 1), and nu(S(gamma)) = -gamma holds
-exactly.  The twisted discriminant is computed both from the
-characteristic polynomial of X -> -delta X^t delta^(-1) - X and from an
-independent kernel/quotient determinant; the two must agree.
+exactly.  The twisted discriminant of delta = S(gamma)^(-1) =
+diag(x0, x1) is the lowest nonzero characteristic-polynomial coefficient
+of X -> -delta X^vdash delta^(-1) - X, in closed form
+2 (x0 + x1)^2 / (x0 x1); an independent kernel/quotient determinant must
+agree with it.
 """
 
 import random

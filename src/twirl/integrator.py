@@ -274,18 +274,22 @@ class CoefficientTable:
 def _regular_preimage(form, alpha: Elem, label: str):
     """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) and its
     twisted discriminant report.  gamma must be regular (alpha != +-1).
-    x is then regular (its twisted centralizer is the torus), so a report
-    that says otherwise means the working precision could not decide a
-    discriminant digit: raise rather than use its valuation."""
+    x is then regular (its trace x0 + x1 is -1), so a digit of x0, x1 or
+    x0 + x1 the working precision cannot decide, or a trace that reads 0,
+    raises PrecisionExhausted naming the stratum rather than using a
+    valuation."""
     gamma = TorusElem(alpha)
     if not gamma.regular:
         raise NotRegular(f"gamma must be regular at {label}")
-    x = norm_preimage(gamma, form).inverse()
-    drep = twisted_discriminant(x, form)
+    where = (f"twisted discriminant of S(gamma)^(-1) at {label}, "
+             f"precision {alpha.ctx.precision}")
+    try:
+        x = norm_preimage(gamma, form).inverse()
+        drep = twisted_discriminant(x, form)
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted(f"{where}: {exc}") from exc
     if not drep.regular:
-        raise PrecisionExhausted(
-            f"twisted discriminant at {label} has kernel dim "
-            f"{drep.kernel_dim} at precision {alpha.ctx.precision}")
+        raise PrecisionExhausted(f"{where}: kernel dim {drep.kernel_dim}")
     return x, drep
 
 

@@ -302,9 +302,11 @@ class GroupForm:
     kind: str  # "orthogonal" | "symplectic"
     n: int
     J: Mat
-    w: Mat
+    w: Mat  # always antidiag_w(ctx, n); `vdash` relies on it
 
     def __post_init__(self):
+        if not self.w == antidiag_w(self.J.ctx, self.n):
+            raise ValueError("w must be the antidiagonal antidiag_w")
         jt = self.J.transpose()
         if self.kind == "orthogonal":
             if not jt == self.J:
@@ -344,11 +346,14 @@ def symplectic_form(ctx: LocalFieldCtx, n: int) -> GroupForm:
 
 def vdash(g: Mat, form: GroupForm) -> Mat:
     """The twisted transpose: w tg w^(-1) (orthogonal), u tg u^(-1)
-    (symplectic).  Anti-homomorphism and involution."""
-    t = g.transpose()
+    (symplectic).  Anti-homomorphism and involution.  w is the antidiagonal
+    `antidiag_w`, so the orthogonal case is the transpose across the
+    antidiagonal, (i, j) -> (n-1-j, n-1-i), with no arithmetic."""
     if form.kind == "orthogonal":
-        return form.w * t * form.w  # w^2 = 1
-    return form.J * t * form.J.inverse()
+        n, rows = g.n, g.rows
+        return Mat(g.ctx, [[rows[n - 1 - j][n - 1 - i] for j in range(n)]
+                           for i in range(n)])
+    return form.J * g.transpose() * form.J.inverse()
 
 
 def eps(g: Mat, form: GroupForm) -> Mat:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotRegular, SingularGammaMinusOne
+from .errors import DomainError, NotRegular, SingularGammaMinusOne
 from .localfield import INF, Elem, LocalFieldCtx
 from .matlattice import GroupForm, Mat, mat_ord, nu, vdash
 
@@ -65,12 +65,73 @@ def is_eps_symmetric(x: Mat, form: GroupForm, mod_level: int | None = None) -> b
     return all(e.divisible_by(mod_level) for r in d.rows for e in r)
 
 
-# -- characteristic polynomial (division-free Berkowitz) -----------------------
+@dataclass(frozen=True)
+class DiscriminantReport:
+    """The twisted discriminant D_eps(delta): the determinant of the
+    operator X -> -delta X^vdash delta^(-1) - X induced on the quotient of
+    the matrix algebra by its kernel, the twisted-centralizer Lie algebra.
+    `kernel_dim` is the dimension of that Lie algebra, which is the number
+    of vanishing low-degree coefficients of the operator's characteristic
+    polynomial; `charpoly_lowterm` is the first nonvanishing coefficient,
+    D_eps(delta) up to sign, and |D_eps(delta)| = q^(-ord_value).
+    `regular` means kernel_dim = n/2: the twisted centralizer is a torus."""
+
+    ord_value: int
+    kernel_dim: int
+    charpoly_lowterm: Elem
+    regular: bool
+
+    @property
+    def phi(self) -> int:
+        """log_q max(1, |value|^(-1)) = max(0, ord_value)."""
+        return max(0, self.ord_value)
+
+    def to_json(self):
+        from fractions import Fraction
+
+        return {
+            "abs_value_q_exponent": str(Fraction(-self.ord_value)),
+            "kernel_dim": self.kernel_dim,
+            "regular": self.regular,
+        }
+
+
+def twisted_discriminant(delta: Mat, form: GroupForm) -> DiscriminantReport:
+    """The twisted discriminant of delta = diag(x0, x1) under an orthogonal
+    form, in closed form.  The twisted transpose swaps the diagonal entries
+    of X = [[a, b], [c, d]] and fixes b and c, so the operator
+    X -> -delta X^vdash delta^(-1) - X acts on (a, d) as
+    [[-1, -1], [-1, -1]] (eigenvalues 0 and -2), on b as
+    -(x0 + x1)/x1 and on c as -(x0 + x1)/x0.  Its characteristic
+    polynomial is t (t + 2) (t + s/x1) (t + s/x0), s = x0 + x1: the lowest
+    nonvanishing coefficient is 2 s^2 / (x0 x1) at kernel dim 1, or 2 at
+    kernel dim 3 when s is 0.  A digit of x0, x1 or s the precision cannot
+    decide raises PrecisionExhausted.  `twisted_discriminant_charpoly` and
+    `twisted_discriminant_oracle` are the general routes that check it."""
+    if form.kind != "orthogonal":
+        raise DomainError("the closed-form discriminant needs the orthogonal "
+                          "twist")
+    if delta.n != 2 or not (delta.rows[0][1].is_zero()
+                            and delta.rows[1][0].is_zero()):
+        raise ValueError("the closed-form discriminant needs a diagonal 2x2 "
+                         "argument")
+    x0, x1 = delta.rows[0][0], delta.rows[1][1]
+    inv = (x0 * x1).inverse()  # a zero entry is Singular, not kernel dim 3
+    s = x0 + x1
+    two = delta.ctx.from_int(2)
+    if s.val is INF:
+        return DiscriminantReport(two.val, 3, two, False)
+    low = two * s * s * inv
+    return DiscriminantReport(low.val, 1, low, True)
+
+
+# -- test oracles: the general operator routes -----------------------------------
 
 
 def charpoly(a, ctx: LocalFieldCtx):
     """Coefficients of det(t*I - A), lowest degree first, over the exact
-    element ring.  Division-free, so valid at p = 2 as well."""
+    element ring.  Division-free (Berkowitz 1984), so valid at p = 2 as
+    well."""
     n = len(a)
     one, zero = ctx.one(), ctx.zero()
     # vector of charpoly coefficients of the leading 1x1 minor, highest first
@@ -116,31 +177,6 @@ def _twist_operator(delta: Mat, form: GroupForm):
     return [[cols[c][r] for c in range(m)] for r in range(m)]
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
-    """|value| = q^(-ord_value); kernel_dim counts trailing-zero charpoly
-    coefficients (the dimension of the centralizer Lie algebra)."""
-
-    ord_value: int
-    kernel_dim: int
-    charpoly_lowterm: Elem
-    regular: bool
-
-    @property
-    def phi(self) -> int:
-        """log_q max(1, |value|^(-1)) = max(0, ord_value)."""
-        return max(0, self.ord_value)
-
-    def to_json(self):
-        from fractions import Fraction
-
-        return {
-            "abs_value_q_exponent": str(Fraction(-self.ord_value)),
-            "kernel_dim": self.kernel_dim,
-            "regular": self.regular,
-        }
-
-
 def _trailing_zeros(coeffs, cutoff: int):
     """Number of leading (low-degree) coefficients that vanish at working
     precision, and the first surviving coefficient.  A coefficient whose
@@ -152,10 +188,11 @@ def _trailing_zeros(coeffs, cutoff: int):
     raise NotRegular("all characteristic coefficients vanish at precision")
 
 
-def twisted_discriminant(delta: Mat, form: GroupForm) -> DiscriminantReport:
-    """det(Ad(delta) o d_eps - 1) on the quotient of the full matrix algebra
-    by the twisted-centralizer Lie algebra, computed as the lowest nonzero
-    characteristic-polynomial coefficient of the defining operator."""
+def twisted_discriminant_charpoly(delta: Mat, form: GroupForm) -> DiscriminantReport:
+    """Test oracle for any delta and form: the lowest nonzero
+    characteristic-polynomial coefficient of the defining operator, by
+    Berkowitz.  The charpoly loses digits, so a coefficient of valuation
+    at least precision - 2e counts as zero."""
     ctx = delta.ctx
     op = _twist_operator(delta, form)
     coeffs = charpoly(op, ctx)

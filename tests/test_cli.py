@@ -239,6 +239,22 @@ def test_coeffs_bytes_do_not_depend_on_precision(tmp_path, capsys):
     assert outs[0].splitlines()[1].startswith(b"0,20791/32768")
 
 
+def test_coeffs_within_precision_rule_deep_torus(tmp_path, capsys):
+    """Precision 30 meets the rule for gamma_depth 10 (30 >= 2*10 + 4 + 6).
+    The Berkowitz charpoly of a deep stratum's twisted discriminant used to
+    exhaust its digits here (exit 1, "leading digit beyond tracked
+    validity"); the closed form gives the c_0 that precision 32, 34 and
+    36 give."""
+    text = DEEP_CFG.format(n=30).replace("gamma_depth = 6", "gamma_depth = 10") \
+        .replace("unit_depth = 3", "unit_depth = 1")
+    cfg = tmp_path / "deep10.ini"
+    cfg.write_text(text)
+    out = tmp_path / "deep10.csv"
+    rc = cli.main(["coeffs", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert out.read_bytes().splitlines()[1] == b"0,255652133/402653184,0"
+
+
 def test_support_scan_short_b_window_exit_code(tmp_path, capsys):
     """alpha = 1 + pi^13 forces b level 13, beyond the scan's window of
     12: exit 2.  At precision 18 the trace of S(gamma)^(-1) reads 0 (its

@@ -1,3 +1,4 @@
+import json
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from twirl import (
     CuspidalData,
+    DomainError,
     Mat,
     NotRegular,
     PrecisionExhausted,
@@ -20,13 +22,17 @@ from twirl import (
     orthogonal_form,
     rg_term,
     square_class_reps,
+    symplectic_form,
+    twisted_discriminant,
+    twisted_discriminant_oracle,
 )
-from twirl import integrator
+from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
 from twirl.integrator import (class_weight_from_delta, coset_strata,
                               orbit_strata, torus_strata)
 from twirl.localfield import unit_digit_tuples
 from twirl.matlattice import a_e, delta, n_b
+from twirl.twisted import charpoly, twisted_discriminant_charpoly
 from twirl.weights import square_class_weight
 
 
@@ -265,8 +271,6 @@ def test_orbital_twisted_indicator():
     expected_cosets = 1 + sum(
         (5 ** j - 5 ** (j - 1)) for j in range(1, tr.val + 1))
     assert got.value == CharacterValue.rational(5, expected_cosets)
-    from twirl import twisted_discriminant
-
     assert got.half_q_power == -twisted_discriminant(delta, form).ord_value
     # diag(1, -1) has a three-dimensional twisted centralizer Lie algebra
     singular = Mat.diag(c, [c.one(), -c.one()])
@@ -341,13 +345,83 @@ def test_central_torus_stratum_raises():
         assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
 
 
-@pytest.mark.parametrize("precision, label", [(16, "sign1-e5"),
-                                              (18, "sign1-e6")])
-def test_undecidable_discriminant_raises(precision, label):
-    """Below the precision rule the twisted discriminant of a deep torus
-    stratum is not decidable (kernel dim 2 instead of 1): the pipeline
-    raises instead of using its valuation."""
+@pytest.mark.parametrize("precision, depth, label", [(12, 12, "sign1-e11"),
+                                                     (16, 14, "sign1-e13")])
+def test_undecidable_discriminant_raises(precision, depth, label):
+    """Far below the precision rule the entries of x = S(gamma)^(-1) on a
+    deep torus stratum carry too few digits to decide x0, x1 or x0 + x1:
+    the pipeline raises, naming the stratum, instead of using a
+    valuation."""
     c = make_field(2, 2, (-2, 0, 1), precision)
-    trunc = TruncationSpec(gamma_depth=6, unit_depth=3, k_max=2)
+    trunc = TruncationSpec(gamma_depth=depth, unit_depth=1, k_max=2)
     with pytest.raises(PrecisionExhausted, match=label):
         assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
+
+
+def test_closed_form_decides_former_undecidable_inputs():
+    """Precision 16 and 18 at gamma_depth 6 left a Berkowitz coefficient
+    undecided (kernel dim 2 at sign1-e5, sign1-e6); the closed-form
+    discriminant decides them, with the c_k bytes of precision 30."""
+    trunc = TruncationSpec(gamma_depth=6, unit_depth=3, k_max=2)
+    outs = set()
+    for precision in (16, 18, 30):
+        c = make_field(2, 2, (-2, 0, 1), precision)
+        table = assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2),
+                                      trunc)
+        outs.add(json.dumps(table.to_json()["values"], sort_keys=True))
+        assert table.values[0].to_json() == ["20791/32768"]
+    assert len(outs) == 1
+
+
+def test_discriminant_routes_on_every_torus_stratum():
+    """The closed-form twisted discriminant against the Berkowitz charpoly
+    and the kernel-quotient oracle on every torus stratum of the level
+    walk fields at gamma_depth 4: equal valuation, kernel dim and exact
+    lowest coefficient.  diag(1, -1) has kernel dim 3 and lowterm 2; a
+    non-diagonal argument and the symplectic twist are refused."""
+    for (p, e, eis), _depth in LEVEL_WALK_FIELDS:
+        c = make_field(p, e, eis, 20)
+        form = orthogonal_form(c, 2)
+        for stratum in torus_strata(c, TruncationSpec(gamma_depth=4)):
+            x = norm_preimage(TorusElem(stratum.alpha), form).inverse()
+            reports = [route(x, form) for route in (
+                twisted_discriminant, twisted_discriminant_charpoly,
+                twisted_discriminant_oracle)]
+            closed = reports[0]
+            assert closed.kernel_dim == 1 and closed.regular
+            for rep in reports[1:]:
+                where = (eis, stratum.label)
+                assert rep.ord_value == closed.ord_value, where
+                assert rep.kernel_dim == closed.kernel_dim, where
+                assert rep.charpoly_lowterm == closed.charpoly_lowterm, where
+    c = ctx5()
+    form = orthogonal_form(c, 2)
+    rep = twisted_discriminant(Mat.diag(c, [c.one(), -c.one()]), form)
+    assert (rep.kernel_dim, rep.regular) == (3, False)
+    assert rep.charpoly_lowterm == c.from_int(2)
+    with pytest.raises(ValueError):
+        twisted_discriminant(Mat.from_ints(c, [[1, 1], [0, 2]]), form)
+    with pytest.raises(DomainError):
+        twisted_discriminant(Mat.diag(c, [c.one(), c.from_int(2)]),
+                             symplectic_form(c, 2))
+
+
+def test_pipeline_never_calls_the_charpoly(monkeypatch):
+    """assemble_coefficients and coefficient_A_B take every twisted
+    discriminant in closed form; the Berkowitz charpoly is a test oracle
+    only."""
+    calls = []
+
+    def counting(a, ctx):
+        calls.append(ctx)
+        return charpoly(a, ctx)
+
+    monkeypatch.setattr(twisted, "charpoly", counting)
+    c = ctx2()
+    form = orthogonal_form(c, 2)
+    trunc = TruncationSpec(gamma_depth=3, k_max=1, unit_depth=2)
+    assemble_coefficients(CuspidalData(c), form, trunc)
+    coefficient_A_B(CuspidalData(c), form, trunc)
+    assert calls == []
+    twisted_discriminant_charpoly(Mat.diag(c, [c.one(), c.from_int(3)]), form)
+    assert len(calls) == 1

@@ -19,6 +19,7 @@ from twirl import (
     symplectic_form,
     vdash,
 )
+from twirl.localfield import is_square
 from twirl.matlattice import big_form, scaled_lattice_ord
 from twirl.supercuspidal import member
 
@@ -111,6 +112,24 @@ def test_vdash_orthogonal_explicit():
     # [[a,b],[c,d]] -> [[d,b],[c,a]]
     assert t == Mat.from_ints(c, [[4, 2], [3, 1]])
     assert vdash(Mat.identity(c, 2), form) == Mat.identity(c, 2)
+
+
+@pytest.mark.parametrize("mk,nonsquare", [(ctx2, 3), (ctx5, 2)])
+def test_vdash_is_antidiagonal_transpose(mk, nonsquare):
+    """The orthogonal vdash, an index permutation, equals w tg w on random
+    matrices, for n = 2 and 4 and for the split block and the anisotropic
+    block diag(1, -d), d a non-square unit."""
+    c = mk()
+    d = c.from_int(nonsquare)
+    assert not is_square(d)
+    anisotropic = Mat.diag(c, [c.one(), -d])
+    rng = random.Random(6)
+    for n in (2, 4):
+        for lam in (None, anisotropic):
+            form = orthogonal_form(c, n, lam)
+            for _ in range(20):
+                g = Mat.random(c, n, rng, invertible=False)
+                assert vdash(g, form) == form.w * g.transpose() * form.w
 
 
 def test_iwasawa_examples():
