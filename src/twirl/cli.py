@@ -49,6 +49,7 @@ from .integrator import (
     assemble_coefficients,
     coefficient_A_B,
     orbit_weight_integral,
+    regular_preimage,
     rg_term,
 )
 from .localfield import make_field, parse_elem, square_class_reps
@@ -183,8 +184,12 @@ def cmd_dtwist(cfg: RunConfig, args) -> int:
     form = orthogonal_form(ctx, 2)
     alpha = parse_elem(ctx, args.alpha)
     gamma = TorusElem(alpha)
-    s = norm_preimage(gamma, form)
-    rep = twisted_discriminant(s.inverse(), form)
+    if gamma.regular:
+        # x0 + x1 = -1 here, so a report of kernel dim 3 is a digit the
+        # precision could not decide, and it raises
+        _, rep = regular_preimage(form, alpha, f"alpha = {args.alpha}")
+    else:
+        rep = twisted_discriminant(norm_preimage(gamma, form).inverse(), form)
     out = rep.to_json()
     out["alpha"] = args.alpha
     _emit(_json_dump(out), args.out or cfg.out_path)

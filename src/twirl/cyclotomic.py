@@ -60,6 +60,10 @@ class CharacterValue:
 
     def __add__(self, other: "CharacterValue") -> "CharacterValue":
         assert self.p == other.p
+        if not any(self.coords):
+            return other
+        if not any(other.coords):
+            return self
         return CharacterValue(
             self.p, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
@@ -71,6 +75,8 @@ class CharacterValue:
         return self.scale(-1)
 
     def scale(self, r) -> "CharacterValue":
+        if not any(self.coords):
+            return self
         r = Fraction(r)
         return CharacterValue(self.p, tuple(r * a for a in self.coords))
 

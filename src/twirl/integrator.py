@@ -7,7 +7,7 @@ normalization with vol_T(T cap K) = 1; the b strata of level j >= 1 have
 total mass q^j - q^(j-1).  Torus measure: vol(O^x) = 1 via the eigenvalue
 coordinate.  Central classes are normalized to volume 1 each.
 
-One pass per torus stratum gamma: `_regular_preimage` gives
+One pass per torus stratum gamma: `regular_preimage` gives
 x = S(gamma)^(-1) and |D_eps(gamma)|, `orbit_strata` the (i, j) levels
 of G/T in closed form with the K-average of f on each live class of b,
 and `_psi_k` weighs each live class by the closed square-class weight at
@@ -271,7 +271,7 @@ class CoefficientTable:
         }
 
 
-def _regular_preimage(form, alpha: Elem, label: str):
+def regular_preimage(form, alpha: Elem, label: str):
     """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) and its
     twisted discriminant report.  gamma must be regular (alpha != +-1).
     x is then regular (its trace x0 + x1 is -1), so a digit of x0, x1 or
@@ -296,14 +296,14 @@ def _regular_preimage(form, alpha: Elem, label: str):
 def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable:
     """The coefficient table c_k of the series sum_k c_k q^(-2nks):
     c_k = 2 sum over torus strata of vol * |D_eps| * psi_k.  Each stratum
-    builds x = S(gamma)^(-1) and |D_eps| once, in `_regular_preimage`."""
+    builds x = S(gamma)^(-1) and |D_eps| once, in `regular_preimage`."""
     ctx = data.ctx
     units = square_class_reps(ctx).card_units
     ks = tuple(range(0, trunc.k_max + 1))
     values = {k: CharacterValue.zero(ctx.p) for k in ks}
     per_stratum = []
     for stratum in torus_strata(ctx, trunc):
-        x, drep = _regular_preimage(form, stratum.alpha, stratum.label)
+        x, drep = regular_preimage(form, stratum.alpha, stratum.label)
         # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1); |W(T)| = 1
         scale = 2 * stratum.vol * Fraction(ctx.q) ** (-drep.ord_value)
         psi = _psi_k(data, form, x, ks, units)
@@ -336,7 +336,7 @@ def rg_term(data, form, trunc: TruncationSpec) -> CharacterValue:
     ctx = data.ctx
     acc = CharacterValue.zero(ctx.p)
     for stratum in torus_strata(ctx, trunc, include_verification=False):
-        x, drep = _regular_preimage(form, stratum.alpha, stratum.label)
+        x, drep = regular_preimage(form, stratum.alpha, stratum.label)
         if mat_ord(x) < 0 or x.det().val not in (0,):
             continue
         dead = data.support_prefilter(x, form)
@@ -360,7 +360,7 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
     b_total = Fraction(0)
     increments = []
     for e in range(1, trunc.gamma_depth + 1):
-        _x, drep = _regular_preimage(form, ctx.one() + ctx.pi(e), f"1+pi^{e}")
+        _x, drep = regular_preimage(form, ctx.one() + ctx.pi(e), f"1+pi^{e}")
         deps = Fraction(q) ** (-drep.ord_value)
         vol = Fraction(1, q ** e)
         # interior shell: b levels j = 0 .. e-1; level j has q^j - q^(j-1)

@@ -279,7 +279,8 @@ class Elem:
     zero.  Validity is only lost when a settled representative has positive
     valuation (each division by pi^t costs ceil(t/e) + 1 levels).
     Normalization is lazy: sums keep raw representatives until a valuation,
-    digit, or comparison is demanded.
+    digit, or comparison is demanded; a representative whose unit part
+    already has valuation 0 is marked normalized in place, not copied.
     """
 
     __slots__ = ("ctx", "vbase", "coeffs", "mexp", "_norm")
@@ -299,7 +300,7 @@ class Elem:
     # -- normalization and valuation ----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _capacity(self) -> int:
         return self.ctx.e * (self.mexp - 2)
@@ -324,7 +325,8 @@ class Elem:
             return Elem(ctx, 0, self.coeffs, True, self.mexp)
         t = ctx.poly_ord(self.coeffs)
         if t == 0:
-            return Elem(ctx, self.vbase, self.coeffs, True, self.mexp)
+            self._norm = True
+            return self
         if t >= self._capacity():
             return self
         u, m = self._divide(t)
@@ -346,7 +348,8 @@ class Elem:
                 f"levels {self.mexp})"
             )
         if t == 0:
-            return Elem(ctx, self.vbase, self.coeffs, True, self.mexp)
+            self._norm = True
+            return self
         u, m = self._divide(t)
         return Elem(ctx, self.vbase + t, u, True, m)
 

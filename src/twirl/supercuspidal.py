@@ -158,7 +158,14 @@ class CuspidalData:
         - So the N-orbit of y mod pi^2 is the affine set y + pi Im L_y,
           every point of it hit |ker L_y| times, and the integral is the
           mean of f(k (y + pi v) k^vdash) over k in GL_2(O/pi) (digit
-          lifts) and v in Im L_y.
+          lifts) and v in Im L_y.  `_n_orbit` lists Im L_y once per point
+          by marking the base-p codes of the images mod pi in a table of
+          size p^4.
+        - k (y + pi v) k^vdash = k y k^vdash mod pi for every v, and f is
+          zero unless its argument passes `_support_mod_pi`.  So each
+          chunk of k is cut to the rows whose k y k^vdash passes, before
+          f runs against the whole orbit; every row still counts
+          |Im L_y| times in the total.
 
         The value depends only on y mod pi^2 and the parity of ord det y,
         which is the cache key.  `kappa_average_oracle` enumerates all of
@@ -175,28 +182,17 @@ class CuspidalData:
         return got
 
     def _kappa_average_coset(self, y: Mat, parity: int) -> CharacterValue:
-        p = self.p
         ring = ResidueRing(self.ctx, self.residue_level)
-        y_orbit = _n_orbit(ring, _residues(ring, y))
-        counts = np.zeros(p, dtype=np.int64)
-        total = 0
-        # one chunk per residue of kappa_00 keeps memory flat in p
-        for k in iter_gl2(1, ring):
-            k = tuple(z[:, None, :] for z in k)
-            total += _count_f(ring, k, y_orbit, parity, counts)
-        return _mean(p, counts, total)
+        counts, total = _coset_counts(ring, _residues(ring, y), parity)
+        return _mean(self.p, counts, total)
 
     def kappa_average_oracle(self, y: Mat, level: int) -> CharacterValue:
         """The same integral by enumerating all of GL_2(O/pi^level),
         orthogonal twist; any level >= 2 gives the exact value.  Kept as
         the test oracle for `kappa_average`."""
         ring = ResidueRing(self.ctx, level)
-        y_res = _residues(ring, y)
-        parity = y.det().val % 2
-        counts = np.zeros(self.p, dtype=np.int64)
-        total = 0
-        for k in iter_gl2(level, ring):
-            total += _count_f(ring, k, y_res, parity, counts)
+        counts, total = _oracle_counts(ring, _residues(ring, y),
+                                       y.det().val % 2)
         return _mean(self.p, counts, total)
 
 
@@ -236,16 +232,32 @@ def _n_orbit(ring: ResidueRing, y):
     """The orbit y + pi Im L_y of y mod pi^2 under y -> n y n^vdash,
     n in 1 + pi M_2(O), one row per point.  Im L_y is found by applying
     L_y(A) = A y + y A^vdash mod pi to all p^4 matrices A mod pi; no rank
-    is assumed."""
+    is assumed.  Each image (d0, d1, d2, d3) is marked by its code
+    d0 + p d1 + p^2 d2 + p^3 d3 in a table of size p^4, so every point
+    comes once."""
     p = ring.p
     a = tuple(ring.from_digit_grid(1)[i]
               for i in np.indices((p,) * 4).reshape(4, -1))
     image = zip(_mat_mul(ring, a, y), _mat_mul(ring, y, _vdash(a)))
-    image = np.unique(np.stack([ring.residue_mod_p(ring.add(u, v))
-                                for u, v in image]), axis=1)
+    seen = np.zeros(p ** 4, dtype=bool)
+    seen[sum(ring.residue_mod_p(ring.add(u, v)) * p ** t
+             for t, (u, v) in enumerate(image))] = True
+    codes = np.flatnonzero(seen)
     pi = ring.pi_pows[1]
-    return tuple(ring.add(y_ij, (v_ij[:, None] * pi) % ring.pm)
-                 for y_ij, v_ij in zip(y, image))
+    return tuple(ring.add(y_ij, ((codes // p ** t % p)[:, None] * pi)
+                          % ring.pm)
+                 for t, y_ij in enumerate(y))
+
+
+def _support_mod_pi(ring: ResidueRing, x, parity: int):
+    """The part of f's support test that reads X mod pi only: a mask that
+    holds wherever the mask of `_f_on_residues` does.  Parity 0 needs
+    x00 != 0, x10 = 0 and x11 = x00 mod pi; parity 1 needs
+    x00 = x10 = x11 = 0 and x01 != 0 mod pi."""
+    x00, x01, x10, x11 = (ring.residue_mod_p(z) for z in x)
+    if parity:
+        return (x00 == 0) & (x10 == 0) & (x11 == 0) & (x01 != 0)
+    return (x00 != 0) & (x10 == 0) & (x11 == x00)
 
 
 def _f_on_residues(ring: ResidueRing, x, parity: int):
@@ -275,6 +287,34 @@ def _count_f(ring: ResidueRing, k, y_res, parity: int, counts) -> int:
     mask, exps = _f_on_residues(ring, _twist(ring, k, y_res), parity)
     counts += np.bincount(exps[mask], minlength=ring.p)
     return mask.size
+
+
+def _coset_counts(ring: ResidueRing, y_res, parity: int):
+    """(Lambda_1 exponent counts, rows) of f over GL_2(O/pi) x
+    (y + pi Im L_y), y a residue matrix mod pi^2 (see
+    `CuspidalData.kappa_average`).  f runs only on the k whose
+    k y k^vdash passes `_support_mod_pi`; every k counts in the rows."""
+    y_orbit = _n_orbit(ring, y_res)
+    size = y_orbit[0].shape[0]
+    counts = np.zeros(ring.p, dtype=np.int64)
+    total = 0
+    # one chunk per residue of kappa_00 keeps memory flat in p
+    for k in iter_gl2(1, ring):
+        total += k[0].shape[0] * size
+        keep = _support_mod_pi(ring, _twist(ring, k, y_res), parity)
+        _count_f(ring, tuple(z[keep][:, None, :] for z in k), y_orbit,
+                 parity, counts)
+    return counts, total
+
+
+def _oracle_counts(ring: ResidueRing, y_res, parity: int):
+    """(Lambda_1 exponent counts, rows) of f over all of
+    GL_2(O/pi^ring.s)."""
+    counts = np.zeros(ring.p, dtype=np.int64)
+    total = 0
+    for k in iter_gl2(ring.s, ring):
+        total += _count_f(ring, k, y_res, parity, counts)
+    return counts, total
 
 
 def _mean(p: int, counts, total: int) -> CharacterValue:

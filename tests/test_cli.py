@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import fields
 
 import pytest
@@ -64,6 +65,22 @@ def test_dtwist_json(odd_cfg, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["kernel_dim"] == 1
     assert rep["regular"] is True
+
+
+def test_dtwist_refuses_undecided_trace(odd_cfg, tmp_path, capsys):
+    """x0 + x1 = -1 for every regular gamma, so a kernel-dim-3 report is a
+    trace the precision could not decide: exit 1, not an answer.  At
+    precision 18, alpha = 1 + pi^13 and 1 + pi^16 read that trace as 0;
+    alpha = 1 + pi^9 decides it, and |D_eps| = q^(-18)."""
+    for k in (13, 16):
+        assert cli.main(["dtwist", "--config", odd_cfg,
+                         f"--alpha=1+pi^{k}"]) == 1
+        assert "kernel dim 3" in capsys.readouterr().err
+    out = tmp_path / "d.json"
+    assert cli.main(["dtwist", "--config", odd_cfg, "--alpha=1+pi^9",
+                     "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert (rep["regular"], rep["abs_value_q_exponent"]) == (True, "-18")
 
 
 def test_support_scan_json(odd_cfg, tmp_path):
@@ -287,6 +304,33 @@ def test_cold_and_warm_cache_same_bytes(even_cfg, tmp_path):
         for _ in range(2):
             assert cli.main([command, "--config", cfg, "--out", str(warm)]) == 0
         assert cold.read_bytes() == warm.read_bytes()
+
+
+def test_cold_residue_leaves_numpy_ma_unloaded(odd_cfg):
+    """A cold `residue` run that computes its K-averages never imports
+    numpy.ma, which numpy loads lazily and which costs milliseconds per
+    cold job."""
+    import twirl
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(twirl.__file__)))
+    code = textwrap.dedent(f"""
+        import os, sys
+        from twirl import cli, supercuspidal
+
+        data = supercuspidal.CuspidalData
+        misses = []
+        coset = data._kappa_average_coset
+        def counted(self, y, parity):
+            misses.append(parity)
+            return coset(self, y, parity)
+        data._kappa_average_coset = counted
+        rc = cli.main(["residue", "--config", {odd_cfg!r}, "--out", os.devnull])
+        assert rc == 0 and misses
+        assert "numpy.ma" not in sys.modules
+        """)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=300)
 
 
 def test_output_dir_override(odd_cfg, tmp_path, monkeypatch):

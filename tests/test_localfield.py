@@ -5,6 +5,7 @@ import pytest
 
 from twirl import (
     DomainError,
+    Elem,
     NotEisenstein,
     PrecisionExhausted,
     PrecisionTooSmall,
@@ -138,6 +139,55 @@ def test_precision_exhausted_on_deep_cancellation():
     z = (c.one() + c.pi(deep - 1)) - c.one()
     with pytest.raises(PrecisionExhausted):
         z.normalized()
+
+
+def _raw_sums(c, rng, count):
+    """Unnormalized elements: sums with and without cancellation, zero."""
+    out = []
+    while len(out) < count:
+        x = c.random_elem(rng, -2, 3)
+        y = c.random_elem(rng, -2, 3) if rng.random() < 0.5 else \
+            -x + c.random_elem(rng, x.val + 1, x.val + 4)
+        out.append(x + y)
+    out.append(c.one() - c.one())
+    return [s for s in out if not s._norm]
+
+
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+@pytest.mark.parametrize("method", ["_settle", "normalized"])
+def test_settling_changes_no_observation(mk, method):
+    """After `_settle` or `normalized`, whether it marks the element in
+    place or returns a copy, val, unit digits, mexp, == and hash read as
+    on an untouched twin."""
+    c = mk()
+    paths = set()
+    for s in _raw_sums(c, random.Random(9), 200):
+        twin = Elem(c, s.vbase, s.coeffs, False, s.mexp)
+        want = (twin.val, twin.unit_digits(4), hash(twin))
+        mexp = s.mexp
+        out = getattr(s, method)()
+        paths.add(out is s)
+        assert s.mexp == mexp
+        for z in (s, out):
+            assert (z.val, z.unit_digits(4), hash(z)) == want
+            assert z == twin and twin == z
+    assert paths == {True, False}
+
+
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+def test_equal_values_of_different_validity(mk):
+    """Equal elements whose mexp differ compare equal and hash equal."""
+    c = mk()
+    rng = random.Random(10)
+    for _ in range(100):
+        x = c.random_elem(rng, -2, 3)
+        low = Elem(c, x.vbase, x.coeffs, True, x.mexp - 3)
+        z = Elem(c, 0, c.random_unit(rng).coeffs, True, x.mexp - 2)
+        raw = (x + z) - z
+        for y in (low, raw):
+            assert y.mexp < x.mexp
+            assert x == y and y == x
+            assert hash(x) == hash(y)
 
 
 def test_digit_roundtrip_and_str():

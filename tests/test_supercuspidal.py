@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twirl import (
@@ -24,12 +25,16 @@ from twirl import (
 )
 from twirl.cyclotomic import CharacterValue
 from twirl.integrator import coset_strata, orbit_strata
-from twirl.ringvec import ResidueRing
+from twirl.ringvec import ResidueRing, iter_gl2
 from twirl.supercuspidal import (
+    _coset_counts,
+    _count_f,
     _f_on_residues,
     _lift,
     _n_orbit,
+    _oracle_counts,
     _residues,
+    _support_mod_pi,
     pi_e_inverse_power,
     pi_e_matrix,
 )
@@ -296,6 +301,69 @@ def test_n_orbit_matches_conjugation(mk):
                        [_lift(ring, z[i]) for z in rows[2:]]]).residue_key(2)
                for i in range(rows[0].shape[0])}
         assert got == want
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
+def test_support_mod_pi_keeps_every_row_f_reads(mk, parity):
+    """On every X in M_2(O/pi^2), f's support mask implies
+    `_support_mod_pi`, so the row filter of the K-average never drops a
+    row that f is nonzero on."""
+    c = mk()
+    ring = ResidueRing(c, 2)
+    table = ring.from_digit_grid(2)
+    x = tuple(table[i] for i in np.indices((table.shape[0],) * 4)
+              .reshape(4, -1))
+    mask, _ = _f_on_residues(ring, x, parity)
+    keep = _support_mod_pi(ring, x, parity)
+    assert mask.any()
+    assert not (mask & ~keep).any()
+
+
+def _integral_of_parity(c, rng, parity):
+    """A random integral y with ord det y = parity and y00 = y11 mod pi:
+    eps-symmetric mod pi, so its K-orbit can meet the support of f."""
+    while True:
+        (a, b), (cc, _) = Mat.random_integral(c, 2, rng).rows
+        y = Mat(c, [[a, b], [cc, a + c.random_elem(rng, 1, 3)]])
+        if y.det().val == parity:
+            return y
+
+
+def _unfiltered_coset_counts(ring, y_res, parity):
+    """`_coset_counts` with f run on every k."""
+    y_orbit = _n_orbit(ring, y_res)
+    counts = np.zeros(ring.p, dtype=np.int64)
+    total = 0
+    for k in iter_gl2(1, ring):
+        total += _count_f(ring, tuple(z[:, None, :] for z in k), y_orbit,
+                          parity, counts)
+    return counts, total
+
+
+@pytest.mark.parametrize("mk, count", [(ctx2, 4), (ctx3, 4), (ctx5, 2),
+                                       (ctx7, 1)])
+def test_coset_counts_match_oracle_counts(mk, count):
+    """The filtered coset enumeration, the unfiltered one and the
+    GL_2(O/pi^2) enumeration give the same Lambda_1 exponent counts up to
+    the factor |ker L_y|.  Means alone cannot see a dropped row at odd p,
+    where every K-average is 0."""
+    c = mk()
+    ring = ResidueRing(c, 2)
+    rng = random.Random(31)
+    for parity in (0, 1):
+        hits = 0
+        for _ in range(count):
+            y_res = _residues(ring, _integral_of_parity(c, rng, parity))
+            counts, total = _coset_counts(ring, y_res, parity)
+            plain, plain_total = _unfiltered_coset_counts(ring, y_res, parity)
+            assert (counts.tolist(), total) == (plain.tolist(), plain_total)
+            full, full_total = _oracle_counts(ring, y_res, parity)
+            factor = full_total // total
+            assert full_total == factor * total
+            assert full.tolist() == (factor * counts).tolist()
+            hits += int(counts.sum())
+        assert hits
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx5])
