@@ -210,16 +210,22 @@ def class_weight_from_delta(delta1: int, units: int, k: int) -> int:
 
 def _psi_k(data, form, x: Mat, ks, units: int):
     """{k: psi_k} for x = S(gamma)^(-1): the sum over live orbit strata of
-    weight * f_avg * class_weight_from_delta(i - j, units, k)."""
-    live = [s for s in orbit_strata(data, form, x)
-            if s.f_avg is not None and not s.f_avg.is_zero()]
+    weight * f_avg * class_weight_from_delta(i - j, units, k).  The class
+    weight reads a record only through Delta_1 = i - j, so weight * f_avg
+    is summed per Delta_1 first and weighed once per (Delta_1, k)."""
+    zero = CharacterValue.zero(data.ctx.p)
+    by_delta: dict = {}
+    for s in orbit_strata(data, form, x):
+        if s.f_avg is not None and not s.f_avg.is_zero():
+            d = s.i - s.j
+            by_delta[d] = by_delta.get(d, zero) + s.f_avg.scale(s.weight)
     table = {}
     for k in ks:
-        acc = CharacterValue.zero(data.ctx.p)
-        for s in live:
-            w = class_weight_from_delta(s.i - s.j, units, k)
+        acc = zero
+        for d, total in by_delta.items():
+            w = class_weight_from_delta(d, units, k)
             if w:
-                acc = acc + s.f_avg.scale(s.weight * w)
+                acc = acc + total.scale(w)
         table[k] = acc
     return table
 
@@ -229,7 +235,7 @@ def orbit_weight_integral(data, form, gamma: TorusElem, ks):
     for each k in ks, as {k: CharacterValue}."""
     if not gamma.regular:
         raise NotRegular("gamma must be regular")
-    x = norm_preimage(gamma, form).inverse()
+    x = _preimage_inverse(gamma, form)
     units = square_class_reps(data.ctx).card_units
     return _psi_k(data, form, x, ks, units)
 
@@ -271,6 +277,15 @@ class CoefficientTable:
         }
 
 
+def _preimage_inverse(gamma: TorusElem, form) -> Mat:
+    """x = S(gamma)^(-1).  On the split form S(gamma) is diagonal, so x
+    is two `Elem` inverses; any other form takes `Mat.inverse`."""
+    s = norm_preimage(gamma, form)
+    if not form.split:
+        return s.inverse()
+    return Mat.diag(gamma.ctx, [s.rows[0][0].inverse(), s.rows[1][1].inverse()])
+
+
 def regular_preimage(form, alpha: Elem, label: str):
     """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) and its
     twisted discriminant report.  gamma must be regular (alpha != +-1).
@@ -284,7 +299,7 @@ def regular_preimage(form, alpha: Elem, label: str):
     where = (f"twisted discriminant of S(gamma)^(-1) at {label}, "
              f"precision {alpha.ctx.precision}")
     try:
-        x = norm_preimage(gamma, form).inverse()
+        x = _preimage_inverse(gamma, form)
         drep = twisted_discriminant(x, form)
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"{where}: {exc}") from exc

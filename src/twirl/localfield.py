@@ -162,12 +162,21 @@ class LocalFieldCtx:
         return tuple(x % pm for x in out)
 
     def poly_inv(self, u: tuple[int, ...]) -> tuple[int, ...]:
-        """Inverse of a unit polynomial (constant coefficient prime to p)."""
-        p, pm = self.p, self.coeff_mod
-        if u[0] % p == 0:
+        """Inverse of a unit polynomial (constant coefficient prime to p).
+        At e = 1 the unit part is one integer mod p^M and `pow` inverts it;
+        otherwise `poly_inv_newton`."""
+        if u[0] % self.p == 0:
             raise Singular("not a unit")
+        if self.e == 1:
+            return (pow(u[0], -1, self.coeff_mod),)
+        return self.poly_inv_newton(u)
+
+    def poly_inv_newton(self, u: tuple[int, ...]) -> tuple[int, ...]:
+        """Newton iteration from the residue inverse, for a unit
+        polynomial at any e; the test oracle of the e = 1 `pow`."""
+        p, pm = self.p, self.coeff_mod
         w = (pow(u[0] % p, -1, p),) + (0,) * (self.e - 1)
-        # Newton iteration; agreement doubles each step
+        # agreement doubles each step
         steps = max(1, (self.e * self.coeff_exp).bit_length())
         two = (2 % pm,) + (0,) * (self.e - 1)
         for _ in range(steps):
@@ -635,18 +644,13 @@ def square_class_reps(ctx: LocalFieldCtx) -> SquareClassSet:
             n += 1
         unit_reps = (ctx.one(), ctx.from_int(n))
     else:
-        tuples = unit_digit_tuples(ctx.p, _unit_square_level(ctx))
+        # a unit residue opens a new class unless it is in the class of a
+        # representative found before it
         reps: list[Elem] = []
-        seen: set = set()
-        for t in tuples:
-            if t in seen:
-                continue
-            u = ctx.from_digits(0, t)
-            reps.append(u)
-            for t2 in tuples:
-                v = ctx.from_digits(0, t2)
-                if is_square(u / v):
-                    seen.add(t2)
+        for t in unit_digit_tuples(ctx.p, _unit_square_level(ctx)):
+            v = ctx.from_digits(0, t)
+            if not any(is_square(u / v) for u in reps):
+                reps.append(v)
         unit_reps = tuple(reps)
     pi = ctx.pi()
     all_reps = tuple(unit_reps) + tuple(u * pi for u in unit_reps)

@@ -5,7 +5,7 @@ coordinates on GL_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PrecisionExhausted, RelationViolated, Singular
@@ -121,8 +121,10 @@ class Mat:
         if n == 1:
             return self.rows[0][0]
         if n == 2:
-            return (self.rows[0][0] * self.rows[1][1]
-                    - self.rows[0][1] * self.rows[1][0])
+            (a, b), (c, d) = self.rows
+            if b.is_zero() or c.is_zero():
+                return a * d
+            return a * d - b * c
         if n == 3:
             a = self.rows
             return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
@@ -297,12 +299,15 @@ def antidiag_u(ctx: LocalFieldCtx, n: int) -> Mat:
 
 @dataclass(frozen=True)
 class GroupForm:
-    """Form data (J, w) defining the twisted transpose and the group H."""
+    """Form data (J, w) defining the twisted transpose and the group H.
+    `split` is decided once: the 2x2 orthogonal form with J = w, where
+    w J^(-1) = 1 and `norm_preimage` is closed-form."""
 
     kind: str  # "orthogonal" | "symplectic"
     n: int
     J: Mat
     w: Mat  # always antidiag_w(ctx, n); `vdash` relies on it
+    split: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.w == antidiag_w(self.J.ctx, self.n):
@@ -318,6 +323,8 @@ class GroupForm:
             raise ValueError(f"unknown form kind {self.kind!r}")
         if self.J.det().val is INF:
             raise Singular("form matrix must be invertible")
+        object.__setattr__(self, "split", self.kind == "orthogonal"
+                           and self.n == 2 and self.J == self.w)
 
 
 def orthogonal_form(ctx: LocalFieldCtx, n: int, lam: Mat | None = None) -> GroupForm:

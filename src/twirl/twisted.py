@@ -35,8 +35,22 @@ class TorusElem:
 
 def norm_preimage(gamma: TorusElem, form: GroupForm) -> Mat:
     """S(gamma) = w J^(-1) (gamma - 1), the preimage of the class of gamma
-    under the norm correspondence.  For the split orthogonal 2x2 form this
-    is diag(alpha - 1, alpha^(-1) - 1)."""
+    under the norm correspondence.  On the split form w J^(-1) = 1, so
+    S(gamma) = diag(alpha - 1, alpha^(-1) - 1) in closed form;
+    `norm_preimage_general` is the matrix route for every other form and
+    the test oracle of the closed form."""
+    if not form.split:
+        return norm_preimage_general(gamma, form)
+    ctx = gamma.ctx
+    one = ctx.one()
+    s0, s1 = gamma.alpha - one, gamma.alpha.inverse() - one
+    if (s0 * s1).val is INF:  # det(gamma - 1), as the general route reads it
+        raise SingularGammaMinusOne("gamma - 1 is singular")
+    return Mat.diag(ctx, [s0, s1])
+
+
+def norm_preimage_general(gamma: TorusElem, form: GroupForm) -> Mat:
+    """S(gamma) = w J^(-1) (gamma - 1) by `Mat` products, for any form."""
     ctx = gamma.ctx
     gm = gamma.matrix() - Mat.identity(ctx, form.n)
     if gm.det().val is INF:
@@ -58,11 +72,20 @@ def nu_of_norm_check(gamma: TorusElem, form: GroupForm) -> bool:
 def is_eps_symmetric(x: Mat, form: GroupForm, mod_level: int | None = None) -> bool:
     """X^vdash = X, exactly or modulo pi^mod_level.  The mod test works on
     raw representatives (entrywise divisibility), so it never needs to
-    normalize a difference that is exactly zero."""
-    d = vdash(x, form) - x
+    normalize a difference that is exactly zero.  The orthogonal vdash is
+    the permutation (i, j) -> (n-1-j, n-1-i), so only the entries it moves
+    are compared, each pair once in row-major order (one subtraction for
+    a 2x2); the entries it fixes have X^vdash - X exactly 0."""
+    if form.kind != "orthogonal":
+        diffs = (e for r in (vdash(x, form) - x).rows for e in r)
+    else:
+        n, rows = x.n, x.rows
+        diffs = (rows[n - 1 - j][n - 1 - i] - rows[i][j]
+                 for i in range(n) for j in range(n)
+                 if i * n + j < (n - 1 - j) * n + (n - 1 - i))
     if mod_level is None:
-        return d == Mat.zero(x.ctx, x.n)
-    return all(e.divisible_by(mod_level) for r in d.rows for e in r)
+        return all(d.normalized().is_zero() for d in diffs)
+    return all(d.divisible_by(mod_level) for d in diffs)
 
 
 @dataclass(frozen=True)

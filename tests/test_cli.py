@@ -272,6 +272,46 @@ def test_coeffs_within_precision_rule_deep_torus(tmp_path, capsys):
     assert out.read_bytes().splitlines()[1] == b"0,255652133/402653184,0"
 
 
+RESIDUE_CFG = """[field]
+p = {p}
+e = {e}
+eisenstein = {eis}
+precision = {n}
+
+[pipeline]
+regime = {regime}
+k_max = 8
+gamma_depth = {depth}
+unit_depth = {ud}
+"""
+
+
+@pytest.mark.parametrize("p, e, eis, regime, depth, ud, rule", [
+    (2, 2, "-2,0,1", "even", 8, 3, 26),
+    (5, 1, "-5,1", "odd", 5, 2, 16),
+])
+def test_residue_bytes_at_the_precision_rule(tmp_path, capsys, p, e, eis,
+                                             regime, depth, ud, rule):
+    """On the residue configs of the benchmark the report at the rule's
+    minimum precision, 2*gamma_depth + 2*ord(2) + 6, is byte-identical to
+    the one 8 digits higher, so the closed-form x = S(gamma)^(-1) loses
+    no digit the rule pays for; one digit below the rule is refused."""
+    outs = []
+    for n in (rule - 1, rule, rule + 8):
+        cfg = tmp_path / f"r{n}.ini"
+        cfg.write_text(RESIDUE_CFG.format(p=p, e=e, eis=eis, n=n,
+                                          regime=regime, depth=depth, ud=ud))
+        out = tmp_path / f"r{n}.json"
+        rc = cli.main(["residue", "--config", str(cfg), "--out", str(out)])
+        if n < rule:
+            assert rc == 1
+            assert f"precision {n} below" in capsys.readouterr().err
+        else:
+            assert rc == 0, capsys.readouterr().err
+            outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_support_scan_short_b_window_exit_code(tmp_path, capsys):
     """alpha = 1 + pi^13 forces b level 13, beyond the scan's window of
     12: exit 2.  At precision 18 the trace of S(gamma)^(-1) reads 0 (its

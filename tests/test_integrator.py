@@ -29,10 +29,11 @@ from twirl import (
 from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
 from twirl.integrator import (class_weight_from_delta, coset_strata,
-                              orbit_strata, torus_strata)
+                              orbit_strata, regular_preimage, torus_strata)
 from twirl.localfield import unit_digit_tuples
 from twirl.matlattice import a_e, delta, n_b
-from twirl.twisted import charpoly, twisted_discriminant_charpoly
+from twirl.twisted import (charpoly, norm_preimage_general,
+                           twisted_discriminant_charpoly)
 from twirl.weights import square_class_weight
 
 
@@ -425,3 +426,89 @@ def test_pipeline_never_calls_the_charpoly(monkeypatch):
     assert calls == []
     twisted_discriminant_charpoly(Mat.diag(c, [c.one(), c.from_int(3)]), form)
     assert len(calls) == 1
+
+
+def test_closed_form_preimage_on_every_torus_stratum():
+    """On every torus stratum of the level-walk fields, and at alpha = -1,
+    the closed-form S(gamma) equals w J^(-1) (gamma - 1) and the x of
+    `regular_preimage` (two Elem inverses) equals its `Mat.inverse`,
+    with at least the general route's tracked validity: the closed form
+    loses no digits."""
+    for (p, e, eis), _depth in LEVEL_WALK_FIELDS:
+        c = make_field(p, e, eis, 20)
+        form = orthogonal_form(c, 2)
+        strata = torus_strata(c, TruncationSpec(gamma_depth=4))
+        for stratum in strata:
+            where = (eis, stratum.label)
+            gamma = TorusElem(stratum.alpha)
+            general = norm_preimage_general(gamma, form)
+            assert norm_preimage(gamma, form) == general, where
+            x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
+            want = general.inverse()
+            assert x == want, where
+            assert x.rows[0][1].is_zero() and x.rows[1][0].is_zero()
+            for k in (0, 1):
+                assert (x.rows[k][k].normalized().mexp
+                        >= want.rows[k][k].normalized().mexp), where
+        minus = TorusElem(-c.one())
+        general = norm_preimage_general(minus, form)
+        assert norm_preimage(minus, form) == general, eis
+        assert integrator._preimage_inverse(minus, form) == general.inverse()
+
+
+def test_grouped_psi_k_equals_per_record_sum():
+    """`_psi_k` sums weight * f_avg per Delta_1 before the class weight;
+    it equals the sum over records of weight * f_avg * class weight."""
+    ks = range(0, 5)
+    for (p, e, eis), _depth in LEVEL_WALK_FIELDS[:3]:
+        c = make_field(p, e, eis, 20)
+        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        units = square_class_reps(c).card_units
+        nonzero = 0
+        for stratum in torus_strata(c, TruncationSpec(gamma_depth=4)):
+            x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
+            want = {k: CharacterValue.zero(p) for k in ks}
+            for r in orbit_strata(data, form, x):
+                if r.f_avg is None:
+                    continue
+                for k in ks:
+                    w = class_weight_from_delta(r.i - r.j, units, k)
+                    want[k] = want[k] + r.f_avg.scale(r.weight * w)
+            got = integrator._psi_k(data, form, x, ks, units)
+            assert got == want, (eis, stratum.label)
+            nonzero += sum(not v.is_zero() for v in got.values())
+        assert nonzero
+
+
+BENCH_RESIDUE_CONFIGS = [
+    # (p, e, eisenstein, precision, gamma_depth, unit_depth), k_max 8
+    (2, 2, (-2, 0, 1), 30, 8, 3),
+    (5, 1, (-5, 1), 18, 5, 2),
+]
+
+
+@pytest.mark.parametrize("p, e, eis, precision, depth, ud",
+                         BENCH_RESIDUE_CONFIGS)
+def test_pipeline_never_calls_general_matrix_algebra(monkeypatch, p, e, eis,
+                                                     precision, depth, ud):
+    """On the residue configs of the benchmark, assemble_coefficients and
+    (at p = 2) coefficient_A_B run the torus chain on Elem entries: no
+    Mat product, Mat.inverse or Gaussian elimination."""
+    calls = Counter()
+    for name in ("__mul__", "inverse", "_gauss"):
+        method = getattr(Mat, name)
+
+        def counting(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Mat, name, counting)
+    c = make_field(p, e, eis, precision)
+    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
+    assemble_coefficients(data, form, trunc)
+    if p == 2:
+        coefficient_A_B(data, form, trunc)
+    assert calls == Counter()
+    Mat.diag(c, [c.one(), c.from_int(3)]).inverse()
+    assert calls == Counter(inverse=1)

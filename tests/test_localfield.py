@@ -17,6 +17,7 @@ from twirl import (
     square_class_reps,
 )
 from twirl.cyclotomic import CharacterValue
+from twirl.localfield import SquareClassSet, unit_digit_tuples
 
 
 def ctx5(n=18):
@@ -118,6 +119,49 @@ def test_inverse_and_division():
         x = c.random_elem(rng, -2, 3)
         assert (x * x.inverse() - c.one()).is_zero() or x * x.inverse() == c.one()
         assert x / x == c.one()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("precision", [4, 11, 18, 40])
+def test_poly_inv_pow_matches_newton(p, precision):
+    """At e = 1 `poly_inv` is one `pow` mod p^M; it returns the same
+    unique inverse as the Newton route on random units."""
+    c = make_field(p, 1, (-p, 1), precision)
+    rng = random.Random(p * 100 + precision)
+    for _ in range(40):
+        u = c.random_unit(rng).coeffs
+        assert c.poly_inv(u) == c.poly_inv_newton(u)
+        assert c.poly_mul(u, c.poly_inv(u)) == (1,)
+
+
+def _square_class_reps_all_pairs(c):
+    """The unit representatives by the all-pairs loop: each new
+    representative marks every unit residue of its class as seen."""
+    tuples = unit_digit_tuples(2, 2 * c.from_int(2).val + 1)
+    reps, seen = [], set()
+    for t in tuples:
+        if t in seen:
+            continue
+        u = c.from_digits(0, t)
+        reps.append(u)
+        for t2 in tuples:
+            if is_square(u / c.from_digits(0, t2)):
+                seen.add(t2)
+    return reps
+
+
+@pytest.mark.parametrize("eis", [(-2, 0, 1), (-2, 2, 1), (-2, 0, 0, 1),
+                                 (2, 0, 1)])
+def test_square_class_reps_match_all_pairs(eis):
+    """Comparing each unit residue with the representatives found so far
+    gives the all-pairs loop's representatives, in the same order."""
+    c = make_field(2, len(eis) - 1, eis, 24)
+    scs = square_class_reps(c)
+    reps = _square_class_reps_all_pairs(c)
+    assert [u._key() for u in scs.unit_reps] == [u._key() for u in reps]
+    pi = c.pi()
+    assert scs == SquareClassSet(c, tuple(reps) + tuple(u * pi for u in reps),
+                                 tuple(reps), 2 * len(reps), len(reps))
 
 
 def test_rational_embedding():

@@ -13,12 +13,15 @@ from twirl import (
     nu,
     nu_of_norm_check,
     orthogonal_form,
+    symplectic_form,
     twisted_centralizer_sample,
     twisted_conj,
     twisted_discriminant,
     twisted_discriminant_oracle,
     weyl_discriminant,
 )
+from twirl import PrecisionExhausted, twisted, vdash
+from twirl.twisted import norm_preimage_general
 
 
 def ctx5():
@@ -47,6 +50,52 @@ def test_norm_preimage_split_form():
     assert s2 == Mat.diag(c, [c.from_int(-2), c.from_int(-2)])
     with pytest.raises(SingularGammaMinusOne):
         norm_preimage(TorusElem(c.one()), form)
+
+
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+def test_norm_preimage_closed_form_is_general_route(mk):
+    """On the split form S(gamma) is diag(alpha - 1, alpha^(-1) - 1),
+    the matrix route w J^(-1) (gamma - 1) exactly, at alpha = -1 too, and
+    alpha = 1 is refused on both routes."""
+    c = mk()
+    form = orthogonal_form(c, 2)
+    assert form.split
+    rng = random.Random(9)
+    for alpha in [-c.one()] + [regular_alpha(c, rng) for _ in range(40)]:
+        gamma = TorusElem(alpha)
+        assert norm_preimage(gamma, form) == norm_preimage_general(gamma, form)
+    for route in (norm_preimage, norm_preimage_general):
+        with pytest.raises(SingularGammaMinusOne):
+            route(TorusElem(c.one()), form)
+
+
+def anisotropic_block(c):
+    d = c.from_int(2 if c.p == 5 else 3)  # a non-square unit
+    return Mat.diag(c, [c.one(), -d])
+
+
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+def test_non_split_form_takes_general_route(mk, monkeypatch):
+    """Only the split 2x2 orthogonal form is closed-form; a non-split
+    block lam keeps w J^(-1) (gamma - 1)."""
+    c = mk()
+    assert not orthogonal_form(c, 4).split
+    assert not symplectic_form(c, 2).split
+    form = orthogonal_form(c, 2, anisotropic_block(c))
+    assert not form.split
+    calls = []
+
+    def counting(gamma, form):
+        calls.append(gamma)
+        return norm_preimage_general(gamma, form)
+
+    monkeypatch.setattr(twisted, "norm_preimage_general", counting)
+    gamma = TorusElem(c.from_int(3))
+    s = norm_preimage(gamma, form)
+    assert len(calls) == 1
+    want = form.w * form.J.inverse() * (gamma.matrix() - Mat.identity(c, 2))
+    assert s == want
+    assert not s.rows[0][1].is_zero()
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
@@ -93,6 +142,49 @@ def test_eps_symmetry_mod_level():
     x = Mat(c, [[c.one(), c.zero()], [c.zero(), c.one() + c.pi(1)]])
     assert is_eps_symmetric(x, form, mod_level=1)
     assert not is_eps_symmetric(x, form, mod_level=2)
+
+
+def _eps_symmetric_by_vdash(x, form, mod_level):
+    """X^vdash - X by the allocated twisted transpose, entry by entry."""
+    d = vdash(x, form) - x
+    if mod_level is None:
+        return d == Mat.zero(x.ctx, x.n)
+    return all(e.divisible_by(mod_level) for r in d.rows for e in r)
+
+
+def _outcome(route, x, form, mod_level):
+    try:
+        return route(x, form, mod_level)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+def test_pairwise_eps_symmetry_matches_vdash_route(mk):
+    """The pairwise test gives the vdash route's verdict, exactly and mod
+    pi^1..3, on random, eps-symmetric and perturbed eps-symmetric 2x2 and
+    4x4 matrices, under the split and non-split orthogonal forms and the
+    symplectic form."""
+    c = mk()
+    rng = random.Random(10)
+    verdicts = set()
+    for n in (2, 4):
+        for form in (orthogonal_form(c, n),
+                     orthogonal_form(c, n, anisotropic_block(c)),
+                     symplectic_form(c, n)):
+            for _ in range(15):
+                g = Mat.random(c, n, rng, invertible=False)
+                sym = g + vdash(g, form)
+                bumped = Mat(c, sym.rows)
+                i, j = rng.randrange(n), rng.randrange(n)
+                bumped.rows[i][j] = bumped.rows[i][j] + c.pi(rng.randrange(1, 4))
+                for x in (g, sym, bumped):
+                    for m in (None, 1, 2, 3):
+                        got = _outcome(is_eps_symmetric, x, form, m)
+                        assert got == _outcome(_eps_symmetric_by_vdash, x,
+                                               form, m), (form.kind, n, m)
+                        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
