@@ -6,7 +6,7 @@ function on GL_2, stratified orbital integration, and closed-form residue
 extraction for the resulting coefficient series.
 """
 
-from .cyclotomic import CharacterValue, MeasureValue
+from .cyclotomic import CharacterValue
 from .errors import (
     ClubsuitViolated,
     DomainError,
@@ -15,7 +15,6 @@ from .errors import (
     NotRegular,
     PrecisionExhausted,
     PrecisionTooSmall,
-    RelationViolated,
     Singular,
     SingularGammaMinusOne,
     TailNonzero,
@@ -27,7 +26,6 @@ from .integrator import (
     assemble_coefficients,
     coefficient_A_B,
     orbit_weight_integral,
-    orbital_twisted,
     rg_term,
 )
 from .localfield import (
@@ -37,23 +35,16 @@ from .localfield import (
     additive_char,
     is_square,
     make_field,
-    parse_context,
     parse_elem,
     square_class_reps,
 )
 from .matlattice import (
-    CosetRep,
     GroupForm,
-    LatticeSpec,
     Mat,
     delta,
     delta_vector,
     eps,
-    gnorm,
-    iwasawa,
-    lattice_ord,
     mat_ord,
-    n_of,
     nu,
     orthogonal_form,
     symplectic_form,
@@ -82,16 +73,13 @@ from .twisted import (
     norm_preimage,
     nu_of_norm_check,
     twisted_centralizer_sample,
-    twisted_conj,
     twisted_discriminant,
     twisted_discriminant_oracle,
-    weyl_discriminant,
 )
 from .weights import (
     WeightQuery,
     scaling_block,
     square_class_weight,
-    square_class_weight_symbolic,
     torus_cap_volume,
     weight_closed,
     weight_oracle,

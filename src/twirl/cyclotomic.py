@@ -3,9 +3,6 @@
 CharacterValue holds coordinates in the power basis 1, z, ..., z^(p-2)
 of Q[z]/(1 + z + ... + z^(p-1)), so sums of character values and rational
 volume weights accumulate exactly.  For p = 2 this degenerates to Q.
-
-MeasureValue attaches an optional half-integer power of q^(1/2) (the
-|D|^(1/2) and |D_eps|^(1/2) normalizations of orbital integrals).
 """
 
 from __future__ import annotations
@@ -124,45 +121,3 @@ class CharacterValue:
     def to_json(self):
         return [str(a) for a in self.coords]
 
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """CharacterValue scaled by q^(half_q_power / 2)."""
-
-    value: CharacterValue
-    half_q_power: int = 0
-
-    @staticmethod
-    def zero(p: int) -> "MeasureValue":
-        return MeasureValue(CharacterValue.zero(p), 0)
-
-    def __add__(self, other: "MeasureValue") -> "MeasureValue":
-        if self.value.is_zero():
-            return other
-        if other.value.is_zero():
-            return self
-        if self.half_q_power != other.half_q_power:
-            raise ValueError("cannot add values with different q^(1/2) scales")
-        return MeasureValue(self.value + other.value, self.half_q_power)
-
-    def __sub__(self, other: "MeasureValue") -> "MeasureValue":
-        return self + MeasureValue(-other.value, other.half_q_power)
-
-    def __mul__(self, other: "MeasureValue") -> "MeasureValue":
-        return MeasureValue(
-            self.value * other.value, self.half_q_power + other.half_q_power
-        )
-
-    def scale(self, r) -> "MeasureValue":
-        return MeasureValue(self.value.scale(r), self.half_q_power)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def __str__(self):
-        if self.half_q_power == 0:
-            return str(self.value)
-        return f"q^({self.half_q_power}/2) * ({self.value})"
-
-    def to_json(self):
-        return {"coords": self.value.to_json(), "half_q_power": self.half_q_power}

@@ -33,14 +33,6 @@ class NotRegular(TwirlError):
     """Element fails the twisted regularity criterion."""
 
 
-class RelationViolated(TwirlError):
-    """Unipotent block data does not satisfy the defining relation."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ClubsuitViolated(TwirlError):
     """Torus data does not satisfy the split-times-compact hypothesis."""
 

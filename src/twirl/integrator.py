@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclotomic import CharacterValue, MeasureValue
+from .cyclotomic import CharacterValue
 from .errors import DomainError, NotRegular, PrecisionExhausted, TailNonzero
 from .localfield import (Elem, INF, LocalFieldCtx, square_class_reps,
                          unit_digit_tuples)
@@ -240,21 +240,6 @@ def orbit_weight_integral(data, form, gamma: TorusElem, ks):
     return _psi_k(data, form, x, ks, units)
 
 
-def orbital_twisted(data, form, delta: Mat) -> MeasureValue:
-    """Normalized twisted orbital integral
-    |D_eps(delta)|^(1/2) * integral over G/(twisted centralizer) of
-    f(g delta g^t)."""
-    rep = twisted_discriminant(delta, form)
-    if not rep.regular:
-        raise NotRegular("delta is not eps-regular")
-    ctx = data.ctx
-    acc = CharacterValue.zero(ctx.p)
-    for s in orbit_strata(data, form, delta):
-        if s.f_avg is not None:
-            acc = acc + s.f_avg.scale(s.weight)
-    return MeasureValue(acc, half_q_power=-rep.ord_value)
-
-
 @dataclass
 class CoefficientTable:
     ks: tuple
@@ -369,7 +354,7 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
     region.  Returns (A, B, per-e increment list) as exact Fractions."""
     ctx = data.ctx
     if ctx.p != 2 or ctx.e < 2:
-        raise NotRegular("weight-only constants require p = 2 with 2 in pi^2")
+        raise DomainError("weight-only constants require p = 2 with 2 in pi^2")
     q = ctx.q
     a_total = Fraction(0)
     b_total = Fraction(0)

@@ -246,15 +246,6 @@ class LocalFieldCtx:
             True,
         )
 
-    # -- serialization ------------------------------------------------------
-
-    def config_block(self) -> str:
-        coeffs = ",".join(str(c) for c in self.eisenstein)
-        return (
-            f"p = {self.p}\ne = {self.e}\neisenstein = {coeffs}\n"
-            f"precision = {self.precision}\n"
-        )
-
     def __repr__(self):
         return f"LocalFieldCtx(p={self.p}, e={self.e}, N={self.precision})"
 
@@ -263,18 +254,6 @@ def make_field(p: int, e: int, eisenstein, precision: int) -> LocalFieldCtx:
     """Build a field context, checking the Eisenstein condition and that the
     precision is large enough for square-class decisions."""
     return LocalFieldCtx(p, e, tuple(eisenstein), precision)
-
-
-def parse_context(text: str) -> LocalFieldCtx:
-    kv = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        k, _, v = line.partition("=")
-        kv[k.strip()] = v.strip()
-    coeffs = tuple(int(c) for c in kv["eisenstein"].split(","))
-    return make_field(int(kv["p"]), int(kv["e"]), coeffs, int(kv["precision"]))
 
 
 class Elem:

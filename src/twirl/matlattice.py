@@ -1,14 +1,12 @@
-"""Matrices over F, norms and valuations, the standard lattices
-pi^(-i) M_n(O), the defining forms, the twisted transpose, and Iwasawa
-coordinates on GL_2.
+"""Matrices over F, valuations, the defining forms, the twisted
+transpose, and the Iwasawa factors n_b and a_e of GL_2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import PrecisionExhausted, RelationViolated, Singular
+from .errors import PrecisionExhausted, Singular
 from .localfield import INF, Elem, LocalFieldCtx
 
 
@@ -204,7 +202,7 @@ class Mat:
         return f"Mat[{body}]"
 
 
-# -- norms and lattices --------------------------------------------------------
+# -- valuations ----------------------------------------------------------------
 
 
 def mat_ord(x: Mat):
@@ -216,65 +214,6 @@ def mat_ord(x: Mat):
             if v < best:
                 best = v
     return best
-
-
-def gnorm(g: Mat) -> Fraction:
-    """||g|| = max(|g|, |det g|^(-1)) as an exact power of q."""
-    d = g.det()
-    if d.val is INF:
-        raise Singular("gnorm needs an invertible matrix")
-    expo = max(-mat_ord(g), d.val)
-    return Fraction(g.ctx.q) ** expo
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """The lattice pi^(-i) M_n(O); stable under GL_n(O) on both sides."""
-
-    i: int
-
-    def contains(self, x: Mat) -> bool:
-        return mat_ord(x) >= -self.i
-
-
-def lattice_ord(lat: LatticeSpec) -> int:
-    return -lat.i
-
-
-def scaled_lattice_ord(g: Mat, lat: LatticeSpec, h: Mat | None = None):
-    """ord(g L h) computed from the images of the matrix-unit generators."""
-    ctx = g.ctx
-    n = g.n
-    best = INF
-    for r in range(n):
-        for s in range(n):
-            gen = Mat.zero(ctx, n)
-            gen.rows[r][s] = ctx.pi(-lat.i)
-            img = g * gen if h is None else g * gen * h
-            v = mat_ord(img)
-            if v < best:
-                best = v
-    return best
-
-
-def scaled_lattice_ord_star(g: Mat, lat: LatticeSpec, h: Mat | None = None):
-    """ord_*(g L h) = min { i : pi^i M_n(O) inside g L h }, computed by
-    pulling the matrix-unit generators back through g and h."""
-    gi = g.inverse()
-    hi = None if h is None else h.inverse()
-    ctx = g.ctx
-    n = g.n
-    worst = -10 ** 9
-    for r in range(n):
-        for s in range(n):
-            gen = Mat.zero(ctx, n)
-            gen.rows[r][s] = ctx.one()
-            img = gi * gen if hi is None else gi * gen * hi
-            # pi^i gen lands in L iff i + mat_ord(img) >= -lat.i
-            need = -lat.i - mat_ord(img)
-            if need > worst:
-                worst = need
-    return worst
 
 
 # -- forms and the twisted transpose -------------------------------------------
@@ -373,64 +312,7 @@ def nu(g: Mat, form: GroupForm) -> Mat:
     return eps(g, form) * g
 
 
-def big_form(form: GroupForm) -> Mat:
-    """The 3n x 3n form in n-block structure: [[0,0,C],[0,J,0],[C,0,0]]
-    with C = w_n (orthogonal) or C = J = u_n (symplectic)."""
-    ctx = form.J.ctx
-    n = form.n
-    corner = form.w if form.kind == "orthogonal" else form.J
-    mid = form.J
-    z = ctx.zero()
-    rows = [[z] * (3 * n) for _ in range(3 * n)]
-    for r in range(n):
-        for c in range(n):
-            rows[r][2 * n + c] = corner.rows[r][c]
-            rows[2 * n + r][c] = corner.rows[r][c]
-            rows[n + r][n + c] = mid.rows[r][c]
-    return Mat(ctx, rows)
-
-
-def n_of(x: Mat, y: Mat, form: GroupForm) -> Mat:
-    """Build the unipotent block element from (X, Y), computing X' by the
-    form's rule and checking Y + Y^vdash = X X'.  Raises RelationViolated
-    with the residual on failure."""
-    ctx = x.ctx
-    n = form.n
-    if form.kind == "orthogonal":
-        xp = -(form.J * x.transpose() * form.w)
-    else:
-        xp = form.J * x.transpose() * form.J
-    resid = y + vdash(y, form) - x * xp
-    if not resid == Mat.zero(ctx, n):
-        raise RelationViolated("Y + Y^t does not equal X X'", residual=resid)
-    z = ctx.zero()
-    rows = [[z] * (3 * n) for _ in range(3 * n)]
-    for r in range(3 * n):
-        rows[r][r] = ctx.one()
-    for r in range(n):
-        for c in range(n):
-            rows[r][n + c] = x.rows[r][c]
-            rows[r][2 * n + c] = y.rows[r][c]
-            rows[n + r][2 * n + c] = xp.rows[r][c]
-    return Mat(ctx, rows)
-
-
-# -- Iwasawa coordinates on GL_2 ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CosetRep:
-    """Iwasawa coordinates kappa * n_b * a_e of a point of G/T, G = GL_2.
-    kappa is in GL_2(O), b is a principal part (all stored digits have
-    negative exponent), a_e = diag(pi^e, 1)."""
-
-    kappa: Mat
-    b: Elem
-    e: int
-
-    def to_matrix(self) -> Mat:
-        ctx = self.kappa.ctx
-        return self.kappa * n_b(ctx, self.b) * a_e(ctx, self.e)
+# -- the Iwasawa factors of GL_2 and column weights ----------------------------
 
 
 def n_b(ctx: LocalFieldCtx, b: Elem) -> Mat:
@@ -440,52 +322,6 @@ def n_b(ctx: LocalFieldCtx, b: Elem) -> Mat:
 
 def a_e(ctx: LocalFieldCtx, e: int) -> Mat:
     return Mat.diag(ctx, [ctx.pi(e), ctx.one()])
-
-
-def principal_part(x: Elem) -> Elem:
-    """The negative-exponent digits of x (so x - principal_part(x) is in O)."""
-    ctx = x.ctx
-    v = x.val
-    if v is INF or v >= 0:
-        return ctx.zero()
-    return ctx.from_digits(v, x.unit_digits(-v))
-
-
-def iwasawa(g: Mat):
-    """Write g in GL_2 as kappa * n_b * a_e * t exactly, t = diag(alpha,
-    alpha^(-1)).  Returns (CosetRep, t).  Reconstruction is exact."""
-    ctx = g.ctx
-    if g.n != 2:
-        raise ValueError("Iwasawa coordinates implemented for GL_2 only")
-    a, b = g.rows[0]
-    c, d = g.rows[1]
-    one, zero = ctx.one(), ctx.zero()
-    # Left K-operations making the matrix upper triangular
-    if c.val is INF:
-        kappa = Mat.identity(ctx, 2)
-        r1, y, r2 = a, b, d
-    elif a.val is INF or a.val > c.val:
-        # swap rows, then eliminate
-        s = a / c
-        # kappa0 = [[0,1],[1,0]] then [[1,0],[-s,1]]; kappa = inverse product
-        kappa = Mat(ctx, [[s, one], [one, zero]])
-        r1, y, r2 = c, d, b - s * d
-    else:
-        s = c / a
-        kappa = Mat(ctx, [[one, zero], [s, one]])
-        r1, y, r2 = a, b, d - s * b
-    if r1.val is INF or r2.val is INF:
-        raise Singular("matrix is singular")
-    e = r1.val + r2.val
-    alpha = r2.inverse()
-    v = (r1 * r2).shift(-e)  # unit
-    x = (y / r2) / v
-    xp = principal_part(x)
-    xint = x - xp
-    vmat = Mat.diag(ctx, [v, one])
-    kappa = kappa * vmat * n_b(ctx, xint)
-    t = Mat.diag(ctx, [alpha, alpha.inverse()])
-    return CosetRep(kappa, xp, e), t
 
 
 def delta(g: Mat, i: int) -> int:

@@ -26,11 +26,6 @@ from .twisted import TorusElem, is_eps_symmetric, norm_preimage
 LEVELS = ("K", "I0", "I1", "I2", "C0", "C")
 
 
-def pi_e_matrix(ctx: LocalFieldCtx) -> Mat:
-    z, o = ctx.zero(), ctx.one()
-    return Mat(ctx, [[z, o], [o.shift(1), z]])
-
-
 def pi_e_inverse_power(ctx: LocalFieldCtx, j: int) -> Mat:
     """pi_E^(-j) exactly; pi_E^2 = pi."""
     half, rem = divmod(j, 2)

@@ -1,5 +1,5 @@
-"""Norm correspondence, twisted conjugation, twisted centralizers, and the
-twisted and ordinary discriminants."""
+"""Norm correspondence, eps-symmetry, the twisted discriminant with its
+oracles, and twisted centralizers."""
 
 from __future__ import annotations
 
@@ -58,11 +58,6 @@ def norm_preimage_general(gamma: TorusElem, form: GroupForm) -> Mat:
     return form.w * form.J.inverse() * gm
 
 
-def twisted_conj(g: Mat, delta: Mat, form: GroupForm) -> Mat:
-    """The twisted action g . delta = g delta g^vdash."""
-    return g * delta * vdash(g, form)
-
-
 def nu_of_norm_check(gamma: TorusElem, form: GroupForm) -> bool:
     """nu(S(gamma)) = -gamma, exactly."""
     s = norm_preimage(gamma, form)
@@ -103,11 +98,6 @@ class DiscriminantReport:
     kernel_dim: int
     charpoly_lowterm: Elem
     regular: bool
-
-    @property
-    def phi(self) -> int:
-        """log_q max(1, |value|^(-1)) = max(0, ord_value)."""
-        return max(0, self.ord_value)
 
     def to_json(self):
         from fractions import Fraction
@@ -331,23 +321,6 @@ def twisted_discriminant_oracle(delta: Mat, form: GroupForm) -> DiscriminantRepo
         charpoly_lowterm=lowterm,
         regular=(m - rank == delta.n // 2),
     )
-
-
-def weyl_discriminant(gamma: TorusElem, h_kind: str = "orthogonal-split"):
-    """D(gamma) = det(Ad(gamma) - 1) on Lie(H)/Lie(T).  For split SO(2),
-    H = T and the quotient is zero-dimensional, so D = 1.  The rank-one
-    symplectic variant computes the two root-space eigenvalues."""
-    ctx = gamma.ctx
-    if not gamma.regular:
-        raise NotRegular("Weyl discriminant needs a regular element")
-    if h_kind == "orthogonal-split":
-        return DiscriminantReport(0, 0, ctx.one(), True)
-    if h_kind == "symplectic-rank1":
-        a2 = gamma.alpha * gamma.alpha
-        one = ctx.one()
-        d = (a2 - one) * (a2.inverse() - one)
-        return DiscriminantReport(d.val, 0, d, True)
-    raise ValueError(f"unknown H kind {h_kind!r}")
 
 
 # -- randomized twisted-centralizer verification --------------------------------

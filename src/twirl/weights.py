@@ -5,18 +5,17 @@ weighted sum."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import ClubsuitViolated, Singular, WindowOverflow
 from .localfield import Elem, INF, LocalFieldCtx, SquareClassSet
-from .matlattice import LatticeSpec, Mat, delta_vector, mat_ord
+from .matlattice import Mat, delta_vector, mat_ord
 
 
 @dataclass(frozen=True)
 class WeightQuery:
-    """Weight-factor query: vol_T(T cap pi^(-k) g^(-1) L h^(-1)) for the
-    torus of split rank `rank` with diagonal split part
+    """Weight-factor query: vol_T(T cap pi^(-k) g^(-1) L h^(-1)),
+    L = M_n(O), for the torus of split rank `rank` with diagonal split part
     diag(a_1..a_r, 1.., a_r^(-1)..a_1^(-1)) and compact part inside the
     lattice stabilizer."""
 
@@ -24,12 +23,6 @@ class WeightQuery:
     k: int
     rank: int
     h: Mat | None = None
-    lattice: LatticeSpec = field(default_factory=lambda: LatticeSpec(0))
-
-
-def _keff(q: WeightQuery) -> int:
-    # pi^(-k) L = pi^(-(k + i)) M_n(O)
-    return q.k + q.lattice.i
 
 
 def weight_closed(q: WeightQuery) -> int:
@@ -42,7 +35,7 @@ def weight_closed(q: WeightQuery) -> int:
     full split rank the condition is vacuous."""
     if q.h is not None:
         raise ClubsuitViolated("closed form requires h = 1")
-    k = _keff(q)
+    k = q.k
     g = q.g
     for j in range(q.rank, g.n - q.rank):
         if min(x.val for x in g.column(j)) < -k:
@@ -86,7 +79,7 @@ def weight_oracle(q: WeightQuery, probe_rng=None) -> int:
     g, h, rank = q.g, q.h, q.rank
     ctx = g.ctx
     n = g.n
-    k = _keff(q)
+    k = q.k
     ranges = []
     if h is None:
         for i in range(rank):
@@ -118,12 +111,10 @@ def weight_oracle(q: WeightQuery, probe_rng=None) -> int:
     return count
 
 
-def torus_cap_volume(ctx: LocalFieldCtx, n: int, rank: int, k: int,
-                     lattice: LatticeSpec | None = None) -> int:
-    """vol_T(T cap pi^(-k) L); equals (2k+1)^rank for k >= 0 and 0 for
-    k < 0 when L = M_n(O)."""
-    lat = lattice if lattice is not None else LatticeSpec(0)
-    return weight_oracle(WeightQuery(Mat.identity(ctx, n), k, rank, None, lat))
+def torus_cap_volume(ctx: LocalFieldCtx, n: int, rank: int, k: int) -> int:
+    """vol_T(T cap pi^(-k) M_n(O)); equals (2k+1)^rank for k >= 0 and 0
+    for k < 0."""
+    return weight_oracle(WeightQuery(Mat.identity(ctx, n), k, rank))
 
 
 def scaling_block(alpha: Elem, n: int) -> Mat:
@@ -146,42 +137,14 @@ def _omega_values(scs: SquareClassSet, omega):
 
 
 def square_class_weight(g: Mat, h: Mat | None, scs: SquareClassSet, k: int,
-                        omega=None, rank: int = 1,
-                        lattice: LatticeSpec | None = None) -> int:
+                        omega=None, rank: int = 1) -> int:
     """Signed sum over square classes of w_k(g x_alpha^(-1), h).  For
     g in GL_2(O), h = 1, trivial omega this is |O^x/(O^x)^2| times
     (2 Delta_1(g) + 4k + 1) when Delta_1(g) >= -2k."""
-    lat = lattice if lattice is not None else LatticeSpec(0)
     vals = _omega_values(scs, omega)
     total = 0
     for w_sign, rep in zip(vals, scs.reps):
         gx = g * scaling_block(rep, g.n).inverse()
-        total += w_sign * weight_oracle(WeightQuery(gx, k, rank, h, lat))
+        total += w_sign * weight_oracle(WeightQuery(gx, k, rank, h))
     return total
 
-
-@dataclass(frozen=True)
-class SymbolicWeight:
-    """Per-class weights with the formal |alpha|^(-ns) factor recorded as an
-    exact exponent of u = q^(-2ns)."""
-
-    terms: tuple  # (class_index, weight, u_exponent: Fraction, sign)
-
-    def at_s_zero(self) -> int:
-        return sum(sign * w for _, w, _, sign in self.terms)
-
-
-def square_class_weight_symbolic(g: Mat, h: Mat | None, scs: SquareClassSet,
-                                 k: int, omega=None, rank: int = 1,
-                                 lattice: LatticeSpec | None = None
-                                 ) -> SymbolicWeight:
-    """Like square_class_weight but keeping the per-class power of u:
-    |alpha|^(-ns) = u^(-ord(alpha)/2) for each representative alpha."""
-    lat = lattice if lattice is not None else LatticeSpec(0)
-    vals = _omega_values(scs, omega)
-    terms = []
-    for idx, (w_sign, rep) in enumerate(zip(vals, scs.reps)):
-        gx = g * scaling_block(rep, g.n).inverse()
-        wk = weight_oracle(WeightQuery(gx, k, rank, h, lat))
-        terms.append((idx, wk, Fraction(-rep.val, 2), w_sign))
-    return SymbolicWeight(tuple(terms))

@@ -12,7 +12,6 @@ from twirl import (
     additive_char,
     is_square,
     make_field,
-    parse_context,
     parse_elem,
     square_class_reps,
 )
@@ -320,12 +319,6 @@ def test_char_factors_through_residue_field():
         x = c.random_elem(rng, 0, 4)
         y = x + c.pi(1) * c.random_elem(rng, 0, 3)
         assert additive_char(x) == additive_char(y)
-
-
-def test_context_serialization():
-    c = ctx2()
-    c2 = parse_context(c.config_block())
-    assert c2 == c
 
 
 def test_parse_elem():

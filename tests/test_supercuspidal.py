@@ -36,8 +36,13 @@ from twirl.supercuspidal import (
     _residues,
     _support_mod_pi,
     pi_e_inverse_power,
-    pi_e_matrix,
 )
+
+
+def pi_e_matrix(ctx):
+    """pi_E = [[0, 1], [pi, 0]], whose square is pi."""
+    z, o = ctx.zero(), ctx.one()
+    return Mat(ctx, [[z, o], [o.shift(1), z]])
 
 
 def ctx5():

@@ -4,7 +4,6 @@ import pytest
 
 from twirl import (
     Mat,
-    NotRegular,
     SingularGammaMinusOne,
     TorusElem,
     is_eps_symmetric,
@@ -15,10 +14,8 @@ from twirl import (
     orthogonal_form,
     symplectic_form,
     twisted_centralizer_sample,
-    twisted_conj,
     twisted_discriminant,
     twisted_discriminant_oracle,
-    weyl_discriminant,
 )
 from twirl import PrecisionExhausted, twisted, vdash
 from twirl.twisted import norm_preimage_general
@@ -108,19 +105,6 @@ def test_nu_of_norm(mk):
         assert nu_of_norm_check(gamma, form)
 
 
-def test_twisted_conj_action_law():
-    c = ctx5()
-    form = orthogonal_form(c, 2)
-    rng = random.Random(1)
-    for _ in range(40):
-        g1 = Mat.random(c, 2, rng)
-        g2 = Mat.random(c, 2, rng)
-        d = Mat.random(c, 2, rng)
-        assert twisted_conj(g1 * g2, d, form) == twisted_conj(
-            g1, twisted_conj(g2, d, form), form)
-        assert twisted_conj(Mat.identity(c, 2), d, form) == d
-
-
 def test_eps_symmetry_preserved():
     c = ctx5()
     form = orthogonal_form(c, 2)
@@ -132,7 +116,7 @@ def test_eps_symmetry_preserved():
         x = Mat(c, [[a, b], [c.random_elem(rng, 0, 3), a]])
         assert is_eps_symmetric(x, form)
         g = Mat.random(c, 2, rng)
-        assert is_eps_symmetric(twisted_conj(g, x, form), form)
+        assert is_eps_symmetric(g * x * vdash(g, form), form)
     assert not is_eps_symmetric(Mat.from_ints(c, [[1, 0], [0, 2]]), form)
 
 
@@ -201,7 +185,6 @@ def test_twisted_discriminant_routes(mk):
         assert r1.regular
         assert r1.ord_value == r2.ord_value
         assert r1.charpoly_lowterm == r2.charpoly_lowterm
-        assert r1.phi >= 0
         # closed formula |D_eps| = |2| |alpha-1|^2 / |alpha|
         a = gamma.alpha
         want = c.from_int(2).val + 2 * (a - c.one()).val - a.val
@@ -225,20 +208,6 @@ def test_discriminant_stratum_constancy():
         seen[key] = got
 
 
-def test_weyl_discriminant():
-    c = ctx5()
-    gamma = TorusElem(c.from_int(3))
-    rep = weyl_discriminant(gamma)
-    assert rep.ord_value == 0 and rep.phi == 0
-    # rank-one symplectic flag: D = (a^2 - 1)(a^-2 - 1)
-    rep2 = weyl_discriminant(gamma, "symplectic-rank1")
-    a2 = c.from_int(9)
-    want = (a2 - c.one()) * (a2.inverse() - c.one())
-    assert rep2.charpoly_lowterm == want
-    with pytest.raises(NotRegular):
-        weyl_discriminant(TorusElem(c.one()))
-
-
 def test_twisted_centralizer_small():
     c = ctx5()
     form = orthogonal_form(c, 2)
@@ -246,7 +215,6 @@ def test_twisted_centralizer_small():
     gamma = TorusElem(c.from_int(2))
     rep = twisted_centralizer_sample(gamma, form, 3, 500, rng)
     assert rep.all_in_torus
-    assert rep.tree_leaves > 0
-    # diagonal torus elements always solve the congruence
-    found_diag = any(True for _ in range(1))
-    assert found_diag
+    # one leaf per point diag(t, t^(-1)) of the torus mod pi^m, t a unit
+    p, m = c.p, rep.depth
+    assert rep.tree_leaves == (p - 1) * p ** (m - 1)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,12 +12,11 @@ from twirl import (
     scaling_block,
     square_class_reps,
     square_class_weight,
-    square_class_weight_symbolic,
     torus_cap_volume,
     weight_closed,
     weight_oracle,
 )
-from twirl.matlattice import LatticeSpec, antidiag_w, delta_vector
+from twirl.matlattice import antidiag_w, delta_vector
 
 
 def ctx5():
@@ -61,16 +59,6 @@ def test_closed_equals_oracle(mk):
             k = rng.randrange(-2, 4)
             q = WeightQuery(g, k, rank)
             assert weight_closed(q) == weight_oracle(q)
-
-
-def test_oracle_lattice_shift():
-    c = ctx5()
-    rng = random.Random(1)
-    for _ in range(20):
-        g = Mat.random(c, 2, rng)
-        k = rng.randrange(0, 3)
-        assert (weight_oracle(WeightQuery(g, k, 1, lattice=LatticeSpec(2)))
-                == weight_oracle(WeightQuery(g, k + 2, 1)))
 
 
 def test_monotone_in_k():
@@ -160,12 +148,3 @@ def test_omega_signs():
     with pytest.raises(ValueError):
         square_class_weight(one, None, scs, 1, omega=[2, 1, 1, 1])
 
-
-def test_symbolic_weight():
-    c = ctx5()
-    scs = square_class_reps(c)
-    one = Mat.identity(c, 2)
-    sym = square_class_weight_symbolic(one, None, scs, 1)
-    assert sym.at_s_zero() == square_class_weight(one, None, scs, 1)
-    exps = {term[2] for term in sym.terms}
-    assert exps == {Fraction(0), Fraction(-1, 2)}
