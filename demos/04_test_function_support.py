@@ -34,7 +34,7 @@ for spec in ("1+pi^2", "1+pi", "pi", "pi^-1"):
     rep = support_scan(data2, form2, TorusElem(parse_elem(ctx2, spec)))
     tag = "witness" if rep.found() else "none"
     print(f"  alpha = {spec:8s} -> {tag:8s} ({rep.regime}, "
-          f"{len(rep.strata)} strata examined)")
+          f"level records read: {len(rep.strata)})")
 
 ctx5 = make_field(5, 1, (-5, 1), 18)
 data5 = CuspidalData(ctx5)

@@ -17,7 +17,6 @@ from .errors import (
     PrecisionTooSmall,
     Singular,
     SingularGammaMinusOne,
-    TailNonzero,
     TwirlError,
     WindowOverflow,
 )

@@ -26,10 +26,11 @@ is a missing file or [field] section, a value that is not an integer, a
 window out of range, a precision below 2*gamma_depth + 2*ord(2) + 6, or
 a regime other than the one p selects ("even" at p = 2 with e >= 2,
 "odd" at odd p; the even regime adds the weight-only constants to the
-residue report).  The G/T walk has no window; `support-scan` walks b
-levels up to 12.  Exit codes: 0 success, 2 honest-truncation failure
-(TailNonzero or NoStabilization), 1 any other error.  TWIRL_OUTPUT_DIR
-overrides output directories; no other environment variables are read.
+residue report).  The G/T walk has no window, and `support-scan` reads
+the same (i, j) levels as the pipeline.  Exit codes: 0 success, 2 a
+coefficient table that never stabilized (NoStabilization), 1 any other
+error.  TWIRL_OUTPUT_DIR overrides output directories; no other
+environment variables are read.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import NoStabilization, TailNonzero, TwirlError
+from .errors import NoStabilization, TwirlError
 from .integrator import (
     TruncationSpec,
     assemble_coefficients,
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (TailNonzero, NoStabilization) as exc:
+    except NoStabilization as exc:
         print(f"truncation failure: {exc}", file=sys.stderr)
         return 2
     except TwirlError as exc:

@@ -41,14 +41,6 @@ class WindowOverflow(TwirlError):
     """An enumeration hit its provable window boundary; indicates a bug."""
 
 
-class TailNonzero(TwirlError):
-    """A truncation boundary stratum contributed; enlarge the windows."""
-
-    def __init__(self, message, stratum=None):
-        super().__init__(message)
-        self.stratum = stratum
-
-
 class NoStabilization(TwirlError):
     """Finite differences of the coefficient table never vanish."""
 

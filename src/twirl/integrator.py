@@ -11,8 +11,8 @@ One pass per torus stratum gamma: `regular_preimage` gives
 x = S(gamma)^(-1) and |D_eps(gamma)|, `orbit_strata` the (i, j) levels
 of G/T in closed form with the K-average of f on each live class of b,
 and `_psi_k` weighs each live class by the closed square-class weight at
-Delta_1 = i - j.  `coset_strata` walks every coset by `Mat` products; it
-serves `support_scan` and is the oracle for `orbit_strata`.
+Delta_1 = i - j.  `support_scan` reads the same level records, so this is
+the one walk of G/T in the library.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import CharacterValue
-from .errors import DomainError, NotRegular, PrecisionExhausted, TailNonzero
+from .errors import DomainError, NotRegular, PrecisionExhausted
 from .localfield import (Elem, INF, LocalFieldCtx, square_class_reps,
                          unit_digit_tuples)
-from .matlattice import Mat, a_e, mat_ord, n_b, vdash
+from .matlattice import Mat, a_e, mat_ord, n_b
+from .matlattice import vdash  # unused; a tracer lookup point of perfbench/spans.py
 from .twisted import TorusElem, norm_preimage, twisted_discriminant
 
 
@@ -80,16 +81,18 @@ def torus_strata(ctx: LocalFieldCtx, trunc: TruncationSpec,
     return out
 
 
-# -- coset strata of G/T ---------------------------------------------------------
+# -- level strata of G/T ---------------------------------------------------------
 
 
 class Coset(NamedTuple):
-    """The (i, b) coset strata g0 = n_b a_i of G/T (b of level j, so
-    Delta_1(g0) = i - j) whose b start with `digits` (on a dead level of
-    `orbit_strata`, all of level j), `weight` cosets in all, and the
-    argument y = g0 x g0^vdash of f at b = pi^(-j) digits; `dead` is the
-    support prefilter's reason, or None when the strata are live.
-    `orbit_strata` fills in f_avg, the K-average of f at y, on live ones."""
+    """One record of `orbit_strata`: the (i, b) coset strata g0 = n_b a_i
+    of G/T (b of level j, so Delta_1(g0) = i - j) whose b start with
+    `digits` (all of level j on a dead level, one class of b on a live
+    one), `weight` cosets in all, and the argument y = g0 x g0^vdash of f
+    at b = pi^(-j) digits; `dead` is the support prefilter's reason, or
+    None when the strata are live, and then f_avg is the K-average of f
+    at y.  `g0` rebuilds n_b a_i at those digits for `support_scan`'s
+    witness."""
 
     i: int
     j: int
@@ -126,29 +129,6 @@ def _forced_levels(data, x: Mat):
     forced = [(target - d) // 2 for target in sorted(data.detval_support)
               if (target - d) % 2 == 0]
     return t, [(i, max(0, i + t)) for i in forced]
-
-
-def coset_strata(data, form, x: Mat, b_window: int):
-    """Walk every (i, b) Iwasawa coset of G/T for f(g x g^vdash), x
-    diagonal, one `Coset` of weight 1 each, y by `Mat` products, in
-    lexicographic order: i ascending over the exponents the det-valuation
-    support of f forces, then b level j = 0 .. jmax, then the digits of b.
-    A jmax beyond `b_window` raises TailNonzero before level 0 of that i.
-    Serves `support_scan` and, as the oracle, the tests of `orbit_strata`."""
-    ctx = data.ctx
-    _t, levels = _forced_levels(data, x)
-    for i, jmax in levels:
-        if jmax > b_window:
-            raise TailNonzero(
-                f"b window {b_window} below hard bound {jmax}",
-                stratum=(i, jmax),
-            )
-        for j in range(0, jmax + 1):
-            for digits in unit_digit_tuples(ctx.p, j):
-                g0 = n_b(ctx, ctx.from_digits(-j, digits)) * a_e(ctx, i)
-                y = g0 * x * vdash(g0, form)
-                yield Coset(i, j, digits, 1, y,
-                            data.support_prefilter(y, form))
 
 
 def orbit_strata(data, form, x: Mat):

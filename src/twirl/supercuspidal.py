@@ -17,7 +17,7 @@ import numpy as np
 
 from .cyclotomic import CharacterValue
 from .errors import DomainError
-from .integrator import coset_strata
+from .integrator import orbit_strata
 from .localfield import INF, Elem, LocalFieldCtx, additive_char
 from .matlattice import GroupForm, Mat, mat_ord, vdash
 from .ringvec import ResidueRing, iter_gl2
@@ -363,19 +363,24 @@ def _classify_regime(ctx: LocalFieldCtx, alpha: Elem) -> str:
     return "alpha-unit-even"
 
 
-def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
-                 b_window: int = 12) -> ScanReport:
+def support_scan(data: CuspidalData, form: GroupForm,
+                 gamma: TorusElem) -> ScanReport:
     """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^t) != 0.
 
-    Walks every (i, b) coset stratum (`integrator.coset_strata`, one
-    record per coset, so the first witness is the lexicographic one); the
-    det-valuation parity forces i, integrality bounds the b level, and a
-    bound beyond `b_window` raises TailNonzero.  The prefilters are
-    kappa-free.  Surviving strata are settled by exact enumeration of
-    kappa mod pi^2, which is exhaustive over all of K on both parities
-    (see `CuspidalData.kappa_average`).  In practice every live stratum
-    has ord det y = 0: y = pi^i [[x0, b(x0 + x1)], [0, x1]] for diagonal
-    x, so an integral y with ord det y = 1 has {ord y00, ord y11} = {0, 1},
+    Reads the (i, j) level records of `integrator.orbit_strata`, the walk
+    the pipeline integrates over: the det-valuation support forces i,
+    integrality bounds the b level j, a dead level is one stratum with the
+    prefilter's reason, and a live level is one stratum per class of b
+    that y mod pi^`data.residue_level` sees.  A live class is settled by
+    exact enumeration of kappa mod pi^2 (`_kappa_witness`), which is
+    exhaustive over all of K on both parities (see
+    `CuspidalData.kappa_average`) and reads y only mod pi^2, the same for
+    every coset of the class.  The class representative (the first digits
+    of b, then zeros) is the lexicographically first coset of its class,
+    so the first witness is the lexicographic one; its `b` is padded with
+    zeros to `b_level` digits.  In practice every live stratum has
+    ord det y = 0: y = pi^i [[x0, b(x0 + x1)], [0, x1]] for diagonal x,
+    so an integral y with ord det y = 1 has {ord y00, ord y11} = {0, 1},
     y00 - y11 is a unit, and the prefilter finds y not eps-symmetric mod p.
     `kappa_level` is `data.residue_level` once a live stratum was scanned,
     0 otherwise."""
@@ -385,7 +390,7 @@ def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
     strata: list[ScanStratum] = []
     witness = None
     kappa_level = 0
-    for c in coset_strata(data, form, x, b_window):
+    for c in orbit_strata(data, form, x):
         if c.dead is not None:
             strata.append(ScanStratum(c.i, c.j, c.digits, c.dead))
             continue
@@ -399,7 +404,7 @@ def support_scan(data: CuspidalData, form: GroupForm, gamma: TorusElem,
         witness = {
             "i": c.i,
             "b_level": c.j,
-            "b": list(c.digits),
+            "b": list(c.digits) + [0] * (c.j - len(c.digits)),
             "kappa": kap.to_digit_lists(4),
             "value": data.f(gw * x * vdash(gw, form)).to_json(),
         }

@@ -313,18 +313,22 @@ def test_residue_bytes_at_the_precision_rule(tmp_path, capsys, p, e, eis,
 
 
 def test_support_scan_short_b_window_exit_code(tmp_path, capsys):
-    """alpha = 1 + pi^13 forces b level 13, beyond the scan's window of
-    12: exit 2.  At precision 18 the trace of S(gamma)^(-1) reads 0 (its
-    entries carry 13 digits), and the scan stops with exit 1 instead of
-    walking every b level of the window."""
+    """alpha = 1 + pi^13 forces b levels up to 13, and the scan reads them
+    all as level records: exit 0.  At precision 18 the trace of
+    S(gamma)^(-1) reads 0 (its entries carry 13 digits), and the scan
+    stops with exit 1 instead of guessing the b levels."""
     rcs = {}
     for n in (18, 40):
         p = tmp_path / f"deep{n}.ini"
         p.write_text(ODD_CFG.replace("precision = 18", f"precision = {n}"))
         rcs[n] = cli.main(["support-scan", "--config", str(p),
-                           "--alpha=1+pi^13"])
-    assert rcs == {18: 1, 40: 2}
+                           "--alpha=1+pi^13", "--out",
+                           str(tmp_path / f"deep{n}.json")])
+    assert rcs == {18: 1, 40: 0}
     assert "reads 0 at precision 18" in capsys.readouterr().err
+    rep = json.loads((tmp_path / "deep40.json").read_text())
+    assert rep["witness"] is None
+    assert max(s["b_level"] for s in rep["strata_searched"]) == 13
 
 
 def test_cold_and_warm_cache_same_bytes(even_cfg, tmp_path):

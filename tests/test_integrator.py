@@ -27,13 +27,15 @@ from twirl import (
 )
 from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import (class_weight_from_delta, coset_strata,
-                              orbit_strata, regular_preimage, torus_strata)
+from twirl.integrator import (class_weight_from_delta, orbit_strata,
+                              regular_preimage, torus_strata)
 from twirl.localfield import unit_digit_tuples
 from twirl.matlattice import a_e, delta, n_b
 from twirl.twisted import (charpoly, norm_preimage_general,
                            twisted_discriminant_charpoly)
 from twirl.weights import square_class_weight
+
+from coset_walk import coset_strata
 
 
 def ctx5():
@@ -211,7 +213,7 @@ def test_level_walk_matches_coset_walk():
             for stratum in strata:
                 where = (eis, type(data).__name__, stratum.label)
                 x = norm_preimage(TorusElem(stratum.alpha), form).inverse()
-                full = _by_level(coset_strata(data, form, x, 64))
+                full = _by_level(coset_strata(data, form, x))
                 fast = _by_level(orbit_strata(data, form, x))
                 assert full.keys() == fast.keys(), where
                 for (i, j), cosets in full.items():
@@ -243,14 +245,14 @@ def test_level_walk_matches_coset_walk():
 
 def test_zero_trace_raises():
     """x = diag(1, -1) has trace 0: not regular, so both walks raise
-    instead of walking b levels up to the window (a precision-starved
+    instead of reading the b levels as unbounded (a precision-starved
     x = S(gamma)^(-1), whose trace is -1, reads the same way)."""
     c = ctx5()
     form = orthogonal_form(c, 2)
     x = Mat.diag(c, [c.one(), -c.one()])
     for data in (CuspidalData(c), IntegralIndicator(c)):
         with pytest.raises(PrecisionExhausted, match="trace"):
-            next(coset_strata(data, form, x, 12))
+            next(coset_strata(data, form, x))
         with pytest.raises(PrecisionExhausted, match="precision 18"):
             orbit_strata(data, form, x)
 

@@ -11,7 +11,6 @@ from twirl import (
     CuspidalData,
     DomainError,
     Mat,
-    TailNonzero,
     TorusElem,
     level_character,
     make_field,
@@ -23,10 +22,12 @@ from twirl import (
     symplectic_form,
     vdash,
 )
+from twirl import supercuspidal
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import coset_strata, orbit_strata
+from twirl.integrator import orbit_strata
 from twirl.ringvec import ResidueRing, iter_gl2
 from twirl.supercuspidal import (
+    _classify_regime,
     _coset_counts,
     _count_f,
     _f_on_residues,
@@ -37,6 +38,8 @@ from twirl.supercuspidal import (
     _support_mod_pi,
     pi_e_inverse_power,
 )
+
+from coset_walk import coset_strata
 
 
 def pi_e_matrix(ctx):
@@ -408,7 +411,9 @@ def test_f_depends_on_residue_mod_pi_squared(mk):
 def test_kappa_average_rejects_symplectic_form():
     """kappa_average implements the orthogonal twist only.  With the
     symplectic form k y k^vdash = det(k) y for y = 1, so the true average
-    is 1, while the orthogonal evaluation gives 0."""
+    is 1, while the orthogonal evaluation gives 0.  `support_scan`, whose
+    `_kappa_witness` enumerates the orthogonal twist too, refuses as
+    well."""
     c = ctx3()
     data = CuspidalData(c)
     y = Mat.identity(c, 2)
@@ -420,6 +425,8 @@ def test_kappa_average_rejects_symplectic_form():
     assert data.kappa_average(y, orthogonal_form(c, 2)).is_zero()
     with pytest.raises(DomainError):
         data.kappa_average(y, sf)
+    with pytest.raises(DomainError):
+        support_scan(data, sf, TorusElem(parse_elem(c, "-1+pi")))
 
 
 def test_kappa_average_conjugation_invariance():
@@ -474,7 +481,7 @@ SCAN_SHA256 = {
     (ctx5, "pi^2"): "664380ba1a977b2ddd4142e0c891f1244d3d5ef78110807e0bf84029275dc449",
     (ctx5, "pi^-1"): "95db047d7229f02a2adb395ac259725986869d80d250519df7e208843dfbebc1",
     (ctx5, "2"): "10f57a2459ae6194459bf19853786ca51fc36a639aa418d0b9849586b09c501f",
-    (ctx5, "1+pi"): "505b9c8dd19640f9b4af4287c12ae09f96f65f9c915e971e2b207b8db4d3cbf0",
+    (ctx5, "1+pi"): "d1b458bddecde042329036f1400a100fa02638922d42748357b25631fb059f18",
     (ctx5, "-1+pi"): "7e4059857791acd59739aab60edea78e0be899908b984e34ef45c482a2531828",
     (ctx2, "1+pi^2"): "4f33b5e2a6db32f2757b927cf7568042122098fdf4884cb8947ad66428aa76fc",
 }
@@ -483,7 +490,8 @@ SCAN_SHA256 = {
 @pytest.mark.parametrize("mk, spec", list(SCAN_SHA256))
 def test_support_scan_golden_bytes(mk, spec):
     """The scan report bytes (searched strata, verdicts, witness) are
-    pinned; "pi^2" has a non-integral diagonal on its only stratum."""
+    pinned; "pi^2" has a non-integral diagonal on its only stratum, and
+    "1+pi" one record for each of its two dead b levels."""
     c = mk()
     rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
                        TorusElem(parse_elem(c, spec)))
@@ -492,17 +500,45 @@ def test_support_scan_golden_bytes(mk, spec):
 
 
 def test_support_scan_raises_on_short_b_window():
-    """alpha = 1 + pi^4 forces b levels up to 4: a window of 2 raises
-    instead of reporting a truncated scan as exhaustive."""
+    """alpha = 1 + pi^4 forces b levels up to 4, and the scan reads every
+    one of them without finding a witness."""
     c = make_field(5, 1, (-5, 1), 30)
-    data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
-    gamma = TorusElem(parse_elem(c, "1+pi^4"))
-    with pytest.raises(TailNonzero):
-        support_scan(data, form, gamma, b_window=2)
-    rep = support_scan(data, form, gamma)
+    rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
+                       TorusElem(parse_elem(c, "1+pi^4")))
     assert not rep.found()
     assert max(s.b_level for s in rep.strata) == 4
+
+
+def test_support_scan_deep_alpha_reads_levels():
+    """alpha = 1 + pi^8 at p = 5 forces b levels up to 8 on i = 8, and
+    every level is dead: the scan returns the 9 level records of
+    `orbit_strata` (a per-coset walk visits 5^8 cosets)."""
+    c = make_field(5, 1, (-5, 1), 40)
+    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    gamma = TorusElem(parse_elem(c, "1+pi^8"))
+    rep = support_scan(data, form, gamma)
+    x = norm_preimage(gamma, form).inverse()
+    assert len(rep.strata) == len(orbit_strata(data, form, x)) == 9
+    assert not rep.found()
+    assert [s.b_level for s in rep.strata] == list(range(9))
+
+
+def _random_scan_alphas(c):
+    """The random alphas of the three vanishing regimes at p = 5:
+    noncompact, unit away from +-1 mod p, and 1 mod p."""
+    rng = random.Random(9)
+    noncompact, away, near_one = [], [], []
+    for _ in range(50):
+        v = rng.choice([-2, -1, 1, 2])
+        noncompact.append(c.random_unit(rng).shift(v))
+    while len(away) < 50:
+        alpha = c.random_unit(rng)
+        if alpha.residue() not in (1, 4):
+            away.append(alpha)
+    for _ in range(50):
+        e = rng.randrange(1, 5)
+        near_one.append(c.one() + c.random_unit(rng).shift(e))
+    return noncompact, away, near_one
 
 
 def test_support_scan_randomized_regimes():
@@ -510,25 +546,103 @@ def test_support_scan_randomized_regimes():
     c = ctx5()
     d = CuspidalData(c)
     form = orthogonal_form(c, 2)
-    rng = random.Random(9)
-    # noncompact alpha
-    for _ in range(50):
-        v = rng.choice([-2, -1, 1, 2])
-        alpha = c.random_unit(rng).shift(v)
-        assert not support_scan(d, form, TorusElem(alpha)).found()
-    # unit alpha away from +-1 mod p
-    done = 0
-    while done < 50:
-        alpha = c.random_unit(rng)
-        if alpha.residue() in (1, 4):
+    for alphas in _random_scan_alphas(c):
+        for alpha in alphas:
+            assert not support_scan(d, form, TorusElem(alpha)).found()
+
+
+def _coset_scan(data, form, gamma):
+    """The per-coset scan: every coset of `coset_strata` in lexicographic
+    order, each live one settled by the module's `_kappa_witness`, up to
+    the first witness.  Returns (regime, witness, kappa_level,
+    [(coset, verdict)]) with the cosets visited before the witness."""
+    x = norm_preimage(gamma, form).inverse()
+    visited, witness, kappa_level = [], None, 0
+    for c in coset_strata(data, form, x):
+        if c.dead is not None:
+            visited.append((c, c.dead))
             continue
-        assert not support_scan(d, form, TorusElem(alpha)).found()
-        done += 1
-    # odd residue characteristic with alpha = 1 mod p
-    for _ in range(50):
-        e = rng.randrange(1, 5)
-        alpha = c.one() + c.random_unit(rng).shift(e)
-        assert not support_scan(d, form, TorusElem(alpha)).found()
+        kappa_level = data.residue_level
+        kap = supercuspidal._kappa_witness(data, c.y)
+        if kap is None:
+            visited.append((c, "kappa scan empty"))
+            continue
+        gw = kap * c.g0
+        witness = {"i": c.i, "b_level": c.j, "b": list(c.digits),
+                   "kappa": kap.to_digit_lists(4),
+                   "value": data.f(gw * x * vdash(gw, form)).to_json()}
+        break
+    regime = _classify_regime(data.ctx, gamma.alpha)
+    if witness is not None:
+        regime += "-witness"
+    elif regime == "alpha-unit-even":
+        regime = "even-none"
+    return regime, witness, kappa_level, visited
+
+
+def _scan_cases():
+    """(ctx, alpha): the golden alphas, two at p = 3, and a seeded sample
+    of the random ones."""
+    cases = [(c, parse_elem(c, spec)) for c, spec in
+             [(mk(), spec) for mk, spec in SCAN_SHA256]
+             + [(ctx3(), "1+pi^2"), (ctx3(), "-1+pi")]]
+    c5 = ctx5()
+    pool = [a for alphas in _random_scan_alphas(c5) for a in alphas]
+    cases += [(c5, a) for a in random.Random(13).sample(pool, 15)]
+    return cases
+
+
+def _assert_scan_matches(c, alpha):
+    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    gamma = TorusElem(alpha)
+    where = (c.p, str(alpha))
+    rep = support_scan(data, form, gamma)
+    regime, witness, kappa_level, visited = _coset_scan(data, form, gamma)
+    assert (rep.regime, rep.witness, rep.kappa_level) == \
+        (regime, witness, kappa_level), where
+    x = norm_preimage(gamma, form).inverse()
+    records = orbit_strata(data, form, x)
+    assert [(s.i, s.b_level, s.b_digits) for s in rep.strata] == \
+        [(r.i, r.j, r.digits) for r in records[:len(rep.strata)]], where
+    assert sum(r.weight for r in records) == \
+        sum(1 for _ in coset_strata(data, form, x)), where
+    for cos, verdict in visited:
+        level = [s for s in rep.strata if (s.i, s.b_level) == (cos.i, cos.j)]
+        if verdict != "kappa scan empty":
+            owner = level
+        else:
+            owner = [s for s in level
+                     if cos.digits[:len(s.b_digits)] == s.b_digits]
+        assert [s.verdict for s in owner] == [verdict], where
+    return rep, visited
+
+
+def test_scan_matches_coset_scan(monkeypatch):
+    """The level-record scan against the per-coset scan: the same
+    witness, regime and kappa level; every coset visited before the
+    witness carries the verdict of its level record (dead level) or of
+    the class record whose digits start its b (live); the scan's records
+    are the leading `orbit_strata` records, whose weights sum to the
+    number of cosets.
+
+    On these alphas every live class holds a witness, so the first live
+    class ends both scans.  A stricter witness rule that still reads y
+    only mod pi^2 (ord y01 == 1) drives both past rejected live classes
+    at p = 2, alpha = 1 + pi^4, to a witness on level (4, 3), whose
+    classes read 1 of the 3 digits of b."""
+    for c, alpha in _scan_cases():
+        _assert_scan_matches(c, alpha)
+    found = supercuspidal._kappa_witness
+
+    def strict(data, y):
+        return found(data, y) if y.rows[0][1].val == 1 else None
+
+    monkeypatch.setattr(supercuspidal, "_kappa_witness", strict)
+    c = ctx2()
+    rep, visited = _assert_scan_matches(c, parse_elem(c, "1+pi^4"))
+    assert (rep.witness["i"], rep.witness["b_level"]) == (4, 3)
+    assert rep.witness["b"] == [1, 0, 0]
+    assert [v for _, v in visited] == ["kappa scan empty"] * 4
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
@@ -549,7 +663,7 @@ def test_odd_det_valuation_strata_are_dead(mk):
             alphas.append(a)
     for alpha in alphas:
         x = norm_preimage(TorusElem(alpha), form).inverse()
-        for cos in coset_strata(data, form, x, 12):
+        for cos in coset_strata(data, form, x):
             if cos.y.det().val % 2:
                 assert cos.dead is not None, alpha
         levels.add(support_scan(data, form, TorusElem(alpha)).kappa_level)

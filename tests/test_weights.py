@@ -8,6 +8,7 @@ from twirl import (
     WeightQuery,
     eps,
     make_field,
+    mat_ord,
     orthogonal_form,
     scaling_block,
     square_class_reps,
@@ -94,13 +95,31 @@ def test_lower_bound():
         done += 1
 
 
+def _split(c, j, u):
+    """The split torus element diag(u pi^j, u^(-1) pi^(-j))."""
+    return Mat.diag(c, [u.shift(j), u.inverse().shift(-j)])
+
+
 def test_unit_probe():
+    """The oracle counts valuation vectors only: for each solution j of
+    its window (unit part 1), g diag(u pi^j, u^(-1) pi^(-j)) stays in
+    pi^(-k) M_2(O) for random units u, and the solutions are its count."""
     c = ctx2()
     rng = random.Random(4)
+    found = 0
     for _ in range(10):
         g = Mat.random(c, 2, rng)
         k = rng.randrange(0, 3)
-        weight_oracle(WeightQuery(g, k, 1), probe_rng=rng)
+        lo = -k - min(x.val for x in g.column(0))
+        hi = k + min(x.val for x in g.column(1))
+        sols = [j for j in range(lo - 1, hi + 2)
+                if mat_ord(g * _split(c, j, c.one())) >= -k]
+        assert len(sols) == weight_oracle(WeightQuery(g, k, 1))
+        for j in sols:
+            for _ in range(3):
+                assert mat_ord(g * _split(c, j, c.random_unit(rng))) >= -k
+        found += len(sols)
+    assert found
 
 
 def test_scaling_block():
