@@ -42,9 +42,7 @@ from .matlattice import (
     Mat,
     delta,
     delta_vector,
-    eps,
     mat_ord,
-    nu,
     orthogonal_form,
     symplectic_form,
     vdash,
@@ -70,8 +68,6 @@ from .twisted import (
     TorusElem,
     is_eps_symmetric,
     norm_preimage,
-    nu_of_norm_check,
-    twisted_centralizer_sample,
     twisted_discriminant,
     twisted_discriminant_oracle,
 )
@@ -79,7 +75,6 @@ from .weights import (
     WeightQuery,
     scaling_block,
     square_class_weight,
-    torus_cap_volume,
     weight_closed,
     weight_oracle,
 )

@@ -1,5 +1,5 @@
-"""Batch driver: config parsing, pipeline orchestration, table and report
-emission, and the self-test runner.
+"""Batch driver: config parsing, pipeline orchestration, and table and
+report emission.
 
 Config files are INI-style:
 
@@ -18,19 +18,17 @@ Config files are INI-style:
     [output]
     format = json
 
-    [selftest]
-    seed = 7
-
 Every [pipeline] key is listed above; any other key is an error, and so
-is a missing file or [field] section, a value that is not an integer, a
-window out of range, a precision below 2*gamma_depth + 2*ord(2) + 6, or
-a regime other than the one p selects ("even" at p = 2 with e >= 2,
-"odd" at odd p; the even regime adds the weight-only constants to the
-residue report).  The G/T walk has no window, and `support-scan` reads
-the same (i, j) levels as the pipeline.  Exit codes: 0 success, 2 a
-coefficient table that never stabilized (NoStabilization), 1 any other
-error.  TWIRL_OUTPUT_DIR overrides output directories; no other
-environment variables are read.
+is a section other than these three, a missing file or [field] section,
+a value that is not an integer, a window out of range, a precision below
+2*gamma_depth + 2*ord(2) + 6, or a regime other than the one p selects
+("even" at p = 2 with e >= 2, "odd" at odd p; the even regime adds the
+weight-only constants to the residue report).  The G/T walk has no
+window, and `support-scan` reads the same (i, j) levels as the pipeline.
+`wfactor` draws its random queries from a fixed seed, 7.  Exit codes:
+0 success, 2 a coefficient table that never stabilized
+(NoStabilization), 1 any other error.  TWIRL_OUTPUT_DIR overrides output
+directories; no other environment variables are read.
 """
 
 from __future__ import annotations
@@ -64,6 +62,7 @@ from .weights import WeightQuery, weight_closed, weight_oracle
 WINDOW_KEYS = tuple(f.name for f in fields(TruncationSpec))
 PIPELINE_KEYS = frozenset(WINDOW_KEYS + ("regime",))
 FIELD_KEYS = ("p", "e", "eisenstein", "precision")
+SECTIONS = ("field", "pipeline", "output")
 
 
 @dataclass
@@ -73,7 +72,6 @@ class RunConfig:
     trunc: TruncationSpec
     out_format: str
     out_path: str | None
-    seed: int
 
     @staticmethod
     def load(path: str) -> "RunConfig":
@@ -83,6 +81,9 @@ class RunConfig:
                 cp.read_file(fh)
         except (OSError, configparser.Error) as exc:
             raise TwirlError(f"cannot read config: {exc}") from None
+        unknown = sorted(set(cp.sections()) - set(SECTIONS))
+        if unknown:
+            raise TwirlError(f"unknown config sections: {', '.join(unknown)}")
         f = cp["field"] if cp.has_section("field") else {}
         missing = [k for k in FIELD_KEYS if k not in f]
         if missing:
@@ -119,9 +120,7 @@ class RunConfig:
         if path_out and os.environ.get("TWIRL_OUTPUT_DIR"):
             path_out = os.path.join(os.environ["TWIRL_OUTPUT_DIR"],
                                     os.path.basename(path_out))
-        sel = cp["selftest"] if cp.has_section("selftest") else {}
-        seed = _int(sel.get("seed", "7"), "seed")
-        return RunConfig(ctx, regime, trunc, fmt, path_out, seed)
+        return RunConfig(ctx, regime, trunc, fmt, path_out)
 
 
 def _int(text: str, key: str) -> int:
@@ -159,7 +158,7 @@ def _coeff_csv(ks, values) -> str:
 def cmd_wfactor(cfg: RunConfig, args) -> int:
     import random
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(7)
     ctx = cfg.ctx
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -262,20 +261,6 @@ def cmd_residue(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    from . import selftest
-
-    results = selftest.run_all(fast=args.fast, seed=args.seed)
-    width = max(len(r.name) for r in results)
-    ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name:<{width}}  {r.detail}")
-        ok = ok and r.passed
-    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
-    return 0 if ok else 1
-
-
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="twirl",
                                  description="weight factors, twisted orbital "
@@ -301,10 +286,6 @@ def make_parser() -> argparse.ArgumentParser:
     add("coeffs", cmd_coeffs)
     add("rg-term", cmd_rg_term)
     add("residue", cmd_residue)
-    sp = sub.add_parser("selftest")
-    sp.add_argument("--fast", action="store_true")
-    sp.add_argument("--seed", type=int, default=7)
-    sp.set_defaults(fn=cmd_selftest)
     return ap
 
 

@@ -9,10 +9,10 @@ coordinate.  Central classes are normalized to volume 1 each.
 
 One pass per torus stratum gamma: `regular_preimage` gives
 x = S(gamma)^(-1) and |D_eps(gamma)|, `orbit_strata` the (i, j) levels
-of G/T in closed form with the K-average of f on each live class of b,
-and `_psi_k` weighs each live class by the closed square-class weight at
-Delta_1 = i - j.  `support_scan` reads the same level records, so this is
-the one walk of G/T in the library.
+of G/T in closed form, and `_psi_k` weighs the K-average of f on each
+live class of b by the closed square-class weight at Delta_1 = i - j.
+`support_scan` reads the same level records, so this is the one walk of
+G/T in the library.
 """
 
 from __future__ import annotations
@@ -70,15 +70,27 @@ def torus_strata(ctx: LocalFieldCtx, trunc: TruncationSpec,
                                     f"noncompact-pi^{t}"))
     ud = trunc.unit_depth
     for sign in signs:
-        base = ctx.from_int(sign)
         for e in range(1, trunc.gamma_depth + 1):
             for digits in unit_digit_tuples(p, ud):
-                v = ctx.from_digits(0, digits)
-                alpha = base * (ctx.one() + v.shift(e))
+                alpha = _stratum_alpha(ctx, sign, e,
+                                       ctx.from_digits(0, digits), ud)
                 vol = Fraction(1, q ** (e + ud - 1) * (q - 1))
                 out.append(TorusStratum(alpha, vol, f"sign{sign}-e{e}",
                                         sign=sign, e=e))
     return out
+
+
+def _stratum_alpha(ctx: LocalFieldCtx, sign: int, e: int, v: Elem,
+                   depth: int) -> Elem:
+    """The representative of the torus stratum alpha = sign (1 + pi^e v)
+    mod pi^(e + depth): sign (1 + pi^e v) itself, unless that is exactly
+    +-1 (over x^2 + 2, 1 + pi^2 = -1), and then plus sign pi^(e + depth),
+    which stays in the class and is regular."""
+    base = ctx.from_int(sign)
+    alpha = base * (ctx.one() + v.shift(e))
+    if TorusElem(alpha).regular:
+        return alpha
+    return alpha + base.shift(e + depth)
 
 
 # -- level strata of G/T ---------------------------------------------------------
@@ -90,9 +102,8 @@ class Coset(NamedTuple):
     `digits` (all of level j on a dead level, one class of b on a live
     one), `weight` cosets in all, and the argument y = g0 x g0^vdash of f
     at b = pi^(-j) digits; `dead` is the support prefilter's reason, or
-    None when the strata are live, and then f_avg is the K-average of f
-    at y.  `g0` rebuilds n_b a_i at those digits for `support_scan`'s
-    witness."""
+    None when the strata are live.  `g0` rebuilds n_b a_i at those digits
+    for `support_scan`'s witness."""
 
     i: int
     j: int
@@ -100,7 +111,6 @@ class Coset(NamedTuple):
     weight: int
     y: Mat
     dead: str | None
-    f_avg: CharacterValue | None = None
 
     @property
     def g0(self) -> Mat:
@@ -133,8 +143,8 @@ def _forced_levels(data, x: Mat):
 
 def orbit_strata(data, form, x: Mat):
     """The (i, j) levels of G/T for the integrand f(g x g^vdash), x =
-    diag(x0, x1), with the K-average of f on each live class, as a list of
-    `Coset` records.
+    diag(x0, x1), as a list of `Coset` records, one per dead level and
+    one per live class of b.
 
     On the coset n_b a_i, y = pi^i [[x0, b(x0 + x1)], [0, x1]] (vdash of
     n_b is n_b, of a_i is diag(1, pi^i)).  The det support of f forces i,
@@ -170,9 +180,8 @@ def orbit_strata(data, form, x: Mat):
                                  (q - 1) * q ** (j - 1) if j else 1, y, dead))
                 continue
             for digits in classes:
-                y = y_at(i, j, digits)
-                out.append(Coset(i, j, digits, q ** (j - n), y, None,
-                                 data.kappa_average(y, form)))
+                out.append(Coset(i, j, digits, q ** (j - n),
+                                 y_at(i, j, digits), None))
     return out
 
 
@@ -190,15 +199,19 @@ def class_weight_from_delta(delta1: int, units: int, k: int) -> int:
 
 def _psi_k(data, form, x: Mat, ks, units: int):
     """{k: psi_k} for x = S(gamma)^(-1): the sum over live orbit strata of
-    weight * f_avg * class_weight_from_delta(i - j, units, k).  The class
-    weight reads a record only through Delta_1 = i - j, so weight * f_avg
-    is summed per Delta_1 first and weighed once per (Delta_1, k)."""
+    weight * f_avg * class_weight_from_delta(i - j, units, k), f_avg the
+    K-average of f at the record's y.  The class weight reads a record
+    only through Delta_1 = i - j, so weight * f_avg is summed per Delta_1
+    first and weighed once per (Delta_1, k)."""
     zero = CharacterValue.zero(data.ctx.p)
     by_delta: dict = {}
     for s in orbit_strata(data, form, x):
-        if s.f_avg is not None and not s.f_avg.is_zero():
+        if s.dead is not None:
+            continue
+        f_avg = data.kappa_average(s.y, form)
+        if not f_avg.is_zero():
             d = s.i - s.j
-            by_delta[d] = by_delta.get(d, zero) + s.f_avg.scale(s.weight)
+            by_delta[d] = by_delta.get(d, zero) + f_avg.scale(s.weight)
     table = {}
     for k in ks:
         acc = zero
@@ -340,7 +353,8 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
     b_total = Fraction(0)
     increments = []
     for e in range(1, trunc.gamma_depth + 1):
-        _x, drep = regular_preimage(form, ctx.one() + ctx.pi(e), f"1+pi^{e}")
+        alpha = _stratum_alpha(ctx, 1, e, ctx.one(), 1)
+        _x, drep = regular_preimage(form, alpha, f"1+pi^{e}")
         deps = Fraction(q) ** (-drep.ord_value)
         vol = Fraction(1, q ** e)
         # interior shell: b levels j = 0 .. e-1; level j has q^j - q^(j-1)

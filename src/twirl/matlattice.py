@@ -302,16 +302,6 @@ def vdash(g: Mat, form: GroupForm) -> Mat:
     return form.J * g.transpose() * form.J.inverse()
 
 
-def eps(g: Mat, form: GroupForm) -> Mat:
-    """The involution eps(g) = (g^(-1))^vdash of GL_n."""
-    return vdash(g.inverse(), form)
-
-
-def nu(g: Mat, form: GroupForm) -> Mat:
-    """nu(g) = eps(g) g."""
-    return eps(g, form) * g
-
-
 # -- the Iwasawa factors of GL_2 and column weights ----------------------------
 
 

@@ -1,5 +1,5 @@
-"""Norm correspondence, eps-symmetry, the twisted discriminant with its
-oracles, and twisted centralizers."""
+"""Norm correspondence, eps-symmetry, and the twisted discriminant with
+its oracles."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NotRegular, SingularGammaMinusOne
 from .localfield import INF, Elem, LocalFieldCtx
-from .matlattice import GroupForm, Mat, mat_ord, nu, vdash
+from .matlattice import GroupForm, Mat, vdash
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,6 @@ def norm_preimage_general(gamma: TorusElem, form: GroupForm) -> Mat:
     if gm.det().val is INF:
         raise SingularGammaMinusOne("gamma - 1 is singular")
     return form.w * form.J.inverse() * gm
-
-
-def nu_of_norm_check(gamma: TorusElem, form: GroupForm) -> bool:
-    """nu(S(gamma)) = -gamma, exactly."""
-    s = norm_preimage(gamma, form)
-    return nu(s, form) == -gamma.matrix()
 
 
 def is_eps_symmetric(x: Mat, form: GroupForm, mod_level: int | None = None) -> bool:
@@ -320,143 +314,4 @@ def twisted_discriminant_oracle(delta: Mat, form: GroupForm) -> DiscriminantRepo
         kernel_dim=m - rank,
         charpoly_lowterm=lowterm,
         regular=(m - rank == delta.n // 2),
-    )
-
-
-# -- randomized twisted-centralizer verification --------------------------------
-
-
-@dataclass
-class CentralizerReport:
-    depth: int
-    slack: int
-    tree_leaves: int
-    sampled: int
-    all_in_torus: bool
-    witnesses_outside: list
-
-
-def _solve_mod_p(rows, rhs, p):
-    """Solve M h = rhs over F_p; return (particular, nullspace basis) or None."""
-    m = len(rows)
-    n = len(rows[0])
-    a = [list(r) + [rhs[i] % p] for i, r in enumerate(rows)]
-    piv = []
-    rank = 0
-    for c in range(n):
-        sel = None
-        for r in range(rank, m):
-            if a[r][c] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[rank], a[sel] = a[sel], a[rank]
-        inv = pow(a[rank][c], -1, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for r in range(m):
-            if r != rank and a[r][c] % p:
-                f = a[r][c]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
-        piv.append(c)
-        rank += 1
-    for r in range(rank, m):
-        if a[r][n] % p:
-            return None
-    part = [0] * n
-    for r, c in enumerate(piv):
-        part[c] = a[r][n]
-    basis = []
-    free = [c for c in range(n) if c not in piv]
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for r, c in enumerate(piv):
-            v[c] = (-a[r][fc]) % p
-        basis.append(v)
-    return part, basis
-
-
-def twisted_centralizer_sample(gamma: TorusElem, form: GroupForm, m: int,
-                               trials: int, rng) -> CentralizerReport:
-    """Enumerate the solution tree of g X g^vdash = X (X = S(gamma)^(-1))
-    modulo pi^m by level-one brute force plus linear lifting, then sample
-    solutions and test membership in the diagonal torus mod pi^(m-1)."""
-    ctx = gamma.ctx
-    p = ctx.p
-    x = norm_preimage(gamma, form).inverse()
-    a = max(0, -min(0, mat_ord(x)))
-    xt = x.shift(a)  # integral rescaling
-    n = form.n
-    basis = []
-    for k in range(n):
-        for l in range(n):
-            eb = Mat.zero(ctx, n)
-            eb.rows[k][l] = ctx.one()
-            basis.append(eb)
-
-    def defect(g: Mat) -> Mat:
-        return g * xt * vdash(g, form) - xt
-
-    # level 1: brute force over GL_n(O/p)
-    digit_sets = [range(p)] * (n * n)
-    level1 = []
-    import itertools
-
-    for digs in itertools.product(*digit_sets):
-        g = Mat.from_ints(ctx, [[digs[i * n + j] for j in range(n)]
-                                for i in range(n)])
-        if g.det().residue() == 0:
-            continue
-        if mat_ord(defect(g)) >= 1:
-            level1.append(g)
-    nodes = level1
-    for j in range(1, m):
-        nxt = []
-        pij = ctx.pi(j)
-        for g in nodes:
-            d = defect(g)
-            rhs_mat = d.shift(-j)
-            rhs = [(-rhs_mat.rows[i][k].residue()) % p
-                   for i in range(n) for k in range(n)]
-            cols = []
-            for eb in basis:
-                t = g * (eb * xt + xt * vdash(eb, form)) * vdash(g, form)
-                cols.append([t.rows[i][k].residue() for i in range(n)
-                             for k in range(n)])
-            rows = [[cols[c][r] for c in range(n * n)] for r in range(n * n)]
-            sol = _solve_mod_p(rows, rhs, p)
-            if sol is None:
-                continue
-            part, null = sol
-            combos = [part]
-            for v in null:
-                combos = [[(c0 + t0 * v0) % p for c0, v0 in zip(c, v)]
-                          for c in combos for t0 in range(p)]
-            for hvec in combos:
-                h = Mat.from_ints(ctx, [[hvec[i * n + k] for k in range(n)]
-                                        for i in range(n)])
-                gp = g * (Mat.identity(ctx, n) + h.scale(pij))
-                nxt.append(gp)
-        nodes = nxt
-    leaves = nodes
-    level = m - 1
-    outside = []
-    for _ in range(trials):
-        g = leaves[rng.randrange(len(leaves))]
-        in_t = (
-            g.rows[0][1].residue_digits(level) == (0,) * level
-            and g.rows[1][0].residue_digits(level) == (0,) * level
-            and (g.rows[0][0] * g.rows[1][1] - ctx.one()).residue_digits(level)
-            == (0,) * level
-        )
-        if not in_t:
-            outside.append(g)
-    return CentralizerReport(
-        depth=m,
-        slack=a,
-        tree_leaves=len(leaves),
-        sampled=trials,
-        all_in_torus=not outside,
-        witnesses_outside=outside[:5],
     )

@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ClubsuitViolated, Singular, WindowOverflow
-from .localfield import Elem, INF, LocalFieldCtx, SquareClassSet
+from .localfield import Elem, INF, SquareClassSet
 from .matlattice import Mat, delta_vector, mat_ord
 
 
@@ -96,15 +96,10 @@ def weight_oracle(q: WeightQuery) -> int:
     return count
 
 
-def torus_cap_volume(ctx: LocalFieldCtx, n: int, rank: int, k: int) -> int:
-    """vol_T(T cap pi^(-k) M_n(O)); equals (2k+1)^rank for k >= 0 and 0
-    for k < 0."""
-    return weight_oracle(WeightQuery(Mat.identity(ctx, n), k, rank))
-
-
 def scaling_block(alpha: Elem, n: int) -> Mat:
     """x_alpha = diag(alpha I_m, I_m) for n = 2m; satisfies
-    x_alpha eps(x_alpha)^(-1) = alpha I."""
+    x_alpha eps(x_alpha)^(-1) = alpha I for the involution
+    eps(g) = (g^(-1))^vdash."""
     if alpha.val is INF:
         raise Singular("alpha must be nonzero")
     ctx = alpha.ctx

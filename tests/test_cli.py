@@ -23,9 +23,6 @@ unit_depth = 2
 
 [output]
 format = json
-
-[selftest]
-seed = 7
 """
 
 EVEN_CFG = ODD_CFG.replace("p = 5", "p = 2").replace("e = 1", "e = 2") \
@@ -154,6 +151,18 @@ def test_residue_report_even(even_cfg, tmp_path):
     assert rep["metadata"]["additive_character"].startswith("zeta_p")
 
 
+def test_residue_over_x2_plus_2(even_cfg, tmp_path):
+    """Over x^2 + 2 the stratum sign1-e2 has the central 1 + pi^2 = -1 in
+    its class; the run takes a regular representative of that class,
+    exits 0, and writes the bytes of the x^2 - 2 run."""
+    p = tmp_path / "plus.ini"
+    p.write_text(EVEN_CFG.replace("eisenstein = -2,0,1", "eisenstein = 2,0,1"))
+    outs = [tmp_path / "plus.json", tmp_path / "minus.json"]
+    for cfg, out in zip((str(p), even_cfg), outs):
+        assert cli.main(["residue", "--config", cfg, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text(ODD_CFG.replace("regime = odd", "regime = even"))
@@ -189,6 +198,18 @@ def test_rejected_pipeline_config(tmp_path, capsys, old, new):
         assert "unknown [pipeline] keys" in err
 
 
+@pytest.mark.parametrize("section", ["selftest", "pipline"])
+def test_unknown_config_section_exit_code(tmp_path, capsys, section):
+    """A section other than [field], [pipeline] and [output] (among them
+    the removed [selftest]) exits 1 with an error line naming it."""
+    p = tmp_path / "bad.ini"
+    p.write_text(EVEN_CFG + f"\n[{section}]\nseed = 7\n")
+    assert cli.main(["coeffs", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config sections: ")
+    assert section in err
+
+
 def test_pipeline_keys_are_truncation_fields():
     """Every [pipeline] key but regime is a TruncationSpec field, which
     the pipeline reads, and every field has a key."""
@@ -214,7 +235,9 @@ def test_removed_flags_are_rejected(odd_cfg):
     parser = cli.make_parser()
     for argv in (["support-scan", "--config", odd_cfg, "--alpha", "pi",
                   "--depth", "6"],
-                 ["selftest", "--config", odd_cfg]):
+                 ["selftest", "--config", odd_cfg],
+                 ["selftest"],
+                 ["selftest", "--fast"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
 
@@ -331,16 +354,21 @@ def test_support_scan_short_b_window_exit_code(tmp_path, capsys):
     assert max(s["b_level"] for s in rep["strata_searched"]) == 13
 
 
-def test_cold_and_warm_cache_same_bytes(even_cfg, tmp_path):
+def test_cold_and_warm_cache_same_bytes(tmp_path):
     """A fresh interpreter (every cache cold) and a warm rerun in this
-    process write the same coeffs CSV and residue JSON bytes."""
+    process write the same coeffs CSV and residue JSON bytes, at the even
+    config of criterion 11 (precision 16, k_max 4, gamma_depth 3)."""
     import twirl
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(twirl.__file__)))
-    csv_cfg = tmp_path / "csv.ini"
-    csv_cfg.write_text(EVEN_CFG.replace("format = json", "format = csv"))
-    for command, cfg in (("coeffs", str(csv_cfg)), ("residue", even_cfg)):
+    text = (EVEN_CFG.replace("precision = 18", "precision = 16")
+            .replace("k_max = 3", "k_max = 4")
+            .replace("gamma_depth = 2", "gamma_depth = 3"))
+    csv_cfg, json_cfg = tmp_path / "csv.ini", tmp_path / "json.ini"
+    csv_cfg.write_text(text.replace("format = json", "format = csv"))
+    json_cfg.write_text(text)
+    for command, cfg in (("coeffs", str(csv_cfg)), ("residue", str(json_cfg))):
         cold, warm = tmp_path / f"{command}.cold", tmp_path / f"{command}.warm"
         subprocess.run([sys.executable, "-m", "twirl.cli", command,
                         "--config", cfg, "--out", str(cold)],

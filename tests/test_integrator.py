@@ -92,7 +92,6 @@ def test_orbit_strata_shape_even():
     x = norm_preimage(TorusElem(c.one() + c.pi(3)), form).inverse()
     strata = orbit_strata(data, form, x)
     live = [s for s in strata if not s.dead]
-    assert all(s.f_avg is None for s in strata if s.dead)
     assert {s.i for s in live} == {3}
     assert {s.j for s in live} == {0, 1, 2, 3}
     # Delta_1 of the coset representative is i - j
@@ -101,7 +100,7 @@ def test_orbit_strata_shape_even():
     # interior strata away from the two deepest levels average to 1
     for s in live:
         if s.j <= s.i - 2:
-            assert s.f_avg == CharacterValue.one(2)
+            assert data.kappa_average(s.y, form) == CharacterValue.one(2)
 
 
 def test_psi_k_vanishing_regimes():
@@ -202,7 +201,7 @@ def test_level_walk_matches_coset_walk():
     of M_2(O): one verdict per level, one record per dead level and at
     most (q-1) q per live one, equal total weights, the closed-form y
     equal to the Mat product at the same b, equal weighted counts of
-    y mod pi^2, and equal sums of weight * f_avg.  Every odd-p average
+    y mod pi^2, and equal sums of weight * K-average.  Every odd-p average
     is 0, so there the key counts carry the check."""
     for (p, e, eis), depth in LEVEL_WALK_FIELDS:
         c = make_field(p, e, eis, 20)
@@ -238,7 +237,8 @@ def test_level_walk_matches_coset_walk():
                         want = want + data.kappa_average(r.y, form)
                     for r in records:
                         keys_fast[r.y.residue_key(lvl)] += r.weight
-                        got = got + r.f_avg.scale(r.weight)
+                        got = got + data.kappa_average(r.y, form).scale(
+                            r.weight)
                     assert keys_fast == keys_full, where
                     assert got == want, where
 
@@ -259,7 +259,7 @@ def test_zero_trace_raises():
 
 def test_orbital_twisted_indicator():
     """The orbit strata of the K-invariant indicator carry, in weight *
-    f_avg summed over the records, the number of coset strata whose
+    K-average summed over the live records, the number of coset strata whose
     representative stays integral, counted independently from the column
     valuations."""
     c = ctx5()
@@ -270,8 +270,8 @@ def test_orbital_twisted_indicator():
     assert twisted_discriminant(delta, form).regular
     got = CharacterValue.zero(5)
     for s in orbit_strata(f, form, delta):
-        if s.f_avg is not None:
-            got = got + s.f_avg.scale(s.weight)
+        if s.dead is None:
+            got = got + f.kappa_average(s.y, form).scale(s.weight)
     # independent count: i = 0 forced by det; Y integral iff
     # ord(b) + ord(trace) >= 0, so only the b in O class survives
     tr = delta.rows[0][0] + delta.rows[1][1]
@@ -284,17 +284,37 @@ def test_orbital_twisted_indicator():
 
 
 def test_rg_relation_odd():
+    """c_k = (4k+1) c_0 and c_0 = 2 |O^x/(O^x)^2| rg at p = 5, gamma_depth
+    3 (criterion 8, at gamma_depth 5, is in tests/test_acceptance.py).
+    Both hold because every live record of the walk sits at
+    Delta_1 = 0, where the class weight is |units| (4k+1): at p = 3, 5
+    and 7 every live `orbit_strata` record has i = j = 0 on a sign -1
+    torus stratum (the values themselves are all 0, so this is what the
+    relations check)."""
     c = ctx5()
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
+    units = square_class_reps(c).card_units
     trunc = TruncationSpec(gamma_depth=3, k_max=3, unit_depth=2)
     table = assemble_coefficients(data, form, trunc)
-    rg = rg_term(data, form, trunc)
-    scs = square_class_reps(c)
     c0 = table.values[0]
-    assert c0 == rg.scale(2 * scs.card_units)
+    assert c0 == rg_term(data, form, trunc).scale(2 * units)
     for k in table.ks:
         assert table.values[k] == c0.scale(4 * k + 1)
+    for p, precision, depth, ud in ((3, 18, 5, 2), (5, 18, 5, 2),
+                                    (7, 12, 3, 1)):
+        c = make_field(p, 1, (-p, 1), precision)
+        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        live = 0
+        trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud)
+        for stratum in torus_strata(c, trunc):
+            x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
+            for r in orbit_strata(data, form, x):
+                if r.dead is None:
+                    assert (stratum.sign, r.i, r.j) == (-1, 0, 0), (
+                        p, stratum.label, r.i, r.j)
+                    live += 1
+        assert live, p
 
 
 def test_coefficient_A_B():
@@ -329,14 +349,27 @@ def test_even_pipeline_affine_and_positive_constant():
 
 
 def test_central_torus_stratum_raises():
-    """Over x^2 + 2, 2 = -pi^2, so the representative 1 + pi^2 of the
-    torus stratum sign1-e2 is -1: the pipeline refuses it instead of
-    integrating at a central gamma."""
+    """Over x^2 + 2, 2 = -pi^2, so 1 + pi^2 is -1: `regular_preimage`
+    refuses that central gamma, naming the stratum.  The torus strata
+    and `coefficient_A_B` take 1 + pi^2 + pi^(2 + depth) instead, in the
+    same class mod pi^(2 + depth), and the c_k, A and B come out as over
+    x^2 - 2."""
     c = make_field(2, 2, (2, 0, 1), 24)
-    assert c.one() + c.pi(2) == -c.one()
-    trunc = TruncationSpec(gamma_depth=2, unit_depth=3, k_max=1)
+    central = c.one() + c.pi(2)
+    assert central == -c.one()
+    form = orthogonal_form(c, 2)
     with pytest.raises(NotRegular, match="sign1-e2"):
-        assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
+        regular_preimage(form, central, "sign1-e2")
+    trunc = TruncationSpec(gamma_depth=3, unit_depth=3, k_max=2)
+    reps = [s.alpha for s in torus_strata(c, trunc) if s.label == "sign1-e2"]
+    assert central not in reps and central + c.pi(5) in reps
+    twin = make_field(2, 2, (-2, 0, 1), 24)
+    got, want = [
+        (assemble_coefficients(CuspidalData(f), orthogonal_form(f, 2),
+                               trunc).values,
+         coefficient_A_B(CuspidalData(f), orthogonal_form(f, 2), trunc))
+        for f in (c, twin)]
+    assert got == want
 
 
 @pytest.mark.parametrize("precision, depth, label", [(12, 12, "sign1-e11"),
@@ -451,7 +484,8 @@ def test_closed_form_preimage_on_every_torus_stratum():
 
 def test_grouped_psi_k_equals_per_record_sum():
     """`_psi_k` sums weight * f_avg per Delta_1 before the class weight;
-    it equals the sum over records of weight * f_avg * class weight."""
+    it equals the sum over live records of weight * f_avg * class weight,
+    f_avg the K-average at the record's y."""
     ks = range(0, 5)
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS[:3]:
         c = make_field(p, e, eis, 20)
@@ -462,11 +496,12 @@ def test_grouped_psi_k_equals_per_record_sum():
             x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
             want = {k: CharacterValue.zero(p) for k in ks}
             for r in orbit_strata(data, form, x):
-                if r.f_avg is None:
+                if r.dead is not None:
                     continue
+                f_avg = data.kappa_average(r.y, form)
                 for k in ks:
                     w = class_weight_from_delta(r.i - r.j, units, k)
-                    want[k] = want[k] + r.f_avg.scale(r.weight * w)
+                    want[k] = want[k] + f_avg.scale(r.weight * w)
             got = integrator._psi_k(data, form, x, ks, units)
             assert got == want, (eis, stratum.label)
             nonzero += sum(not v.is_zero() for v in got.values())

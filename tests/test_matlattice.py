@@ -5,7 +5,6 @@ import pytest
 from twirl import (
     Mat,
     delta,
-    eps,
     make_field,
     mat_ord,
     orthogonal_form,
@@ -21,6 +20,11 @@ def ctx5():
 
 def ctx2():
     return make_field(2, 2, (-2, 0, 1), 24)
+
+
+def eps(g, form):
+    """The involution eps(g) = (g^(-1))^vdash of GL_n."""
+    return vdash(g.inverse(), form)
 
 
 def test_mat_ord_examples():

@@ -1,6 +1,6 @@
 """Every public top-level function or class of `twirl` is reached by the
-library itself (the pipeline, the CLI or the selftest) or is a test oracle
-of a fast path.  The scan is syntactic: a name counts as reached when some
+library itself (the pipeline or the CLI) or is a test oracle of a fast
+path.  The scan is syntactic: a name counts as reached when some
 module of the package other than `__init__` names it outside its own
 definition."""
 

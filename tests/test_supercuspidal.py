@@ -16,6 +16,7 @@ from twirl import (
     make_field,
     member,
     norm_preimage,
+    orbit_weight_integral,
     orthogonal_form,
     parse_elem,
     support_scan,
@@ -69,6 +70,11 @@ def rand_i1(c, rng):
                    [c.random_elem(rng, 1, 4), c.one() + c.random_elem(rng, 1, 4)]])
 
 
+def rand_i2(c, rng):
+    return Mat(c, [[c.one() + c.random_elem(rng, 2, 5), c.random_elem(rng, 1, 4)],
+                   [c.random_elem(rng, 2, 5), c.one() + c.random_elem(rng, 2, 5)]])
+
+
 def test_pi_e_square():
     c = ctx2()
     pe = pi_e_matrix(c)
@@ -113,6 +119,9 @@ def test_level_character_values():
 
 @pytest.mark.parametrize("mk", [ctx2, ctx5])
 def test_level_character_is_character(mk):
+    """lambda is multiplicative on I_1 (200 products from seed 1),
+    lambda^2 = 1 at p = 2 (50 samples), and lambda is invariant under
+    right I_2 (50 samples)."""
     c = mk()
     rng = random.Random(1)
     one = CharacterValue.one(c.p)
@@ -123,6 +132,12 @@ def test_level_character_is_character(mk):
         for _ in range(50):
             lam = level_character(rand_i1(c, rng))
             assert lam * lam == one
+    for _ in range(50):
+        g, iota = rand_i1(c, rng), rand_i2(c, rng)
+        assert member(iota, "I2")
+        lam = level_character(g)
+        assert level_character(g * iota) == lam
+        assert c.p != 2 or lam * lam == one
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx5])
@@ -263,8 +278,8 @@ def test_kappa_average_matches_oracle_on_live_strata(mk, specs):
     form = orthogonal_form(c, 2)
     data = _RecordingData(c)
     for spec in specs:
-        x = norm_preimage(TorusElem(parse_elem(c, spec)), form).inverse()
-        orbit_strata(data, form, x)
+        orbit_weight_integral(data, form, TorusElem(parse_elem(c, spec)),
+                              range(1))
     assert data.seen
     fresh = CuspidalData(c)
     for y in data.seen:
@@ -474,6 +489,20 @@ def test_support_scan_regimes():
     assert rep2.witness["i"] == 2
     j = rep2.to_json()
     assert j["regime"].endswith("witness")
+
+
+def test_support_scan_makes_no_kappa_average_call(monkeypatch):
+    """The scan settles each live class by `_kappa_witness` alone: the
+    level records it reads carry no K-average, so a scan that reaches a
+    witness (p = 2 `1+pi^2`, p = 5 `-1+pi`) computes none."""
+    calls = []
+    monkeypatch.setattr(CuspidalData, "kappa_average",
+                        lambda self, y, form: calls.append(y))
+    for c, spec in ((ctx2(), "1+pi^2"), (ctx5(), "-1+pi")):
+        rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
+                           TorusElem(parse_elem(c, spec)))
+        assert rep.found(), spec
+    assert calls == []
 
 
 SCAN_SHA256 = {

@@ -9,16 +9,15 @@ from twirl import (
     is_eps_symmetric,
     make_field,
     norm_preimage,
-    nu,
-    nu_of_norm_check,
     orthogonal_form,
     symplectic_form,
-    twisted_centralizer_sample,
     twisted_discriminant,
     twisted_discriminant_oracle,
 )
 from twirl import PrecisionExhausted, twisted, vdash
 from twirl.twisted import norm_preimage_general
+
+from twisted_centralizer import twisted_centralizer_sample
 
 
 def ctx5():
@@ -97,12 +96,14 @@ def test_non_split_form_takes_general_route(mk, monkeypatch):
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
 def test_nu_of_norm(mk):
+    """nu(S) = eps(S) S = -gamma exactly, eps(S) = (S^(-1))^vdash."""
     c = mk()
     form = orthogonal_form(c, 2)
     rng = random.Random(0)
     for _ in range(50):
         gamma = TorusElem(regular_alpha(c, rng))
-        assert nu_of_norm_check(gamma, form)
+        s = norm_preimage(gamma, form)
+        assert vdash(s.inverse(), form) * s == -gamma.matrix()
 
 
 def test_eps_symmetry_preserved():
@@ -209,6 +210,8 @@ def test_discriminant_stratum_constancy():
 
 
 def test_twisted_centralizer_small():
+    """Sampled solutions of g X g^vdash = X mod pi^m, X = S(gamma)^(-1),
+    lie in the torus mod pi^(m-1): alpha = 2 at depth 3."""
     c = ctx5()
     form = orthogonal_form(c, 2)
     rng = random.Random(5)

@@ -6,18 +6,16 @@ from twirl import (
     ClubsuitViolated,
     Mat,
     WeightQuery,
-    eps,
     make_field,
     mat_ord,
     orthogonal_form,
     scaling_block,
     square_class_reps,
     square_class_weight,
-    torus_cap_volume,
     weight_closed,
     weight_oracle,
 )
-from twirl.matlattice import antidiag_w, delta_vector
+from twirl.matlattice import antidiag_w, delta_vector, vdash
 
 
 def ctx5():
@@ -42,12 +40,14 @@ def test_closed_form_examples():
 
 
 def test_cap_volume_law():
+    """vol_T(T cap pi^(-k) M_n(O)) = (2k+1)^r for k >= 0, 0 for k < 0."""
     for mk in (ctx5, ctx2):
         c = mk()
         for rank, n in ((1, 2), (2, 4)):
             for k in range(-3, 6):
                 want = (2 * k + 1) ** rank if k >= 0 else 0
-                assert torus_cap_volume(c, n, rank, k) == want
+                q = WeightQuery(Mat.identity(c, n), k, rank)
+                assert weight_oracle(q) == want
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
@@ -77,6 +77,8 @@ def test_monotone_in_k():
 
 
 def test_lower_bound():
+    """Delta_1(g) + Delta_1(h^t) + 2k + 1 <= w_k(g, h) on 60 in-domain
+    samples."""
     c = ctx5()
     rng = random.Random(3)
     w = antidiag_w(c, 2)
@@ -130,7 +132,7 @@ def test_scaling_block():
     for _ in range(20):
         a = c.random_elem(rng, -2, 3)
         x = scaling_block(a, 2)
-        got = x * eps(x, form).inverse()
+        got = x * vdash(x.inverse(), form).inverse()  # x eps(x)^(-1)
         assert got == Mat.diag(c, [a, a])
 
 
