@@ -296,9 +296,15 @@ class Elem:
     def _divide(self, t: int):
         """Divide the representative by pi^t; costs ceil(t/e) validity
         levels (each coefficient passes through one integer division by p
-        per e steps)."""
+        per e steps).  At e = 1 the t steps are one exact division by p^t
+        and one product with (p/pi)^t; the stepwise loop differs from it
+        only in the levels the division gives up."""
         ctx = self.ctx
         u = self.coeffs
+        if ctx.e == 1:
+            pm = ctx.coeff_mod
+            u0 = u[0] // ctx.p ** t * pow(ctx._p_over_pi[0], t, pm) % pm
+            return (u0,), self.mexp - t
         for _ in range(t):
             u = ctx.poly_div_pi(u)
         return u, self.mexp - (t + ctx.e - 1) // ctx.e

@@ -140,7 +140,7 @@ class CuspidalData:
         """Exact integral over kappa in K = GL_2(O) of f(kappa y kappa^vdash)
         with vol(K) = 1, for integral y and the orthogonal twist.
 
-        Why one level and GL_2(O/pi) x (y + pi Im L_y) suffice:
+        Why one level and a character sum over GL_2(O/pi) suffice:
         - f(X) depends only on X mod pi^2 once the parity of ord det X is
           fixed: the support tests are congruences mod pi (after
           X -> pi_E^(-1) X on the odd piece, which reads X mod pi^2), and
@@ -149,18 +149,42 @@ class CuspidalData:
         - Each kappa mod pi^2 is k n with k the digit lift of kappa mod pi
           and n = 1 + pi A in the kernel N of reduction mod pi, and
           n y n^vdash = y + pi L_y(A) mod pi^2, where
-          L_y(A) = A y + y A^vdash mod pi is F_p-linear in A.
-        - So the N-orbit of y mod pi^2 is the affine set y + pi Im L_y,
-          every point of it hit |ker L_y| times, and the integral is the
-          mean of f(k (y + pi v) k^vdash) over k in GL_2(O/pi) (digit
-          lifts) and v in Im L_y.  `_n_orbit` lists Im L_y once per point
-          by marking the base-p codes of the images mod pi in a table of
-          size p^4.
-        - k (y + pi v) k^vdash = k y k^vdash mod pi for every v, and f is
-          zero unless its argument passes `_support_mod_pi`.  So each
-          chunk of k is cut to the rows whose k y k^vdash passes, before
-          f runs against the whole orbit; every row still counts
-          |Im L_y| times in the total.
+          L_y(A) = A y + y A^vdash mod pi is F_p-linear in A.  So the
+          N-orbit of y mod pi^2 is the affine set y + pi W, W = Im L_y,
+          every point hit |ker L_y| times, and the integral is the mean of
+          f(k (y + pi v) k^vdash) over k in GL_2(O/pi) and v in W.  W is
+          spanned by the images of the four matrix units, |W| = p^rank.
+        - Write X = k y k^vdash and V = T_k v = k v k^vdash mod pi, so that
+          k (y + pi v) k^vdash = X + pi V, with the F_p-linear forms
+          l_k(v) = V10 = cd v00 + c^2 v01 + d^2 v10 + cd v11 and
+          mu_k(v) = V00 + V11 = (ad + bc)(v00 + v11) + 2ac v01 + 2bd v10
+          for k = [[a, b], [c, d]] mod pi.  Since k N k^(-1) = N,
+          T_k W = Im L_X.
+        - Parity 0.  The support test reads X + pi V mod pi = X mod pi, so
+          it is `_support_mod_pi` of X and does not see v.  On the support
+          X = [[r, z], [0, r]] mod pi with r != 0, and the exponent is
+          (s + l_k(v))/r with s = x01 + x10/pi mod pi.  Summed over v in W
+          this gives |W| on the exponent s/r when l_k vanishes on W, and
+          otherwise |W|/p on every exponent, since l_k then maps W onto
+          F_p with fibres of size |W|/p.
+        - Parity 1.  f reads pi_E^(-1) (X + pi V); its support needs
+          `_support_mod_pi` of X, so X = [[0, r], [0, 0]] mod pi with
+          r != 0, and x10/pi + l_k(v) = r mod pi.  The exponent is
+          (s + mu_k(v))/r with s = x00/pi + x11/pi mod pi.  Here l_k
+          vanishes on W (below), so the condition reads
+          t := r - x10/pi = 0 mod pi, for every v or none, and a row with
+          t = 0 gives |W| on s/r when mu_k vanishes on W and |W|/p on
+          every exponent otherwise.
+        - Which way a row goes.  For A = [[a, b], [c, d]] over F_p, Im L_X
+          is {[[r(a + d) + zc, 2(rb + za)], [2rc, zc + r(a + d)]]} on
+          parity 0 and {r [[c, 2a], [0, c]]} on parity 1.  So l_k vanishes
+          on W on parity 1 always, and the form that moves the exponent
+          (l_k on parity 0, mu_k on parity 1) vanishes on W exactly when
+          p = 2: at odd p every row spreads evenly, which is why every
+          K-average is 0 there.
+        - So a miss is one pass over GL_2(O/pi) with a few mod-p
+          operations per row (`_coset_counts`), and the orbit is never
+          listed; the counts are those of f over GL_2(O/pi) x W.
 
         The value depends only on y mod pi^2 and the parity of ord det y,
         which is the cache key.  `kappa_average_oracle` enumerates all of
@@ -223,25 +247,47 @@ def _twist(ring: ResidueRing, k, y):
     return _mat_mul(ring, _mat_mul(ring, k, y), _vdash(k))
 
 
-def _n_orbit(ring: ResidueRing, y):
-    """The orbit y + pi Im L_y of y mod pi^2 under y -> n y n^vdash,
-    n in 1 + pi M_2(O), one row per point.  Im L_y is found by applying
-    L_y(A) = A y + y A^vdash mod pi to all p^4 matrices A mod pi; no rank
-    is assumed.  Each image (d0, d1, d2, d3) is marked by its code
-    d0 + p d1 + p^2 d2 + p^3 d3 in a table of size p^4, so every point
-    comes once."""
-    p = ring.p
-    a = tuple(ring.from_digit_grid(1)[i]
-              for i in np.indices((p,) * 4).reshape(4, -1))
-    image = zip(_mat_mul(ring, a, y), _mat_mul(ring, y, _vdash(a)))
-    seen = np.zeros(p ** 4, dtype=bool)
-    seen[sum(ring.residue_mod_p(ring.add(u, v)) * p ** t
-             for t, (u, v) in enumerate(image))] = True
-    codes = np.flatnonzero(seen)
-    pi = ring.pi_pows[1]
-    return tuple(ring.add(y_ij, ((codes // p ** t % p)[:, None] * pi)
-                          % ring.pm)
-                 for t, y_ij in enumerate(y))
+def _image_span(y0, p: int):
+    """The images L_y(E) = E y + y E^vdash mod pi of the matrix units E00,
+    E01, E10, E11, as the rows (v00, v01, v10, v11) of a 4 x 4 array; they
+    span Im L_y.  y0 is y mod pi as four residues."""
+    y00, y01, y10, y11 = y0
+    tr = y00 + y11
+    return np.array([[y00, 2 * y01, 0, y11], [y10, tr, 0, y10],
+                     [y01, 0, tr, y01], [y00, 0, 2 * y10, y11]]) % p
+
+
+def _twist_matrix(a, b, c, d):
+    """T with k v k^vdash = T v on v = (v00, v01, v10, v11), for
+    k = [[a, b], [c, d]] with integer entries; one 4 x 4 matrix per row of
+    the arrays a, b, c, d."""
+    return np.array([a * d, a * c, b * d, b * c, a * b, a * a, b * b, a * b,
+                     c * d, c * c, d * d, c * d, b * c, a * c, b * d, a * d]
+                    ).T.reshape(-1, 4, 4)
+
+
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a list of integer vectors."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [(u - f * v) % p for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _inverses(p: int):
+    """v -> v^(-1) mod p as a lookup array, with 0 -> 0."""
+    return np.array([0] + [pow(v, -1, p) for v in range(1, p)],
+                    dtype=np.int64)
 
 
 def _support_mod_pi(ring: ResidueRing, x, parity: int):
@@ -271,9 +317,8 @@ def _f_on_residues(ring: ResidueRing, x, parity: int):
     r = ring.residue_mod_p(x00)
     mask = (live & (r != 0) & ring.divisible_by_pi(x10)
             & (ring.residue_mod_p(x11) == r))
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
     arg = ring.residue_mod_p(ring.add(x01, ring.div_pi(x10)))
-    return mask, (arg * inv[r]) % p
+    return mask, (arg * _inverses(p)[r]) % p
 
 
 def _count_f(ring: ResidueRing, k, y_res, parity: int, counts) -> int:
@@ -286,20 +331,36 @@ def _count_f(ring: ResidueRing, k, y_res, parity: int, counts) -> int:
 
 def _coset_counts(ring: ResidueRing, y_res, parity: int):
     """(Lambda_1 exponent counts, rows) of f over GL_2(O/pi) x
-    (y + pi Im L_y), y a residue matrix mod pi^2 (see
-    `CuspidalData.kappa_average`).  f runs only on the k whose
-    k y k^vdash passes `_support_mod_pi`; every k counts in the rows."""
-    y_orbit = _n_orbit(ring, y_res)
-    size = y_orbit[0].shape[0]
-    counts = np.zeros(ring.p, dtype=np.int64)
-    total = 0
-    # one chunk per residue of kappa_00 keeps memory flat in p
-    for k in iter_gl2(1, ring):
-        total += k[0].shape[0] * size
-        keep = _support_mod_pi(ring, _twist(ring, k, y_res), parity)
-        _count_f(ring, tuple(z[keep][:, None, :] for z in k), y_orbit,
-                 parity, counts)
-    return counts, total
+    (y + pi Im L_y), y a residue matrix mod pi^2, as the character sums of
+    `CuspidalData.kappa_average`: each k that passes the support test adds
+    |W| to one exponent when the linear form h (parity 0: l_k, parity 1:
+    mu_k) vanishes on W = Im L_y, and |W|/p to every exponent otherwise."""
+    p = ring.p
+    span = _image_span([int(ring.residue_mod_p(z)) for z in y_res], p)
+    size = p ** _rank_mod_p(span.tolist(), p)
+    # the rows of GL_2(O/pi) as digits; X = T_k y needs no ring product
+    k = [np.concatenate([ring.residue_mod_p(z) for z in col])
+         for col in zip(*iter_gl2(1, ring))]
+    t_k = _twist_matrix(*k)
+    x = tuple(np.moveaxis(t_k @ np.stack(y_res) % ring.pm, 1, 0))
+    keep = _support_mod_pi(ring, x, parity)
+    x00, x01, x10, x11 = (z[keep] for z in x)
+    tw = t_k[keep] @ span.T % p     # T_k w for the spanning vectors w of W
+    if parity:
+        h = tw[:, 0] + tw[:, 3]
+        r = ring.residue_mod_p(x01)
+        live = r == ring.residue_mod_p(ring.div_pi(x10))
+        base = ring.add(ring.div_pi(x00), ring.div_pi(x11))
+    else:
+        h = tw[:, 2]
+        r = ring.residue_mod_p(x00)
+        live = True
+        base = ring.add(x01, ring.div_pi(x10))
+    flat = ~(h % p).any(axis=1)
+    exps = ring.residue_mod_p(base) * _inverses(p)[r] % p
+    counts = np.bincount(exps[live & flat], minlength=p) * size
+    counts += np.count_nonzero(live & ~flat) * (size // p)
+    return counts, k[0].size * size
 
 
 def _oracle_counts(ring: ResidueRing, y_res, parity: int):

@@ -378,31 +378,37 @@ def test_cold_and_warm_cache_same_bytes(tmp_path):
         assert cold.read_bytes() == warm.read_bytes()
 
 
-def test_cold_residue_leaves_numpy_ma_unloaded(odd_cfg):
-    """A cold `residue` run that computes its K-averages never imports
-    numpy.ma, which numpy loads lazily and which costs milliseconds per
-    cold job."""
+def test_cold_residue_leaves_numpy_ma_unloaded(odd_cfg, tmp_path):
+    """A cold `residue` run at p = 5 and a cold `psik` run at p = 7, both
+    of which compute K-averages, never import numpy.ma, which numpy loads
+    lazily and which costs milliseconds per cold job."""
     import twirl
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(twirl.__file__)))
-    code = textwrap.dedent(f"""
-        import os, sys
-        from twirl import cli, supercuspidal
+    p7_cfg = tmp_path / "p7.ini"
+    p7_cfg.write_text(ODD_CFG.replace("p = 5", "p = 7")
+                      .replace("eisenstein = -5,1", "eisenstein = -7,1"))
+    runs = (["residue", "--config", odd_cfg],
+            ["psik", "--config", str(p7_cfg), "--alpha=-1+pi*3+pi^2*2"])
+    for argv in runs:
+        code = textwrap.dedent(f"""
+            import os, sys
+            from twirl import cli, supercuspidal
 
-        data = supercuspidal.CuspidalData
-        misses = []
-        coset = data._kappa_average_coset
-        def counted(self, y, parity):
-            misses.append(parity)
-            return coset(self, y, parity)
-        data._kappa_average_coset = counted
-        rc = cli.main(["residue", "--config", {odd_cfg!r}, "--out", os.devnull])
-        assert rc == 0 and misses
-        assert "numpy.ma" not in sys.modules
-        """)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   timeout=300)
+            data = supercuspidal.CuspidalData
+            misses = []
+            coset = data._kappa_average_coset
+            def counted(self, y, parity):
+                misses.append(parity)
+                return coset(self, y, parity)
+            data._kappa_average_coset = counted
+            rc = cli.main({argv!r} + ["--out", os.devnull])
+            assert rc == 0 and misses
+            assert "numpy.ma" not in sys.modules
+            """)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=300)
 
 
 def test_output_dir_override(odd_cfg, tmp_path, monkeypatch):

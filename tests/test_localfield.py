@@ -133,6 +133,29 @@ def test_poly_inv_pow_matches_newton(p, precision):
         assert c.poly_mul(u, c.poly_inv(u)) == (1,)
 
 
+@pytest.mark.parametrize("p, eis", [(3, (-3, 1)), (5, (-5, 1)), (5, (-10, 1)),
+                                    (7, (-7, 1))])
+def test_divide_matches_stepwise_at_e1(p, eis):
+    """At e = 1 `Elem._divide(t)` is one division by p^t and one product
+    with (p/pi)^t; as an `Elem` it equals t steps of `poly_div_pi`, on
+    random unit parts of valuation s >= t at every validity up to M."""
+    c = make_field(p, 1, eis, 18)
+    rng = random.Random(p * 10 + eis[0])
+    for _ in range(300):
+        s = rng.randrange(0, 12)
+        mexp = rng.randrange(1, c.coeff_exp + 1)
+        u = (c.random_unit(rng).coeffs[0] * p ** s % c.coeff_mod,)
+        x = Elem(c, rng.randrange(-3, 4), u, False, mexp)
+        t = rng.randrange(0, s + 1)
+        step = x.coeffs
+        for _ in range(t):
+            step = c.poly_div_pi(step)
+        want = Elem(c, x.vbase + t, step, True, x.mexp - t)
+        u, m = x._divide(t)
+        got = Elem(c, x.vbase + t, u, True, m)
+        assert (got.coeffs, got.mexp) == (want.coeffs, want.mexp)
+
+
 def _square_class_reps_all_pairs(c):
     """The unit representatives by the all-pairs loop: each new
     representative marks every unit residue of its class as seen."""

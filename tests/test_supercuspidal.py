@@ -33,10 +33,11 @@ from twirl.supercuspidal import (
     _count_f,
     _f_on_residues,
     _lift,
-    _n_orbit,
+    _mat_mul,
     _oracle_counts,
     _residues,
     _support_mod_pi,
+    _vdash,
     pi_e_inverse_power,
 )
 
@@ -353,8 +354,30 @@ def _integral_of_parity(c, rng, parity):
             return y
 
 
+def _n_orbit(ring, y):
+    """The orbit oracle: y + pi Im L_y of y mod pi^2 under
+    y -> n y n^vdash, n in 1 + pi M_2(O), one row per point.  Im L_y is
+    found by applying L_y(A) = A y + y A^vdash mod pi to all p^4 matrices
+    A mod pi; no rank is assumed.  Each image (d0, d1, d2, d3) is marked
+    by its code d0 + p d1 + p^2 d2 + p^3 d3 in a table of size p^4, so
+    every point comes once."""
+    p = ring.p
+    a = tuple(ring.from_digit_grid(1)[i]
+              for i in np.indices((p,) * 4).reshape(4, -1))
+    image = zip(_mat_mul(ring, a, y), _mat_mul(ring, y, _vdash(a)))
+    seen = np.zeros(p ** 4, dtype=bool)
+    seen[sum(ring.residue_mod_p(ring.add(u, v)) * p ** t
+             for t, (u, v) in enumerate(image))] = True
+    codes = np.flatnonzero(seen)
+    pi = ring.pi_pows[1]
+    return tuple(ring.add(y_ij, ((codes // p ** t % p)[:, None] * pi)
+                          % ring.pm)
+                 for t, y_ij in enumerate(y))
+
+
 def _unfiltered_coset_counts(ring, y_res, parity):
-    """`_coset_counts` with f run on every k."""
+    """The counts of `_coset_counts` by running f on every k against
+    every point of the orbit oracle `_n_orbit`."""
     y_orbit = _n_orbit(ring, y_res)
     counts = np.zeros(ring.p, dtype=np.int64)
     total = 0
@@ -387,6 +410,168 @@ def test_coset_counts_match_oracle_counts(mk, count):
             assert full.tolist() == (factor * counts).tolist()
             hits += int(counts.sum())
         assert hits
+
+
+def _orbit_vectors(ring, y_res):
+    """W = Im L_y as vectors (v00, v01, v10, v11) mod p, read off the
+    points y + pi v of the orbit oracle."""
+    coords = (ring.residue_mod_p(ring.div_pi(ring.sub(z, y_ij))).tolist()
+              for z, y_ij in zip(_n_orbit(ring, y_res), y_res))
+    return list(zip(*coords))
+
+
+def _mul2(m, n, p):
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return (((a * e + b * g) % p, (a * f + b * h) % p),
+            ((c * e + d * g) % p, (c * f + d * h) % p))
+
+
+def _parity_one_cases(c, y, ring):
+    """For every k in GL_2(F_p) whose k y k^vdash passes the parity-1
+    support test mod pi, the case of the character sum over
+    {v in W : l_k(v) = t}: "l_k != 0" (l_k = (k v k^vdash)_10 is not 0
+    on W), "t != 0", "mu_k = 0" or "mu_k != 0" (mu_k = (k v k^vdash)_00
+    + (k v k^vdash)_11 on W).  Built from `Mat` products and the orbit
+    oracle, not from the closed form."""
+    p = c.p
+    form = orthogonal_form(c, 2)
+    w = _orbit_vectors(ring, _residues(ring, y))
+    cases = []
+    for a, b, cc, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * cc) % p == 0:
+            continue
+        k = ((a, b), (cc, d))
+        kv = ((d, b), (cc, a))
+        kap = Mat(c, [[c.from_int(a), c.from_int(b)],
+                      [c.from_int(cc), c.from_int(d)]])
+        (x00, x01), (x10, x11) = (kap * y * vdash(kap, form)).rows
+        if min(x00.val, x10.val, x11.val) < 1 or x01.val != 0:
+            continue
+        images = [_mul2(_mul2(k, ((v[0], v[1]), (v[2], v[3])), p), kv, p)
+                  for v in w]
+        t = (x01.residue() - x10.shift(-1).residue()) % p
+        if any(im[1][0] for im in images):
+            cases.append("l_k != 0")
+        elif t:
+            cases.append("t != 0")
+        elif any((im[0][0] + im[1][1]) % p for im in images):
+            cases.append("mu_k != 0")
+        else:
+            cases.append("mu_k = 0")
+    return cases
+
+
+@pytest.mark.parametrize("mk, reached", [
+    (ctx2, {"mu_k = 0"}),
+    (ctx3, {"t != 0", "mu_k != 0"}),
+    (ctx5, {"t != 0", "mu_k != 0"}),
+])
+def test_parity_one_character_sum_cases(mk, reached):
+    """Every case of the parity-1 character sum that a kept row can reach
+    is reached, and the closed-form counts equal the GL_2(O/pi^2) counts
+    up to |ker L_y| on those y.  l_k never fails to vanish on W for a kept
+    row (the lemma of `kappa_average`), mu_k vanishes on W at p = 2 and
+    never at odd p, and at p = 2 ord det y = 1 forces t = 0 (x10/pi is
+    a unit, so it is 1 = r mod pi).  Counts, not means: at odd p every
+    mean is 0."""
+    c = mk()
+    ring = ResidueRing(c, 2)
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(4):
+        y = _integral_of_parity(c, rng, 1)
+        seen.update(_parity_one_cases(c, y, ring))
+        y_res = _residues(ring, y)
+        counts, total = _coset_counts(ring, y_res, 1)
+        full, full_total = _oracle_counts(ring, y_res, 1)
+        factor = full_total // total
+        assert full_total == factor * total
+        assert full.tolist() == (factor * counts).tolist()
+    assert seen == reached
+
+
+_RESIDUE_P2 = """[field]
+p = 2
+e = 2
+eisenstein = -2,0,1
+precision = 30
+
+[pipeline]
+regime = even
+k_max = 8
+gamma_depth = 8
+unit_depth = 3
+"""
+
+_RESIDUE_P5 = """[field]
+p = 5
+e = 1
+eisenstein = -5,1
+precision = 18
+
+[pipeline]
+regime = odd
+k_max = 8
+gamma_depth = 5
+unit_depth = 2
+"""
+
+_PSIK_P7 = """[field]
+p = 7
+e = 1
+eisenstein = -7,1
+precision = 18
+
+[pipeline]
+regime = odd
+k_max = 8
+"""
+
+
+@pytest.mark.parametrize("config, argv, rows, misses", [
+    pytest.param(_RESIDUE_P2, ["residue"], 6, 12, id="residue-p2"),
+    pytest.param(_RESIDUE_P5, ["residue"], 480, 5, id="residue-p5"),
+    pytest.param(_PSIK_P7, ["psik", "--alpha=-1+pi*3+pi^2*2"], 2016, 1,
+                 id="psik-p7"),
+])
+def test_kappa_average_misses_take_the_closed_form(monkeypatch, tmp_path,
+                                                   config, argv, rows,
+                                                   misses):
+    """A cold `residue` run at p = 2 and p = 5 and a cold `psik` run at
+    p = 7 compute every K-average miss by the closed form: each miss
+    reads GL_2(F_p) once from `iter_gl2(1, .)`, exactly |GL_2(F_p)| rows,
+    and no f evaluation (`_f_on_residues`, `_count_f`, `_oracle_counts`)
+    runs."""
+    from twirl import cli
+
+    reads = []
+    gl2 = supercuspidal.iter_gl2
+
+    def counted(level, ring):
+        reads[-1].append([level, 0])
+        for chunk in gl2(level, ring):
+            reads[-1][-1][1] += chunk[0].shape[0]
+            yield chunk
+
+    average = CuspidalData.kappa_average
+
+    def traced(self, y, form):
+        reads.append([])
+        return average(self, y, form)
+
+    def forbidden(*args):
+        raise AssertionError("a K-average evaluated f row by row")
+
+    monkeypatch.setattr(supercuspidal, "iter_gl2", counted)
+    monkeypatch.setattr(CuspidalData, "kappa_average", traced)
+    for name in ("_f_on_residues", "_count_f", "_oracle_counts"):
+        monkeypatch.setattr(supercuspidal, name, forbidden)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    assert cli.main(argv + ["--config", str(cfg),
+                            "--out", str(tmp_path / "out")]) == 0
+    assert [r for r in reads if r] == [[[1, rows]]] * misses
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx5])
