@@ -9,8 +9,11 @@ coordinate.  Central classes are normalized to volume 1 each.
 
 One pass per torus stratum gamma: `regular_preimage` gives
 x = S(gamma)^(-1) and |D_eps(gamma)|, `orbit_strata` the (i, j) levels
-of G/T in closed form, and `_psi_k` weighs the K-average of f on each
-live class of b by the closed square-class weight at Delta_1 = i - j.
+of G/T in closed form, and `_delta_totals` sums weight * K-average of f
+over the live classes of b per Delta_1 = i - j.  The closed square-class
+weight reads a record only through Delta_1, so `assemble_coefficients`
+adds the scaled per-Delta_1 totals of every stratum into one run-wide
+table and applies the class weight once per run, for every k (`_weigh`).
 `support_scan` reads the same level records, so this is the one walk of
 G/T in the library.
 """
@@ -197,12 +200,10 @@ def class_weight_from_delta(delta1: int, units: int, k: int) -> int:
 # -- the integrals ----------------------------------------------------------------
 
 
-def _psi_k(data, form, x: Mat, ks, units: int):
-    """{k: psi_k} for x = S(gamma)^(-1): the sum over live orbit strata of
-    weight * f_avg * class_weight_from_delta(i - j, units, k), f_avg the
-    K-average of f at the record's y.  The class weight reads a record
-    only through Delta_1 = i - j, so weight * f_avg is summed per Delta_1
-    first and weighed once per (Delta_1, k)."""
+def _delta_totals(data, form, x: Mat) -> dict:
+    """{Delta_1: sum of weight * f_avg} over the live orbit strata of x =
+    S(gamma)^(-1), f_avg the K-average of f at the record's y; a zero
+    average adds no key."""
     zero = CharacterValue.zero(data.ctx.p)
     by_delta: dict = {}
     for s in orbit_strata(data, form, x):
@@ -212,15 +213,29 @@ def _psi_k(data, form, x: Mat, ks, units: int):
         if not f_avg.is_zero():
             d = s.i - s.j
             by_delta[d] = by_delta.get(d, zero) + f_avg.scale(s.weight)
+    return by_delta
+
+
+def _weigh(by_delta: dict, p: int, ks, units: int) -> dict:
+    """{k: sum over Delta_1 of class_weight_from_delta(Delta_1, units, k)
+    * by_delta[Delta_1]}, one class weight per (Delta_1, k)."""
     table = {}
     for k in ks:
-        acc = zero
+        acc = CharacterValue.zero(p)
         for d, total in by_delta.items():
             w = class_weight_from_delta(d, units, k)
             if w:
                 acc = acc + total.scale(w)
         table[k] = acc
     return table
+
+
+def _psi_k(data, form, x: Mat, ks, units: int):
+    """{k: psi_k} for x = S(gamma)^(-1): the sum over live orbit strata of
+    weight * f_avg * class_weight_from_delta(i - j, units, k).  The class
+    weight reads a record only through Delta_1 = i - j, so this is the
+    per-Delta_1 totals of `_delta_totals`, weighed once by `_weigh`."""
+    return _weigh(_delta_totals(data, form, x), data.ctx.p, ks, units)
 
 
 def orbit_weight_integral(data, form, gamma: TorusElem, ks):
@@ -235,10 +250,25 @@ def orbit_weight_integral(data, form, gamma: TorusElem, ks):
 
 @dataclass
 class CoefficientTable:
+    """c_k for k in `ks`.  `stratum_totals` holds each torus stratum's
+    per-Delta_1 totals, already times 2 vol |D_eps|; `values` weighs
+    their run-wide sum once, and `per_stratum` weighs each stratum's
+    totals when read."""
+
     ks: tuple
     values: dict            # k -> CharacterValue
-    per_stratum: list       # (label, e, sign, vol, dict k -> CharacterValue)
+    stratum_totals: list    # (label, e, sign, vol, dict Delta_1 -> CharacterValue)
+    p: int
+    units: int              # |O^x/(O^x)^2|, read by the class weight
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def per_stratum(self):
+        """(label, e, sign, vol, dict k -> CharacterValue) per torus
+        stratum: its share of each c_k."""
+        return [(label, e, sign, vol, _weigh(totals, self.p, self.ks,
+                                             self.units))
+                for label, e, sign, vol, totals in self.stratum_totals]
 
     def per_e_increments(self, k: int = 0):
         agg: dict = {}
@@ -289,22 +319,27 @@ def regular_preimage(form, alpha: Elem, label: str):
 def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable:
     """The coefficient table c_k of the series sum_k c_k q^(-2nks):
     c_k = 2 sum over torus strata of vol * |D_eps| * psi_k.  Each stratum
-    builds x = S(gamma)^(-1) and |D_eps| once, in `regular_preimage`."""
+    builds x = S(gamma)^(-1) and |D_eps| once, in `regular_preimage`, and
+    adds its per-Delta_1 totals (`_delta_totals`), times 2 vol |D_eps|,
+    into one run-wide {Delta_1: total}.  psi_k is linear in those totals,
+    so the class weight is applied once per run, by `_weigh`, for every
+    k."""
     ctx = data.ctx
     units = square_class_reps(ctx).card_units
     ks = tuple(range(0, trunc.k_max + 1))
-    values = {k: CharacterValue.zero(ctx.p) for k in ks}
-    per_stratum = []
+    run: dict = {}
+    stratum_totals = []
     for stratum in torus_strata(ctx, trunc):
         x, drep = regular_preimage(form, stratum.alpha, stratum.label)
         # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1); |W(T)| = 1
         scale = 2 * stratum.vol * Fraction(ctx.q) ** (-drep.ord_value)
-        psi = _psi_k(data, form, x, ks, units)
-        tab = {k: psi[k].scale(scale) for k in ks}
-        for k in ks:
-            values[k] = values[k] + tab[k]
-        per_stratum.append((stratum.label, stratum.e, stratum.sign,
-                            stratum.vol, tab))
+        totals = {d: t.scale(scale)
+                  for d, t in _delta_totals(data, form, x).items()}
+        for d, t in totals.items():
+            run[d] = run[d] + t if d in run else t
+        stratum_totals.append((stratum.label, stratum.e, stratum.sign,
+                               stratum.vol, totals))
+    values = _weigh(run, ctx.p, ks, units)
     meta = {
         "normalizations": {
             "vol(GL2(O))": "1",
@@ -319,7 +354,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
         "gamma_depth": trunc.gamma_depth,
         "unit_depth": trunc.unit_depth,
     }
-    return CoefficientTable(ks, values, per_stratum, meta)
+    return CoefficientTable(ks, values, stratum_totals, ctx.p, units, meta)
 
 
 def rg_term(data, form, trunc: TruncationSpec) -> CharacterValue:

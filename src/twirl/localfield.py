@@ -163,27 +163,39 @@ class LocalFieldCtx:
 
     def poly_inv(self, u: tuple[int, ...]) -> tuple[int, ...]:
         """Inverse of a unit polynomial (constant coefficient prime to p).
-        At e = 1 the unit part is one integer mod p^M and `pow` inverts it;
-        otherwise `poly_inv_newton`."""
-        if u[0] % self.p == 0:
+        At e = 1 the unit part is one integer mod p^M and `pow` inverts it.
+        Otherwise solve M_u w = (1, 0, ..., 0) mod p^M, column j of M_u
+        being u pi^j: mod p, M_u is lower triangular with diagonal u0, so
+        elimination in column order meets only unit pivots."""
+        p, e, pm = self.p, self.e, self.coeff_mod
+        if u[0] % p == 0:
             raise Singular("not a unit")
-        if self.e == 1:
-            return (pow(u[0], -1, self.coeff_mod),)
-        return self.poly_inv_newton(u)
+        if e == 1:
+            return (pow(u[0], -1, pm),)
+        cols = [u]
+        for _ in range(e - 1):
+            cols.append(self.poly_mul(cols[-1], self.pi_poly()))
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(e)]
+        for j in range(e):
+            inv = pow(rows[j][j], -1, pm)
+            piv = rows[j] = [a * inv % pm for a in rows[j]]
+            for r, row in enumerate(rows):
+                f = row[j]
+                if r != j and f:
+                    rows[r] = [(a - f * b) % pm for a, b in zip(row, piv)]
+        return tuple(row[e] for row in rows)
 
-    def poly_inv_newton(self, u: tuple[int, ...]) -> tuple[int, ...]:
-        """Newton iteration from the residue inverse, for a unit
-        polynomial at any e; the test oracle of the e = 1 `pow`."""
-        p, pm = self.p, self.coeff_mod
-        w = (pow(u[0] % p, -1, p),) + (0,) * (self.e - 1)
-        # agreement doubles each step
-        steps = max(1, (self.e * self.coeff_exp).bit_length())
-        two = (2 % pm,) + (0,) * (self.e - 1)
-        for _ in range(steps):
-            t = self.poly_mul(u, w)
-            t = tuple((two[i] - t[i]) % pm for i in range(self.e))
-            w = self.poly_mul(w, t)
-        return w
+    def poly_pow(self, u: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """u^k (k >= 0) by binary powering."""
+        if self.e == 1:
+            return (pow(u[0], k, self.coeff_mod),)
+        out = (1,) + (0,) * (self.e - 1)
+        while k:
+            if k & 1:
+                out = self.poly_mul(out, u)
+            u = self.poly_mul(u, u)
+            k >>= 1
+        return out
 
     # -- public constructors ------------------------------------------------
 
@@ -201,9 +213,8 @@ class LocalFieldCtx:
             return self.zero()
         v = _vp(n, self.p)
         u = (n // self.p ** v) % self.coeff_mod
-        coeffs = (u,) + (0,) * (self.e - 1)
-        for _ in range(v):
-            coeffs = self.poly_mul(coeffs, self._p_unit)
+        coeffs = self.poly_mul((u,) + (0,) * (self.e - 1),
+                               self.poly_pow(self._p_unit, v))
         return Elem(self, self.e * v, coeffs, True)
 
     def from_rational(self, r: Fraction | int) -> "Elem":
@@ -295,17 +306,14 @@ class Elem:
 
     def _divide(self, t: int):
         """Divide the representative by pi^t; costs ceil(t/e) validity
-        levels (each coefficient passes through one integer division by p
-        per e steps).  At e = 1 the t steps are one exact division by p^t
-        and one product with (p/pi)^t; the stepwise loop differs from it
-        only in the levels the division gives up."""
+        levels.  With t = e s + r: one exact division by p^s, one product
+        with (p/pi^e)^s, then r steps of `poly_div_pi`."""
         ctx = self.ctx
-        u = self.coeffs
-        if ctx.e == 1:
-            pm = ctx.coeff_mod
-            u0 = u[0] // ctx.p ** t * pow(ctx._p_over_pi[0], t, pm) % pm
-            return (u0,), self.mexp - t
-        for _ in range(t):
+        s, r = divmod(t, ctx.e)
+        u = tuple(c // ctx.p ** s for c in self.coeffs)
+        if s:
+            u = ctx.poly_mul(u, ctx.poly_pow(ctx._p_unit, s))
+        for _ in range(r):
             u = ctx.poly_div_pi(u)
         return u, self.mexp - (t + ctx.e - 1) // ctx.e
 
@@ -538,15 +546,7 @@ def _pi_power_poly(ctx: LocalFieldCtx, k: int) -> tuple[int, ...]:
     e = ctx.e
     if e > 1 and k < e:
         return tuple(1 if i == k else 0 for i in range(e))
-    out = (1,) + (0,) * (e - 1)
-    cur = ctx.pi_poly()
-    rem = k
-    while rem:
-        if rem & 1:
-            out = ctx.poly_mul(out, cur)
-        cur = ctx.poly_mul(cur, cur)
-        rem >>= 1
-    return out
+    return ctx.poly_pow(ctx.pi_poly(), k)
 
 
 # -- square classes ----------------------------------------------------------

@@ -508,6 +508,58 @@ def test_grouped_psi_k_equals_per_record_sum():
         assert nonzero
 
 
+@pytest.mark.parametrize("p, e, eis, integrand, depth, ud, k_max", [
+    (2, 2, (-2, 0, 1), CuspidalData, 4, 3, 8),
+    (5, 1, (-5, 1), IntegralIndicator, 3, 1, 2),
+])
+def test_per_stratum_sums_to_values(p, e, eis, integrand, depth, ud, k_max):
+    """`values` weighs the run-wide per-Delta_1 totals once; `per_stratum`
+    weighs each stratum's own totals when read.  For every k the
+    per-stratum shares sum to c_k exactly, and some are nonzero."""
+    c = make_field(p, e, eis, 24)
+    trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=k_max)
+    table = assemble_coefficients(integrand(c), orthogonal_form(c, 2), trunc)
+    nonzero = 0
+    for k in table.ks:
+        total = CharacterValue.zero(p)
+        for _label, _e, _sign, _vol, tab in table.per_stratum:
+            total = total + tab[k]
+            nonzero += not tab[k].is_zero()
+        assert total == table.values[k], k
+    assert nonzero
+
+
+def test_indicator_coefficients_pinned():
+    """c_0..c_2 of the indicator of M_2(O) with unit determinant at p = 5
+    (gamma_depth 3, unit_depth 1): a nonzero odd-p answer that pins the
+    scale 2 vol |D_eps| and the class weight together."""
+    c = ctx5()
+    trunc = TruncationSpec(gamma_depth=3, unit_depth=1, k_max=2)
+    table = assemble_coefficients(IntegralIndicator(c), orthogonal_form(c, 2),
+                                  trunc)
+    assert [table.values[k].rational_part() for k in table.ks] == [
+        Fraction(6300498, 1953125), Fraction(30977498, 1953125),
+        Fraction(55654498, 1953125)]
+
+
+def test_class_weight_once_per_run(monkeypatch):
+    """On the even-p2 residue config of the benchmark, assemble_coefficients
+    applies the class weight once per (Delta_1, k) of the run, not once
+    per torus stratum: at most 9 Delta_1 values times k_max + 1 calls."""
+    calls = []
+    weight = integrator.class_weight_from_delta
+
+    def counting(*args):
+        calls.append(args)
+        return weight(*args)
+
+    monkeypatch.setattr(integrator, "class_weight_from_delta", counting)
+    c = make_field(2, 2, (-2, 0, 1), 30)
+    trunc = TruncationSpec(gamma_depth=8, k_max=8, unit_depth=3)
+    assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
+    assert 0 < len(calls) <= 9 * (trunc.k_max + 1)
+
+
 BENCH_RESIDUE_CONFIGS = [
     # (p, e, eisenstein, precision, gamma_depth, unit_depth), k_max 8
     (2, 2, (-2, 0, 1), 30, 8, 3),

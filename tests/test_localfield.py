@@ -9,6 +9,7 @@ from twirl import (
     NotEisenstein,
     PrecisionExhausted,
     PrecisionTooSmall,
+    Singular,
     additive_char,
     is_square,
     make_field,
@@ -16,7 +17,9 @@ from twirl import (
     square_class_reps,
 )
 from twirl.cyclotomic import CharacterValue
-from twirl.localfield import SquareClassSet, unit_digit_tuples
+from twirl.localfield import SquareClassSet, _pi_power_poly, unit_digit_tuples
+
+from newton_inverse import poly_inv_newton
 
 
 def ctx5(n=18):
@@ -129,7 +132,7 @@ def test_poly_inv_pow_matches_newton(p, precision):
     rng = random.Random(p * 100 + precision)
     for _ in range(40):
         u = c.random_unit(rng).coeffs
-        assert c.poly_inv(u) == c.poly_inv_newton(u)
+        assert c.poly_inv(u) == poly_inv_newton(c, u)
         assert c.poly_mul(u, c.poly_inv(u)) == (1,)
 
 
@@ -151,6 +154,51 @@ def test_divide_matches_stepwise_at_e1(p, eis):
         for _ in range(t):
             step = c.poly_div_pi(step)
         want = Elem(c, x.vbase + t, step, True, x.mexp - t)
+        u, m = x._divide(t)
+        got = Elem(c, x.vbase + t, u, True, m)
+        assert (got.coeffs, got.mexp) == (want.coeffs, want.mexp)
+
+
+INVERSE_FIELDS = [(2, (-2, 0, 1)), (2, (-2, 2, 1)), (2, (-2, 0, 0, 1)),
+                  (3, (-3, 3, 1)), (5, (-5, 0, 1)), (5, (-5, 1))]
+
+
+@pytest.mark.parametrize("p, eis", INVERSE_FIELDS)
+def test_poly_inv_matches_newton(p, eis):
+    """`poly_inv` (the linear solve at e >= 2, `pow` at e = 1) returns
+    the unique inverse mod p^M that Newton's iteration finds, on random
+    units; a non-unit raises Singular."""
+    c = make_field(p, len(eis) - 1, eis, 24)
+    one = (1,) + (0,) * (c.e - 1)
+    rng = random.Random(p * 1000 + sum(eis))
+    for _ in range(300):
+        u = c.random_unit(rng).coeffs
+        assert c.poly_inv(u) == poly_inv_newton(c, u)
+        assert c.poly_mul(u, c.poly_inv(u)) == one
+    with pytest.raises(Singular):
+        c.poly_inv(c.poly_mul(c.random_unit(rng).coeffs, c.pi_poly()))
+
+
+@pytest.mark.parametrize("p, eis", [(2, (-2, 0, 1)), (2, (-2, 2, 1)),
+                                    (2, (-2, 0, 0, 1)), (3, (-3, 3, 1))])
+def test_divide_matches_stepwise_at_e2_e3(p, eis):
+    """At e >= 2 `Elem._divide(t)`, t = e s + r, is one division by p^s,
+    one product with (p/pi^e)^s and r steps of `poly_div_pi`; as an
+    `Elem` it equals t steps of `poly_div_pi`, coefficients and tracked
+    validity, on random unit parts times pi^v, v >= t, at every validity
+    up to M."""
+    c = make_field(p, len(eis) - 1, eis, 18)
+    rng = random.Random(p * 10 + len(eis))
+    for _ in range(300):
+        v = rng.randrange(0, 3 * c.e * 4)
+        mexp = rng.randrange(1, c.coeff_exp + 1)
+        u = c.poly_mul(c.random_unit(rng).coeffs, _pi_power_poly(c, v))
+        x = Elem(c, rng.randrange(-3, 4), u, False, mexp)
+        t = rng.randrange(0, v + 1)
+        step = x.coeffs
+        for _ in range(t):
+            step = c.poly_div_pi(step)
+        want = Elem(c, x.vbase + t, step, True, x.mexp - -(-t // c.e))
         u, m = x._divide(t)
         got = Elem(c, x.vbase + t, u, True, m)
         assert (got.coeffs, got.mexp) == (want.coeffs, want.mexp)
