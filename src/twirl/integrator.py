@@ -7,15 +7,15 @@ normalization with vol_T(T cap K) = 1; the b strata of level j >= 1 have
 total mass q^j - q^(j-1).  Torus measure: vol(O^x) = 1 via the eigenvalue
 coordinate.  Central classes are normalized to volume 1 each.
 
-One pass per torus stratum gamma: `regular_preimage` gives
-x = S(gamma)^(-1) and |D_eps(gamma)|, `orbit_strata` the (i, j) levels
-of G/T in closed form, and `_delta_totals` sums weight * K-average of f
-over the live classes of b per Delta_1 = i - j.  The closed square-class
-weight reads a record only through Delta_1, so `assemble_coefficients`
-adds the scaled per-Delta_1 totals of every stratum into one run-wide
-table and applies the class weight once per run, for every k (`_weigh`).
-`support_scan` reads the same level records, so this is the one walk of
-G/T in the library.
+One pass per torus stratum gamma: `regular_preimage` gives x =
+S(gamma)^(-1) (one `Elem` inverse) and |D_eps(gamma)|, `orbit_strata` the
+(i, j) levels of G/T in closed form (one prefilter call per forced i), and
+`_delta_totals` sums weight * K-average of f over the live classes of b per
+Delta_1 = i - j.  The closed square-class weight reads a record only
+through Delta_1, so `assemble_coefficients` adds the scaled per-Delta_1
+totals of every stratum into one run-wide table and applies the class
+weight once per run, for every k (`_weigh`).  `support_scan` takes x the
+same way and reads the same level records: one walk of G/T in the library.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import CharacterValue
-from .errors import DomainError, NotRegular, PrecisionExhausted
+from .errors import (DomainError, NotRegular, PrecisionExhausted,
+                     SingularGammaMinusOne)
 from .localfield import (Elem, INF, LocalFieldCtx, square_class_reps,
                          unit_digit_tuples)
 from .matlattice import Mat, a_e, mat_ord, n_b
@@ -123,25 +124,25 @@ class Coset(NamedTuple):
 
 
 def _forced_levels(data, x: Mat):
-    """ord(x0 + x1) for x = diag(x0, x1), and the Iwasawa exponents i that
-    the det-valuation support of f forces, each with its b-level bound:
-    y = pi^i [[x0, b(x0 + x1)], [0, x1]], so an integral y forces
-    j <= jmax = max(0, i + ord(x0 + x1)).  A zero trace raises: x is not
-    regular (its orbital integral diverges) or, for x = S(gamma)^(-1)
+    """The trace x0 + x1 of x = diag(x0, x1), normalized, and the Iwasawa
+    exponents i that the det-valuation support of f forces, each with its
+    b-level bound: y = pi^i [[x0, b(x0 + x1)], [0, x1]], so an integral y
+    forces j <= jmax = max(0, i + ord(x0 + x1)).  A zero trace raises: x
+    is not regular (its orbital integral diverges) or, for x = S(gamma)^(-1)
     whose trace is -1, the precision could not decide the sum."""
     if not (x.rows[0][1].is_zero() and x.rows[1][0].is_zero()):
         raise ValueError("orbit strata require a diagonal argument")
     d = x.det().val
     if d is INF:
         raise NotRegular("singular argument")
-    t = (x.rows[0][0] + x.rows[1][1]).val
-    if t is INF:
+    trace = (x.rows[0][0] + x.rows[1][1]).normalized()
+    if trace.is_zero():
         raise PrecisionExhausted(
             f"trace x0 + x1 reads 0 at precision {x.ctx.precision}: x is "
             "not regular, or the precision cannot decide the trace")
     forced = [(target - d) // 2 for target in sorted(data.detval_support)
               if (target - d) % 2 == 0]
-    return t, [(i, max(0, i + t)) for i in forced]
+    return trace, [(i, max(0, i + trace.vbase)) for i in forced]
 
 
 def orbit_strata(data, form, x: Mat):
@@ -151,40 +152,37 @@ def orbit_strata(data, form, x: Mat):
 
     On the coset n_b a_i, y = pi^i [[x0, b(x0 + x1)], [0, x1]] (vdash of
     n_b is n_b, of a_i is diag(1, pi^i)).  The det support of f forces i,
-    and integrality bounds j (`_forced_levels`).  Within a level only
-    y01 = pi^i b (x0 + x1) moves, with fixed valuation u = i - j + t,
-    t = ord(x0 + x1).  The prefilter reads y01 only through its valuation,
-    so it runs once per level, on the first class; a dead level is one
-    record of weight (q-1) q^(j-1) (1 at j = 0).  f reads y only mod
-    pi^level, level = `data.residue_level`, and y01 mod pi^level reads
-    the first n = min(j, max(1, level - u)) digits of b, so a live level
-    splits into the classes of those digits, weight q^(j-n) each."""
+    and integrality bounds j (`_forced_levels`), so y01 is 0 at j = 0 and
+    of valuation u = i - j + t >= 0 at j >= 1, t = ord(x0 + x1).  The
+    prefilter reads integrality, ord det y = ord y00 y11 and y11 - y00 mod
+    p (vdash swaps y00 and y11), none of which depends on j, so it runs
+    once per i, at b = 0; a dead level is one record of weight
+    (q-1) q^(j-1) (1 at j = 0), at b = pi^(-j).  f reads y only mod
+    pi^level, level = `data.residue_level`, and y01 mod pi^level reads the
+    first n = min(j, max(1, level - u)) digits of b, so a live level splits
+    into the classes of those digits, weight q^(j-n) each."""
     if form.kind != "orthogonal":
         raise DomainError("the closed form of y needs the orthogonal twist")
     ctx = data.ctx
-    q, level = ctx.q, data.residue_level
-    x0, x1 = x.rows[0][0], x.rows[1][1]
-    trace = x0 + x1
-    t, levels = _forced_levels(data, x)
-
-    def y_at(i, j, digits):
-        y01 = (ctx.from_digits(-j, digits) * trace).shift(i)
-        return Mat(ctx, [[x0.shift(i), y01], [ctx.zero(), x1.shift(i)]])
-
+    q, level, zero = ctx.q, data.residue_level, ctx.zero()
+    trace, levels = _forced_levels(data, x)
     out = []
     for i, jmax in levels:
+        y00, y11 = x.rows[0][0].shift(i), x.rows[1][1].shift(i)
+        dead = data.support_prefilter(Mat.diag(ctx, [y00, y11]), form)
         for j in range(0, jmax + 1):
-            n = min(j, max(1, level - (i - j + t)))
+            n = min(j, max(1, level - (i - j + trace.vbase)))
             classes = unit_digit_tuples(ctx.p, n)
-            y = y_at(i, j, classes[0])
-            dead = data.support_prefilter(y, form)
-            if dead is not None:
+            if dead is not None:  # one record, at b = pi^(-j)
+                y01 = trace.shift(i - j) if j else zero
                 out.append(Coset(i, j, classes[0],
-                                 (q - 1) * q ** (j - 1) if j else 1, y, dead))
+                                 (q - 1) * q ** (j - 1) if j else 1,
+                                 Mat(ctx, [[y00, y01], [zero, y11]]), dead))
                 continue
             for digits in classes:
+                y01 = ctx.from_digits(i - j, digits) * trace
                 out.append(Coset(i, j, digits, q ** (j - n),
-                                 y_at(i, j, digits), None))
+                                 Mat(ctx, [[y00, y01], [zero, y11]]), None))
     return out
 
 
@@ -286,12 +284,17 @@ class CoefficientTable:
 
 
 def _preimage_inverse(gamma: TorusElem, form) -> Mat:
-    """x = S(gamma)^(-1).  On the split form S(gamma) is diagonal, so x
-    is two `Elem` inverses; any other form takes `Mat.inverse`."""
-    s = norm_preimage(gamma, form)
+    """x = S(gamma)^(-1).  On the split form S(gamma) = diag(alpha - 1,
+    alpha^(-1) - 1): x0 = (alpha - 1)^(-1) is one `Elem` inverse, and x1 =
+    (alpha^(-1) - 1)^(-1) = alpha/(1 - alpha) = -alpha x0, a product (the
+    sum -(1 + x0) can lose a validity level).  Other forms: `Mat.inverse`."""
     if not form.split:
-        return s.inverse()
-    return Mat.diag(gamma.ctx, [s.rows[0][0].inverse(), s.rows[1][1].inverse()])
+        return norm_preimage(gamma, form).inverse()
+    s0 = (gamma.alpha - gamma.ctx.one()).normalized()
+    if s0.is_zero():
+        raise SingularGammaMinusOne("gamma - 1 is singular")
+    x0 = s0.inverse()
+    return Mat.diag(gamma.ctx, [x0, -(gamma.alpha * x0)])
 
 
 def regular_preimage(form, alpha: Elem, label: str):

@@ -203,7 +203,7 @@ class LocalFieldCtx:
         return Elem(self, 0, (0,) * self.e, True)
 
     def one(self) -> "Elem":
-        return self.from_int(1)
+        return Elem(self, 0, (1,) + (0,) * (self.e - 1), True)
 
     def pi(self, k: int = 1) -> "Elem":
         return Elem(self, k, (1,) + (0,) * (self.e - 1), True)

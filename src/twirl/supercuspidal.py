@@ -17,11 +17,12 @@ import numpy as np
 
 from .cyclotomic import CharacterValue
 from .errors import DomainError
-from .integrator import orbit_strata
+from .integrator import _preimage_inverse, orbit_strata
 from .localfield import INF, Elem, LocalFieldCtx, additive_char
 from .matlattice import GroupForm, Mat, mat_ord, vdash
 from .ringvec import ResidueRing, iter_gl2
-from .twisted import TorusElem, is_eps_symmetric, norm_preimage
+from .twisted import TorusElem, is_eps_symmetric
+from .twisted import norm_preimage  # unused; a tracer lookup point of perfbench/spans.py
 
 LEVELS = ("K", "I0", "I1", "I2", "C0", "C")
 
@@ -446,7 +447,7 @@ def support_scan(data: CuspidalData, form: GroupForm,
     `kappa_level` is `data.residue_level` once a live stratum was scanned,
     0 otherwise."""
     ctx = data.ctx
-    x = norm_preimage(gamma, form).inverse()
+    x = _preimage_inverse(gamma, form)
     regime = _classify_regime(ctx, gamma.alpha)
     strata: list[ScanStratum] = []
     witness = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, NotRegular, SingularGammaMinusOne
+from .errors import DomainError, NotRegular, Singular, SingularGammaMinusOne
 from .localfield import INF, Elem, LocalFieldCtx
 from .matlattice import GroupForm, Mat, vdash
 
@@ -13,9 +13,13 @@ from .matlattice import GroupForm, Mat, vdash
 @dataclass(frozen=True)
 class TorusElem:
     """gamma = diag(alpha, alpha^(-1)) in the split torus of H;
-    regular means alpha is not +-1."""
+    regular means alpha is not +-1.  alpha = 0 raises Singular."""
 
     alpha: Elem
+
+    def __post_init__(self):
+        if self.alpha.is_zero():
+            raise Singular("inverse of zero")
 
     @property
     def ctx(self) -> LocalFieldCtx:

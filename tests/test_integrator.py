@@ -7,9 +7,11 @@ import pytest
 from twirl import (
     CuspidalData,
     DomainError,
+    Elem,
     Mat,
     NotRegular,
     PrecisionExhausted,
+    SingularGammaMinusOne,
     TorusElem,
     TruncationSpec,
     assemble_coefficients,
@@ -30,7 +32,7 @@ from twirl.cyclotomic import CharacterValue
 from twirl.integrator import (class_weight_from_delta, orbit_strata,
                               regular_preimage, torus_strata)
 from twirl.localfield import unit_digit_tuples
-from twirl.matlattice import a_e, delta, n_b
+from twirl.matlattice import a_e, delta, n_b, vdash
 from twirl.twisted import (charpoly, norm_preimage_general,
                            twisted_discriminant_charpoly)
 from twirl.weights import square_class_weight
@@ -129,18 +131,57 @@ def test_psi_k_positive_even():
 
 def test_one_norm_preimage_per_torus_stratum(monkeypatch):
     """assemble_coefficients builds x = S(gamma)^(-1) once per torus
-    stratum."""
+    stratum, by one `Elem` inverse on the split form."""
     c = ctx2()
     trunc = TruncationSpec(gamma_depth=2, k_max=1, unit_depth=2)
-    calls = []
+    inverses, per_call = [], []
+    real_inverse, real_preimage = Elem.inverse, integrator._preimage_inverse
+
+    def counting_inverse(self):
+        inverses.append(self)
+        return real_inverse(self)
 
     def counting(gamma, form):
-        calls.append(gamma)
-        return norm_preimage(gamma, form)
+        before = len(inverses)
+        x = real_preimage(gamma, form)
+        per_call.append(len(inverses) - before)
+        return x
 
-    monkeypatch.setattr(integrator, "norm_preimage", counting)
+    monkeypatch.setattr(Elem, "inverse", counting_inverse)
+    monkeypatch.setattr(integrator, "_preimage_inverse", counting)
     assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
-    assert len(calls) == len(torus_strata(c, trunc))
+    assert per_call == [1] * len(torus_strata(c, trunc))
+
+
+@pytest.mark.parametrize("p, e, eis, precision, depth, ud, want, n_records", [
+    (5, 1, (-5, 1), 18, 5, 2, 205, 505),
+    (2, 2, (-2, 0, 1), 30, 8, 3, 35, 207),
+])
+def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
+                                         depth, ud, want, n_records):
+    """On the odd-p5 and even-p2 residue configs of the benchmark, the
+    c_k table calls the support prefilter once per forced Iwasawa
+    exponent i of each torus stratum (205 and 35 calls; once per (i, j)
+    level it took 505 and 179), and still writes 505 and 207 records."""
+    c = make_field(p, e, eis, precision)
+    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=8)
+    forced = records = 0
+    for stratum in torus_strata(c, trunc):
+        x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
+        forced += len(integrator._forced_levels(data, x)[1])
+        records += len(orbit_strata(data, form, x))
+    calls = []
+    real = CuspidalData.support_prefilter
+
+    def counting(self, y, form):
+        calls.append(y)
+        return real(self, y, form)
+
+    monkeypatch.setattr(CuspidalData, "support_prefilter", counting)
+    assemble_coefficients(data, form, trunc)
+    assert len(calls) == forced == want
+    assert records == n_records
 
 
 def test_verification_strata_contribute_zero():
@@ -241,6 +282,43 @@ def test_level_walk_matches_coset_walk():
                             r.weight)
                     assert keys_fast == keys_full, where
                     assert got == want, where
+
+
+def test_prefilter_verdict_is_one_per_forced_i():
+    """On every torus stratum of the level-walk fields, for `CuspidalData`
+    and the indicator of M_2(O), the support prefilter gives one verdict
+    on the y of every level j of a forced i (y by the `Mat` product at
+    the first and last b of the level), and `orbit_strata`, which calls
+    it once per i, records that verdict on every level of i.  Both
+    integrands have live i with more than one level (at p = 2 only, for
+    `CuspidalData`)."""
+    live_deep = Counter()
+    for (p, e, eis), depth in LEVEL_WALK_FIELDS:
+        c = make_field(p, e, eis, 20)
+        form = orthogonal_form(c, 2)
+        strata = torus_strata(c, TruncationSpec(gamma_depth=depth,
+                                                unit_depth=1))
+        for data in (CuspidalData(c), IntegralIndicator(c)):
+            name = type(data).__name__
+            for stratum in strata:
+                where = (eis, name, stratum.label)
+                x, _drep = regular_preimage(form, stratum.alpha,
+                                            stratum.label)
+                recorded = defaultdict(set)
+                for r in orbit_strata(data, form, x):
+                    recorded[r.i].add(r.dead)
+                for i, jmax in integrator._forced_levels(data, x)[1]:
+                    verdicts = set()
+                    for j in range(0, jmax + 1):
+                        tuples = unit_digit_tuples(p, j)
+                        for digits in {tuples[0], tuples[-1]}:
+                            g0 = n_b(c, c.from_digits(-j, digits)) * a_e(c, i)
+                            y = g0 * x * vdash(g0, form)
+                            verdicts.add(data.support_prefilter(y, form))
+                    assert len(verdicts) == 1, (where, i)
+                    assert recorded[i] == verdicts, (where, i)
+                    live_deep[name] += jmax > 0 and verdicts == {None}
+    assert live_deep["CuspidalData"] and live_deep["IntegralIndicator"]
 
 
 def test_zero_trace_raises():
@@ -457,9 +535,11 @@ def test_pipeline_never_calls_the_charpoly(monkeypatch):
 def test_closed_form_preimage_on_every_torus_stratum():
     """On every torus stratum of the level-walk fields, and at alpha = -1,
     the closed-form S(gamma) equals w J^(-1) (gamma - 1) and the x of
-    `regular_preimage` (two Elem inverses) equals its `Mat.inverse`,
-    with at least the general route's tracked validity: the closed form
-    loses no digits."""
+    `regular_preimage` (x0 = (alpha - 1)^(-1), x1 = -alpha x0) equals its
+    `Mat.inverse`, with at least the general route's tracked validity:
+    the closed form loses no digits.  alpha = 1 raises
+    SingularGammaMinusOne on the split closed form and on the general
+    route of a non-split form."""
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS:
         c = make_field(p, e, eis, 20)
         form = orthogonal_form(c, 2)
@@ -480,6 +560,11 @@ def test_closed_form_preimage_on_every_torus_stratum():
         general = norm_preimage_general(minus, form)
         assert norm_preimage(minus, form) == general, eis
         assert integrator._preimage_inverse(minus, form) == general.inverse()
+        one = TorusElem(c.one())
+        for f in (form, symplectic_form(c, 2)):
+            assert f.split == (f is form)
+            with pytest.raises(SingularGammaMinusOne):
+                integrator._preimage_inverse(one, f)
 
 
 def test_grouped_psi_k_equals_per_record_sum():

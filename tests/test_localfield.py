@@ -38,6 +38,15 @@ def test_make_field_examples():
     assert c1.from_int(2).val == 1
 
 
+def test_one_is_the_stored_form_of_from_int_1():
+    """`one()` builds the constant directly; it stores what from_int(1)
+    stores, at e = 1, 2 and 3."""
+    for c in (ctx5(), ctx2(), make_field(2, 3, (-2, 0, 0, 1), 14)):
+        one, ref = c.one(), c.from_int(1)
+        assert ((one.vbase, one.coeffs, one.mexp, one._norm)
+                == (ref.vbase, ref.coeffs, ref.mexp, ref._norm))
+
+
 def test_make_field_errors():
     with pytest.raises(NotEisenstein):
         make_field(4, 1, (-4, 1), 12)  # not prime

@@ -4,6 +4,7 @@ import pytest
 
 from twirl import (
     Mat,
+    Singular,
     SingularGammaMinusOne,
     TorusElem,
     is_eps_symmetric,
@@ -46,6 +47,9 @@ def test_norm_preimage_split_form():
     assert s2 == Mat.diag(c, [c.from_int(-2), c.from_int(-2)])
     with pytest.raises(SingularGammaMinusOne):
         norm_preimage(TorusElem(c.one()), form)
+    # alpha = 0 is no torus element: refused where gamma is built
+    with pytest.raises(Singular, match="inverse of zero"):
+        TorusElem(c.zero())
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
