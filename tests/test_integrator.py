@@ -481,24 +481,35 @@ def test_closed_form_decides_former_undecidable_inputs():
 def test_discriminant_routes_on_every_torus_stratum():
     """The closed-form twisted discriminant against the Berkowitz charpoly
     and the kernel-quotient oracle on every torus stratum of the level
-    walk fields at gamma_depth 4: equal valuation, kernel dim and exact
-    lowest coefficient.  diag(1, -1) has kernel dim 3 and lowterm 2; a
-    non-diagonal argument and the symplectic twist are refused."""
-    for (p, e, eis), _depth in LEVEL_WALK_FIELDS:
+    walk fields and of x^2 + 2 at gamma_depth 4 (both signs at odd p, the
+    verification strata included): equal valuation, kernel dim and exact
+    lowest coefficient, and the integer exponent of `regular_preimage`,
+    ord 2 + 2 ord(alpha - 1) - ord(alpha), equals that valuation.  Every
+    alpha of `torus_strata` is regular by the `TorusElem.regular` oracle.
+    diag(1, -1) has kernel dim 3 and lowterm 2; a non-diagonal argument
+    and the symplectic twist are refused."""
+    fields = [f for f, _depth in LEVEL_WALK_FIELDS] + [(2, 2, (2, 0, 1))]
+    for p, e, eis in fields:
         c = make_field(p, e, eis, 20)
         form = orthogonal_form(c, 2)
+        signs = set()
         for stratum in torus_strata(c, TruncationSpec(gamma_depth=4)):
+            where = (eis, stratum.label)
+            assert TorusElem(stratum.alpha).regular, where
+            signs.add(stratum.sign)
             x = norm_preimage(TorusElem(stratum.alpha), form).inverse()
             reports = [route(x, form) for route in (
                 twisted_discriminant, twisted_discriminant_charpoly,
                 twisted_discriminant_oracle)]
             closed = reports[0]
             assert closed.kernel_dim == 1 and closed.regular
+            _x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
+            assert dexp == closed.ord_value, where
             for rep in reports[1:]:
-                where = (eis, stratum.label)
                 assert rep.ord_value == closed.ord_value, where
                 assert rep.kernel_dim == closed.kernel_dim, where
                 assert rep.charpoly_lowterm == closed.charpoly_lowterm, where
+        assert signs == ({0, 1} if p == 2 else {0, 1, -1}), eis
     c = ctx5()
     form = orthogonal_form(c, 2)
     rep = twisted_discriminant(Mat.diag(c, [c.one(), -c.one()]), form)
@@ -677,3 +688,34 @@ def test_pipeline_never_calls_general_matrix_algebra(monkeypatch, p, e, eis,
     assert calls == Counter()
     Mat.diag(c, [c.one(), c.from_int(3)]).inverse()
     assert calls == Counter(inverse=1)
+
+
+@pytest.mark.parametrize("p, e, eis, precision, depth, ud",
+                         BENCH_RESIDUE_CONFIGS)
+def test_torus_strata_read_their_closed_forms(monkeypatch, p, e, eis,
+                                              precision, depth, ud):
+    """On the residue configs of the benchmark, assemble_coefficients takes
+    |D_eps| from ord(alpha - 1) and ord(alpha) and every alpha is regular
+    by construction: no `twisted_discriminant` call and no
+    `TorusElem.regular` read.  At odd p no K-average runs the pass
+    `_kappa_average_coset` (every value is 0); at p = 2 some do."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for owner in (integrator, twisted):
+        monkeypatch.setattr(owner, "twisted_discriminant", counted(
+            "twisted_discriminant", twisted.twisted_discriminant))
+    monkeypatch.setattr(TorusElem, "regular", property(counted(
+        "regular", TorusElem.regular.fget)))
+    monkeypatch.setattr(CuspidalData, "_kappa_average_coset", counted(
+        "coset", CuspidalData._kappa_average_coset))
+    c = make_field(p, e, eis, precision)
+    trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
+    assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
+    assert calls["twisted_discriminant"] == calls["regular"] == 0
+    assert (calls["coset"] > 0) == (p == 2)
