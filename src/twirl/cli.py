@@ -42,7 +42,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import NoStabilization, TwirlError
+from .errors import NoStabilization, NotRegular, TwirlError
 from .integrator import (
     TruncationSpec,
     assemble_coefficients,
@@ -51,7 +51,7 @@ from .integrator import (
     orbit_weight_integral,
     rg_term,
 )
-from .localfield import make_field, parse_elem, square_class_reps
+from .localfield import card_unit_square_classes, make_field, parse_elem
 from .matlattice import Mat, delta_vector, orthogonal_form
 from .residue import residue_report
 from .supercuspidal import CuspidalData, support_scan
@@ -184,11 +184,13 @@ def cmd_dtwist(cfg: RunConfig, args) -> int:
     form = orthogonal_form(ctx, 2)
     alpha = parse_elem(ctx, args.alpha)
     gamma = TorusElem(alpha)
-    if gamma.regular:
-        # x0 + x1 = -1 here, so a report of kernel dim 3 is a digit the
-        # precision could not decide, and it raises
+    try:
+        # x0 + x1 = -1 for regular gamma, so a report of kernel dim 3 is a
+        # digit the precision could not decide, and it raises
         _, rep = discriminant_report(form, alpha, f"alpha = {args.alpha}")
-    else:
+    except NotRegular:
+        # alpha - 1 or alpha + 1 is exactly 0 (`regular_preimage`); the
+        # N-digit window of `TorusElem.regular` would also take 1 + pi^N
         rep = twisted_discriminant(norm_preimage(gamma, form).inverse(), form)
     out = rep.to_json()
     out["alpha"] = args.alpha
@@ -232,10 +234,9 @@ def cmd_rg_term(cfg: RunConfig, args) -> int:
     data = CuspidalData(cfg.ctx)
     form = orthogonal_form(cfg.ctx, 2)
     val = rg_term(data, form, cfg.trunc)
-    scs = square_class_reps(cfg.ctx)
     out = {
         "rg": val.to_json(),
-        "unit_square_classes": scs.card_units,
+        "unit_square_classes": card_unit_square_classes(cfg.ctx),
         "note": "c_k = (4k+1) * 2 * |O^x/(O^x)^2| * rg in the factorized regime",
     }
     _emit(_json_dump(out), args.out or cfg.out_path)

@@ -17,6 +17,10 @@ through Delta_1, so `assemble_coefficients` adds the scaled per-Delta_1
 totals of every stratum into one run-wide table and applies the class
 weight once per run, for every k (`_weigh`).  `support_scan` takes x the
 same way and reads the same level records: one walk of G/T in the library.
+
+An integrand whose K-averages all vanish (`kappa_vanishes`: `CuspidalData`
+at odd p) walks no levels: `_delta_totals` runs only the trace guard of
+`_forced_levels` on x and adds nothing, and `rg_term` averages nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import NamedTuple
 from .cyclotomic import CharacterValue
 from .errors import (DomainError, NotRegular, PrecisionExhausted,
                      SingularGammaMinusOne)
-from .localfield import (Elem, INF, LocalFieldCtx, square_class_reps,
+from .localfield import (Elem, INF, LocalFieldCtx, card_unit_square_classes,
                          unit_digit_tuples)
 from .matlattice import Mat, a_e, mat_ord, n_b
 from .matlattice import vdash  # unused; a tracer lookup point of perfbench/spans.py
@@ -209,7 +213,12 @@ def class_weight_from_delta(delta1: int, units: int, k: int) -> int:
 def _delta_totals(data, form, x: Mat) -> dict:
     """{Delta_1: sum of weight * f_avg} over the live orbit strata of x =
     S(gamma)^(-1), f_avg the K-average of f at the record's y; a zero
-    average adds no key."""
+    average adds no key.  When every K-average vanishes
+    (`data.kappa_vanishes`) no level is walked: the table is empty, and
+    only the trace guard of `_forced_levels` runs on x."""
+    if data.kappa_vanishes(form):
+        _forced_levels(data, x)
+        return {}
     zero = CharacterValue.zero(data.ctx.p)
     by_delta: dict = {}
     for s in orbit_strata(data, form, x):
@@ -250,7 +259,7 @@ def orbit_weight_integral(data, form, gamma: TorusElem, ks):
     if not gamma.regular:
         raise NotRegular("gamma must be regular")
     x = _preimage_inverse(gamma, form)
-    units = square_class_reps(data.ctx).card_units
+    units = card_unit_square_classes(data.ctx)
     return _psi_k(data, form, x, ks, units)
 
 
@@ -314,8 +323,8 @@ def regular_preimage(form, alpha: Elem, label: str):
     the trace x0 + x1 is -1 exactly and the lowest coefficient of the
     twisted charpoly, 2 s^2/(x0 x1) at s = -1 (`twisted_discriminant`), is
     -2 (alpha - 1)^2/alpha: d = ord 2 + 2 ord(alpha - 1) - ord(alpha), an
-    integer read off alpha.  No digit of the trace enters d; the walk of
-    `orbit_strata` sums the trace and raises PrecisionExhausted when it
+    integer read off alpha.  No digit of the trace enters d;
+    `_forced_levels` sums the trace and raises PrecisionExhausted when it
     reads 0, and a digit of alpha - 1 the precision cannot decide raises
     here, naming the stratum."""
     ctx = alpha.ctx
@@ -365,10 +374,11 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
     adds its per-Delta_1 totals (`_delta_totals`), times 2 vol |D_eps|,
     into one run-wide {Delta_1: total}.  psi_k is linear in those totals,
     so the class weight is applied once per run, by `_weigh`, for every
-    k.  The walk's trace check is the guard on x: a trace the precision
-    cannot decide raises PrecisionExhausted naming the stratum."""
+    k.  The trace check of `_forced_levels` is the guard on x, also when
+    no level is walked: a trace the precision cannot decide raises
+    PrecisionExhausted naming the stratum."""
     ctx = data.ctx
-    units = square_class_reps(ctx).card_units
+    units = card_unit_square_classes(ctx)
     ks = tuple(range(0, trunc.k_max + 1))
     run: dict = {}
     stratum_totals = []
@@ -406,12 +416,15 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
 def rg_term(data, form, trunc: TruncationSpec) -> CharacterValue:
     """The k-independent factor of the odd-characteristic pipeline:
     integral over T of |D_eps(gamma)| times the K-average of
-    f(kappa S(gamma)^(-1) kappa^t)."""
+    f(kappa S(gamma)^(-1) kappa^t).  Every stratum builds x (the
+    regularity checks of `regular_preimage`); none is averaged when every
+    K-average vanishes (`data.kappa_vanishes`)."""
     ctx = data.ctx
     acc = CharacterValue.zero(ctx.p)
     for stratum in torus_strata(ctx, trunc, include_verification=False):
         x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
-        if mat_ord(x) < 0 or x.det().val not in (0,):
+        if (data.kappa_vanishes(form) or mat_ord(x) < 0
+                or x.det().val not in (0,)):
             continue
         dead = data.support_prefilter(x, form)
         if dead is not None:

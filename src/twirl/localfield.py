@@ -193,8 +193,9 @@ class LocalFieldCtx:
         while k:
             if k & 1:
                 out = self.poly_mul(out, u)
-            u = self.poly_mul(u, u)
             k >>= 1
+            if k:  # no square after the last bit
+                u = self.poly_mul(u, u)
         return out
 
     # -- public constructors ------------------------------------------------
@@ -617,6 +618,14 @@ def is_square(x: Elem) -> bool:
         return pow(r, (x.ctx.p - 1) // 2, x.ctx.p) == 1
     level = _unit_square_level(x.ctx)
     return u.residue_digits(level) in _square_residues(x.ctx)
+
+
+def card_unit_square_classes(ctx: LocalFieldCtx) -> int:
+    """|O^x/(O^x)^2| in closed form: 2 at odd p, and 2^(e + 1) at p = 2,
+    since O^x/(O^x)^2 has order 2 |2|^(-1) = 2 q^e for F/Q_2 totally
+    ramified of degree e.  `square_class_reps` finds as many unit
+    representatives by enumeration."""
+    return 2 if ctx.p != 2 else 2 ** (ctx.e + 1)
 
 
 def square_class_reps(ctx: LocalFieldCtx) -> SquareClassSet:

@@ -137,6 +137,15 @@ class CuspidalData:
 
     # -- exact averaged evaluation over K --------------------------------------
 
+    def kappa_vanishes(self, form: GroupForm) -> bool:
+        """Whether `kappa_average(y, form)` is 0 for every y: at odd p,
+        by the argument in `kappa_average`.  The integrator reads it to
+        skip the G/T levels whose K-averages it would only add as 0."""
+        if form.kind != "orthogonal":
+            raise DomainError("kappa_average implements the orthogonal twist "
+                              f"only, not {form.kind!r}")
+        return self.p != 2
+
     def kappa_average(self, y: Mat, form: GroupForm) -> CharacterValue:
         """Exact integral over kappa in K = GL_2(O) of f(kappa y kappa^vdash)
         with vol(K) = 1, for integral y and the orthogonal twist.
@@ -187,16 +196,14 @@ class CuspidalData:
           operations per row (`_coset_counts`), and the orbit is never
           listed; the counts are those of f over GL_2(O/pi) x W.
 
-        At odd p the value is therefore 0 for every y, and it is returned
-        without a pass; `_kappa_average_coset` is the pass, run at p = 2
-        and kept as the tests' odd-p check of that zero.  At p = 2 the
-        value depends only on y mod pi^2 and the parity of ord det y,
-        which is the cache key.  `kappa_average_oracle` enumerates all of
-        GL_2(O/pi^level) instead, and the tests hold the two equal."""
-        if form.kind != "orthogonal":
-            raise DomainError("kappa_average implements the orthogonal twist "
-                              f"only, not {form.kind!r}")
-        if self.p != 2:
+        At odd p the value is therefore 0 for every y (`kappa_vanishes`),
+        and it is returned without a pass; `_kappa_average_coset` is the
+        pass, run at p = 2 and kept as the tests' odd-p check of that
+        zero.  At p = 2 the value depends only on y mod pi^2 and the
+        parity of ord det y, which is the cache key.
+        `kappa_average_oracle` enumerates all of GL_2(O/pi^level)
+        instead, and the tests hold the two equal."""
+        if self.kappa_vanishes(form):
             return CharacterValue.zero(self.p)
         parity = y.det().val % 2
         key = (y.residue_key(self.residue_level), parity)

@@ -80,6 +80,33 @@ def test_dtwist_refuses_undecided_trace(odd_cfg, tmp_path, capsys):
     assert (rep["regular"], rep["abs_value_q_exponent"]) == (True, "-18")
 
 
+@pytest.mark.parametrize("alpha, code, text", [
+    ("1+pi^12", 1, "kernel dim 3"),
+    ("1+pi^13", 1, "kernel dim 3"),
+    ("1", 1, "error: gamma - 1 is singular\n"),
+    ("-1", 0, '{\n  "abs_value_q_exponent": "0",\n  "alpha": "-1",\n'
+              '  "kernel_dim": 1,\n  "regular": true\n}\n'),
+])
+def test_dtwist_decides_alpha_pm1_exactly(tmp_path, capsys, alpha, code,
+                                          text):
+    """At precision 12, 1 + pi^12 and 1 + pi^13 read as 1 through the
+    12-digit window, but alpha - 1 is exactly pi^12 or pi^13: gamma is
+    regular, and its trace x0 + x1 = -1 reads 0, so dtwist exits 1 as
+    it does on 1 + pi^11.  alpha = 1 and -1 keep their answers: an
+    error, and the kernel-dim-1 report of the non-regular route."""
+    cfg = tmp_path / "p12.ini"
+    cfg.write_text(ODD_CFG.replace("precision = 18", "precision = 12")
+                   .replace("gamma_depth = 2", "gamma_depth = 3"))
+    assert cli.main(["dtwist", "--config", str(cfg),
+                     f"--alpha={alpha}"]) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.out == "" and text in out.err
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    else:
+        assert (out.out, out.err) == (text, "")
+
+
 def test_support_scan_json(odd_cfg, tmp_path):
     out = tmp_path / "s.json"
     assert cli.main(["support-scan", "--config", odd_cfg, "--alpha", "pi",

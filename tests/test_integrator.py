@@ -21,6 +21,7 @@ from twirl import (
     norm_preimage,
     orbit_weight_integral,
     orthogonal_form,
+    parse_elem,
     rg_term,
     square_class_reps,
     symplectic_form,
@@ -110,8 +111,6 @@ def test_psi_k_vanishing_regimes():
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     for spec in ("pi", "2"):
-        from twirl import parse_elem
-
         alpha = parse_elem(c, spec)
         table = orbit_weight_integral(data, form, TorusElem(alpha), range(3))
         assert all(table[k].is_zero() for k in range(3))
@@ -159,10 +158,12 @@ def test_one_norm_preimage_per_torus_stratum(monkeypatch):
 ])
 def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
                                          depth, ud, want, n_records):
-    """On the odd-p5 and even-p2 residue configs of the benchmark, the
-    c_k table calls the support prefilter once per forced Iwasawa
-    exponent i of each torus stratum (205 and 35 calls; once per (i, j)
-    level it took 505 and 179), and still writes 505 and 207 records."""
+    """On the even-p2 residue config of the benchmark, the c_k table
+    calls the support prefilter once per forced Iwasawa exponent i of
+    each torus stratum (35 calls; once per (i, j) level it took 179).
+    On the odd-p5 config every K-average vanishes and the table makes no
+    call, though `orbit_strata` would walk 205 forced i and write 505
+    records there (207 on even-p2)."""
     c = make_field(p, e, eis, precision)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=8)
@@ -180,8 +181,8 @@ def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
 
     monkeypatch.setattr(CuspidalData, "support_prefilter", counting)
     assemble_coefficients(data, form, trunc)
-    assert len(calls) == forced == want
-    assert records == n_records
+    assert forced == want and records == n_records
+    assert len(calls) == (0 if p != 2 else forced)
 
 
 def test_verification_strata_contribute_zero():
@@ -214,6 +215,9 @@ class IntegralIndicator:
         if y.det().val != 0:
             return "wrong determinant"
         return None
+
+    def kappa_vanishes(self, form):
+        return False
 
     def kappa_average(self, y, form):
         return CharacterValue.one(self.ctx.p)
@@ -333,6 +337,9 @@ def test_zero_trace_raises():
             next(coset_strata(data, form, x))
         with pytest.raises(PrecisionExhausted, match="precision 18"):
             orbit_strata(data, form, x)
+        # CuspidalData walks no level at p = 5, and still checks the trace
+        with pytest.raises(PrecisionExhausted, match="precision 18"):
+            integrator._delta_totals(data, form, x)
 
 
 def test_orbital_twisted_indicator():
@@ -719,3 +726,64 @@ def test_torus_strata_read_their_closed_forms(monkeypatch, p, e, eis,
     assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
     assert calls["twisted_discriminant"] == calls["regular"] == 0
     assert (calls["coset"] > 0) == (p == 2)
+
+
+@pytest.mark.parametrize("p, e, eis, precision, depth, ud",
+                         BENCH_RESIDUE_CONFIGS)
+def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
+                                             precision, depth, ud):
+    """On the odd-p5 residue config of the benchmark every K-average is 0
+    (`kappa_vanishes`), so `assemble_coefficients`, `rg_term` and
+    `orbit_weight_integral` make no `orbit_strata`, `support_prefilter`
+    or `kappa_average` call, and every torus stratum keeps an empty
+    table.  On the even-p2 config the table walks every torus stratum:
+    207 records and 35 prefilter calls."""
+    calls, records = Counter(), []
+    walk = integrator.orbit_strata
+
+    def walking(*args):
+        calls["orbit_strata"] += 1
+        out = walk(*args)
+        records.extend(out)
+        return out
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(integrator, "orbit_strata", walking)
+    for name in ("support_prefilter", "kappa_average"):
+        monkeypatch.setattr(CuspidalData, name,
+                            counted(name, getattr(CuspidalData, name)))
+    c = make_field(p, e, eis, precision)
+    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
+    table = assemble_coefficients(data, form, trunc)
+    assert len(table.stratum_totals) == len(torus_strata(c, trunc))
+    if p == 2:
+        assert calls["orbit_strata"] == len(torus_strata(c, trunc))
+        assert (len(records), calls["support_prefilter"]) == (207, 35)
+        assert calls["kappa_average"] > 0
+        return
+    assert all(totals == {} for *_, totals in table.stratum_totals)
+    assert rg_term(data, form, trunc).is_zero()
+    for spec in ("-1+pi", "-1+pi*u", "-1+pi^2", "2", "pi"):
+        gamma = TorusElem(parse_elem(c, spec))
+        psi = orbit_weight_integral(data, form, gamma, range(3))
+        assert all(v.is_zero() for v in psi.values())
+    assert calls == Counter() and records == []
+
+
+def test_trace_guard_without_the_walk():
+    """The odd-p5 residue config of the benchmark at precision 4: every
+    K-average vanishes and no level is walked, but the trace x0 + x1 of
+    the sign1-e5 stratum is still summed, reads past its validity, and
+    raises, naming the stratum."""
+    c = make_field(5, 1, (-5, 1), 4)
+    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    assert data.kappa_vanishes(form)
+    trunc = TruncationSpec(gamma_depth=5, k_max=8, unit_depth=2)
+    with pytest.raises(PrecisionExhausted, match="sign1-e5"):
+        assemble_coefficients(data, form, trunc)

@@ -17,7 +17,8 @@ from twirl import (
     square_class_reps,
 )
 from twirl.cyclotomic import CharacterValue
-from twirl.localfield import SquareClassSet, _pi_power_poly, unit_digit_tuples
+from twirl.localfield import (LocalFieldCtx, SquareClassSet, _pi_power_poly,
+                              card_unit_square_classes, unit_digit_tuples)
 
 from newton_inverse import poly_inv_newton
 
@@ -211,6 +212,44 @@ def test_divide_matches_stepwise_at_e2_e3(p, eis):
         u, m = x._divide(t)
         got = Elem(c, x.vbase + t, u, True, m)
         assert (got.coeffs, got.mexp) == (want.coeffs, want.mexp)
+
+
+@pytest.mark.parametrize("p, e, eis", [
+    (2, 2, (-2, 0, 1)), (2, 2, (-2, 2, 1)), (2, 2, (2, 0, 1)),
+    (2, 3, (-2, 0, 0, 1)), (3, 1, (-3, 1)), (3, 2, (-3, 3, 1)),
+    (5, 1, (-5, 1)), (7, 1, (-7, 1)),
+])
+def test_card_unit_square_classes_closed_form(p, e, eis):
+    """|O^x/(O^x)^2| is 2 at odd p and 2^(e + 1) at p = 2: the count of
+    unit representatives that `square_class_reps` enumerates."""
+    c = make_field(p, e, eis, 24)
+    assert card_unit_square_classes(c) == square_class_reps(c).card_units
+    assert card_unit_square_classes(c) == (2 if p != 2 else 2 ** (e + 1))
+
+
+@pytest.mark.parametrize("eis", [(-2, 0, 1), (-2, 0, 0, 1)])
+def test_poly_pow_matches_repeated_products(monkeypatch, eis):
+    """u^k by binary powering equals k products with u, for k = 0..9 at
+    e = 2 and e = 3, and squares only between bits: bit_length(k) - 1
+    squarings and popcount(k) products."""
+    c = make_field(2, len(eis) - 1, eis, 24)
+    u = c.random_unit(random.Random(5)).coeffs
+    want = c.one().coeffs
+    products = []
+    mul = LocalFieldCtx.poly_mul
+
+    def counting(self, a, b):
+        products.append(a)
+        return mul(self, a, b)
+
+    for k in range(10):
+        monkeypatch.setattr(LocalFieldCtx, "poly_mul", counting)
+        products.clear()
+        got = c.poly_pow(u, k)
+        monkeypatch.setattr(LocalFieldCtx, "poly_mul", mul)
+        assert got == want, k
+        assert len(products) == max(0, k.bit_length() - 1) + bin(k).count("1")
+        want = c.poly_mul(want, u)
 
 
 def _square_class_reps_all_pairs(c):

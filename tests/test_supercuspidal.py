@@ -25,7 +25,7 @@ from twirl import (
 )
 from twirl import supercuspidal
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import orbit_strata
+from twirl.integrator import _preimage_inverse, orbit_strata
 from twirl.ringvec import ResidueRing, iter_gl2
 from twirl.supercuspidal import (
     _classify_regime,
@@ -274,16 +274,22 @@ class _RecordingData(CuspidalData):
 ])
 def test_kappa_average_matches_oracle_on_live_strata(mk, specs):
     """The coset evaluation equals the GL_2(O/pi^2) enumeration on every
-    live orbit stratum."""
+    live orbit stratum.  The pipeline averages over exactly those y at
+    p = 2, and over none where every K-average vanishes (odd p)."""
     c = mk()
     form = orthogonal_form(c, 2)
     data = _RecordingData(c)
+    live = []
     for spec in specs:
-        orbit_weight_integral(data, form, TorusElem(parse_elem(c, spec)),
-                              range(1))
-    assert data.seen
+        gamma = TorusElem(parse_elem(c, spec))
+        live += [r.y for r in orbit_strata(data, form,
+                                           _preimage_inverse(gamma, form))
+                 if r.dead is None]
+        orbit_weight_integral(data, form, gamma, range(1))
+    assert live
+    assert data.seen == ([] if data.kappa_vanishes(form) else live)
     fresh = CuspidalData(c)
-    for y in data.seen:
+    for y in live:
         assert fresh.kappa_average(y, form) == data.kappa_average_oracle(y, 2)
 
 
@@ -612,9 +618,9 @@ def test_f_depends_on_residue_mod_pi_squared(mk):
 def test_kappa_average_rejects_symplectic_form():
     """kappa_average implements the orthogonal twist only.  With the
     symplectic form k y k^vdash = det(k) y for y = 1, so the true average
-    is 1, while the orthogonal evaluation gives 0.  `support_scan`, whose
-    `_kappa_witness` enumerates the orthogonal twist too, refuses as
-    well."""
+    is 1, while the orthogonal evaluation gives 0.  `kappa_vanishes`,
+    which states that 0, and `support_scan`, whose `_kappa_witness`
+    enumerates the orthogonal twist too, refuse as well."""
     c = ctx3()
     data = CuspidalData(c)
     y = Mat.identity(c, 2)
@@ -626,6 +632,8 @@ def test_kappa_average_rejects_symplectic_form():
     assert data.kappa_average(y, orthogonal_form(c, 2)).is_zero()
     with pytest.raises(DomainError):
         data.kappa_average(y, sf)
+    with pytest.raises(DomainError):
+        data.kappa_vanishes(sf)
     with pytest.raises(DomainError):
         support_scan(data, sf, TorusElem(parse_elem(c, "-1+pi")))
 
@@ -890,21 +898,26 @@ def test_kappa_average_vanishes_at_odd_p(mk):
     """N = 1 + pi M_2(O) lies in I_1 and f(n X n^vdash) = Lambda(n)^2 f(X);
     at odd p Lambda^2 is nontrivial on N, so every K-average is 0.  At
     p = 2 the factor is 1 and some average is not 0.  `kappa_average`
-    returns that 0 at odd p without a pass, so this checks the pass
-    itself, `_kappa_average_coset`: 0 at every odd p, and equal to the
-    full enumeration of `kappa_average_oracle` at p = 3."""
+    returns that 0 at odd p without a pass, and `kappa_vanishes` says so
+    to the integrator; this checks the pass itself,
+    `_kappa_average_coset`, on y of both parities: 0 at every odd p, and
+    equal to the full enumeration of `kappa_average_oracle` at p = 3."""
     c = mk()
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
+    assert data.kappa_vanishes(form) == (c.p != 2)
     rng = random.Random(23)
-    values = []
-    while len(values) < (40 if c.p == 2 else 10):
+    values = {0: [], 1: []}
+    want = 20 if c.p == 2 else 5
+    while min(len(v) for v in values.values()) < want:
         y = Mat.random_integral(c, 2, rng)
-        if y.det().val in (0, 1):
-            values.append(data._kappa_average_coset(y, y.det().val % 2))
-            assert values[-1] == data.kappa_average(y, form)
+        parity = y.det().val % 2
+        if y.det().val in (0, 1) and len(values[parity]) < want:
+            values[parity].append(data._kappa_average_coset(y, parity))
+            assert values[parity][-1] == data.kappa_average(y, form)
             if c.p == 3:
-                assert values[-1] == data.kappa_average_oracle(y, 2)
+                assert values[parity][-1] == data.kappa_average_oracle(y, 2)
+    values = values[0] + values[1]
     if c.p == 2:
         assert any(not v.is_zero() for v in values)
     else:
