@@ -214,7 +214,8 @@ def cmd_psik(cfg: RunConfig, args) -> int:
     data = CuspidalData(ctx)
     alpha = parse_elem(ctx, args.alpha)
     ks = range(0, cfg.trunc.k_max + 1)
-    table = orbit_weight_integral(data, form, TorusElem(alpha), ks)
+    table = orbit_weight_integral(data, form, TorusElem(alpha), ks,
+                                  f"alpha = {args.alpha}")
     _emit(_coeff_csv(ks, table), args.out or cfg.out_path)
     return 0
 

@@ -7,6 +7,12 @@ normalization with vol_T(T cap K) = 1; the b strata of level j >= 1 have
 total mass q^j - q^(j-1).  Torus measure: vol(O^x) = 1 via the eigenvalue
 coordinate.  Central classes are normalized to volume 1 each.
 
+The torus strata near +-1 are alpha = sign (1 + pi^e v), one per class
+of the unit v mod pi^m, where m is the number of digits of v that the
+integrand can see (`torus_strata`): 0 when every K-average vanishes,
+and residue_level - e - s otherwise.  `unit_depth` only caps m; it
+changes no output of `CuspidalData`, whose m is at most 1.
+
 One pass per torus stratum gamma: `regular_preimage` gives x =
 S(gamma)^(-1) (one `Elem` inverse) and |D_eps(gamma)| as an integer read
 off ord(alpha - 1) and ord(alpha), `orbit_strata` the
@@ -42,7 +48,8 @@ from .twisted import TorusElem, norm_preimage, twisted_discriminant
 @dataclass(frozen=True)
 class TruncationSpec:
     """Finite windows of the pipeline: `k_max` bounds the coefficient
-    table, `gamma_depth` and `unit_depth` the torus strata.  The G/T walk
+    table, `gamma_depth` the torus strata, and `unit_depth` caps the
+    digits of v a torus stratum fixes (`torus_strata`).  The G/T walk
     needs none (`orbit_strata`).  `gamma_depth` is not proved exhaustive:
     the torus strata beyond it contribute, and nothing reports that tail
     yet."""
@@ -61,15 +68,40 @@ class TorusStratum:
     e: int = 0
 
 
-def torus_strata(ctx: LocalFieldCtx, trunc: TruncationSpec,
+def torus_strata(data, form, trunc: TruncationSpec,
                  include_verification: bool = True):
     """Partition of the integration window in T: residue classes of unit
     alpha away from +-1 (dead by support analysis, kept as verification
-    strata), refined strata around +-1 by e = ord(alpha -+ 1), and a few
-    non-unit witnesses.  Volumes are exact in the vol(O^x) = 1 measure.
-    Every alpha is regular by construction: a unit class c in 2 .. p - 2
-    and a power of pi are not +-1, and `_stratum_alpha` keeps the refined
-    representatives off +-1."""
+    strata), refined strata around +-1, and a few non-unit witnesses.
+    Volumes are exact in the vol(O^x) = 1 measure.  Every alpha is
+    regular by construction: a unit class c in 2 .. p - 2 and a power of
+    pi are not +-1, and `_stratum_alpha` keeps the refined
+    representatives off +-1.
+
+    Around +-1, alpha = sign (1 + pi^e v) with v a unit and e = 1 ..
+    `gamma_depth`; each (sign, e) has volume q^(-e) and one stratum per
+    class of v mod pi^m, m = `_digits_seen`, carrying the class's whole
+    volume.  Its representative v has the class's digits and no others
+    (v = 1 when m = 0), so the strata at m = `unit_depth` are one per
+    unit-digit tuple.
+
+    Why one stratum per class suffices.  Take v = v' mod pi^m in one
+    (sign, e) and c = (alpha - 1)/(alpha' - 1), a unit with 1 - c in
+    pi^(e + m - ord(alpha - 1)).
+    - x0 = (alpha - 1)^(-1) and x1 = -1 - x0 (`regular_preimage`), so
+      x0' = c x0, and k = diag(c, 1) in K (k^vdash = diag(1, c)) twists
+      y(v, b) = pi^i [[x0, -b], [0, x1]] to
+      y(v', c^2 b) + pi^i diag(0, 1 - c).
+    - pi^i (1 - c) lies in pi^(i + e + m - ord(alpha - 1)), inside
+      pi^level since i - ord(alpha - 1) >= s for every forced i.
+    - b -> c^2 b permutes the cosets of each b-level.
+    - f_avg is a K-average that reads y mod pi^level, and the forced
+      levels, their b-bounds and |D_eps| depend only on (sign, e).
+    So the stratum totals are the same for every v of the class.
+    `rg_term` reads x itself (i = 0): x is integral only where
+    ord(alpha - 1) = 0, and f_avg(x) is nonzero only if 0 is in the det
+    support, where s <= 0."""
+    ctx = data.ctx
     p, q = ctx.p, ctx.q
     out = []
     signs = (1,) if p == 2 else (1, -1)
@@ -83,13 +115,31 @@ def torus_strata(ctx: LocalFieldCtx, trunc: TruncationSpec,
     ud = trunc.unit_depth
     for sign in signs:
         for e in range(1, trunc.gamma_depth + 1):
-            for digits in unit_digit_tuples(p, ud):
-                alpha = _stratum_alpha(ctx, sign, e,
-                                       ctx.from_digits(0, digits), ud)
-                vol = Fraction(1, q ** (e + ud - 1) * (q - 1))
-                out.append(TorusStratum(alpha, vol, f"sign{sign}-e{e}",
+            classes = unit_digit_tuples(p, _digits_seen(data, form, e, ud))
+            vol = Fraction(1, q ** e * len(classes))
+            for digits in classes:
+                v = ctx.from_digits(0, digits or (1,))
+                out.append(TorusStratum(_stratum_alpha(ctx, sign, e, v, ud),
+                                        vol, f"sign{sign}-e{e}",
                                         sign=sign, e=e))
     return out
+
+
+def _digits_seen(data, form, e: int, cap: int) -> int:
+    """m, the digits of v in alpha = sign (1 + pi^e v) that the stratum
+    totals of the integrand read, capped at `cap` (`unit_depth`): 0 when
+    every K-average vanishes (`data.kappa_vanishes`), and otherwise
+    level - e - s, level = `data.residue_level` and s = i_min -
+    ord(alpha - 1), i_min the least forced i.  For a unit alpha,
+    ord det x = -2 ord(alpha - 1), so the forced i are t/2 + ord(alpha - 1)
+    over the even t of `data.detval_support` (`_forced_levels`), and s is
+    the least such t/2; with no even t no level is forced, and m = 0."""
+    if data.kappa_vanishes(form):
+        return 0
+    halves = [t // 2 for t in data.detval_support if t % 2 == 0]
+    if not halves:
+        return 0
+    return min(cap, max(0, data.residue_level - e - min(halves)))
 
 
 def _stratum_alpha(ctx: LocalFieldCtx, sign: int, e: int, v: Elem,
@@ -253,14 +303,19 @@ def _psi_k(data, form, x: Mat, ks, units: int):
     return _weigh(_delta_totals(data, form, x), data.ctx.p, ks, units)
 
 
-def orbit_weight_integral(data, form, gamma: TorusElem, ks):
+def orbit_weight_integral(data, form, gamma: TorusElem, ks,
+                          label: str = "gamma"):
     """psi_k(gamma) = integral over G/T of f(g S(gamma)^(-1) g^vdash) W_k(g)
-    for each k in ks, as {k: CharacterValue}."""
-    if not gamma.regular:
-        raise NotRegular("gamma must be regular")
-    x = _preimage_inverse(gamma, form)
+    for each k in ks, as {k: CharacterValue}.  gamma must be regular:
+    x comes from `regular_preimage`, whose exact zero tests of alpha -+ 1
+    raise NotRegular naming `label`, and a trace x0 + x1 the precision
+    cannot decide raises PrecisionExhausted naming it."""
+    x, _dexp = regular_preimage(form, gamma.alpha, label)
     units = card_unit_square_classes(data.ctx)
-    return _psi_k(data, form, x, ks, units)
+    try:
+        return _psi_k(data, form, x, ks, units)
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted(f"{label}: {exc}") from exc
 
 
 @dataclass
@@ -382,7 +437,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
     ks = tuple(range(0, trunc.k_max + 1))
     run: dict = {}
     stratum_totals = []
-    for stratum in torus_strata(ctx, trunc):
+    for stratum in torus_strata(data, form, trunc):
         x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
         try:
             by_delta = _delta_totals(data, form, x)
@@ -421,7 +476,7 @@ def rg_term(data, form, trunc: TruncationSpec) -> CharacterValue:
     K-average vanishes (`data.kappa_vanishes`)."""
     ctx = data.ctx
     acc = CharacterValue.zero(ctx.p)
-    for stratum in torus_strata(ctx, trunc, include_verification=False):
+    for stratum in torus_strata(data, form, trunc, include_verification=False):
         x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
         if (data.kappa_vanishes(form) or mat_ord(x) < 0
                 or x.det().val not in (0,)):

@@ -107,6 +107,32 @@ def test_dtwist_decides_alpha_pm1_exactly(tmp_path, capsys, alpha, code,
         assert (out.out, out.err) == (text, "")
 
 
+@pytest.mark.parametrize("alpha, code, text", [
+    ("-1+pi^12", 0, "k,coord0,coord1,coord2,coord3,q_half_power\n"
+                    + "".join(f"{k},0,0,0,0,0\n" for k in range(4))),
+    ("1+pi^12", 1, "error: alpha = 1+pi^12: trace x0 + x1 reads 0 at "
+                   "precision 12"),
+    ("1", 1, "error: gamma must be regular at alpha = 1\n"),
+    ("-1", 1, "error: gamma must be regular at alpha = -1\n"),
+], ids=["-1+pi^12", "1+pi^12", "1", "-1"])
+def test_psik_decides_alpha_pm1_exactly(tmp_path, capsys, alpha, code, text):
+    """psik decides regularity by the exact zero tests of alpha -+ 1, not
+    through the 12-digit window: -1 + pi^12 is regular (alpha + 1 is
+    exactly pi^12), and every odd-p psi_k is 0; on 1 + pi^12 the trace
+    x0 + x1 = -1 reads 0, and the trace guard exits 1; alpha = 1 and -1
+    are not regular."""
+    cfg = tmp_path / "p12.ini"
+    cfg.write_text(ODD_CFG.replace("precision = 18", "precision = 12")
+                   .replace("gamma_depth = 2", "gamma_depth = 3"))
+    assert cli.main(["psik", "--config", str(cfg), f"--alpha={alpha}"]) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.out == "" and out.err.startswith(text)
+        assert out.err.count("\n") == 1
+    else:
+        assert (out.out, out.err) == (text, "")
+
+
 def test_support_scan_json(odd_cfg, tmp_path):
     out = tmp_path / "s.json"
     assert cli.main(["support-scan", "--config", odd_cfg, "--alpha", "pi",

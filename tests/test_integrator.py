@@ -2,6 +2,7 @@ import json
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twirl import (
@@ -39,6 +40,7 @@ from twirl.twisted import (charpoly, norm_preimage_general,
 from twirl.weights import square_class_weight
 
 from coset_walk import coset_strata
+from unit_digit_strata import unit_digit_strata, unit_digits
 
 
 def ctx5():
@@ -50,15 +52,26 @@ def ctx2():
 
 
 def test_torus_strata_volumes():
+    """The strata at ord(alpha -+ 1) = e tile a set of multiplicative
+    volume q^-e on each sign side, one stratum per unit class mod pi^m:
+    m = 0 where every K-average vanishes (`CuspidalData` at p = 5), and
+    m = residue_level - e = 2 - e, capped at unit_depth, for the
+    indicator of M_2(O).  Each class representative has its own digits."""
     c = ctx5()
-    trunc = TruncationSpec(gamma_depth=4, unit_depth=2)
-    strata = torus_strata(c, trunc, include_verification=False)
-    # the strata at ord(alpha -+ 1) = e tile a set of multiplicative volume
-    # q^-e on each sign side
-    for sign in (1, -1):
-        for e in range(1, 5):
-            vol = sum(s.vol for s in strata if s.sign == sign and s.e == e)
-            assert vol == Fraction(1, 5 ** e)
+    form = orthogonal_form(c, 2)
+    for ud in (1, 2, 3):
+        trunc = TruncationSpec(gamma_depth=4, unit_depth=ud)
+        for data in (CuspidalData(c), IntegralIndicator(c)):
+            strata = torus_strata(data, form, trunc,
+                                  include_verification=False)
+            for sign in (1, -1):
+                for e in range(1, 5):
+                    m = (0 if isinstance(data, CuspidalData)
+                         else min(ud, max(0, 2 - e)))
+                    here = [s for s in strata if s.sign == sign and s.e == e]
+                    assert sum(s.vol for s in here) == Fraction(1, 5 ** e)
+                    assert len(here) == len(unit_digit_tuples(5, m))
+                    assert len({unit_digits(s, m) for s in here}) == len(here)
 
 
 def test_class_weight_from_delta():
@@ -148,27 +161,29 @@ def test_one_norm_preimage_per_torus_stratum(monkeypatch):
 
     monkeypatch.setattr(Elem, "inverse", counting_inverse)
     monkeypatch.setattr(integrator, "_preimage_inverse", counting)
-    assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
-    assert per_call == [1] * len(torus_strata(c, trunc))
+    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    assemble_coefficients(data, form, trunc)
+    assert per_call == [1] * 5 == [1] * len(torus_strata(data, form, trunc))
 
 
 @pytest.mark.parametrize("p, e, eis, precision, depth, ud, want, n_records", [
-    (5, 1, (-5, 1), 18, 5, 2, 205, 505),
-    (2, 2, (-2, 0, 1), 30, 8, 3, 35, 207),
+    pytest.param(5, 1, (-5, 1), 18, 5, 2, 15, 30, id="odd-p5"),
+    pytest.param(2, 2, (-2, 0, 1), 30, 8, 3, 11, 54, id="even-p2"),
 ])
 def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
                                          depth, ud, want, n_records):
     """On the even-p2 residue config of the benchmark, the c_k table
     calls the support prefilter once per forced Iwasawa exponent i of
-    each torus stratum (35 calls; once per (i, j) level it took 179).
+    each torus stratum: 11 calls on 11 strata, one per e since every
+    unit is 1 mod pi at p = 2 (35 at one stratum per unit-digit tuple).
     On the odd-p5 config every K-average vanishes and the table makes no
-    call, though `orbit_strata` would walk 205 forced i and write 505
-    records there (207 on even-p2)."""
+    call, though `orbit_strata` would walk 15 forced i and write 30
+    records there (54 on even-p2)."""
     c = make_field(p, e, eis, precision)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=8)
     forced = records = 0
-    for stratum in torus_strata(c, trunc):
+    for stratum in torus_strata(data, form, trunc):
         x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
         forced += len(integrator._forced_levels(data, x)[1])
         records += len(orbit_strata(data, form, x))
@@ -251,8 +266,9 @@ def test_level_walk_matches_coset_walk():
     for (p, e, eis), depth in LEVEL_WALK_FIELDS:
         c = make_field(p, e, eis, 20)
         q, form = c.q, orthogonal_form(c, 2)
-        strata = torus_strata(c, TruncationSpec(gamma_depth=depth,
-                                                unit_depth=1))
+        strata = unit_digit_strata(CuspidalData(c), form,
+                                   TruncationSpec(gamma_depth=depth,
+                                                  unit_depth=1))
         for data in (CuspidalData(c), IntegralIndicator(c)):
             for stratum in strata:
                 where = (eis, type(data).__name__, stratum.label)
@@ -300,8 +316,9 @@ def test_prefilter_verdict_is_one_per_forced_i():
     for (p, e, eis), depth in LEVEL_WALK_FIELDS:
         c = make_field(p, e, eis, 20)
         form = orthogonal_form(c, 2)
-        strata = torus_strata(c, TruncationSpec(gamma_depth=depth,
-                                                unit_depth=1))
+        strata = unit_digit_strata(CuspidalData(c), form,
+                                   TruncationSpec(gamma_depth=depth,
+                                                  unit_depth=1))
         for data in (CuspidalData(c), IntegralIndicator(c)):
             name = type(data).__name__
             for stratum in strata:
@@ -392,7 +409,7 @@ def test_rg_relation_odd():
         data, form = CuspidalData(c), orthogonal_form(c, 2)
         live = 0
         trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud)
-        for stratum in torus_strata(c, trunc):
+        for stratum in unit_digit_strata(data, form, trunc):
             x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
             for r in orbit_strata(data, form, x):
                 if r.dead is None:
@@ -446,7 +463,8 @@ def test_central_torus_stratum_raises():
     with pytest.raises(NotRegular, match="sign1-e2"):
         regular_preimage(form, central, "sign1-e2")
     trunc = TruncationSpec(gamma_depth=3, unit_depth=3, k_max=2)
-    reps = [s.alpha for s in torus_strata(c, trunc) if s.label == "sign1-e2"]
+    reps = [s.alpha for s in torus_strata(CuspidalData(c), form, trunc)
+            if s.label == "sign1-e2"]
     assert central not in reps and central + c.pi(5) in reps
     twin = make_field(2, 2, (-2, 0, 1), 24)
     got, want = [
@@ -500,7 +518,8 @@ def test_discriminant_routes_on_every_torus_stratum():
         c = make_field(p, e, eis, 20)
         form = orthogonal_form(c, 2)
         signs = set()
-        for stratum in torus_strata(c, TruncationSpec(gamma_depth=4)):
+        for stratum in unit_digit_strata(CuspidalData(c), form,
+                                         TruncationSpec(gamma_depth=4)):
             where = (eis, stratum.label)
             assert TorusElem(stratum.alpha).regular, where
             signs.add(stratum.sign)
@@ -561,7 +580,8 @@ def test_closed_form_preimage_on_every_torus_stratum():
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS:
         c = make_field(p, e, eis, 20)
         form = orthogonal_form(c, 2)
-        strata = torus_strata(c, TruncationSpec(gamma_depth=4))
+        strata = unit_digit_strata(CuspidalData(c), form,
+                                   TruncationSpec(gamma_depth=4))
         for stratum in strata:
             where = (eis, stratum.label)
             gamma = TorusElem(stratum.alpha)
@@ -595,7 +615,8 @@ def test_grouped_psi_k_equals_per_record_sum():
         data, form = CuspidalData(c), orthogonal_form(c, 2)
         units = square_class_reps(c).card_units
         nonzero = 0
-        for stratum in torus_strata(c, TruncationSpec(gamma_depth=4)):
+        for stratum in unit_digit_strata(data, form,
+                                         TruncationSpec(gamma_depth=4)):
             x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
             want = {k: CharacterValue.zero(p) for k in ks}
             for r in orbit_strata(data, form, x):
@@ -736,8 +757,9 @@ def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
     (`kappa_vanishes`), so `assemble_coefficients`, `rg_term` and
     `orbit_weight_integral` make no `orbit_strata`, `support_prefilter`
     or `kappa_average` call, and every torus stratum keeps an empty
-    table.  On the even-p2 config the table walks every torus stratum:
-    207 records and 35 prefilter calls."""
+    table.  On the even-p2 config the table walks every torus stratum,
+    one per e (11 strata, 35 at one per unit-digit tuple): 54 records,
+    11 prefilter calls and 51 K-averages."""
     calls, records = Counter(), []
     walk = integrator.orbit_strata
 
@@ -761,11 +783,12 @@ def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
     table = assemble_coefficients(data, form, trunc)
-    assert len(table.stratum_totals) == len(torus_strata(c, trunc))
+    strata = torus_strata(data, form, trunc)
+    assert len(table.stratum_totals) == len(strata) == (11 if p == 2 else 15)
     if p == 2:
-        assert calls["orbit_strata"] == len(torus_strata(c, trunc))
-        assert (len(records), calls["support_prefilter"]) == (207, 35)
-        assert calls["kappa_average"] > 0
+        assert calls["orbit_strata"] == len(strata)
+        assert (len(records), calls["support_prefilter"]) == (54, 11)
+        assert calls["kappa_average"] == 51
         return
     assert all(totals == {} for *_, totals in table.stratum_totals)
     assert rg_term(data, form, trunc).is_zero()
@@ -787,3 +810,118 @@ def test_trace_guard_without_the_walk():
     trunc = TruncationSpec(gamma_depth=5, k_max=8, unit_depth=2)
     with pytest.raises(PrecisionExhausted, match="sign1-e5"):
         assemble_coefficients(data, form, trunc)
+
+
+class ResidueMean(IntegralIndicator):
+    """A test integrand that sees every digit of y mod pi^2: f(X) =
+    F(X mod pi^2) on integral X of unit determinant, 0 elsewhere, with F
+    a seeded random function on M_2(O/pi^2), p = 5 and e = 1.  Its
+    K-average is the plain mean over GL_2(Z/25), by numpy.  Unlike the
+    indicator of M_2(O), it separates the torus strata that
+    `torus_strata` merges only where the rule allows.  A K-average is
+    K-invariant, so the means are cached per orbit of y mod pi^2 under
+    the diagonal k = diag(c1, c2) of K, which take y to
+    [[c1 c2 y00, c1^2 y01], [c2^2 y10, c1 c2 y11]].  The support, the
+    prefilter and the residue level are those of the indicator."""
+
+    def __init__(self, ctx):
+        assert (ctx.p, ctx.e) == (5, 1)
+        super().__init__(ctx)
+        self.table = np.random.default_rng(18).integers(0, 8, 25 ** 4)
+        digits = np.indices((25,) * 4, dtype=np.int32).reshape(4, -1)
+        a, b, c, d = digits[:, (digits[0] * digits[3]
+                                - digits[1] * digits[2]) % 5 != 0]
+        self.k = a, b, c, d
+        units = [u for u in range(25) if u % 5]
+        self.diagonal = {(c1 * c2 % 25, c1 * c1 % 25, c2 * c2 % 25)
+                         for c1 in units for c2 in units}
+        self._cache = {}
+
+    def kappa_average(self, y, form):
+        if y.det().val != 0:
+            return CharacterValue.zero(5)
+        y00, y01, y10, y11 = (t[0] + 5 * t[1] for t in y.residue_key(2))
+        key = min((s * y00 % 25, u * y01 % 25, w * y10 % 25, s * y11 % 25)
+                  for s, u, w in self.diagonal)
+        if key not in self._cache:
+            self._cache[key] = self._mean(*key)
+        return self._cache[key]
+
+    def _mean(self, y00, y01, y10, y11):
+        a, b, c, d = self.k
+        # k y k^vdash with k^vdash = [[d, b], [c, a]]
+        r00, r01 = (a * y00 + b * y10) % 25, (a * y01 + b * y11) % 25
+        r10, r11 = (c * y00 + d * y10) % 25, (c * y01 + d * y11) % 25
+        x = [(r00 * d + r01 * c) % 25, (r00 * b + r01 * a) % 25,
+             (r10 * d + r11 * c) % 25, (r10 * b + r11 * a) % 25]
+        idx = ((x[0] * 25 + x[1]) * 25 + x[2]) * 25 + x[3]
+        return CharacterValue.rational(
+            5, Fraction(int(self.table[idx].sum()), a.size))
+
+
+def _run(monkeypatch, data, trunc, strata_fn):
+    """(c_k table, rg_term) with `strata_fn` as the torus strata."""
+    monkeypatch.setattr(integrator, "torus_strata", strata_fn)
+    form = orthogonal_form(data.ctx, 2)
+    return (assemble_coefficients(data, form, trunc),
+            rg_term(data, form, trunc))
+
+
+def _same_run(monkeypatch, data, trunc):
+    """Compare one stratum per class against one per unit-digit tuple:
+    equal c_k, per-e increments and rg_term, and per-tuple totals that
+    agree within each class of v mod pi^m.  Returns the oracle's
+    per-tuple totals by (sign, e)."""
+    form = orthogonal_form(data.ctx, 2)
+    fast, fast_rg = _run(monkeypatch, data, trunc, torus_strata)
+    slow, slow_rg = _run(monkeypatch, data, trunc, unit_digit_strata)
+    assert fast.values == slow.values
+    for k in fast.ks:
+        assert fast.per_e_increments(k) == slow.per_e_increments(k), k
+    assert fast_rg == slow_rg
+    by_class, by_e = defaultdict(set), defaultdict(set)
+    for stratum, (*_, totals) in zip(unit_digit_strata(data, form, trunc),
+                                     slow.stratum_totals):
+        if stratum.e:
+            m = integrator._digits_seen(data, form, stratum.e,
+                                        trunc.unit_depth)
+            key = (stratum.sign, stratum.e)
+            frozen = tuple(sorted(totals.items()))
+            by_class[key + (unit_digits(stratum, m),)].add(frozen)
+            by_e[key].add(frozen)
+    assert all(len(v) == 1 for v in by_class.values())
+    return by_e
+
+
+@pytest.mark.parametrize("field, depth", LEVEL_WALK_FIELDS
+                         + [((2, 2, (2, 0, 1)), 4)])
+def test_class_strata_match_the_unit_digit_oracle(monkeypatch, field, depth):
+    """On the level-walk fields and x^2 + 2, for `CuspidalData` and the
+    indicator of M_2(O), at unit_depth 1 to 3: one torus stratum per
+    class of v mod pi^m gives the c_k, per-e increments and rg_term of
+    one stratum per unit-digit tuple exactly, and the oracle's
+    per-tuple totals agree within each class."""
+    c = make_field(*field, 20)
+    for ud in (1, 2, 3):
+        trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=2)
+        for data in (CuspidalData(c), IntegralIndicator(c)):
+            _same_run(monkeypatch, data, trunc)
+
+
+def test_digits_seen_is_sharp_on_a_residue_mean(monkeypatch):
+    """The random mean over GL_2(Z/25) at p = 5: one stratum per class of
+    v mod pi^(2 - e) (1 digit at e = 1, none at e = 2) gives the oracle's
+    c_k, increments and rg_term at unit_depth 1 and 2, and the rule is
+    not vacuous: at e = 1 the per-tuple totals differ between the classes
+    mod pi on both signs, so no coarser cut would do."""
+    c = make_field(5, 1, (-5, 1), 18)
+    data = ResidueMean(c)
+    form = orthogonal_form(c, 2)
+    assert [integrator._digits_seen(data, form, e, 2) for e in (1, 2, 3)] \
+        == [1, 0, 0]
+    for ud in (1, 2):
+        trunc = TruncationSpec(gamma_depth=2, unit_depth=ud, k_max=2)
+        by_e = _same_run(monkeypatch, data, trunc)
+        for sign in (1, -1):
+            assert len(by_e[sign, 1]) > 1, (ud, sign)
+            assert len(by_e[sign, 2]) == 1, (ud, sign)
