@@ -37,7 +37,7 @@ scs = square_class_reps(ctx)
 print("k-independent factor:", rg,
       " and c_0 == 2 |O*/O*^2| rg:", c0 == rg.scale(2 * scs.card_units))
 
-rep = residue_report([table.values[k] for k in table.ks], n=2, q=ctx.q)
+rep = residue_report(table.a, table.b, table.ks, n=2, q=ctx.q)
 print("report regime:", rep.regime)
 
 # the K-average cancels even though the support is met: look at one stratum

@@ -4,8 +4,9 @@ Here the interaction between the weight factor and the orbital integral is
 genuine: coefficients are affine in k.  With a prime residue field the
 slope cancels exactly (the boundary character average is -1/3, not 0, and
 the shell sums telescope), leaving a positive constant; the weight-only
-shell integrals are also computed and are both positive.  The closed form
-and the Laurent data at s = 0 are extracted at the end.
+shell integrals are also computed and are both positive.  The run totals
+give c_k = a + b k, and the closed form and the Laurent data at s = 0 are
+explicit in (a, b).
 """
 
 from twirl import (
@@ -35,10 +36,9 @@ for e, inc in table.per_e_increments(0).items():
 a, b, incs = coefficient_A_B(data, form, trunc)
 print("\nweight-only shell constants: A =", a, " B =", b)
 
-coeffs = [table.values[k] for k in table.ks]
-rep = residue_report(coeffs, n=2, q=ctx.q)
+rep = residue_report(table.a, table.b, table.ks, n=2, q=ctx.q)
 print("\nregime:", rep.regime)
-print("fitted polynomial:", [str(c) for c in rep.poly], "from k0 =", rep.k0)
+print("c_k = a + b k with a =", table.a, " b =", table.b)
 print("closed form numerator:", [str(c) for c in rep.closed.num[:3]],
       f"over (1-u)^{rep.closed.pole_power}")
 print("Laurent data at s = 0:")

@@ -10,7 +10,6 @@ from .cyclotomic import CharacterValue
 from .errors import (
     ClubsuitViolated,
     DomainError,
-    NoStabilization,
     NotEisenstein,
     NotRegular,
     PrecisionExhausted,
@@ -51,8 +50,6 @@ from .residue import (
     LaurentData,
     RationalSeries,
     ResidueSeries,
-    closed_form,
-    fit_polynomial,
     laurent_at_zero,
     residue_report,
 )

@@ -26,9 +26,8 @@ a value that is not an integer, a window out of range, a precision below
 weight-only constants to the residue report).  The G/T walk has no
 window, and `support-scan` reads the same (i, j) levels as the pipeline.
 `wfactor` draws its random queries from a fixed seed, 7.  Exit codes:
-0 success, 2 a coefficient table that never stabilized
-(NoStabilization), 1 any other error.  TWIRL_OUTPUT_DIR overrides output
-directories; no other environment variables are read.
+0 success, 1 any error.  TWIRL_OUTPUT_DIR overrides output directories;
+no other environment variables are read.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import NoStabilization, NotRegular, TwirlError
+from .errors import NotRegular, TwirlError
 from .integrator import (
     TruncationSpec,
     assemble_coefficients,
@@ -248,8 +247,7 @@ def cmd_residue(cfg: RunConfig, args) -> int:
     data = CuspidalData(cfg.ctx)
     form = orthogonal_form(cfg.ctx, 2)
     table = assemble_coefficients(data, form, cfg.trunc)
-    coeffs = [table.values[k] for k in table.ks]
-    rep = residue_report(coeffs, n=2, q=cfg.ctx.q)
+    rep = residue_report(table.a, table.b, table.ks, n=2, q=cfg.ctx.q)
     out = rep.to_json()
     out["metadata"] = table.metadata
     if cfg.regime == "even":
@@ -295,9 +293,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NoStabilization as exc:
-        print(f"truncation failure: {exc}", file=sys.stderr)
-        return 2
     except TwirlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,10 +40,3 @@ class ClubsuitViolated(TwirlError):
 class WindowOverflow(TwirlError):
     """An enumeration hit its provable window boundary; indicates a bug."""
 
-
-class NoStabilization(TwirlError):
-    """Finite differences of the coefficient table never vanish."""
-
-    def __init__(self, message, table=None):
-        super().__init__(message)
-        self.table = table

@@ -18,11 +18,13 @@ S(gamma)^(-1) (one `Elem` inverse) and |D_eps(gamma)| as an integer read
 off ord(alpha - 1) and ord(alpha), `orbit_strata` the
 (i, j) levels of G/T in closed form (one prefilter call per forced i), and
 `_delta_totals` sums weight * K-average of f over the live classes of b per
-Delta_1 = i - j.  The closed square-class weight reads a record only
-through Delta_1, so `assemble_coefficients` adds the scaled per-Delta_1
-totals of every stratum into one run-wide table and applies the class
-weight once per run, for every k (`_weigh`).  `support_scan` takes x the
-same way and reads the same level records: one walk of G/T in the library.
+Delta_1 = i - j >= 0.  There the closed square-class weight is units
+(2 Delta_1 + 1 + 4k), so a table {Delta_1: T} gives c_k = a + b k with
+a = units sum (2 Delta_1 + 1) T and b = 4 units sum T (`_pair`):
+`assemble_coefficients` adds the scaled per-Delta_1 totals of every
+stratum into one run-wide table and reduces it to that pair once per
+run.  `support_scan` takes x the same way and reads the same level
+records: one walk of G/T in the library.
 
 An integrand whose K-averages all vanish (`kappa_vanishes`: `CuspidalData`
 at odd p) walks no levels: `_delta_totals` runs only the trace guard of
@@ -47,10 +49,10 @@ from .twisted import TorusElem, norm_preimage, twisted_discriminant
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Finite windows of the pipeline: `k_max` bounds the coefficient
-    table, `gamma_depth` the torus strata, and `unit_depth` caps the
-    digits of v a torus stratum fixes (`torus_strata`).  The G/T walk
-    needs none (`orbit_strata`).  `gamma_depth` is not proved exhaustive:
+    """Finite windows of the pipeline: `k_max` is how many c_k are
+    printed (c_k = a + b k for every k), `gamma_depth` bounds the torus
+    strata, and `unit_depth` caps the digits of v a torus stratum fixes
+    (`torus_strata`).  The G/T walk needs none (`orbit_strata`).  `gamma_depth` is not proved exhaustive:
     the torus strata beyond it contribute, and nothing reports that tail
     yet."""
 
@@ -248,96 +250,102 @@ def orbit_strata(data, form, x: Mat):
     return out
 
 
-def class_weight_from_delta(delta1: int, units: int, k: int) -> int:
-    """Square-class weight sum at Delta_1 = delta1: the closed volume
-    formula w_k = Delta + 2k + 1 (0 below Delta = -2k) summed over the
-    representatives alpha of F^x/(F^x)^2 with Delta -> delta1 - ord(alpha).
-    `square_class_reps` has `units` representatives of valuation 0 and
-    `units` of valuation 1."""
-    return units * (max(0, delta1 + 2 * k + 1) + max(0, delta1 + 2 * k))
-
-
 # -- the integrals ----------------------------------------------------------------
 
 
-def _delta_totals(data, form, x: Mat) -> dict:
+def _delta_totals(data, form, x: Mat, label: str) -> dict:
     """{Delta_1: sum of weight * f_avg} over the live orbit strata of x =
-    S(gamma)^(-1), f_avg the K-average of f at the record's y; a zero
-    average adds no key.  When every K-average vanishes
-    (`data.kappa_vanishes`) no level is walked: the table is empty, and
-    only the trace guard of `_forced_levels` runs on x."""
-    if data.kappa_vanishes(form):
-        _forced_levels(data, x)
-        return {}
-    zero = CharacterValue.zero(data.ctx.p)
+    S(gamma)^(-1) at the torus stratum `label`, f_avg the K-average of f
+    at the record's y; a zero average adds no key.  When every K-average
+    vanishes (`data.kappa_vanishes`) no level is walked: the table is
+    empty, and only the trace guard of `_forced_levels` runs on x.
+
+    Every key is Delta_1 >= 0, and `_pair` relies on it.  x0 + x1 = -1,
+    so jmax = max(0, i) (`_forced_levels`): Delta_1 = i - j >= 0 at
+    i >= 0, and j = 0 at i < 0.  There one of x0, x1 has ord <= 0, as
+    their sum is -1, so y = pi^i x is not integral; an integrand reads y
+    only mod pi^`residue_level`, so it is 0 there.  A nonzero total at
+    Delta_1 < 0 raises DomainError naming the stratum; a PrecisionExhausted
+    of the trace guard names it too."""
     by_delta: dict = {}
-    for s in orbit_strata(data, form, x):
-        if s.dead is not None:
-            continue
-        f_avg = data.kappa_average(s.y, form)
-        if not f_avg.is_zero():
-            d = s.i - s.j
-            by_delta[d] = by_delta.get(d, zero) + f_avg.scale(s.weight)
+    try:
+        if data.kappa_vanishes(form):
+            _forced_levels(data, x)
+            return by_delta
+        for s in orbit_strata(data, form, x):
+            if s.dead is not None:
+                continue
+            f_avg = data.kappa_average(s.y, form)
+            if not f_avg.is_zero():
+                d, t = s.i - s.j, f_avg.scale(s.weight)
+                by_delta[d] = by_delta[d] + t if d in by_delta else t
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted(f"{label}: {exc}") from exc
+    for d, total in by_delta.items():
+        if d < 0 and not total.is_zero():
+            raise DomainError(f"{label}: nonzero total at Delta_1 = {d} < 0; "
+                              "c_k = a + b k needs an integrand that is 0 "
+                              "off the integral y")
     return by_delta
 
 
-def _weigh(by_delta: dict, p: int, ks, units: int) -> dict:
-    """{k: sum over Delta_1 of class_weight_from_delta(Delta_1, units, k)
-    * by_delta[Delta_1]}, one class weight per (Delta_1, k)."""
-    table = {}
-    for k in ks:
-        acc = CharacterValue.zero(p)
-        for d, total in by_delta.items():
-            w = class_weight_from_delta(d, units, k)
-            if w:
-                acc = acc + total.scale(w)
-        table[k] = acc
-    return table
+def _pair(by_delta: dict, p: int, units: int):
+    """(a, b) with c_k = a + b k for a {Delta_1: total} table, every
+    Delta_1 >= 0 (`_delta_totals`): the square-class weight there is
+    units (2 Delta_1 + 1 + 4k), so a = units sum (2 Delta_1 + 1) T and
+    b = 4 units sum T."""
+    s0 = s1 = CharacterValue.zero(p)
+    for d, total in by_delta.items():
+        s0 = s0 + total
+        s1 = s1 + total.scale(2 * d + 1)
+    return s1.scale(units), s0.scale(4 * units)
 
 
-def _psi_k(data, form, x: Mat, ks, units: int):
-    """{k: psi_k} for x = S(gamma)^(-1): the sum over live orbit strata of
-    weight * f_avg * class_weight_from_delta(i - j, units, k).  The class
-    weight reads a record only through Delta_1 = i - j, so this is the
-    per-Delta_1 totals of `_delta_totals`, weighed once by `_weigh`."""
-    return _weigh(_delta_totals(data, form, x), data.ctx.p, ks, units)
+def _affine(a: CharacterValue, b: CharacterValue, ks) -> dict:
+    """{k: a + b k} for k in ks."""
+    return {k: a + b.scale(k) for k in ks}
 
 
 def orbit_weight_integral(data, form, gamma: TorusElem, ks,
                           label: str = "gamma"):
     """psi_k(gamma) = integral over G/T of f(g S(gamma)^(-1) g^vdash) W_k(g)
-    for each k in ks, as {k: CharacterValue}.  gamma must be regular:
-    x comes from `regular_preimage`, whose exact zero tests of alpha -+ 1
-    raise NotRegular naming `label`, and a trace x0 + x1 the precision
-    cannot decide raises PrecisionExhausted naming it."""
+    for each k in ks, as {k: CharacterValue}, read off the pair of the
+    per-Delta_1 totals (`_pair`).  gamma must be regular: x comes from
+    `regular_preimage`, whose exact zero tests of alpha -+ 1 raise
+    NotRegular naming `label`, and a trace x0 + x1 the precision cannot
+    decide raises PrecisionExhausted naming it."""
     x, _dexp = regular_preimage(form, gamma.alpha, label)
     units = card_unit_square_classes(data.ctx)
-    try:
-        return _psi_k(data, form, x, ks, units)
-    except PrecisionExhausted as exc:
-        raise PrecisionExhausted(f"{label}: {exc}") from exc
+    by_delta = _delta_totals(data, form, x, label)
+    return _affine(*_pair(by_delta, data.ctx.p, units), ks)
 
 
 @dataclass
 class CoefficientTable:
-    """c_k for k in `ks`.  `stratum_totals` holds each torus stratum's
-    per-Delta_1 totals, already times 2 vol |D_eps|; `values` weighs
-    their run-wide sum once, and `per_stratum` weighs each stratum's
-    totals when read."""
+    """c_k = a + b k for k in `ks`.  `stratum_totals` holds each torus
+    stratum's per-Delta_1 totals, already times 2 vol |D_eps|; (a, b) is
+    the pair of their run-wide sum, and `per_stratum` reads each
+    stratum's own pair."""
 
     ks: tuple
-    values: dict            # k -> CharacterValue
     stratum_totals: list    # (label, e, sign, vol, dict Delta_1 -> CharacterValue)
     p: int
-    units: int              # |O^x/(O^x)^2|, read by the class weight
+    units: int              # |O^x/(O^x)^2|, read by `_pair`
+    a: CharacterValue       # c_0
+    b: CharacterValue       # the slope c_(k+1) - c_k
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def values(self) -> dict:
+        """{k: c_k} for k in `ks`."""
+        return _affine(self.a, self.b, self.ks)
 
     @property
     def per_stratum(self):
         """(label, e, sign, vol, dict k -> CharacterValue) per torus
         stratum: its share of each c_k."""
-        return [(label, e, sign, vol, _weigh(totals, self.p, self.ks,
-                                             self.units))
+        return [(label, e, sign, vol,
+                 _affine(*_pair(totals, self.p, self.units), self.ks))
                 for label, e, sign, vol, totals in self.stratum_totals]
 
     def per_e_increments(self, k: int = 0):
@@ -428,10 +436,10 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
     builds x = S(gamma)^(-1) and |D_eps| once, in `regular_preimage`, and
     adds its per-Delta_1 totals (`_delta_totals`), times 2 vol |D_eps|,
     into one run-wide {Delta_1: total}.  psi_k is linear in those totals,
-    so the class weight is applied once per run, by `_weigh`, for every
-    k.  The trace check of `_forced_levels` is the guard on x, also when
-    no level is walked: a trace the precision cannot decide raises
-    PrecisionExhausted naming the stratum."""
+    so the run reduces them once to the pair (a, b) of c_k = a + b k
+    (`_pair`).  The trace check of `_forced_levels` is the guard on x,
+    also when no level is walked: a trace the precision cannot decide
+    raises PrecisionExhausted naming the stratum."""
     ctx = data.ctx
     units = card_unit_square_classes(ctx)
     ks = tuple(range(0, trunc.k_max + 1))
@@ -439,10 +447,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
     stratum_totals = []
     for stratum in torus_strata(data, form, trunc):
         x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
-        try:
-            by_delta = _delta_totals(data, form, x)
-        except PrecisionExhausted as exc:
-            raise PrecisionExhausted(f"{stratum.label}: {exc}") from exc
+        by_delta = _delta_totals(data, form, x, stratum.label)
         # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1); |W(T)| = 1
         scale = 2 * stratum.vol * Fraction(ctx.q) ** (-dexp)
         totals = {d: t.scale(scale) for d, t in by_delta.items()}
@@ -450,7 +455,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
             run[d] = run[d] + t if d in run else t
         stratum_totals.append((stratum.label, stratum.e, stratum.sign,
                                stratum.vol, totals))
-    values = _weigh(run, ctx.p, ks, units)
+    a, b = _pair(run, ctx.p, units)
     meta = {
         "normalizations": {
             "vol(GL2(O))": "1",
@@ -465,7 +470,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
         "gamma_depth": trunc.gamma_depth,
         "unit_depth": trunc.unit_depth,
     }
-    return CoefficientTable(ks, values, stratum_totals, ctx.p, units, meta)
+    return CoefficientTable(ks, stratum_totals, ctx.p, units, a, b, meta)
 
 
 def rg_term(data, form, trunc: TruncationSpec) -> CharacterValue:

@@ -1,9 +1,26 @@
-"""Closed-form summation of sum_k c_k u^k (u = q^(-2ns)) and exact Laurent
-principal-part extraction at s = 0.
+"""The series sum_k c_k q^(-2nks) in closed form, and its exact Laurent
+data at s = 0.
 
-Laurent coefficients live in Q[zeta_p][(ln q)^(-1)]: each term is an exact
-vector of rationals together with an integer power of ln q; ln q is only
-evaluated numerically inside the optional floating-point spot check.
+Every c_k is affine in k: c_k = a + b k, with a = c_0 and b the slope
+(`integrator.CoefficientTable`).  With u = q^(-2ns),
+
+    sum_(k>=0) (a + b k) u^k = a/(1 - u) + b u/(1 - u)^2
+                             = (a + (b - a) u) / (1 - u)^2.
+
+Put z = 2n ln(q) s, so u = e^(-z).  Then 1/(1 - e^(-z)) = 1/z + 1/2 +
+z/12 + O(z^3), and e^(-z)/(1 - e^(-z))^2, its negated derivative, is
+1/z^2 - 1/12 + z^2/240 + O(z^4).  Through s^2 the Laurent series at s = 0
+is therefore
+
+    s^-2: b/(2n)^2 (ln q)^-2
+    s^-1: a/(2n) (ln q)^-1      (the residue)
+    s^0:  a/2 - b/12
+    s^1:  2n a/12 ln q
+    s^2:  (2n)^2 b/240 (ln q)^2.
+
+Each coefficient is an exact vector of Q[zeta_p] together with an integer
+power of ln q; ln q is only evaluated numerically inside the
+floating-point spot check.
 """
 
 from __future__ import annotations
@@ -13,209 +30,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import CharacterValue
-from .errors import NoStabilization
-
-# -- small dense polynomial helpers over Fraction --------------------------------
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _pscale(a, r):
-    return [x * Fraction(r) for x in a]
-
-
-# -- exact polynomial fit ---------------------------------------------------------
-
-
-def _diff(seq):
-    return [b - a for a, b in zip(seq, seq[1:])]
-
-
-def fit_polynomial(coeffs, max_degree: int):
-    """Exact finite-difference fit: find the first k0 from which the
-    (max_degree+1)-th differences vanish identically, and the polynomial
-    P with P(k) = c_k for all k >= k0.  Coefficients are CharacterValue;
-    the returned P is a list of CharacterValue in the standard k-basis."""
-    coeffs = list(coeffs)
-    d = max_degree
-    if len(coeffs) < d + 3:
-        raise NoStabilization(f"need at least {d + 3} coefficients")
-    table = [coeffs]
-    for _ in range(d + 1):
-        table.append(_diff(table[-1]))
-    top = table[d + 1]
-    k0 = None
-    for start in range(len(top) + 1):
-        if all(v.is_zero() for v in top[start:]):
-            k0 = start
-            break
-    if k0 is None or len(coeffs) - k0 < d + 3:
-        raise NoStabilization(
-            "high differences never vanish on the computed window",
-            table=[[str(v) for v in row] for row in table],
-        )
-    p = coeffs[0].p
-    # Newton forward form around k0: sum_j D^j c_(k0) * binom(k - k0, j)
-    poly = [CharacterValue.zero(p) for _ in range(d + 1)]
-    for j in range(d + 1):
-        lead = table[j][k0]
-        if lead.is_zero():
-            continue
-        binom = [Fraction(1)]
-        for t in range(j):
-            binom = _pmul(binom, [Fraction(-k0 - t), Fraction(1)])
-        binom = _pscale(binom, Fraction(1, math.factorial(j)))
-        for deg, q in enumerate(binom):
-            if q:
-                poly[deg] = poly[deg] + lead.scale(q)
-    for k in range(k0, len(coeffs)):
-        if not _poly_eval(poly, k) == coeffs[k]:
-            raise NoStabilization("fit does not reproduce the coefficients")
-    return poly, k0
-
-
-def _poly_eval(poly, k: int) -> CharacterValue:
-    p = poly[0].p
-    acc = CharacterValue.zero(p)
-    kk = 1
-    for c in poly:
-        acc = acc + c.scale(kk)
-        kk *= k
-    return acc
-
-
-# -- rational closed form ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RationalSeries:
-    """N(u) / (1-u)^pole_power, N with CharacterValue coefficients.  The
-    only denominator zero is u = 1, since `closed_form` builds every series
-    over (1-u)^(d+1)."""
+    """N(u) / (1-u)^pole_power, N with CharacterValue coefficients."""
 
     num: tuple
     pole_power: int
 
-    @property
-    def p(self) -> int:
-        return self.num[0].p
-
-    def series(self, count: int):
-        """Taylor coefficients at u = 0 (exact)."""
-        geo = [Fraction(1)] * count
-        out_q = geo
-        for _ in range(self.pole_power - 1):
-            out_q = _series_mul_q(out_q, geo, count)
-        if self.pole_power == 0:
-            out_q = [Fraction(1)] + [Fraction(0)] * (count - 1)
-        out = []
-        for k in range(count):
-            acc = CharacterValue.zero(self.p)
-            for m, cm in enumerate(self.num):
-                if m > k:
-                    break
-                acc = acc + cm.scale(out_q[k - m])
-            out.append(acc)
-        return out
-
     def eval_complex(self, u: float):
         num = sum(c.complex() * u**m for m, c in enumerate(self.num))
         return num / (1 - u) ** self.pole_power
-
-
-def _series_mul_q(a, b, count):
-    out = [Fraction(0)] * count
-    for i, x in enumerate(a[:count]):
-        if x:
-            for j, y in enumerate(b[: count - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _series_inverse(a, count):
-    if a[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    inv0 = Fraction(1) / a[0]
-    out = [inv0] + [Fraction(0)] * (count - 1)
-    for k in range(1, count):
-        s = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            s += a[j] * out[k - j]
-        out[k] = -inv0 * s
-    return out
-
-
-def closed_form(poly, k0: int, head) -> RationalSeries:
-    """sum_(k>=0) c_k u^k where c_k = P(k) for k >= k0 and the head values
-    are supplied explicitly; built from the kernels sum_k k^j u^k and a
-    finite head correction.  The result re-expands exactly."""
-    p = poly[0].p
-    d = len(poly) - 1
-    one_minus_q = [Fraction(1), Fraction(-1)]
-    # kernels K_j = sum_(k>=0) k^j u^k = A_j(u) / (1-u)^(j+1), built by
-    # K_(j+1) = u d/du K_j, i.e. A -> u (A'(1-u) + (j+1) A)
-    kernels = [[Fraction(1)]]
-    for j in range(d):
-        apoly = kernels[-1]
-        ap = [Fraction(i) * c for i, c in enumerate(apoly)][1:] or [Fraction(0)]
-        newa = _padd(_pmul(ap, one_minus_q), _pscale(apoly, j + 1))
-        kernels.append(_pmul([Fraction(0), Fraction(1)], newa))
-    # numerator over the common denominator (1-u)^(d+1)
-    num = [CharacterValue.zero(p)]
-    one_minus = [Fraction(1), Fraction(-1)]
-    for j, cj in enumerate(poly):
-        if cj.is_zero():
-            continue
-        scaled = kernels[j]
-        lift = scaled
-        for _ in range(d - j):
-            lift = _pmul(lift, one_minus)
-        for deg, qc in enumerate(lift):
-            while len(num) <= deg:
-                num.append(CharacterValue.zero(p))
-            num[deg] = num[deg] + cj.scale(qc)
-    rs = RationalSeries(tuple(num), d + 1)
-    # head correction: add (c_k - P(k)) u^k for k < k0 as a polynomial
-    if k0:
-        corr = []
-        for k in range(k0):
-            corr.append(head[k] - _poly_eval(poly, k))
-        num2 = list(rs.num)
-        for k, ck in enumerate(corr):
-            if ck.is_zero():
-                continue
-            add = [Fraction(0)] * k + [Fraction(1)]
-            lift = add
-            for _ in range(d + 1):
-                lift = _pmul(lift, one_minus)
-            for deg, qc in enumerate(lift):
-                while len(num2) <= deg:
-                    num2.append(CharacterValue.zero(p))
-                num2[deg] = num2[deg] + ck.scale(qc)
-        rs = RationalSeries(tuple(num2), d + 1)
-    return rs
-
-
-def verify_expansion(rs: RationalSeries, coeffs) -> bool:
-    got = rs.series(len(coeffs))
-    return all(a == b for a, b in zip(got, coeffs))
 
 
 # -- Laurent data at s = 0 ----------------------------------------------------------
@@ -256,46 +82,17 @@ class LaurentData:
         ]
 
 
-def laurent_at_zero(rs: RationalSeries, n: int, q: int) -> LaurentData:
-    """Substitute u = q^(-2ns) = exp(-z), z = 2n ln(q) s, and expand the
-    Laurent series at s = 0 through s^2.  The s^(-m) coefficient is an
-    exact rational (vector) times (ln q)^(-m).  The pole at s = 0 comes
-    only from the (1-u)^d factor, the one denominator a RationalSeries
-    has."""
-    d = rs.pole_power
-    count = d + 3
-    # N(e^-z) as a z-series with CharacterValue coefficients
-    p = rs.p
-    nser = [CharacterValue.zero(p) for _ in range(count)]
-    for m, cm in enumerate(rs.num):
-        if cm.is_zero():
-            continue
-        # e^(-mz) = sum_t (-m)^t z^t / t!
-        for t in range(count):
-            nser[t] = nser[t] + cm.scale(Fraction((-m) ** t, math.factorial(t)))
-    # G(z) = (1 - e^-z)/z = sum_t (-1)^t z^t/(t+1)!
-    g = [Fraction((-1) ** t, math.factorial(t + 1)) for t in range(count)]
-    gd = [Fraction(1)] + [Fraction(0)] * (count - 1)
-    for _ in range(d):
-        gd = _series_mul_q(gd, g, count)
-    wq = _series_inverse(gd, count)
-    lser = [CharacterValue.zero(p) for _ in range(count)]
-    for i in range(count):
-        if nser[i].is_zero():
-            continue
-        for j in range(count - i):
-            if wq[j]:
-                lser[i + j] = lser[i + j] + nser[i].scale(wq[j])
-    terms = []
-    for idx, cv in enumerate(lser):
-        spow = idx - d
-        if spow > 2:
-            break
-        if cv.is_zero():
-            continue
-        scaled = cv.scale(Fraction(2 * n) ** spow)
-        terms.append(LaurentTerm(spow, scaled, spow))
-    return LaurentData(n, q, terms)
+def laurent_at_zero(a: CharacterValue, b: CharacterValue, n: int,
+                    q: int) -> LaurentData:
+    """The Laurent series of sum_k (a + b k) q^(-2nks) at s = 0 through
+    s^2, the five terms of the module docstring; a zero term is omitted.
+    The coefficient of z^m, z = 2n ln(q) s, is that of s^m (ln q)^m times
+    (2n)^m."""
+    by_z = ((-2, b), (-1, a),
+            (0, a.scale(Fraction(1, 2)) - b.scale(Fraction(1, 12))),
+            (1, a.scale(Fraction(1, 12))), (2, b.scale(Fraction(1, 240))))
+    return LaurentData(n, q, [LaurentTerm(m, v.scale(Fraction(2 * n) ** m), m)
+                              for m, v in by_z if not v.is_zero()])
 
 
 def spot_check(rs: RationalSeries, laur: LaurentData, n: int, q: int) -> float:
@@ -317,14 +114,13 @@ def spot_check(rs: RationalSeries, laur: LaurentData, n: int, q: int) -> float:
 
 @dataclass
 class ResidueSeries:
-    """The full chain: coefficient table, fitted polynomial, closed form,
-    and Laurent data."""
+    """The full chain: coefficient table, the polynomial a + b k, closed
+    form, and Laurent data."""
 
     n: int
     q: int
     coeffs: list
     poly: list
-    k0: int
     closed: RationalSeries
     laurent: LaurentData
     regime: str
@@ -333,7 +129,7 @@ class ResidueSeries:
     def to_json(self):
         return {
             "regime": self.regime,
-            "k0": self.k0,
+            "k0": 0,  # c_k = a + b k from k = 0 on
             "poly": [c.to_json() for c in self.poly],
             "closed_form": {
                 "num": [c.to_json() for c in self.closed.num],
@@ -347,34 +143,25 @@ class ResidueSeries:
         }
 
 
-def classify_regime(coeffs) -> str:
-    if all(c.is_zero() for c in coeffs):
-        return "zero"
-    c0 = coeffs[0]
-    if all(coeffs[k] == c0.scale(4 * k + 1) for k in range(len(coeffs))):
-        return "odd-factorized"
-    d2 = [coeffs[k + 2] - coeffs[k + 1].scale(2) + coeffs[k]
-          for k in range(len(coeffs) - 2)]
-    if all(v.is_zero() for v in d2[2:]) and len(d2) > 2:
-        return "even-weighted"
-    return "unclassified"
-
-
-def residue_report(coeffs, n: int, q: int) -> ResidueSeries:
-    """coefficient table -> degree-1 polynomial fit -> closed form ->
-    Laurent data, with the regime classification and exactness checks."""
-    regime = classify_regime(coeffs)
-    if regime == "zero":
-        p = coeffs[0].p
-        zero_rs = RationalSeries((CharacterValue.zero(p),), 0)
-        return ResidueSeries(n, q, list(coeffs), [CharacterValue.zero(p)], 0,
-                             zero_rs, LaurentData(n, q, []), regime,
+def residue_report(a: CharacterValue, b: CharacterValue, ks, n: int,
+                   q: int) -> ResidueSeries:
+    """c_k = a + b k for k in `ks` -> closed form -> Laurent data, with the
+    regime read from (a, b): "zero" when both vanish, "odd-factorized"
+    when c_k = (4k + 1) c_0 (b = 4a), "even-weighted" otherwise.  The
+    checks re-expand the closed form, (k + 1) n0 + k n1 for the
+    numerator n0 + n1 u, against the printed c_k, and compare it with
+    the Laurent data in floating point."""
+    coeffs = [a + b.scale(k) for k in ks]
+    if a.is_zero() and b.is_zero():
+        return ResidueSeries(n, q, coeffs, [a], RationalSeries((a,), 0),
+                             LaurentData(n, q, []), "zero",
                              {"identically_zero": True})
-    poly, k0 = fit_polynomial(coeffs, 1)
-    rs = closed_form(poly, k0, list(coeffs[:k0]))
-    ok = verify_expansion(rs, coeffs)
-    laur = laurent_at_zero(rs, n, q)
+    regime = "odd-factorized" if b == a.scale(4) else "even-weighted"
+    rs = RationalSeries((a, b - a), 2)
+    n0, n1 = rs.num
+    ok = all(c == n0.scale(k + 1) + n1.scale(k) for k, c in zip(ks, coeffs))
+    laur = laurent_at_zero(a, b, n, q)
     err = spot_check(rs, laur, n, q)
     checks = {"re_expansion_exact": ok, "spot_check_rel_err": err,
               "spot_check_ok": err <= 1e-6}
-    return ResidueSeries(n, q, list(coeffs), poly, k0, rs, laur, regime, checks)
+    return ResidueSeries(n, q, coeffs, [a, b], rs, laur, regime, checks)

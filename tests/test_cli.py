@@ -86,7 +86,7 @@ def test_dtwist_refuses_undecided_trace(odd_cfg, tmp_path, capsys):
     ("1", 1, "error: gamma - 1 is singular\n"),
     ("-1", 0, '{\n  "abs_value_q_exponent": "0",\n  "alpha": "-1",\n'
               '  "kernel_dim": 1,\n  "regular": true\n}\n'),
-])
+], ids=["1+pi^12", "1+pi^13", "1", "-1"])
 def test_dtwist_decides_alpha_pm1_exactly(tmp_path, capsys, alpha, code,
                                           text):
     """At precision 12, 1 + pi^12 and 1 + pi^13 read as 1 through the
@@ -202,6 +202,26 @@ def test_residue_report_even(even_cfg, tmp_path):
     a = rep["weight_only_constants"]["A"]
     assert json.loads('"%s"' % a)  # string fraction present
     assert rep["metadata"]["additive_character"].startswith("zeta_p")
+
+
+def test_residue_at_small_k_max(tmp_path):
+    """c_k = a + b k is read off the run totals, so `residue` fits no
+    window of c_k: at k_max 0..3 the p = 2 config exits 0 with regime
+    even-weighted, and its poly, closed form and Laurent data are those
+    of the k_max = 8 run, which only prints more c_k."""
+    reps = {}
+    for k_max in (0, 1, 2, 3, 8):
+        cfg, out = tmp_path / f"k{k_max}.ini", tmp_path / f"k{k_max}.json"
+        cfg.write_text(EVEN_CFG.replace("k_max = 3", f"k_max = {k_max}"))
+        assert cli.main(["residue", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        reps[k_max] = json.loads(out.read_text())
+    for k_max in range(4):
+        rep = reps[k_max]
+        assert rep["regime"] == "even-weighted"
+        assert rep["coefficients"] == reps[8]["coefficients"][:k_max + 1]
+        for key in ("poly", "closed_form", "laurent"):
+            assert rep[key] == reps[8][key], (k_max, key)
 
 
 def test_residue_over_x2_plus_2(even_cfg, tmp_path):

@@ -31,8 +31,7 @@ from twirl import (
 )
 from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import (class_weight_from_delta, orbit_strata,
-                              regular_preimage, torus_strata)
+from twirl.integrator import orbit_strata, regular_preimage, torus_strata
 from twirl.localfield import unit_digit_tuples
 from twirl.matlattice import a_e, delta, n_b, vdash
 from twirl.twisted import (charpoly, norm_preimage_general,
@@ -40,6 +39,7 @@ from twirl.twisted import (charpoly, norm_preimage_general,
 from twirl.weights import square_class_weight
 
 from coset_walk import coset_strata
+import residue_oracle as oracle
 from unit_digit_strata import unit_digit_strata, unit_digits
 
 
@@ -76,18 +76,21 @@ def test_torus_strata_volumes():
 
 def test_class_weight_from_delta():
     units = square_class_reps(ctx5()).card_units
-    assert class_weight_from_delta(0, units, 1) == 10
-    assert class_weight_from_delta(0, units, 0) == 2
-    assert class_weight_from_delta(-3, units, 1) == 0
+    assert oracle.class_weight_from_delta(0, units, 1) == 10
+    assert oracle.class_weight_from_delta(0, units, 0) == 2
+    assert oracle.class_weight_from_delta(-3, units, 1) == 0
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
 def test_class_weight_matches_counting_oracle(mk):
     """The closed class weight at Delta_1 = i - j equals the counting
     oracle summed over every square class at the coset representative
-    n_b a_i, b of level j (first and last leading-digit tuple)."""
+    n_b a_i, b of level j (first and last leading-digit tuple).  At
+    Delta_1 >= 0 so does a + b k for the pair of the one-key table
+    {Delta_1: 1}."""
     c = mk()
     scs = square_class_reps(c)
+    one = CharacterValue.one(c.p)
     for i in range(-2, 4):
         for j in range(0, 4):
             tuples = unit_digit_tuples(c.p, j)
@@ -96,9 +99,15 @@ def test_class_weight_matches_counting_oracle(mk):
             for b in bs:
                 g = n_b(c, b) * a_e(c, i)
                 assert delta(g, 1) == i - j
+                c0, slope = integrator._pair({i - j: one}, c.p,
+                                             scs.card_units)
                 for k in range(0, 4):
-                    assert (class_weight_from_delta(i - j, scs.card_units, k)
-                            == square_class_weight(g, None, scs, k))
+                    want = square_class_weight(g, None, scs, k)
+                    assert oracle.class_weight_from_delta(
+                        i - j, scs.card_units, k) == want
+                    if i >= j:
+                        assert c0 + slope.scale(k) == CharacterValue.rational(
+                            c.p, want)
 
 
 def test_orbit_strata_shape_even():
@@ -355,8 +364,8 @@ def test_zero_trace_raises():
         with pytest.raises(PrecisionExhausted, match="precision 18"):
             orbit_strata(data, form, x)
         # CuspidalData walks no level at p = 5, and still checks the trace
-        with pytest.raises(PrecisionExhausted, match="precision 18"):
-            integrator._delta_totals(data, form, x)
+        with pytest.raises(PrecisionExhausted, match="^x: .*precision 18"):
+            integrator._delta_totals(data, form, x, "x")
 
 
 def test_orbital_twisted_indicator():
@@ -606,9 +615,10 @@ def test_closed_form_preimage_on_every_torus_stratum():
 
 
 def test_grouped_psi_k_equals_per_record_sum():
-    """`_psi_k` sums weight * f_avg per Delta_1 before the class weight;
-    it equals the sum over live records of weight * f_avg * class weight,
-    f_avg the K-average at the record's y."""
+    """`orbit_weight_integral` sums weight * f_avg per Delta_1 and reads
+    psi_k off the pair (a, b); it equals the sum over live records of
+    weight * f_avg * the oracle's class weight, f_avg the K-average at
+    the record's y."""
     ks = range(0, 5)
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS[:3]:
         c = make_field(p, e, eis, 20)
@@ -624,9 +634,10 @@ def test_grouped_psi_k_equals_per_record_sum():
                     continue
                 f_avg = data.kappa_average(r.y, form)
                 for k in ks:
-                    w = class_weight_from_delta(r.i - r.j, units, k)
+                    w = oracle.class_weight_from_delta(r.i - r.j, units, k)
                     want[k] = want[k] + f_avg.scale(r.weight * w)
-            got = integrator._psi_k(data, form, x, ks, units)
+            got = orbit_weight_integral(data, form, TorusElem(stratum.alpha),
+                                        ks, stratum.label)
             assert got == want, (eis, stratum.label)
             nonzero += sum(not v.is_zero() for v in got.values())
         assert nonzero
@@ -637,9 +648,10 @@ def test_grouped_psi_k_equals_per_record_sum():
     (5, 1, (-5, 1), IntegralIndicator, 3, 1, 2),
 ])
 def test_per_stratum_sums_to_values(p, e, eis, integrand, depth, ud, k_max):
-    """`values` weighs the run-wide per-Delta_1 totals once; `per_stratum`
-    weighs each stratum's own totals when read.  For every k the
-    per-stratum shares sum to c_k exactly, and some are nonzero."""
+    """`values` reads a + b k off the pair of the run-wide per-Delta_1
+    totals; `per_stratum` reads each stratum's own pair when read.  For
+    every k the per-stratum shares sum to c_k exactly, and some are
+    nonzero."""
     c = make_field(p, e, eis, 24)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=k_max)
     table = assemble_coefficients(integrand(c), orthogonal_form(c, 2), trunc)
@@ -666,22 +678,94 @@ def test_indicator_coefficients_pinned():
         Fraction(55654498, 1953125)]
 
 
+# the fields of LEVEL_WALK_FIELDS but x - 10
+PAIR_FIELDS = [field for field, _depth in LEVEL_WALK_FIELDS
+               if field != (5, 1, (-10, 1))]
+
+
+@pytest.mark.parametrize("field", PAIR_FIELDS,
+                         ids=[",".join(map(str, f[2])) for f in PAIR_FIELDS])
+def test_pair_equals_the_generic_chain(field):
+    """For `CuspidalData` and the indicator of M_2(O) at gamma_depth 3 and
+    unit_depth 1: every per-Delta_1 key is >= 0, and the smallest key of a
+    nonempty run is 0; `values` and `per_stratum` equal the oracle's
+    class weight applied per (Delta_1, k) at k_max 10; and the report of
+    (a, b) equals the oracle's fit, closed form and series inverse on the
+    printed c_k at k_max 4..10.  Every odd-p table of `CuspidalData` is
+    0, so there the zero regime is what is compared."""
+    c = make_field(*field, 20)
+    form = orthogonal_form(c, 2)
+    trunc = TruncationSpec(gamma_depth=3, unit_depth=1, k_max=10)
+    for data in (CuspidalData(c), IntegralIndicator(c)):
+        table = assemble_coefficients(data, form, trunc)
+        run = {}
+        for *_, totals in table.stratum_totals:
+            assert min(totals, default=0) >= 0
+            for d, t in totals.items():
+                run[d] = run[d] + t if d in run else t
+        assert min(run, default=0) == 0
+        assert (bool(run) == (type(data) is IntegralIndicator or c.p == 2))
+        assert table.values == oracle.weigh(run, c.p, table.ks, table.units)
+        for (*_, totals), (*_, tab) in zip(table.stratum_totals,
+                                           table.per_stratum):
+            assert tab == oracle.weigh(totals, c.p, table.ks, table.units)
+        for k_max in range(4, 11):
+            oracle.assert_report_matches(table.a, table.b,
+                                         range(k_max + 1), 2, c.q)
+
+
+class NonIntegralIndicator(IntegralIndicator):
+    """The indicator of M_2(O) with the integrality test dropped from its
+    prefilter, so its K-average reads 1 on every y of unit determinant,
+    integral or not: unlike an integrand that reads y only mod
+    pi^level, it is nonzero off the integral y."""
+
+    def support_prefilter(self, y, form):
+        return "wrong determinant" if y.det().val != 0 else None
+
+
+def test_negative_delta_total_raises():
+    """At alpha = pi^2, x = S(gamma)^(-1) has ord det 2, so unit
+    determinant forces i = -1, j = 0: Delta_1 = -1, where y = pi^(-1) x
+    is not integral.  The indicator's prefilter kills that level; without
+    its integrality test the total there is nonzero, where the class
+    weight is clipped and c_k = a + b k fails (the oracle's c_0 weight is
+    0, not units (2 Delta_1 + 1)).  Both routes raise DomainError naming
+    the stratum instead of printing a wrong digit."""
+    c = ctx5()
+    form = orthogonal_form(c, 2)
+    trunc = TruncationSpec(gamma_depth=1, unit_depth=1, k_max=2)
+    units = square_class_reps(c).card_units
+    assert oracle.class_weight_from_delta(-1, units, 0) == 0 != -units
+    want = "noncompact-pi\\^2: nonzero total at Delta_1 = -1 < 0"
+    with pytest.raises(DomainError, match=want):
+        assemble_coefficients(NonIntegralIndicator(c), form, trunc)
+    with pytest.raises(DomainError, match=want):
+        orbit_weight_integral(NonIntegralIndicator(c), form,
+                              TorusElem(c.pi(2)), range(3), "noncompact-pi^2")
+    psi = orbit_weight_integral(IntegralIndicator(c), form,
+                                TorusElem(c.pi(2)), range(3))
+    assert all(v.is_zero() for v in psi.values())
+    assemble_coefficients(IntegralIndicator(c), form, trunc)
+
+
 def test_class_weight_once_per_run(monkeypatch):
     """On the even-p2 residue config of the benchmark, assemble_coefficients
-    applies the class weight once per (Delta_1, k) of the run, not once
-    per torus stratum: at most 9 Delta_1 values times k_max + 1 calls."""
+    applies the class weight once per run, not once per torus stratum or
+    per k: one reduction of the run-wide per-Delta_1 totals to (a, b)."""
     calls = []
-    weight = integrator.class_weight_from_delta
+    pair = integrator._pair
 
     def counting(*args):
         calls.append(args)
-        return weight(*args)
+        return pair(*args)
 
-    monkeypatch.setattr(integrator, "class_weight_from_delta", counting)
+    monkeypatch.setattr(integrator, "_pair", counting)
     c = make_field(2, 2, (-2, 0, 1), 30)
     trunc = TruncationSpec(gamma_depth=8, k_max=8, unit_depth=3)
-    assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
-    assert 0 < len(calls) <= 9 * (trunc.k_max + 1)
+    table = assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
+    assert len(calls) == 1 and len(calls[0][0]) > 1
+    assert (table.a, table.b) == pair(*calls[0])
 
 
 BENCH_RESIDUE_CONFIGS = [
