@@ -13,9 +13,7 @@ from twirl import (
     assemble_coefficients,
     make_field,
     orthogonal_form,
-    rg_term,
     residue_report,
-    square_class_reps,
 )
 
 ctx = make_field(5, 1, (-5, 1), 18)
@@ -28,14 +26,10 @@ print("coefficients c_k:")
 for k in table.ks:
     print(f"  c_{k} =", table.values[k])
 
-c0 = table.values[0]
-print("factorization c_k == (4k+1) c_0:",
-      all(table.values[k] == c0.scale(4 * k + 1) for k in table.ks))
-
-rg = rg_term(data, form, trunc)
-scs = square_class_reps(ctx)
-print("k-independent factor:", rg,
-      " and c_0 == 2 |O*/O*^2| rg:", c0 == rg.scale(2 * scs.card_units))
+# c_k = a + b k, so c_k = (4k+1) c_0 for every k exactly when b = 4a
+print("c_k = a + b k with a =", table.a, "and b =", table.b)
+print("factorization c_k == (4k+1) c_0 (b == 4a):",
+      table.b == table.a.scale(4))
 
 rep = residue_report(table.a, table.b, table.ks, n=2, q=ctx.q)
 print("report regime:", rep.regime)

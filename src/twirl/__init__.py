@@ -1,14 +1,13 @@
 """twirl: twisted orbital integral residue library.
 
-Exact arithmetic over totally ramified extensions of Q_p, volume weight
-factors, twisted conjugacy and discriminants, a ramified-induction test
-function on GL_2, stratified orbital integration, and closed-form residue
-extraction for the resulting coefficient series.
+Exact arithmetic over totally ramified extensions of Q_p, twisted
+conjugacy and discriminants, a ramified-induction test function on GL_2,
+stratified orbital integration, and closed-form residue extraction for
+the resulting coefficient series.
 """
 
 from .cyclotomic import CharacterValue
 from .errors import (
-    ClubsuitViolated,
     DomainError,
     NotEisenstein,
     NotRegular,
@@ -17,14 +16,12 @@ from .errors import (
     Singular,
     SingularGammaMinusOne,
     TwirlError,
-    WindowOverflow,
 )
 from .integrator import (
     TruncationSpec,
     assemble_coefficients,
     coefficient_A_B,
     orbit_weight_integral,
-    rg_term,
 )
 from .localfield import (
     Elem,
@@ -39,8 +36,6 @@ from .localfield import (
 from .matlattice import (
     GroupForm,
     Mat,
-    delta,
-    delta_vector,
     mat_ord,
     orthogonal_form,
     symplectic_form,
@@ -68,12 +63,4 @@ from .twisted import (
     twisted_discriminant,
     twisted_discriminant_oracle,
 )
-from .weights import (
-    WeightQuery,
-    scaling_block,
-    square_class_weight,
-    weight_closed,
-    weight_oracle,
-)
-
 __version__ = "0.1.0"

@@ -1,5 +1,9 @@
 """Batch driver: config parsing, pipeline orchestration, and table and
-report emission.
+report emission.  The subcommands are the residue chain and its
+stages: `coeffs` (the c_k table), `residue` (the residue at s = 0),
+`psik` (psi_k at one alpha), `dtwist` (the twisted discriminant at one
+alpha) and `support-scan` (the search for a support witness at one
+alpha).
 
 Config files are INI-style:
 
@@ -25,9 +29,8 @@ a value that is not an integer, a window out of range, a precision below
 ("even" at p = 2 with e >= 2, "odd" at odd p; the even regime adds the
 weight-only constants to the residue report).  The G/T walk has no
 window, and `support-scan` reads the same (i, j) levels as the pipeline.
-`wfactor` draws its random queries from a fixed seed, 7.  Exit codes:
-0 success, 1 any error.  TWIRL_OUTPUT_DIR overrides output directories;
-no other environment variables are read.
+Exit codes: 0 success, 1 any error.  TWIRL_OUTPUT_DIR overrides output
+directories; no other environment variables are read.
 """
 
 from __future__ import annotations
@@ -48,14 +51,12 @@ from .integrator import (
     coefficient_A_B,
     discriminant_report,
     orbit_weight_integral,
-    rg_term,
 )
-from .localfield import card_unit_square_classes, make_field, parse_elem
-from .matlattice import Mat, delta_vector, orthogonal_form
+from .localfield import make_field, parse_elem
+from .matlattice import orthogonal_form
 from .residue import residue_report
 from .supercuspidal import CuspidalData, support_scan
 from .twisted import TorusElem, norm_preimage, twisted_discriminant
-from .weights import WeightQuery, weight_closed, weight_oracle
 
 
 WINDOW_KEYS = tuple(f.name for f in fields(TruncationSpec))
@@ -154,30 +155,6 @@ def _coeff_csv(ks, values) -> str:
     return buf.getvalue()
 
 
-def cmd_wfactor(cfg: RunConfig, args) -> int:
-    import random
-
-    rng = random.Random(7)
-    ctx = cfg.ctx
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "delta_vector", "closed", "oracle", "match"])
-    n, rank = 2, 1
-    for _ in range(args.count):
-        g = Mat.random(ctx, n, rng)
-        k = rng.randrange(-2, 4)
-        q = WeightQuery(g, k, rank)
-        closed = weight_closed(q)
-        oracle = weight_oracle(q)
-        w.writerow([k, " ".join(str(d) for d in delta_vector(g, rank)),
-                    closed, oracle, int(closed == oracle)])
-    # the pinned k < 0 identity row
-    q = WeightQuery(Mat.identity(ctx, n), -1, rank)
-    w.writerow([-1, "0", weight_closed(q), weight_oracle(q), 1])
-    _emit(buf.getvalue(), args.out or cfg.out_path)
-    return 0
-
-
 def cmd_dtwist(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
     form = orthogonal_form(ctx, 2)
@@ -230,19 +207,6 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_rg_term(cfg: RunConfig, args) -> int:
-    data = CuspidalData(cfg.ctx)
-    form = orthogonal_form(cfg.ctx, 2)
-    val = rg_term(data, form, cfg.trunc)
-    out = {
-        "rg": val.to_json(),
-        "unit_square_classes": card_unit_square_classes(cfg.ctx),
-        "note": "c_k = (4k+1) * 2 * |O^x/(O^x)^2| * rg in the factorized regime",
-    }
-    _emit(_json_dump(out), args.out or cfg.out_path)
-    return 0
-
-
 def cmd_residue(cfg: RunConfig, args) -> int:
     data = CuspidalData(cfg.ctx)
     form = orthogonal_form(cfg.ctx, 2)
@@ -263,9 +227,9 @@ def cmd_residue(cfg: RunConfig, args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="twirl",
-                                 description="weight factors, twisted orbital "
-                                             "integrals, and residue series "
-                                             "over ramified p-adic fields")
+                                 description="twisted orbital integrals and "
+                                             "residue series over ramified "
+                                             "p-adic fields")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn):
@@ -275,8 +239,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=lambda args: fn(RunConfig.load(args.config), args))
         return sp
 
-    sp = add("wfactor", cmd_wfactor)
-    sp.add_argument("--count", type=int, default=20)
     sp = add("dtwist", cmd_dtwist)
     sp.add_argument("--alpha", required=True)
     sp = add("support-scan", cmd_support_scan)
@@ -284,7 +246,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp = add("psik", cmd_psik)
     sp.add_argument("--alpha", required=True)
     add("coeffs", cmd_coeffs)
-    add("rg-term", cmd_rg_term)
     add("residue", cmd_residue)
     return ap
 

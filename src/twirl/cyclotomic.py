@@ -2,7 +2,7 @@
 
 CharacterValue holds coordinates in the power basis 1, z, ..., z^(p-2)
 of Q[z]/(1 + z + ... + z^(p-1)), so sums of character values and rational
-volume weights accumulate exactly.  For p = 2 this degenerates to Q.
+volume factors accumulate exactly.  For p = 2 this degenerates to Q.
 """
 
 from __future__ import annotations

@@ -32,11 +32,3 @@ class SingularGammaMinusOne(TwirlError):
 class NotRegular(TwirlError):
     """Element fails the twisted regularity criterion."""
 
-
-class ClubsuitViolated(TwirlError):
-    """Torus data does not satisfy the split-times-compact hypothesis."""
-
-
-class WindowOverflow(TwirlError):
-    """An enumeration hit its provable window boundary; indicates a bug."""
-

@@ -28,7 +28,7 @@ records: one walk of G/T in the library.
 
 An integrand whose K-averages all vanish (`kappa_vanishes`: `CuspidalData`
 at odd p) walks no levels: `_delta_totals` runs only the trace guard of
-`_forced_levels` on x and adds nothing, and `rg_term` averages nothing.
+`_forced_levels` on x and adds nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (DomainError, NotRegular, PrecisionExhausted,
                      SingularGammaMinusOne)
 from .localfield import (Elem, INF, LocalFieldCtx, card_unit_square_classes,
                          unit_digit_tuples)
-from .matlattice import Mat, a_e, mat_ord, n_b
+from .matlattice import Mat, a_e, n_b
 from .matlattice import vdash  # unused; a tracer lookup point of perfbench/spans.py
 from .twisted import TorusElem, norm_preimage, twisted_discriminant
 
@@ -70,8 +70,7 @@ class TorusStratum:
     e: int = 0
 
 
-def torus_strata(data, form, trunc: TruncationSpec,
-                 include_verification: bool = True):
+def torus_strata(data, form, trunc: TruncationSpec):
     """Partition of the integration window in T: residue classes of unit
     alpha away from +-1 (dead by support analysis, kept as verification
     strata), refined strata around +-1, and a few non-unit witnesses.
@@ -99,21 +98,16 @@ def torus_strata(data, form, trunc: TruncationSpec,
     - b -> c^2 b permutes the cosets of each b-level.
     - f_avg is a K-average that reads y mod pi^level, and the forced
       levels, their b-bounds and |D_eps| depend only on (sign, e).
-    So the stratum totals are the same for every v of the class.
-    `rg_term` reads x itself (i = 0): x is integral only where
-    ord(alpha - 1) = 0, and f_avg(x) is nonzero only if 0 is in the det
-    support, where s <= 0."""
+    So the stratum totals are the same for every v of the class."""
     ctx = data.ctx
     p, q = ctx.p, ctx.q
     out = []
     signs = (1,) if p == 2 else (1, -1)
-    if include_verification:
-        for c in range(2, p - 1):
-            out.append(TorusStratum(ctx.from_int(c), Fraction(1, q - 1),
-                                    f"unit-class-{c}"))
-        for t in (1, 2, -1):
-            out.append(TorusStratum(ctx.pi(t), Fraction(1),
-                                    f"noncompact-pi^{t}"))
+    for c in range(2, p - 1):
+        out.append(TorusStratum(ctx.from_int(c), Fraction(1, q - 1),
+                                f"unit-class-{c}"))
+    for t in (1, 2, -1):
+        out.append(TorusStratum(ctx.pi(t), Fraction(1), f"noncompact-pi^{t}"))
     ud = trunc.unit_depth
     for sign in signs:
         for e in range(1, trunc.gamma_depth + 1):
@@ -471,27 +465,6 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
         "unit_depth": trunc.unit_depth,
     }
     return CoefficientTable(ks, stratum_totals, ctx.p, units, a, b, meta)
-
-
-def rg_term(data, form, trunc: TruncationSpec) -> CharacterValue:
-    """The k-independent factor of the odd-characteristic pipeline:
-    integral over T of |D_eps(gamma)| times the K-average of
-    f(kappa S(gamma)^(-1) kappa^t).  Every stratum builds x (the
-    regularity checks of `regular_preimage`); none is averaged when every
-    K-average vanishes (`data.kappa_vanishes`)."""
-    ctx = data.ctx
-    acc = CharacterValue.zero(ctx.p)
-    for stratum in torus_strata(data, form, trunc, include_verification=False):
-        x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
-        if (data.kappa_vanishes(form) or mat_ord(x) < 0
-                or x.det().val not in (0,)):
-            continue
-        dead = data.support_prefilter(x, form)
-        if dead is not None:
-            continue
-        favg = data.kappa_average(x, form)
-        acc = acc + favg.scale(stratum.vol * Fraction(ctx.q) ** (-dexp))
-    return acc
 
 
 def coefficient_A_B(data, form, trunc: TruncationSpec):

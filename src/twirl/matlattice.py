@@ -302,7 +302,7 @@ def vdash(g: Mat, form: GroupForm) -> Mat:
     return form.J * g.transpose() * form.J.inverse()
 
 
-# -- the Iwasawa factors of GL_2 and column weights ----------------------------
+# -- the Iwasawa factors of GL_2 -----------------------------------------------
 
 
 def n_b(ctx: LocalFieldCtx, b: Elem) -> Mat:
@@ -312,18 +312,3 @@ def n_b(ctx: LocalFieldCtx, b: Elem) -> Mat:
 
 def a_e(ctx: LocalFieldCtx, e: int) -> Mat:
     return Mat.diag(ctx, [ctx.pi(e), ctx.one()])
-
-
-def delta(g: Mat, i: int) -> int:
-    """Column-valuation weight Delta_i(g) = ord(col_i) + ord(col_(n+1-i)),
-    1-based i up to n/2.  Invariant under left GL_n(O)."""
-    n = g.n
-    c1 = min(x.val for x in g.column(i - 1))
-    c2 = min(x.val for x in g.column(n - i))
-    if c1 is INF or c2 is INF:
-        raise Singular("Delta_i of a matrix with a zero column")
-    return c1 + c2
-
-
-def delta_vector(g: Mat, r: int):
-    return tuple(delta(g, i) for i in range(1, r + 1))

@@ -452,12 +452,18 @@ def support_scan(data: CuspidalData, form: GroupForm,
     every coset of the class.  The class representative (the first digits
     of b, then zeros) is the lexicographically first coset of its class,
     so the first witness is the lexicographic one; its `b` is padded with
-    zeros to `b_level` digits.  In practice every live stratum has
-    ord det y = 0: y = pi^i [[x0, b(x0 + x1)], [0, x1]] for diagonal x,
-    so an integral y with ord det y = 1 has {ord y00, ord y11} = {0, 1},
-    y00 - y11 is a unit, and the prefilter finds y not eps-symmetric mod p.
-    `kappa_level` is `data.residue_level` once a live stratum was scanned,
-    0 otherwise."""
+    zeros to `b_level` digits.
+
+    Every live class holds a witness, so the first live class ends the
+    scan.  A live record has an integral, upper-triangular y =
+    pi^i [[x0, b(x0 + x1)], [0, x1]] with ord det y in {0, 1} and
+    y00 = y11 mod p (the prefilter).  Both diagonal entries are
+    integral, so ord det y = 1 would make their valuations 0 and 1 and
+    y00 - y11 a unit.  Hence ord det y = 0, both are units, and
+    y = [[r, z], [0, r]] mod pi with r != 0.  That passes f's support
+    test at parity 0 (`_f_on_residues`), so f(y) != 0 and kappa = 1 is a
+    witness.  `kappa_level` is `data.residue_level` once a live stratum
+    was scanned, 0 otherwise."""
     ctx = data.ctx
     x = _preimage_inverse(gamma, form)
     regime = _classify_regime(ctx, gamma.alpha)
@@ -470,9 +476,6 @@ def support_scan(data: CuspidalData, form: GroupForm,
             continue
         kappa_level = data.residue_level
         kap = _kappa_witness(data, c.y)
-        if kap is None:
-            strata.append(ScanStratum(c.i, c.j, c.digits, "kappa scan empty"))
-            continue
         strata.append(ScanStratum(c.i, c.j, c.digits, "witness"))
         gw = kap * c.g0
         witness = {
@@ -492,20 +495,19 @@ def support_scan(data: CuspidalData, form: GroupForm,
     return ScanReport(regime_out, witness, strata, kappa_level)
 
 
-def _kappa_witness(data: CuspidalData, y: Mat) -> Mat | None:
+def _kappa_witness(data: CuspidalData, y: Mat) -> Mat:
     """First kappa mod pi^2 (lexicographic digit order) with
-    f(kappa y kappa^t) != 0, or None if there is none."""
+    f(kappa y kappa^t) != 0, for the y of a live `orbit_strata` record:
+    kappa = 1 is one (`support_scan`), so the search ends."""
     ctx = data.ctx
     ring = ResidueRing(ctx, data.residue_level)
     y_res = _residues(ring, y)
     parity = y.det().val % 2
-    for k in iter_gl2(ring.s, ring):
-        mask, _ = _f_on_residues(ring, _twist(ring, k, y_res), parity)
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            a, b, c, d = (_lift(ring, z[idx[0]]) for z in k)
-            return Mat(ctx, [[a, b], [c, d]])
-    return None
+    rows = ((k, _f_on_residues(ring, _twist(ring, k, y_res), parity)[0])
+            for k in iter_gl2(ring.s, ring))
+    k, mask = next((k, mask) for k, mask in rows if mask.any())
+    a, b, c, d = (_lift(ring, z[np.argmax(mask)]) for z in k)
+    return Mat(ctx, [[a, b], [c, d]])
 
 
 def _lift(ring: ResidueRing, coeff_vec) -> Elem:

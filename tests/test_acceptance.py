@@ -1,8 +1,12 @@
 """The acceptance criteria, each at its stated size and seed or above.
 Criteria 1, 3, 5, 6, 8 and 9 run here; the others are the unit tests of
-their layer, which already check them at the same size:
+their layer, which already check them at the same size.  Criteria 1-3
+check the weight factors of `tests/weights_oracle.py`, the oracles of
+the pipeline's closed class weight (`integrator._pair`), and criterion
+8's rg is `tests/rg_oracle.py`.
 
-2. torus cap volume (2k+1)^r: `test_weights::test_cap_volume_law`
+2. torus cap volume (2k+1)^r: `test_weights::test_cap_volume_law`, on
+   the counting oracle `weights_oracle.weight_oracle`
 4. nu(S(gamma)) = -gamma: `test_twisted::test_nu_of_norm`
 7. support vanishing and witness:
    `test_supercuspidal::test_support_scan_regimes`
@@ -28,15 +32,18 @@ from fractions import Fraction
 
 import pytest
 
-from twirl import (CuspidalData, Mat, TorusElem, TruncationSpec, WeightQuery,
+from twirl import (CuspidalData, Mat, TorusElem, TruncationSpec,
                    assemble_coefficients, level_character, make_field, member,
-                   norm_preimage, orthogonal_form, parse_elem, rg_term,
+                   norm_preimage, orthogonal_form, parse_elem,
                    square_class_reps, support_scan, twisted_discriminant,
-                   vdash, weight_closed, weight_oracle)
+                   vdash)
 from twirl.cyclotomic import CharacterValue
-from twirl.matlattice import antidiag_w, delta_vector
+from twirl.matlattice import antidiag_w
 
+from rg_oracle import rg_term
 from twisted_centralizer import twisted_centralizer_sample
+from weights_oracle import (WeightQuery, delta_vector, weight_closed,
+                            weight_oracle)
 
 
 def ctx5():

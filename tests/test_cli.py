@@ -44,17 +44,6 @@ def even_cfg(tmp_path):
     return str(p)
 
 
-def test_wfactor_csv(odd_cfg, tmp_path):
-    out = tmp_path / "w.csv"
-    assert cli.main(["wfactor", "--config", odd_cfg, "--out", str(out),
-                     "--count", "8"]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "k,delta_vector,closed,oracle,match"
-    assert all(line.split(",")[-1] == "1" for line in lines[1:])
-    # the pinned k < 0 row has volume 0
-    assert lines[-1].split(",")[2] == "0"
-
-
 def test_dtwist_json(odd_cfg, tmp_path):
     out = tmp_path / "d.json"
     assert cli.main(["dtwist", "--config", odd_cfg, "--alpha", "2",
@@ -182,15 +171,12 @@ def test_coeffs_middle_term_eisenstein(tmp_path, p, eis, regime):
     assert len(out.read_text().splitlines()) == 4  # header + k = 0..2
 
 
-def test_coeffs_and_rg(odd_cfg, tmp_path):
+def test_coeffs_json(odd_cfg, tmp_path):
     out = tmp_path / "c.json"
     assert cli.main(["coeffs", "--config", odd_cfg, "--out", str(out)]) == 0
     table = json.loads(out.read_text())
     assert table["metadata"]["q"] == 5
-    out2 = tmp_path / "rg.json"
-    assert cli.main(["rg-term", "--config", odd_cfg, "--out", str(out2)]) == 0
-    rg = json.loads(out2.read_text())
-    assert rg["unit_square_classes"] == 2
+    assert table["metadata"]["card_unit_square_classes"] == 2
 
 
 def test_residue_report_even(even_cfg, tmp_path):

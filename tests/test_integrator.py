@@ -18,12 +18,10 @@ from twirl import (
     assemble_coefficients,
     coefficient_A_B,
     make_field,
-    mat_ord,
     norm_preimage,
     orbit_weight_integral,
     orthogonal_form,
     parse_elem,
-    rg_term,
     square_class_reps,
     symplectic_form,
     twisted_discriminant,
@@ -33,14 +31,16 @@ from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
 from twirl.integrator import orbit_strata, regular_preimage, torus_strata
 from twirl.localfield import unit_digit_tuples
-from twirl.matlattice import a_e, delta, n_b, vdash
+from twirl.matlattice import a_e, n_b, vdash
 from twirl.twisted import (charpoly, norm_preimage_general,
                            twisted_discriminant_charpoly)
-from twirl.weights import square_class_weight
 
 from coset_walk import coset_strata
+from integrands import IntegralIndicator, NonIntegralIndicator
 import residue_oracle as oracle
+from rg_oracle import rg_term
 from unit_digit_strata import unit_digit_strata, unit_digits
+from weights_oracle import delta, square_class_weight
 
 
 def ctx5():
@@ -62,8 +62,7 @@ def test_torus_strata_volumes():
     for ud in (1, 2, 3):
         trunc = TruncationSpec(gamma_depth=4, unit_depth=ud)
         for data in (CuspidalData(c), IntegralIndicator(c)):
-            strata = torus_strata(data, form, trunc,
-                                  include_verification=False)
+            strata = [s for s in torus_strata(data, form, trunc) if s.e]
             for sign in (1, -1):
                 for e in range(1, 5):
                     m = (0 if isinstance(data, CuspidalData)
@@ -220,31 +219,6 @@ def test_verification_strata_contribute_zero():
             assert all(v.is_zero() for v in tab.values())
         if label.startswith("sign1-"):  # odd alpha = 1 mod p side vanishes
             assert all(v.is_zero() for v in tab.values())
-
-
-class IntegralIndicator:
-    """Test function: characteristic function of M_2(O) with unit
-    determinant; K-twisted-conjugation invariant, so its K-average is a
-    membership bit."""
-
-    detval_support = frozenset((0,))
-    residue_level = 2
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-
-    def support_prefilter(self, y, form):
-        if mat_ord(y) < 0:
-            return "not integral"
-        if y.det().val != 0:
-            return "wrong determinant"
-        return None
-
-    def kappa_vanishes(self, form):
-        return False
-
-    def kappa_average(self, y, form):
-        return CharacterValue.one(self.ctx.p)
 
 
 # p = 2: x^2 - 2, x^2 + 2x - 2, x^3 - 2; p = 3: x - 3, x^2 + 3x - 3;
@@ -426,6 +400,33 @@ def test_rg_relation_odd():
                         p, stratum.label, r.i, r.j)
                     live += 1
         assert live, p
+
+
+@pytest.mark.parametrize("p, want", [(3, Fraction(52, 27)),
+                                     (5, Fraction(124, 125)),
+                                     (7, Fraction(228, 343))],
+                         ids=["p3", "p5", "p7"])
+def test_rg_relation_on_sign_minus_one_strata(p, want):
+    """The rg relation on nonzero values: the indicator of M_2(O) at
+    gamma_depth 3, unit_depth 2, precision 18.  On the sign -1 strata
+    every live record is i = j = 0, so there the summed `per_stratum`
+    shares give c_k = (4k+1) c_0 and c_0 = 2 |O^x/(O^x)^2| rg, with rg
+    the rg oracle (whose sign 1 strata have x not integral).  The whole
+    table does not factor: its sign 1 strata have live records at
+    Delta_1 > 0, and b != 4a."""
+    c = make_field(p, 1, (-p, 1), 18)
+    data, form = IntegralIndicator(c), orthogonal_form(c, 2)
+    trunc = TruncationSpec(gamma_depth=3, unit_depth=2, k_max=4)
+    table = assemble_coefficients(data, form, trunc)
+    assert table.b != table.a.scale(4)
+    shares = [tab for _label, _e, sign, _vol, tab in table.per_stratum
+              if sign == -1]
+    c_k = {k: sum((tab[k] for tab in shares), CharacterValue.zero(p))
+           for k in table.ks}
+    assert c_k[0] == CharacterValue.rational(p, want)
+    assert c_k[0] == rg_term(data, form, trunc).scale(2 * table.units)
+    for k in table.ks:
+        assert c_k[k] == c_k[0].scale(4 * k + 1), k
 
 
 def test_coefficient_A_B():
@@ -712,16 +713,6 @@ def test_pair_equals_the_generic_chain(field):
         for k_max in range(4, 11):
             oracle.assert_report_matches(table.a, table.b,
                                          range(k_max + 1), 2, c.q)
-
-
-class NonIntegralIndicator(IntegralIndicator):
-    """The indicator of M_2(O) with the integrality test dropped from its
-    prefilter, so its K-average reads 1 on every y of unit determinant,
-    integral or not: unlike an integrand that reads y only mod
-    pi^level, it is nonzero off the integral y."""
-
-    def support_prefilter(self, y, form):
-        return "wrong determinant" if y.det().val != 0 else None
 
 
 def test_negative_delta_total_raises():

@@ -4,7 +4,6 @@ import pytest
 
 from twirl import (
     Mat,
-    delta,
     make_field,
     mat_ord,
     orthogonal_form,
@@ -12,6 +11,8 @@ from twirl import (
     vdash,
 )
 from twirl.localfield import is_square
+
+from weights_oracle import delta
 
 
 def ctx5():

@@ -13,10 +13,6 @@ import twirl
 ORACLES = {
     "twisted_discriminant_charpoly": "twisted.twisted_discriminant",
     "twisted_discriminant_oracle": "twisted.twisted_discriminant",
-    "square_class_weight": "integrator._pair, the class weight "
-                           "units (2 Delta_1 + 1 + 4k) at Delta_1 >= 0, "
-                           "and tests/residue_oracle.py's clipped "
-                           "class_weight_from_delta",
     "symplectic_form": "the orthogonal-only closed forms "
                        "(twisted_discriminant, orbit_strata), which must "
                        "refuse the paper's symplectic case",

@@ -789,9 +789,6 @@ def _coset_scan(data, form, gamma):
             continue
         kappa_level = data.residue_level
         kap = supercuspidal._kappa_witness(data, c.y)
-        if kap is None:
-            visited.append((c, "kappa scan empty"))
-            continue
         gw = kap * c.g0
         witness = {"i": c.i, "b_level": c.j, "b": list(c.digits),
                    "kappa": kap.to_digit_lists(4),
@@ -817,69 +814,45 @@ def _scan_cases():
     return cases
 
 
-def _assert_scan_matches(c, alpha):
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
-    gamma = TorusElem(alpha)
-    where = (c.p, str(alpha))
-    rep = support_scan(data, form, gamma)
-    regime, witness, kappa_level, visited = _coset_scan(data, form, gamma)
-    assert (rep.regime, rep.witness, rep.kappa_level) == \
-        (regime, witness, kappa_level), where
-    x = norm_preimage(gamma, form).inverse()
-    records = orbit_strata(data, form, x)
-    assert [(s.i, s.b_level, s.b_digits) for s in rep.strata] == \
-        [(r.i, r.j, r.digits) for r in records[:len(rep.strata)]], where
-    assert sum(r.weight for r in records) == \
-        sum(1 for _ in coset_strata(data, form, x)), where
-    for cos, verdict in visited:
-        level = [s for s in rep.strata if (s.i, s.b_level) == (cos.i, cos.j)]
-        if verdict != "kappa scan empty":
-            owner = level
-        else:
-            owner = [s for s in level
-                     if cos.digits[:len(s.b_digits)] == s.b_digits]
-        assert [s.verdict for s in owner] == [verdict], where
-    return rep, visited
-
-
-def test_scan_matches_coset_scan(monkeypatch):
+def test_scan_matches_coset_scan():
     """The level-record scan against the per-coset scan: the same
     witness, regime and kappa level; every coset visited before the
-    witness carries the verdict of its level record (dead level) or of
-    the class record whose digits start its b (live); the scan's records
-    are the leading `orbit_strata` records, whose weights sum to the
-    number of cosets.
-
-    On these alphas every live class holds a witness, so the first live
-    class ends both scans.  A stricter witness rule that still reads y
-    only mod pi^2 (ord y01 == 1) drives both past rejected live classes
-    at p = 2, alpha = 1 + pi^4, to a witness on level (4, 3), whose
-    classes read 1 of the 3 digits of b."""
+    witness carries the verdict of its dead level record; the scan's
+    records are the leading `orbit_strata` records, whose weights sum to
+    the number of cosets.  Every live class holds a witness
+    (`support_scan`), so the first live coset ends both scans."""
     for c, alpha in _scan_cases():
-        _assert_scan_matches(c, alpha)
-    found = supercuspidal._kappa_witness
-
-    def strict(data, y):
-        return found(data, y) if y.rows[0][1].val == 1 else None
-
-    monkeypatch.setattr(supercuspidal, "_kappa_witness", strict)
-    c = ctx2()
-    rep, visited = _assert_scan_matches(c, parse_elem(c, "1+pi^4"))
-    assert (rep.witness["i"], rep.witness["b_level"]) == (4, 3)
-    assert rep.witness["b"] == [1, 0, 0]
-    assert [v for _, v in visited] == ["kappa scan empty"] * 4
+        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        gamma = TorusElem(alpha)
+        where = (c.p, str(alpha))
+        rep = support_scan(data, form, gamma)
+        regime, witness, kappa_level, visited = _coset_scan(data, form, gamma)
+        assert (rep.regime, rep.witness, rep.kappa_level) == \
+            (regime, witness, kappa_level), where
+        x = norm_preimage(gamma, form).inverse()
+        records = orbit_strata(data, form, x)
+        assert [(s.i, s.b_level, s.b_digits) for s in rep.strata] == \
+            [(r.i, r.j, r.digits) for r in records[:len(rep.strata)]], where
+        assert sum(r.weight for r in records) == \
+            sum(1 for _ in coset_strata(data, form, x)), where
+        for cos, verdict in visited:
+            assert [s.verdict for s in rep.strata
+                    if (s.i, s.b_level) == (cos.i, cos.j)] == [verdict], where
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
 def test_odd_det_valuation_strata_are_dead(mk):
     """y = pi^i [[x0, b(x0 + x1)], [0, x1]] with ord det y = 1 has y00 - y11
     a unit, so the prefilter kills every such coset, and a scan only ever
-    enumerates kappa mod pi^2."""
+    enumerates kappa mod pi^2.  Every live `orbit_strata` record then has
+    f(y) != 0, so kappa = 1 is a witness and `_kappa_witness` always
+    finds one."""
     c = mk()
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     rng = random.Random(21)
     levels = set()
+    live = 0
     alphas = [c.pi(1), c.pi(-1), c.pi(3), c.one() + c.pi(1),
               c.pi(1) - c.one(), c.pi(3) - c.one()]
     while len(alphas) < 14:
@@ -891,8 +864,12 @@ def test_odd_det_valuation_strata_are_dead(mk):
         for cos in coset_strata(data, form, x):
             if cos.y.det().val % 2:
                 assert cos.dead is not None, alpha
+        for r in orbit_strata(data, form, x):
+            if r.dead is None:
+                assert not data.f(r.y).is_zero(), alpha
+                live += 1
         levels.add(support_scan(data, form, TorusElem(alpha)).kappa_level)
-    assert levels == {0, 2}
+    assert levels == {0, 2} and live
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5, ctx7])

@@ -1,15 +1,32 @@
-"""Torus volume weight factors: closed form under the split-times-compact
-hypothesis, a counting oracle over valuation vectors, and the square-class
-weighted sum."""
+"""Torus volume weight factors, kept as the test oracles of the class
+weight the pipeline uses in closed form (`integrator._pair`): the column
+weights Delta_i, the closed form under the split-times-compact
+hypothesis, a counting oracle over valuation vectors, and the
+square-class weighted sum."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .errors import ClubsuitViolated, Singular, WindowOverflow
-from .localfield import Elem, INF, SquareClassSet
-from .matlattice import Mat, delta_vector, mat_ord
+from twirl.errors import Singular
+from twirl.localfield import Elem, INF, SquareClassSet
+from twirl.matlattice import Mat, mat_ord
+
+
+def delta(g: Mat, i: int) -> int:
+    """Column-valuation weight Delta_i(g) = ord(col_i) + ord(col_(n+1-i)),
+    1-based i up to n/2.  Invariant under left GL_n(O)."""
+    n = g.n
+    c1 = min(x.val for x in g.column(i - 1))
+    c2 = min(x.val for x in g.column(n - i))
+    if c1 is INF or c2 is INF:
+        raise Singular("Delta_i of a matrix with a zero column")
+    return c1 + c2
+
+
+def delta_vector(g: Mat, r: int):
+    return tuple(delta(g, i) for i in range(1, r + 1))
 
 
 @dataclass(frozen=True)
@@ -28,13 +45,14 @@ class WeightQuery:
 def weight_closed(q: WeightQuery) -> int:
     """Closed form: 0 if some Delta_i(g) < -2k, else
     prod_i (Delta_i(g) + 2k + 1).  Requires h = 1 and the split-times-compact
-    hypothesis (with general h the closed product is only a lower bound).
+    hypothesis (with general h the closed product is only a lower bound),
+    and raises ValueError otherwise.
 
     When the split rank is below n/2 the unscaled middle columns must also
     be integral after the pi^k dilation, otherwise the volume is 0; with
     full split rank the condition is vacuous."""
     if q.h is not None:
-        raise ClubsuitViolated("closed form requires h = 1")
+        raise ValueError("closed form requires h = 1")
     k = q.k
     g = q.g
     for j in range(q.rank, g.n - q.rank):
@@ -65,7 +83,7 @@ def weight_oracle(q: WeightQuery) -> int:
 
     The window comes from column valuations (h = 1) or from the norm bound
     via g^(-1), h^(-1); one boundary ring beyond the window is scanned and
-    any solution there raises WindowOverflow (it would contradict the
+    any solution there fails an assertion (it would contradict the
     bound)."""
     g, h, rank = q.g, q.h, q.rank
     n = g.n
@@ -88,10 +106,9 @@ def weight_oracle(q: WeightQuery) -> int:
         if h is not None:
             x = x * h
         if mat_ord(x) >= -k:
-            if any(js[i] in (ranges[i][0], ranges[i][-1]) for i in range(rank)):
-                raise WindowOverflow(
-                    f"solution on the window boundary {js}"
-                )
+            assert not any(js[i] in (ranges[i][0], ranges[i][-1])
+                           for i in range(rank)), \
+                f"solution on the window boundary {js}"
             count += 1
     return count
 
@@ -127,4 +144,3 @@ def square_class_weight(g: Mat, h: Mat | None, scs: SquareClassSet, k: int,
         gx = g * scaling_block(rep, g.n).inverse()
         total += w_sign * weight_oracle(WeightQuery(gx, k, rank, h))
     return total
-
