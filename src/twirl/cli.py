@@ -29,19 +29,19 @@ a value that is not an integer, a window out of range, a precision below
 ("even" at p = 2 with e >= 2, "odd" at odd p; the even regime adds the
 weight-only constants to the residue report).  The G/T walk has no
 window, and `support-scan` reads the same (i, j) levels as the pipeline.
-Exit codes: 0 success, 1 any error.  TWIRL_OUTPUT_DIR overrides output
-directories; no other environment variables are read.
+Exit codes: 0 success, 1 a config or run error, 2 a usage error.  Only
+TWIRL_OUTPUT_DIR is read from the environment; it overrides output dirs.
 """
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import csv
 import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 from .errors import NotRegular, TwirlError
@@ -131,14 +131,6 @@ def _int(text: str, key: str) -> int:
         raise TwirlError(f"{key} = {text!r} is not an integer") from None
 
 
-def _emit(text: str, path: str | None):
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -155,59 +147,53 @@ def _coeff_csv(ks, values) -> str:
     return buf.getvalue()
 
 
-def cmd_dtwist(cfg: RunConfig, args) -> int:
+def cmd_dtwist(cfg: RunConfig, alpha_text: str) -> str:
     ctx = cfg.ctx
     form = orthogonal_form(ctx, 2)
-    alpha = parse_elem(ctx, args.alpha)
+    alpha = parse_elem(ctx, alpha_text)
     gamma = TorusElem(alpha)
     try:
         # x0 + x1 = -1 for regular gamma, so a report of kernel dim 3 is a
         # digit the precision could not decide, and it raises
-        _, rep = discriminant_report(form, alpha, f"alpha = {args.alpha}")
+        _, rep = discriminant_report(form, alpha, f"alpha = {alpha_text}")
     except NotRegular:
         # alpha - 1 or alpha + 1 is exactly 0 (`regular_preimage`); the
         # N-digit window of `TorusElem.regular` would also take 1 + pi^N
         rep = twisted_discriminant(norm_preimage(gamma, form).inverse(), form)
     out = rep.to_json()
-    out["alpha"] = args.alpha
-    _emit(_json_dump(out), args.out or cfg.out_path)
-    return 0
+    out["alpha"] = alpha_text
+    return _json_dump(out)
 
 
-def cmd_support_scan(cfg: RunConfig, args) -> int:
+def cmd_support_scan(cfg: RunConfig, alpha_text: str) -> str:
     ctx = cfg.ctx
     form = orthogonal_form(ctx, 2)
     data = CuspidalData(ctx)
-    alpha = parse_elem(ctx, args.alpha)
-    rep = support_scan(data, form, TorusElem(alpha))
-    _emit(_json_dump(rep.to_json()), args.out or cfg.out_path)
-    return 0
+    alpha = parse_elem(ctx, alpha_text)
+    return _json_dump(support_scan(data, form, TorusElem(alpha)).to_json())
 
 
-def cmd_psik(cfg: RunConfig, args) -> int:
+def cmd_psik(cfg: RunConfig, alpha_text: str) -> str:
     ctx = cfg.ctx
     form = orthogonal_form(ctx, 2)
     data = CuspidalData(ctx)
-    alpha = parse_elem(ctx, args.alpha)
+    alpha = parse_elem(ctx, alpha_text)
     ks = range(0, cfg.trunc.k_max + 1)
     table = orbit_weight_integral(data, form, TorusElem(alpha), ks,
-                                  f"alpha = {args.alpha}")
-    _emit(_coeff_csv(ks, table), args.out or cfg.out_path)
-    return 0
+                                  f"alpha = {alpha_text}")
+    return _coeff_csv(ks, table)
 
 
-def cmd_coeffs(cfg: RunConfig, args) -> int:
+def cmd_coeffs(cfg: RunConfig, _alpha: None) -> str:
     data = CuspidalData(cfg.ctx)
     form = orthogonal_form(cfg.ctx, 2)
     table = assemble_coefficients(data, form, cfg.trunc)
     if cfg.out_format == "csv":
-        _emit(_coeff_csv(table.ks, table.values), args.out or cfg.out_path)
-    else:
-        _emit(_json_dump(table.to_json()), args.out or cfg.out_path)
-    return 0
+        return _coeff_csv(table.ks, table.values)
+    return _json_dump(table.to_json())
 
 
-def cmd_residue(cfg: RunConfig, args) -> int:
+def cmd_residue(cfg: RunConfig, _alpha: None) -> str:
     data = CuspidalData(cfg.ctx)
     form = orthogonal_form(cfg.ctx, 2)
     table = assemble_coefficients(data, form, cfg.trunc)
@@ -221,42 +207,56 @@ def cmd_residue(cfg: RunConfig, args) -> int:
             "B": str(b),
             "per_e_increments": [[e, str(ai), str(bi)] for e, ai, bi in incs],
         }
-    _emit(_json_dump(out), args.out or cfg.out_path)
-    return 0
+    return _json_dump(out)
 
 
-def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="twirl",
-                                 description="twisted orbital integrals and "
-                                             "residue series over ramified "
-                                             "p-adic fields")
-    sub = ap.add_subparsers(dest="command", required=True)
+COMMANDS = {"dtwist": cmd_dtwist, "support-scan": cmd_support_scan,
+            "psik": cmd_psik, "coeffs": cmd_coeffs, "residue": cmd_residue}
+ALPHA_COMMANDS = frozenset({"dtwist", "support-scan", "psik"})
+USAGE = ("usage: twirl {" + ",".join(COMMANDS)
+         + "} --config FILE [--out FILE] [--alpha ALPHA]")
 
-    def add(name, fn):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True)
-        sp.add_argument("--out")
-        sp.set_defaults(fn=lambda args: fn(RunConfig.load(args.config), args))
-        return sp
 
-    sp = add("dtwist", cmd_dtwist)
-    sp.add_argument("--alpha", required=True)
-    sp = add("support-scan", cmd_support_scan)
-    sp.add_argument("--alpha", required=True)
-    sp = add("psik", cmd_psik)
-    sp.add_argument("--alpha", required=True)
-    add("coeffs", cmd_coeffs)
-    add("residue", cmd_residue)
-    return ap
+def read_argv(argv) -> dict:
+    """The flags of subcommand argv[0]: --config, --out and (ALPHA_COMMANDS
+    only) --alpha, each once as `--key=value` or `--key value`."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError("the first argument must be a subcommand")
+    keys = ["--config", "--out", "--alpha"][:2 + (argv[0] in ALPHA_COMMANDS)]
+    opts, rest = {}, iter(argv[1:])
+    for token in rest:
+        key, eq, value = token.partition("=")
+        if key not in keys or key in opts:
+            raise ValueError(f"unrecognized or repeated argument {token!r}")
+        opts[key] = value if eq else next(rest, None)
+        if opts[key] is None:
+            raise ValueError(f"{key} expects a value")
+    for key in ("--config", "--alpha"):
+        if key in keys and key not in opts:
+            raise ValueError(f"{argv[0]} requires {key}")
+    return opts
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
     try:
-        return args.fn(args)
+        opts = read_argv(argv)
+    except ValueError as exc:
+        print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
+        return 2
+    try:
+        cfg = RunConfig.load(opts["--config"])
+        text = COMMANDS[argv[0]](cfg, opts.get("--alpha"))
     except TwirlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    path = opts.get("--out") or cfg.out_path
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as f:
+        f.write(text)
+    return 0
 
 
 if __name__ == "__main__":

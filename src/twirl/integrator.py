@@ -72,8 +72,12 @@ class TorusStratum:
 
 def torus_strata(data, form, trunc: TruncationSpec):
     """Partition of the integration window in T: residue classes of unit
-    alpha away from +-1 (dead by support analysis, kept as verification
-    strata), refined strata around +-1, and a few non-unit witnesses.
+    alpha away from +-1 (odd p only), refined strata around +-1, and a
+    few non-unit witnesses.  The unit classes add 0 for `CuspidalData`,
+    whose K-averages vanish at odd p, but not for every integrand: at
+    alpha = c, x = diag(1/(c - 1), -c/(c - 1)) is integral of unit
+    determinant, and the indicator of M_2(O) gives `unit-class-c` a
+    nonzero Delta_1 = 0 total at p = 5 and 7.
     Volumes are exact in the vol(O^x) = 1 measure.  Every alpha is
     regular by construction: a unit class c in 2 .. p - 2 and a power of
     pi are not +-1, and `_stratum_alpha` keeps the refined

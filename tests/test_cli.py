@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -290,15 +291,65 @@ def test_unreadable_config_exit_code(tmp_path, capsys, case, err):
     assert capsys.readouterr().err.startswith(f"error: {err}")
 
 
-def test_removed_flags_are_rejected(odd_cfg):
-    parser = cli.make_parser()
+def test_removed_flags_are_rejected(odd_cfg, capsys):
     for argv in (["support-scan", "--config", odd_cfg, "--alpha", "pi",
                   "--depth", "6"],
                  ["selftest", "--config", odd_cfg],
                  ["selftest"],
                  ["selftest", "--fast"]):
-        with pytest.raises(SystemExit):
-            parser.parse_args(argv)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: twirl")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["rg-term", "--config", "{cfg}", "--out", "{out}"],
+    ["coeffs", "--out", "{out}", "--config", "{cfg}", "--trace", "1"],
+    ["coeffs", "--out", "{out}", "--config"],
+    ["coeffs", "--out", "{out}", "--config", "{cfg}", "--config={cfg}"],
+    ["coeffs", "--out", "{out}"],
+    ["psik", "--config", "{cfg}", "--out", "{out}"],
+    ["dtwist", "--config", "{cfg}", "--out", "{out}"],
+    ["support-scan", "--config", "{cfg}", "--out", "{out}"],
+    ["coeffs", "--config", "{cfg}", "--alpha", "2", "--out", "{out}"],
+    ["residue", "--config", "{cfg}", "--alpha=2", "--out={out}"],
+], ids=["no-arguments", "unknown-subcommand", "unknown-flag",
+        "config-without-value", "config-twice", "no-config",
+        "psik-without-alpha", "dtwist-without-alpha",
+        "support-scan-without-alpha", "coeffs-with-alpha",
+        "residue-with-alpha"])
+def test_usage_errors_exit_2(odd_cfg, tmp_path, capsys, argv):
+    """A command line the reader rejects prints the usage line and one
+    error line to stderr, exits 2 (the usual usage-error code) and writes
+    no --out file."""
+    out = tmp_path / "never.out"
+    assert cli.main([a.format(cfg=odd_cfg, out=out) for a in argv]) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith("usage: twirl {dtwist,support-scan,psik,"
+                              "coeffs,residue} --config FILE")
+    assert err.err.count("\n") == 2 and "\nerror: " in err.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_subcommand(capsys, flag):
+    assert cli.main([flag]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.startswith("usage: twirl")
+    for name in ("dtwist", "support-scan", "psik", "coeffs", "residue"):
+        assert name in out.out
+
+
+def test_alpha_space_form_matches_equals_form(odd_cfg, tmp_path):
+    """`--alpha VALUE` takes a value with a leading minus sign and gives
+    the bytes of `--alpha=VALUE`."""
+    space, equals = tmp_path / "space.csv", tmp_path / "equals.csv"
+    assert cli.main(["psik", "--config", odd_cfg, "--alpha", "-1+pi*3",
+                     "--out", str(space)]) == 0
+    assert cli.main(["psik", "--config", odd_cfg, "--alpha=-1+pi*3",
+                     f"--out={equals}"]) == 0
+    assert space.read_bytes() == equals.read_bytes()
 
 
 DEEP_CFG = """[field]
@@ -466,6 +517,35 @@ def test_cold_residue_leaves_numpy_ma_unloaded(even_cfg):
             """)
         subprocess.run([sys.executable, "-c", code], env=env, check=True,
                        timeout=300)
+
+
+def test_cold_psik_leaves_argparse_unloaded(tmp_path):
+    """A cold `psik` job on the odd-p7 benchmark config reads its argv
+    without argparse, so neither argparse nor the gettext and locale
+    modules it loads are imported: together they cost more than the rest
+    of that job's solve."""
+    import runpy
+    import twirl
+
+    workloads = runpy.run_path(os.path.join(
+        os.path.dirname(__file__), "..", "perfbench", "workloads.py"))
+    w = workloads["WORKLOADS"]["odd-p7-psik"]
+    cfg = tmp_path / "odd-p7.ini"
+    cfg.write_text(w.config)
+    argv = w.job_args(random.Random(1)) + ["--config", str(cfg),
+                                           "--out", os.devnull]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(twirl.__file__)))
+    code = textwrap.dedent(f"""
+        import sys
+        from twirl import cli
+
+        assert cli.main({argv!r}) == 0
+        loaded = {{"argparse", "gettext", "locale"}} & set(sys.modules)
+        assert not loaded, loaded
+        """)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=300)
 
 
 def test_output_dir_override(odd_cfg, tmp_path, monkeypatch):

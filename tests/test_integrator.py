@@ -429,6 +429,49 @@ def test_rg_relation_on_sign_minus_one_strata(p, want):
         assert c_k[k] == c_k[0].scale(4 * k + 1), k
 
 
+@pytest.mark.parametrize("p", [5, 7], ids=["p5", "p7"])
+def test_unit_class_strata_live_for_the_indicator(p):
+    """The unit classes alpha = c, 2 <= c <= p - 2, add 0 for
+    `CuspidalData` (every odd-p K-average vanishes) but not for every
+    integrand: x = diag(1/(c - 1), -c/(c - 1)) is integral of unit
+    determinant, so the indicator of M_2(O) gives each `unit-class-c` a
+    nonzero total at Delta_1 = 0 alone."""
+    c = make_field(p, 1, (-p, 1), 18)
+    form = orthogonal_form(c, 2)
+    trunc = TruncationSpec(gamma_depth=3, unit_depth=2, k_max=2)
+    for data, live in ((CuspidalData(c), False), (IntegralIndicator(c), True)):
+        table = assemble_coefficients(data, form, trunc)
+        units = [totals for label, *_, totals in table.stratum_totals
+                 if label.startswith("unit-class-")]
+        assert len(units) == p - 3
+        for totals in units:
+            assert (set(totals) == {0} and not totals[0].is_zero()) == live
+            assert (totals == {}) != live
+
+
+@pytest.mark.parametrize("eis", [(-2, 0, 1), (-2, 0, 0, 1)],
+                         ids=["x2-2", "x3-2"])
+def test_p2_zero_slope_stratum_by_stratum(eis):
+    """Criterion 9b's zero slope, b = 0, pinned where it arises: over
+    x^2 - 2 and x^3 - 2 at gamma_depth 5, every sign1-e stratum's totals
+    sum to exactly 0 over Delta_1 (they are the raw T_{e,d} rows times
+    2 vol |D_eps| != 0, so each row sum of T_{e,d} is 0 too), and every
+    noncompact stratum is empty; b = 4 units sum_d T_d is then 0."""
+    c = make_field(2, len(eis) - 1, eis, 24)
+    table = assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2),
+                                  TruncationSpec(gamma_depth=5, k_max=2))
+    assert table.b.is_zero() and not table.a.is_zero()
+    es = []
+    for label, e, _sign, _vol, totals in table.stratum_totals:
+        if label.startswith("noncompact-"):
+            assert totals == {}, label
+            continue
+        assert label == f"sign1-e{e}" and set(totals) == set(range(e + 1))
+        assert sum(totals.values(), CharacterValue.zero(2)).is_zero(), label
+        es.append(e)
+    assert sorted(set(es)) == [1, 2, 3, 4, 5]
+
+
 def test_coefficient_A_B():
     c = ctx2()
     data = CuspidalData(c)
