@@ -21,10 +21,12 @@ Config files are INI-style:
 
     [output]
     format = json
+    path = out.json
 
-Every [pipeline] key is listed above; any other key is an error, and so
-is a section other than these three, a missing file or [field] section,
-a value that is not an integer, a window out of range, a precision below
+Every key of the three sections is listed above; any other key is an
+error, and so is a section other than these three, a missing file or
+[field] section, a format other than json or csv, a value that is not
+an integer, a window out of range, a precision below
 2*gamma_depth + 2*ord(2) + 6, or a regime other than the one p selects
 ("even" at p = 2 with e >= 2, "odd" at odd p; the even regime adds the
 weight-only constants to the residue report).  The G/T walk has no
@@ -44,7 +46,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
-from .errors import NotRegular, TwirlError
+from .errors import TwirlError
 from .integrator import (
     TruncationSpec,
     assemble_coefficients,
@@ -56,13 +58,16 @@ from .localfield import make_field, parse_elem
 from .matlattice import orthogonal_form
 from .residue import residue_report
 from .supercuspidal import CuspidalData, support_scan
-from .twisted import TorusElem, norm_preimage, twisted_discriminant
+from .twisted import TorusElem
+# unused; tracer lookup points of perfbench/spans.py
+from .twisted import norm_preimage, twisted_discriminant
 
 
 WINDOW_KEYS = tuple(f.name for f in fields(TruncationSpec))
 PIPELINE_KEYS = frozenset(WINDOW_KEYS + ("regime",))
 FIELD_KEYS = ("p", "e", "eisenstein", "precision")
-SECTIONS = ("field", "pipeline", "output")
+SECTION_KEYS = {"field": frozenset(FIELD_KEYS), "pipeline": PIPELINE_KEYS,
+                "output": frozenset({"format", "path"})}
 
 
 @dataclass
@@ -81,17 +86,18 @@ class RunConfig:
                 cp.read_file(fh)
         except (OSError, configparser.Error) as exc:
             raise TwirlError(f"cannot read config: {exc}") from None
-        unknown = sorted(set(cp.sections()) - set(SECTIONS))
+        unknown = sorted(set(cp.sections()) - set(SECTION_KEYS))
         if unknown:
             raise TwirlError(f"unknown config sections: {', '.join(unknown)}")
+        for name in cp.sections():
+            unknown = sorted(set(cp[name]) - SECTION_KEYS[name])
+            if unknown:
+                raise TwirlError(f"unknown [{name}] keys: {', '.join(unknown)}")
         f = cp["field"] if cp.has_section("field") else {}
         missing = [k for k in FIELD_KEYS if k not in f]
         if missing:
             raise TwirlError("config lacks [field] keys: " + ", ".join(missing))
         pl = cp["pipeline"] if cp.has_section("pipeline") else {}
-        unknown = sorted(set(pl) - PIPELINE_KEYS)
-        if unknown:
-            raise TwirlError(f"unknown [pipeline] keys: {', '.join(unknown)}")
         ctx = make_field(
             _int(f["p"], "p"),
             _int(f["e"], "e"),
@@ -116,6 +122,8 @@ class RunConfig:
                              f"2*gamma_depth + 2*ord(2) + 6 = {need}")
         out = cp["output"] if cp.has_section("output") else {}
         fmt = out.get("format", "json")
+        if fmt not in ("json", "csv"):
+            raise TwirlError(f"format must be json or csv, not {fmt!r}")
         path_out = out.get("path")
         if path_out and os.environ.get("TWIRL_OUTPUT_DIR"):
             path_out = os.path.join(os.environ["TWIRL_OUTPUT_DIR"],
@@ -149,17 +157,11 @@ def _coeff_csv(ks, values) -> str:
 
 def cmd_dtwist(cfg: RunConfig, alpha_text: str) -> str:
     ctx = cfg.ctx
-    form = orthogonal_form(ctx, 2)
-    alpha = parse_elem(ctx, alpha_text)
-    gamma = TorusElem(alpha)
-    try:
-        # x0 + x1 = -1 for regular gamma, so a report of kernel dim 3 is a
-        # digit the precision could not decide, and it raises
-        _, rep = discriminant_report(form, alpha, f"alpha = {alpha_text}")
-    except NotRegular:
-        # alpha - 1 or alpha + 1 is exactly 0 (`regular_preimage`); the
-        # N-digit window of `TorusElem.regular` would also take 1 + pi^N
-        rep = twisted_discriminant(norm_preimage(gamma, form).inverse(), form)
+    # x0 + x1 = -1 for every gamma != 1, so a report of kernel dim 3 is a
+    # digit the precision could not decide, and it raises
+    rep = discriminant_report(orthogonal_form(ctx, 2),
+                              parse_elem(ctx, alpha_text),
+                              f"alpha = {alpha_text}")
     out = rep.to_json()
     out["alpha"] = alpha_text
     return _json_dump(out)
@@ -254,8 +256,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     path = opts.get("--out") or cfg.out_path
-    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as f:
-        f.write(text)
+    try:
+        with (open(path, "w", newline="") if path
+              else nullcontext(sys.stdout)) as f:
+            f.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

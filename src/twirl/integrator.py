@@ -387,7 +387,7 @@ def regular_preimage(form, alpha: Elem, label: str):
     integer read off alpha.  No digit of the trace enters d;
     `_forced_levels` sums the trace and raises PrecisionExhausted when it
     reads 0, and a digit of alpha - 1 the precision cannot decide raises
-    here, naming the stratum."""
+    here, naming the stratum.  `discriminant_report` skips the -1 test."""
     ctx = alpha.ctx
     if not form.split:
         raise DomainError("the closed-form |D_eps| needs the split "
@@ -407,20 +407,21 @@ def regular_preimage(form, alpha: Elem, label: str):
 
 
 def discriminant_report(form, alpha: Elem, label: str):
-    """x = S(gamma)^(-1) (`regular_preimage`) and its `twisted_discriminant`
-    report, for `dtwist` and `coefficient_A_B`, which walk no (i, j)
-    levels: the report is their check on the trace x0 + x1 = -1.  A trace
-    that reads 0 (kernel dim 3) or a digit the precision cannot decide
-    raises PrecisionExhausted naming `label`."""
-    x, _dexp = regular_preimage(form, alpha, label)
+    """The `twisted_discriminant` report of x = S(gamma)^(-1)
+    (`_preimage_inverse`, which refuses alpha = 1 only), for `dtwist` and
+    `coefficient_A_B`, which walk no (i, j) levels: the report is their
+    check on the trace x0 + x1 = -1.  A trace that reads 0 (kernel dim 3)
+    or a digit the precision cannot decide raises PrecisionExhausted
+    naming `label`."""
     where = _where(label, alpha.ctx)
     try:
+        x = _preimage_inverse(TorusElem(alpha), form)
         drep = twisted_discriminant(x, form)
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"{where}: {exc}") from exc
     if not drep.regular:
         raise PrecisionExhausted(f"{where}: kernel dim {drep.kernel_dim}")
-    return x, drep
+    return drep
 
 
 def _where(label: str, ctx: LocalFieldCtx) -> str:
@@ -488,7 +489,7 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
         # |D_eps| is q^-(ord 2 + 2e) here; the report route keeps one
         # twisted_discriminant call per e on the p = 2 residue run, the
         # span that perfbench/tests/test_selfcheck.py looks for
-        _x, drep = discriminant_report(form, alpha, f"1+pi^{e}")
+        drep = discriminant_report(form, alpha, f"1+pi^{e}")
         deps = Fraction(q) ** (-drep.ord_value)
         vol = Fraction(1, q ** e)
         # interior shell: b levels j = 0 .. e-1; level j has q^j - q^(j-1)

@@ -24,8 +24,6 @@ from .ringvec import ResidueRing, iter_gl2
 from .twisted import TorusElem, is_eps_symmetric
 from .twisted import norm_preimage  # unused; a tracer lookup point of perfbench/spans.py
 
-LEVELS = ("K", "I0", "I1", "I2", "C0", "C")
-
 
 def pi_e_inverse_power(ctx: LocalFieldCtx, j: int) -> Mat:
     """pi_E^(-j) exactly; pi_E^2 = pi."""
@@ -342,6 +340,18 @@ def _count_f(ring: ResidueRing, k, y_res, parity: int, counts) -> int:
     return mask.size
 
 
+def _kept_rows(ring: ResidueRing, y_res, parity: int):
+    """The rows k of GL_2(O/pi) as digit arrays [a, b, c, d] in the order
+    of `iter_gl2(1, ring)`; (T_k, X = T_k y = k y k^vdash) for y a residue
+    matrix mod pi^2; and the mask of the k whose X passes `_support_mod_pi`."""
+    # the rows of GL_2(O/pi) as digits; X = T_k y needs no ring product
+    k = [np.concatenate([ring.residue_mod_p(z) for z in col])
+         for col in zip(*iter_gl2(1, ring))]
+    t_k = _twist_matrix(*k)
+    x = tuple(np.moveaxis(t_k @ np.stack(y_res) % ring.pm, 1, 0))
+    return k, (t_k, x), _support_mod_pi(ring, x, parity)
+
+
 def _coset_counts(ring: ResidueRing, y_res, parity: int):
     """(Lambda_1 exponent counts, rows) of f over GL_2(O/pi) x
     (y + pi Im L_y), y a residue matrix mod pi^2, as the character sums of
@@ -351,12 +361,7 @@ def _coset_counts(ring: ResidueRing, y_res, parity: int):
     p = ring.p
     span = _image_span([int(ring.residue_mod_p(z)) for z in y_res], p)
     size = p ** _rank_mod_p(span.tolist(), p)
-    # the rows of GL_2(O/pi) as digits; X = T_k y needs no ring product
-    k = [np.concatenate([ring.residue_mod_p(z) for z in col])
-         for col in zip(*iter_gl2(1, ring))]
-    t_k = _twist_matrix(*k)
-    x = tuple(np.moveaxis(t_k @ np.stack(y_res) % ring.pm, 1, 0))
-    keep = _support_mod_pi(ring, x, parity)
+    k, (t_k, x), keep = _kept_rows(ring, y_res, parity)
     x00, x01, x10, x11 = (z[keep] for z in x)
     tw = t_k[keep] @ span.T % p     # T_k w for the spanning vectors w of W
     if parity:
@@ -446,8 +451,8 @@ def support_scan(data: CuspidalData, form: GroupForm,
     integrality bounds the b level j, a dead level is one stratum with the
     prefilter's reason, and a live level is one stratum per class of b
     that y mod pi^`data.residue_level` sees.  A live class is settled by
-    exact enumeration of kappa mod pi^2 (`_kappa_witness`), which is
-    exhaustive over all of K on both parities (see
+    `_kappa_witness`, the first kappa mod pi^2 with f != 0, which stands
+    for all of K (f reads its argument mod pi^2, see
     `CuspidalData.kappa_average`) and reads y only mod pi^2, the same for
     every coset of the class.  The class representative (the first digits
     of b, then zeros) is the lexicographically first coset of its class,
@@ -461,9 +466,9 @@ def support_scan(data: CuspidalData, form: GroupForm,
     integral, so ord det y = 1 would make their valuations 0 and 1 and
     y00 - y11 a unit.  Hence ord det y = 0, both are units, and
     y = [[r, z], [0, r]] mod pi with r != 0.  That passes f's support
-    test at parity 0 (`_f_on_residues`), so f(y) != 0 and kappa = 1 is a
-    witness.  `kappa_level` is `data.residue_level` once a live stratum
-    was scanned, 0 otherwise."""
+    test at parity 0 (`_support_mod_pi`), so f(y) != 0 and kappa = 1 is a
+    witness.  `kappa_level` is `data.residue_level`, the level mod which
+    kappa is the first witness, once a live stratum was scanned, else 0."""
     ctx = data.ctx
     x = _preimage_inverse(gamma, form)
     regime = _classify_regime(ctx, gamma.alpha)
@@ -496,19 +501,17 @@ def support_scan(data: CuspidalData, form: GroupForm,
 
 
 def _kappa_witness(data: CuspidalData, y: Mat) -> Mat:
-    """First kappa mod pi^2 (lexicographic digit order) with
-    f(kappa y kappa^t) != 0, for the y of a live `orbit_strata` record:
-    kappa = 1 is one (`support_scan`), so the search ends."""
+    """The first kappa mod pi^2 (the digit order of `iter_gl2(2, .)`) with
+    f(kappa y kappa^vdash) != 0, for the y of a live `orbit_strata`
+    record: the first kept row of GL_2(F_p) (`_kept_rows`), lifted.  Every
+    live record has ord det y = 0 (`support_scan`); at parity 0 f's
+    support test is `_support_mod_pi`, which reads kappa mod pi only, and
+    f is a root of unity on its support.  `from_digit_grid` lists the
+    single-digit lifts first, so the first witness mod pi^2 is the lift of
+    the first kept row; kappa = 1 is kept, so that row exists."""
     ctx = data.ctx
     ring = ResidueRing(ctx, data.residue_level)
-    y_res = _residues(ring, y)
-    parity = y.det().val % 2
-    rows = ((k, _f_on_residues(ring, _twist(ring, k, y_res), parity)[0])
-            for k in iter_gl2(ring.s, ring))
-    k, mask = next((k, mask) for k, mask in rows if mask.any())
-    a, b, c, d = (_lift(ring, z[np.argmax(mask)]) for z in k)
+    k, _x, keep = _kept_rows(ring, _residues(ring, y), 0)
+    row = int(np.argmax(keep))
+    a, b, c, d = (ctx.from_int(int(z[row])) for z in k)
     return Mat(ctx, [[a, b], [c, d]])
-
-
-def _lift(ring: ResidueRing, coeff_vec) -> Elem:
-    return Elem(ring.ctx, 0, tuple(int(v) for v in coeff_vec), False)

@@ -12,8 +12,9 @@ from .matlattice import GroupForm, Mat, vdash
 
 @dataclass(frozen=True)
 class TorusElem:
-    """gamma = diag(alpha, alpha^(-1)) in the split torus of H;
-    regular means alpha is not +-1.  alpha = 0 raises Singular."""
+    """gamma = diag(alpha, alpha^(-1)) in the split torus of H; it is
+    regular when alpha is not +-1, which `integrator.regular_preimage`
+    decides by exact zero tests.  alpha = 0 raises Singular."""
 
     alpha: Elem
 
@@ -24,11 +25,6 @@ class TorusElem:
     @property
     def ctx(self) -> LocalFieldCtx:
         return self.alpha.ctx
-
-    @property
-    def regular(self) -> bool:
-        one = self.ctx.one()
-        return not (self.alpha == one or self.alpha == -one)
 
     def matrix(self) -> Mat:
         return Mat.diag(self.ctx, [self.alpha, self.alpha.inverse()])

@@ -242,20 +242,27 @@ def test_bad_config_exit_code(tmp_path):
     ("regime = even", "regime = banana"),
     ("regime = even", "regime = odd"),
     ("gamma_depth = 2", "gamma_depth = 5"),
+    ("precision = 18", "precision = 18\nprec = 40"),
+    ("format = json", "format = json\nfromat = csv"),
+    ("format = json", "format = xml"),
 ])
 def test_rejected_pipeline_config(tmp_path, capsys, old, new):
-    """Windows out of range, unknown [pipeline] keys (among them the
-    removed e_window, b_window and dedup), non-integer values, a regime
-    other than the one p selects and a precision below
-    2*gamma_depth + 2*ord(2) + 6 exit 1 before any work; unit_depth = 0
-    would run with every volume q times too large."""
+    """Windows out of range, unknown keys in any section (among them the
+    removed [pipeline] keys e_window, b_window and dedup), non-integer
+    values, a regime other than the one p selects, a format other than
+    json or csv and a precision below 2*gamma_depth + 2*ord(2) + 6 exit 1
+    before any work; unit_depth = 0 would run with every volume q times
+    too large."""
     p = tmp_path / "bad.ini"
     p.write_text(EVEN_CFG.replace(old, new))
     assert cli.main(["coeffs", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    if new.splitlines()[-1].split(" = ")[0] not in cli.PIPELINE_KEYS:
-        assert "unknown [pipeline] keys" in err
+    old_key, key = (t.splitlines()[-1].split(" = ")[0] for t in (old, new))
+    section = next(s for s, keys in cli.SECTION_KEYS.items()
+                   if old_key in keys)
+    if key not in cli.SECTION_KEYS[section]:
+        assert f"unknown [{section}] keys: {key}" in err
 
 
 @pytest.mark.parametrize("section", ["selftest", "pipline"])
@@ -289,6 +296,25 @@ def test_unreadable_config_exit_code(tmp_path, capsys, case, err):
         p.write_text(ODD_CFG[ODD_CFG.index("[pipeline]"):])
     assert cli.main(["coeffs", "--config", str(p)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {err}")
+
+
+@pytest.mark.parametrize("where", ["--out", "path"])
+def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch, where):
+    """An output file that cannot be written, given by --out or by the
+    [output] path key, is one error line with exit 1, not a traceback."""
+    monkeypatch.delenv("TWIRL_OUTPUT_DIR", raising=False)
+    target = tmp_path / "missing-dir" / "x.json"
+    argv = ["coeffs", "--config", str(tmp_path / "cfg.ini")]
+    if where == "--out":
+        cfg, argv = ODD_CFG, argv + ["--out", str(target)]
+    else:
+        cfg = ODD_CFG.replace("format = json", f"format = json\npath = {target}")
+    (tmp_path / "cfg.ini").write_text(cfg)
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: cannot write output: ")
+    assert str(target) in out.err and not target.parent.exists()
 
 
 def test_removed_flags_are_rejected(odd_cfg, capsys):

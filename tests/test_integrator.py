@@ -29,7 +29,8 @@ from twirl import (
 )
 from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import orbit_strata, regular_preimage, torus_strata
+from twirl.integrator import (_delta_totals, orbit_strata, regular_preimage,
+                              torus_strata)
 from twirl.localfield import unit_digit_tuples
 from twirl.matlattice import a_e, n_b, vdash
 from twirl.twisted import (charpoly, norm_preimage_general,
@@ -456,10 +457,15 @@ def test_p2_zero_slope_stratum_by_stratum(eis):
     x^2 - 2 and x^3 - 2 at gamma_depth 5, every sign1-e stratum's totals
     sum to exactly 0 over Delta_1 (they are the raw T_{e,d} rows times
     2 vol |D_eps| != 0, so each row sum of T_{e,d} is 0 too), and every
-    noncompact stratum is empty; b = 4 units sum_d T_d is then 0."""
+    noncompact stratum is empty; b = 4 units sum_d T_d is then 0.  The
+    raw rows of `_delta_totals` are pinned exactly, the same at E = 2
+    and E = 3: T_1 = {0: -1/3, 1: 1/3}; for e >= 2, T_{e,0} =
+    -2^(e-1)/3, T_{e,1} = -2^(e-2)/3, T_{e,d} = 2^(e-1-d) for
+    2 <= d < e, and T_{e,e} = 1."""
     c = make_field(2, len(eis) - 1, eis, 24)
-    table = assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2),
-                                  TruncationSpec(gamma_depth=5, k_max=2))
+    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    trunc = TruncationSpec(gamma_depth=5, k_max=2)
+    table = assemble_coefficients(data, form, trunc)
     assert table.b.is_zero() and not table.a.is_zero()
     es = []
     for label, e, _sign, _vol, totals in table.stratum_totals:
@@ -469,7 +475,23 @@ def test_p2_zero_slope_stratum_by_stratum(eis):
         assert label == f"sign1-e{e}" and set(totals) == set(range(e + 1))
         assert sum(totals.values(), CharacterValue.zero(2)).is_zero(), label
         es.append(e)
-    assert sorted(set(es)) == [1, 2, 3, 4, 5]
+    assert sorted(es) == [1, 2, 3, 4, 5]
+    for stratum in torus_strata(data, form, trunc):
+        if stratum.e:
+            x, _dexp = regular_preimage(form, stratum.alpha, stratum.label)
+            raw = _delta_totals(data, form, x, stratum.label)
+            assert raw == _p2_raw_row(stratum.e), stratum.label
+
+
+def _p2_raw_row(e):
+    """The raw p = 2 totals {d: T_{e,d}} of the sign1-e stratum."""
+    if e == 1:
+        row = {0: Fraction(-1, 3), 1: Fraction(1, 3)}
+    else:
+        row = {0: Fraction(-2 ** (e - 1), 3), 1: Fraction(-2 ** (e - 2), 3),
+               e: Fraction(1)}
+        row.update({d: Fraction(2 ** (e - 1 - d)) for d in range(2, e)})
+    return {d: CharacterValue.rational(2, t) for d, t in row.items()}
 
 
 def test_coefficient_A_B():
@@ -563,7 +585,7 @@ def test_discriminant_routes_on_every_torus_stratum():
     verification strata included): equal valuation, kernel dim and exact
     lowest coefficient, and the integer exponent of `regular_preimage`,
     ord 2 + 2 ord(alpha - 1) - ord(alpha), equals that valuation.  Every
-    alpha of `torus_strata` is regular by the `TorusElem.regular` oracle.
+    alpha of `torus_strata` is regular by exact zero tests of alpha -+ 1.
     diag(1, -1) has kernel dim 3 and lowterm 2; a non-diagonal argument
     and the symplectic twist are refused."""
     fields = [f for f, _depth in LEVEL_WALK_FIELDS] + [(2, 2, (2, 0, 1))]
@@ -574,7 +596,8 @@ def test_discriminant_routes_on_every_torus_stratum():
         for stratum in unit_digit_strata(CuspidalData(c), form,
                                          TruncationSpec(gamma_depth=4)):
             where = (eis, stratum.label)
-            assert TorusElem(stratum.alpha).regular, where
+            assert not any((stratum.alpha + c.from_int(t)).normalized()
+                           .is_zero() for t in (1, -1)), where
             signs.add(stratum.sign)
             x = norm_preimage(TorusElem(stratum.alpha), form).inverse()
             reports = [route(x, form) for route in (
@@ -842,9 +865,9 @@ def test_torus_strata_read_their_closed_forms(monkeypatch, p, e, eis,
                                               precision, depth, ud):
     """On the residue configs of the benchmark, assemble_coefficients takes
     |D_eps| from ord(alpha - 1) and ord(alpha) and every alpha is regular
-    by construction: no `twisted_discriminant` call and no
-    `TorusElem.regular` read.  At odd p no K-average runs the pass
-    `_kappa_average_coset` (every value is 0); at p = 2 some do."""
+    by construction: no `twisted_discriminant` call.  At odd p no
+    K-average runs the pass `_kappa_average_coset` (every value is 0); at
+    p = 2 some do."""
     calls = Counter()
 
     def counted(name, fn):
@@ -856,14 +879,12 @@ def test_torus_strata_read_their_closed_forms(monkeypatch, p, e, eis,
     for owner in (integrator, twisted):
         monkeypatch.setattr(owner, "twisted_discriminant", counted(
             "twisted_discriminant", twisted.twisted_discriminant))
-    monkeypatch.setattr(TorusElem, "regular", property(counted(
-        "regular", TorusElem.regular.fget)))
     monkeypatch.setattr(CuspidalData, "_kappa_average_coset", counted(
         "coset", CuspidalData._kappa_average_coset))
     c = make_field(p, e, eis, precision)
     trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
     assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
-    assert calls["twisted_discriminant"] == calls["regular"] == 0
+    assert calls["twisted_discriminant"] == 0
     assert (calls["coset"] > 0) == (p == 2)
 
 

@@ -32,7 +32,6 @@ from twirl.supercuspidal import (
     _coset_counts,
     _count_f,
     _f_on_residues,
-    _lift,
     _mat_mul,
     _oracle_counts,
     _residues,
@@ -42,6 +41,7 @@ from twirl.supercuspidal import (
 )
 
 from coset_walk import coset_strata
+from witness_oracle import kappa_witness_oracle, lift
 
 
 def pi_e_matrix(ctx):
@@ -327,8 +327,8 @@ def test_n_orbit_matches_conjugation(mk):
             n = Mat.identity(c, 2) + Mat(c, [list(a[:2]), list(a[2:])])
             want.add((n * y * vdash(n, form)).residue_key(2))
         rows = _n_orbit(ring, _residues(ring, y))
-        got = {Mat(c, [[_lift(ring, z[i]) for z in rows[:2]],
-                       [_lift(ring, z[i]) for z in rows[2:]]]).residue_key(2)
+        got = {Mat(c, [[lift(ring, z[i]) for z in rows[:2]],
+                       [lift(ring, z[i]) for z in rows[2:]]]).residue_key(2)
                for i in range(rows[0].shape[0])}
         assert got == want
 
@@ -621,8 +621,9 @@ def test_kappa_average_rejects_symplectic_form():
     """kappa_average implements the orthogonal twist only.  With the
     symplectic form k y k^vdash = det(k) y for y = 1, so the true average
     is 1, while the orthogonal evaluation gives 0.  `kappa_vanishes`,
-    which states that 0, and `support_scan`, whose `_kappa_witness`
-    enumerates the orthogonal twist too, refuse as well."""
+    which states that 0, and `support_scan`, whose level records and
+    witness (the kept rows of the K-average pass) assume the orthogonal
+    twist too, refuse as well."""
     c = ctx3()
     data = CuspidalData(c)
     y = Mat.identity(c, 2)
@@ -778,9 +779,10 @@ def test_support_scan_randomized_regimes():
 
 def _coset_scan(data, form, gamma):
     """The per-coset scan: every coset of `coset_strata` in lexicographic
-    order, each live one settled by the module's `_kappa_witness`, up to
-    the first witness.  Returns (regime, witness, kappa_level,
-    [(coset, verdict)]) with the cosets visited before the witness."""
+    order, each live one settled by the GL_2(O/pi^2) enumeration
+    `kappa_witness_oracle`, up to the first witness.  Returns (regime,
+    witness, kappa_level, [(coset, verdict)]) with the cosets visited
+    before the witness."""
     x = norm_preimage(gamma, form).inverse()
     visited, witness, kappa_level = [], None, 0
     for c in coset_strata(data, form, x):
@@ -788,7 +790,7 @@ def _coset_scan(data, form, gamma):
             visited.append((c, c.dead))
             continue
         kappa_level = data.residue_level
-        kap = supercuspidal._kappa_witness(data, c.y)
+        kap = kappa_witness_oracle(data, c.y)
         gw = kap * c.g0
         witness = {"i": c.i, "b_level": c.j, "b": list(c.digits),
                    "kappa": kap.to_digit_lists(4),
@@ -840,11 +842,74 @@ def test_scan_matches_coset_scan():
                     if (s.i, s.b_level) == (cos.i, cos.j)] == [verdict], where
 
 
+def _witness_cases():
+    """(ctx, alpha): `_scan_cases()` and, over x - 3, x - 7, x^3 - 2,
+    x^2 + 2x - 2, x^2 + 2 and x^2 - 5, twelve seeded alpha =
+    +-(1 + pi^e v) each, e = 1..3 and v a unit: 96 cases."""
+    cases = _scan_cases()
+    rng = random.Random(41)
+    for p, eis in ((3, (-3, 1)), (7, (-7, 1)), (2, (-2, 0, 0, 1)),
+                   (2, (-2, 2, 1)), (2, (2, 0, 1)), (5, (-5, 0, 1))):
+        c = make_field(p, len(eis) - 1, eis, 24)
+        for sign, e, _ in itertools.product((1, -1), (1, 2, 3), range(2)):
+            alpha = c.one() + c.random_unit(rng).shift(e)
+            cases.append((c, alpha if sign > 0 else -alpha))
+    return cases
+
+
+def test_kappa_witness_matches_gl2_enumeration():
+    """The witness read off the kept rows of GL_2(F_p) equals the
+    GL_2(O/pi^2) enumeration `kappa_witness_oracle`, digit for digit, on
+    every live `orbit_strata` record of the 96 `_witness_cases`."""
+    cases = _witness_cases()
+    assert len(cases) == 96
+    live = 0
+    for c, alpha in cases:
+        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        for r in orbit_strata(data, form,
+                              _preimage_inverse(TorusElem(alpha), form)):
+            if r.dead is None:
+                want = kappa_witness_oracle(data, r.y).to_digit_lists(4)
+                got = supercuspidal._kappa_witness(data, r.y)
+                assert got.to_digit_lists(4) == want, (c.p, str(alpha), r.i)
+                live += 1
+    assert live >= 100
+
+
+@pytest.mark.parametrize("mk, spec", [(ctx2, "1+pi^2"), (ctx3, "-1+pi"),
+                                      (ctx5, "-1+pi"), (ctx5, "1+pi")])
+def test_support_scan_witness_reads_gl2_fp_once(monkeypatch, mk, spec):
+    """A scan reads GL_2(F_p) from `iter_gl2(1, .)` once per live record
+    it settles, and never GL_2(O/pi^2): its witness is the first kept row
+    of the K-average pass, and no f evaluation (`_f_on_residues`,
+    `_count_f`, `_oracle_counts`) runs.  A scan that finds no live record
+    (p = 5 `1+pi`) reads nothing."""
+    levels = []
+    gl2 = supercuspidal.iter_gl2
+
+    def counted(level, ring):
+        levels.append(level)
+        return gl2(level, ring)
+
+    def forbidden(*args):
+        raise AssertionError("the witness evaluated f row by row")
+
+    monkeypatch.setattr(supercuspidal, "iter_gl2", counted)
+    for name in ("_f_on_residues", "_count_f", "_oracle_counts"):
+        monkeypatch.setattr(supercuspidal, name, forbidden)
+    c = mk()
+    rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
+                       TorusElem(parse_elem(c, spec)))
+    live = [s for s in rep.strata if s.verdict == "witness"]
+    assert levels == [1] * len(live)
+    assert len(live) == rep.found() == (spec != "1+pi")
+
+
 @pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
 def test_odd_det_valuation_strata_are_dead(mk):
     """y = pi^i [[x0, b(x0 + x1)], [0, x1]] with ord det y = 1 has y00 - y11
     a unit, so the prefilter kills every such coset, and a scan only ever
-    enumerates kappa mod pi^2.  Every live `orbit_strata` record then has
+    seeks kappa at parity 0.  Every live `orbit_strata` record then has
     f(y) != 0, so kappa = 1 is a witness and `_kappa_witness` always
     finds one."""
     c = mk()
