@@ -24,9 +24,11 @@ Config files are INI-style:
     path = out.json
 
 Every key of the three sections is listed above; any other key is an
-error, and so is a section other than these three, a missing file or
-[field] section, a format other than json or csv, a value that is not
-an integer, a window out of range, a precision below
+error, and so is a section other than these three ([DEFAULT] included),
+a missing file or [field] section, a format other than json or csv, a
+format the subcommand does not write (`FORMATS`; an unset format is
+json, or csv for `psik`), a value that is not an integer, a window out
+of range, a precision below
 2*gamma_depth + 2*ord(2) + 6, or a regime other than the one p selects
 ("even" at p = 2 with e >= 2, "odd" at odd p; the even regime adds the
 weight-only constants to the residue report).  The G/T walk has no
@@ -68,6 +70,9 @@ PIPELINE_KEYS = frozenset(WINDOW_KEYS + ("regime",))
 FIELD_KEYS = ("p", "e", "eisenstein", "precision")
 SECTION_KEYS = {"field": frozenset(FIELD_KEYS), "pipeline": PIPELINE_KEYS,
                 "output": frozenset({"format", "path"})}
+# the [output] formats each subcommand writes; the first when none is set
+FORMATS = {"dtwist": ("json",), "support-scan": ("json",), "psik": ("csv",),
+           "coeffs": ("json", "csv"), "residue": ("json",)}
 
 
 @dataclass
@@ -75,12 +80,14 @@ class RunConfig:
     ctx: object
     regime: str
     trunc: TruncationSpec
-    out_format: str
+    out_format: str | None
     out_path: str | None
 
     @staticmethod
     def load(path: str) -> "RunConfig":
-        cp = configparser.ConfigParser()
+        # no header can name the empty section, so [DEFAULT] is an
+        # ordinary, unknown section and its keys reach no other section
+        cp = configparser.ConfigParser(default_section="")
         try:
             with open(path) as fh:
                 cp.read_file(fh)
@@ -121,8 +128,8 @@ class RunConfig:
             raise TwirlError(f"precision {ctx.precision} below "
                              f"2*gamma_depth + 2*ord(2) + 6 = {need}")
         out = cp["output"] if cp.has_section("output") else {}
-        fmt = out.get("format", "json")
-        if fmt not in ("json", "csv"):
+        fmt = out.get("format")
+        if fmt not in (None, "json", "csv"):
             raise TwirlError(f"format must be json or csv, not {fmt!r}")
         path_out = out.get("path")
         if path_out and os.environ.get("TWIRL_OUTPUT_DIR"):
@@ -251,6 +258,10 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = RunConfig.load(opts["--config"])
+        if cfg.out_format not in (None,) + FORMATS[argv[0]]:
+            raise TwirlError(f"{argv[0]} writes "
+                             f"{' or '.join(FORMATS[argv[0]])} only, "
+                             f"not format = {cfg.out_format}")
         text = COMMANDS[argv[0]](cfg, opts.get("--alpha"))
     except TwirlError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,13 +45,13 @@ class CharacterValue:
         return CharacterValue(p, tuple(c))
 
     @staticmethod
-    def from_exponent_counts(p: int, counts) -> "CharacterValue":
-        """sum_j counts[j] * zeta_p^j, counts indexed by exponent mod p."""
-        out = CharacterValue.zero(p)
-        for j, n in enumerate(counts):
-            if n:
-                out = out + CharacterValue.root(p, j).scale(n)
-        return out
+    def from_exponent_counts(p: int, counts, total: int) -> "CharacterValue":
+        """sum_j counts[j] * zeta_p^j / total, counts a list indexed by
+        exponent mod p: coordinate j is (counts[j] - counts[p - 1]) / total,
+        as z^(p-1) = -(1 + z + ... + z^(p-2))."""
+        top = counts[p - 1]
+        return CharacterValue(p, tuple(Fraction(n - top, total)
+                                       for n in counts[:p - 1]))
 
     # -- arithmetic -----------------------------------------------------------
 

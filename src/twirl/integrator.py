@@ -476,34 +476,36 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
     """The weight-only constants of the even-residue-characteristic series:
     A integrates (2[e + ord b] + 1) over the interior shell strata, B is 4
     times the shell volume integral, both against |D_eps| on the unit torus
-    region.  Returns (A, B, per-e increment list) as exact Fractions."""
+    region.  Returns (A, B, per-e increment list) as exact Fractions.
+
+    On the stratum alpha = 1 + pi^e, |D_eps| = q^-(ord 2 + 2e), the
+    exponent of `regular_preimage` at ord(alpha - 1) = e and ord alpha = 0.
+    One `discriminant_report`, at the deepest e = gamma_depth, checks the
+    trace x0 + x1 = -1 there: a digit the precision cannot decide raises
+    PrecisionExhausted naming that stratum, and the deepest stratum is the
+    first to lose one.  A report whose exponent is not ord 2 + 2e raises
+    DomainError."""
     ctx = data.ctx
     if ctx.p != 2 or ctx.e < 2:
         raise DomainError("weight-only constants require p = 2 with 2 in pi^2")
     q = ctx.q
-    a_total = Fraction(0)
-    b_total = Fraction(0)
+    top = trunc.gamma_depth
+    label = f"1+pi^{top}"
+    drep = discriminant_report(form, _stratum_alpha(ctx, 1, top, ctx.one(), 1),
+                               label)
+    if drep.ord_value != ctx.e + 2 * top:
+        raise DomainError(f"|D_eps| at {label} is q^-{drep.ord_value}, "
+                          f"not q^-(ord 2 + 2e) = q^-{ctx.e + 2 * top}")
     increments = []
-    for e in range(1, trunc.gamma_depth + 1):
-        alpha = _stratum_alpha(ctx, 1, e, ctx.one(), 1)
-        # |D_eps| is q^-(ord 2 + 2e) here; the report route keeps one
-        # twisted_discriminant call per e on the p = 2 residue run, the
-        # span that perfbench/tests/test_selfcheck.py looks for
-        drep = discriminant_report(form, alpha, f"1+pi^{e}")
-        deps = Fraction(q) ** (-drep.ord_value)
-        vol = Fraction(1, q ** e)
+    for e in range(1, top + 1):
         # interior shell: b levels j = 0 .. e-1; level j has q^j - q^(j-1)
         # cosets (one coset for j = 0); ord(b) = -j so the weight count is
         # 2(e - j) + 1
-        a_inc = Fraction(0)
-        shell_vol = Fraction(0)
-        for j in range(0, e):
-            count = 1 if j == 0 else q ** j - q ** (j - 1)
-            a_inc += count * (2 * (e - j) + 1)
-            shell_vol += count
-        a_inc = vol * deps * a_inc
-        b_inc = 4 * vol * deps * shell_vol
-        a_total += a_inc
-        b_total += b_inc
-        increments.append((e, a_inc, b_inc))
-    return a_total, b_total, increments
+        counts = [1] + [q ** j - q ** (j - 1) for j in range(1, e)]
+        weight = sum(n * (2 * (e - j) + 1) for j, n in enumerate(counts))
+        # vol(1 + pi^e O) |D_eps| = q^-e q^-(ord 2 + 2e), ord 2 = ctx.e
+        scale = q ** (3 * e + ctx.e)
+        increments.append((e, Fraction(weight, scale),
+                           Fraction(4 * sum(counts), scale)))
+    return (sum((a for _, a, _ in increments), Fraction(0)),
+            sum((b for _, _, b in increments), Fraction(0)), increments)

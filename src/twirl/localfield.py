@@ -18,7 +18,6 @@ valuation is actually demanded).
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -665,6 +664,12 @@ def additive_char(x: Elem):
     return CharacterValue.root(x.ctx.p, x.residue())
 
 
+def _is_int(text: str) -> bool:
+    """Whether text is an optional minus sign and one or more decimal
+    digits."""
+    return text.removeprefix("-").isdecimal()
+
+
 def parse_elem(ctx: LocalFieldCtx, text: str) -> Elem:
     """Parse tiny element expressions: rationals, pi^k, u (unit nonresidue),
     combined with + and *.  Covers specs like '1+pi^2' or '-1+pi*u'."""
@@ -675,18 +680,25 @@ def parse_elem(ctx: LocalFieldCtx, text: str) -> Elem:
     def factor(tok: str) -> Elem:
         if tok == "pi":
             return ctx.pi()
-        m = re.fullmatch(r"pi\^(-?\d+)", tok)
-        if m:
-            return ctx.pi(int(m.group(1)))
+        if tok.startswith("pi^") and _is_int(tok[3:]):
+            return ctx.pi(int(tok[3:]))
         if tok == "u":
             return square_class_reps(ctx).unit_reps[-1]
-        if re.fullmatch(r"-?\d+(/\d+)?", tok):
+        num, slash, den = tok.partition("/")
+        if _is_int(num) and (not slash or den.isdecimal()):
             return ctx.from_rational(Fraction(tok))
         raise DomainError(f"cannot parse element factor {tok!r}")
 
+    # split on + but keep leading minus attached to the first factor, and
+    # a + right after ^ inside its term
+    terms: list[str] = []
+    for part in text.split("+"):
+        if terms and terms[-1].endswith("^"):
+            terms[-1] += "+" + part
+        else:
+            terms.append(part)
     total = ctx.zero()
-    # split on + but keep leading minus attached to the first factor
-    for term in re.split(r"(?<!\^)\+", text):
+    for term in terms:
         if not term:
             continue
         prod = ctx.one()

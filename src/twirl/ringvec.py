@@ -33,10 +33,10 @@ class ResidueRing:
         self.red = red
         self.p_over_pi = np.array([c % self.pm for c in ctx._p_over_pi],
                                   dtype=np.int64)
-        self.pi_pows = np.stack(
-            [np.array([c % self.pm for c in _pi_power_poly(ctx, k)],
-                      dtype=np.int64) for k in range(s + 1)]
-        )
+        self.pi_pows = np.array(
+            [[c % self.pm for c in _pi_power_poly(ctx, k)]
+             for k in range(s + 1)], dtype=np.int64)
+        self._gl2 = None    # the chunks of `iter_gl2(1, self)`, once read
 
     # -- conversions ----------------------------------------------------------
 
@@ -113,16 +113,36 @@ class ResidueRing:
 def iter_gl2(level: int, ring: ResidueRing):
     """Yield GL_2(O/pi^level) as coefficient arrays (a, b, c, d) in `ring`,
     one chunk per leading entry a; the rows come in lexicographic order of
-    the indices of (a, b, c, d) in `ring.from_digit_grid(level)`."""
+    the indices of (a, b, c, d) in `ring.from_digit_grid(level)`.
+
+    GL_2(F_p) (level 1), which every K-average pass reads, is built whole
+    on the first read and kept by the ring, with read-only arrays, so
+    neither an abandoned generator nor a consumer can change it.  Higher
+    levels, read only by the test oracles, stream one chunk at a time:
+    GL_2(Z/49) alone is 4.8 million rows."""
+    if level > 1:
+        yield from _gl2_chunks(level, ring)
+        return
+    if ring._gl2 is None:
+        chunks = list(_gl2_chunks(1, ring))
+        for arr in (a for chunk in chunks for a in chunk):
+            arr.setflags(write=False)
+        ring._gl2 = chunks
+    yield from ring._gl2
+
+
+def _gl2_chunks(level: int, ring: ResidueRing):
+    """The chunks of `iter_gl2`.  ad - bc is a unit exactly when it is
+    not 0 mod pi, and x mod pi is the coefficient of x at pi^0 mod p, so
+    the test reads those coefficients only."""
     table = ring.from_digit_grid(level)
     m = table.shape[0]
-    ib, ic, id_ = np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
-                              indexing="ij")
-    b = table[ib.ravel()]
-    c = table[ic.ravel()]
-    d = table[id_.ravel()]
+    idx = np.arange(m ** 3)     # (b, c, d) indices, lexicographic
+    b = table[idx // (m * m)]
+    c = table[idx // m % m]
+    d = table[idx % m]
+    bc = b[:, 0] * c[:, 0]
     for row in table:
-        a = np.broadcast_to(row, b.shape).copy()
-        det = ring.sub(ring.mul(a, d), ring.mul(b, c))
-        mask = ring.is_unit(det)
-        yield (a[mask], b[mask], c[mask], d[mask])
+        mask = (row[0] * d[:, 0] - bc) % ring.p != 0
+        a = np.broadcast_to(row, b.shape)[mask]
+        yield (a, b[mask], c[mask], d[mask])

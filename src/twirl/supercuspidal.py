@@ -11,7 +11,6 @@ the character value is Lambda_1(b + c/pi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -83,6 +82,7 @@ class CuspidalData:
         if self.ctx.p == 2 and self.ctx.e < 2:
             raise DomainError("even residue characteristic needs 2 in pi^2")
         self._avg_cache: dict = {}
+        self._ring: ResidueRing | None = None
 
     @property
     def p(self) -> int:
@@ -190,7 +190,7 @@ class CuspidalData:
           (l_k on parity 0, mu_k on parity 1) vanishes on W exactly when
           p = 2: at odd p every row spreads evenly, which is why every
           K-average is 0 there.
-        - So a miss is one pass over GL_2(O/pi) with a few mod-p
+        - So a miss is one pass over GL_2(O/pi) with a few integer
           operations per row (`_coset_counts`), and the orbit is never
           listed; the counts are those of f over GL_2(O/pi) x W.
 
@@ -198,7 +198,9 @@ class CuspidalData:
         and it is returned without a pass; `_kappa_average_coset` is the
         pass, run at p = 2 and kept as the tests' odd-p check of that
         zero.  At p = 2 the value depends only on y mod pi^2 and the
-        parity of ord det y, which is the cache key.
+        parity of ord det y, which is the cache key; a miss builds y mod
+        pi^2 from the digits of that key and runs the pass in plain
+        integers over the one GL_2(F_p) table of `_residue_ring`.
         `kappa_average_oracle` enumerates all of GL_2(O/pi^level)
         instead, and the tests hold the two equal."""
         if self.kappa_vanishes(form):
@@ -207,14 +209,24 @@ class CuspidalData:
         key = (y.residue_key(self.residue_level), parity)
         got = self._avg_cache.get(key)
         if got is None:
-            got = self._kappa_average_coset(y, parity)
+            got = self._kappa_average_coset(*key)
             self._avg_cache[key] = got
         return got
 
-    def _kappa_average_coset(self, y: Mat, parity: int) -> CharacterValue:
-        ring = ResidueRing(self.ctx, self.residue_level)
-        counts, total = _coset_counts(ring, _residues(ring, y), parity)
-        return _mean(self.p, counts, total)
+    def _residue_ring(self) -> ResidueRing:
+        """O/pi^residue_level, the ring of every K-average pass of this
+        integrand, built on the first pass; it keeps the GL_2(F_p) table
+        of `iter_gl2(1, .)`."""
+        if self._ring is None:
+            self._ring = ResidueRing(self.ctx, self.residue_level)
+        return self._ring
+
+    def _kappa_average_coset(self, key, parity: int) -> CharacterValue:
+        """The pass `_coset_counts` for the y with
+        `y.residue_key(self.residue_level)` = key."""
+        ring = self._residue_ring()
+        counts, total = _coset_counts(ring, _key_residues(ring, key), parity)
+        return CharacterValue.from_exponent_counts(self.p, counts, total)
 
     def kappa_average_oracle(self, y: Mat, level: int) -> CharacterValue:
         """The same integral by enumerating all of GL_2(O/pi^level),
@@ -223,13 +235,15 @@ class CuspidalData:
         ring = ResidueRing(self.ctx, level)
         counts, total = _oracle_counts(ring, _residues(ring, y),
                                        y.det().val % 2)
-        return _mean(self.p, counts, total)
+        return CharacterValue.from_exponent_counts(self.p, counts, total)
 
 
-# -- f on residue matrices -------------------------------------------------------
+# -- f on residue matrices: the enumeration oracles ----------------------------
 #
 # A residue matrix is the tuple (x00, x01, x10, x11) of coefficient arrays of
-# shape (..., e); leading shapes broadcast.
+# shape (..., e); leading shapes broadcast.  `kappa_average_oracle` and the
+# tests evaluate f here, on all of GL_2(O/pi^level); the K-average pass
+# below never does.
 
 
 def _residues(ring: ResidueRing, x: Mat):
@@ -258,55 +272,13 @@ def _twist(ring: ResidueRing, k, y):
     return _mat_mul(ring, _mat_mul(ring, k, y), _vdash(k))
 
 
-def _image_span(y0, p: int):
-    """The images L_y(E) = E y + y E^vdash mod pi of the matrix units E00,
-    E01, E10, E11, as the rows (v00, v01, v10, v11) of a 4 x 4 array; they
-    span Im L_y.  y0 is y mod pi as four residues."""
-    y00, y01, y10, y11 = y0
-    tr = y00 + y11
-    return np.array([[y00, 2 * y01, 0, y11], [y10, tr, 0, y10],
-                     [y01, 0, tr, y01], [y00, 0, 2 * y10, y11]]) % p
-
-
-def _twist_matrix(a, b, c, d):
-    """T with k v k^vdash = T v on v = (v00, v01, v10, v11), for
-    k = [[a, b], [c, d]] with integer entries; one 4 x 4 matrix per row of
-    the arrays a, b, c, d."""
-    return np.array([a * d, a * c, b * d, b * c, a * b, a * a, b * b, a * b,
-                     c * d, c * c, d * d, c * d, b * c, a * c, b * d, a * d]
-                    ).T.reshape(-1, 4, 4)
-
-
-def _rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of a list of integer vectors."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p),
-                   None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * inv
-            rows[i] = [(u - f * v) % p for u, v in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _inverses(p: int):
-    """v -> v^(-1) mod p as a lookup array, with 0 -> 0."""
-    return np.array([0] + [pow(v, -1, p) for v in range(1, p)],
-                    dtype=np.int64)
-
-
-def _support_mod_pi(ring: ResidueRing, x, parity: int):
-    """The part of f's support test that reads X mod pi only: a mask that
-    holds wherever the mask of `_f_on_residues` does.  Parity 0 needs
-    x00 != 0, x10 = 0 and x11 = x00 mod pi; parity 1 needs
-    x00 = x10 = x11 = 0 and x01 != 0 mod pi."""
-    x00, x01, x10, x11 = (ring.residue_mod_p(z) for z in x)
+def _support_mod_pi(x, parity: int):
+    """The part of f's support test that reads X mod pi only, on the
+    entries (x00, x01, x10, x11) of X mod pi (ints, or arrays for a mask):
+    it holds wherever the mask of `_f_on_residues` does.  Parity 0 needs
+    x00 != 0, x10 = 0 and x11 = x00; parity 1 needs x00 = x10 = x11 = 0
+    and x01 != 0."""
+    x00, x01, x10, x11 = x
     if parity:
         return (x00 == 0) & (x10 == 0) & (x11 == 0) & (x01 != 0)
     return (x00 != 0) & (x10 == 0) & (x11 == x00)
@@ -329,7 +301,8 @@ def _f_on_residues(ring: ResidueRing, x, parity: int):
     mask = (live & (r != 0) & ring.divisible_by_pi(x10)
             & (ring.residue_mod_p(x11) == r))
     arg = ring.residue_mod_p(ring.add(x01, ring.div_pi(x10)))
-    return mask, (arg * _inverses(p)[r]) % p
+    inverses = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    return mask, (arg * inverses[r]) % p
 
 
 def _count_f(ring: ResidueRing, k, y_res, parity: int, counts) -> int:
@@ -340,47 +313,6 @@ def _count_f(ring: ResidueRing, k, y_res, parity: int, counts) -> int:
     return mask.size
 
 
-def _kept_rows(ring: ResidueRing, y_res, parity: int):
-    """The rows k of GL_2(O/pi) as digit arrays [a, b, c, d] in the order
-    of `iter_gl2(1, ring)`; (T_k, X = T_k y = k y k^vdash) for y a residue
-    matrix mod pi^2; and the mask of the k whose X passes `_support_mod_pi`."""
-    # the rows of GL_2(O/pi) as digits; X = T_k y needs no ring product
-    k = [np.concatenate([ring.residue_mod_p(z) for z in col])
-         for col in zip(*iter_gl2(1, ring))]
-    t_k = _twist_matrix(*k)
-    x = tuple(np.moveaxis(t_k @ np.stack(y_res) % ring.pm, 1, 0))
-    return k, (t_k, x), _support_mod_pi(ring, x, parity)
-
-
-def _coset_counts(ring: ResidueRing, y_res, parity: int):
-    """(Lambda_1 exponent counts, rows) of f over GL_2(O/pi) x
-    (y + pi Im L_y), y a residue matrix mod pi^2, as the character sums of
-    `CuspidalData.kappa_average`: each k that passes the support test adds
-    |W| to one exponent when the linear form h (parity 0: l_k, parity 1:
-    mu_k) vanishes on W = Im L_y, and |W|/p to every exponent otherwise."""
-    p = ring.p
-    span = _image_span([int(ring.residue_mod_p(z)) for z in y_res], p)
-    size = p ** _rank_mod_p(span.tolist(), p)
-    k, (t_k, x), keep = _kept_rows(ring, y_res, parity)
-    x00, x01, x10, x11 = (z[keep] for z in x)
-    tw = t_k[keep] @ span.T % p     # T_k w for the spanning vectors w of W
-    if parity:
-        h = tw[:, 0] + tw[:, 3]
-        r = ring.residue_mod_p(x01)
-        live = r == ring.residue_mod_p(ring.div_pi(x10))
-        base = ring.add(ring.div_pi(x00), ring.div_pi(x11))
-    else:
-        h = tw[:, 2]
-        r = ring.residue_mod_p(x00)
-        live = True
-        base = ring.add(x01, ring.div_pi(x10))
-    flat = ~(h % p).any(axis=1)
-    exps = ring.residue_mod_p(base) * _inverses(p)[r] % p
-    counts = np.bincount(exps[live & flat], minlength=p) * size
-    counts += np.count_nonzero(live & ~flat) * (size // p)
-    return counts, k[0].size * size
-
-
 def _oracle_counts(ring: ResidueRing, y_res, parity: int):
     """(Lambda_1 exponent counts, rows) of f over all of
     GL_2(O/pi^ring.s)."""
@@ -388,12 +320,130 @@ def _oracle_counts(ring: ResidueRing, y_res, parity: int):
     total = 0
     for k in iter_gl2(ring.s, ring):
         total += _count_f(ring, k, y_res, parity, counts)
-    return counts, total
+    return counts.tolist(), total
 
 
-def _mean(p: int, counts, total: int) -> CharacterValue:
-    value = CharacterValue.from_exponent_counts(p, counts.tolist())
-    return value.scale(Fraction(1, total))
+# -- the K-average pass over GL_2(F_p) ------------------------------------------
+#
+# Plain integers: y mod pi^2 is four coefficient lists mod p^Ms
+# (`_key_residues`), k in GL_2(F_p) a digit row (a, b, c, d), and every
+# other quantity a residue mod p.
+
+
+def _key_residues(ring: ResidueRing, key):
+    """y mod pi^ring.s as four coefficient lists mod p^Ms, built from the
+    digit tuples of `y.residue_key(ring.s)` as sum_t digit_t pi^t."""
+    pows = ring.pi_pows.tolist()
+    out = []
+    for digits in key:
+        z = [0] * ring.e
+        for d, pw in zip(digits, pows):
+            if d:
+                z = [u + d * v for u, v in zip(z, pw)]
+        out.append([u % ring.pm for u in z])
+    return out
+
+
+def _kept_rows(ring: ResidueRing, y, parity: int):
+    """(rows read, kept rows) of one pass over the digit rows
+    k = (a, b, c, d) of GL_2(F_p), in the order of `iter_gl2(1, ring)`,
+    for y from `_key_residues`.  X = k y k^vdash is T_k y, with T_k the
+    4 x 4 matrix of v -> k v k^vdash on v = (v00, v01, v10, v11); x holds
+    the coefficients of X at pi^0, mod p^Ms, and the row is kept when x
+    mod p passes `_support_mod_pi`.  A kept row is (k, T_k, x)."""
+    p, pm = ring.p, ring.pm
+    y0, y1, y2, y3 = (z[0] for z in y)
+    rows = 0
+    kept = []
+    for chunk in iter_gl2(1, ring):
+        # a level-1 entry is its digit times pi^0 = 1: its coefficient
+        # at pi^0 is the digit
+        digits = list(zip(*(z[:, 0].tolist() for z in chunk)))
+        rows += len(digits)
+        for a, b, c, d in digits:
+            t = ((a * d, a * c, b * d, b * c), (a * b, a * a, b * b, a * b),
+                 (c * d, c * c, d * d, c * d), (b * c, a * c, b * d, a * d))
+            x = [(u0 * y0 + u1 * y1 + u2 * y2 + u3 * y3) % pm
+                 for u0, u1, u2, u3 in t]
+            if _support_mod_pi([v % p for v in x], parity):
+                kept.append(((a, b, c, d), t, x))
+    return rows, kept
+
+
+def _dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _image_span(y0, p: int):
+    """The images L_y(E) = E y + y E^vdash mod pi of the matrix units E00,
+    E01, E10, E11, as vectors (v00, v01, v10, v11) mod p; they span
+    Im L_y.  y0 is y mod pi as four residues."""
+    y00, y01, y10, y11 = y0
+    tr = y00 + y11
+    return [[v % p for v in w]
+            for w in ((y00, 2 * y01, 0, y11), (y10, tr, 0, y10),
+                      (y01, 0, tr, y01), (y00, 0, 2 * y10, y11))]
+
+
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a list of integer vectors."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [(u - f * v) % p for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _coset_counts(ring: ResidueRing, y, parity: int):
+    """(Lambda_1 exponent counts as a list, rows) of f over GL_2(O/pi) x
+    (y + pi Im L_y), y a residue matrix mod pi^2 from `_key_residues`, as
+    the character sums of `CuspidalData.kappa_average`.  Each row that
+    `_kept_rows` keeps (and, at parity 1, whose t = x01 - x10/pi is 0 mod
+    pi) adds |W| to one exponent when the linear form h (parity 0: l_k,
+    the row of T_k for V10; parity 1: mu_k, the sum of the rows for V00
+    and V11) vanishes on the span of W = Im L_y, and |W|/p to every
+    exponent otherwise.  The exponent is s/r mod p; s needs the entries
+    X/pi mod pi, read off the coefficients of X at pi^0 (mod p^Ms) and
+    at pi^1 (`div_pi`)."""
+    p = ring.p
+    pop = int(ring.p_over_pi[0])
+    y_pi = [z[1] if ring.e > 1 else 0 for z in y]
+
+    def div_pi(t_row, x0):
+        """X_ij / pi mod pi for X_ij = 0 mod pi, from its row of T_k and
+        its coefficient x0 at pi^0 (`ResidueRing.div_pi`)."""
+        return _dot(t_row, y_pi) + (x0 // p) * pop
+
+    span = _image_span([z[0] for z in y], p)
+    size = p ** _rank_mod_p(span, p)
+    rows, kept = _kept_rows(ring, y, parity)
+    counts = [0] * p
+    spread = 0
+    for _k, t, x in kept:
+        if parity:
+            r = x[1] % p
+            if (div_pi(t[2], x[2]) - r) % p:
+                continue
+            h = [u + v for u, v in zip(t[0], t[3])]
+            s = div_pi(t[0], x[0]) + div_pi(t[3], x[3])
+        else:
+            r = x[0] % p
+            h = t[2]
+            s = x[1] + div_pi(t[2], x[2])
+        if any(_dot(h, w) % p for w in span):
+            spread += 1
+        else:
+            counts[s * pow(r, -1, p) % p] += size
+    return [n + spread * (size // p) for n in counts], rows * size
 
 
 # -- support scanning ----------------------------------------------------------
@@ -503,15 +553,16 @@ def support_scan(data: CuspidalData, form: GroupForm,
 def _kappa_witness(data: CuspidalData, y: Mat) -> Mat:
     """The first kappa mod pi^2 (the digit order of `iter_gl2(2, .)`) with
     f(kappa y kappa^vdash) != 0, for the y of a live `orbit_strata`
-    record: the first kept row of GL_2(F_p) (`_kept_rows`), lifted.  Every
-    live record has ord det y = 0 (`support_scan`); at parity 0 f's
-    support test is `_support_mod_pi`, which reads kappa mod pi only, and
-    f is a root of unity on its support.  `from_digit_grid` lists the
-    single-digit lifts first, so the first witness mod pi^2 is the lift of
-    the first kept row; kappa = 1 is kept, so that row exists."""
+    record: the first row of GL_2(F_p) that the K-average pass keeps at
+    parity 0 (`_kept_rows`), lifted.  Every live record has ord det y = 0
+    (`support_scan`); at parity 0 f's support test is `_support_mod_pi`,
+    which reads kappa mod pi only, and f is a root of unity on its
+    support.  `from_digit_grid` lists the single-digit lifts first, so the
+    first witness mod pi^2 is the lift of the first kept row; kappa = 1 is
+    kept, so that row exists."""
     ctx = data.ctx
-    ring = ResidueRing(ctx, data.residue_level)
-    k, _x, keep = _kept_rows(ring, _residues(ring, y), 0)
-    row = int(np.argmax(keep))
-    a, b, c, d = (ctx.from_int(int(z[row])) for z in k)
+    ring = data._residue_ring()
+    _rows, kept = _kept_rows(ring, _key_residues(ring, y.residue_key(ring.s)),
+                             0)
+    a, b, c, d = (ctx.from_int(z) for z in kept[0][0])
     return Mat(ctx, [[a, b], [c, d]])

@@ -45,6 +45,26 @@ def even_cfg(tmp_path):
     return str(p)
 
 
+def _csv(cfg: str) -> str:
+    """The config text `cfg` with [output] format = csv, the one format
+    `psik` writes."""
+    return cfg.replace("format = json", "format = csv")
+
+
+@pytest.fixture
+def odd_csv_cfg(tmp_path):
+    p = tmp_path / "odd-csv.ini"
+    p.write_text(_csv(ODD_CFG))
+    return str(p)
+
+
+@pytest.fixture
+def even_csv_cfg(tmp_path):
+    p = tmp_path / "even-csv.ini"
+    p.write_text(_csv(EVEN_CFG))
+    return str(p)
+
+
 def test_dtwist_json(odd_cfg, tmp_path):
     out = tmp_path / "d.json"
     assert cli.main(["dtwist", "--config", odd_cfg, "--alpha", "2",
@@ -112,7 +132,7 @@ def test_psik_decides_alpha_pm1_exactly(tmp_path, capsys, alpha, code, text):
     x0 + x1 = -1 reads 0, and the trace guard exits 1; alpha = 1 and -1
     are not regular."""
     cfg = tmp_path / "p12.ini"
-    cfg.write_text(ODD_CFG.replace("precision = 18", "precision = 12")
+    cfg.write_text(_csv(ODD_CFG).replace("precision = 18", "precision = 12")
                    .replace("gamma_depth = 2", "gamma_depth = 3"))
     assert cli.main(["psik", "--config", str(cfg), f"--alpha={alpha}"]) == code
     out = capsys.readouterr()
@@ -133,9 +153,9 @@ def test_support_scan_json(odd_cfg, tmp_path):
     assert rep["strata_searched"]
 
 
-def test_psik_csv(even_cfg, tmp_path):
+def test_psik_csv(even_csv_cfg, tmp_path):
     out = tmp_path / "p.csv"
-    assert cli.main(["psik", "--config", even_cfg, "--alpha", "1+pi^2",
+    assert cli.main(["psik", "--config", even_csv_cfg, "--alpha", "1+pi^2",
                      "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("k,coord0")
@@ -277,6 +297,49 @@ def test_unknown_config_section_exit_code(tmp_path, capsys, section):
     assert section in err
 
 
+@pytest.mark.parametrize("default", ["[DEFAULT]\nfoo = 1\n",
+                                     "[DEFAULT]\nk_max = 2\n",
+                                     "[DEFAULT]\n"])
+def test_default_section_is_refused(tmp_path, capsys, default):
+    """[DEFAULT] is a section other than [field], [pipeline] and
+    [output]: it exits 1 with an error line naming it, also when it is
+    empty or its key belongs to one section, instead of an error that
+    names [field] or a key that silently reaches [pipeline]."""
+    p = tmp_path / "bad.ini"
+    p.write_text(default + ODD_CFG)
+    assert cli.main(["coeffs", "--config", str(p)]) == 1
+    out = capsys.readouterr()
+    assert out.err == "error: unknown config sections: DEFAULT\n"
+
+
+@pytest.mark.parametrize("command, alpha", [
+    ("dtwist", ["--alpha=2"]), ("support-scan", ["--alpha=pi"]),
+    ("psik", ["--alpha=1+pi"]), ("coeffs", []), ("residue", [])])
+@pytest.mark.parametrize("fmt", [None, "json", "csv"])
+def test_output_format_is_honoured_or_refused(tmp_path, capsys, command,
+                                              alpha, fmt):
+    """An [output] format a subcommand writes is honoured; one it cannot
+    write exits 1 before any work, naming what it writes: `psik` writes
+    csv only, `coeffs` json or csv, the others json only.  Without a
+    format each writes its first."""
+    text = ODD_CFG.replace("format = json\n",
+                           f"format = {fmt}\n" if fmt else "")
+    p = tmp_path / "cfg.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(p), "--out", str(out)] + alpha)
+    err = capsys.readouterr().err
+    writes = cli.FORMATS[command]
+    if fmt is None or fmt in writes:
+        assert (code, err) == (0, "")
+        body = out.read_text()
+        assert body.startswith("{" if (fmt or writes[0]) == "json" else "k,")
+    else:
+        assert code == 1 and not out.exists()
+        assert err == (f"error: {command} writes {' or '.join(writes)} "
+                       f"only, not format = {fmt}\n")
+
+
 def test_pipeline_keys_are_truncation_fields():
     """Every [pipeline] key but regime is a TruncationSpec field, which
     the pipeline reads, and every field has a key."""
@@ -367,13 +430,13 @@ def test_help_names_every_subcommand(capsys, flag):
         assert name in out.out
 
 
-def test_alpha_space_form_matches_equals_form(odd_cfg, tmp_path):
+def test_alpha_space_form_matches_equals_form(odd_csv_cfg, tmp_path):
     """`--alpha VALUE` takes a value with a leading minus sign and gives
     the bytes of `--alpha=VALUE`."""
     space, equals = tmp_path / "space.csv", tmp_path / "equals.csv"
-    assert cli.main(["psik", "--config", odd_cfg, "--alpha", "-1+pi*3",
+    assert cli.main(["psik", "--config", odd_csv_cfg, "--alpha", "-1+pi*3",
                      "--out", str(space)]) == 0
-    assert cli.main(["psik", "--config", odd_cfg, "--alpha=-1+pi*3",
+    assert cli.main(["psik", "--config", odd_csv_cfg, "--alpha=-1+pi*3",
                      f"--out={equals}"]) == 0
     assert space.read_bytes() == equals.read_bytes()
 
@@ -514,7 +577,7 @@ def test_cold_and_warm_cache_same_bytes(tmp_path):
         assert cold.read_bytes() == warm.read_bytes()
 
 
-def test_cold_residue_leaves_numpy_ma_unloaded(even_cfg):
+def test_cold_residue_leaves_numpy_ma_unloaded(even_cfg, even_csv_cfg):
     """A cold `residue` run and a cold `psik` run at p = 2, both of which
     compute K-average misses, never import numpy.ma, which numpy loads
     lazily and which costs milliseconds per cold job.  (At odd p every
@@ -524,7 +587,7 @@ def test_cold_residue_leaves_numpy_ma_unloaded(even_cfg):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(twirl.__file__)))
     runs = (["residue", "--config", even_cfg],
-            ["psik", "--config", even_cfg, "--alpha=1+pi^2"])
+            ["psik", "--config", even_csv_cfg, "--alpha=1+pi^2"])
     for argv in runs:
         code = textwrap.dedent(f"""
             import os, sys

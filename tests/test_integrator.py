@@ -512,6 +512,40 @@ def test_coefficient_A_B():
                             TruncationSpec())
 
 
+def test_coefficient_A_B_makes_one_report(monkeypatch):
+    """`coefficient_A_B` reads |D_eps| = q^-(ord 2 + 2e) in closed form
+    and makes one `discriminant_report`, at e = gamma_depth, the first
+    stratum to lose a digit: at precision 12 and gamma_depth 12 it raises
+    PrecisionExhausted naming 1+pi^12.  The constants equal the sums of
+    a report per e."""
+    reports = []
+    report = integrator.discriminant_report
+
+    def counted(form, alpha, label):
+        reports.append(label)
+        return report(form, alpha, label)
+
+    monkeypatch.setattr(integrator, "discriminant_report", counted)
+    c = ctx2()
+    form = orthogonal_form(c, 2)
+    a, b, incs = coefficient_A_B(CuspidalData(c), form,
+                                 TruncationSpec(gamma_depth=5))
+    assert reports == ["1+pi^5"]
+    q = Fraction(c.q)
+    for e, a_inc, b_inc in incs:
+        alpha = c.one() + c.pi(e)
+        deps = q ** -report(form, alpha, f"1+pi^{e}").ord_value
+        shell = [1] + [c.q ** j - c.q ** (j - 1) for j in range(1, e)]
+        assert a_inc == q ** -e * deps * sum(
+            n * (2 * (e - j) + 1) for j, n in enumerate(shell))
+        assert b_inc == 4 * q ** -e * deps * sum(shell)
+    assert (a, b) == (sum(i[1] for i in incs), sum(i[2] for i in incs))
+    low = make_field(2, 2, (-2, 0, 1), 12)
+    with pytest.raises(PrecisionExhausted, match=r"1\+pi\^12,"):
+        coefficient_A_B(CuspidalData(low), orthogonal_form(low, 2),
+                        TruncationSpec(gamma_depth=12))
+
+
 def test_even_pipeline_affine_and_positive_constant():
     c = ctx2()
     data = CuspidalData(c)

@@ -440,8 +440,78 @@ def test_char_factors_through_residue_field():
         assert additive_char(x) == additive_char(y)
 
 
+# (text, (valuation, first six unit digits) or (error, message)) over
+# x - 5, as the regular-expression parser of earlier versions read them;
+# \u0661 and \u0663 are Arabic-Indic digits, \u00b2 a superscript two
+_PARSE_CASES = [
+    ('pi', (1, (1, 0, 0, 0, 0, 0))),
+    ('pi^-2', (-2, (1, 0, 0, 0, 0, 0))),
+    ('u', (0, (2, 0, 0, 0, 0, 0))),
+    ('3/7', (0, (4, 0, 2, 1, 4, 2))),
+    ('-1+pi*3+pi^2*2', (0, (4, 2, 2, 0, 0, 0))),
+    ('pi^2', (2, (1, 0, 0, 0, 0, 0))),
+    ('1+pi', (0, (1, 1, 0, 0, 0, 0))),
+    ('-1+pi*u', (0, (4, 1, 0, 0, 0, 0))),
+    (' 1 + pi ^ 2 ', (0, (1, 0, 1, 0, 0, 0))),
+    ('0', (None, ())),
+    ('-0', (None, ())),
+    ('12', (0, (2, 2, 0, 0, 0, 0))),
+    ('-3/4', (0, (3, 3, 3, 3, 3, 3))),
+    ('pi^0', (0, (1, 0, 0, 0, 0, 0))),
+    ('pi^-0', (0, (1, 0, 0, 0, 0, 0))),
+    ('u*u', (0, (4, 0, 0, 0, 0, 0))),
+    ('+1', (0, (1, 0, 0, 0, 0, 0))),
+    ('1+', (0, (1, 0, 0, 0, 0, 0))),
+    ('1++pi', (0, (1, 1, 0, 0, 0, 0))),
+    ('++', (None, ())),
+    ('', ('DomainError', 'empty element expression')),
+    (' ', ('DomainError', 'empty element expression')),
+    ('pi^', ('DomainError', "cannot parse element factor 'pi^'")),
+    ('pi^x', ('DomainError', "cannot parse element factor 'pi^x'")),
+    ('pi^+2', ('DomainError', "cannot parse element factor 'pi^+2'")),
+    ('pi^2.5', ('DomainError', "cannot parse element factor 'pi^2.5'")),
+    ('pi^--1', ('DomainError', "cannot parse element factor 'pi^--1'")),
+    ('pi^2^3', ('DomainError', "cannot parse element factor 'pi^2^3'")),
+    ('x', ('DomainError', "cannot parse element factor 'x'")),
+    ('1/', ('DomainError', "cannot parse element factor '1/'")),
+    ('/2', ('DomainError', "cannot parse element factor '/2'")),
+    ('--1', ('DomainError', "cannot parse element factor '--1'")),
+    ('-', ('DomainError', "cannot parse element factor '-'")),
+    ('pi*', ('DomainError', "cannot parse element factor ''")),
+    ('*pi', ('DomainError', "cannot parse element factor ''")),
+    ('-pi', ('DomainError', "cannot parse element factor '-pi'")),
+    ('2/-3', ('DomainError', "cannot parse element factor '2/-3'")),
+    ('3/0', ('ZeroDivisionError', 'Fraction(3, 0)')),
+    ('1.5', ('DomainError', "cannot parse element factor '1.5'")),
+    ('1_0', ('DomainError', "cannot parse element factor '1_0'")),
+    ('pi^\u0663', (3, (1, 0, 0, 0, 0, 0))),
+    ('\u0661/\u0663', (0, (2, 3, 1, 3, 1, 3))),
+    ('\u00b2', ('DomainError', "cannot parse element factor '²'")),
+    ('pi+-1', (0, (4, 0, 0, 0, 0, 0))),
+    ('pi^-', ('DomainError', "cannot parse element factor 'pi^-'")),
+    ('PI', ('DomainError', "cannot parse element factor 'PI'")),
+    ('pi^2*', ('DomainError', "cannot parse element factor ''")),
+    ('1/2/3', ('DomainError', "cannot parse element factor '1/2/3'")),
+    ('pi\t', ('DomainError', "cannot parse element factor 'pi\\t'")),
+    ('1\n', ('DomainError', "cannot parse element factor '1\\n'")),
+]
+
+
 def test_parse_elem():
+    """The element language and its errors, pinned case by case: + splits
+    terms except right after ^, * splits factors, a factor is pi, pi^k,
+    u or a rational -n/d with decimal digits (Unicode ones included)."""
     c = ctx5()
+    errors = {"DomainError": DomainError, "ZeroDivisionError": ZeroDivisionError}
+    for text, (first, second) in _PARSE_CASES:
+        if first in errors:
+            with pytest.raises(errors[first]) as info:
+                parse_elem(c, text)
+            assert str(info.value) == second, text
+            continue
+        got = parse_elem(c, text).normalized()
+        assert (None if got.is_zero() else got.val) == first, text
+        assert (got.unit_digits(6) if first is not None else ()) == second, text
     assert parse_elem(c, "pi^2").val == 2
     assert parse_elem(c, "1+pi") == c.one() + c.pi(1)
     assert parse_elem(c, "-1+pi*u") == -c.one() + c.pi(1) * square_class_reps(c).unit_reps[1]

@@ -26,3 +26,36 @@ def test_iter_gl2_rows(p, e, eis, level):
     q = p  # residue field size of a totally ramified extension
     assert len(keys) == q ** (4 * (level - 1)) * (q * q - 1) * (q * q - q)
     assert all(u < v for u, v in zip(keys, keys[1:]))
+
+
+def test_gl2_table_is_built_once_and_read_only(monkeypatch):
+    """GL_2(F_p) is built once per ring, whole, before the first chunk is
+    yielded: an abandoned read leaves the whole table, every later read
+    yields the same read-only arrays, and writing to one raises.  Higher
+    levels stream and are built on every read."""
+    from twirl import ringvec
+
+    builds = []
+    chunks = ringvec._gl2_chunks
+
+    def counted(level, ring):
+        builds.append(level)
+        return chunks(level, ring)
+
+    monkeypatch.setattr(ringvec, "_gl2_chunks", counted)
+    ring = ResidueRing(make_field(5, 1, (-5, 1), 16), 2)
+    gen = iter_gl2(1, ring)
+    next(gen)
+    gen.close()
+    first = list(iter_gl2(1, ring))
+    again = list(iter_gl2(1, ring))
+    assert builds == [1] and len(first) == 5
+    assert sum(chunk[0].shape[0] for chunk in first) == 480
+    assert all(u is v for x, y in zip(first, again) for u, v in zip(x, y))
+    for arr in (a for chunk in first for a in chunk):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+    next(iter_gl2(2, ring))
+    next(iter_gl2(2, ring))
+    assert builds == [1, 2, 2]

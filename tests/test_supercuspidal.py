@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from twirl.supercuspidal import (
     _coset_counts,
     _count_f,
     _f_on_residues,
+    _key_residues,
     _mat_mul,
     _oracle_counts,
     _residues,
@@ -345,7 +347,7 @@ def test_support_mod_pi_keeps_every_row_f_reads(mk, parity):
     x = tuple(table[i] for i in np.indices((table.shape[0],) * 4)
               .reshape(4, -1))
     mask, _ = _f_on_residues(ring, x, parity)
-    keep = _support_mod_pi(ring, x, parity)
+    keep = _support_mod_pi(tuple(ring.residue_mod_p(z) for z in x), parity)
     assert mask.any()
     assert not (mask & ~keep).any()
 
@@ -390,7 +392,7 @@ def _unfiltered_coset_counts(ring, y_res, parity):
     for k in iter_gl2(1, ring):
         total += _count_f(ring, tuple(z[:, None, :] for z in k), y_orbit,
                           parity, counts)
-    return counts, total
+    return counts.tolist(), total
 
 
 @pytest.mark.parametrize("mk, count", [(ctx2, 4), (ctx3, 4), (ctx5, 2),
@@ -406,15 +408,50 @@ def test_coset_counts_match_oracle_counts(mk, count):
     for parity in (0, 1):
         hits = 0
         for _ in range(count):
-            y_res = _residues(ring, _integral_of_parity(c, rng, parity))
-            counts, total = _coset_counts(ring, y_res, parity)
-            plain, plain_total = _unfiltered_coset_counts(ring, y_res, parity)
-            assert (counts.tolist(), total) == (plain.tolist(), plain_total)
-            full, full_total = _oracle_counts(ring, y_res, parity)
-            factor = full_total // total
-            assert full_total == factor * total
-            assert full.tolist() == (factor * counts).tolist()
-            hits += int(counts.sum())
+            hits += _check_pass(ring, _integral_of_parity(c, rng, parity),
+                                parity)
+        assert hits
+
+
+def _pass_counts(ring, y, parity):
+    """The counts of the K-average pass `_coset_counts` on y, built as a
+    miss builds them: from the digits of `y.residue_key`."""
+    return _coset_counts(ring, _key_residues(ring, y.residue_key(ring.s)),
+                         parity)
+
+
+def _check_pass(ring, y, parity, full=True):
+    """Assert that the pass, the unfiltered coset enumeration and (when
+    `full`) the GL_2(O/pi^2) enumeration give the same counts up to
+    |ker L_y|; return the pass's count of hits."""
+    y_res = _residues(ring, y)
+    counts, total = _pass_counts(ring, y, parity)
+    assert (counts, total) == _unfiltered_coset_counts(ring, y_res, parity)
+    if full:
+        every, every_total = _oracle_counts(ring, y_res, parity)
+        factor = every_total // total
+        assert every_total == factor * total
+        assert every == [factor * n for n in counts]
+    return sum(counts)
+
+
+@pytest.mark.parametrize("p, e, eis", [(2, 3, (-2, 0, 0, 1)),
+                                       (2, 2, (-2, 2, 1)),
+                                       (3, 2, (-3, 0, 1))],
+                         ids=["x3-2", "x2+2x-2", "x2-3"])
+def test_coset_counts_match_oracles_at_e_above_one(p, e, eis):
+    """The integer pass reads the coefficients of X at pi^0 and pi^1 and
+    the coefficient of p/pi at pi^0; over x^3 - 2, x^2 + 2x - 2 and
+    x^2 - 3 those are not the digits of X, so the pass is held to the
+    unfiltered coset enumeration on 100 y of each parity, and to the
+    GL_2(O/pi^2) enumeration on the first 10."""
+    c = make_field(p, e, eis, 20)
+    ring = ResidueRing(c, 2)
+    rng = random.Random(37)
+    for parity in (0, 1):
+        hits = sum(_check_pass(ring, _integral_of_parity(c, rng, parity),
+                               parity, full=n < 10)
+                   for n in range(100))
         assert hits
 
 
@@ -488,12 +525,7 @@ def test_parity_one_character_sum_cases(mk, reached):
     for _ in range(4):
         y = _integral_of_parity(c, rng, 1)
         seen.update(_parity_one_cases(c, y, ring))
-        y_res = _residues(ring, y)
-        counts, total = _coset_counts(ring, y_res, 1)
-        full, full_total = _oracle_counts(ring, y_res, 1)
-        factor = full_total // total
-        assert full_total == factor * total
-        assert full.tolist() == (factor * counts).tolist()
+        _check_pass(ring, y, 1)
     assert seen == reached
 
 
@@ -581,6 +613,39 @@ def test_kappa_average_misses_take_the_closed_form(monkeypatch, tmp_path,
     assert cli.main(argv + ["--config", str(cfg),
                             "--out", str(tmp_path / "out")]) == 0
     assert [r for r in reads if r] == [[[1, rows]]] * misses
+
+
+def test_cold_p2_residue_builds_one_ring_and_one_table(monkeypatch,
+                                                      tmp_path):
+    """A cold `residue` run at p = 2 builds one `ResidueRing` (the
+    integrand's) and enumerates GL_2(F_p) with numpy once, though each of
+    its 6 misses reads the table from `iter_gl2(1, .)`; no miss builds
+    residues from `Elem`s (`_residues`, `ResidueRing.from_elem`)."""
+    from twirl import cli, ringvec
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ringvec.ResidueRing, "__init__", counted(
+        "ring", ringvec.ResidueRing.__init__))
+    monkeypatch.setattr(ringvec, "_gl2_chunks", counted(
+        "build", ringvec._gl2_chunks))
+    monkeypatch.setattr(supercuspidal, "iter_gl2", counted(
+        "read", supercuspidal.iter_gl2))
+    monkeypatch.setattr(supercuspidal, "_residues", counted(
+        "residues", supercuspidal._residues))
+    monkeypatch.setattr(ringvec.ResidueRing, "from_elem", counted(
+        "from_elem", ringvec.ResidueRing.from_elem))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_RESIDUE_P2)
+    assert cli.main(["residue", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert Counter(calls) == Counter(ring=1, build=1, read=6)
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx5])
@@ -957,7 +1022,8 @@ def test_kappa_average_vanishes_at_odd_p(mk):
         y = Mat.random_integral(c, 2, rng)
         parity = y.det().val % 2
         if y.det().val in (0, 1) and len(values[parity]) < want:
-            values[parity].append(data._kappa_average_coset(y, parity))
+            values[parity].append(
+                data._kappa_average_coset(y.residue_key(2), parity))
             assert values[parity][-1] == data.kappa_average(y, form)
             if c.p == 3:
                 assert values[parity][-1] == data.kappa_average_oracle(y, 2)
