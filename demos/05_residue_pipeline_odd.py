@@ -36,8 +36,10 @@ print("report regime:", rep.regime)
 
 # the K-average cancels even though the support is met: look at one stratum
 from twirl import TorusElem, norm_preimage
+from twirl.integrator import kappa_key
 
 alpha = -ctx.one() + ctx.pi(1)
 y = norm_preimage(TorusElem(alpha), form).inverse()
-print("\nsample K-average at alpha = -1+pi:", data.kappa_average(y, form),
+print("\nsample K-average at alpha = -1+pi:",
+      data.kappa_average(kappa_key(y, data.residue_level), form),
       "(supported on a third of K, values uniform over the fifth roots)")

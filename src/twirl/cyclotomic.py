@@ -7,6 +7,7 @@ volume factors accumulate exactly.  For p = 2 this degenerates to Q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,9 +105,10 @@ class CharacterValue:
         return self.coords[0]
 
     def complex(self) -> complex:
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.p)
+        # bit-identical to cmath.exp(2j pi/p) for every prime p <= 101;
+        # math is loaded already, and cmath would load on the first call
+        t = 2 * math.pi / self.p
+        z = complex(math.cos(t), math.sin(t))
         return sum(float(a) * z**i for i, a in enumerate(self.coords))
 
     def __str__(self):

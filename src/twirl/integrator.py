@@ -15,12 +15,13 @@ changes no output of `CuspidalData`, whose m is at most 1.
 
 One pass per torus stratum gamma: `regular_preimage` gives x =
 S(gamma)^(-1) (one `Elem` inverse) and |D_eps(gamma)| as an integer read
-off ord(alpha - 1) and ord(alpha), `orbit_strata` the
-(i, j) levels of G/T in closed form (one prefilter call per forced i), and
-`_delta_totals` sums weight * K-average of f over the live classes of b per
-Delta_1 = i - j >= 0.  There the closed square-class weight is units
-(2 Delta_1 + 1 + 4k), so a table {Delta_1: T} gives c_k = a + b k with
-a = units sum (2 Delta_1 + 1) T and b = 4 units sum T (`_pair`):
+off ord(alpha - 1) and ord(alpha), `orbit_strata` the (i, j) levels of
+G/T in closed form (one prefilter call per forced i) with the K-average
+key of each live class of b, and `_delta_totals` sums weight * K-average
+of f over those classes per Delta_1 = i - j >= 0.  There the closed
+square-class weight is units (2 Delta_1 + 1 + 4k), so a table
+{Delta_1: T} gives c_k = a + b k with a = units sum (2 Delta_1 + 1) T
+and b = 4 units sum T (`_pair`):
 `assemble_coefficients` adds the scaled per-Delta_1 totals of every
 stratum into one run-wide table and reduces it to that pair once per
 run.  `support_scan` takes x the same way and reads the same level
@@ -166,23 +167,44 @@ class Coset(NamedTuple):
     """One record of `orbit_strata`: the (i, b) coset strata g0 = n_b a_i
     of G/T (b of level j, so Delta_1(g0) = i - j) whose b start with
     `digits` (all of level j on a dead level, one class of b on a live
-    one), `weight` cosets in all, and the argument y = g0 x g0^vdash of f
-    at b = pi^(-j) digits; `dead` is the support prefilter's reason, or
-    None when the strata are live.  `g0` rebuilds n_b a_i at those digits
-    for `support_scan`'s witness."""
+    one), `weight` cosets in all, for the diagonal argument `x`; `dead` is
+    the support prefilter's reason, or None when the strata are live.
+    `key` is what the K-average of f reads of the argument y = g0 x
+    g0^vdash, `kappa_key(y, level)`, read off the record (`orbit_strata`):
+    None on a dead record, and on a live one whose y is not integral.
+    `y`, at b = pi^(-j) digits, and `g0` are rebuilt on demand, for
+    `support_scan`'s witness and the tests."""
 
     i: int
     j: int
     digits: tuple
     weight: int
-    y: Mat
+    key: tuple | None
     dead: str | None
+    x: Mat
+
+    @property
+    def y(self) -> Mat:
+        """pi^i [[x0, b(x0 + x1)], [0, x1]]."""
+        ctx = self.x.ctx
+        (x0, _), (_, x1) = self.x.rows
+        y01 = ctx.from_digits(self.i - self.j, self.digits) * \
+            (x0 + x1).normalized()
+        return Mat(ctx, [[x0.shift(self.i), y01],
+                         [ctx.zero(), x1.shift(self.i)]])
 
     @property
     def g0(self) -> Mat:
-        ctx = self.y.ctx
+        ctx = self.x.ctx
         b = ctx.from_digits(-self.j, self.digits)
         return n_b(ctx, b) * a_e(ctx, self.i)
+
+
+def kappa_key(y: Mat, level: int) -> tuple:
+    """The key of the K-average of f at an integral y, for an integrand
+    that reads y mod pi^level and the parity of ord det y: the digit
+    tuples of the entries of y mod pi^level, and that parity."""
+    return y.residue_key(level), y.det().val % 2
 
 
 def _forced_levels(data, x: Mat):
@@ -222,30 +244,81 @@ def orbit_strata(data, form, x: Mat):
     (q-1) q^(j-1) (1 at j = 0), at b = pi^(-j).  f reads y only mod
     pi^level, level = `data.residue_level`, and y01 mod pi^level reads the
     first n = min(j, max(1, level - u)) digits of b, so a live level splits
-    into the classes of those digits, weight q^(j-n) each."""
+    into the classes of those digits, weight q^(j-n) each.
+
+    The key of a live record, `kappa_key(y, level)`, is read off the
+    record, with no `Mat`, det or residue key per class:
+    - y10 = 0, and y00 = pi^i x0, y11 = pi^i x1 do not depend on b, so
+      their digits mod pi^level and the parity of ord det y = ord y00 +
+      ord y11 (y is upper-triangular) are read once per forced i.  A level
+      whose diagonal is not integral has no key.
+    - Write b = pi^(-j) b' and x0 + x1 = pi^t t', with b' the class
+      representative and t' units.  Then y01 = pi^u b' t'.  Let b'' and
+      t'' be b' and t' cut to their first m = level - u digits, so that
+      b' = b'' and t' = t'' mod pi^m.  Then y01 = pi^u b'' t'' mod
+      pi^(u + m) = pi^level: y01 mod pi^level reads only those digits,
+      and is 0 when u >= level.  `_y01_digits` keeps it per field and
+      (u, b'', t''), so a run computes each product once.
+    y00 and y11 are read as they are, and t' as the product 1 t', which
+    has the validity of y01 = pi^u b' t' and is normalized as y01 is; so
+    a digit the precision cannot decide raises here as in `kappa_key`
+    (`test_undecidable_discriminant_raises`)."""
     if form.kind != "orthogonal":
         raise DomainError("the closed form of y needs the orthogonal twist")
     ctx = data.ctx
-    q, level, zero = ctx.q, data.residue_level, ctx.zero()
+    q, level = ctx.q, data.residue_level
     trace, levels = _forced_levels(data, x)
+    t = trace.vbase
+    unit = trace.shift(-t)
+    t_digits: dict = {}     # m -> the first m digits of t'
+    zeros = (0,) * level
     out = []
     for i, jmax in levels:
         y00, y11 = x.rows[0][0].shift(i), x.rows[1][1].shift(i)
         dead = data.support_prefilter(Mat.diag(ctx, [y00, y11]), form)
+        diagonal = None
+        if dead is None and y00.val >= 0 and y11.val >= 0:
+            diagonal = (y00.residue_digits(level), y11.residue_digits(level),
+                        (y00.val + y11.val) % 2)
         for j in range(0, jmax + 1):
-            n = min(j, max(1, level - (i - j + trace.vbase)))
+            u = i - j + t
+            n = min(j, max(1, level - u))
             classes = unit_digit_tuples(ctx.p, n)
             if dead is not None:  # one record, at b = pi^(-j)
-                y01 = trace.shift(i - j) if j else zero
                 out.append(Coset(i, j, classes[0],
                                  (q - 1) * q ** (j - 1) if j else 1,
-                                 Mat(ctx, [[y00, y01], [zero, y11]]), dead))
+                                 None, dead, x))
                 continue
             for digits in classes:
-                y01 = ctx.from_digits(i - j, digits) * trace
-                out.append(Coset(i, j, digits, q ** (j - n),
-                                 Mat(ctx, [[y00, y01], [zero, y11]]), None))
+                key = None
+                if diagonal is not None:
+                    d00, d11, parity = diagonal
+                    d01 = zeros
+                    if j and u < level:
+                        m = level - u
+                        if m not in t_digits:
+                            t_digits[m] = (ctx.one() * unit) \
+                                .residue_digits(m)
+                        d01 = _y01_digits(ctx, u, digits[:m], t_digits[m])
+                    key = ((d00, d01, zeros, d11), parity)
+                out.append(Coset(i, j, digits, q ** (j - n), key, None, x))
     return out
+
+
+_y01_cache: dict = {}
+
+
+def _y01_digits(ctx: LocalFieldCtx, u: int, b: tuple, t: tuple) -> tuple:
+    """The digits of pi^u b t mod pi^(u + len(t)), b and t units given
+    by their first digits (b may have fewer), kept per field: y01 mod
+    pi^level of `orbit_strata`."""
+    key = (ctx, u, b, t)
+    got = _y01_cache.get(key)
+    if got is None:
+        got = (ctx.from_digits(u, b) * ctx.from_digits(0, t)) \
+            .residue_digits(u + len(t))
+        _y01_cache[key] = got
+    return got
 
 
 # -- the integrals ----------------------------------------------------------------
@@ -253,18 +326,20 @@ def orbit_strata(data, form, x: Mat):
 
 def _delta_totals(data, form, x: Mat, label: str) -> dict:
     """{Delta_1: sum of weight * f_avg} over the live orbit strata of x =
-    S(gamma)^(-1) at the torus stratum `label`, f_avg the K-average of f
-    at the record's y; a zero average adds no key.  When every K-average
-    vanishes (`data.kappa_vanishes`) no level is walked: the table is
-    empty, and only the trace guard of `_forced_levels` runs on x.
+    S(gamma)^(-1) at the torus stratum `label`, f_avg the integrand's
+    K-average at the record's key (`Coset`); a zero average adds no
+    entry.  When every K-average vanishes (`data.kappa_vanishes`) no level
+    is walked: the table is empty, and only the trace guard of
+    `_forced_levels` runs on x.
 
-    Every key is Delta_1 >= 0, and `_pair` relies on it.  x0 + x1 = -1,
-    so jmax = max(0, i) (`_forced_levels`): Delta_1 = i - j >= 0 at
-    i >= 0, and j = 0 at i < 0.  There one of x0, x1 has ord <= 0, as
-    their sum is -1, so y = pi^i x is not integral; an integrand reads y
-    only mod pi^`residue_level`, so it is 0 there.  A nonzero total at
-    Delta_1 < 0 raises DomainError naming the stratum; a PrecisionExhausted
-    of the trace guard names it too."""
+    Every Delta_1 of the table is >= 0, and `_pair` relies on it.
+    x0 + x1 = -1, so jmax = max(0, i) (`_forced_levels`): Delta_1 = i - j
+    >= 0 at i >= 0, and j = 0 at i < 0.  There one of x0, x1 has ord <= 0,
+    as their sum is -1, so y = pi^i x is not integral; an integrand reads
+    y only mod pi^`residue_level`, so it is 0 there.  Such a live record
+    has no key (None); an integrand that averages it anyway to a nonzero
+    total at Delta_1 < 0 raises DomainError naming the stratum.  A
+    PrecisionExhausted of the trace guard names it too."""
     by_delta: dict = {}
     try:
         if data.kappa_vanishes(form):
@@ -273,7 +348,7 @@ def _delta_totals(data, form, x: Mat, label: str) -> dict:
         for s in orbit_strata(data, form, x):
             if s.dead is not None:
                 continue
-            f_avg = data.kappa_average(s.y, form)
+            f_avg = data.kappa_average(s.key, form)
             if not f_avg.is_zero():
                 d, t = s.i - s.j, f_avg.scale(s.weight)
                 by_delta[d] = by_delta[d] + t if d in by_delta else t

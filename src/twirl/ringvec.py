@@ -8,6 +8,9 @@ operations are exact; numpy is used only for speed, never for floats.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+
 import numpy as np
 
 from .localfield import Elem, LocalFieldCtx, _pi_power_poly
@@ -115,26 +118,43 @@ def iter_gl2(level: int, ring: ResidueRing):
     one chunk per leading entry a; the rows come in lexicographic order of
     the indices of (a, b, c, d) in `ring.from_digit_grid(level)`.
 
-    GL_2(F_p) (level 1), which every K-average pass reads, is built whole
-    on the first read and kept by the ring, with read-only arrays, so
-    neither an abandoned generator nor a consumer can change it.  Higher
-    levels, read only by the test oracles, stream one chunk at a time:
-    GL_2(Z/49) alone is 4.8 million rows."""
+    GL_2(F_p) (level 1), which the K-average pass reads once per
+    integrand, is built whole on the first read (`_gl2_fp_chunks`) and
+    kept by the ring, with read-only arrays, so neither an abandoned
+    generator nor a consumer can change it.  Higher levels, read only by
+    the test oracles, stream one chunk at a time: GL_2(Z/49) alone is 4.8
+    million rows."""
     if level > 1:
         yield from _gl2_chunks(level, ring)
         return
     if ring._gl2 is None:
-        chunks = list(_gl2_chunks(1, ring))
-        for arr in (a for chunk in chunks for a in chunk):
-            arr.setflags(write=False)
-        ring._gl2 = chunks
+        ring._gl2 = _gl2_fp_chunks(ring)
     yield from ring._gl2
 
 
+def _gl2_fp_chunks(ring: ResidueRing) -> list:
+    """The chunks of `iter_gl2(1, ring)`, from the digit rows (a, b, c, d)
+    of F_p^4 with ad - bc != 0 mod p, in lexicographic order, which is the
+    order of `from_digit_grid(1)` (the digit d has index d).  A level-1
+    entry is its digit times pi^0 = 1, so its only nonzero coefficient is
+    the one at pi^0.  One read-only array holds every row, and each chunk
+    is a view of it."""
+    p = ring.p
+    rows = [r for r in itertools.product(range(p), repeat=4)
+            if (r[0] * r[3] - r[1] * r[2]) % p]
+    table = np.zeros((len(rows), 4, ring.e), dtype=np.int64)
+    table[:, :, 0] = rows
+    table.setflags(write=False)
+    cuts = [bisect.bisect_left(rows, (a,)) for a in range(p)] + [len(rows)]
+    return [tuple(table[lo:hi, t] for t in range(4))
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _gl2_chunks(level: int, ring: ResidueRing):
-    """The chunks of `iter_gl2`.  ad - bc is a unit exactly when it is
-    not 0 mod pi, and x mod pi is the coefficient of x at pi^0 mod p, so
-    the test reads those coefficients only."""
+    """The chunks of `iter_gl2` at level >= 2, from the digit grid (at
+    level 1 the tests' reference for `_gl2_fp_chunks`).  ad - bc is a
+    unit exactly when it is not 0 mod pi, and x mod pi is the coefficient
+    of x at pi^0 mod p, so the test reads those coefficients only."""
     table = ring.from_digit_grid(level)
     m = table.shape[0]
     idx = np.arange(m ** 3)     # (b, c, d) indices, lexicographic

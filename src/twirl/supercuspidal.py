@@ -11,12 +11,13 @@ the character value is Lambda_1(b + c/pi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .cyclotomic import CharacterValue
 from .errors import DomainError
-from .integrator import _preimage_inverse, orbit_strata
+from .integrator import _preimage_inverse, kappa_key, orbit_strata
 from .localfield import INF, Elem, LocalFieldCtx, additive_char
 from .matlattice import GroupForm, Mat, mat_ord, vdash
 from .ringvec import ResidueRing, iter_gl2
@@ -82,7 +83,7 @@ class CuspidalData:
         if self.ctx.p == 2 and self.ctx.e < 2:
             raise DomainError("even residue characteristic needs 2 in pi^2")
         self._avg_cache: dict = {}
-        self._ring: ResidueRing | None = None
+        self._table: PassTable | None = None
 
     @property
     def p(self) -> int:
@@ -144,9 +145,10 @@ class CuspidalData:
                               f"only, not {form.kind!r}")
         return self.p != 2
 
-    def kappa_average(self, y: Mat, form: GroupForm) -> CharacterValue:
+    def kappa_average(self, key, form: GroupForm) -> CharacterValue:
         """Exact integral over kappa in K = GL_2(O) of f(kappa y kappa^vdash)
-        with vol(K) = 1, for integral y and the orthogonal twist.
+        with vol(K) = 1, for integral y and the orthogonal twist, at the
+        key `kappa_key(y, residue_level)` of y.
 
         Why one level and a character sum over GL_2(O/pi) suffice:
         - f(X) depends only on X mod pi^2 once the parity of ord det X is
@@ -198,34 +200,35 @@ class CuspidalData:
         and it is returned without a pass; `_kappa_average_coset` is the
         pass, run at p = 2 and kept as the tests' odd-p check of that
         zero.  At p = 2 the value depends only on y mod pi^2 and the
-        parity of ord det y, which is the cache key; a miss builds y mod
-        pi^2 from the digits of that key and runs the pass in plain
-        integers over the one GL_2(F_p) table of `_residue_ring`.
-        `kappa_average_oracle` enumerates all of GL_2(O/pi^level)
-        instead, and the tests hold the two equal."""
+        parity of ord det y, which is the key: the G/T walk reads it off
+        each `orbit_strata` record without building y, and a caller that
+        holds a y takes `kappa_key(y, 2)`.  A miss builds y mod pi^2 from
+        the digits of the key and runs the pass in plain integers over
+        the GL_2(F_p) rows of `_pass_table`.  `kappa_average_oracle`
+        enumerates all of GL_2(O/pi^level) instead, and the tests hold the
+        two equal."""
         if self.kappa_vanishes(form):
             return CharacterValue.zero(self.p)
-        parity = y.det().val % 2
-        key = (y.residue_key(self.residue_level), parity)
         got = self._avg_cache.get(key)
         if got is None:
             got = self._kappa_average_coset(*key)
             self._avg_cache[key] = got
         return got
 
-    def _residue_ring(self) -> ResidueRing:
-        """O/pi^residue_level, the ring of every K-average pass of this
-        integrand, built on the first pass; it keeps the GL_2(F_p) table
-        of `iter_gl2(1, .)`."""
-        if self._ring is None:
-            self._ring = ResidueRing(self.ctx, self.residue_level)
-        return self._ring
+    def _pass_table(self) -> PassTable:
+        """The `PassTable` of O/pi^residue_level, the table of every
+        K-average pass of this integrand, built on the first pass."""
+        if self._table is None:
+            self._table = pass_table(ResidueRing(self.ctx,
+                                                 self.residue_level))
+        return self._table
 
-    def _kappa_average_coset(self, key, parity: int) -> CharacterValue:
+    def _kappa_average_coset(self, digits, parity: int) -> CharacterValue:
         """The pass `_coset_counts` for the y with
-        `y.residue_key(self.residue_level)` = key."""
-        ring = self._residue_ring()
-        counts, total = _coset_counts(ring, _key_residues(ring, key), parity)
+        `y.residue_key(self.residue_level)` = digits."""
+        table = self._pass_table()
+        counts, total = _coset_counts(table, _key_residues(table, digits),
+                                      parity)
         return CharacterValue.from_exponent_counts(self.p, counts, total)
 
     def kappa_average_oracle(self, y: Mat, level: int) -> CharacterValue:
@@ -326,48 +329,67 @@ def _oracle_counts(ring: ResidueRing, y_res, parity: int):
 # -- the K-average pass over GL_2(F_p) ------------------------------------------
 #
 # Plain integers: y mod pi^2 is four coefficient lists mod p^Ms
-# (`_key_residues`), k in GL_2(F_p) a digit row (a, b, c, d), and every
-# other quantity a residue mod p.
+# (`_key_residues`), k in GL_2(F_p) a digit row (a, b, c, d) of the
+# `PassTable`, and every other quantity a residue mod p.
 
 
-def _key_residues(ring: ResidueRing, key):
-    """y mod pi^ring.s as four coefficient lists mod p^Ms, built from the
-    digit tuples of `y.residue_key(ring.s)` as sum_t digit_t pi^t."""
-    pows = ring.pi_pows.tolist()
+class PassTable(NamedTuple):
+    """What the K-average pass reads of O/pi^s, in plain ints: the
+    modulus p^Ms of the coefficients, the powers pi^t (t = 0 .. s) as
+    coefficient lists mod p^Ms, the coefficient of p/pi at pi^0, and the
+    digit rows (a, b, c, d) of GL_2(F_p) in the order of
+    `iter_gl2(1, .)`."""
+
+    p: int
+    e: int
+    s: int
+    pm: int
+    pi_pows: list
+    p_over_pi: int
+    rows: list
+
+
+def pass_table(ring: ResidueRing) -> PassTable:
+    """The `PassTable` of `ring`, its rows read once from
+    `iter_gl2(1, ring)`: a level-1 entry has the digit as its coefficient
+    at pi^0."""
+    rows = [row for chunk in iter_gl2(1, ring)
+            for row in zip(*(z[:, 0].tolist() for z in chunk))]
+    return PassTable(ring.p, ring.e, ring.s, ring.pm, ring.pi_pows.tolist(),
+                     int(ring.p_over_pi[0]), rows)
+
+
+def _key_residues(table: PassTable, key):
+    """y mod pi^table.s as four coefficient lists mod p^Ms, built from the
+    digit tuples of `y.residue_key(table.s)` as sum_t digit_t pi^t."""
     out = []
     for digits in key:
-        z = [0] * ring.e
-        for d, pw in zip(digits, pows):
+        z = [0] * table.e
+        for d, pw in zip(digits, table.pi_pows):
             if d:
                 z = [u + d * v for u, v in zip(z, pw)]
-        out.append([u % ring.pm for u in z])
+        out.append([u % table.pm for u in z])
     return out
 
 
-def _kept_rows(ring: ResidueRing, y, parity: int):
+def _kept_rows(table: PassTable, y, parity: int):
     """(rows read, kept rows) of one pass over the digit rows
-    k = (a, b, c, d) of GL_2(F_p), in the order of `iter_gl2(1, ring)`,
-    for y from `_key_residues`.  X = k y k^vdash is T_k y, with T_k the
+    k = (a, b, c, d) of GL_2(F_p), in the order of `iter_gl2(1, .)`, for
+    y from `_key_residues`.  X = k y k^vdash is T_k y, with T_k the
     4 x 4 matrix of v -> k v k^vdash on v = (v00, v01, v10, v11); x holds
     the coefficients of X at pi^0, mod p^Ms, and the row is kept when x
     mod p passes `_support_mod_pi`.  A kept row is (k, T_k, x)."""
-    p, pm = ring.p, ring.pm
+    p, pm = table.p, table.pm
     y0, y1, y2, y3 = (z[0] for z in y)
-    rows = 0
     kept = []
-    for chunk in iter_gl2(1, ring):
-        # a level-1 entry is its digit times pi^0 = 1: its coefficient
-        # at pi^0 is the digit
-        digits = list(zip(*(z[:, 0].tolist() for z in chunk)))
-        rows += len(digits)
-        for a, b, c, d in digits:
-            t = ((a * d, a * c, b * d, b * c), (a * b, a * a, b * b, a * b),
-                 (c * d, c * c, d * d, c * d), (b * c, a * c, b * d, a * d))
-            x = [(u0 * y0 + u1 * y1 + u2 * y2 + u3 * y3) % pm
-                 for u0, u1, u2, u3 in t]
-            if _support_mod_pi([v % p for v in x], parity):
-                kept.append(((a, b, c, d), t, x))
-    return rows, kept
+    for a, b, c, d in table.rows:
+        t = ((a * d, a * c, b * d, b * c), (a * b, a * a, b * b, a * b),
+             (c * d, c * c, d * d, c * d), (b * c, a * c, b * d, a * d))
+        x = [(u0 * y0 + u1 * y1 + u2 * y2 + u3 * y3) % pm
+             for u0, u1, u2, u3 in t]
+        if _support_mod_pi([v % p for v in x], parity):
+            kept.append(((a, b, c, d), t, x))
+    return len(table.rows), kept
 
 
 def _dot(u, v) -> int:
@@ -403,7 +425,7 @@ def _rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def _coset_counts(ring: ResidueRing, y, parity: int):
+def _coset_counts(table: PassTable, y, parity: int):
     """(Lambda_1 exponent counts as a list, rows) of f over GL_2(O/pi) x
     (y + pi Im L_y), y a residue matrix mod pi^2 from `_key_residues`, as
     the character sums of `CuspidalData.kappa_average`.  Each row that
@@ -414,9 +436,8 @@ def _coset_counts(ring: ResidueRing, y, parity: int):
     exponent otherwise.  The exponent is s/r mod p; s needs the entries
     X/pi mod pi, read off the coefficients of X at pi^0 (mod p^Ms) and
     at pi^1 (`div_pi`)."""
-    p = ring.p
-    pop = int(ring.p_over_pi[0])
-    y_pi = [z[1] if ring.e > 1 else 0 for z in y]
+    p, pop = table.p, table.p_over_pi
+    y_pi = [z[1] if table.e > 1 else 0 for z in y]
 
     def div_pi(t_row, x0):
         """X_ij / pi mod pi for X_ij = 0 mod pi, from its row of T_k and
@@ -425,7 +446,7 @@ def _coset_counts(ring: ResidueRing, y, parity: int):
 
     span = _image_span([z[0] for z in y], p)
     size = p ** _rank_mod_p(span, p)
-    rows, kept = _kept_rows(ring, y, parity)
+    rows, kept = _kept_rows(table, y, parity)
     counts = [0] * p
     spread = 0
     for _k, t, x in kept:
@@ -561,8 +582,8 @@ def _kappa_witness(data: CuspidalData, y: Mat) -> Mat:
     first witness mod pi^2 is the lift of the first kept row; kappa = 1 is
     kept, so that row exists."""
     ctx = data.ctx
-    ring = data._residue_ring()
-    _rows, kept = _kept_rows(ring, _key_residues(ring, y.residue_key(ring.s)),
-                             0)
+    table = data._pass_table()
+    digits, _parity = kappa_key(y, table.s)
+    _rows, kept = _kept_rows(table, _key_residues(table, digits), 0)
     a, b, c, d = (ctx.from_int(z) for z in kept[0][0])
     return Mat(ctx, [[a, b], [c, d]])

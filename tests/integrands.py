@@ -10,7 +10,9 @@ from twirl.matlattice import mat_ord
 class IntegralIndicator:
     """Test function: characteristic function of M_2(O) with unit
     determinant; K-twisted-conjugation invariant, so its K-average is a
-    membership bit."""
+    membership bit.  Like `CuspidalData`, it takes the K-average at the
+    key of y (`integrator.kappa_key`), which it does not read: the
+    prefilter has already settled the bit."""
 
     detval_support = frozenset((0,))
     residue_level = 2
@@ -28,7 +30,7 @@ class IntegralIndicator:
     def kappa_vanishes(self, form):
         return False
 
-    def kappa_average(self, y, form):
+    def kappa_average(self, key, form):
         return CharacterValue.one(self.ctx.p)
 
 
@@ -36,7 +38,8 @@ class NonIntegralIndicator(IntegralIndicator):
     """The indicator of M_2(O) with the integrality test dropped from its
     prefilter, so its K-average reads 1 on every y of unit determinant,
     integral or not: unlike an integrand that reads y only mod
-    pi^level, it is nonzero off the integral y."""
+    pi^level, it is nonzero off the integral y, where `orbit_strata`
+    gives no key (None)."""
 
     def support_prefilter(self, y, form):
         return "wrong determinant" if y.det().val != 0 else None

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from twirl import integrator
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import regular_preimage
+from twirl.integrator import kappa_key, regular_preimage
 from twirl.matlattice import mat_ord
 
 
@@ -32,6 +32,6 @@ def rg_term(data, form, trunc) -> CharacterValue:
             continue
         if data.support_prefilter(x, form) is not None:
             continue
-        favg = data.kappa_average(x, form)
+        favg = data.kappa_average(kappa_key(x, data.residue_level), form)
         acc = acc + favg.scale(stratum.vol * Fraction(ctx.q) ** (-dexp))
     return acc

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -631,6 +632,39 @@ def test_cold_psik_leaves_argparse_unloaded(tmp_path):
 
         assert cli.main({argv!r}) == 0
         loaded = {{"argparse", "gettext", "locale"}} & set(sys.modules)
+        assert not loaded, loaded
+        """)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=300)
+
+
+BENCH_WORKLOADS = runpy.run_path(os.path.join(
+    os.path.dirname(__file__), "..", "perfbench", "workloads.py"))["WORKLOADS"]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_cold_bench_job_imports_nothing_in_main(tmp_path, name):
+    """A cold job of each benchmark workload first imports no module
+    inside `cli.main` (`sys.modules` before and after): the benchmark
+    times `cli.main` as `solve_s`, so a module loaded there lazily bills
+    its load, and without `.pyc` its compile, to the solve.  `cmath`,
+    once loaded by the even-p2 `residue` report, was such a module."""
+    import twirl
+
+    w = BENCH_WORKLOADS[name]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(w.config)
+    argv = w.job_args(random.Random(1)) + ["--config", str(cfg),
+                                           "--out", os.devnull]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(twirl.__file__)))
+    code = textwrap.dedent(f"""
+        import sys
+        from twirl import cli
+
+        before = set(sys.modules)
+        assert cli.main({argv!r}) == 0
+        loaded = sorted(set(sys.modules) - before)
         assert not loaded, loaded
         """)
     subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -29,8 +29,8 @@ from twirl import (
 )
 from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import (_delta_totals, orbit_strata, regular_preimage,
-                              torus_strata)
+from twirl.integrator import (_delta_totals, kappa_key, orbit_strata,
+                              regular_preimage, torus_strata)
 from twirl.localfield import unit_digit_tuples
 from twirl.matlattice import a_e, n_b, vdash
 from twirl.twisted import (charpoly, norm_preimage_general,
@@ -125,7 +125,7 @@ def test_orbit_strata_shape_even():
     # interior strata away from the two deepest levels average to 1
     for s in live:
         if s.j <= s.i - 2:
-            assert data.kappa_average(s.y, form) == CharacterValue.one(2)
+            assert data.kappa_average(s.key, form) == CharacterValue.one(2)
 
 
 def test_psi_k_vanishing_regimes():
@@ -245,7 +245,8 @@ def test_level_walk_matches_coset_walk():
     of M_2(O): one verdict per level, one record per dead level and at
     most (q-1) q per live one, equal total weights, the closed-form y
     equal to the Mat product at the same b, equal weighted counts of
-    y mod pi^2, and equal sums of weight * K-average.  Every odd-p average
+    the K-average key (the record's `key` against `kappa_key` of the Mat
+    product), and equal sums of weight * K-average.  Every odd-p average
     is 0, so there the key counts carry the check."""
     for (p, e, eis), depth in LEVEL_WALK_FIELDS:
         c = make_field(p, e, eis, 20)
@@ -278,14 +279,55 @@ def test_level_walk_matches_coset_walk():
                     keys_full, keys_fast = Counter(), Counter()
                     want = got = CharacterValue.zero(p)
                     for r in cosets:
-                        keys_full[r.y.residue_key(lvl)] += 1
-                        want = want + data.kappa_average(r.y, form)
+                        key = kappa_key(r.y, lvl)
+                        keys_full[key] += 1
+                        want = want + data.kappa_average(key, form)
                     for r in records:
-                        keys_fast[r.y.residue_key(lvl)] += r.weight
-                        got = got + data.kappa_average(r.y, form).scale(
+                        keys_fast[r.key] += r.weight
+                        got = got + data.kappa_average(r.key, form).scale(
                             r.weight)
                     assert keys_fast == keys_full, where
                     assert got == want, where
+
+
+KEY_FIELDS = [((2, 2, (-2, 0, 1)), 5), ((2, 3, (-2, 0, 0, 1)), 5),
+              ((3, 1, (-3, 1)), 3), ((5, 1, (-5, 1)), 3)]
+
+
+@pytest.mark.parametrize("field, depth", KEY_FIELDS,
+                         ids=["x^2-2", "x^3-2", "x-3", "x-5"])
+def test_record_key_matches_the_coset_walk(field, depth):
+    """The key `orbit_strata` reads off a live record is `kappa_key` of
+    y built by `Mat` products (`coset_strata`) at every coset of the
+    record's class, on every torus stratum to the given depth:
+    `CuspidalData` over x^2 - 2 and x^3 - 2, and the indicator of M_2(O)
+    at p = 3 and 5, where `CuspidalData` has no live record.  At p = 2
+    the K-average at the key equals the GL_2(O/pi^2) enumeration
+    `kappa_average_oracle` at y."""
+    p, e, eis = field
+    c = make_field(p, e, eis, 20)
+    form = orthogonal_form(c, 2)
+    data = CuspidalData(c) if p == 2 else IntegralIndicator(c)
+    averaged = set()
+    cosets = 0
+    for stratum in unit_digit_strata(data, form,
+                                     TruncationSpec(gamma_depth=depth,
+                                                    unit_depth=1)):
+        x = norm_preimage(TorusElem(stratum.alpha), form).inverse()
+        live = [r for r in orbit_strata(data, form, x) if r.dead is None]
+        for cos in coset_strata(data, form, x):
+            if cos.dead is not None:
+                continue
+            [r] = [r for r in live if (r.i, r.j) == (cos.i, cos.j)
+                   and cos.digits[:len(r.digits)] == r.digits]
+            key = kappa_key(cos.y, 2)
+            assert r.key == key, (eis, stratum.label, cos.digits)
+            cosets += 1
+            if p == 2 and key not in averaged:
+                averaged.add(key)
+                assert data.kappa_average(key, form) == \
+                    data.kappa_average_oracle(cos.y, 2), (eis, key)
+    assert cosets and (p != 2 or len(averaged) > 1)
 
 
 def test_prefilter_verdict_is_one_per_forced_i():
@@ -357,7 +399,7 @@ def test_orbital_twisted_indicator():
     got = CharacterValue.zero(5)
     for s in orbit_strata(f, form, delta):
         if s.dead is None:
-            got = got + f.kappa_average(s.y, form).scale(s.weight)
+            got = got + f.kappa_average(s.key, form).scale(s.weight)
     # independent count: i = 0 forced by det; Y integral iff
     # ord(b) + ord(trace) >= 0, so only the b in O class survives
     tr = delta.rows[0][0] + delta.rows[1][1]
@@ -733,7 +775,7 @@ def test_grouped_psi_k_equals_per_record_sum():
             for r in orbit_strata(data, form, x):
                 if r.dead is not None:
                     continue
-                f_avg = data.kappa_average(r.y, form)
+                f_avg = data.kappa_average(r.key, form)
                 for k in ks:
                     w = oracle.class_weight_from_delta(r.i - r.j, units, k)
                     want[k] = want[k] + f_avg.scale(r.weight * w)
@@ -1010,10 +1052,11 @@ class ResidueMean(IntegralIndicator):
                          for c1 in units for c2 in units}
         self._cache = {}
 
-    def kappa_average(self, y, form):
-        if y.det().val != 0:
+    def kappa_average(self, key, form):
+        digits, _parity = key
+        y00, y01, y10, y11 = (t[0] + 5 * t[1] for t in digits)
+        if (y00 * y11 - y01 * y10) % 5 == 0:    # ord det y != 0
             return CharacterValue.zero(5)
-        y00, y01, y10, y11 = (t[0] + 5 * t[1] for t in y.residue_key(2))
         key = min((s * y00 % 25, u * y01 % 25, w * y10 % 25, s * y11 % 25)
                   for s, u, w in self.diagonal)
         if key not in self._cache:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from twirl import make_field
@@ -30,19 +31,24 @@ def test_iter_gl2_rows(p, e, eis, level):
 
 def test_gl2_table_is_built_once_and_read_only(monkeypatch):
     """GL_2(F_p) is built once per ring, whole, before the first chunk is
-    yielded: an abandoned read leaves the whole table, every later read
-    yields the same read-only arrays, and writing to one raises.  Higher
-    levels stream and are built on every read."""
+    yielded (`_gl2_fp_chunks`): an abandoned read leaves the whole table,
+    every later read yields the same read-only arrays, and writing to one
+    raises.  Higher levels stream and are built on every read
+    (`_gl2_chunks`)."""
     from twirl import ringvec
 
     builds = []
-    chunks = ringvec._gl2_chunks
 
-    def counted(level, ring):
-        builds.append(level)
-        return chunks(level, ring)
+    def counted(name, fn):
+        def wrapper(*args):
+            builds.append(name)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(ringvec, "_gl2_chunks", counted)
+    monkeypatch.setattr(ringvec, "_gl2_fp_chunks",
+                        counted(1, ringvec._gl2_fp_chunks))
+    monkeypatch.setattr(ringvec, "_gl2_chunks",
+                        counted(2, ringvec._gl2_chunks))
     ring = ResidueRing(make_field(5, 1, (-5, 1), 16), 2)
     gen = iter_gl2(1, ring)
     next(gen)
@@ -53,7 +59,7 @@ def test_gl2_table_is_built_once_and_read_only(monkeypatch):
     assert sum(chunk[0].shape[0] for chunk in first) == 480
     assert all(u is v for x, y in zip(first, again) for u, v in zip(x, y))
     for arr in (a for chunk in first for a in chunk):
-        assert not arr.flags.writeable
+        assert arr.dtype == np.int64 and not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1
     next(iter_gl2(2, ring))

@@ -26,7 +26,7 @@ from twirl import (
 )
 from twirl import supercuspidal
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import _preimage_inverse, orbit_strata
+from twirl.integrator import _preimage_inverse, kappa_key, orbit_strata
 from twirl.ringvec import ResidueRing, iter_gl2
 from twirl.supercuspidal import (
     _classify_regime,
@@ -39,6 +39,7 @@ from twirl.supercuspidal import (
     _residues,
     _support_mod_pi,
     _vdash,
+    pass_table,
     pi_e_inverse_power,
 )
 
@@ -241,7 +242,7 @@ def test_kappa_average_matches_bruteforce():
         y = g0 * x * vdash(g0, form)
         want = brute(y, 2)
         assert data.kappa_average_oracle(y, 2) == want
-        assert data.kappa_average(y, form) == want
+        assert data.kappa_average(kappa_key(y, 2), form) == want
 
 
 def test_kappa_average_level_stability():
@@ -255,19 +256,19 @@ def test_kappa_average_level_stability():
     v2 = data.kappa_average_oracle(y, 2)
     assert v2 == data.kappa_average_oracle(y, 3)
     assert v2 == data.kappa_average_oracle(y, 4)
-    assert v2 == data.kappa_average(y, form)
+    assert v2 == data.kappa_average(kappa_key(y, 2), form)
 
 
 class _RecordingData(CuspidalData):
-    """Records every y the pipeline averages over."""
+    """Records the key of every y the pipeline averages over."""
 
     def __post_init__(self):
         super().__post_init__()
         self.seen = []
 
-    def kappa_average(self, y, form):
-        self.seen.append(y)
-        return super().kappa_average(y, form)
+    def kappa_average(self, key, form):
+        self.seen.append(key)
+        return super().kappa_average(key, form)
 
 
 @pytest.mark.parametrize("mk, specs", [
@@ -276,23 +277,56 @@ class _RecordingData(CuspidalData):
 ])
 def test_kappa_average_matches_oracle_on_live_strata(mk, specs):
     """The coset evaluation equals the GL_2(O/pi^2) enumeration on every
-    live orbit stratum.  The pipeline averages over exactly those y at
-    p = 2, and over none where every K-average vanishes (odd p)."""
+    live orbit stratum.  The pipeline averages over exactly the keys of
+    those records at p = 2, and over none where every K-average vanishes
+    (odd p); each record's key is `kappa_key` of its y."""
     c = mk()
     form = orthogonal_form(c, 2)
     data = _RecordingData(c)
     live = []
     for spec in specs:
         gamma = TorusElem(parse_elem(c, spec))
-        live += [r.y for r in orbit_strata(data, form,
-                                           _preimage_inverse(gamma, form))
+        live += [r for r in orbit_strata(data, form,
+                                         _preimage_inverse(gamma, form))
                  if r.dead is None]
         orbit_weight_integral(data, form, gamma, range(1))
     assert live
-    assert data.seen == ([] if data.kappa_vanishes(form) else live)
+    assert data.seen == ([] if data.kappa_vanishes(form)
+                         else [r.key for r in live])
     fresh = CuspidalData(c)
-    for y in live:
-        assert fresh.kappa_average(y, form) == data.kappa_average_oracle(y, 2)
+    for r in live:
+        assert r.key == kappa_key(r.y, 2)
+        assert fresh.kappa_average(r.key, form) == \
+            data.kappa_average_oracle(r.y, 2)
+
+
+@pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5, ctx7])
+def test_pass_table_rows_follow_iter_gl2(mk):
+    """The plain-int rows of `pass_table` are the digit rows of
+    `iter_gl2(1, .)` in its order, and the level-1 chunks, built from
+    `itertools.product` rows, equal those of the digit-grid route
+    `_gl2_chunks(1, .)`, array for array: |GL_2(F_p)| rows in all.  The
+    table's ring constants are the ring's."""
+    from twirl import ringvec
+
+    c = mk()
+    p = c.p
+    ring = ResidueRing(c, 2)
+    grid = list(ringvec._gl2_chunks(1, ring))
+    chunks = list(iter_gl2(1, ring))
+    assert len(grid) == len(chunks) == p
+    for u, v in zip(grid, chunks):
+        for a, b in zip(u, v):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert (a == b).all()
+    rows = [tuple(int(z[n, 0]) for z in chunk)
+            for chunk in grid for n in range(chunk[0].shape[0])]
+    table = pass_table(ring)
+    assert table.rows == rows
+    assert len(rows) == (p * p - 1) * (p * p - p)
+    assert (table.p, table.e, table.s, table.pm) == (p, ring.e, 2, ring.pm)
+    assert table.pi_pows == ring.pi_pows.tolist()
+    assert table.p_over_pi == ring.p_over_pi[0]
 
 
 @pytest.mark.parametrize("mk, count", [(ctx2, 8), (ctx3, 3)])
@@ -308,7 +342,7 @@ def test_kappa_average_odd_piece_matches_level_three(mk, count):
         y = Mat.random_integral(c, 2, rng)
         if y.det().val == 1:
             ys.append(y)
-    values = [data.kappa_average(y, form) for y in ys]
+    values = [data.kappa_average(kappa_key(y, 2), form) for y in ys]
     assert values == [data.kappa_average_oracle(y, 3) for y in ys]
     if c.p == 2:
         assert values[0] == CharacterValue.rational(2, Fraction(1, 3))
@@ -415,8 +449,10 @@ def test_coset_counts_match_oracle_counts(mk, count):
 
 def _pass_counts(ring, y, parity):
     """The counts of the K-average pass `_coset_counts` on y, built as a
-    miss builds them: from the digits of `y.residue_key`."""
-    return _coset_counts(ring, _key_residues(ring, y.residue_key(ring.s)),
+    miss builds them: from the digits of `y.residue_key`, over the
+    `pass_table` of the ring."""
+    table = pass_table(ring)
+    return _coset_counts(table, _key_residues(table, y.residue_key(ring.s)),
                          parity)
 
 
@@ -577,50 +613,54 @@ def test_kappa_average_misses_take_the_closed_form(monkeypatch, tmp_path,
                                                    config, argv, rows,
                                                    misses):
     """A cold `residue` run at p = 2 computes every K-average miss by the
-    closed form: each miss reads GL_2(F_p) once from `iter_gl2(1, .)`,
-    exactly |GL_2(F_p)| rows, and no f evaluation (`_f_on_residues`,
-    `_count_f`, `_oracle_counts`) runs; on the benchmark's config it makes
-    6 misses (12 at one torus stratum per unit-digit tuple, where more
-    y mod pi^2 occur).  A cold `residue` run at p = 5
-    and a cold `psik` run at p = 7 make no pass at all: every odd-p
-    K-average is 0 (`CuspidalData.kappa_average`)."""
+    closed form, with no f evaluation (`_f_on_residues`, `_count_f`,
+    `_oracle_counts`); on the benchmark's config it makes 6 misses (12 at
+    one torus stratum per unit-digit tuple, where more y mod pi^2 occur).
+    The first miss reads GL_2(F_p) once from `iter_gl2(1, .)`, exactly
+    |GL_2(F_p)| rows, into the integrand's `PassTable`, and the later
+    misses read that table.  A cold `residue` run at p = 5 and a cold
+    `psik` run at p = 7 make no pass at all: every odd-p K-average is 0
+    (`CuspidalData.kappa_average`)."""
     from twirl import cli
 
-    reads = []
+    reads, passes = [], []
     gl2 = supercuspidal.iter_gl2
 
     def counted(level, ring):
-        reads[-1].append([level, 0])
+        reads.append([len(passes), level, 0])
         for chunk in gl2(level, ring):
-            reads[-1][-1][1] += chunk[0].shape[0]
+            reads[-1][2] += chunk[0].shape[0]
             yield chunk
 
-    average = CuspidalData.kappa_average
+    coset = CuspidalData._kappa_average_coset
 
-    def traced(self, y, form):
-        reads.append([])
-        return average(self, y, form)
+    def miss(self, digits, parity):
+        passes.append(parity)
+        return coset(self, digits, parity)
 
     def forbidden(*args):
         raise AssertionError("a K-average evaluated f row by row")
 
     monkeypatch.setattr(supercuspidal, "iter_gl2", counted)
-    monkeypatch.setattr(CuspidalData, "kappa_average", traced)
+    monkeypatch.setattr(CuspidalData, "_kappa_average_coset", miss)
     for name in ("_f_on_residues", "_count_f", "_oracle_counts"):
         monkeypatch.setattr(supercuspidal, name, forbidden)
     cfg = tmp_path / "run.ini"
     cfg.write_text(config)
     assert cli.main(argv + ["--config", str(cfg),
                             "--out", str(tmp_path / "out")]) == 0
-    assert [r for r in reads if r] == [[[1, rows]]] * misses
+    assert len(passes) == misses
+    assert reads == ([[1, 1, rows]] if misses else [])
 
 
 def test_cold_p2_residue_builds_one_ring_and_one_table(monkeypatch,
                                                       tmp_path):
     """A cold `residue` run at p = 2 builds one `ResidueRing` (the
-    integrand's) and enumerates GL_2(F_p) with numpy once, though each of
-    its 6 misses reads the table from `iter_gl2(1, .)`; no miss builds
-    residues from `Elem`s (`_residues`, `ResidueRing.from_elem`)."""
+    integrand's), enumerates GL_2(F_p) with numpy once and reads it from
+    `iter_gl2(1, .)` once, into one `PassTable`.  No miss builds residues
+    from `Elem`s (`_residues`, `ResidueRing.from_elem`), and no K-average
+    key is read off a `Mat` (`Mat.residue_key`): the walk reads each key
+    off its record."""
     from twirl import cli, ringvec
 
     calls = []
@@ -633,19 +673,23 @@ def test_cold_p2_residue_builds_one_ring_and_one_table(monkeypatch,
 
     monkeypatch.setattr(ringvec.ResidueRing, "__init__", counted(
         "ring", ringvec.ResidueRing.__init__))
-    monkeypatch.setattr(ringvec, "_gl2_chunks", counted(
-        "build", ringvec._gl2_chunks))
+    monkeypatch.setattr(ringvec, "_gl2_fp_chunks", counted(
+        "build", ringvec._gl2_fp_chunks))
     monkeypatch.setattr(supercuspidal, "iter_gl2", counted(
         "read", supercuspidal.iter_gl2))
+    monkeypatch.setattr(supercuspidal, "pass_table", counted(
+        "table", supercuspidal.pass_table))
     monkeypatch.setattr(supercuspidal, "_residues", counted(
         "residues", supercuspidal._residues))
     monkeypatch.setattr(ringvec.ResidueRing, "from_elem", counted(
         "from_elem", ringvec.ResidueRing.from_elem))
+    monkeypatch.setattr(Mat, "residue_key", counted(
+        "residue_key", Mat.residue_key))
     cfg = tmp_path / "run.ini"
     cfg.write_text(_RESIDUE_P2)
     assert cli.main(["residue", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
-    assert Counter(calls) == Counter(ring=1, build=1, read=6)
+    assert Counter(calls) == Counter(ring=1, build=1, read=1, table=1)
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx5])
@@ -697,9 +741,10 @@ def test_kappa_average_rejects_symplectic_form():
     for _ in range(5):
         kap = Mat.random_integral(c, 2, rng, unit_det=True)
         assert data.f(kap * y * vdash(kap, sf)) == CharacterValue.one(3)
-    assert data.kappa_average(y, orthogonal_form(c, 2)).is_zero()
+    assert data.kappa_average(kappa_key(y, 2),
+                              orthogonal_form(c, 2)).is_zero()
     with pytest.raises(DomainError):
-        data.kappa_average(y, sf)
+        data.kappa_average(kappa_key(y, 2), sf)
     with pytest.raises(DomainError):
         data.kappa_vanishes(sf)
     with pytest.raises(DomainError):
@@ -716,7 +761,8 @@ def test_kappa_average_conjugation_invariance():
     for _ in range(5):
         kap = Mat.random_integral(c, 2, rng, unit_det=True)
         y2 = kap * y * vdash(kap, form)
-        assert data.kappa_average(y, form) == data.kappa_average(y2, form)
+        assert data.kappa_average(kappa_key(y, 2), form) == \
+            data.kappa_average(kappa_key(y2, 2), form)
 
 
 def test_kappa_congruence_sharpness():
@@ -944,11 +990,12 @@ def test_kappa_witness_matches_gl2_enumeration():
 @pytest.mark.parametrize("mk, spec", [(ctx2, "1+pi^2"), (ctx3, "-1+pi"),
                                       (ctx5, "-1+pi"), (ctx5, "1+pi")])
 def test_support_scan_witness_reads_gl2_fp_once(monkeypatch, mk, spec):
-    """A scan reads GL_2(F_p) from `iter_gl2(1, .)` once per live record
-    it settles, and never GL_2(O/pi^2): its witness is the first kept row
-    of the K-average pass, and no f evaluation (`_f_on_residues`,
-    `_count_f`, `_oracle_counts`) runs.  A scan that finds no live record
-    (p = 5 `1+pi`) reads nothing."""
+    """A scan reads GL_2(F_p) from `iter_gl2(1, .)` once, into the
+    integrand's `PassTable`, for the live record it settles, and never
+    GL_2(O/pi^2): its witness is the first kept row of the K-average
+    pass, and no f evaluation (`_f_on_residues`, `_count_f`,
+    `_oracle_counts`) runs.  A scan that finds no live record (p = 5
+    `1+pi`) reads nothing."""
     levels = []
     gl2 = supercuspidal.iter_gl2
 
@@ -1024,7 +1071,8 @@ def test_kappa_average_vanishes_at_odd_p(mk):
         if y.det().val in (0, 1) and len(values[parity]) < want:
             values[parity].append(
                 data._kappa_average_coset(y.residue_key(2), parity))
-            assert values[parity][-1] == data.kappa_average(y, form)
+            assert values[parity][-1] == data.kappa_average(
+                kappa_key(y, 2), form)
             if c.p == 3:
                 assert values[parity][-1] == data.kappa_average_oracle(y, 2)
     values = values[0] + values[1]
