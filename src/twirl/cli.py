@@ -5,7 +5,13 @@ stages: `coeffs` (the c_k table), `residue` (the residue at s = 0),
 alpha) and `support-scan` (the search for a support witness at one
 alpha).
 
-Config files are INI-style:
+Config files are INI, read literally by `_read_ini`: `[name]` headers,
+`key = value` or `key: value` lines split at the first `=` or `:`, keys
+case-folded to lower case, keys and values stripped, and blank lines and
+lines whose first non-blank character is `#` or `;` skipped.  There are
+no continuation lines (an indented line is an error), a `%` is read as
+itself, and a repeated section or key, a key before any section and a
+line without a delimiter are errors that name the line:
 
     [field]
     p = 5
@@ -39,9 +45,6 @@ TWIRL_OUTPUT_DIR is read from the environment; it overrides output dirs.
 
 from __future__ import annotations
 
-import configparser
-import csv
-import io
 import json
 import os
 import sys
@@ -85,26 +88,23 @@ class RunConfig:
 
     @staticmethod
     def load(path: str) -> "RunConfig":
-        # no header can name the empty section, so [DEFAULT] is an
-        # ordinary, unknown section and its keys reach no other section
-        cp = configparser.ConfigParser(default_section="")
         try:
             with open(path) as fh:
-                cp.read_file(fh)
-        except (OSError, configparser.Error) as exc:
+                cp = _read_ini(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
             raise TwirlError(f"cannot read config: {exc}") from None
-        unknown = sorted(set(cp.sections()) - set(SECTION_KEYS))
+        unknown = sorted(set(cp) - set(SECTION_KEYS))
         if unknown:
             raise TwirlError(f"unknown config sections: {', '.join(unknown)}")
-        for name in cp.sections():
+        for name in cp:
             unknown = sorted(set(cp[name]) - SECTION_KEYS[name])
             if unknown:
                 raise TwirlError(f"unknown [{name}] keys: {', '.join(unknown)}")
-        f = cp["field"] if cp.has_section("field") else {}
+        f = cp.get("field", {})
         missing = [k for k in FIELD_KEYS if k not in f]
         if missing:
             raise TwirlError("config lacks [field] keys: " + ", ".join(missing))
-        pl = cp["pipeline"] if cp.has_section("pipeline") else {}
+        pl = cp.get("pipeline", {})
         ctx = make_field(
             _int(f["p"], "p"),
             _int(f["e"], "e"),
@@ -127,7 +127,7 @@ class RunConfig:
         if ctx.precision < need:
             raise TwirlError(f"precision {ctx.precision} below "
                              f"2*gamma_depth + 2*ord(2) + 6 = {need}")
-        out = cp["output"] if cp.has_section("output") else {}
+        out = cp.get("output", {})
         fmt = out.get("format")
         if fmt not in (None, "json", "csv"):
             raise TwirlError(f"format must be json or csv, not {fmt!r}")
@@ -136,6 +136,37 @@ class RunConfig:
             path_out = os.path.join(os.environ["TWIRL_OUTPUT_DIR"],
                                     os.path.basename(path_out))
         return RunConfig(ctx, regime, trunc, fmt, path_out)
+
+
+def _read_ini(text: str) -> dict:
+    """The sections of INI `text` as {section: {key: value}}, read by the
+    grammar of the module docstring; a line it refuses is a TwirlError
+    that names the line."""
+    sections, cur = {}, None
+    for n, line in enumerate(text.split("\n"), 1):
+        body = line.strip()
+        if not body or body[0] in "#;":
+            continue
+        try:
+            if body != line.rstrip():
+                raise ValueError(f"indented line {body!r}")
+            if body[0] == "[" and body[-1] == "]" and len(body) > 2:
+                if body[1:-1] in sections:
+                    raise ValueError(f"repeated section {body}")
+                cur = sections[body[1:-1]] = {}
+                continue
+            cut = next((i for i, c in enumerate(body) if c in "=:"), 0)
+            key = body[:cut].strip().lower()
+            if not key:
+                raise ValueError(f"no key = value in {body!r}")
+            if cur is None:
+                raise ValueError(f"key {key!r} before any section")
+            if key in cur:
+                raise ValueError(f"repeated key {key!r}")
+        except ValueError as exc:
+            raise TwirlError(f"cannot read config: line {n}: {exc}") from None
+        cur[key] = body[cut + 1:].strip()
+    return sections
 
 
 def _int(text: str, key: str) -> int:
@@ -153,13 +184,11 @@ def _json_dump(obj) -> str:
 def _coeff_csv(ks, values) -> str:
     """One CSV row per k of the CharacterValue table `values`: its
     cyclotomic coordinates and a zero q half-power."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     p = values[ks[0]].p
-    w.writerow(["k"] + [f"coord{i}" for i in range(p - 1)] + ["q_half_power"])
-    for k in ks:
-        w.writerow([k] + [str(c) for c in values[k].coords] + [0])
-    return buf.getvalue()
+    rows = [["k"] + [f"coord{i}" for i in range(p - 1)] + ["q_half_power"]]
+    rows += [[str(k)] + [str(c) for c in values[k].coords] + ["0"]
+             for k in ks]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def cmd_dtwist(cfg: RunConfig, alpha_text: str) -> str:

@@ -684,8 +684,10 @@ def parse_elem(ctx: LocalFieldCtx, text: str) -> Elem:
             return ctx.pi(int(tok[3:]))
         if tok == "u":
             return square_class_reps(ctx).unit_reps[-1]
+        if _is_int(tok):
+            return ctx.from_int(int(tok))
         num, slash, den = tok.partition("/")
-        if _is_int(num) and (not slash or den.isdecimal()):
+        if _is_int(num) and slash and den.isdecimal():
             return ctx.from_rational(Fraction(tok))
         raise DomainError(f"cannot parse element factor {tok!r}")
 

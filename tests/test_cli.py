@@ -1,15 +1,22 @@
+import configparser
+import csv
+import io
 import json
 import os
+import pathlib
 import random
+import re
 import runpy
 import subprocess
 import sys
 import textwrap
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
 from twirl import TruncationSpec, cli
+from twirl.cyclotomic import CharacterValue
 
 ODD_CFG = """[field]
 p = 5
@@ -671,6 +678,33 @@ def test_cold_bench_job_imports_nothing_in_main(tmp_path, name):
                    timeout=300)
 
 
+@pytest.mark.parametrize("name", ["even-p2-residue", "odd-p7-psik"])
+def test_cold_bench_job_leaves_configparser_and_csv_unloaded(tmp_path, name):
+    """A cold `psik` job and a cold even-p2 `residue` job on the benchmark
+    configs read the config and write their rows without configparser
+    and csv: building a ConfigParser for an 11-line file cost more than
+    the rest of the odd-p7 psik solve."""
+    import twirl
+
+    w = BENCH_WORKLOADS[name]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(w.config)
+    argv = w.job_args(random.Random(1)) + ["--config", str(cfg),
+                                           "--out", os.devnull]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(twirl.__file__)))
+    code = textwrap.dedent(f"""
+        import sys
+        from twirl import cli
+
+        assert cli.main({argv!r}) == 0
+        loaded = {{"configparser", "csv"}} & set(sys.modules)
+        assert not loaded, loaded
+        """)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=300)
+
+
 def test_output_dir_override(odd_cfg, tmp_path, monkeypatch):
     outdir = tmp_path / "outs"
     outdir.mkdir()
@@ -680,3 +714,132 @@ def test_output_dir_override(odd_cfg, tmp_path, monkeypatch):
     p.write_text(cfg_text)
     assert cli.main(["dtwist", "--config", str(p), "--alpha", "2"]) == 0
     assert (outdir / "result.json").exists()
+
+
+def _configparser_sections(text: str) -> dict:
+    """The oracle for `cli._read_ini`: what configparser reads from `text`
+    without interpolation and without a default section."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    cp.read_string(text)
+    return {s: dict(cp[s]) for s in cp.sections()}
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+README_INI = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+VALID_CONFIGS = {
+    "readme": README_INI,
+    "odd": ODD_CFG,
+    "even": EVEN_CFG,
+    "odd-csv": _csv(ODD_CFG),
+    "middle-term": MIDDLE_TERM_CFG.format(p=3, eis="-3,3,1", regime="odd"),
+    "deep": DEEP_CFG.format(n=22),
+    "residue": RESIDUE_CFG.format(p=5, e=1, eis="-5,1", n=16, regime="odd",
+                                  depth=5, ud=2),
+    "upper-case-keys": ODD_CFG.replace("k_max", "K_MAX").replace("p =", "P ="),
+    "colons": ODD_CFG.replace(" = ", ": ").replace("e = 1", "e:1"),
+    "comments": "# a comment\n" + ODD_CFG.replace("[pipeline]",
+                                                  "; one\n  # two\n[pipeline]"),
+    "no-trailing-newline": ODD_CFG.rstrip("\n"),
+    "percent-value": ODD_CFG + "path = out%1.json\n",
+    "empty-value": ODD_CFG.replace("[output]\n", "[output]\npath =\n"),
+    "spaced": ODD_CFG.replace("p = 5", "p\t=   5  ").replace("e = 1", "e=1"),
+    "crlf": ODD_CFG.replace("\n", "\r\n"),
+    **{f"bench-{name}": w.config for name, w in BENCH_WORKLOADS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CONFIGS))
+def test_read_ini_matches_configparser(name):
+    """On every config the CLI documents, tests or benchmarks, the literal
+    reader gives configparser's sections, keys and values."""
+    text = VALID_CONFIGS[name]
+    assert cli._read_ini(text) == _configparser_sections(text)
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("[field]\np = 5\n[field]\ne = 1\n", 3, "repeated section [field]"),
+    ("[field]\np = 5\nP = 7\n", 3, "repeated key 'p'"),
+    ("; header next\np = 5\n[field]\n", 2, "key 'p' before any section"),
+    ("[field]\n\np 5\n", 3, "no key = value in 'p 5'"),
+    ("[field]\n= 5\n", 2, "no key = value in '= 5'"),
+    ("[field]\neisenstein = -5,\n  1\n", 3, "indented line '1'"),
+    ("[field]\n  p = 5\n", 2, "indented line 'p = 5'"),
+], ids=["repeated-section", "repeated-key", "key-before-section",
+        "no-delimiter", "no-key", "continuation", "indented-key"])
+def test_unreadable_config_line_exit_code(tmp_path, capsys, text, line, what):
+    """A repeated section or key, a key before any section, a line with no
+    delimiter or no key and an indented (continuation) line are one error
+    line naming the config line, with exit 1."""
+    p = tmp_path / "bad.ini"
+    p.write_text(text)
+    assert cli.main(["coeffs", "--config", str(p)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: cannot read config: line {line}: {what}\n"
+
+
+def test_percent_in_config_value_is_literal(tmp_path, capsys, monkeypatch):
+    """A `%` in a value is read as itself: `path = out%1.json` names the
+    output file (configparser's interpolation made it a traceback), and
+    `k_max = 8%` is a value that is not an integer."""
+    monkeypatch.delenv("TWIRL_OUTPUT_DIR", raising=False)
+    target = tmp_path / "out%1.json"
+    p = tmp_path / "cfg.ini"
+    p.write_text(ODD_CFG.replace("format = json",
+                                 f"format = json\npath = {target}"))
+    assert cli.main(["coeffs", "--config", str(p)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert json.loads(target.read_text())["metadata"]["q"] == 5
+    p.write_text(ODD_CFG.replace("k_max = 3", "k_max = 8%"))
+    assert cli.main(["coeffs", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == \
+        "error: k_max = '8%' is not an integer\n"
+
+
+def test_undecodable_config_exit_code(tmp_path, capsys):
+    """A config that is not text in the locale's encoding is an error
+    line with exit 1, not a traceback."""
+    p = tmp_path / "cfg.ini"
+    p.write_bytes(ODD_CFG.encode() + b"\xff\xfe\xff\n")
+    assert cli.main(["coeffs", "--config", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
+def _csv_writer_text(ks, values) -> str:
+    """The oracle for `cli._coeff_csv`: the same rows through csv.writer."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    p = values[ks[0]].p
+    w.writerow(["k"] + [f"coord{i}" for i in range(p - 1)] + ["q_half_power"])
+    for k in ks:
+        w.writerow([k] + [str(c) for c in values[k].coords] + [0])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coeff_csv_matches_csv_writer(tmp_path, p):
+    """`_coeff_csv` joins its cells with commas; its cells are ints and
+    str(Fraction), which never need quoting, so it writes csv.writer's
+    bytes: on the coeffs table of a small config at p and on a seeded
+    table with negative and fractional coordinates and k past 9."""
+    from twirl.integrator import assemble_coefficients
+    from twirl.matlattice import orthogonal_form
+    from twirl.supercuspidal import CuspidalData
+
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MIDDLE_TERM_CFG.format(p=2, eis="-2,2,1", regime="even")
+                        if p == 2 else RESIDUE_CFG.format(
+                            p=p, e=1, eis=f"{-p},1", n=16, regime="odd",
+                            depth=2, ud=1).replace("k_max = 8", "k_max = 3"))
+    cfg = cli.RunConfig.load(str(cfg_path))
+    table = assemble_coefficients(CuspidalData(cfg.ctx),
+                                  orthogonal_form(cfg.ctx, 2), cfg.trunc)
+    assert cli._coeff_csv(table.ks, table.values) == \
+        _csv_writer_text(table.ks, table.values)
+    rng = random.Random(p)
+    seeded = {k: CharacterValue(p, tuple(
+        Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(p - 1)))
+        for k in range(12)}
+    ks = tuple(range(12))
+    assert cli._coeff_csv(ks, seeded) == _csv_writer_text(ks, seeded)

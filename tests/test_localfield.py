@@ -516,3 +516,15 @@ def test_parse_elem():
     assert parse_elem(c, "1+pi") == c.one() + c.pi(1)
     assert parse_elem(c, "-1+pi*u") == -c.one() + c.pi(1) * square_class_reps(c).unit_reps[1]
     assert parse_elem(c, "3/7") == c.from_rational(Fraction(3, 7))
+
+
+@pytest.mark.parametrize("tok", ["0", "-0", "7", "-1", "25", "007"])
+def test_parse_elem_integer_factor_matches_from_rational(tok):
+    """An integer factor goes through `from_int` without `Fraction`, and
+    gives the element `from_rational(Fraction(tok))` gives, slot for slot,
+    at p = 2, 5 and 7."""
+    for c in (ctx2(), ctx5(), make_field(7, 1, (-7, 1), 18)):
+        got, want = parse_elem(c, tok), c.from_rational(Fraction(tok))
+        assert got == want
+        assert ([getattr(got, s) for s in got.__slots__]
+                == [getattr(want, s) for s in want.__slots__])
