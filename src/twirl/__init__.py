@@ -61,6 +61,5 @@ from .twisted import (
     is_eps_symmetric,
     norm_preimage,
     twisted_discriminant,
-    twisted_discriminant_oracle,
 )
 __version__ = "0.1.0"

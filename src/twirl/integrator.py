@@ -44,8 +44,10 @@ from .errors import (DomainError, NotRegular, PrecisionExhausted,
 from .localfield import (Elem, INF, LocalFieldCtx, card_unit_square_classes,
                          unit_digit_tuples)
 from .matlattice import Mat, a_e, n_b
-from .matlattice import vdash  # unused; a tracer lookup point of perfbench/spans.py
-from .twisted import TorusElem, norm_preimage, twisted_discriminant
+from .twisted import TorusElem, twisted_discriminant
+# unused; tracer lookup points of perfbench/spans.py
+from .matlattice import vdash
+from .twisted import norm_preimage
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,9 @@ class Coset(NamedTuple):
     the support prefilter's reason, or None when the strata are live.
     `key` is what the K-average of f reads of the argument y = g0 x
     g0^vdash, `kappa_key(y, level)`, read off the record (`orbit_strata`):
-    None on a dead record, and on a live one whose y is not integral.
-    `y`, at b = pi^(-j) digits, and `g0` are rebuilt on demand, for
-    `support_scan`'s witness and the tests."""
+    None on a dead record, and on a live one whose y is not integral;
+    `support_scan`'s witness reads it too.  `g0` and `y`, at b = pi^(-j)
+    digits, are rebuilt on demand, for the witness and for the tests."""
 
     i: int
     j: int
@@ -203,7 +205,9 @@ class Coset(NamedTuple):
 def kappa_key(y: Mat, level: int) -> tuple:
     """The key of the K-average of f at an integral y, for an integrand
     that reads y mod pi^level and the parity of ord det y: the digit
-    tuples of the entries of y mod pi^level, and that parity."""
+    tuples of the entries of y mod pi^level, and that parity.  For a
+    caller that holds a y; `orbit_strata` reads the same key off each
+    record, and the tests hold the two equal."""
     return y.residue_key(level), y.det().val % 2
 
 
@@ -437,12 +441,14 @@ class CoefficientTable:
 
 
 def _preimage_inverse(gamma: TorusElem, form) -> Mat:
-    """x = S(gamma)^(-1).  On the split form S(gamma) = diag(alpha - 1,
-    alpha^(-1) - 1): x0 = (alpha - 1)^(-1) is one `Elem` inverse, and x1 =
-    (alpha^(-1) - 1)^(-1) = alpha/(1 - alpha) = -alpha x0, a product (the
-    sum -(1 + x0) can lose a validity level).  Other forms: `Mat.inverse`."""
+    """x = S(gamma)^(-1) on the split form, where S(gamma) = diag(alpha - 1,
+    alpha^(-1) - 1) (`norm_preimage`): x0 = (alpha - 1)^(-1) is one `Elem`
+    inverse, and x1 = (alpha^(-1) - 1)^(-1) = alpha/(1 - alpha) = -alpha x0,
+    a product (the sum -(1 + x0) can lose a validity level).  Every other
+    form raises DomainError, as `norm_preimage` does."""
     if not form.split:
-        return norm_preimage(gamma, form).inverse()
+        raise DomainError("the closed-form S(gamma)^(-1) needs the split "
+                          "orthogonal form")
     s0 = (gamma.alpha - gamma.ctx.one()).normalized()
     if s0.is_zero():
         raise SingularGammaMinusOne("gamma - 1 is singular")
@@ -453,7 +459,8 @@ def _preimage_inverse(gamma: TorusElem, form) -> Mat:
 def regular_preimage(form, alpha: Elem, label: str):
     """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) on the split
     form, and the exponent d with |D_eps(gamma)| = q^(-d).  gamma must be
-    regular: alpha = 1 or -1 raises NotRegular naming the stratum.
+    regular: alpha = 1 or -1 raises NotRegular naming the stratum.  Any
+    other form raises DomainError (`_preimage_inverse`).
 
     x0 = (alpha - 1)^(-1) and x1 = -alpha x0 (`_preimage_inverse`), so
     the trace x0 + x1 is -1 exactly and the lowest coefficient of the
@@ -464,9 +471,6 @@ def regular_preimage(form, alpha: Elem, label: str):
     reads 0, and a digit of alpha - 1 the precision cannot decide raises
     here, naming the stratum.  `discriminant_report` skips the -1 test."""
     ctx = alpha.ctx
-    if not form.split:
-        raise DomainError("the closed-form |D_eps| needs the split "
-                          "orthogonal form")
     where = _where(label, ctx)
     try:
         if (alpha + ctx.one()).normalized().is_zero():

@@ -688,6 +688,9 @@ def parse_elem(ctx: LocalFieldCtx, text: str) -> Elem:
             return ctx.from_int(int(tok))
         num, slash, den = tok.partition("/")
         if _is_int(num) and slash and den.isdecimal():
+            if not int(den):
+                raise DomainError(f"zero denominator in element factor "
+                                  f"{tok!r}")
             return ctx.from_rational(Fraction(tok))
         raise DomainError(f"cannot parse element factor {tok!r}")
 

@@ -238,19 +238,16 @@ def antidiag_u(ctx: LocalFieldCtx, n: int) -> Mat:
 
 @dataclass(frozen=True)
 class GroupForm:
-    """Form data (J, w) defining the twisted transpose and the group H.
-    `split` is decided once: the 2x2 orthogonal form with J = w, where
-    w J^(-1) = 1 and `norm_preimage` is closed-form."""
+    """The form J defining the twisted transpose and the group H.  Its
+    size n is J.n and w is `antidiag_w(n)`, both derived.  `split` is
+    decided once: the 2x2 orthogonal form with J = w, where w J^(-1) = 1,
+    the one form on which `norm_preimage` is defined."""
 
     kind: str  # "orthogonal" | "symplectic"
-    n: int
     J: Mat
-    w: Mat  # always antidiag_w(ctx, n); `vdash` relies on it
     split: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.w == antidiag_w(self.J.ctx, self.n):
-            raise ValueError("w must be the antidiagonal antidiag_w")
         jt = self.J.transpose()
         if self.kind == "orthogonal":
             if not jt == self.J:
@@ -264,6 +261,15 @@ class GroupForm:
             raise Singular("form matrix must be invertible")
         object.__setattr__(self, "split", self.kind == "orthogonal"
                            and self.n == 2 and self.J == self.w)
+
+    @property
+    def n(self) -> int:
+        return self.J.n
+
+    @property
+    def w(self) -> Mat:
+        """The antidiagonal `antidiag_w(n)`; `vdash` relies on it."""
+        return antidiag_w(self.J.ctx, self.n)
 
 
 def orthogonal_form(ctx: LocalFieldCtx, n: int, lam: Mat | None = None) -> GroupForm:
@@ -282,12 +288,11 @@ def orthogonal_form(ctx: LocalFieldCtx, n: int, lam: Mat | None = None) -> Group
     for r in range(2):
         for c in range(2):
             rows[i + r][i + c] = lam.rows[r][c]
-    return GroupForm("orthogonal", n, Mat(ctx, rows), antidiag_w(ctx, n))
+    return GroupForm("orthogonal", Mat(ctx, rows))
 
 
 def symplectic_form(ctx: LocalFieldCtx, n: int) -> GroupForm:
-    u = antidiag_u(ctx, n)
-    return GroupForm("symplectic", n, u, antidiag_w(ctx, n))
+    return GroupForm("symplectic", antidiag_u(ctx, n))
 
 
 def vdash(g: Mat, form: GroupForm) -> Mat:

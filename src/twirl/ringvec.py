@@ -39,7 +39,6 @@ class ResidueRing:
         self.pi_pows = np.array(
             [[c % self.pm for c in _pi_power_poly(ctx, k)]
              for k in range(s + 1)], dtype=np.int64)
-        self._gl2 = None    # the chunks of `iter_gl2(1, self)`, once read
 
     # -- conversions ----------------------------------------------------------
 
@@ -118,18 +117,14 @@ def iter_gl2(level: int, ring: ResidueRing):
     one chunk per leading entry a; the rows come in lexicographic order of
     the indices of (a, b, c, d) in `ring.from_digit_grid(level)`.
 
-    GL_2(F_p) (level 1), which the K-average pass reads once per
-    integrand, is built whole on the first read (`_gl2_fp_chunks`) and
-    kept by the ring, with read-only arrays, so neither an abandoned
-    generator nor a consumer can change it.  Higher levels, read only by
-    the test oracles, stream one chunk at a time: GL_2(Z/49) alone is 4.8
-    million rows."""
+    GL_2(F_p) (level 1), which an integrand reads once, into the
+    `supercuspidal.PassTable` of its K-average pass, is built whole
+    (`_gl2_fp_chunks`).  Higher levels, read only by the test oracles,
+    stream one chunk at a time: GL_2(Z/49) alone is 4.8 million rows."""
     if level > 1:
         yield from _gl2_chunks(level, ring)
-        return
-    if ring._gl2 is None:
-        ring._gl2 = _gl2_fp_chunks(ring)
-    yield from ring._gl2
+    else:
+        yield from _gl2_fp_chunks(ring)
 
 
 def _gl2_fp_chunks(ring: ResidueRing) -> list:
@@ -137,14 +132,13 @@ def _gl2_fp_chunks(ring: ResidueRing) -> list:
     of F_p^4 with ad - bc != 0 mod p, in lexicographic order, which is the
     order of `from_digit_grid(1)` (the digit d has index d).  A level-1
     entry is its digit times pi^0 = 1, so its only nonzero coefficient is
-    the one at pi^0.  One read-only array holds every row, and each chunk
-    is a view of it."""
+    the one at pi^0.  One array holds every row, and each chunk is a view
+    of it."""
     p = ring.p
     rows = [r for r in itertools.product(range(p), repeat=4)
             if (r[0] * r[3] - r[1] * r[2]) % p]
     table = np.zeros((len(rows), 4, ring.e), dtype=np.int64)
     table[:, :, 0] = rows
-    table.setflags(write=False)
     cuts = [bisect.bisect_left(rows, (a,)) for a in range(p)] + [len(rows)]
     return [tuple(table[lo:hi, t] for t in range(4))
             for lo, hi in zip(cuts, cuts[1:])]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cyclotomic import CharacterValue
 from .errors import DomainError
-from .integrator import _preimage_inverse, kappa_key, orbit_strata
+from .integrator import _preimage_inverse, orbit_strata
 from .localfield import INF, Elem, LocalFieldCtx, additive_char
 from .matlattice import GroupForm, Mat, mat_ord, vdash
 from .ringvec import ResidueRing, iter_gl2
@@ -192,6 +192,18 @@ class CuspidalData:
           (l_k on parity 0, mu_k on parity 1) vanishes on W exactly when
           p = 2: at odd p every row spreads evenly, which is why every
           K-average is 0 there.
+        - Reading the key's digits.  The key holds y = y0 + pi y1 mod
+          pi^2, y0 and y1 the integer vectors of the entries' first and
+          second digits.  k is a row of digits, so T_k has integer
+          entries, and X = T_k y0 + pi T_k y1 mod pi^2 with N = T_k y0 an
+          integer vector.  So X mod pi is N mod p.  Where X = 0 mod pi, p
+          divides N, and N = p (N div p) = pi (p/pi) (N div p), so
+          X/pi = T_k y1 + (N div p)(p/pi) mod pi, which reads p/pi only
+          mod pi.  ord(p/pi) = e - 1, so p/pi mod pi is 0 unless e = 1.
+          The carry (N div p)(p/pi mod pi) moves an exponent only at
+          p = 2, e = 1 (below, no exponent is read at odd p), a field this
+          integrand refuses; the pass stays right there, and the tests
+          check it there.
         - So a miss is one pass over GL_2(O/pi) with a few integer
           operations per row (`_coset_counts`), and the orbit is never
           listed; the counts are those of f over GL_2(O/pi) x W.
@@ -202,9 +214,9 @@ class CuspidalData:
         zero.  At p = 2 the value depends only on y mod pi^2 and the
         parity of ord det y, which is the key: the G/T walk reads it off
         each `orbit_strata` record without building y, and a caller that
-        holds a y takes `kappa_key(y, 2)`.  A miss builds y mod pi^2 from
-        the digits of the key and runs the pass in plain integers over
-        the GL_2(F_p) rows of `_pass_table`.  `kappa_average_oracle`
+        holds a y takes `kappa_key(y, 2)`.  A miss runs the pass in plain
+        integers on the digits of the key, over the GL_2(F_p) rows of
+        `_pass_table`.  `kappa_average_oracle`
         enumerates all of GL_2(O/pi^level) instead, and the tests hold the
         two equal."""
         if self.kappa_vanishes(form):
@@ -216,19 +228,17 @@ class CuspidalData:
         return got
 
     def _pass_table(self) -> PassTable:
-        """The `PassTable` of O/pi^residue_level, the table of every
-        K-average pass of this integrand, built on the first pass."""
+        """The integrand's `PassTable`, which each of its K-average
+        passes reads, built on the first pass."""
         if self._table is None:
             self._table = pass_table(ResidueRing(self.ctx,
                                                  self.residue_level))
         return self._table
 
     def _kappa_average_coset(self, digits, parity: int) -> CharacterValue:
-        """The pass `_coset_counts` for the y with
-        `y.residue_key(self.residue_level)` = digits."""
-        table = self._pass_table()
-        counts, total = _coset_counts(table, _key_residues(table, digits),
-                                      parity)
+        """The pass `_coset_counts` for the y with `y.residue_key(2)` =
+        digits."""
+        counts, total = _coset_counts(self._pass_table(), digits, parity)
         return CharacterValue.from_exponent_counts(self.p, counts, total)
 
     def kappa_average_oracle(self, y: Mat, level: int) -> CharacterValue:
@@ -328,68 +338,49 @@ def _oracle_counts(ring: ResidueRing, y_res, parity: int):
 
 # -- the K-average pass over GL_2(F_p) ------------------------------------------
 #
-# Plain integers: y mod pi^2 is four coefficient lists mod p^Ms
-# (`_key_residues`), k in GL_2(F_p) a digit row (a, b, c, d) of the
-# `PassTable`, and every other quantity a residue mod p.
+# Plain integers: y mod pi^2 is the digit tuples (y0, y1) of its key, k in
+# GL_2(F_p) a digit row (a, b, c, d) of the `PassTable`, and every other
+# quantity an integer read mod p (`CuspidalData.kappa_average`).
 
 
 class PassTable(NamedTuple):
-    """What the K-average pass reads of O/pi^s, in plain ints: the
-    modulus p^Ms of the coefficients, the powers pi^t (t = 0 .. s) as
-    coefficient lists mod p^Ms, the coefficient of p/pi at pi^0, and the
-    digit rows (a, b, c, d) of GL_2(F_p) in the order of
-    `iter_gl2(1, .)`."""
+    """What the K-average pass reads of O/pi^2, in plain ints: p, p/pi
+    mod pi (0 unless e = 1), and the digit rows (a, b, c, d) of GL_2(F_p)
+    in the order of `iter_gl2(1, .)`."""
 
     p: int
-    e: int
-    s: int
-    pm: int
-    pi_pows: list
-    p_over_pi: int
+    pop: int
     rows: list
 
 
 def pass_table(ring: ResidueRing) -> PassTable:
     """The `PassTable` of `ring`, its rows read once from
     `iter_gl2(1, ring)`: a level-1 entry has the digit as its coefficient
-    at pi^0."""
+    at pi^0.  p/pi mod pi is the coefficient of p/pi at pi^0, mod p."""
     rows = [row for chunk in iter_gl2(1, ring)
             for row in zip(*(z[:, 0].tolist() for z in chunk))]
-    return PassTable(ring.p, ring.e, ring.s, ring.pm, ring.pi_pows.tolist(),
-                     int(ring.p_over_pi[0]), rows)
+    return PassTable(ring.p, int(ring.p_over_pi[0]) % ring.p, rows)
 
 
-def _key_residues(table: PassTable, key):
-    """y mod pi^table.s as four coefficient lists mod p^Ms, built from the
-    digit tuples of `y.residue_key(table.s)` as sum_t digit_t pi^t."""
-    out = []
-    for digits in key:
-        z = [0] * table.e
-        for d, pw in zip(digits, table.pi_pows):
-            if d:
-                z = [u + d * v for u, v in zip(z, pw)]
-        out.append([u % table.pm for u in z])
-    return out
-
-
-def _kept_rows(table: PassTable, y, parity: int):
-    """(rows read, kept rows) of one pass over the digit rows
-    k = (a, b, c, d) of GL_2(F_p), in the order of `iter_gl2(1, .)`, for
-    y from `_key_residues`.  X = k y k^vdash is T_k y, with T_k the
-    4 x 4 matrix of v -> k v k^vdash on v = (v00, v01, v10, v11); x holds
-    the coefficients of X at pi^0, mod p^Ms, and the row is kept when x
-    mod p passes `_support_mod_pi`.  A kept row is (k, T_k, x)."""
-    p, pm = table.p, table.pm
-    y0, y1, y2, y3 = (z[0] for z in y)
+def _kept_rows(table: PassTable, digits, parity: int):
+    """The kept rows of one pass over the digit rows k = (a, b, c, d) of
+    GL_2(F_p), in the order of `iter_gl2(1, .)`, for the y whose digit
+    tuples mod pi^2 are `digits` (the key's).  X = k y k^vdash is T_k y,
+    with T_k the 4 x 4 matrix of v -> k v k^vdash on v = (v00, v01, v10,
+    v11); N = T_k y0 is the integer vector of the first digits y0, X = N
+    mod pi, and the row is kept when N mod p passes `_support_mod_pi`.  A
+    kept row is (k, T_k, N)."""
+    p = table.p
+    y00, y01, y10, y11 = (z[0] for z in digits)
     kept = []
     for a, b, c, d in table.rows:
         t = ((a * d, a * c, b * d, b * c), (a * b, a * a, b * b, a * b),
              (c * d, c * c, d * d, c * d), (b * c, a * c, b * d, a * d))
-        x = [(u0 * y0 + u1 * y1 + u2 * y2 + u3 * y3) % pm
+        n = [u0 * y00 + u1 * y01 + u2 * y10 + u3 * y11
              for u0, u1, u2, u3 in t]
-        if _support_mod_pi([v % p for v in x], parity):
-            kept.append(((a, b, c, d), t, x))
-    return len(table.rows), kept
+        if _support_mod_pi([v % p for v in n], parity):
+            kept.append(((a, b, c, d), t, n))
+    return kept
 
 
 def _dot(u, v) -> int:
@@ -425,31 +416,29 @@ def _rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def _coset_counts(table: PassTable, y, parity: int):
+def _coset_counts(table: PassTable, digits, parity: int):
     """(Lambda_1 exponent counts as a list, rows) of f over GL_2(O/pi) x
-    (y + pi Im L_y), y a residue matrix mod pi^2 from `_key_residues`, as
-    the character sums of `CuspidalData.kappa_average`.  Each row that
+    (y + pi Im L_y), for the y whose digit tuples mod pi^2 are `digits`,
+    as the character sums of `CuspidalData.kappa_average`.  Each row that
     `_kept_rows` keeps (and, at parity 1, whose t = x01 - x10/pi is 0 mod
     pi) adds |W| to one exponent when the linear form h (parity 0: l_k,
     the row of T_k for V10; parity 1: mu_k, the sum of the rows for V00
     and V11) vanishes on the span of W = Im L_y, and |W|/p to every
     exponent otherwise.  The exponent is s/r mod p; s needs the entries
-    X/pi mod pi, read off the coefficients of X at pi^0 (mod p^Ms) and
-    at pi^1 (`div_pi`)."""
-    p, pop = table.p, table.p_over_pi
-    y_pi = [z[1] if table.e > 1 else 0 for z in y]
+    X/pi mod pi, T_k y1 + (N div p)(p/pi mod pi) (`div_pi`)."""
+    p, pop = table.p, table.pop
+    y1 = [z[1] for z in digits]
 
-    def div_pi(t_row, x0):
+    def div_pi(t_row, n):
         """X_ij / pi mod pi for X_ij = 0 mod pi, from its row of T_k and
-        its coefficient x0 at pi^0 (`ResidueRing.div_pi`)."""
-        return _dot(t_row, y_pi) + (x0 // p) * pop
+        its entry n of N = T_k y0."""
+        return _dot(t_row, y1) + (n // p) * pop
 
-    span = _image_span([z[0] for z in y], p)
+    span = _image_span([z[0] for z in digits], p)
     size = p ** _rank_mod_p(span, p)
-    rows, kept = _kept_rows(table, y, parity)
     counts = [0] * p
     spread = 0
-    for _k, t, x in kept:
+    for _k, t, x in _kept_rows(table, digits, parity):
         if parity:
             r = x[1] % p
             if (div_pi(t[2], x[2]) - r) % p:
@@ -464,7 +453,7 @@ def _coset_counts(table: PassTable, y, parity: int):
             spread += 1
         else:
             counts[s * pow(r, -1, p) % p] += size
-    return [n + spread * (size // p) for n in counts], rows * size
+    return [n + spread * (size // p) for n in counts], len(table.rows) * size
 
 
 # -- support scanning ----------------------------------------------------------
@@ -551,7 +540,7 @@ def support_scan(data: CuspidalData, form: GroupForm,
             strata.append(ScanStratum(c.i, c.j, c.digits, c.dead))
             continue
         kappa_level = data.residue_level
-        kap = _kappa_witness(data, c.y)
+        kap = _kappa_witness(data, c.key)
         strata.append(ScanStratum(c.i, c.j, c.digits, "witness"))
         gw = kap * c.g0
         witness = {
@@ -571,19 +560,18 @@ def support_scan(data: CuspidalData, form: GroupForm,
     return ScanReport(regime_out, witness, strata, kappa_level)
 
 
-def _kappa_witness(data: CuspidalData, y: Mat) -> Mat:
+def _kappa_witness(data: CuspidalData, key) -> Mat:
     """The first kappa mod pi^2 (the digit order of `iter_gl2(2, .)`) with
     f(kappa y kappa^vdash) != 0, for the y of a live `orbit_strata`
-    record: the first row of GL_2(F_p) that the K-average pass keeps at
-    parity 0 (`_kept_rows`), lifted.  Every live record has ord det y = 0
-    (`support_scan`); at parity 0 f's support test is `_support_mod_pi`,
-    which reads kappa mod pi only, and f is a root of unity on its
-    support.  `from_digit_grid` lists the single-digit lifts first, so the
-    first witness mod pi^2 is the lift of the first kept row; kappa = 1 is
-    kept, so that row exists."""
+    record, given by the record's key: the first row of GL_2(F_p) that
+    the K-average pass keeps at parity 0 (`_kept_rows`), lifted.  Every
+    live record has ord det y = 0 (`support_scan`); at parity 0 f's
+    support test is `_support_mod_pi`, which reads kappa mod pi only, and
+    f is a root of unity on its support.  `from_digit_grid` lists the
+    single-digit lifts first, so the first witness mod pi^2 is the lift
+    of the first kept row; kappa = 1 is kept, so that row exists."""
     ctx = data.ctx
-    table = data._pass_table()
-    digits, _parity = kappa_key(y, table.s)
-    _rows, kept = _kept_rows(table, _key_residues(table, digits), 0)
+    digits, _parity = key
+    kept = _kept_rows(data._pass_table(), digits, 0)
     a, b, c, d = (ctx.from_int(z) for z in kept[0][0])
     return Mat(ctx, [[a, b], [c, d]])

@@ -257,6 +257,21 @@ def test_bad_config_exit_code(tmp_path):
     assert cli.main(["coeffs", "--config", str(p)]) == 1
 
 
+@pytest.mark.parametrize("command, cfg", [
+    (command, f"{regime}{'_csv' if command == 'psik' else ''}_cfg")
+    for command in ("dtwist", "support-scan", "psik")
+    for regime in ("odd", "even")])
+def test_zero_denominator_alpha_exit_code(request, capsys, command, cfg):
+    """An `n/0` factor in `--alpha` prints one `error:` line naming the
+    factor and exits 1, at p = 5 and p = 2; it was a ZeroDivisionError
+    traceback out of `cli.main`."""
+    path = request.getfixturevalue(cfg)
+    assert cli.main([command, "--config", path, "--alpha=1+pi*3/0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: zero denominator in element factor '3/0'\n"
+
+
 @pytest.mark.parametrize("old, new", [
     ("unit_depth = 2", "unit_depth = 0"),
     ("unit_depth = 2", "unit_depth = 2\ne_window = -1"),

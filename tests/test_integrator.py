@@ -25,7 +25,6 @@ from twirl import (
     square_class_reps,
     symplectic_form,
     twisted_discriminant,
-    twisted_discriminant_oracle,
 )
 from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
@@ -33,13 +32,15 @@ from twirl.integrator import (_delta_totals, kappa_key, orbit_strata,
                               regular_preimage, torus_strata)
 from twirl.localfield import unit_digit_tuples
 from twirl.matlattice import a_e, n_b, vdash
-from twirl.twisted import (charpoly, norm_preimage_general,
-                           twisted_discriminant_charpoly)
 
 from coset_walk import coset_strata
 from integrands import IntegralIndicator, NonIntegralIndicator
 import residue_oracle as oracle
 from rg_oracle import rg_term
+import twisted_oracles
+from twisted_oracles import (norm_preimage_general,
+                             twisted_discriminant_charpoly,
+                             twisted_discriminant_oracle)
 from unit_digit_strata import unit_digit_strata, unit_digits
 from weights_oracle import delta, square_class_weight
 
@@ -702,22 +703,36 @@ def test_discriminant_routes_on_every_torus_stratum():
 
 def test_pipeline_never_calls_the_charpoly(monkeypatch):
     """assemble_coefficients and coefficient_A_B take every twisted
-    discriminant in closed form; the Berkowitz charpoly is a test oracle
-    only."""
+    discriminant in closed form: no module of the library defines the
+    Berkowitz charpoly or any other general route of the test oracles
+    (`tests/twisted_oracles.py`), and the pipeline takes one closed-form
+    `twisted_discriminant`, in coefficient_A_B, and none in
+    assemble_coefficients, which reads |D_eps| off alpha."""
+    import twirl
+    from twirl import cli, localfield, matlattice, residue, ringvec
+    from twirl import supercuspidal
+
+    moved = ("charpoly", "_twist_operator", "_trailing_zeros",
+             "norm_preimage_general", "twisted_discriminant_charpoly",
+             "twisted_discriminant_oracle")
+    assert all(hasattr(twisted_oracles, name) for name in moved)
+    for mod in (twirl, cli, integrator, localfield, matlattice, residue,
+                ringvec, supercuspidal, twisted):
+        assert not any(hasattr(mod, name) for name in moved), mod.__name__
     calls = []
+    closed = integrator.twisted_discriminant
 
-    def counting(a, ctx):
-        calls.append(ctx)
-        return charpoly(a, ctx)
+    def counting(delta, form):
+        calls.append(delta)
+        return closed(delta, form)
 
-    monkeypatch.setattr(twisted, "charpoly", counting)
+    monkeypatch.setattr(integrator, "twisted_discriminant", counting)
     c = ctx2()
     form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=3, k_max=1, unit_depth=2)
     assemble_coefficients(CuspidalData(c), form, trunc)
-    coefficient_A_B(CuspidalData(c), form, trunc)
     assert calls == []
-    twisted_discriminant_charpoly(Mat.diag(c, [c.one(), c.from_int(3)]), form)
+    coefficient_A_B(CuspidalData(c), form, trunc)
     assert len(calls) == 1
 
 
@@ -727,8 +742,8 @@ def test_closed_form_preimage_on_every_torus_stratum():
     `regular_preimage` (x0 = (alpha - 1)^(-1), x1 = -alpha x0) equals its
     `Mat.inverse`, with at least the general route's tracked validity:
     the closed form loses no digits.  alpha = 1 raises
-    SingularGammaMinusOne on the split closed form and on the general
-    route of a non-split form."""
+    SingularGammaMinusOne on the split closed form, and a non-split form
+    (the symplectic one) raises DomainError at every alpha."""
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS:
         c = make_field(p, e, eis, 20)
         form = orthogonal_form(c, 2)
@@ -751,10 +766,13 @@ def test_closed_form_preimage_on_every_torus_stratum():
         assert norm_preimage(minus, form) == general, eis
         assert integrator._preimage_inverse(minus, form) == general.inverse()
         one = TorusElem(c.one())
-        for f in (form, symplectic_form(c, 2)):
-            assert f.split == (f is form)
-            with pytest.raises(SingularGammaMinusOne):
-                integrator._preimage_inverse(one, f)
+        with pytest.raises(SingularGammaMinusOne):
+            integrator._preimage_inverse(one, form)
+        symp = symplectic_form(c, 2)
+        assert form.split and not symp.split
+        for gamma in (one, minus, TorusElem(c.from_int(3))):
+            with pytest.raises(DomainError, match="split orthogonal form"):
+                integrator._preimage_inverse(gamma, symp)
 
 
 def test_grouped_psi_k_equals_per_record_sum():

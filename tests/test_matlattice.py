@@ -3,7 +3,9 @@ import random
 import pytest
 
 from twirl import (
+    GroupForm,
     Mat,
+    Singular,
     make_field,
     mat_ord,
     orthogonal_form,
@@ -11,6 +13,7 @@ from twirl import (
     vdash,
 )
 from twirl.localfield import is_square
+from twirl.matlattice import antidiag_u, antidiag_w
 
 from weights_oracle import delta
 
@@ -85,6 +88,44 @@ def test_vdash_is_antidiagonal_transpose(mk, nonsquare):
             for _ in range(20):
                 g = Mat.random(c, n, rng, invertible=False)
                 assert vdash(g, form) == form.w * g.transpose() * form.w
+
+
+@pytest.mark.parametrize("mk,nonsquare", [(ctx2, 3), (ctx5, 2)])
+@pytest.mark.parametrize("n", [2, 4])
+def test_group_form_derives_n_and_w(mk, nonsquare, n):
+    """A `GroupForm` is built from its kind and J alone: n is J.n and w is
+    `antidiag_w(n)`, for the split and the anisotropic orthogonal block
+    and for the symplectic form.  Only the split 2x2 orthogonal form is
+    `split`."""
+    c = mk()
+    anisotropic = Mat.diag(c, [c.one(), -c.from_int(nonsquare)])
+    forms = [orthogonal_form(c, n), orthogonal_form(c, n, anisotropic),
+             symplectic_form(c, n)]
+    for form in forms:
+        assert form.n == form.J.n == n
+        assert form.w == antidiag_w(c, n)
+        assert form == GroupForm(form.kind, form.J)
+    assert [f.split for f in forms] == [n == 2, False, False]
+    assert symplectic_form(c, n).J == antidiag_u(c, n)
+
+
+def test_group_form_refusals():
+    """J must be symmetric for the orthogonal kind, antisymmetric for the
+    symplectic kind, and invertible, and the kind must be one of the
+    two."""
+    c = ctx5()
+    upper = Mat.from_ints(c, [[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="orthogonal form must be symmetric"):
+        GroupForm("orthogonal", upper)
+    with pytest.raises(ValueError,
+                       match="symplectic form must be antisymmetric"):
+        GroupForm("symplectic", antidiag_w(c, 2))
+    with pytest.raises(ValueError, match="unknown form kind 'unitary'"):
+        GroupForm("unitary", antidiag_w(c, 2))
+    with pytest.raises(Singular, match="form matrix must be invertible"):
+        GroupForm("orthogonal", Mat.from_ints(c, [[1, 1], [1, 1]]))
+    with pytest.raises(Singular, match="form matrix must be invertible"):
+        GroupForm("symplectic", Mat.zero(c, 2))
 
 
 def test_delta_examples():

@@ -11,8 +11,8 @@ import twirl
 
 # oracle -> the fast path it checks
 ORACLES = {
-    "twisted_discriminant_charpoly": "twisted.twisted_discriminant",
-    "twisted_discriminant_oracle": "twisted.twisted_discriminant",
+    "kappa_key": "integrator.orbit_strata, whose records carry the key "
+                 "read off digits, with no Mat built",
     "symplectic_form": "the orthogonal-only closed forms "
                        "(twisted_discriminant, orbit_strata), which must "
                        "refuse the paper's symplectic case",

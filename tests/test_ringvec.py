@@ -29,12 +29,16 @@ def test_iter_gl2_rows(p, e, eis, level):
     assert all(u < v for u, v in zip(keys, keys[1:]))
 
 
-def test_gl2_table_is_built_once_and_read_only(monkeypatch):
-    """GL_2(F_p) is built once per ring, whole, before the first chunk is
-    yielded (`_gl2_fp_chunks`): an abandoned read leaves the whole table,
-    every later read yields the same read-only arrays, and writing to one
-    raises.  Higher levels stream and are built on every read
-    (`_gl2_chunks`)."""
+@pytest.mark.parametrize("p, e, eis", [(2, 2, (-2, 0, 1)), (3, 1, (-3, 1)),
+                                       (5, 1, (-5, 1)), (7, 1, (-7, 1))],
+                         ids=["x2-2", "x-3", "x-5", "x-7"])
+def test_gl2_fp_chunks_match_the_digit_grid(monkeypatch, p, e, eis):
+    """GL_2(F_p), built whole from `itertools.product` rows
+    (`_gl2_fp_chunks`), equals the level-1 chunks of the digit-grid route
+    `_gl2_chunks(1, .)` array for array, in dtype and shape: p chunks and
+    |GL_2(F_p)| rows in all.  The ring keeps nothing: every read of
+    `iter_gl2(1, .)` builds the table, an abandoned one too, and higher
+    levels stream from `_gl2_chunks` on every read."""
     from twirl import ringvec
 
     builds = []
@@ -45,23 +49,23 @@ def test_gl2_table_is_built_once_and_read_only(monkeypatch):
             return fn(*args)
         return wrapper
 
+    ring = ResidueRing(make_field(p, e, eis, 16), 2)
+    grid = list(ringvec._gl2_chunks(1, ring))
     monkeypatch.setattr(ringvec, "_gl2_fp_chunks",
                         counted(1, ringvec._gl2_fp_chunks))
     monkeypatch.setattr(ringvec, "_gl2_chunks",
                         counted(2, ringvec._gl2_chunks))
-    ring = ResidueRing(make_field(5, 1, (-5, 1), 16), 2)
     gen = iter_gl2(1, ring)
     next(gen)
     gen.close()
-    first = list(iter_gl2(1, ring))
-    again = list(iter_gl2(1, ring))
-    assert builds == [1] and len(first) == 5
-    assert sum(chunk[0].shape[0] for chunk in first) == 480
-    assert all(u is v for x, y in zip(first, again) for u, v in zip(x, y))
-    for arr in (a for chunk in first for a in chunk):
-        assert arr.dtype == np.int64 and not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1
+    chunks = list(iter_gl2(1, ring))
+    assert len(grid) == len(chunks) == p
+    assert sum(chunk[0].shape[0] for chunk in chunks) == \
+        (p * p - 1) * (p * p - p)
+    for u, v in zip(grid, chunks):
+        for a, b in zip(u, v):
+            assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+            assert (a == b).all()
     next(iter_gl2(2, ring))
     next(iter_gl2(2, ring))
-    assert builds == [1, 2, 2]
+    assert builds == [1, 1, 2, 2]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from twirl import (
+    DomainError,
     Mat,
     Singular,
     SingularGammaMinusOne,
@@ -13,12 +14,11 @@ from twirl import (
     orthogonal_form,
     symplectic_form,
     twisted_discriminant,
-    twisted_discriminant_oracle,
 )
-from twirl import PrecisionExhausted, twisted, vdash
-from twirl.twisted import norm_preimage_general
+from twirl import PrecisionExhausted, vdash
 
 from twisted_centralizer import twisted_centralizer_sample
+from twisted_oracles import norm_preimage_general, twisted_discriminant_oracle
 
 
 def ctx5():
@@ -75,27 +75,21 @@ def anisotropic_block(c):
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
-def test_non_split_form_takes_general_route(mk, monkeypatch):
-    """Only the split 2x2 orthogonal form is closed-form; a non-split
-    block lam keeps w J^(-1) (gamma - 1)."""
+def test_non_split_form_takes_general_route(mk):
+    """Only the split 2x2 orthogonal form is closed-form, and
+    `norm_preimage` refuses every other form with DomainError: the
+    orthogonal form of size 4, the symplectic form and a non-split block
+    lam.  Those take only the general route of the test oracle,
+    w J^(-1) (gamma - 1), which is not the diagonal closed form on the
+    non-split block."""
     c = mk()
-    assert not orthogonal_form(c, 4).split
-    assert not symplectic_form(c, 2).split
-    form = orthogonal_form(c, 2, anisotropic_block(c))
-    assert not form.split
-    calls = []
-
-    def counting(gamma, form):
-        calls.append(gamma)
-        return norm_preimage_general(gamma, form)
-
-    monkeypatch.setattr(twisted, "norm_preimage_general", counting)
     gamma = TorusElem(c.from_int(3))
-    s = norm_preimage(gamma, form)
-    assert len(calls) == 1
-    want = form.w * form.J.inverse() * (gamma.matrix() - Mat.identity(c, 2))
-    assert s == want
-    assert not s.rows[0][1].is_zero()
+    block = orthogonal_form(c, 2, anisotropic_block(c))
+    for form in (orthogonal_form(c, 4), symplectic_form(c, 2), block):
+        assert not form.split
+        with pytest.raises(DomainError, match="split orthogonal form"):
+            norm_preimage(gamma, form)
+    assert not norm_preimage_general(gamma, block).rows[0][1].is_zero()
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
