@@ -36,10 +36,12 @@ print("report regime:", rep.regime)
 
 # the K-average cancels even though the support is met: look at one stratum
 from twirl import TorusElem, norm_preimage
-from twirl.integrator import kappa_key
+from twirl.integrator import orbit_strata
 
 alpha = -ctx.one() + ctx.pi(1)
-y = norm_preimage(TorusElem(alpha), form).inverse()
+x = norm_preimage(TorusElem(alpha), form).inverse()
+# x is integral of unit determinant, so the walk has one record, at y = x
+[record] = orbit_strata(data, form, x)
 print("\nsample K-average at alpha = -1+pi:",
-      data.kappa_average(kappa_key(y, data.residue_level), form),
+      data.kappa_average(record.key, form),
       "(supported on a third of K, values uniform over the fifth roots)")

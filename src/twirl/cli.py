@@ -39,8 +39,10 @@ of range, a precision below
 ("even" at p = 2 with e >= 2, "odd" at odd p; the even regime adds the
 weight-only constants to the residue report).  The G/T walk has no
 window, and `support-scan` reads the same (i, j) levels as the pipeline.
-Exit codes: 0 success, 1 a config or run error, 2 a usage error.  Only
-TWIRL_OUTPUT_DIR is read from the environment; it overrides output dirs.
+Exit codes: 0 success, 1 a config or run error, 2 a usage error.  A run
+error of `dtwist`, `psik` or `support-scan` names `alpha = <text>` once
+(`_run_at_alpha`).  Only TWIRL_OUTPUT_DIR is read from the environment;
+it overrides output dirs.
 """
 
 from __future__ import annotations
@@ -191,38 +193,47 @@ def _coeff_csv(ks, values) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-def cmd_dtwist(cfg: RunConfig, alpha_text: str) -> str:
-    ctx = cfg.ctx
+def _run_at_alpha(cmd, cfg: RunConfig, alpha_text: str) -> str:
+    """`cmd(cfg, alpha, alpha_text)` on the parsed `--alpha`.  An error
+    whose message does not name `alpha = <text>` already gets it in
+    front, so every error line of the run names the alpha once; an error
+    of the parse names the factor it refuses."""
+    alpha = parse_elem(cfg.ctx, alpha_text)
+    label = f"alpha = {alpha_text}"
+    try:
+        return cmd(cfg, alpha, alpha_text)
+    except TwirlError as exc:
+        if label in str(exc):
+            raise
+        raise TwirlError(f"{label}: {exc}") from exc
+
+
+def cmd_dtwist(cfg: RunConfig, alpha, alpha_text: str) -> str:
     # x0 + x1 = -1 for every gamma != 1, so a report of kernel dim 3 is a
     # digit the precision could not decide, and it raises
-    rep = discriminant_report(orthogonal_form(ctx, 2),
-                              parse_elem(ctx, alpha_text),
+    rep = discriminant_report(orthogonal_form(cfg.ctx, 2), alpha,
                               f"alpha = {alpha_text}")
     out = rep.to_json()
     out["alpha"] = alpha_text
     return _json_dump(out)
 
 
-def cmd_support_scan(cfg: RunConfig, alpha_text: str) -> str:
-    ctx = cfg.ctx
-    form = orthogonal_form(ctx, 2)
-    data = CuspidalData(ctx)
-    alpha = parse_elem(ctx, alpha_text)
+def cmd_support_scan(cfg: RunConfig, alpha, _alpha_text: str) -> str:
+    form = orthogonal_form(cfg.ctx, 2)
+    data = CuspidalData(cfg.ctx)
     return _json_dump(support_scan(data, form, TorusElem(alpha)).to_json())
 
 
-def cmd_psik(cfg: RunConfig, alpha_text: str) -> str:
-    ctx = cfg.ctx
-    form = orthogonal_form(ctx, 2)
-    data = CuspidalData(ctx)
-    alpha = parse_elem(ctx, alpha_text)
+def cmd_psik(cfg: RunConfig, alpha, alpha_text: str) -> str:
+    form = orthogonal_form(cfg.ctx, 2)
+    data = CuspidalData(cfg.ctx)
     ks = range(0, cfg.trunc.k_max + 1)
     table = orbit_weight_integral(data, form, TorusElem(alpha), ks,
                                   f"alpha = {alpha_text}")
     return _coeff_csv(ks, table)
 
 
-def cmd_coeffs(cfg: RunConfig, _alpha: None) -> str:
+def cmd_coeffs(cfg: RunConfig) -> str:
     data = CuspidalData(cfg.ctx)
     form = orthogonal_form(cfg.ctx, 2)
     table = assemble_coefficients(data, form, cfg.trunc)
@@ -231,7 +242,7 @@ def cmd_coeffs(cfg: RunConfig, _alpha: None) -> str:
     return _json_dump(table.to_json())
 
 
-def cmd_residue(cfg: RunConfig, _alpha: None) -> str:
+def cmd_residue(cfg: RunConfig) -> str:
     data = CuspidalData(cfg.ctx)
     form = orthogonal_form(cfg.ctx, 2)
     table = assemble_coefficients(data, form, cfg.trunc)
@@ -291,7 +302,9 @@ def main(argv=None) -> int:
             raise TwirlError(f"{argv[0]} writes "
                              f"{' or '.join(FORMATS[argv[0]])} only, "
                              f"not format = {cfg.out_format}")
-        text = COMMANDS[argv[0]](cfg, opts.get("--alpha"))
+        cmd = COMMANDS[argv[0]]
+        text = (_run_at_alpha(cmd, cfg, opts["--alpha"])
+                if argv[0] in ALPHA_COMMANDS else cmd(cfg))
     except TwirlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,9 +69,6 @@ class CharacterValue:
     def __sub__(self, other: "CharacterValue") -> "CharacterValue":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "CharacterValue":
-        return self.scale(-1)
-
     def scale(self, r) -> "CharacterValue":
         if not any(self.coords):
             return self
@@ -95,12 +92,9 @@ class CharacterValue:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
-    def is_rational(self) -> bool:
-        return all(a == 0 for a in self.coords[1:])
-
     def rational_part(self) -> Fraction:
         """The value as a rational; raises if a zeta coordinate survives."""
-        if not self.is_rational():
+        if any(self.coords[1:]):
             raise ValueError(f"value is not rational: {self}")
         return self.coords[0]
 

@@ -43,7 +43,7 @@ from .errors import (DomainError, NotRegular, PrecisionExhausted,
                      SingularGammaMinusOne)
 from .localfield import (Elem, INF, LocalFieldCtx, card_unit_square_classes,
                          unit_digit_tuples)
-from .matlattice import Mat, a_e, n_b
+from .matlattice import Mat
 from .twisted import TorusElem, twisted_discriminant
 # unused; tracer lookup points of perfbench/spans.py
 from .matlattice import vdash
@@ -169,13 +169,13 @@ class Coset(NamedTuple):
     """One record of `orbit_strata`: the (i, b) coset strata g0 = n_b a_i
     of G/T (b of level j, so Delta_1(g0) = i - j) whose b start with
     `digits` (all of level j on a dead level, one class of b on a live
-    one), `weight` cosets in all, for the diagonal argument `x`; `dead` is
-    the support prefilter's reason, or None when the strata are live.
-    `key` is what the K-average of f reads of the argument y = g0 x
-    g0^vdash, `kappa_key(y, level)`, read off the record (`orbit_strata`):
-    None on a dead record, and on a live one whose y is not integral;
-    `support_scan`'s witness reads it too.  `g0` and `y`, at b = pi^(-j)
-    digits, are rebuilt on demand, for the witness and for the tests."""
+    one), `weight` cosets in all; `dead` is the support prefilter's
+    reason, or None when the strata are live.  `key` is what the
+    K-average of f reads of the argument y = g0 x g0^vdash: the digit
+    tuples of the entries of y mod pi^level and the parity of ord det y,
+    read off the record (`orbit_strata`).  It is None on a dead record,
+    and on a live one whose y is not integral; `support_scan`'s witness
+    reads it too."""
 
     i: int
     j: int
@@ -183,32 +183,6 @@ class Coset(NamedTuple):
     weight: int
     key: tuple | None
     dead: str | None
-    x: Mat
-
-    @property
-    def y(self) -> Mat:
-        """pi^i [[x0, b(x0 + x1)], [0, x1]]."""
-        ctx = self.x.ctx
-        (x0, _), (_, x1) = self.x.rows
-        y01 = ctx.from_digits(self.i - self.j, self.digits) * \
-            (x0 + x1).normalized()
-        return Mat(ctx, [[x0.shift(self.i), y01],
-                         [ctx.zero(), x1.shift(self.i)]])
-
-    @property
-    def g0(self) -> Mat:
-        ctx = self.x.ctx
-        b = ctx.from_digits(-self.j, self.digits)
-        return n_b(ctx, b) * a_e(ctx, self.i)
-
-
-def kappa_key(y: Mat, level: int) -> tuple:
-    """The key of the K-average of f at an integral y, for an integrand
-    that reads y mod pi^level and the parity of ord det y: the digit
-    tuples of the entries of y mod pi^level, and that parity.  For a
-    caller that holds a y; `orbit_strata` reads the same key off each
-    record, and the tests hold the two equal."""
-    return y.residue_key(level), y.det().val % 2
 
 
 def _forced_levels(data, x: Mat):
@@ -250,8 +224,8 @@ def orbit_strata(data, form, x: Mat):
     first n = min(j, max(1, level - u)) digits of b, so a live level splits
     into the classes of those digits, weight q^(j-n) each.
 
-    The key of a live record, `kappa_key(y, level)`, is read off the
-    record, with no `Mat`, det or residue key per class:
+    The key of a live record (`Coset.key`) is read off the record, with
+    no `Mat`, det or residue key per class:
     - y10 = 0, and y00 = pi^i x0, y11 = pi^i x1 do not depend on b, so
       their digits mod pi^level and the parity of ord det y = ord y00 +
       ord y11 (y is upper-triangular) are read once per forced i.  A level
@@ -265,8 +239,9 @@ def orbit_strata(data, form, x: Mat):
       (u, b'', t''), so a run computes each product once.
     y00 and y11 are read as they are, and t' as the product 1 t', which
     has the validity of y01 = pi^u b' t' and is normalized as y01 is; so
-    a digit the precision cannot decide raises here as in `kappa_key`
-    (`test_undecidable_discriminant_raises`)."""
+    a digit the precision cannot decide raises here, as it does when the
+    key is read off y as a `Mat` (the tests' `kappa_key`;
+    `test_undecidable_discriminant_raises`)."""
     if form.kind != "orthogonal":
         raise DomainError("the closed form of y needs the orthogonal twist")
     ctx = data.ctx
@@ -291,7 +266,7 @@ def orbit_strata(data, form, x: Mat):
             if dead is not None:  # one record, at b = pi^(-j)
                 out.append(Coset(i, j, classes[0],
                                  (q - 1) * q ** (j - 1) if j else 1,
-                                 None, dead, x))
+                                 None, dead))
                 continue
             for digits in classes:
                 key = None
@@ -305,7 +280,7 @@ def orbit_strata(data, form, x: Mat):
                                 .residue_digits(m)
                         d01 = _y01_digits(ctx, u, digits[:m], t_digits[m])
                     key = ((d00, d01, zeros, d11), parity)
-                out.append(Coset(i, j, digits, q ** (j - n), key, None, x))
+                out.append(Coset(i, j, digits, q ** (j - n), key, None))
     return out
 
 

@@ -562,12 +562,6 @@ class SquareClassSet:
     card_field: int
     card_units: int
 
-    def class_index(self, x: Elem) -> int:
-        for i, r in enumerate(self.reps):
-            if is_square(x / r):
-                return i
-        raise DomainError("element matched no square class")
-
 
 def _unit_square_level(ctx: LocalFieldCtx) -> int:
     ord2 = ctx.e * _vp(2, ctx.p) if ctx.p == 2 else 0

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import PrecisionExhausted, Singular
+from .errors import Singular
 from .localfield import INF, Elem, LocalFieldCtx
 
 
@@ -45,32 +45,6 @@ class Mat:
         z = ctx.zero()
         return Mat(ctx, [[entries[i] if i == j else z for j in range(n)]
                          for i in range(n)])
-
-    @staticmethod
-    def random(ctx: LocalFieldCtx, n: int, rng, vmin: int = -2, vmax: int = 3,
-               invertible: bool = True) -> "Mat":
-        while True:
-            m = Mat(ctx, [[ctx.random_elem(rng, vmin, vmax) for _ in range(n)]
-                          for _ in range(n)])
-            if not invertible:
-                return m
-            try:
-                if m.det().val is not INF:
-                    return m
-            except PrecisionExhausted:
-                continue
-
-    @staticmethod
-    def random_integral(ctx: LocalFieldCtx, n: int, rng,
-                        unit_det: bool = False) -> "Mat":
-        while True:
-            m = Mat(ctx, [[ctx.random_elem(rng, 0, 4) for _ in range(n)]
-                          for _ in range(n)])
-            d = m.det().val
-            if d is INF:
-                continue
-            if not unit_det or d == 0:
-                return m
 
     # -- basics ---------------------------------------------------------------
 
@@ -188,10 +162,6 @@ class Mat:
 
     def __hash__(self):
         return hash(tuple(a._key() for r in self.rows for a in r))
-
-    def residue_key(self, m: int):
-        """Digit tuples of all entries mod pi^m (entries must be integral)."""
-        return tuple(a.residue_digits(m) for r in self.rows for a in r)
 
     def to_digit_lists(self, count: int = 8):
         return [[(x.val, x.unit_digits(count)) if x.val is not INF else (None, ())

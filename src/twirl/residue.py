@@ -60,15 +60,6 @@ class LaurentData:
     q: int
     terms: list  # LaurentTerm, ascending s_power
 
-    def principal(self):
-        return [t for t in self.terms if t.s_power < 0]
-
-    def residue(self) -> CharacterValue | None:
-        for t in self.terms:
-            if t.s_power == -1:
-                return t.value
-        return None
-
     def eval_float(self, s: float) -> complex:
         lq = math.log(self.q)
         return sum(t.value.complex() * lq**t.lnq_power * s**t.s_power

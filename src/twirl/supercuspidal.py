@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .cyclotomic import CharacterValue
 from .errors import DomainError
 from .integrator import _preimage_inverse, orbit_strata
 from .localfield import INF, Elem, LocalFieldCtx, additive_char
-from .matlattice import GroupForm, Mat, mat_ord, vdash
+from .matlattice import GroupForm, Mat, a_e, mat_ord, n_b, vdash
 from .ringvec import ResidueRing, iter_gl2
 from .twisted import TorusElem, is_eps_symmetric
 from .twisted import norm_preimage  # unused; a tracer lookup point of perfbench/spans.py
@@ -148,7 +146,8 @@ class CuspidalData:
     def kappa_average(self, key, form: GroupForm) -> CharacterValue:
         """Exact integral over kappa in K = GL_2(O) of f(kappa y kappa^vdash)
         with vol(K) = 1, for integral y and the orthogonal twist, at the
-        key `kappa_key(y, residue_level)` of y.
+        key of y: the digit tuples of its entries mod pi^residue_level
+        and the parity of ord det y (`Coset.key`).
 
         Why one level and a character sum over GL_2(O/pi) suffice:
         - f(X) depends only on X mod pi^2 once the parity of ord det X is
@@ -200,10 +199,15 @@ class CuspidalData:
           divides N, and N = p (N div p) = pi (p/pi) (N div p), so
           X/pi = T_k y1 + (N div p)(p/pi) mod pi, which reads p/pi only
           mod pi.  ord(p/pi) = e - 1, so p/pi mod pi is 0 unless e = 1.
-          The carry (N div p)(p/pi mod pi) moves an exponent only at
-          p = 2, e = 1 (below, no exponent is read at odd p), a field this
-          integrand refuses; the pass stays right there, and the tests
-          check it there.
+          At e = 1 the carry (N div p)(p/pi mod pi) is part of the
+          counts: at odd p it decides which parity-1 rows pass
+          t = 0 mod pi (at p = 3, y = [[1, 2], [2, 1]] has y1 = 0, so
+          x10/pi is the carry alone, and without it no parity-1 row
+          passes).  It moves no value at odd p, where every kept row
+          spreads evenly (below), and it would move an exponent at
+          p = 2, e = 1, a field this integrand refuses.  The tests hold
+          the counts, carry included, to the enumeration at p = 2, 3 and
+          5 over x - p.
         - So a miss is one pass over GL_2(O/pi) with a few integer
           operations per row (`_coset_counts`), and the orbit is never
           listed; the counts are those of f over GL_2(O/pi) x W.
@@ -213,12 +217,11 @@ class CuspidalData:
         pass, run at p = 2 and kept as the tests' odd-p check of that
         zero.  At p = 2 the value depends only on y mod pi^2 and the
         parity of ord det y, which is the key: the G/T walk reads it off
-        each `orbit_strata` record without building y, and a caller that
-        holds a y takes `kappa_key(y, 2)`.  A miss runs the pass in plain
-        integers on the digits of the key, over the GL_2(F_p) rows of
-        `_pass_table`.  `kappa_average_oracle`
-        enumerates all of GL_2(O/pi^level) instead, and the tests hold the
-        two equal."""
+        each `orbit_strata` record without building y.  A miss runs the
+        pass in plain integers on the digits of the key, over the
+        GL_2(F_p) rows of `_pass_table`.  The test oracle
+        `kappa_average_oracle` (`tests/kappa_oracle.py`) enumerates all of
+        GL_2(O/pi^level) instead, and the tests hold the two equal."""
         if self.kappa_vanishes(form):
             return CharacterValue.zero(self.p)
         got = self._avg_cache.get(key)
@@ -236,117 +239,37 @@ class CuspidalData:
         return self._table
 
     def _kappa_average_coset(self, digits, parity: int) -> CharacterValue:
-        """The pass `_coset_counts` for the y with `y.residue_key(2)` =
-        digits."""
+        """The pass `_coset_counts` for the y whose entries have the
+        digit tuples `digits` mod pi^2."""
         counts, total = _coset_counts(self._pass_table(), digits, parity)
         return CharacterValue.from_exponent_counts(self.p, counts, total)
-
-    def kappa_average_oracle(self, y: Mat, level: int) -> CharacterValue:
-        """The same integral by enumerating all of GL_2(O/pi^level),
-        orthogonal twist; any level >= 2 gives the exact value.  Kept as
-        the test oracle for `kappa_average`."""
-        ring = ResidueRing(self.ctx, level)
-        counts, total = _oracle_counts(ring, _residues(ring, y),
-                                       y.det().val % 2)
-        return CharacterValue.from_exponent_counts(self.p, counts, total)
-
-
-# -- f on residue matrices: the enumeration oracles ----------------------------
-#
-# A residue matrix is the tuple (x00, x01, x10, x11) of coefficient arrays of
-# shape (..., e); leading shapes broadcast.  `kappa_average_oracle` and the
-# tests evaluate f here, on all of GL_2(O/pi^level); the K-average pass
-# below never does.
-
-
-def _residues(ring: ResidueRing, x: Mat):
-    return tuple(ring.from_elem(v) for row in x.rows for v in row)
-
-
-def _mat_mul(ring: ResidueRing, m, n):
-    m00, m01, m10, m11 = m
-    n00, n01, n10, n11 = n
-
-    def dot(u, v, s, t):
-        return ring.add(ring.mul(u, v), ring.mul(s, t))
-
-    return (dot(m00, n00, m01, n10), dot(m00, n01, m01, n11),
-            dot(m10, n00, m11, n10), dot(m10, n01, m11, n11))
-
-
-def _vdash(m):
-    """The orthogonal twisted transpose w m^t w = [[d, b], [c, a]]."""
-    a, b, c, d = m
-    return (d, b, c, a)
-
-
-def _twist(ring: ResidueRing, k, y):
-    """k Y k^vdash."""
-    return _mat_mul(ring, _mat_mul(ring, k, y), _vdash(k))
-
-
-def _support_mod_pi(x, parity: int):
-    """The part of f's support test that reads X mod pi only, on the
-    entries (x00, x01, x10, x11) of X mod pi (ints, or arrays for a mask):
-    it holds wherever the mask of `_f_on_residues` does.  Parity 0 needs
-    x00 != 0, x10 = 0 and x11 = x00; parity 1 needs x00 = x10 = x11 = 0
-    and x01 != 0."""
-    x00, x01, x10, x11 = x
-    if parity:
-        return (x00 == 0) & (x10 == 0) & (x11 == 0) & (x01 != 0)
-    return (x00 != 0) & (x10 == 0) & (x11 == x00)
-
-
-def _f_on_residues(ring: ResidueRing, x, parity: int):
-    """f on residue matrices X whose ord det has the given parity; reads
-    X mod pi^2 only.  Returns (support mask, Lambda_1 exponents mod p); the
-    exponents mean something only where the mask holds."""
-    p = ring.p
-    x00, x01, x10, x11 = x
-    live = True
-    if parity:
-        # X <- pi_E^(-1) X = [[x10/pi, x11/pi], [x00, x01]]
-        live = ring.divisible_by_pi(x10) & ring.divisible_by_pi(x11)
-        x00, x01, x10, x11 = ring.div_pi(x10), ring.div_pi(x11), x00, x01
-    # X = r h with h in I_1 forces r = x00 mod pi; then
-    # Lambda_1(h01 + h10/pi) = Lambda_1((x01 + x10/pi) / r)
-    r = ring.residue_mod_p(x00)
-    mask = (live & (r != 0) & ring.divisible_by_pi(x10)
-            & (ring.residue_mod_p(x11) == r))
-    arg = ring.residue_mod_p(ring.add(x01, ring.div_pi(x10)))
-    inverses = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
-    return mask, (arg * inverses[r]) % p
-
-
-def _count_f(ring: ResidueRing, k, y_res, parity: int, counts) -> int:
-    """Add the Lambda_1 exponents of f(k Y k^vdash) over the rows of k to
-    `counts`; return the number of rows."""
-    mask, exps = _f_on_residues(ring, _twist(ring, k, y_res), parity)
-    counts += np.bincount(exps[mask], minlength=ring.p)
-    return mask.size
-
-
-def _oracle_counts(ring: ResidueRing, y_res, parity: int):
-    """(Lambda_1 exponent counts, rows) of f over all of
-    GL_2(O/pi^ring.s)."""
-    counts = np.zeros(ring.p, dtype=np.int64)
-    total = 0
-    for k in iter_gl2(ring.s, ring):
-        total += _count_f(ring, k, y_res, parity, counts)
-    return counts.tolist(), total
 
 
 # -- the K-average pass over GL_2(F_p) ------------------------------------------
 #
 # Plain integers: y mod pi^2 is the digit tuples (y0, y1) of its key, k in
 # GL_2(F_p) a digit row (a, b, c, d) of the `PassTable`, and every other
-# quantity an integer read mod p (`CuspidalData.kappa_average`).
+# quantity an integer read mod p (`CuspidalData.kappa_average`).  The
+# enumeration of f over all of GL_2(O/pi^level), the pass's oracle, is in
+# `tests/kappa_oracle.py`.
+
+
+def _support_mod_pi(x, parity: int):
+    """The part of f's support test that reads X mod pi only, on the
+    entries (x00, x01, x10, x11) of X mod pi (ints, or arrays for a mask):
+    it holds wherever f is nonzero (the mask of the oracle's
+    `_f_on_residues`).  Parity 0 needs x00 != 0, x10 = 0 and x11 = x00;
+    parity 1 needs x00 = x10 = x11 = 0 and x01 != 0."""
+    x00, x01, x10, x11 = x
+    if parity:
+        return (x00 == 0) & (x10 == 0) & (x11 == 0) & (x01 != 0)
+    return (x00 != 0) & (x10 == 0) & (x11 == x00)
 
 
 class PassTable(NamedTuple):
     """What the K-average pass reads of O/pi^2, in plain ints: p, p/pi
     mod pi (0 unless e = 1), and the digit rows (a, b, c, d) of GL_2(F_p)
-    in the order of `iter_gl2(1, .)`."""
+    in the order of `iter_gl2`."""
 
     p: int
     pop: int
@@ -355,16 +278,16 @@ class PassTable(NamedTuple):
 
 def pass_table(ring: ResidueRing) -> PassTable:
     """The `PassTable` of `ring`, its rows read once from
-    `iter_gl2(1, ring)`: a level-1 entry has the digit as its coefficient
+    `iter_gl2(ring)`: a level-1 entry has the digit as its coefficient
     at pi^0.  p/pi mod pi is the coefficient of p/pi at pi^0, mod p."""
-    rows = [row for chunk in iter_gl2(1, ring)
+    rows = [row for chunk in iter_gl2(ring)
             for row in zip(*(z[:, 0].tolist() for z in chunk))]
     return PassTable(ring.p, int(ring.p_over_pi[0]) % ring.p, rows)
 
 
 def _kept_rows(table: PassTable, digits, parity: int):
     """The kept rows of one pass over the digit rows k = (a, b, c, d) of
-    GL_2(F_p), in the order of `iter_gl2(1, .)`, for the y whose digit
+    GL_2(F_p), in the order of `iter_gl2`, for the y whose digit
     tuples mod pi^2 are `digits` (the key's).  X = k y k^vdash is T_k y,
     with T_k the 4 x 4 matrix of v -> k v k^vdash on v = (v00, v01, v10,
     v11); N = T_k y0 is the integer vector of the first digits y0, X = N
@@ -474,9 +397,6 @@ class ScanReport:
     strata: list
     kappa_level: int
 
-    def found(self) -> bool:
-        return self.witness is not None
-
     def to_json(self):
         return {
             "regime": self.regime,
@@ -542,7 +462,8 @@ def support_scan(data: CuspidalData, form: GroupForm,
         kappa_level = data.residue_level
         kap = _kappa_witness(data, c.key)
         strata.append(ScanStratum(c.i, c.j, c.digits, "witness"))
-        gw = kap * c.g0
+        g0 = n_b(ctx, ctx.from_digits(-c.j, c.digits)) * a_e(ctx, c.i)
+        gw = kap * g0
         witness = {
             "i": c.i,
             "b_level": c.j,
@@ -561,13 +482,13 @@ def support_scan(data: CuspidalData, form: GroupForm,
 
 
 def _kappa_witness(data: CuspidalData, key) -> Mat:
-    """The first kappa mod pi^2 (the digit order of `iter_gl2(2, .)`) with
+    """The first kappa mod pi^2 (in the digit order of GL_2(O/pi^2)) with
     f(kappa y kappa^vdash) != 0, for the y of a live `orbit_strata`
     record, given by the record's key: the first row of GL_2(F_p) that
     the K-average pass keeps at parity 0 (`_kept_rows`), lifted.  Every
     live record has ord det y = 0 (`support_scan`); at parity 0 f's
     support test is `_support_mod_pi`, which reads kappa mod pi only, and
-    f is a root of unity on its support.  `from_digit_grid` lists the
+    f is a root of unity on its support.  That order lists the
     single-digit lifts first, so the first witness mod pi^2 is the lift
     of the first kept row; kappa = 1 is kept, so that row exists."""
     ctx = data.ctx

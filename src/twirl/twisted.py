@@ -29,9 +29,6 @@ class TorusElem:
     def matrix(self) -> Mat:
         return Mat.diag(self.ctx, [self.alpha, self.alpha.inverse()])
 
-    def __repr__(self):
-        return f"TorusElem(alpha={self.alpha})"
-
 
 def norm_preimage(gamma: TorusElem, form: GroupForm) -> Mat:
     """S(gamma) = w J^(-1) (gamma - 1), the preimage of the class of gamma

@@ -11,7 +11,7 @@ class IntegralIndicator:
     """Test function: characteristic function of M_2(O) with unit
     determinant; K-twisted-conjugation invariant, so its K-average is a
     membership bit.  Like `CuspidalData`, it takes the K-average at the
-    key of y (`integrator.kappa_key`), which it does not read: the
+    key of y (`integrator.Coset.key`), which it does not read: the
     prefilter has already settled the bit."""
 
     detval_support = frozenset((0,))

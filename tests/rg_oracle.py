@@ -10,8 +10,10 @@ from fractions import Fraction
 
 from twirl import integrator
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import kappa_key, regular_preimage
+from twirl.integrator import regular_preimage
 from twirl.matlattice import mat_ord
+
+from kappa_oracle import kappa_key
 
 
 def rg_term(data, form, trunc) -> CharacterValue:

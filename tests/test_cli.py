@@ -101,7 +101,7 @@ def test_dtwist_refuses_undecided_trace(odd_cfg, tmp_path, capsys):
 @pytest.mark.parametrize("alpha, code, text", [
     ("1+pi^12", 1, "kernel dim 3"),
     ("1+pi^13", 1, "kernel dim 3"),
-    ("1", 1, "error: gamma - 1 is singular\n"),
+    ("1", 1, "error: alpha = 1: gamma - 1 is singular\n"),
     ("-1", 0, '{\n  "abs_value_q_exponent": "0",\n  "alpha": "-1",\n'
               '  "kernel_dim": 1,\n  "regular": true\n}\n'),
 ], ids=["1+pi^12", "1+pi^13", "1", "-1"])
@@ -270,6 +270,41 @@ def test_zero_denominator_alpha_exit_code(request, capsys, command, cfg):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: zero denominator in element factor '3/0'\n"
+
+
+_TRACE_0 = ("trace x0 + x1 reads 0 at precision 30: x is not regular, or "
+            "the precision cannot decide the trace")
+
+
+@pytest.mark.parametrize("workload, command, alpha, err", [
+    ("even-p2-residue", "support-scan", "1+pi^40",
+     f"alpha = 1+pi^40: {_TRACE_0}"),
+    ("even-p2-residue", "psik", "1+pi^40", f"alpha = 1+pi^40: {_TRACE_0}"),
+    ("even-p2-residue", "dtwist", "1+pi^40",
+     "twisted discriminant of S(gamma)^(-1) at alpha = 1+pi^40, "
+     "precision 30: kernel dim 3"),
+    ("odd-p5-residue", "support-scan", "1+pi^40",
+     "alpha = 1+pi^40: gamma - 1 is singular"),
+    ("odd-p5-residue", "dtwist", "1+pi^40",
+     "alpha = 1+pi^40: gamma - 1 is singular"),
+    ("odd-p5-residue", "psik", "1+pi^40",
+     "gamma must be regular at alpha = 1+pi^40"),
+] + [(workload, command, "0", "alpha = 0: inverse of zero")
+     for workload in ("even-p2-residue", "odd-p5-residue")
+     for command in ("support-scan", "dtwist", "psik")])
+def test_alpha_error_names_the_alpha(tmp_path, capsys, workload, command,
+                                     alpha, err):
+    """An error of `support-scan`, `dtwist` or `psik` after the parse is
+    one `error:` line, exit 1, that names `alpha = <text>` exactly once,
+    on the benchmark configs.  1 + pi^40 reads as 1 at precision 18 (p =
+    5), and at p = 2 its trace reads 0 at precision 30; alpha = 0 is not
+    in the torus."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BENCH_WORKLOADS[workload].config)
+    assert cli.main([command, "--config", str(cfg), f"--alpha={alpha}"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {err}\n")
+    assert out.err.count(f"alpha = {alpha}") == 1
 
 
 @pytest.mark.parametrize("old, new", [

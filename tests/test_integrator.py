@@ -28,13 +28,14 @@ from twirl import (
 )
 from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import (_delta_totals, kappa_key, orbit_strata,
-                              regular_preimage, torus_strata)
+from twirl.integrator import (_delta_totals, orbit_strata, regular_preimage,
+                              torus_strata)
 from twirl.localfield import unit_digit_tuples
 from twirl.matlattice import a_e, n_b, vdash
 
 from coset_walk import coset_strata
 from integrands import IntegralIndicator, NonIntegralIndicator
+from kappa_oracle import coset_y, kappa_average_oracle, kappa_key
 import residue_oracle as oracle
 from rg_oracle import rg_term
 import twisted_oracles
@@ -122,7 +123,8 @@ def test_orbit_strata_shape_even():
     assert {s.j for s in live} == {0, 1, 2, 3}
     # Delta_1 of the coset representative is i - j
     for s in live:
-        assert delta(s.g0, 1) == s.i - s.j
+        g0 = n_b(c, c.from_digits(-s.j, s.digits)) * a_e(c, s.i)
+        assert delta(g0, 1) == s.i - s.j
     # interior strata away from the two deepest levels average to 1
     for s in live:
         if s.j <= s.i - 2:
@@ -273,7 +275,7 @@ def test_level_walk_matches_coset_walk():
                     y_at = {r.digits: r.y for r in cosets}
                     for r in records:
                         pad = (0,) * (j - len(r.digits))
-                        assert r.y == y_at[r.digits + pad], where
+                        assert coset_y(r, x) == y_at[r.digits + pad], where
                     if verdicts != {None}:
                         continue
                     lvl = data.residue_level
@@ -327,7 +329,7 @@ def test_record_key_matches_the_coset_walk(field, depth):
             if p == 2 and key not in averaged:
                 averaged.add(key)
                 assert data.kappa_average(key, form) == \
-                    data.kappa_average_oracle(cos.y, 2), (eis, key)
+                    kappa_average_oracle(data, cos.y, 2), (eis, key)
     assert cosets and (p != 2 or len(averaged) > 1)
 
 

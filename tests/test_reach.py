@@ -1,8 +1,12 @@
-"""Every public top-level function or class of `twirl` is reached by the
-library itself (the pipeline or the CLI) or is a test oracle of a fast
-path.  The scan is syntactic: a name counts as reached when some
-module of the package other than `__init__` names it outside its own
-definition."""
+"""`src/twirl` is the code a run executes.
+
+Syntactically, every public top-level function or class of `twirl` is
+reached by the library itself (the pipeline or the CLI) or is a test
+oracle of a fast path: a name counts as reached when some module of the
+package other than `__init__` names it outside its own definition.  At
+run time, every function of the package, private and nested ones too,
+runs in some CLI run of `reach_profile.py`, or is in `KEPT` with its
+reason."""
 
 import ast
 import pathlib
@@ -11,8 +15,6 @@ import twirl
 
 # oracle -> the fast path it checks
 ORACLES = {
-    "kappa_key": "integrator.orbit_strata, whose records carry the key "
-                 "read off digits, with no Mat built",
     "symplectic_form": "the orthogonal-only closed forms "
                        "(twisted_discriminant, orbit_strata), which must "
                        "refuse the paper's symplectic case",
@@ -60,3 +62,71 @@ def test_every_public_name_is_reached_or_an_oracle():
     unreached = sorted(f"{defs[n][0]}.{n}" for n in set(defs) - reached
                        - set(ORACLES))
     assert unreached == []
+
+
+# The functions of `src/twirl` that no run of `reach_profile` calls, each
+# with why it stays.  (a) perfbench reads it; (b) a method of a value type
+# that the tests, oracles or demos call; (c) the paper's symplectic case;
+# (d) read by the per-stratum tables the p = 2 closed form will print.
+_PERFBENCH = "(a) perfbench/job.py probes it"
+_TRACER = "(a) a lookup point of perfbench/spans.py"
+_VALUE = "(b) the tests, oracles or demos call it"
+_REPR = "(b) pytest prints it in the report of a failing assertion"
+KEPT = {
+    "localfield.LocalFieldCtx.random_elem": _PERFBENCH,
+    "localfield.LocalFieldCtx.random_unit": _PERFBENCH,
+    "ringvec.ResidueRing.mul": _PERFBENCH,
+    "twisted.norm_preimage": _TRACER,
+    "cyclotomic.CharacterValue.__mul__": _VALUE,
+    "cyclotomic.CharacterValue.__str__": _VALUE,
+    "cyclotomic.CharacterValue.one": _VALUE,
+    "cyclotomic.CharacterValue.rational": _VALUE,
+    "cyclotomic.CharacterValue.rational_part": _VALUE,
+    "localfield.Elem.__hash__": _VALUE,
+    "localfield.Elem.__pow__": _VALUE,
+    "localfield.Elem.__repr__": _REPR,
+    "localfield.Elem.__str__": _VALUE,
+    "localfield.LocalFieldCtx.__repr__": _VALUE,
+    "matlattice.Mat.__add__": _VALUE,
+    "matlattice.Mat.__hash__": "(b) keeps the value type hashable beside "
+                               "its __eq__; nothing hashes a Mat yet",
+    "matlattice.Mat.__neg__": _VALUE,
+    "matlattice.Mat.__repr__": _VALUE,
+    "matlattice.Mat.__sub__": _VALUE,
+    "matlattice.Mat._gauss": "(b) det at n = 4, and the symplectic vdash "
+                             "through Mat.inverse",
+    "matlattice.Mat.column": _VALUE,
+    "matlattice.Mat.from_ints": _VALUE,
+    "matlattice.Mat.inverse": "(b) the symplectic vdash, and the tests' "
+                              "S(gamma)^(-1)",
+    "matlattice.Mat.zero": _VALUE,
+    "twisted.TorusElem.matrix": _VALUE,
+    "matlattice.antidiag_u": "(c) the symplectic form",
+    "matlattice.symplectic_form": "(c) which the orthogonal-only closed "
+                                  "forms must refuse",
+    "integrator.CoefficientTable.per_stratum": "(d)",
+    "integrator.CoefficientTable.per_e_increments": "(d)",
+}
+
+
+def test_every_src_function_runs_or_is_kept():
+    """Every function of `src/twirl` runs in some CLI run of
+    `tests/reach_profile.py`, or is in `KEPT` with its reason: a function
+    only the tests call lives in `tests/`, and a kept one that starts to
+    run, or stops being kept, fails here."""
+    from reach_profile import never_called
+
+    assert sorted(never_called()) == sorted(KEPT)
+
+
+def test_supercuspidal_imports_no_numpy():
+    """The test function and its K-average pass run on plain ints: numpy
+    enters a run only through `ringvec`, for the GL_2(F_p) table."""
+    from twirl import supercuspidal
+
+    tree = ast.parse(pathlib.Path(supercuspidal.__file__).read_text())
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names}
+    modules |= {n.module for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom)}
+    assert not any(m and m.split(".")[0] == "numpy" for m in modules)

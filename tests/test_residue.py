@@ -14,6 +14,19 @@ def q2(x):
     return CharacterValue.rational(2, Fraction(x))
 
 
+def principal(laur):
+    """The terms of `laur` at negative powers of s."""
+    return [t for t in laur.terms if t.s_power < 0]
+
+
+def residue(laur):
+    """The s^-1 coefficient of `laur`, or None when it has none."""
+    for t in laur.terms:
+        if t.s_power == -1:
+            return t.value
+    return None
+
+
 def test_fit_linear():
     coeffs = [q2(4 * k + 1) for k in range(8)]
     poly, k0 = oracle.fit_polynomial(coeffs, 1)
@@ -68,11 +81,11 @@ def test_laurent_benchmark():
         rs = RationalSeries((q2(1),), 1)
         for laur in (laurent_at_zero(q2(1), q2(0), n, q),
                      oracle.laurent_at_zero(rs, n, q)):
-            princ = laur.principal()
+            princ = principal(laur)
             assert len(princ) == 1
             t = princ[0]
             assert t.s_power == -1 and t.lnq_power == -1
-            assert t.value == q2(Fraction(1, 2 * n)) == laur.residue()
+            assert t.value == q2(Fraction(1, 2 * n)) == residue(laur)
             assert spot_check(rs, laur, n, q) <= 1e-6
 
 
@@ -85,15 +98,15 @@ def test_laurent_double_pole():
         lead = [t for t in laur.terms if t.s_power == -2]
         assert len(lead) == 1
         assert lead[0].value == q2(Fraction(1, 16)) and lead[0].lnq_power == -2
-        assert laur.residue() is None
+        assert residue(laur) is None
         assert spot_check(rs, laur, 2, 5) <= 1e-6
 
 
 def test_laurent_polynomial_no_principal():
     rs = RationalSeries((q2(3), q2(5)), 0)
     laur = oracle.laurent_at_zero(rs, 2, 5)
-    assert laur.principal() == []
-    assert laur.residue() is None
+    assert principal(laur) == []
+    assert residue(laur) is None
 
 
 def test_head_shift_preserves_principal_part():
@@ -104,8 +117,9 @@ def test_head_shift_preserves_principal_part():
     poly, k0 = oracle.fit_polynomial(shifted, 1)
     rs2 = oracle.closed_form(poly, k0, shifted[:k0])
     laur2 = oracle.laurent_at_zero(rs2, 2, 5)
-    princ1 = {(t.s_power, t.lnq_power): t.value for t in rep.laurent.principal()}
-    princ2 = {(t.s_power, t.lnq_power): t.value for t in laur2.principal()}
+    princ1 = {(t.s_power, t.lnq_power): t.value
+              for t in principal(rep.laurent)}
+    princ2 = {(t.s_power, t.lnq_power): t.value for t in principal(laur2)}
     assert princ1 == princ2
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from twirl import make_field
-from twirl.ringvec import ResidueRing, iter_gl2
+from twirl.ringvec import iter_gl2
+
+from kappa_oracle import OracleRing, _gl2_chunks
 
 
 @pytest.mark.parametrize("p, e, eis, level", [
@@ -13,13 +15,15 @@ from twirl.ringvec import ResidueRing, iter_gl2
     (5, 1, (-5, 1), 2),
 ])
 def test_iter_gl2_rows(p, e, eis, level):
-    """iter_gl2 yields each element of GL_2(O/pi^level) once, with a unit
+    """`iter_gl2` (level 1) and the oracle's `_gl2_chunks` (higher
+    levels) yield each element of GL_2(O/pi^level) once, with a unit
     determinant, in strictly increasing lexicographic digit-index order."""
     ctx = make_field(p, e, eis, 16)
-    ring = ResidueRing(ctx, max(level, 2))
+    ring = OracleRing(ctx, max(level, 2))
     index = {tuple(r): i for i, r in enumerate(ring.from_digit_grid(level))}
     keys = []
-    for a, b, c, d in iter_gl2(level, ring):
+    chunks = iter_gl2(ring) if level == 1 else _gl2_chunks(level, ring)
+    for a, b, c, d in chunks:
         det = ring.sub(ring.mul(a, d), ring.mul(b, c))
         assert ring.is_unit(det).all()
         keys.extend(tuple(index[tuple(z[i])] for z in (a, b, c, d))
@@ -34,11 +38,10 @@ def test_iter_gl2_rows(p, e, eis, level):
                          ids=["x2-2", "x-3", "x-5", "x-7"])
 def test_gl2_fp_chunks_match_the_digit_grid(monkeypatch, p, e, eis):
     """GL_2(F_p), built whole from `itertools.product` rows
-    (`_gl2_fp_chunks`), equals the level-1 chunks of the digit-grid route
-    `_gl2_chunks(1, .)` array for array, in dtype and shape: p chunks and
-    |GL_2(F_p)| rows in all.  The ring keeps nothing: every read of
-    `iter_gl2(1, .)` builds the table, an abandoned one too, and higher
-    levels stream from `_gl2_chunks` on every read."""
+    (`_gl2_fp_chunks`), equals the level-1 chunks of the oracle's
+    digit-grid route `_gl2_chunks(1, .)` array for array, in dtype and
+    shape: p chunks and |GL_2(F_p)| rows in all.  The ring keeps nothing:
+    every read of `iter_gl2` builds the table, an abandoned one too."""
     from twirl import ringvec
 
     builds = []
@@ -49,16 +52,14 @@ def test_gl2_fp_chunks_match_the_digit_grid(monkeypatch, p, e, eis):
             return fn(*args)
         return wrapper
 
-    ring = ResidueRing(make_field(p, e, eis, 16), 2)
-    grid = list(ringvec._gl2_chunks(1, ring))
+    ring = OracleRing(make_field(p, e, eis, 16), 2)
+    grid = list(_gl2_chunks(1, ring))
     monkeypatch.setattr(ringvec, "_gl2_fp_chunks",
                         counted(1, ringvec._gl2_fp_chunks))
-    monkeypatch.setattr(ringvec, "_gl2_chunks",
-                        counted(2, ringvec._gl2_chunks))
-    gen = iter_gl2(1, ring)
+    gen = iter_gl2(ring)
     next(gen)
     gen.close()
-    chunks = list(iter_gl2(1, ring))
+    chunks = list(iter_gl2(ring))
     assert len(grid) == len(chunks) == p
     assert sum(chunk[0].shape[0] for chunk in chunks) == \
         (p * p - 1) * (p * p - p)
@@ -66,6 +67,4 @@ def test_gl2_fp_chunks_match_the_digit_grid(monkeypatch, p, e, eis):
         for a, b in zip(u, v):
             assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
             assert (a == b).all()
-    next(iter_gl2(2, ring))
-    next(iter_gl2(2, ring))
-    assert builds == [1, 1, 2, 2]
+    assert builds == [1, 1]

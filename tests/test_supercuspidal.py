@@ -26,23 +26,21 @@ from twirl import (
 )
 from twirl import supercuspidal
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import _preimage_inverse, kappa_key, orbit_strata
-from twirl.ringvec import ResidueRing, iter_gl2
+from twirl.integrator import _preimage_inverse, orbit_strata
 from twirl.supercuspidal import (
     _classify_regime,
     _coset_counts,
-    _count_f,
-    _f_on_residues,
-    _mat_mul,
-    _oracle_counts,
-    _residues,
     _support_mod_pi,
-    _vdash,
     pass_table,
     pi_e_inverse_power,
 )
 
 from coset_walk import coset_strata
+from kappa_oracle import (OracleRing, _count_f, _f_on_residues, _gl2_chunks,
+                          _mat_mul, _oracle_counts, _residues, _vdash,
+                          coset_y, kappa_average_oracle, kappa_key,
+                          residue_key)
+from random_mats import random_integral
 from witness_oracle import kappa_witness_oracle, lift
 
 
@@ -249,7 +247,7 @@ def test_kappa_average_matches_bruteforce():
         g0 = n_b(c, b) * a_e(c, 2)
         y = g0 * x * vdash(g0, form)
         want = brute(y, 2)
-        assert data.kappa_average_oracle(y, 2) == want
+        assert kappa_average_oracle(data, y, 2) == want
         assert data.kappa_average(kappa_key(y, 2), form) == want
 
 
@@ -261,9 +259,9 @@ def test_kappa_average_level_stability():
     form = orthogonal_form(c, 2)
     alpha = c.one() + c.pi(2)
     y = norm_preimage(TorusElem(alpha), form).inverse().shift(2)
-    v2 = data.kappa_average_oracle(y, 2)
-    assert v2 == data.kappa_average_oracle(y, 3)
-    assert v2 == data.kappa_average_oracle(y, 4)
+    v2 = kappa_average_oracle(data, y, 2)
+    assert v2 == kappa_average_oracle(data, y, 3)
+    assert v2 == kappa_average_oracle(data, y, 4)
     assert v2 == data.kappa_average(kappa_key(y, 2), form)
 
 
@@ -294,34 +292,32 @@ def test_kappa_average_matches_oracle_on_live_strata(mk, specs):
     live = []
     for spec in specs:
         gamma = TorusElem(parse_elem(c, spec))
-        live += [r for r in orbit_strata(data, form,
-                                         _preimage_inverse(gamma, form))
+        x = _preimage_inverse(gamma, form)
+        live += [(r, coset_y(r, x)) for r in orbit_strata(data, form, x)
                  if r.dead is None]
         orbit_weight_integral(data, form, gamma, range(1))
     assert live
     assert data.seen == ([] if data.kappa_vanishes(form)
-                         else [r.key for r in live])
+                         else [r.key for r, _y in live])
     fresh = CuspidalData(c)
-    for r in live:
-        assert r.key == kappa_key(r.y, 2)
+    for r, y in live:
+        assert r.key == kappa_key(y, 2)
         assert fresh.kappa_average(r.key, form) == \
-            data.kappa_average_oracle(r.y, 2)
+            kappa_average_oracle(data, y, 2)
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5, ctx7])
 def test_pass_table_rows_follow_iter_gl2(mk):
     """The plain-int rows of `pass_table` are the digit rows of
-    `iter_gl2(1, .)` in its order, which are those of the digit-grid
-    route `_gl2_chunks(1, .)`: |GL_2(F_p)| rows in all.  The table holds
-    p, p/pi mod pi (1 over x - p, 0 over x^2 - 2) and the rows, and
-    nothing else."""
-    from twirl import ringvec
-
+    `iter_gl2` in its order, which are those of the digit-grid route
+    `_gl2_chunks(1, .)` of the oracle: |GL_2(F_p)| rows in all.  The
+    table holds p, p/pi mod pi (1 over x - p, 0 over x^2 - 2) and the
+    rows, and nothing else."""
     c = mk()
     p = c.p
-    ring = ResidueRing(c, 2)
+    ring = OracleRing(c, 2)
     rows = [tuple(int(z[n, 0]) for z in chunk)
-            for chunk in ringvec._gl2_chunks(1, ring)
+            for chunk in _gl2_chunks(1, ring)
             for n in range(chunk[0].shape[0])]
     table = pass_table(ring)
     assert table.rows == rows
@@ -340,11 +336,11 @@ def test_kappa_average_odd_piece_matches_level_three(mk, count):
     rng = random.Random(11)
     ys = [pi_e_matrix(c)]
     while len(ys) < count:
-        y = Mat.random_integral(c, 2, rng)
+        y = random_integral(c, 2, rng)
         if y.det().val == 1:
             ys.append(y)
     values = [data.kappa_average(kappa_key(y, 2), form) for y in ys]
-    assert values == [data.kappa_average_oracle(y, 3) for y in ys]
+    assert values == [kappa_average_oracle(data, y, 3) for y in ys]
     if c.p == 2:
         assert values[0] == CharacterValue.rational(2, Fraction(1, 3))
 
@@ -354,18 +350,18 @@ def test_n_orbit_matches_conjugation(mk):
     """y + pi Im L_y is exactly {n y n^vdash mod pi^2 : n in 1 + pi M_2(O)}."""
     c = mk()
     form = orthogonal_form(c, 2)
-    ring = ResidueRing(c, 2)
+    ring = OracleRing(c, 2)
     rng = random.Random(14)
     digits = [c.from_digits(1, (d,)) if d else c.zero() for d in range(c.p)]
     for _ in range(2):
-        y = Mat.random_integral(c, 2, rng)
+        y = random_integral(c, 2, rng)
         want = set()
         for a in itertools.product(digits, repeat=4):
             n = Mat.identity(c, 2) + Mat(c, [list(a[:2]), list(a[2:])])
-            want.add((n * y * vdash(n, form)).residue_key(2))
+            want.add(residue_key(n * y * vdash(n, form), 2))
         rows = _n_orbit(ring, _residues(ring, y))
-        got = {Mat(c, [[lift(ring, z[i]) for z in rows[:2]],
-                       [lift(ring, z[i]) for z in rows[2:]]]).residue_key(2)
+        got = {residue_key(Mat(c, [[lift(ring, z[i]) for z in rows[:2]],
+                                   [lift(ring, z[i]) for z in rows[2:]]]), 2)
                for i in range(rows[0].shape[0])}
         assert got == want
 
@@ -377,7 +373,7 @@ def test_support_mod_pi_keeps_every_row_f_reads(mk, parity):
     `_support_mod_pi`, so the row filter of the K-average never drops a
     row that f is nonzero on."""
     c = mk()
-    ring = ResidueRing(c, 2)
+    ring = OracleRing(c, 2)
     table = ring.from_digit_grid(2)
     x = tuple(table[i] for i in np.indices((table.shape[0],) * 4)
               .reshape(4, -1))
@@ -391,7 +387,7 @@ def _integral_of_parity(c, rng, parity):
     """A random integral y with ord det y = parity and y00 = y11 mod pi:
     eps-symmetric mod pi, so its K-orbit can meet the support of f."""
     while True:
-        (a, b), (cc, _) = Mat.random_integral(c, 2, rng).rows
+        (a, b), (cc, _) = random_integral(c, 2, rng).rows
         y = Mat(c, [[a, b], [cc, a + c.random_elem(rng, 1, 3)]])
         if y.det().val == parity:
             return y
@@ -424,10 +420,17 @@ def _unfiltered_coset_counts(ring, y_res, parity):
     y_orbit = _n_orbit(ring, y_res)
     counts = np.zeros(ring.p, dtype=np.int64)
     total = 0
-    for k in iter_gl2(1, ring):
+    for k in _gl2_chunks(1, ring):
         total += _count_f(ring, tuple(z[:, None, :] for z in k), y_orbit,
                           parity, counts)
     return counts.tolist(), total
+
+
+# parity-1 y over x - p whose counts the carry (N div p)(p/pi mod pi)
+# decides: y1 = 0, so x10/pi is the carry alone, and without it no row
+# passes t = 0 mod pi; with it, (counts, rows) of the pass
+_CARRY_YS = {3: ([[1, 2], [2, 1]], ([36] * 3, 432)),
+             5: ([[1, 2], [3, 1]], ([200] * 5, 12000))}
 
 
 @pytest.mark.parametrize("mk, count", [(ctx2, 4), (ctx3, 4), (ctx5, 2),
@@ -437,9 +440,10 @@ def test_coset_counts_match_oracle_counts(mk, count):
     GL_2(O/pi^2) enumeration give the same Lambda_1 exponent counts up to
     the factor |ker L_y|.  Means alone cannot see a dropped row at odd p,
     where every K-average is 0.  Over x - 2 (`ctx2_e1`) the carry
-    (N div p)(p/pi mod pi) of the pass moves exponents."""
+    (N div p)(p/pi mod pi) of the pass moves exponents, and over x - 3
+    and x - 5 it decides which parity-1 rows pass (`_CARRY_YS`)."""
     c = mk()
-    ring = ResidueRing(c, 2)
+    ring = OracleRing(c, 2)
     rng = random.Random(31)
     for parity in (0, 1):
         hits = 0
@@ -447,13 +451,19 @@ def test_coset_counts_match_oracle_counts(mk, count):
             hits += _check_pass(ring, _integral_of_parity(c, rng, parity),
                                 parity)
         assert hits
+    if c.p in _CARRY_YS:
+        rows, want = _CARRY_YS[c.p]
+        y = Mat.from_ints(c, rows)
+        assert y.det().val == 1
+        assert _pass_counts(ring, y, 1) == want
+        assert _check_pass(ring, y, 1) == sum(want[0])
 
 
 def _pass_counts(ring, y, parity):
     """The counts of the K-average pass `_coset_counts` on y, as a miss
-    takes them: on the digits of `y.residue_key(2)`, over the
+    takes them: on the digits of `residue_key(y, 2)`, over the
     `pass_table` of the ring."""
-    return _coset_counts(pass_table(ring), y.residue_key(2), parity)
+    return _coset_counts(pass_table(ring), residue_key(y, 2), parity)
 
 
 def _check_pass(ring, y, parity, full=True):
@@ -482,7 +492,7 @@ def test_coset_counts_match_oracles_at_e_above_one(p, e, eis):
     is held to the unfiltered coset enumeration on 100 y of each parity,
     and to the GL_2(O/pi^2) enumeration on the first 10."""
     c = make_field(p, e, eis, 20)
-    ring = ResidueRing(c, 2)
+    ring = OracleRing(c, 2)
     rng = random.Random(37)
     for parity in (0, 1):
         hits = sum(_check_pass(ring, _integral_of_parity(c, rng, parity),
@@ -555,7 +565,7 @@ def test_parity_one_character_sum_cases(mk, reached):
     a unit, so it is 1 = r mod pi).  Counts, not means: at odd p every
     mean is 0."""
     c = mk()
-    ring = ResidueRing(c, 2)
+    ring = OracleRing(c, 2)
     rng = random.Random(41)
     seen = set()
     for _ in range(4):
@@ -613,10 +623,10 @@ def test_kappa_average_misses_take_the_closed_form(monkeypatch, tmp_path,
                                                    config, argv, rows,
                                                    misses):
     """A cold `residue` run at p = 2 computes every K-average miss by the
-    closed form, with no f evaluation (`_f_on_residues`, `_count_f`,
-    `_oracle_counts`); on the benchmark's config it makes 6 misses (12 at
-    one torus stratum per unit-digit tuple, where more y mod pi^2 occur).
-    The first miss reads GL_2(F_p) once from `iter_gl2(1, .)`, exactly
+    closed form (f is evaluated row by row only in the test oracle,
+    `tests/kappa_oracle.py`); on the benchmark's config it makes 6 misses
+    (12 at one torus stratum per unit-digit tuple, where more y mod pi^2
+    occur).  The first miss reads GL_2(F_p) once from `iter_gl2`, exactly
     |GL_2(F_p)| rows, into the integrand's `PassTable`, and the later
     misses read that table.  A cold `residue` run at p = 5 and a cold
     `psik` run at p = 7 make no pass at all: every odd-p K-average is 0
@@ -626,10 +636,10 @@ def test_kappa_average_misses_take_the_closed_form(monkeypatch, tmp_path,
     reads, passes = [], []
     gl2 = supercuspidal.iter_gl2
 
-    def counted(level, ring):
-        reads.append([len(passes), level, 0])
-        for chunk in gl2(level, ring):
-            reads[-1][2] += chunk[0].shape[0]
+    def counted(ring):
+        reads.append([len(passes), 0])
+        for chunk in gl2(ring):
+            reads[-1][1] += chunk[0].shape[0]
             yield chunk
 
     coset = CuspidalData._kappa_average_coset
@@ -638,29 +648,24 @@ def test_kappa_average_misses_take_the_closed_form(monkeypatch, tmp_path,
         passes.append(parity)
         return coset(self, digits, parity)
 
-    def forbidden(*args):
-        raise AssertionError("a K-average evaluated f row by row")
-
     monkeypatch.setattr(supercuspidal, "iter_gl2", counted)
     monkeypatch.setattr(CuspidalData, "_kappa_average_coset", miss)
-    for name in ("_f_on_residues", "_count_f", "_oracle_counts"):
-        monkeypatch.setattr(supercuspidal, name, forbidden)
     cfg = tmp_path / "run.ini"
     cfg.write_text(config)
     assert cli.main(argv + ["--config", str(cfg),
                             "--out", str(tmp_path / "out")]) == 0
     assert len(passes) == misses
-    assert reads == ([[1, 1, rows]] if misses else [])
+    assert reads == ([[1, rows]] if misses else [])
 
 
 def test_cold_p2_residue_builds_one_ring_and_one_table(monkeypatch,
                                                       tmp_path):
     """A cold `residue` run at p = 2 builds one `ResidueRing` (the
     integrand's), enumerates GL_2(F_p) with numpy once and reads it from
-    `iter_gl2(1, .)` once, into one `PassTable`.  No miss builds residues
-    from `Elem`s (`_residues`, `ResidueRing.from_elem`), and no K-average
-    key is read off a `Mat` (`Mat.residue_key`): the walk reads each key
-    off its record."""
+    `iter_gl2` once, into one `PassTable`.  No miss builds residues from
+    `Elem`s, and no K-average key is read off a `Mat`: the walk reads
+    each key off its record, and the library holds neither route (they
+    are the oracles of `tests/kappa_oracle.py`)."""
     from twirl import cli, ringvec
 
     calls = []
@@ -679,12 +684,6 @@ def test_cold_p2_residue_builds_one_ring_and_one_table(monkeypatch,
         "read", supercuspidal.iter_gl2))
     monkeypatch.setattr(supercuspidal, "pass_table", counted(
         "table", supercuspidal.pass_table))
-    monkeypatch.setattr(supercuspidal, "_residues", counted(
-        "residues", supercuspidal._residues))
-    monkeypatch.setattr(ringvec.ResidueRing, "from_elem", counted(
-        "from_elem", ringvec.ResidueRing.from_elem))
-    monkeypatch.setattr(Mat, "residue_key", counted(
-        "residue_key", Mat.residue_key))
     cfg = tmp_path / "run.ini"
     cfg.write_text(_RESIDUE_P2)
     assert cli.main(["residue", "--config", str(cfg),
@@ -698,7 +697,7 @@ def test_f_depends_on_residue_mod_pi_squared(mk):
     integral Z: the lemma behind the (y mod pi^2, parity) cache key."""
     c = mk()
     data = CuspidalData(c)
-    ring = ResidueRing(c, 2)
+    ring = OracleRing(c, 2)
     rng = random.Random(12)
     pe = pi_e_matrix(c)
     done = nonzero = 0
@@ -710,10 +709,10 @@ def test_f_depends_on_residue_mod_pi_squared(mk):
             if rng.random() < 0.5:
                 x = pe * x
         else:
-            x = Mat.random_integral(c, 2, rng)
+            x = random_integral(c, 2, rng)
         if x.det().val not in (0, 1):
             continue
-        z = Mat.random_integral(c, 2, rng).shift(2)
+        z = random_integral(c, 2, rng).shift(2)
         v = data.f(x)
         assert data.f(x + z) == v
         # the vectorized evaluation agrees pointwise
@@ -739,7 +738,7 @@ def test_kappa_average_rejects_symplectic_form():
     sf = symplectic_form(c, 2)
     rng = random.Random(13)
     for _ in range(5):
-        kap = Mat.random_integral(c, 2, rng, unit_det=True)
+        kap = random_integral(c, 2, rng, unit_det=True)
         assert data.f(kap * y * vdash(kap, sf)) == CharacterValue.one(3)
     assert data.kappa_average(kappa_key(y, 2),
                               orthogonal_form(c, 2)).is_zero()
@@ -759,7 +758,7 @@ def test_kappa_average_conjugation_invariance():
     alpha = c.one() + c.pi(3)
     y = norm_preimage(TorusElem(alpha), form).inverse().shift(3)
     for _ in range(5):
-        kap = Mat.random_integral(c, 2, rng, unit_det=True)
+        kap = random_integral(c, 2, rng, unit_det=True)
         y2 = kap * y * vdash(kap, form)
         assert data.kappa_average(kappa_key(y, 2), form) == \
             data.kappa_average(kappa_key(y2, 2), form)
@@ -771,7 +770,7 @@ def test_kappa_congruence_sharpness():
     form2 = orthogonal_form(c2, 2)
     rng = random.Random(5)
     for _ in range(100):
-        kap = Mat.random_integral(c2, 2, rng, unit_det=True)
+        kap = random_integral(c2, 2, rng, unit_det=True)
         t = (kap * vdash(kap, form2)).scale(kap.det().inverse())
         assert member(t, "I2")
     c1 = make_field(2, 1, (-2, 1), 14)
@@ -787,13 +786,13 @@ def test_support_scan_regimes():
     f5 = orthogonal_form(c5, 2)
     for spec in ("pi", "pi^2", "pi^-1", "2", "1+pi"):
         rep = support_scan(d5, f5, TorusElem(parse_elem(c5, spec)))
-        assert not rep.found(), spec
+        assert rep.witness is None, spec
     rep = support_scan(d5, f5, TorusElem(parse_elem(c5, "-1+pi")))
-    assert rep.found()
+    assert rep.witness is not None
     c2 = ctx2()
     rep2 = support_scan(CuspidalData(c2), orthogonal_form(c2, 2),
                         TorusElem(parse_elem(c2, "1+pi^2")))
-    assert rep2.found()
+    assert rep2.witness is not None
     assert rep2.witness["i"] == 2
     j = rep2.to_json()
     assert j["regime"].endswith("witness")
@@ -809,7 +808,7 @@ def test_support_scan_makes_no_kappa_average_call(monkeypatch):
     for c, spec in ((ctx2(), "1+pi^2"), (ctx5(), "-1+pi")):
         rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
                            TorusElem(parse_elem(c, spec)))
-        assert rep.found(), spec
+        assert rep.witness is not None, spec
     assert calls == []
 
 
@@ -842,7 +841,7 @@ def test_support_scan_raises_on_short_b_window():
     c = make_field(5, 1, (-5, 1), 30)
     rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
                        TorusElem(parse_elem(c, "1+pi^4")))
-    assert not rep.found()
+    assert rep.witness is None
     assert max(s.b_level for s in rep.strata) == 4
 
 
@@ -856,7 +855,7 @@ def test_support_scan_deep_alpha_reads_levels():
     rep = support_scan(data, form, gamma)
     x = norm_preimage(gamma, form).inverse()
     assert len(rep.strata) == len(orbit_strata(data, form, x)) == 9
-    assert not rep.found()
+    assert rep.witness is None
     assert [s.b_level for s in rep.strata] == list(range(9))
 
 
@@ -885,7 +884,7 @@ def test_support_scan_randomized_regimes():
     form = orthogonal_form(c, 2)
     for alphas in _random_scan_alphas(c):
         for alpha in alphas:
-            assert not support_scan(d, form, TorusElem(alpha)).found()
+            assert support_scan(d, form, TorusElem(alpha)).witness is None
 
 
 def _coset_scan(data, form, gamma):
@@ -980,7 +979,8 @@ def test_kappa_witness_matches_gl2_enumeration():
         for r in orbit_strata(data, form,
                               _preimage_inverse(TorusElem(alpha), form)):
             if r.dead is None:
-                want = kappa_witness_oracle(data, r.y).to_digit_lists(4)
+                y = coset_y(r, _preimage_inverse(TorusElem(alpha), form))
+                want = kappa_witness_oracle(data, y).to_digit_lists(4)
                 got = supercuspidal._kappa_witness(data, r.key)
                 assert got.to_digit_lists(4) == want, (c.p, str(alpha), r.i)
                 live += 1
@@ -990,31 +990,25 @@ def test_kappa_witness_matches_gl2_enumeration():
 @pytest.mark.parametrize("mk, spec", [(ctx2, "1+pi^2"), (ctx3, "-1+pi"),
                                       (ctx5, "-1+pi"), (ctx5, "1+pi")])
 def test_support_scan_witness_reads_gl2_fp_once(monkeypatch, mk, spec):
-    """A scan reads GL_2(F_p) from `iter_gl2(1, .)` once, into the
-    integrand's `PassTable`, for the live record it settles, and never
-    GL_2(O/pi^2): its witness is the first kept row of the K-average
-    pass, and no f evaluation (`_f_on_residues`, `_count_f`,
-    `_oracle_counts`) runs.  A scan that finds no live record (p = 5
-    `1+pi`) reads nothing."""
-    levels = []
+    """A scan reads GL_2(F_p) from `iter_gl2` once, into the integrand's
+    `PassTable`, for the live record it settles, and never GL_2(O/pi^2):
+    its witness is the first kept row of the K-average pass (f is
+    evaluated row by row only in the test oracle).  A scan that finds no
+    live record (p = 5 `1+pi`) reads nothing."""
+    reads = []
     gl2 = supercuspidal.iter_gl2
 
-    def counted(level, ring):
-        levels.append(level)
-        return gl2(level, ring)
-
-    def forbidden(*args):
-        raise AssertionError("the witness evaluated f row by row")
+    def counted(ring):
+        reads.append(ring)
+        return gl2(ring)
 
     monkeypatch.setattr(supercuspidal, "iter_gl2", counted)
-    for name in ("_f_on_residues", "_count_f", "_oracle_counts"):
-        monkeypatch.setattr(supercuspidal, name, forbidden)
     c = mk()
     rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
                        TorusElem(parse_elem(c, spec)))
     live = [s for s in rep.strata if s.verdict == "witness"]
-    assert levels == [1] * len(live)
-    assert len(live) == rep.found() == (spec != "1+pi")
+    assert len(reads) == len(live)
+    assert len(live) == (rep.witness is not None) == (spec != "1+pi")
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
@@ -1043,7 +1037,7 @@ def test_odd_det_valuation_strata_are_dead(mk):
                 assert cos.dead is not None, alpha
         for r in orbit_strata(data, form, x):
             if r.dead is None:
-                assert not data.f(r.y).is_zero(), alpha
+                assert not data.f(coset_y(r, x)).is_zero(), alpha
                 live += 1
         levels.add(support_scan(data, form, TorusElem(alpha)).kappa_level)
     assert levels == {0, 2} and live
@@ -1066,15 +1060,15 @@ def test_kappa_average_vanishes_at_odd_p(mk):
     values = {0: [], 1: []}
     want = 20 if c.p == 2 else 5
     while min(len(v) for v in values.values()) < want:
-        y = Mat.random_integral(c, 2, rng)
+        y = random_integral(c, 2, rng)
         parity = y.det().val % 2
         if y.det().val in (0, 1) and len(values[parity]) < want:
             values[parity].append(
-                data._kappa_average_coset(y.residue_key(2), parity))
+                data._kappa_average_coset(residue_key(y, 2), parity))
             assert values[parity][-1] == data.kappa_average(
                 kappa_key(y, 2), form)
             if c.p == 3:
-                assert values[parity][-1] == data.kappa_average_oracle(y, 2)
+                assert values[parity][-1] == kappa_average_oracle(data, y, 2)
     values = values[0] + values[1]
     if c.p == 2:
         assert any(not v.is_zero() for v in values)

@@ -5,6 +5,7 @@ import pytest
 from twirl import Mat, make_field, mat_ord, orthogonal_form, square_class_reps
 from twirl.matlattice import antidiag_w, vdash
 
+from random_mats import random_integral, random_mat
 from weights_oracle import (WeightQuery, delta_vector, scaling_block,
                             square_class_weight, weight_closed, weight_oracle)
 
@@ -47,7 +48,7 @@ def test_closed_equals_oracle(mk):
     rng = random.Random(0)
     for n, rank in ((2, 1), (4, 2), (4, 1)):
         for _ in range(40):
-            g = Mat.random(c, n, rng, vmin=-2, vmax=3)
+            g = random_mat(c, n, rng, vmin=-2, vmax=3)
             k = rng.randrange(-2, 4)
             q = WeightQuery(g, k, rank)
             assert weight_closed(q) == weight_oracle(q)
@@ -58,7 +59,7 @@ def test_monotone_in_k():
     rng = random.Random(2)
     w = antidiag_w(c, 2)
     for _ in range(30):
-        g = Mat.random(c, 2, rng)
+        g = random_mat(c, 2, rng)
         beta = c.random_elem(rng, -1, 2)
         h = Mat.diag(c, [beta, beta.inverse()])
         if rng.random() < 0.5:
@@ -75,7 +76,7 @@ def test_lower_bound():
     w = antidiag_w(c, 2)
     done = 0
     while done < 60:
-        g = Mat.random(c, 2, rng)
+        g = random_mat(c, 2, rng)
         beta = c.random_elem(rng, -2, 3)
         h = Mat.diag(c, [beta, beta.inverse()])
         if rng.random() < 0.5:
@@ -101,7 +102,7 @@ def test_unit_probe():
     rng = random.Random(4)
     found = 0
     for _ in range(10):
-        g = Mat.random(c, 2, rng)
+        g = random_mat(c, 2, rng)
         k = rng.randrange(0, 3)
         lo = -k - min(x.val for x in g.column(0))
         hi = k + min(x.val for x in g.column(1))
@@ -137,12 +138,12 @@ def test_square_class_weight_examples():
     # K-invariance
     rng = random.Random(6)
     for _ in range(10):
-        g = Mat.random(c, 2, rng)
-        kap = Mat.random_integral(c, 2, rng, unit_det=True)
+        g = random_mat(c, 2, rng)
+        kap = random_integral(c, 2, rng, unit_det=True)
         assert (square_class_weight(kap * g, None, scs, 1)
                 == square_class_weight(g, None, scs, 1))
     # closed-form collapse for integral g
-    g = Mat.random_integral(c, 2, rng, unit_det=True)
+    g = random_integral(c, 2, rng, unit_det=True)
     d1 = delta_vector(g, 1)[0]
     for k in range(0, 3):
         assert (square_class_weight(g, None, scs, k)

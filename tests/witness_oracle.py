@@ -6,19 +6,20 @@ import numpy as np
 
 from twirl.localfield import Elem
 from twirl.matlattice import Mat
-from twirl.ringvec import ResidueRing, iter_gl2
-from twirl.supercuspidal import _f_on_residues, _residues, _twist
+
+from kappa_oracle import (OracleRing, _f_on_residues, _gl2_chunks, _residues,
+                          _twist)
 
 
 def kappa_witness_oracle(data, y):
-    """The first kappa mod pi^2 in the order of `iter_gl2(2, .)` with
+    """The first kappa mod pi^2 in the order of `_gl2_chunks(2, .)` with
     f(kappa y kappa^vdash) != 0, by running f on every row, at the parity
     of ord det y; None when no row is nonzero."""
     ctx = data.ctx
-    ring = ResidueRing(ctx, data.residue_level)
+    ring = OracleRing(ctx, data.residue_level)
     y_res = _residues(ring, y)
     parity = y.det().val % 2
-    for k in iter_gl2(ring.s, ring):
+    for k in _gl2_chunks(ring.s, ring):
         mask = _f_on_residues(ring, _twist(ring, k, y_res), parity)[0]
         if mask.any():
             a, b, c, d = (lift(ring, z[np.argmax(mask)]) for z in k)
