@@ -121,7 +121,7 @@ def torus_strata(data, form, trunc: TruncationSpec):
             classes = unit_digit_tuples(p, _digits_seen(data, form, e, ud))
             vol = Fraction(1, q ** e * len(classes))
             for digits in classes:
-                v = ctx.from_digits(0, digits or (1,))
+                v = ctx.from_digits(0, digits) if digits else ctx.one()
                 out.append(TorusStratum(_stratum_alpha(ctx, sign, e, v, ud),
                                         vol, f"sign{sign}-e{e}",
                                         sign=sign, e=e))
@@ -192,12 +192,14 @@ def _forced_levels(data, x: Mat):
     forces j <= jmax = max(0, i + ord(x0 + x1)).  A zero trace raises: x
     is not regular (its orbital integral diverges) or, for x = S(gamma)^(-1)
     whose trace is -1, the precision could not decide the sum."""
-    if not (x.rows[0][1].is_zero() and x.rows[1][0].is_zero()):
+    (x0, x01), (x10, x1) = x.rows
+    if not (x01.is_zero() and x10.is_zero()):
         raise ValueError("orbit strata require a diagonal argument")
-    d = x.det().val
-    if d is INF:
+    # ord det x = ord x0 + ord x1, x being diagonal
+    d = x0.val + x1.val
+    if d == INF:
         raise NotRegular("singular argument")
-    trace = (x.rows[0][0] + x.rows[1][1]).normalized()
+    trace = (x0 + x1).normalized()
     if trace.is_zero():
         raise PrecisionExhausted(
             f"trace x0 + x1 reads 0 at precision {x.ctx.precision}: x is "
@@ -446,7 +448,6 @@ def regular_preimage(form, alpha: Elem, label: str):
     reads 0, and a digit of alpha - 1 the precision cannot decide raises
     here, naming the stratum.  `discriminant_report` skips the -1 test."""
     ctx = alpha.ctx
-    where = _where(label, ctx)
     try:
         if (alpha + ctx.one()).normalized().is_zero():
             raise NotRegular(f"gamma must be regular at {label}")
@@ -454,7 +455,7 @@ def regular_preimage(form, alpha: Elem, label: str):
     except SingularGammaMinusOne:
         raise NotRegular(f"gamma must be regular at {label}") from None
     except PrecisionExhausted as exc:
-        raise PrecisionExhausted(f"{where}: {exc}") from exc
+        raise PrecisionExhausted(f"{_where(label, ctx)}: {exc}") from exc
     # ord(alpha - 1) = -ord(x0), x0 normalized by the inverse
     dexp = ctx.e * (ctx.p == 2) - 2 * x.rows[0][0].vbase - alpha.val
     return x, dexp
@@ -500,12 +501,16 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
     stratum_totals = []
     for stratum in torus_strata(data, form, trunc):
         x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
-        by_delta = _delta_totals(data, form, x, stratum.label)
-        # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1); |W(T)| = 1
-        scale = 2 * stratum.vol * Fraction(ctx.q) ** (-dexp)
-        totals = {d: t.scale(scale) for d, t in by_delta.items()}
-        for d, t in totals.items():
-            run[d] = run[d] + t if d in run else t
+        totals = _delta_totals(data, form, x, stratum.label)
+        # an empty table needs no scale: every stratum's, when the
+        # K-averages vanish (`kappa_vanishes`)
+        if totals:
+            # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1);
+            # |W(T)| = 1
+            scale = 2 * stratum.vol * Fraction(ctx.q) ** (-dexp)
+            totals = {d: t.scale(scale) for d, t in totals.items()}
+            for d, t in totals.items():
+                run[d] = run[d] + t if d in run else t
         stratum_totals.append((stratum.label, stratum.e, stratum.sign,
                                stratum.vol, totals))
     a, b = _pair(run, ctx.p, units)

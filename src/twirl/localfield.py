@@ -69,6 +69,9 @@ class LocalFieldCtx:
     _red: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     _p_over_pi: tuple[int, ...] = field(init=False, compare=False)
     _p_unit: tuple[int, ...] = field(init=False, compare=False)     # p / pi^e
+    _pk: tuple[int, ...] = field(init=False, compare=False)         # p^0 .. p^M
+    # ("pi", k) -> pi^k and ("unit", s) -> (p / pi^e)^s, filled on demand
+    _powers: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         p, e, coeffs, n = self.p, self.e, tuple(self.eisenstein), self.precision
@@ -90,6 +93,8 @@ class LocalFieldCtx:
         pm = p ** m
         object.__setattr__(self, "coeff_exp", m)
         object.__setattr__(self, "coeff_mod", pm)
+        object.__setattr__(self, "_pk", tuple(p ** k for k in range(m + 1)))
+        object.__setattr__(self, "_powers", {})
         # reduction of x^(e+j) mod (E, p^M) for j = 0..e-2
         red = []
         base = tuple((-c) % pm for c in coeffs[:e])  # x^e
@@ -116,8 +121,12 @@ class LocalFieldCtx:
 
     # -- polynomial helpers (coefficients mod p^M, the Eisenstein relation) --
 
-    def poly_mul(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        e, pm = self.e, self.coeff_mod
+    def poly_mul(self, u: tuple[int, ...], v: tuple[int, ...],
+                 pm: int | None = None) -> tuple[int, ...]:
+        """u v reduced mod pm, p^M by default."""
+        e = self.e
+        if pm is None:
+            pm = self.coeff_mod
         if e == 1:
             return ((u[0] * v[0]) % pm,)
         out = [0] * e
@@ -160,13 +169,17 @@ class LocalFieldCtx:
                 out[t] += c * self._p_over_pi[t]
         return tuple(x % pm for x in out)
 
-    def poly_inv(self, u: tuple[int, ...]) -> tuple[int, ...]:
-        """Inverse of a unit polynomial (constant coefficient prime to p).
-        At e = 1 the unit part is one integer mod p^M and `pow` inverts it.
-        Otherwise solve M_u w = (1, 0, ..., 0) mod p^M, column j of M_u
-        being u pi^j: mod p, M_u is lower triangular with diagonal u0, so
-        elimination in column order meets only unit pivots."""
-        p, e, pm = self.p, self.e, self.coeff_mod
+    def poly_inv(self, u: tuple[int, ...],
+                 pm: int | None = None) -> tuple[int, ...]:
+        """Inverse of a unit polynomial (constant coefficient prime to p)
+        mod pm, p^M by default.  At e = 1 the unit part is one integer and
+        `pow` inverts it.  Otherwise solve M_u w = (1, 0, ..., 0) mod pm,
+        column j of M_u being u pi^j: mod p, M_u is lower triangular with
+        diagonal u0, so elimination in column order meets only unit
+        pivots."""
+        p, e = self.p, self.e
+        if pm is None:
+            pm = self.coeff_mod
         if u[0] % p == 0:
             raise Singular("not a unit")
         if e == 1:
@@ -200,13 +213,13 @@ class LocalFieldCtx:
     # -- public constructors ------------------------------------------------
 
     def zero(self) -> "Elem":
-        return Elem(self, 0, (0,) * self.e, True)
+        return _elem(self, 0, (0,) * self.e, True, self.coeff_exp)
 
     def one(self) -> "Elem":
-        return Elem(self, 0, (1,) + (0,) * (self.e - 1), True)
+        return _elem(self, 0, (1,) + (0,) * (self.e - 1), True, self.coeff_exp)
 
     def pi(self, k: int = 1) -> "Elem":
-        return Elem(self, k, (1,) + (0,) * (self.e - 1), True)
+        return _elem(self, k, (1,) + (0,) * (self.e - 1), True, self.coeff_exp)
 
     def from_int(self, n: int) -> "Elem":
         if n == 0:
@@ -214,8 +227,8 @@ class LocalFieldCtx:
         v = _vp(n, self.p)
         u = (n // self.p ** v) % self.coeff_mod
         coeffs = self.poly_mul((u,) + (0,) * (self.e - 1),
-                               self.poly_pow(self._p_unit, v))
-        return Elem(self, self.e * v, coeffs, True)
+                               _unit_power_poly(self, v))
+        return _elem(self, self.e * v, coeffs, True, self.coeff_exp)
 
     def from_rational(self, r: Fraction | int) -> "Elem":
         r = Fraction(r)
@@ -241,21 +254,17 @@ class LocalFieldCtx:
                 for t in range(e):
                     acc[t] = (acc[t] + d * power[t]) % pm
             power = self.poly_mul(power, xpoly)
-        x = Elem(self, val, tuple(acc), False)
-        return x.normalized()
+        return _elem(self, val, tuple(acc), False, self.coeff_exp).normalized()
 
     def random_unit(self, rng) -> "Elem":
         u = [rng.randrange(self.coeff_mod) for _ in range(self.e)]
         u[0] = u[0] - u[0] % self.p + rng.randrange(1, self.p)
-        return Elem(self, 0, tuple(c % self.coeff_mod for c in u), True)
+        return _elem(self, 0, tuple(c % self.coeff_mod for c in u), True,
+                     self.coeff_exp)
 
     def random_elem(self, rng, vmin: int = -3, vmax: int = 6) -> "Elem":
-        return Elem(
-            self,
-            rng.randrange(vmin, vmax + 1),
-            self.random_unit(rng).coeffs,
-            True,
-        )
+        return _elem(self, rng.randrange(vmin, vmax + 1),
+                     self.random_unit(rng).coeffs, True, self.coeff_exp)
 
     def __repr__(self):
         return f"LocalFieldCtx(p={self.p}, e={self.e}, N={self.precision})"
@@ -268,9 +277,12 @@ def make_field(p: int, e: int, eisenstein, precision: int) -> LocalFieldCtx:
 
 
 class Elem:
-    """Field element pi^vbase * u(pi), u a polynomial of degree < e whose
-    coefficients are stored reduced modulo p^mexp; mexp tracks how many
-    coefficient levels of the representative are exact.
+    """Field element pi^vbase * u(pi), u a polynomial of degree < e;
+    mexp tracks how many coefficient levels of the representative are
+    exact.  Invariant: coeffs are reduced mod p^mexp (all 0 at mexp <=
+    0).  The constructor reduces what it is given; an operation reduces
+    its result once, mod p^mexp of the result, and builds it through
+    `_elem`, which takes coefficients already reduced.
 
     Ring operations are exact on representatives and reduce the result to
     the shared validity, so two computations of the same value always agree
@@ -286,13 +298,11 @@ class Elem:
 
     def __init__(self, ctx: LocalFieldCtx, vbase: int, coeffs: tuple[int, ...],
                  normalized: bool = False, mexp: int | None = None):
+        m = ctx.coeff_exp if mexp is None else mexp
+        mod = ctx.p ** max(m, 0)
         self.ctx = ctx
         self.vbase = vbase
-        m = ctx.coeff_exp if mexp is None else mexp
-        if m < ctx.coeff_exp:
-            mod = ctx.p ** max(m, 0)
-            coeffs = tuple((c % mod) if mod > 1 else 0 for c in coeffs)
-        self.coeffs = coeffs
+        self.coeffs = tuple(c % mod for c in coeffs)
         self.mexp = m
         self._norm = normalized
 
@@ -307,15 +317,21 @@ class Elem:
     def _divide(self, t: int):
         """Divide the representative by pi^t; costs ceil(t/e) validity
         levels.  With t = e s + r: one exact division by p^s, one product
-        with (p/pi^e)^s, then r steps of `poly_div_pi`."""
+        with (p/pi^e)^s, then r steps of `poly_div_pi`.  The unit part
+        comes back reduced mod p^m, m the validity left."""
         ctx = self.ctx
         s, r = divmod(t, ctx.e)
-        u = tuple(c // ctx.p ** s for c in self.coeffs)
+        m = self.mexp - (t + ctx.e - 1) // ctx.e
+        mod = ctx._pk[max(m, 0)]
+        ps = ctx._pk[s]
+        u = tuple(c // ps for c in self.coeffs)
+        if not r:
+            return ctx.poly_mul(u, _unit_power_poly(ctx, s), mod), m
         if s:
-            u = ctx.poly_mul(u, ctx.poly_pow(ctx._p_unit, s))
+            u = ctx.poly_mul(u, _unit_power_poly(ctx, s))
         for _ in range(r):
             u = ctx.poly_div_pi(u)
-        return u, self.mexp - (t + ctx.e - 1) // ctx.e
+        return tuple(c % mod for c in u), m
 
     def _settle(self) -> "Elem":
         """Re-center so the unit part has valuation 0 (exact); never raises,
@@ -324,7 +340,7 @@ class Elem:
             return self
         ctx = self.ctx
         if self.is_zero():
-            return Elem(ctx, 0, self.coeffs, True, self.mexp)
+            return _elem(ctx, 0, self.coeffs, True, self.mexp)
         t = ctx.poly_ord(self.coeffs)
         if t == 0:
             self._norm = True
@@ -332,14 +348,14 @@ class Elem:
         if t >= self._capacity():
             return self
         u, m = self._divide(t)
-        return Elem(ctx, self.vbase + t, u, True, m)
+        return _elem(ctx, self.vbase + t, u, True, m)
 
     def normalized(self) -> "Elem":
         if self._norm:
             return self
         ctx = self.ctx
         if self.is_zero():
-            return Elem(ctx, 0, self.coeffs, True, self.mexp)
+            return _elem(ctx, 0, self.coeffs, True, self.mexp)
         t = ctx.poly_ord(self.coeffs)
         # the representative is exact to mexp coefficient levels, so a
         # cancellation is undecidable once the first surviving digit
@@ -353,7 +369,7 @@ class Elem:
             self._norm = True
             return self
         u, m = self._divide(t)
-        return Elem(ctx, self.vbase + t, u, True, m)
+        return _elem(ctx, self.vbase + t, u, True, m)
 
     def divisible_by(self, m: int) -> bool:
         """Exact test x in pi^m O on the raw representative (no division or
@@ -396,18 +412,24 @@ class Elem:
         m = min(a.mexp, b.mexp)
         if shift >= ctx.e * m:
             return a
+        mod = ctx._pk[m]
+        u = b.coeffs
         if shift:
-            u = ctx.poly_mul(b.coeffs, _pi_power_poly(ctx, shift))
+            u = ctx.poly_mul(u, _pi_power_poly(ctx, shift), mod)
+        if ctx.e == 1:
+            s = ((a.coeffs[0] + u[0]) % mod,)
         else:
-            u = b.coeffs
-        pm = ctx.coeff_mod
-        s = tuple((a.coeffs[i] + u[i]) % pm for i in range(ctx.e))
-        return Elem(ctx, a.vbase, s, False, m)
+            s = tuple((x + y) % mod for x, y in zip(a.coeffs, u))
+        return _elem(ctx, a.vbase, s, False, m)
 
     def __neg__(self) -> "Elem":
-        pm = self.ctx.coeff_mod
-        return Elem(self.ctx, self.vbase, tuple((-c) % pm for c in self.coeffs),
-                    self._norm, self.mexp)
+        ctx = self.ctx
+        mod = ctx._pk[max(self.mexp, 0)]
+        if ctx.e == 1:
+            u = ((-self.coeffs[0]) % mod,)
+        else:
+            u = tuple((-c) % mod for c in self.coeffs)
+        return _elem(ctx, self.vbase, u, self._norm, self.mexp)
 
     def __sub__(self, other: "Elem") -> "Elem":
         return self + (-other)
@@ -417,16 +439,18 @@ class Elem:
         a, b = self._settle(), other._settle()
         if a.is_zero() or b.is_zero():
             return ctx.zero()
-        return Elem(ctx, a.vbase + b.vbase,
-                    ctx.poly_mul(a.coeffs, b.coeffs), False,
-                    min(a.mexp, b.mexp))
+        m = min(a.mexp, b.mexp)
+        return _elem(ctx, a.vbase + b.vbase,
+                     ctx.poly_mul(a.coeffs, b.coeffs, ctx._pk[m]),
+                     False, m)
 
     def inverse(self) -> "Elem":
         x = self.normalized()
         if x.is_zero():
             raise Singular("inverse of zero")
-        return Elem(self.ctx, -x.vbase, self.ctx.poly_inv(x.coeffs), True,
-                    x.mexp)
+        ctx = self.ctx
+        return _elem(ctx, -x.vbase, ctx.poly_inv(x.coeffs, ctx._pk[x.mexp]),
+                     True, x.mexp)
 
     def __truediv__(self, other: "Elem") -> "Elem":
         return self * other.inverse()
@@ -445,8 +469,8 @@ class Elem:
 
     def shift(self, k: int) -> "Elem":
         """Multiply by pi^k (exact, no digit loss)."""
-        return Elem(self.ctx, self.vbase + k, self.coeffs, self._norm,
-                    self.mexp)
+        return _elem(self.ctx, self.vbase + k, self.coeffs, self._norm,
+                     self.mexp)
 
     # -- observations --------------------------------------------------------
 
@@ -502,17 +526,22 @@ class Elem:
         n, e = self.ctx.precision, self.ctx.e
         levels = x.mexp if cap is None else min(cap, x.mexp)
         canon = tuple(
-            c % self.ctx.p ** max(0, min(-(-(n - i) // e), levels))
+            c % self.ctx._pk[max(0, min(-(-(n - i) // e), levels))]
             for i, c in enumerate(x.coeffs)
         )
         return (self.ctx.p, self.ctx.e, x.vbase, canon)
 
     def __eq__(self, other):
         """Equality of the valuation and of the unit parts through the
-        precision-N window, compared at the shared tracked validity."""
+        precision-N window, compared at the shared tracked validity.  Two
+        normalized representatives with the same vbase, mexp and coeffs
+        are equal with no key built."""
         if not isinstance(other, Elem):
             return NotImplemented
         a, b = self.normalized(), other.normalized()
+        if (a.vbase == b.vbase and a.mexp == b.mexp
+                and a.coeffs == b.coeffs):
+            return True
         if a.is_zero() or b.is_zero():
             return a.is_zero() and b.is_zero()
         cap = min(a.mexp, b.mexp)
@@ -541,12 +570,38 @@ class Elem:
         return f"Elem({self})"
 
 
+_new_elem = object.__new__
+
+
+def _elem(ctx: LocalFieldCtx, vbase: int, coeffs: tuple[int, ...],
+          normalized: bool, mexp: int) -> Elem:
+    """The `Elem` of coefficients already reduced mod p^mexp; no pass over
+    them."""
+    x = _new_elem(Elem)
+    x.ctx = ctx
+    x.vbase = vbase
+    x.coeffs = coeffs
+    x.mexp = mexp
+    x._norm = normalized
+    return x
+
+
 def _pi_power_poly(ctx: LocalFieldCtx, k: int) -> tuple[int, ...]:
-    """pi^k (k >= 0) as a reduced unit-slot polynomial."""
-    e = ctx.e
-    if e > 1 and k < e:
-        return tuple(1 if i == k else 0 for i in range(e))
-    return ctx.poly_pow(ctx.pi_poly(), k)
+    """pi^k (k >= 0) as a unit-slot polynomial mod p^M, kept per context."""
+    key = ("pi", k)
+    got = ctx._powers.get(key)
+    if got is None:
+        got = ctx._powers[key] = ctx.poly_pow(ctx.pi_poly(), k)
+    return got
+
+
+def _unit_power_poly(ctx: LocalFieldCtx, s: int) -> tuple[int, ...]:
+    """(p/pi^e)^s (s >= 0) mod p^M, kept per context."""
+    key = ("unit", s)
+    got = ctx._powers.get(key)
+    if got is None:
+        got = ctx._powers[key] = ctx.poly_pow(ctx._p_unit, s)
+    return got
 
 
 # -- square classes ----------------------------------------------------------
@@ -666,7 +721,10 @@ def _is_int(text: str) -> bool:
 
 def parse_elem(ctx: LocalFieldCtx, text: str) -> Elem:
     """Parse tiny element expressions: rationals, pi^k, u (unit nonresidue),
-    combined with + and *.  Covers specs like '1+pi^2' or '-1+pi*u'."""
+    combined with + and *.  Covers specs like '1+pi^2' or '-1+pi*u'.  A
+    term that the sum would drop, its digits lying beyond the e * m digits
+    kept from the lowest valuation (m the coefficient levels both sides
+    keep), raises PrecisionExhausted naming the term and that window."""
     text = text.replace(" ", "")
     if not text:
         raise DomainError("empty element expression")
@@ -696,12 +754,25 @@ def parse_elem(ctx: LocalFieldCtx, text: str) -> Elem:
             terms[-1] += "+" + part
         else:
             terms.append(part)
-    total = ctx.zero()
+    total, done = ctx.zero(), []
     for term in terms:
         if not term:
             continue
         prod = ctx.one()
         for tok in term.split("*"):
             prod = prod * factor(tok)
+        # the test of `Elem.__add__` that returns the lower operand alone
+        low, high = total._settle(), prod._settle()
+        if not (low.is_zero() or high.is_zero()):
+            lost = term
+            if low.vbase > high.vbase:
+                low, high, lost = high, low, "+".join(done)
+            width = ctx.e * min(low.mexp, high.mexp)
+            if high.vbase - low.vbase >= width:
+                raise PrecisionExhausted(
+                    f"term {lost!r} lies beyond the {width} digits "
+                    f"pi^{low.vbase} .. pi^{low.vbase + width - 1} that "
+                    f"precision {ctx.precision} keeps")
         total = total + prod
+        done.append(term)
     return total

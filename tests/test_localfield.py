@@ -544,3 +544,75 @@ def test_parse_elem_integer_factor_matches_from_rational(tok):
         assert got == want
         assert ([getattr(got, s) for s in got.__slots__]
                 == [getattr(want, s) for s in want.__slots__])
+
+
+def test_parse_elem_refuses_a_term_beyond_the_window():
+    """A term whose digits lie beyond the e * m digits a sum keeps from
+    its lowest valuation raises PrecisionExhausted naming the term and the
+    window, whichever side of the sum it is on; `Elem.__add__` would drop
+    it without a word.  At p = 5, precision 18, m = 26: pi^25 is kept and
+    pi^26 is not.  Over x^2 - 2 at precision 30, pi^40 lies inside the 46
+    kept digits."""
+    c = ctx5()
+    assert parse_elem(c, "1+pi^25") == c.one() + c.pi(25)
+    for text, lost, lo in (("1+pi^26", "pi^26", 0), ("pi^40+1", "pi^40", 0),
+                           ("pi^3+pi^40+2", "pi^40", 3),
+                           ("pi^30+pi^31+1", "pi^30+pi^31", 0)):
+        with pytest.raises(PrecisionExhausted) as info:
+            parse_elem(c, text)
+        assert str(info.value) == (
+            f"term {lost!r} lies beyond the 26 digits pi^{lo} .. "
+            f"pi^{lo + 25} that precision 18 keeps"), text
+    c2 = make_field(2, 2, (-2, 0, 1), 30)
+    assert parse_elem(c2, "1+pi^40") == c2.one() + c2.pi(40)
+
+
+def _kernel_operands(c, rng):
+    """Random elements, and normalized differences that lose validity:
+    (x + pi^t x) - x is pi^t x with its unit part divided by pi^t."""
+    pool = [c.random_elem(rng) for _ in range(16)]
+    pool += [((x + x.shift(t)) - x).normalized()
+             for x, t in zip(pool[:8], range(1, 9))]
+    assert len({x.mexp for x in pool}) > 2
+    return pool
+
+
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+def test_kernel_results_are_reduced(mk):
+    """Invariant of `Elem`: the coeffs of every result of +, -, *, unary
+    -, `shift`, `normalized` and `inverse` are reduced mod p^mexp, so the
+    reducing constructor returns them unchanged (x^2 - 2 at p = 2, x - 5
+    at p = 5)."""
+    c = mk()
+    rng = random.Random(32)
+    pool = _kernel_operands(c, rng)
+    for _ in range(300):
+        x, y = rng.choice(pool), rng.choice(pool)
+        for z in (x + y, x - y, x * y, -x, x.shift(rng.randrange(-4, 5)),
+                  (x + y).normalized(), (x - y).normalized(), x.inverse()):
+            assert z.coeffs == Elem(c, z.vbase, z.coeffs, z._norm,
+                                    z.mexp).coeffs
+
+
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+def test_eq_of_equal_representatives_builds_no_key(mk, monkeypatch):
+    """`==` on two normalized representatives with the same vbase, mexp
+    and coeffs is True with no `_key` built; equal values of different
+    mexp, and unequal values, still compare through the key."""
+    c = mk()
+    rng = random.Random(11)
+    keys = []
+    key = Elem._key
+    monkeypatch.setattr(Elem, "_key",
+                        lambda self, cap=None: keys.append(cap)
+                        or key(self, cap))
+    for _ in range(50):
+        x = c.random_elem(rng, -2, 3)
+        assert x == Elem(c, x.vbase, x.coeffs, True, x.mexp)
+        assert keys == []
+        assert x == Elem(c, x.vbase, x.coeffs, True, x.mexp - 3)
+        assert keys == [x.mexp - 3] * 2
+        keys.clear()
+        assert x != x + c.one().shift(x.vbase + 2)
+        assert len(keys) == 2
+        keys.clear()
