@@ -7,7 +7,8 @@ and a ramified one (Q_2 adjoin sqrt 2, where 2 has valuation 2).
 
 from fractions import Fraction
 
-from twirl import additive_char, is_square, make_field, square_class_reps
+from twirl.localfield import (additive_char, is_square, make_field,
+                              square_class_reps)
 
 # Q_5: ramification degree 1, uniformizer 5, sixteen working digits
 F5 = make_field(5, 1, (-5, 1), 16)

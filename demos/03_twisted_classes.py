@@ -12,14 +12,9 @@ centralizer of delta is the one-dimensional torus.  The test
 closed form to an independent kernel/quotient determinant.
 """
 
-from twirl import (
-    TorusElem,
-    make_field,
-    norm_preimage,
-    orthogonal_form,
-    twisted_discriminant,
-    vdash,
-)
+from twirl.localfield import make_field
+from twirl.matlattice import orthogonal_form, vdash
+from twirl.twisted import TorusElem, norm_preimage, twisted_discriminant
 
 ctx = make_field(5, 1, (-5, 1), 18)
 form = orthogonal_form(ctx, 2)

@@ -8,17 +8,11 @@ parities, integrality windows, symmetry filters, and an exact enumeration
 of the remaining compact directions.
 """
 
-from twirl import (
-    CuspidalData,
-    Mat,
-    TorusElem,
-    level_character,
-    make_field,
-    member,
-    orthogonal_form,
-    parse_elem,
-    support_scan,
-)
+from twirl.localfield import make_field, parse_elem
+from twirl.matlattice import Mat, orthogonal_form
+from twirl.supercuspidal import (CuspidalData, level_character, member,
+                                 support_scan)
+from twirl.twisted import TorusElem
 
 ctx2 = make_field(2, 2, (-2, 0, 1), 24)
 data2 = CuspidalData(ctx2)

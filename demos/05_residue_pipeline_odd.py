@@ -7,14 +7,11 @@ K cancels structurally, so c_0 itself is 0 (the support is nonempty, the
 values sweep all p-th roots of unity uniformly).
 """
 
-from twirl import (
-    CuspidalData,
-    TruncationSpec,
-    assemble_coefficients,
-    make_field,
-    orthogonal_form,
-    residue_report,
-)
+from twirl.integrator import TruncationSpec, assemble_coefficients
+from twirl.localfield import make_field
+from twirl.matlattice import orthogonal_form
+from twirl.residue import residue_report
+from twirl.supercuspidal import CuspidalData
 
 ctx = make_field(5, 1, (-5, 1), 18)
 data = CuspidalData(ctx)
@@ -35,8 +32,8 @@ rep = residue_report(table.a, table.b, table.ks, n=2, q=ctx.q)
 print("report regime:", rep.regime)
 
 # the K-average cancels even though the support is met: look at one stratum
-from twirl import TorusElem, norm_preimage
 from twirl.integrator import orbit_strata
+from twirl.twisted import TorusElem, norm_preimage
 
 alpha = -ctx.one() + ctx.pi(1)
 x = norm_preimage(TorusElem(alpha), form).inverse()

@@ -9,15 +9,12 @@ give c_k = a + b k, and the closed form and the Laurent data at s = 0 are
 explicit in (a, b).
 """
 
-from twirl import (
-    CuspidalData,
-    TruncationSpec,
-    assemble_coefficients,
-    coefficient_A_B,
-    make_field,
-    orthogonal_form,
-    residue_report,
-)
+from twirl.integrator import (TruncationSpec, assemble_coefficients,
+                              coefficient_A_B)
+from twirl.localfield import make_field
+from twirl.matlattice import orthogonal_form
+from twirl.residue import residue_report
+from twirl.supercuspidal import CuspidalData
 
 ctx = make_field(2, 2, (-2, 0, 1), 24)
 data = CuspidalData(ctx)

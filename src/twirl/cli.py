@@ -130,7 +130,7 @@ class RunConfig:
         if trunc.k_max < 0 or trunc.gamma_depth < 1 or trunc.unit_depth < 1:
             raise TwirlError("pipeline windows out of range: need k_max >= 0, "
                              "gamma_depth and unit_depth >= 1")
-        need = 2 * trunc.gamma_depth + 2 * ctx.from_int(2).val + 6
+        need = 2 * trunc.gamma_depth + 2 * ctx.ord2 + 6
         if ctx.precision < need:
             raise TwirlError(f"precision {ctx.precision} below "
                              f"2*gamma_depth + 2*ord(2) + 6 = {need}")

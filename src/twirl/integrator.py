@@ -10,8 +10,10 @@ coordinate.  Central classes are normalized to volume 1 each.
 The torus strata near +-1 are alpha = sign (1 + pi^e v), one per class
 of the unit v mod pi^m, where m is the number of digits of v that the
 integrand can see (`torus_strata`): 0 when every K-average vanishes,
-and residue_level - e - s otherwise.  `unit_depth` only caps m; it
-changes no output of `CuspidalData`, whose m is at most 1.
+and residue_level - e - s otherwise.  `unit_depth` only caps m, so it
+changes no value: `CuspidalData` reads at most 1 digit of v, and
+`unit_depth` >= 1.  The metadata prints it, and it picks the extra digit
+of the alpha = -1 representative at e = ord 2 (`_stratum_alpha`).
 
 One pass per torus stratum gamma: `regular_preimage` gives x =
 S(gamma)^(-1) (one `Elem` inverse) and |D_eps(gamma)| as an integer read
@@ -156,8 +158,7 @@ def _stratum_alpha(ctx: LocalFieldCtx, sign: int, e: int, v: Elem,
     alpha = ctx.one() + v.shift(e)
     if sign < 0:
         alpha = -alpha
-    # ord(2) is e at p = 2 and 0 at odd p, so only p = 2 reaches the test
-    if e == ctx.e * (ctx.p == 2) and alpha == ctx.from_int(-sign):
+    if e == ctx.ord2 and alpha == ctx.from_int(-sign):
         return alpha + ctx.from_int(sign).shift(e + depth)
     return alpha
 
@@ -286,19 +287,16 @@ def orbit_strata(data, form, x: Mat):
     return out
 
 
-_y01_cache: dict = {}
-
-
 def _y01_digits(ctx: LocalFieldCtx, u: int, b: tuple, t: tuple) -> tuple:
     """The digits of pi^u b t mod pi^(u + len(t)), b and t units given
     by their first digits (b may have fewer), kept per field: y01 mod
     pi^level of `orbit_strata`."""
-    key = (ctx, u, b, t)
-    got = _y01_cache.get(key)
+    key = ("y01", u, b, t)
+    got = ctx._memo.get(key)
     if got is None:
         got = (ctx.from_digits(u, b) * ctx.from_digits(0, t)) \
             .residue_digits(u + len(t))
-        _y01_cache[key] = got
+        ctx._memo[key] = got
     return got
 
 
@@ -457,7 +455,7 @@ def regular_preimage(form, alpha: Elem, label: str):
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"{_where(label, ctx)}: {exc}") from exc
     # ord(alpha - 1) = -ord(x0), x0 normalized by the inverse
-    dexp = ctx.e * (ctx.p == 2) - 2 * x.rows[0][0].vbase - alpha.val
+    dexp = ctx.ord2 - 2 * x.rows[0][0].vbase - alpha.val
     return x, dexp
 
 
@@ -552,9 +550,9 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
     label = f"1+pi^{top}"
     drep = discriminant_report(form, _stratum_alpha(ctx, 1, top, ctx.one(), 1),
                                label)
-    if drep.ord_value != ctx.e + 2 * top:
+    if drep.ord_value != ctx.ord2 + 2 * top:
         raise DomainError(f"|D_eps| at {label} is q^-{drep.ord_value}, "
-                          f"not q^-(ord 2 + 2e) = q^-{ctx.e + 2 * top}")
+                          f"not q^-(ord 2 + 2e) = q^-{ctx.ord2 + 2 * top}")
     increments = []
     for e in range(1, top + 1):
         # interior shell: b levels j = 0 .. e-1; level j has q^j - q^(j-1)
@@ -562,8 +560,8 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
         # 2(e - j) + 1
         counts = [1] + [q ** j - q ** (j - 1) for j in range(1, e)]
         weight = sum(n * (2 * (e - j) + 1) for j, n in enumerate(counts))
-        # vol(1 + pi^e O) |D_eps| = q^-e q^-(ord 2 + 2e), ord 2 = ctx.e
-        scale = q ** (3 * e + ctx.e)
+        # vol(1 + pi^e O) |D_eps| = q^-e q^-(ord 2 + 2e)
+        scale = q ** (3 * e + ctx.ord2)
         increments.append((e, Fraction(weight, scale),
                            Fraction(4 * sum(counts), scale)))
     return (sum((a for _, a, _ in increments), Fraction(0)),

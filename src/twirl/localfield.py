@@ -64,14 +64,16 @@ class LocalFieldCtx:
     precision: int
     # derived, excluded from equality
     q: int = field(init=False, compare=False)
+    ord2: int = field(init=False, compare=False)           # ord_pi(2)
     coeff_exp: int = field(init=False, compare=False)      # M
     coeff_mod: int = field(init=False, compare=False)      # p^M
     _red: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     _p_over_pi: tuple[int, ...] = field(init=False, compare=False)
     _p_unit: tuple[int, ...] = field(init=False, compare=False)     # p / pi^e
     _pk: tuple[int, ...] = field(init=False, compare=False)         # p^0 .. p^M
-    # ("pi", k) -> pi^k and ("unit", s) -> (p / pi^e)^s, filled on demand
-    _powers: dict = field(init=False, compare=False)
+    # per-field tables, filled on demand: pi^k, (p / pi^e)^s, the digits
+    # of `integrator._y01_digits` and the squares of `_square_residues`
+    _memo: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         p, e, coeffs, n = self.p, self.e, tuple(self.eisenstein), self.precision
@@ -89,12 +91,13 @@ class LocalFieldCtx:
             raise PrecisionTooSmall(f"precision {n} < 2e+2 = {2 * e + 2}")
         object.__setattr__(self, "eisenstein", coeffs)
         object.__setattr__(self, "q", p)
+        object.__setattr__(self, "ord2", e if p == 2 else 0)
         m = -(-n // e) + 8
         pm = p ** m
         object.__setattr__(self, "coeff_exp", m)
         object.__setattr__(self, "coeff_mod", pm)
         object.__setattr__(self, "_pk", tuple(p ** k for k in range(m + 1)))
-        object.__setattr__(self, "_powers", {})
+        object.__setattr__(self, "_memo", {})
         # reduction of x^(e+j) mod (E, p^M) for j = 0..e-2
         red = []
         base = tuple((-c) % pm for c in coeffs[:e])  # x^e
@@ -334,42 +337,34 @@ class Elem:
         return tuple(c % mod for c in u), m
 
     def _settle(self) -> "Elem":
-        """Re-center so the unit part has valuation 0 (exact); never raises,
-        a shift at the validity capacity is left as is."""
+        """Re-center so the unit part has valuation 0 (exact); never raises.
+        The representative is exact to mexp levels, so a first surviving
+        digit at that capacity is undecidable: it is left as is, unsettled."""
         if self._norm:
             return self
         ctx = self.ctx
         if self.is_zero():
             return _elem(ctx, 0, self.coeffs, True, self.mexp)
         t = ctx.poly_ord(self.coeffs)
+        if t >= self._capacity():
+            return self
         if t == 0:
             self._norm = True
-            return self
-        if t >= self._capacity():
             return self
         u, m = self._divide(t)
         return _elem(ctx, self.vbase + t, u, True, m)
 
     def normalized(self) -> "Elem":
+        """`_settle`, or PrecisionExhausted where it leaves x unsettled."""
         if self._norm:
             return self
-        ctx = self.ctx
-        if self.is_zero():
-            return _elem(ctx, 0, self.coeffs, True, self.mexp)
-        t = ctx.poly_ord(self.coeffs)
-        # the representative is exact to mexp coefficient levels, so a
-        # cancellation is undecidable once the first surviving digit
-        # reaches that capacity
-        if t >= self._capacity():
+        x = self._settle()
+        if not x._norm:
             raise PrecisionExhausted(
-                f"leading digit beyond tracked validity (shift {t}, "
-                f"levels {self.mexp})"
+                f"leading digit beyond tracked validity (shift "
+                f"{self.ctx.poly_ord(self.coeffs)}, levels {self.mexp})"
             )
-        if t == 0:
-            self._norm = True
-            return self
-        u, m = self._divide(t)
-        return _elem(ctx, self.vbase + t, u, True, m)
+        return x
 
     def divisible_by(self, m: int) -> bool:
         """Exact test x in pi^m O on the raw representative (no division or
@@ -589,18 +584,18 @@ def _elem(ctx: LocalFieldCtx, vbase: int, coeffs: tuple[int, ...],
 def _pi_power_poly(ctx: LocalFieldCtx, k: int) -> tuple[int, ...]:
     """pi^k (k >= 0) as a unit-slot polynomial mod p^M, kept per context."""
     key = ("pi", k)
-    got = ctx._powers.get(key)
+    got = ctx._memo.get(key)
     if got is None:
-        got = ctx._powers[key] = ctx.poly_pow(ctx.pi_poly(), k)
+        got = ctx._memo[key] = ctx.poly_pow(ctx.pi_poly(), k)
     return got
 
 
 def _unit_power_poly(ctx: LocalFieldCtx, s: int) -> tuple[int, ...]:
     """(p/pi^e)^s (s >= 0) mod p^M, kept per context."""
     key = ("unit", s)
-    got = ctx._powers.get(key)
+    got = ctx._memo.get(key)
     if got is None:
-        got = ctx._powers[key] = ctx.poly_pow(ctx._p_unit, s)
+        got = ctx._memo[key] = ctx.poly_pow(ctx._p_unit, s)
     return got
 
 
@@ -618,11 +613,6 @@ class SquareClassSet:
     card_units: int
 
 
-def _unit_square_level(ctx: LocalFieldCtx) -> int:
-    ord2 = ctx.e * _vp(2, ctx.p) if ctx.p == 2 else 0
-    return 2 * ord2 + 1
-
-
 def unit_digit_tuples(p: int, n: int) -> list:
     """The digit tuples (d_0, ..., d_(n-1)) with d_0 != 0, in lexicographic
     order: the units mod pi^n, or the level-n cosets of F/O with leading
@@ -635,22 +625,17 @@ def unit_digit_tuples(p: int, n: int) -> list:
     return tuples
 
 
-_square_residue_cache: dict = {}
-
-
 def _square_residues(ctx: LocalFieldCtx) -> frozenset:
-    key = (ctx.p, ctx.e, ctx.eisenstein)
-    got = _square_residue_cache.get(key)
-    if got is not None:
-        return got
-    level = _unit_square_level(ctx)
-    s = set()
-    for t in unit_digit_tuples(ctx.p, level):
-        w = ctx.from_digits(0, t)
-        s.add((w * w).residue_digits(level))
-    out = frozenset(s)
-    _square_residue_cache[key] = out
-    return out
+    """The unit squares mod pi^(2 ord(2) + 1), kept per field."""
+    got = ctx._memo.get("squares")
+    if got is None:
+        level = 2 * ctx.ord2 + 1
+        s = set()
+        for t in unit_digit_tuples(ctx.p, level):
+            w = ctx.from_digits(0, t)
+            s.add((w * w).residue_digits(level))
+        got = ctx._memo["squares"] = frozenset(s)
+    return got
 
 
 def is_square(x: Elem) -> bool:
@@ -660,20 +645,20 @@ def is_square(x: Elem) -> bool:
         raise DomainError("0 has no square class")
     if x.val % 2 != 0:
         return False
-    u = Elem(x.ctx, 0, x.coeffs, True)
+    u = x.shift(-x.vbase)
     if x.ctx.p != 2:
         r = u.residue()
         return pow(r, (x.ctx.p - 1) // 2, x.ctx.p) == 1
-    level = _unit_square_level(x.ctx)
+    level = 2 * x.ctx.ord2 + 1
     return u.residue_digits(level) in _square_residues(x.ctx)
 
 
 def card_unit_square_classes(ctx: LocalFieldCtx) -> int:
-    """|O^x/(O^x)^2| in closed form: 2 at odd p, and 2^(e + 1) at p = 2,
-    since O^x/(O^x)^2 has order 2 |2|^(-1) = 2 q^e for F/Q_2 totally
-    ramified of degree e.  `square_class_reps` finds as many unit
-    representatives by enumeration."""
-    return 2 if ctx.p != 2 else 2 ** (ctx.e + 1)
+    """|O^x/(O^x)^2| in closed form: 2 |2|^(-1) = 2 q^ord(2), which is 2
+    at odd p and 2^(e + 1) at p = 2 for F/Q_2 totally ramified of degree
+    e.  `square_class_reps` finds as many unit representatives by
+    enumeration."""
+    return 2 * ctx.q ** ctx.ord2
 
 
 def square_class_reps(ctx: LocalFieldCtx) -> SquareClassSet:
@@ -689,7 +674,7 @@ def square_class_reps(ctx: LocalFieldCtx) -> SquareClassSet:
         # a unit residue opens a new class unless it is in the class of a
         # representative found before it
         reps: list[Elem] = []
-        for t in unit_digit_tuples(ctx.p, _unit_square_level(ctx)):
+        for t in unit_digit_tuples(ctx.p, 2 * ctx.ord2 + 1):
             v = ctx.from_digits(0, t)
             if not any(is_square(u / v) for u in reps):
                 reps.append(v)

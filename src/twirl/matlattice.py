@@ -160,9 +160,6 @@ class Mat:
         return all(a == b for r, s in zip(self.rows, other.rows)
                    for a, b in zip(r, s))
 
-    def __hash__(self):
-        return hash(tuple(a._key() for r in self.rows for a in r))
-
     def to_digit_lists(self, count: int = 8):
         return [[(x.val, x.unit_digits(count)) if x.val is not INF else (None, ())
                  for x in r] for r in self.rows]

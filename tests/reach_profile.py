@@ -6,13 +6,18 @@ the three benchmark configs of `perfbench/workloads.py` (read with
 as CSV, `residue`, and `psik`, `dtwist` and `support-scan` at each alpha
 of `ALPHAS` and of the psik workload's seeds, error cases included.
 `sys.setprofile` records every function of the package that is entered.
-The module caches are emptied first, so the answer does not depend on
-what ran before in the process.
+Each run's tables live on the field context that the run builds, so the
+answer does not depend on what ran before in the process.
 
     python tests/reach_profile.py
 
 prints each function that no run calls, with its module and line count.
-`tests/test_reach.py` imports `never_called` and checks the list."""
+`tests/test_reach.py` imports `never_called` and checks the list.
+
+    python tests/reach_profile.py --lines
+
+prints instead, for each function that some run enters, the lines of its
+body that no run executes (`never_executed`, by `sys.settrace`)."""
 
 from __future__ import annotations
 
@@ -83,15 +88,34 @@ def definitions(pkg: pathlib.Path) -> dict:
     return out
 
 
+def _package() -> pathlib.Path:
+    """The directory of the `twirl` package that the runs import."""
+    from twirl import cli
+
+    return pathlib.Path(cli.__file__).resolve().parent
+
+
+def _run_all(install, hook) -> None:
+    """Every run of `_runs`, in process, with `hook` installed by
+    `install` (`sys.setprofile` or `sys.settrace`)."""
+    from twirl import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = _runs(pathlib.Path(tmp))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            install(hook)
+            try:
+                for argv in runs:
+                    cli.main(argv)
+            finally:
+                install(None)
+
+
 def never_called() -> dict:
     """{module.qualname: lines} of the `twirl` functions that no run of
     `_runs` enters."""
-    from twirl import cli, integrator, localfield
-
-    pkg = pathlib.Path(cli.__file__).resolve().parent
-    defs = definitions(pkg)
-    integrator._y01_cache.clear()
-    localfield._square_residue_cache.clear()
     called = set()
 
     def profile(frame, event, _arg):
@@ -99,23 +123,74 @@ def never_called() -> dict:
             code = frame.f_code
             called.add((code.co_filename, code.co_firstlineno))
 
-    with tempfile.TemporaryDirectory() as tmp:
-        runs = _runs(pathlib.Path(tmp))
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), \
-                contextlib.redirect_stderr(sink):
-            sys.setprofile(profile)
-            try:
-                for argv in runs:
-                    cli.main(argv)
-            finally:
-                sys.setprofile(None)
+    _run_all(sys.setprofile, profile)
+    defs = definitions(_package())
     return {name: lines for key, (name, lines) in defs.items()
             if key not in called}
 
 
+def _body_lines(code) -> set:
+    """The source lines of `code` that carry bytecode, with those of the
+    comprehensions and lambdas it holds; nested functions are their own."""
+    lines = {line for _s, _e, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if hasattr(const, "co_lines") and const.co_name.startswith("<"):
+            lines |= _body_lines(const)
+    return lines
+
+
+def never_executed() -> dict:
+    """{module.qualname: sorted lines} of the `twirl` functions that some
+    run of `_runs` enters, each with the lines of its body (`_body_lines`)
+    that no run executes; a function whose every line runs is left out."""
+    pkg = _package()
+    entered, ran = {}, set()
+
+    def line(frame, event, _arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    def call(frame, event, _arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(str(pkg)):
+            return None
+        entered[(code.co_filename, code.co_firstlineno)] = code
+        return line
+
+    _run_all(sys.settrace, call)
+    defs = definitions(pkg)
+    out = {}
+    for key, code in entered.items():
+        if key not in defs:     # a comprehension or lambda frame
+            continue
+        missed = sorted(n for n in _body_lines(code) - {key[1]}
+                        if (key[0], n) not in ran)
+        if missed:
+            out[defs[key][0]] = missed
+    return out
+
+
+def _spans(lines: list) -> str:
+    """Sorted line numbers as runs, '12, 15-17'."""
+    runs = []
+    for n in lines:
+        if runs and runs[-1][1] == n - 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
+    if sys.argv[1:] == ["--lines"]:
+        unrun = never_executed()
+        for name, lines in sorted(unrun.items()):
+            print(f"{name}: {_spans(lines)}")
+        print(f"{len(unrun)} entered functions, "
+              f"{sum(map(len, unrun.values()))} lines never executed")
+        sys.exit(0)
     missed = never_called()
     width = max(map(len, missed), default=0)
     for name, lines in sorted(missed.items()):

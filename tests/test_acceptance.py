@@ -32,13 +32,13 @@ from fractions import Fraction
 
 import pytest
 
-from twirl import (CuspidalData, Mat, TorusElem, TruncationSpec,
-                   assemble_coefficients, level_character, make_field, member,
-                   norm_preimage, orthogonal_form, parse_elem,
-                   square_class_reps, support_scan, twisted_discriminant,
-                   vdash)
 from twirl.cyclotomic import CharacterValue
-from twirl.matlattice import antidiag_w
+from twirl.integrator import TruncationSpec, assemble_coefficients
+from twirl.localfield import make_field, parse_elem, square_class_reps
+from twirl.matlattice import Mat, antidiag_w, orthogonal_form, vdash
+from twirl.supercuspidal import (CuspidalData, level_character, member,
+                                 support_scan)
+from twirl.twisted import TorusElem, norm_preimage, twisted_discriminant
 
 from rg_oracle import rg_term
 from random_mats import random_integral, random_mat

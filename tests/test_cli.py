@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from twirl import TruncationSpec, cli
+from twirl import cli
 from twirl.cyclotomic import CharacterValue
+from twirl.integrator import TruncationSpec
 
 ODD_CFG = """[field]
 p = 5

@@ -5,33 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twirl import (
-    CuspidalData,
-    DomainError,
-    Elem,
-    Mat,
-    NotRegular,
-    PrecisionExhausted,
-    SingularGammaMinusOne,
-    TorusElem,
-    TruncationSpec,
-    assemble_coefficients,
-    coefficient_A_B,
-    make_field,
-    norm_preimage,
-    orbit_weight_integral,
-    orthogonal_form,
-    parse_elem,
-    square_class_reps,
-    symplectic_form,
-    twisted_discriminant,
-)
 from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import (_delta_totals, orbit_strata, regular_preimage,
-                              torus_strata)
-from twirl.localfield import unit_digit_tuples
-from twirl.matlattice import a_e, n_b, vdash
+from twirl.errors import (DomainError, NotRegular, PrecisionExhausted,
+                          SingularGammaMinusOne)
+from twirl.integrator import (TruncationSpec, _delta_totals,
+                              assemble_coefficients, coefficient_A_B,
+                              orbit_strata, orbit_weight_integral,
+                              regular_preimage, torus_strata)
+from twirl.localfield import (Elem, make_field, parse_elem, square_class_reps,
+                              unit_digit_tuples)
+from twirl.matlattice import (Mat, a_e, n_b, orthogonal_form, symplectic_form,
+                              vdash)
+from twirl.supercuspidal import CuspidalData
+from twirl.twisted import TorusElem, norm_preimage, twisted_discriminant
 
 from coset_walk import coset_strata
 from integrands import IntegralIndicator, NonIntegralIndicator

@@ -3,22 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from twirl import (
-    DomainError,
-    Elem,
-    NotEisenstein,
-    PrecisionExhausted,
-    PrecisionTooSmall,
-    Singular,
-    additive_char,
-    is_square,
-    make_field,
-    parse_elem,
-    square_class_reps,
-)
 from twirl.cyclotomic import CharacterValue
-from twirl.localfield import (LocalFieldCtx, SquareClassSet, _pi_power_poly,
-                              card_unit_square_classes, unit_digit_tuples)
+from twirl.errors import (DomainError, NotEisenstein, PrecisionExhausted,
+                          PrecisionTooSmall, Singular)
+from twirl.localfield import (Elem, LocalFieldCtx, SquareClassSet,
+                              _pi_power_poly, additive_char,
+                              card_unit_square_classes, is_square, make_field,
+                              parse_elem, square_class_reps, unit_digit_tuples)
 
 from newton_inverse import poly_inv_newton
 
@@ -227,6 +218,43 @@ def test_card_unit_square_classes_closed_form(p, e, eis):
     assert card_unit_square_classes(c) == (2 if p != 2 else 2 ** (e + 1))
 
 
+@pytest.mark.parametrize("p, eis", [(2, (-2, 0, 1)), (2, (-2, 0, 0, 1)),
+                                    (3, (-3, 1)), (5, (-5, 1))])
+def test_ord2_is_the_valuation_of_2(p, eis):
+    c = make_field(p, len(eis) - 1, eis, 24)
+    assert c.ord2 == c.from_int(2).val
+
+
+def test_is_square_refuses_digits_past_the_validity():
+    """1 + pi^4 held to 2 coefficient levels over x^2 - 2 has no fifth
+    digit, and 1 + pi^4 is not a square: the Hensel level needs 5."""
+    c = ctx2()
+    one_pi4 = c.from_digits(0, (1, 0, 0, 0, 1))
+    assert not is_square(one_pi4)
+    short = Elem(c, 0, one_pi4.coeffs, True, 2)
+    with pytest.raises(PrecisionExhausted):
+        short.residue_digits(5)
+    with pytest.raises(PrecisionExhausted):
+        is_square(short)
+
+
+@pytest.mark.parametrize("eis, unit_digits", [
+    ((-2, 0, 1), [(1, a, 0, b, c) for a in (0, 1) for b in (0, 1)
+                  for c in (0, 1)]),
+    ((-2, 0, 0, 1), [(1, a, 0, b, 0, c, d) for a in (0, 1) for b in (0, 1)
+                     for c in (0, 1) for d in (0, 1)]),
+    ((-5, 1), [(1,), (2,)]),
+])
+def test_square_class_reps_at_full_validity(eis, unit_digits):
+    """The unit representatives, by their digits at the Hensel level."""
+    p = 2 if eis[0] == -2 else 5
+    c = make_field(p, len(eis) - 1, eis, 24)
+    scs = square_class_reps(c)
+    level = len(unit_digits[0])     # 2 ord(2) + 1
+    assert [u.unit_digits(level) for u in scs.unit_reps] == unit_digits
+    assert scs.card_field == 2 * len(unit_digits)
+
+
 @pytest.mark.parametrize("eis", [(-2, 0, 1), (-2, 0, 0, 1)])
 def test_poly_pow_matches_repeated_products(monkeypatch, eis):
     """u^k by binary powering equals k products with u, for k = 0..9 at
@@ -334,6 +362,19 @@ def test_settling_changes_no_observation(mk, method):
             assert (z.val, z.unit_digits(4), hash(z)) == want
             assert z == twin and twin == z
     assert paths == {True, False}
+
+
+def test_normalized_does_not_depend_on_an_earlier_sum():
+    """A unit at 2 coefficient levels has no digit the capacity can
+    decide: `normalized` raises fresh, and still raises after the element
+    was an operand of a sum (which settles it)."""
+    c = ctx5()
+    b = Elem(c, 0, (7,), False, 2)
+    with pytest.raises(PrecisionExhausted):
+        b.normalized()
+    b + c.one()
+    with pytest.raises(PrecisionExhausted):
+        b.normalized()
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])

@@ -2,18 +2,10 @@ import random
 
 import pytest
 
-from twirl import (
-    GroupForm,
-    Mat,
-    Singular,
-    make_field,
-    mat_ord,
-    orthogonal_form,
-    symplectic_form,
-    vdash,
-)
-from twirl.localfield import is_square
-from twirl.matlattice import antidiag_u, antidiag_w
+from twirl.errors import Singular
+from twirl.localfield import is_square, make_field
+from twirl.matlattice import (GroupForm, Mat, antidiag_u, antidiag_w, mat_ord,
+                              orthogonal_form, symplectic_form, vdash)
 
 from random_mats import random_integral, random_mat
 from weights_oracle import delta

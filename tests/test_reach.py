@@ -9,7 +9,10 @@ runs in some CLI run of `reach_profile.py`, or is in `KEPT` with its
 reason."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import twirl
 
@@ -83,13 +86,12 @@ KEPT = {
     "cyclotomic.CharacterValue.rational": _VALUE,
     "cyclotomic.CharacterValue.rational_part": _VALUE,
     "localfield.Elem.__hash__": _VALUE,
+    "localfield.Elem.__init__": _VALUE,
     "localfield.Elem.__pow__": _VALUE,
     "localfield.Elem.__repr__": _REPR,
     "localfield.Elem.__str__": _VALUE,
     "localfield.LocalFieldCtx.__repr__": _VALUE,
     "matlattice.Mat.__add__": _VALUE,
-    "matlattice.Mat.__hash__": "(b) keeps the value type hashable beside "
-                               "its __eq__; nothing hashes a Mat yet",
     "matlattice.Mat.__neg__": _VALUE,
     "matlattice.Mat.__repr__": _VALUE,
     "matlattice.Mat.__sub__": _VALUE,
@@ -117,6 +119,46 @@ def test_every_src_function_runs_or_is_kept():
     from reach_profile import never_called
 
     assert sorted(never_called()) == sorted(KEPT)
+
+
+def test_package_init_imports_nothing():
+    """Each name has one import path, its module: `twirl/__init__.py`
+    re-exports nothing."""
+    tree = _modules()["__init__"]
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def test_localfield_loads_without_numpy():
+    """`import twirl.localfield` loads the field and its errors only, not
+    numpy or the rest of the chain."""
+    code = ("import sys, twirl.localfield; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'twirl')))")
+    src = str(pathlib.Path(twirl.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == str(["twirl", "twirl.errors", "twirl.localfield"])
+
+
+def test_no_module_level_cache():
+    """No module of `twirl` binds a module-level name to an empty dict,
+    list or set, the shape of a cache that outlives a run: per-field
+    tables live on the field context (`LocalFieldCtx._memo`)."""
+    def empty(node):
+        if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+            return not (getattr(node, "keys", None)
+                        or getattr(node, "elts", None))
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("dict", "list", "set")
+                and not (node.args or node.keywords))
+
+    found = [f"{mod}:{node.lineno}" for mod, tree in _modules().items()
+             for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and node.value is not None and empty(node.value)]
+    assert found == []
 
 
 def test_supercuspidal_imports_no_numpy():

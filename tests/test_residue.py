@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from twirl import RationalSeries, laurent_at_zero, residue_report
 from twirl.cyclotomic import CharacterValue
-from twirl.residue import spot_check
+from twirl.residue import (RationalSeries, laurent_at_zero, residue_report,
+                           spot_check)
 
 import residue_oracle as oracle
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twirl import make_field
+from twirl.localfield import make_field
 from twirl.ringvec import iter_gl2
 
 from kappa_oracle import OracleRing, _gl2_chunks

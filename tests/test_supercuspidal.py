@@ -8,32 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twirl import (
-    CuspidalData,
-    DomainError,
-    Mat,
-    TorusElem,
-    level_character,
-    make_field,
-    member,
-    norm_preimage,
-    orbit_weight_integral,
-    orthogonal_form,
-    parse_elem,
-    support_scan,
-    symplectic_form,
-    vdash,
-)
 from twirl import supercuspidal
 from twirl.cyclotomic import CharacterValue
-from twirl.integrator import _preimage_inverse, orbit_strata
-from twirl.supercuspidal import (
-    _classify_regime,
-    _coset_counts,
-    _support_mod_pi,
-    pass_table,
-    pi_e_inverse_power,
-)
+from twirl.errors import DomainError
+from twirl.integrator import (_preimage_inverse, orbit_strata,
+                              orbit_weight_integral)
+from twirl.localfield import make_field, parse_elem
+from twirl.matlattice import Mat, orthogonal_form, symplectic_form, vdash
+from twirl.supercuspidal import (CuspidalData, _classify_regime, _coset_counts,
+                                 _support_mod_pi, level_character, member,
+                                 pass_table, pi_e_inverse_power, support_scan)
+from twirl.twisted import TorusElem, norm_preimage
 
 from coset_walk import coset_strata
 from kappa_oracle import (OracleRing, _count_f, _f_on_residues, _gl2_chunks,

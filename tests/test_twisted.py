@@ -2,20 +2,12 @@ import random
 
 import pytest
 
-from twirl import (
-    DomainError,
-    Mat,
-    Singular,
-    SingularGammaMinusOne,
-    TorusElem,
-    is_eps_symmetric,
-    make_field,
-    norm_preimage,
-    orthogonal_form,
-    symplectic_form,
-    twisted_discriminant,
-)
-from twirl import PrecisionExhausted, vdash
+from twirl.errors import (DomainError, PrecisionExhausted, Singular,
+                          SingularGammaMinusOne)
+from twirl.localfield import make_field
+from twirl.matlattice import Mat, orthogonal_form, symplectic_form, vdash
+from twirl.twisted import (TorusElem, is_eps_symmetric, norm_preimage,
+                           twisted_discriminant)
 
 from random_mats import random_mat
 from twisted_centralizer import twisted_centralizer_sample

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from twirl import Mat, make_field, mat_ord, orthogonal_form, square_class_reps
-from twirl.matlattice import antidiag_w, vdash
+from twirl.localfield import make_field, square_class_reps
+from twirl.matlattice import Mat, antidiag_w, mat_ord, orthogonal_form, vdash
 
 from random_mats import random_integral, random_mat
 from weights_oracle import (WeightQuery, delta_vector, scaling_block,
