@@ -7,11 +7,11 @@ and a ramified one (Q_2 adjoin sqrt 2, where 2 has valuation 2).
 
 from fractions import Fraction
 
-from twirl.localfield import (additive_char, is_square, make_field,
+from twirl.localfield import (LocalFieldCtx, additive_char, is_square,
                               square_class_reps)
 
 # Q_5: ramification degree 1, uniformizer 5, sixteen working digits
-F5 = make_field(5, 1, (-5, 1), 16)
+F5 = LocalFieldCtx(5, 1, (-5, 1), 16)
 print("context:", F5)
 
 x = F5.from_int(50)
@@ -26,7 +26,7 @@ print("ord(pi^2 + pi^5) =", (a + b).val)        # min of the two
 print("ord(pi^2 * pi^5) =", (a * b).val)        # sum
 
 # the ramified quadratic context: x^2 - 2, so pi = sqrt(2)
-F2 = make_field(2, 2, (-2, 0, 1), 24)
+F2 = LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 print("\ncontext:", F2)
 print("ord(2) =", F2.from_int(2).val, " (2 sits in the square of the ideal)")
 

@@ -12,18 +12,18 @@ centralizer of delta is the one-dimensional torus.  The test
 closed form to an independent kernel/quotient determinant.
 """
 
-from twirl.localfield import make_field
-from twirl.matlattice import orthogonal_form, vdash
-from twirl.twisted import TorusElem, norm_preimage, twisted_discriminant
+from twirl.localfield import LocalFieldCtx
+from twirl.matlattice import Mat, orthogonal_form, vdash
+from twirl.twisted import norm_preimage, twisted_discriminant
 
-ctx = make_field(5, 1, (-5, 1), 18)
+ctx = LocalFieldCtx(5, 1, (-5, 1), 18)
 form = orthogonal_form(ctx, 2)
 
-gamma = TorusElem(ctx.from_int(3))
-s = norm_preimage(gamma, form)
+alpha = ctx.from_int(3)
+s = norm_preimage(alpha, form)
 print("S(gamma) for alpha = 3:", s)
-print("nu(S(gamma)) == -gamma:",
-      vdash(s.inverse(), form) * s == -gamma.matrix())
+gamma = Mat.diag(ctx, [alpha, alpha.inverse()])
+print("nu(S(gamma)) == -gamma:", vdash(s.inverse(), form) * s == -gamma)
 
 print("\ntwisted discriminants |D| = q^(-ord):")
 for alpha_desc, alpha in [
@@ -32,8 +32,7 @@ for alpha_desc, alpha in [
     ("close to -1", -ctx.one() + ctx.pi(3)),
     ("noncompact", ctx.pi(1)),
 ]:
-    g = TorusElem(alpha)
-    si = norm_preimage(g, form).inverse()
+    si = norm_preimage(alpha, form).inverse()
     r = twisted_discriminant(si, form)
     print(f"  {alpha_desc:24s} ord = {r.ord_value:3d}  kernel = "
           f"{r.kernel_dim}")

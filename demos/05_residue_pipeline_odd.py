@@ -8,12 +8,12 @@ values sweep all p-th roots of unity uniformly).
 """
 
 from twirl.integrator import TruncationSpec, assemble_coefficients
-from twirl.localfield import make_field
+from twirl.localfield import LocalFieldCtx
 from twirl.matlattice import orthogonal_form
 from twirl.residue import residue_report
 from twirl.supercuspidal import CuspidalData
 
-ctx = make_field(5, 1, (-5, 1), 18)
+ctx = LocalFieldCtx(5, 1, (-5, 1), 18)
 data = CuspidalData(ctx)
 form = orthogonal_form(ctx, 2)
 trunc = TruncationSpec(gamma_depth=3, k_max=6, unit_depth=2)
@@ -33,10 +33,10 @@ print("report regime:", rep.regime)
 
 # the K-average cancels even though the support is met: look at one stratum
 from twirl.integrator import orbit_strata
-from twirl.twisted import TorusElem, norm_preimage
+from twirl.twisted import norm_preimage
 
 alpha = -ctx.one() + ctx.pi(1)
-x = norm_preimage(TorusElem(alpha), form).inverse()
+x = norm_preimage(alpha, form).inverse()
 # x is integral of unit determinant, so the walk has one record, at y = x
 [record] = orbit_strata(data, form, x)
 print("\nsample K-average at alpha = -1+pi:",

@@ -11,12 +11,12 @@ explicit in (a, b).
 
 from twirl.integrator import (TruncationSpec, assemble_coefficients,
                               coefficient_A_B)
-from twirl.localfield import make_field
+from twirl.localfield import LocalFieldCtx
 from twirl.matlattice import orthogonal_form
 from twirl.residue import residue_report
 from twirl.supercuspidal import CuspidalData
 
-ctx = make_field(2, 2, (-2, 0, 1), 24)
+ctx = LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 data = CuspidalData(ctx)
 form = orthogonal_form(ctx, 2)
 trunc = TruncationSpec(gamma_depth=6, k_max=8, unit_depth=3)

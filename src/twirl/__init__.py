@@ -6,7 +6,7 @@ stratified orbital integration, and closed-form residue extraction for
 the resulting coefficient series.
 
 Each name is imported from the module that defines it, as in
-`from twirl.localfield import make_field`; the package re-exports
+`from twirl.localfield import LocalFieldCtx`; the package re-exports
 nothing, so importing one module loads only what that module needs.
 """
 

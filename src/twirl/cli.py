@@ -34,10 +34,10 @@ error, and so is a section other than these three ([DEFAULT] included),
 a missing file or [field] section, a format other than json or csv, a
 format the subcommand does not write (`FORMATS`; an unset format is
 json, or csv for `psik`), a value that is not an integer, a window out
-of range, a precision below
-2*gamma_depth + 2*ord(2) + 6, or a regime other than the one p selects
-("even" at p = 2 with e >= 2, "odd" at odd p; the even regime adds the
-weight-only constants to the residue report).  The G/T walk has no
+of range, a precision below 2*gamma_depth + 2*ord(2) + 6, or a regime
+other than the one p selects ("even" at p = 2 with e >= 2, "odd" at odd
+p).  The `regime` key is only checked: the regime is p's, and at p = 2
+the residue report adds the weight-only constants.  The G/T walk has no
 window, and `support-scan` reads the same (i, j) levels as the pipeline.
 Exit codes: 0 success, 1 a config or run error, 2 a usage error.  A run
 error of `dtwist`, `psik` or `support-scan` names `alpha = <text>` once
@@ -66,11 +66,10 @@ from .integrator import (
     discriminant_report,
     orbit_weight_integral,
 )
-from .localfield import make_field, parse_elem
+from .localfield import LocalFieldCtx, parse_elem
 from .matlattice import orthogonal_form
 from .residue import residue_report
 from .supercuspidal import CuspidalData, support_scan
-from .twisted import TorusElem
 # unused; tracer lookup points of perfbench/spans.py
 from .twisted import norm_preimage, twisted_discriminant
 
@@ -87,8 +86,7 @@ FORMATS = {"dtwist": ("json",), "support-scan": ("json",), "psik": ("csv",),
 
 @dataclass
 class RunConfig:
-    ctx: object
-    regime: str
+    ctx: LocalFieldCtx
     trunc: TruncationSpec
     out_format: str | None
     out_path: str | None
@@ -112,7 +110,7 @@ class RunConfig:
         if missing:
             raise TwirlError("config lacks [field] keys: " + ", ".join(missing))
         pl = cp.get("pipeline", {})
-        ctx = make_field(
+        ctx = LocalFieldCtx(
             _int(f["p"], "p"),
             _int(f["e"], "e"),
             tuple(_int(c, "eisenstein") for c in f["eisenstein"].split(",")),
@@ -142,7 +140,7 @@ class RunConfig:
         if path_out and os.environ.get("TWIRL_OUTPUT_DIR"):
             path_out = os.path.join(os.environ["TWIRL_OUTPUT_DIR"],
                                     os.path.basename(path_out))
-        return RunConfig(ctx, regime, trunc, fmt, path_out)
+        return RunConfig(ctx, trunc, fmt, path_out)
 
 
 def _read_ini(text: str) -> dict:
@@ -230,14 +228,14 @@ def cmd_dtwist(cfg: RunConfig, alpha, alpha_text: str) -> str:
 def cmd_support_scan(cfg: RunConfig, alpha, _alpha_text: str) -> str:
     form = orthogonal_form(cfg.ctx, 2)
     data = CuspidalData(cfg.ctx)
-    return _json_dump(support_scan(data, form, TorusElem(alpha)).to_json())
+    return _json_dump(support_scan(data, form, alpha).to_json())
 
 
 def cmd_psik(cfg: RunConfig, alpha, alpha_text: str) -> str:
     form = orthogonal_form(cfg.ctx, 2)
     data = CuspidalData(cfg.ctx)
     ks = range(0, cfg.trunc.k_max + 1)
-    table = orbit_weight_integral(data, form, TorusElem(alpha), ks,
+    table = orbit_weight_integral(data, form, alpha, ks,
                                   f"alpha = {alpha_text}")
     return _coeff_csv(ks, table)
 
@@ -258,7 +256,7 @@ def cmd_residue(cfg: RunConfig) -> str:
     rep = residue_report(table.a, table.b, table.ks, n=2, q=cfg.ctx.q)
     out = rep.to_json()
     out["metadata"] = table.metadata
-    if cfg.regime == "even":
+    if cfg.ctx.p == 2:
         a, b, incs = coefficient_A_B(data, form, cfg.trunc)
         out["weight_only_constants"] = {
             "A": str(a),

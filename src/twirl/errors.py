@@ -25,10 +25,6 @@ class Singular(TwirlError):
     """Matrix (or element) is not invertible."""
 
 
-class SingularGammaMinusOne(TwirlError):
-    """gamma - 1 is not invertible, so the norm preimage is undefined."""
-
-
 class NotRegular(TwirlError):
     """Element fails the twisted regularity criterion."""
 

@@ -15,12 +15,13 @@ changes no value: `CuspidalData` reads at most 1 digit of v, and
 `unit_depth` >= 1.  The metadata prints it, and it picks the extra digit
 of the alpha = -1 representative at e = ord 2 (`_stratum_alpha`).
 
-One pass per torus stratum gamma: `regular_preimage` gives x =
-S(gamma)^(-1) (one `Elem` inverse) and |D_eps(gamma)| as an integer read
-off ord(alpha - 1) and ord(alpha), `orbit_strata` the (i, j) levels of
-G/T in closed form (one prefilter call per forced i) with the K-average
-key of each live class of b, and `_delta_totals` sums weight * K-average
-of f over those classes per Delta_1 = i - j >= 0.  There the closed
+One pass per torus stratum gamma = diag(alpha, alpha^(-1)), given as
+alpha: `regular_preimage` gives x = S(gamma)^(-1) (one `Elem` inverse)
+and |D_eps(gamma)| as an integer read off ord(alpha - 1) and ord(alpha),
+`orbit_strata` the (i, j) levels of G/T in closed form (one prefilter
+call per forced i) with the K-average key of each live class of b, and
+`_delta_totals` sums weight * K-average of f over those classes per
+Delta_1 = i - j >= 0.  There the closed
 square-class weight is units (2 Delta_1 + 1 + 4k), so a table
 {Delta_1: T} gives c_k = a + b k with a = units sum (2 Delta_1 + 1) T
 and b = 4 units sum T (`_pair`):
@@ -41,12 +42,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import CharacterValue
-from .errors import (DomainError, NotRegular, PrecisionExhausted,
-                     SingularGammaMinusOne)
+from .errors import DomainError, NotRegular, PrecisionExhausted, Singular
 from .localfield import (Elem, INF, LocalFieldCtx, card_unit_square_classes,
                          unit_digit_tuples)
 from .matlattice import Mat
-from .twisted import TorusElem, twisted_discriminant
+from .twisted import twisted_discriminant
 # unused; tracer lookup points of perfbench/spans.py
 from .matlattice import vdash
 from .twisted import norm_preimage
@@ -358,7 +358,7 @@ def _affine(a: CharacterValue, b: CharacterValue, ks) -> dict:
     return {k: a + b.scale(k) for k in ks}
 
 
-def orbit_weight_integral(data, form, gamma: TorusElem, ks,
+def orbit_weight_integral(data, form, alpha: Elem, ks,
                           label: str = "gamma"):
     """psi_k(gamma) = integral over G/T of f(g S(gamma)^(-1) g^vdash) W_k(g)
     for each k in ks, as {k: CharacterValue}, read off the pair of the
@@ -366,7 +366,7 @@ def orbit_weight_integral(data, form, gamma: TorusElem, ks,
     `regular_preimage`, whose exact zero tests of alpha -+ 1 raise
     NotRegular naming `label`, and a trace x0 + x1 the precision cannot
     decide raises PrecisionExhausted naming it."""
-    x, _dexp = regular_preimage(form, gamma.alpha, label)
+    x, _dexp = regular_preimage(form, alpha, label)
     units = card_unit_square_classes(data.ctx)
     by_delta = _delta_totals(data, form, x, label)
     return _affine(*_pair(by_delta, data.ctx.p, units), ks)
@@ -415,27 +415,30 @@ class CoefficientTable:
         }
 
 
-def _preimage_inverse(gamma: TorusElem, form) -> Mat:
+def _preimage_inverse(alpha: Elem, form) -> Mat:
     """x = S(gamma)^(-1) on the split form, where S(gamma) = diag(alpha - 1,
     alpha^(-1) - 1) (`norm_preimage`): x0 = (alpha - 1)^(-1) is one `Elem`
     inverse, and x1 = (alpha^(-1) - 1)^(-1) = alpha/(1 - alpha) = -alpha x0,
-    a product (the sum -(1 + x0) can lose a validity level).  Every other
-    form raises DomainError, as `norm_preimage` does."""
+    a product (the sum -(1 + x0) can lose a validity level).  Every alpha
+    path of the library runs here, and here alpha = 0 raises Singular,
+    alpha = 1 NotRegular, and any other form DomainError."""
+    if alpha.is_zero():
+        raise Singular("inverse of zero")
     if not form.split:
         raise DomainError("the closed-form S(gamma)^(-1) needs the split "
                           "orthogonal form")
-    s0 = (gamma.alpha - gamma.ctx.one()).normalized()
+    s0 = (alpha - alpha.ctx.one()).normalized()
     if s0.is_zero():
-        raise SingularGammaMinusOne("gamma - 1 is singular")
+        raise NotRegular("gamma - 1 is singular")
     x0 = s0.inverse()
-    return Mat.diag(gamma.ctx, [x0, -(gamma.alpha * x0)])
+    return Mat.diag(alpha.ctx, [x0, -(alpha * x0)])
 
 
 def regular_preimage(form, alpha: Elem, label: str):
     """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) on the split
     form, and the exponent d with |D_eps(gamma)| = q^(-d).  gamma must be
-    regular: alpha = 1 or -1 raises NotRegular naming the stratum.  Any
-    other form raises DomainError (`_preimage_inverse`).
+    regular: alpha = 1 (refused by `_preimage_inverse`) or -1 raises
+    NotRegular naming the stratum.  Any other form raises DomainError.
 
     x0 = (alpha - 1)^(-1) and x1 = -alpha x0 (`_preimage_inverse`), so
     the trace x0 + x1 is -1 exactly and the lowest coefficient of the
@@ -448,9 +451,9 @@ def regular_preimage(form, alpha: Elem, label: str):
     ctx = alpha.ctx
     try:
         if (alpha + ctx.one()).normalized().is_zero():
-            raise NotRegular(f"gamma must be regular at {label}")
-        x = _preimage_inverse(TorusElem(alpha), form)
-    except SingularGammaMinusOne:
+            raise NotRegular
+        x = _preimage_inverse(alpha, form)
+    except NotRegular:
         raise NotRegular(f"gamma must be regular at {label}") from None
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"{_where(label, ctx)}: {exc}") from exc
@@ -461,14 +464,14 @@ def regular_preimage(form, alpha: Elem, label: str):
 
 def discriminant_report(form, alpha: Elem, label: str):
     """The `twisted_discriminant` report of x = S(gamma)^(-1)
-    (`_preimage_inverse`, which refuses alpha = 1 only), for `dtwist` and
+    (`_preimage_inverse`, which refuses alpha = 0 and 1), for `dtwist` and
     `coefficient_A_B`, which walk no (i, j) levels: the report is their
     check on the trace x0 + x1 = -1.  A trace that reads 0 (kernel dim 3)
     or a digit the precision cannot decide raises PrecisionExhausted
     naming `label`."""
     where = _where(label, alpha.ctx)
     try:
-        x = _preimage_inverse(TorusElem(alpha), form)
+        x = _preimage_inverse(alpha, form)
         drep = twisted_discriminant(x, form)
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"{where}: {exc}") from exc

@@ -54,9 +54,10 @@ def _vp(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class LocalFieldCtx:
-    """Immutable description of F: prime p, ramification degree e,
-    Eisenstein polynomial (coefficients constant-to-leading), and the
-    pi-adic working precision N.  q = p (prime residue field)."""
+    """Immutable description of F, checked on construction: prime p,
+    ramification degree e, Eisenstein polynomial (coefficients
+    constant-to-leading, any sequence), and the pi-adic working
+    precision N >= 2e + 2.  q = p (prime residue field)."""
 
     p: int
     e: int
@@ -271,12 +272,6 @@ class LocalFieldCtx:
 
     def __repr__(self):
         return f"LocalFieldCtx(p={self.p}, e={self.e}, N={self.precision})"
-
-
-def make_field(p: int, e: int, eisenstein, precision: int) -> LocalFieldCtx:
-    """Build a field context, checking the Eisenstein condition and that the
-    precision is large enough for square-class decisions."""
-    return LocalFieldCtx(p, e, tuple(eisenstein), precision)
 
 
 class Elem:
@@ -527,12 +522,15 @@ class Elem:
         return (self.ctx.p, self.ctx.e, x.vbase, canon)
 
     def __eq__(self, other):
-        """Equality of the valuation and of the unit parts through the
-        precision-N window, compared at the shared tracked validity.  Two
+        """Elements of one field are equal when the valuations and the
+        unit parts agree through the precision-N window, compared at the
+        shared tracked validity; elements of two fields never are.  Two
         normalized representatives with the same vbase, mexp and coeffs
         are equal with no key built."""
         if not isinstance(other, Elem):
             return NotImplemented
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            return False
         a, b = self.normalized(), other.normalized()
         if (a.vbase == b.vbase and a.mexp == b.mexp
                 and a.coeffs == b.coeffs):

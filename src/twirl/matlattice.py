@@ -89,19 +89,12 @@ class Mat:
                               for i in range(self.n)])
 
     def det(self) -> Elem:
-        n = self.n
-        if n == 1:
-            return self.rows[0][0]
-        if n == 2:
+        """In closed form for a 2x2 (every `Mat` of a run), else `_gauss`."""
+        if self.n == 2:
             (a, b), (c, d) = self.rows
             if b.is_zero() or c.is_zero():
                 return a * d
             return a * d - b * c
-        if n == 3:
-            a = self.rows
-            return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                    - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                    + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
         det, _ = self._gauss()
         return det
 

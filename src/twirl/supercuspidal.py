@@ -19,7 +19,7 @@ from .integrator import _preimage_inverse, orbit_strata
 from .localfield import INF, Elem, LocalFieldCtx, additive_char
 from .matlattice import GroupForm, Mat, a_e, mat_ord, n_b, vdash
 from .ringvec import ResidueRing, iter_gl2
-from .twisted import TorusElem, is_eps_symmetric
+from .twisted import is_eps_symmetric
 from .twisted import norm_preimage  # unused; a tracer lookup point of perfbench/spans.py
 
 
@@ -83,10 +83,6 @@ class CuspidalData:
         self._avg_cache: dict = {}
         self._table: PassTable | None = None
 
-    @property
-    def p(self) -> int:
-        return self.ctx.p
-
     # -- pointwise evaluation -------------------------------------------------
 
     def psi(self, g: Mat) -> CharacterValue:
@@ -96,14 +92,14 @@ class CuspidalData:
         ctx = self.ctx
         d = g.det()
         if d.val is INF:
-            return CharacterValue.zero(self.p)
+            return CharacterValue.zero(ctx.p)
         j = d.val
         gp = pi_e_inverse_power(ctx, j) * g
         for r in range(1, ctx.p):
             h = gp.scale(ctx.from_int(r).inverse())
             if member(h, "I1"):
                 return level_character(h)
-        return CharacterValue.zero(self.p)
+        return CharacterValue.zero(ctx.p)
 
     def in_support(self, g: Mat) -> bool:
         d = g.det()
@@ -112,7 +108,7 @@ class CuspidalData:
     def f(self, g: Mat) -> CharacterValue:
         """f = psi * 1_C, C = O_E^x I_1 {1, pi_E}."""
         if not self.in_support(g):
-            return CharacterValue.zero(self.p)
+            return CharacterValue.zero(self.ctx.p)
         return self.psi(g)
 
     # -- support and locality metadata used by the integrator -----------------
@@ -141,7 +137,7 @@ class CuspidalData:
         if form.kind != "orthogonal":
             raise DomainError("kappa_average implements the orthogonal twist "
                               f"only, not {form.kind!r}")
-        return self.p != 2
+        return self.ctx.p != 2
 
     def kappa_average(self, key, form: GroupForm) -> CharacterValue:
         """Exact integral over kappa in K = GL_2(O) of f(kappa y kappa^vdash)
@@ -223,7 +219,7 @@ class CuspidalData:
         `kappa_average_oracle` (`tests/kappa_oracle.py`) enumerates all of
         GL_2(O/pi^level) instead, and the tests hold the two equal."""
         if self.kappa_vanishes(form):
-            return CharacterValue.zero(self.p)
+            return CharacterValue.zero(self.ctx.p)
         got = self._avg_cache.get(key)
         if got is None:
             got = self._kappa_average_coset(*key)
@@ -242,7 +238,7 @@ class CuspidalData:
         """The pass `_coset_counts` for the y whose entries have the
         digit tuples `digits` mod pi^2."""
         counts, total = _coset_counts(self._pass_table(), digits, parity)
-        return CharacterValue.from_exponent_counts(self.p, counts, total)
+        return CharacterValue.from_exponent_counts(self.ctx.p, counts, total)
 
 
 # -- the K-average pass over GL_2(F_p) ------------------------------------------
@@ -383,15 +379,12 @@ def _coset_counts(table: PassTable, digits, parity: int):
 
 
 @dataclass
-class ScanStratum:
-    i: int
-    b_level: int
-    b_digits: tuple
-    verdict: str
-
-
-@dataclass
 class ScanReport:
+    """`strata` holds the `orbit_strata` records `support_scan` read, in
+    order, the last one live when it found a witness; `to_json` prints
+    a record's j as `b_level`, its digits as `b` and `dead or "witness"`
+    as its verdict."""
+
     regime: str
     witness: dict | None
     strata: list
@@ -402,8 +395,8 @@ class ScanReport:
             "regime": self.regime,
             "witness": self.witness,
             "strata_searched": [
-                {"i": s.i, "b_level": s.b_level, "b": list(s.b_digits),
-                 "verdict": s.verdict}
+                {"i": s.i, "b_level": s.j, "b": list(s.digits),
+                 "verdict": s.dead or "witness"}
                 for s in self.strata
             ],
             "kappa_level": self.kappa_level,
@@ -423,21 +416,21 @@ def _classify_regime(ctx: LocalFieldCtx, alpha: Elem) -> str:
 
 
 def support_scan(data: CuspidalData, form: GroupForm,
-                 gamma: TorusElem) -> ScanReport:
+                 alpha: Elem) -> ScanReport:
     """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^t) != 0.
 
-    Reads the (i, j) level records of `integrator.orbit_strata`, the walk
-    the pipeline integrates over: the det-valuation support forces i,
-    integrality bounds the b level j, a dead level is one stratum with the
-    prefilter's reason, and a live level is one stratum per class of b
-    that y mod pi^`data.residue_level` sees.  A live class is settled by
-    `_kappa_witness`, the first kappa mod pi^2 with f != 0, which stands
-    for all of K (f reads its argument mod pi^2, see
-    `CuspidalData.kappa_average`) and reads y only mod pi^2, the same for
-    every coset of the class.  The class representative (the first digits
-    of b, then zeros) is the lexicographically first coset of its class,
-    so the first witness is the lexicographic one; its `b` is padded with
-    zeros to `b_level` digits.
+    Reads, and keeps as `ScanReport.strata`, the (i, j) level records of
+    `integrator.orbit_strata`, the walk the pipeline integrates over: the
+    det-valuation support forces i, integrality bounds the b level j, a
+    dead level is one record with the prefilter's reason, and a live level
+    is one record per class of b that y mod pi^`data.residue_level` sees.
+    A live class is settled by `_kappa_witness`, the first kappa mod pi^2
+    with f != 0, which stands for all of K (f reads its argument mod pi^2,
+    see `CuspidalData.kappa_average`) and reads y only mod pi^2, the same
+    for every coset of the class.  The class representative (the first
+    digits of b, then zeros) is the lexicographically first coset of its
+    class, so the first witness is the lexicographic one; its `b` is
+    padded with zeros to `b_level` digits.
 
     Every live class holds a witness, so the first live class ends the
     scan.  A live record has an integral, upper-triangular y =
@@ -450,18 +443,15 @@ def support_scan(data: CuspidalData, form: GroupForm,
     witness.  `kappa_level` is `data.residue_level`, the level mod which
     kappa is the first witness, once a live stratum was scanned, else 0."""
     ctx = data.ctx
-    x = _preimage_inverse(gamma, form)
-    regime = _classify_regime(ctx, gamma.alpha)
-    strata: list[ScanStratum] = []
-    witness = None
-    kappa_level = 0
+    x = _preimage_inverse(alpha, form)
+    regime = _classify_regime(ctx, alpha)
+    strata, witness, kappa_level = [], None, 0
     for c in orbit_strata(data, form, x):
+        strata.append(c)
         if c.dead is not None:
-            strata.append(ScanStratum(c.i, c.j, c.digits, c.dead))
             continue
         kappa_level = data.residue_level
         kap = _kappa_witness(data, c.key)
-        strata.append(ScanStratum(c.i, c.j, c.digits, "witness"))
         g0 = n_b(ctx, ctx.from_digits(-c.j, c.digits)) * a_e(ctx, c.i)
         gw = kap * g0
         witness = {

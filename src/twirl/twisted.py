@@ -1,50 +1,32 @@
 """Norm correspondence, eps-symmetry, and the twisted discriminant, in
-closed form on the split orthogonal form."""
+closed form on the split orthogonal form.  A torus element gamma =
+diag(alpha, alpha^(-1)) is passed as its eigenvalue alpha."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, Singular, SingularGammaMinusOne
-from .localfield import INF, Elem, LocalFieldCtx
+from .errors import DomainError, NotRegular
+from .localfield import INF, Elem
 from .matlattice import GroupForm, Mat, vdash
 
 
-@dataclass(frozen=True)
-class TorusElem:
-    """gamma = diag(alpha, alpha^(-1)) in the split torus of H; it is
-    regular when alpha is not +-1, which `integrator.regular_preimage`
-    decides by exact zero tests.  alpha = 0 raises Singular."""
-
-    alpha: Elem
-
-    def __post_init__(self):
-        if self.alpha.is_zero():
-            raise Singular("inverse of zero")
-
-    @property
-    def ctx(self) -> LocalFieldCtx:
-        return self.alpha.ctx
-
-    def matrix(self) -> Mat:
-        return Mat.diag(self.ctx, [self.alpha, self.alpha.inverse()])
-
-
-def norm_preimage(gamma: TorusElem, form: GroupForm) -> Mat:
+def norm_preimage(alpha: Elem, form: GroupForm) -> Mat:
     """S(gamma) = w J^(-1) (gamma - 1), the preimage of the class of gamma
-    under the norm correspondence, on the split form: there w J^(-1) = 1,
-    so S(gamma) = diag(alpha - 1, alpha^(-1) - 1) in closed form.  Every
-    other form raises DomainError.  The matrix route for any form,
+    = diag(alpha, alpha^(-1)) under the norm correspondence, on the split
+    form: there w J^(-1) = 1, so S(gamma) = diag(alpha - 1, alpha^(-1) - 1)
+    in closed form.  Every other form raises DomainError, alpha = 0
+    Singular and alpha = 1 NotRegular.  The matrix route for any form,
     `norm_preimage_general`, is the tests' oracle of the closed form
     (`tests/twisted_oracles.py`)."""
     if not form.split:
         raise DomainError("the closed-form S(gamma) needs the split "
                           "orthogonal form")
-    ctx = gamma.ctx
+    ctx = alpha.ctx
     one = ctx.one()
-    s0, s1 = gamma.alpha - one, gamma.alpha.inverse() - one
+    s0, s1 = alpha - one, alpha.inverse() - one
     if (s0 * s1).val is INF:  # det(gamma - 1)
-        raise SingularGammaMinusOne("gamma - 1 is singular")
+        raise NotRegular("gamma - 1 is singular")
     return Mat.diag(ctx, [s0, s1])
 
 

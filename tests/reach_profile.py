@@ -17,13 +17,22 @@ prints each function that no run calls, with its module and line count.
     python tests/reach_profile.py --lines
 
 prints instead, for each function that some run enters, the lines of its
-body that no run executes (`never_executed`, by `sys.settrace`)."""
+body that no run executes (`never_executed`, by `sys.settrace`).
+
+    python tests/reach_profile.py --digests
+
+prints instead one JSON line per run (`digests`): its argv with the
+temporary directory as `<tmp>`, its exit code, the sha-256 of its output
+file (null when it wrote none) and its stderr text.  Two trees that
+print the same lines give the same answer on every run."""
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import io
+import json
 import pathlib
 import random
 import runpy
@@ -129,6 +138,31 @@ def never_called() -> dict:
             if key not in called}
 
 
+def digests() -> list:
+    """One record per run of `_runs`, in order: {"argv", "exit",
+    "sha256", "stderr"}, the argv with the temporary directory as
+    `<tmp>`.  Each run starts with no output file, so a run that fails
+    has sha256 None."""
+    from twirl import cli
+
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in _runs(pathlib.Path(tmp)):
+            out = pathlib.Path(argv[argv.index("--out") + 1])
+            out.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            records.append({
+                "argv": [a.replace(tmp, "<tmp>") for a in argv],
+                "exit": code,
+                "sha256": (hashlib.sha256(out.read_bytes()).hexdigest()
+                           if out.exists() else None),
+                "stderr": err.getvalue()})
+    return records
+
+
 def _body_lines(code) -> set:
     """The source lines of `code` that carry bytecode, with those of the
     comprehensions and lambdas it holds; nested functions are their own."""
@@ -184,6 +218,10 @@ def _spans(lines: list) -> str:
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
+    if sys.argv[1:] == ["--digests"]:
+        for record in digests():
+            print(json.dumps(record, sort_keys=True))
+        sys.exit(0)
     if sys.argv[1:] == ["--lines"]:
         unrun = never_executed()
         for name, lines in sorted(unrun.items()):

@@ -34,11 +34,11 @@ import pytest
 
 from twirl.cyclotomic import CharacterValue
 from twirl.integrator import TruncationSpec, assemble_coefficients
-from twirl.localfield import make_field, parse_elem, square_class_reps
+from twirl.localfield import LocalFieldCtx, parse_elem, square_class_reps
 from twirl.matlattice import Mat, antidiag_w, orthogonal_form, vdash
 from twirl.supercuspidal import (CuspidalData, level_character, member,
                                  support_scan)
-from twirl.twisted import TorusElem, norm_preimage, twisted_discriminant
+from twirl.twisted import norm_preimage, twisted_discriminant
 
 from rg_oracle import rg_term
 from random_mats import random_integral, random_mat
@@ -48,11 +48,11 @@ from weights_oracle import (WeightQuery, delta_vector, weight_closed,
 
 
 def ctx5():
-    return make_field(5, 1, (-5, 1), 18)
+    return LocalFieldCtx(5, 1, (-5, 1), 18)
 
 
 def ctx2():
-    return make_field(2, 2, (-2, 0, 1), 24)
+    return LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 
 
 def test_criterion_1_weight_exactness():
@@ -106,11 +106,10 @@ def test_criterion_5_twisted_centralizer():
     p, m = c.p, 4
     two, three = c.from_int(2), c.from_int(3)
     for alpha in (two, two + c.pi(1), three, three + c.pi(1), two - c.pi(2)):
-        gamma = TorusElem(alpha)
-        rep = twisted_centralizer_sample(gamma, form, m, 2000, rng)
+        rep = twisted_centralizer_sample(alpha, form, m, 2000, rng)
         assert rep.all_in_torus, alpha
         assert rep.tree_leaves == (p - 1) * p ** (m - 1), alpha
-        x = norm_preimage(gamma, form).inverse()
+        x = norm_preimage(alpha, form).inverse()
         assert twisted_discriminant(x, form).kernel_dim == 1, alpha
 
 
@@ -147,7 +146,7 @@ def test_criterion_6_character_suite():
         kap = random_integral(c, 2, rng, unit_det=True)
         assert member((kap * vdash(kap, form)).scale(kap.det().inverse()),
                       "I2")
-    c1 = make_field(2, 1, (-2, 1), 14)
+    c1 = LocalFieldCtx(2, 1, (-2, 1), 14)
     witness = Mat.from_ints(c1, [[1, 0], [1, 1]])
     t = (witness * vdash(witness, orthogonal_form(c1, 2))).scale(
         witness.det().inverse())
@@ -169,7 +168,7 @@ def test_criterion_8_odd_factorization():
     units = square_class_reps(c).card_units
     assert c0 == rg_term(data, form, trunc).scale(2 * units)
     assert support_scan(data, form,
-                        TorusElem(parse_elem(c, "-1+pi"))).witness is not None
+                        parse_elem(c, "-1+pi")).witness is not None
     assert time.perf_counter() - t0 <= 300
 
 
@@ -179,7 +178,7 @@ def even_pipeline_summary():
     x^2 - 2 at gamma_depth 6, k_max 8, unit_depth 3: k0 is where the
     second differences of c_k vanish from, and A + B k the affine fit
     from there."""
-    ctx = make_field(2, 2, (-2, 0, 1), 24)
+    ctx = LocalFieldCtx(2, 2, (-2, 0, 1), 24)
     trunc = TruncationSpec(gamma_depth=6, k_max=8, unit_depth=3)
     table = assemble_coefficients(CuspidalData(ctx), orthogonal_form(ctx, 2),
                                   trunc)

@@ -7,18 +7,18 @@ import pytest
 
 from twirl import integrator, twisted
 from twirl.cyclotomic import CharacterValue
-from twirl.errors import (DomainError, NotRegular, PrecisionExhausted,
-                          SingularGammaMinusOne)
+from twirl.errors import DomainError, NotRegular, PrecisionExhausted, Singular
 from twirl.integrator import (TruncationSpec, _delta_totals,
                               assemble_coefficients, coefficient_A_B,
-                              orbit_strata, orbit_weight_integral,
-                              regular_preimage, torus_strata)
-from twirl.localfield import (Elem, make_field, parse_elem, square_class_reps,
-                              unit_digit_tuples)
+                              discriminant_report, orbit_strata,
+                              orbit_weight_integral, regular_preimage,
+                              torus_strata)
+from twirl.localfield import (Elem, LocalFieldCtx, parse_elem,
+                              square_class_reps, unit_digit_tuples)
 from twirl.matlattice import (Mat, a_e, n_b, orthogonal_form, symplectic_form,
                               vdash)
-from twirl.supercuspidal import CuspidalData
-from twirl.twisted import TorusElem, norm_preimage, twisted_discriminant
+from twirl.supercuspidal import CuspidalData, support_scan
+from twirl.twisted import norm_preimage, twisted_discriminant
 
 from coset_walk import coset_strata
 from integrands import IntegralIndicator, NonIntegralIndicator
@@ -34,11 +34,11 @@ from weights_oracle import delta, square_class_weight
 
 
 def ctx5():
-    return make_field(5, 1, (-5, 1), 18)
+    return LocalFieldCtx(5, 1, (-5, 1), 18)
 
 
 def ctx2():
-    return make_field(2, 2, (-2, 0, 1), 24)
+    return LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 
 
 def test_torus_strata_volumes():
@@ -103,7 +103,7 @@ def test_orbit_strata_shape_even():
     c = ctx2()
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
-    x = norm_preimage(TorusElem(c.one() + c.pi(3)), form).inverse()
+    x = norm_preimage(c.one() + c.pi(3), form).inverse()
     strata = orbit_strata(data, form, x)
     live = [s for s in strata if not s.dead]
     assert {s.i for s in live} == {3}
@@ -124,10 +124,10 @@ def test_psi_k_vanishing_regimes():
     form = orthogonal_form(c, 2)
     for spec in ("pi", "2"):
         alpha = parse_elem(c, spec)
-        table = orbit_weight_integral(data, form, TorusElem(alpha), range(3))
+        table = orbit_weight_integral(data, form, alpha, range(3))
         assert all(table[k].is_zero() for k in range(3))
     with pytest.raises(NotRegular):
-        orbit_weight_integral(data, form, TorusElem(c.one()), range(2))
+        orbit_weight_integral(data, form, c.one(), range(2))
 
 
 def test_psi_k_positive_even():
@@ -135,7 +135,7 @@ def test_psi_k_positive_even():
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     table = orbit_weight_integral(
-        data, form, TorusElem(c.one() + c.pi(2)), range(4))
+        data, form, c.one() + c.pi(2), range(4))
     for k in range(4):
         assert table[k].rational_part() > 0
 
@@ -152,9 +152,9 @@ def test_one_norm_preimage_per_torus_stratum(monkeypatch):
         inverses.append(self)
         return real_inverse(self)
 
-    def counting(gamma, form):
+    def counting(alpha, form):
         before = len(inverses)
-        x = real_preimage(gamma, form)
+        x = real_preimage(alpha, form)
         per_call.append(len(inverses) - before)
         return x
 
@@ -178,7 +178,7 @@ def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
     On the odd-p5 config every K-average vanishes and the table makes no
     call, though `orbit_strata` would walk 15 forced i and write 30
     records there (54 on even-p2)."""
-    c = make_field(p, e, eis, precision)
+    c = LocalFieldCtx(p, e, eis, precision)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=8)
     forced = records = 0
@@ -239,7 +239,7 @@ def test_level_walk_matches_coset_walk():
     product), and equal sums of weight * K-average.  Every odd-p average
     is 0, so there the key counts carry the check."""
     for (p, e, eis), depth in LEVEL_WALK_FIELDS:
-        c = make_field(p, e, eis, 20)
+        c = LocalFieldCtx(p, e, eis, 20)
         q, form = c.q, orthogonal_form(c, 2)
         strata = unit_digit_strata(CuspidalData(c), form,
                                    TruncationSpec(gamma_depth=depth,
@@ -247,7 +247,7 @@ def test_level_walk_matches_coset_walk():
         for data in (CuspidalData(c), IntegralIndicator(c)):
             for stratum in strata:
                 where = (eis, type(data).__name__, stratum.label)
-                x = norm_preimage(TorusElem(stratum.alpha), form).inverse()
+                x = norm_preimage(stratum.alpha, form).inverse()
                 full = _by_level(coset_strata(data, form, x))
                 fast = _by_level(orbit_strata(data, form, x))
                 assert full.keys() == fast.keys(), where
@@ -295,7 +295,7 @@ def test_record_key_matches_the_coset_walk(field, depth):
     the K-average at the key equals the GL_2(O/pi^2) enumeration
     `kappa_average_oracle` at y."""
     p, e, eis = field
-    c = make_field(p, e, eis, 20)
+    c = LocalFieldCtx(p, e, eis, 20)
     form = orthogonal_form(c, 2)
     data = CuspidalData(c) if p == 2 else IntegralIndicator(c)
     averaged = set()
@@ -303,7 +303,7 @@ def test_record_key_matches_the_coset_walk(field, depth):
     for stratum in unit_digit_strata(data, form,
                                      TruncationSpec(gamma_depth=depth,
                                                     unit_depth=1)):
-        x = norm_preimage(TorusElem(stratum.alpha), form).inverse()
+        x = norm_preimage(stratum.alpha, form).inverse()
         live = [r for r in orbit_strata(data, form, x) if r.dead is None]
         for cos in coset_strata(data, form, x):
             if cos.dead is not None:
@@ -330,7 +330,7 @@ def test_prefilter_verdict_is_one_per_forced_i():
     `CuspidalData`)."""
     live_deep = Counter()
     for (p, e, eis), depth in LEVEL_WALK_FIELDS:
-        c = make_field(p, e, eis, 20)
+        c = LocalFieldCtx(p, e, eis, 20)
         form = orthogonal_form(c, 2)
         strata = unit_digit_strata(CuspidalData(c), form,
                                    TruncationSpec(gamma_depth=depth,
@@ -384,7 +384,7 @@ def test_orbital_twisted_indicator():
     form = orthogonal_form(c, 2)
     f = IntegralIndicator(c)
     alpha = c.from_int(2)
-    delta = norm_preimage(TorusElem(alpha), form).inverse()
+    delta = norm_preimage(alpha, form).inverse()
     assert twisted_discriminant(delta, form).regular
     got = CharacterValue.zero(5)
     for s in orbit_strata(f, form, delta):
@@ -421,7 +421,7 @@ def test_rg_relation_odd():
         assert table.values[k] == c0.scale(4 * k + 1)
     for p, precision, depth, ud in ((3, 18, 5, 2), (5, 18, 5, 2),
                                     (7, 12, 3, 1)):
-        c = make_field(p, 1, (-p, 1), precision)
+        c = LocalFieldCtx(p, 1, (-p, 1), precision)
         data, form = CuspidalData(c), orthogonal_form(c, 2)
         live = 0
         trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud)
@@ -447,7 +447,7 @@ def test_rg_relation_on_sign_minus_one_strata(p, want):
     the rg oracle (whose sign 1 strata have x not integral).  The whole
     table does not factor: its sign 1 strata have live records at
     Delta_1 > 0, and b != 4a."""
-    c = make_field(p, 1, (-p, 1), 18)
+    c = LocalFieldCtx(p, 1, (-p, 1), 18)
     data, form = IntegralIndicator(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=3, unit_depth=2, k_max=4)
     table = assemble_coefficients(data, form, trunc)
@@ -469,7 +469,7 @@ def test_unit_class_strata_live_for_the_indicator(p):
     integrand: x = diag(1/(c - 1), -c/(c - 1)) is integral of unit
     determinant, so the indicator of M_2(O) gives each `unit-class-c` a
     nonzero total at Delta_1 = 0 alone."""
-    c = make_field(p, 1, (-p, 1), 18)
+    c = LocalFieldCtx(p, 1, (-p, 1), 18)
     form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=3, unit_depth=2, k_max=2)
     for data, live in ((CuspidalData(c), False), (IntegralIndicator(c), True)):
@@ -494,7 +494,7 @@ def test_p2_zero_slope_stratum_by_stratum(eis):
     and E = 3: T_1 = {0: -1/3, 1: 1/3}; for e >= 2, T_{e,0} =
     -2^(e-1)/3, T_{e,1} = -2^(e-2)/3, T_{e,d} = 2^(e-1-d) for
     2 <= d < e, and T_{e,e} = 1."""
-    c = make_field(2, len(eis) - 1, eis, 24)
+    c = LocalFieldCtx(2, len(eis) - 1, eis, 24)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=5, k_max=2)
     table = assemble_coefficients(data, form, trunc)
@@ -538,7 +538,7 @@ def test_coefficient_A_B():
     assert all(x > y > 0 for x, y in zip(bvals, bvals[1:]))
     # outside p = 2 with 2 in pi^2 the constants are undefined: a field
     # outside their domain, not an irregular element
-    for other in (ctx5(), make_field(2, 1, (-2, 1), 24)):
+    for other in (ctx5(), LocalFieldCtx(2, 1, (-2, 1), 24)):
         with pytest.raises(DomainError):
             coefficient_A_B(CuspidalData(other), orthogonal_form(other, 2),
                             TruncationSpec())
@@ -572,7 +572,7 @@ def test_coefficient_A_B_makes_one_report(monkeypatch):
             n * (2 * (e - j) + 1) for j, n in enumerate(shell))
         assert b_inc == 4 * q ** -e * deps * sum(shell)
     assert (a, b) == (sum(i[1] for i in incs), sum(i[2] for i in incs))
-    low = make_field(2, 2, (-2, 0, 1), 12)
+    low = LocalFieldCtx(2, 2, (-2, 0, 1), 12)
     with pytest.raises(PrecisionExhausted, match=r"1\+pi\^12,"):
         coefficient_A_B(CuspidalData(low), orthogonal_form(low, 2),
                         TruncationSpec(gamma_depth=12))
@@ -597,7 +597,7 @@ def test_central_torus_stratum_raises():
     and `coefficient_A_B` take 1 + pi^2 + pi^(2 + depth) instead, in the
     same class mod pi^(2 + depth), and the c_k, A and B come out as over
     x^2 - 2."""
-    c = make_field(2, 2, (2, 0, 1), 24)
+    c = LocalFieldCtx(2, 2, (2, 0, 1), 24)
     central = c.one() + c.pi(2)
     assert central == -c.one()
     form = orthogonal_form(c, 2)
@@ -607,7 +607,7 @@ def test_central_torus_stratum_raises():
     reps = [s.alpha for s in torus_strata(CuspidalData(c), form, trunc)
             if s.label == "sign1-e2"]
     assert central not in reps and central + c.pi(5) in reps
-    twin = make_field(2, 2, (-2, 0, 1), 24)
+    twin = LocalFieldCtx(2, 2, (-2, 0, 1), 24)
     got, want = [
         (assemble_coefficients(CuspidalData(f), orthogonal_form(f, 2),
                                trunc).values,
@@ -623,7 +623,7 @@ def test_undecidable_discriminant_raises(precision, depth, label):
     deep torus stratum carry too few digits to decide x0, x1 or x0 + x1:
     the pipeline raises, naming the stratum, instead of using a
     valuation."""
-    c = make_field(2, 2, (-2, 0, 1), precision)
+    c = LocalFieldCtx(2, 2, (-2, 0, 1), precision)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=1, k_max=2)
     with pytest.raises(PrecisionExhausted, match=label):
         assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
@@ -636,7 +636,7 @@ def test_closed_form_decides_former_undecidable_inputs():
     trunc = TruncationSpec(gamma_depth=6, unit_depth=3, k_max=2)
     outs = set()
     for precision in (16, 18, 30):
-        c = make_field(2, 2, (-2, 0, 1), precision)
+        c = LocalFieldCtx(2, 2, (-2, 0, 1), precision)
         table = assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2),
                                       trunc)
         outs.add(json.dumps(table.to_json()["values"], sort_keys=True))
@@ -656,7 +656,7 @@ def test_discriminant_routes_on_every_torus_stratum():
     and the symplectic twist are refused."""
     fields = [f for f, _depth in LEVEL_WALK_FIELDS] + [(2, 2, (2, 0, 1))]
     for p, e, eis in fields:
-        c = make_field(p, e, eis, 20)
+        c = LocalFieldCtx(p, e, eis, 20)
         form = orthogonal_form(c, 2)
         signs = set()
         for stratum in unit_digit_strata(CuspidalData(c), form,
@@ -665,7 +665,7 @@ def test_discriminant_routes_on_every_torus_stratum():
             assert not any((stratum.alpha + c.from_int(t)).normalized()
                            .is_zero() for t in (1, -1)), where
             signs.add(stratum.sign)
-            x = norm_preimage(TorusElem(stratum.alpha), form).inverse()
+            x = norm_preimage(stratum.alpha, form).inverse()
             reports = [route(x, form) for route in (
                 twisted_discriminant, twisted_discriminant_charpoly,
                 twisted_discriminant_oracle)]
@@ -730,19 +730,18 @@ def test_closed_form_preimage_on_every_torus_stratum():
     the closed-form S(gamma) equals w J^(-1) (gamma - 1) and the x of
     `regular_preimage` (x0 = (alpha - 1)^(-1), x1 = -alpha x0) equals its
     `Mat.inverse`, with at least the general route's tracked validity:
-    the closed form loses no digits.  alpha = 1 raises
-    SingularGammaMinusOne on the split closed form, and a non-split form
-    (the symplectic one) raises DomainError at every alpha."""
+    the closed form loses no digits.  alpha = 1 raises NotRegular on the
+    split closed form, and a non-split form (the symplectic one) raises
+    DomainError at every alpha."""
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS:
-        c = make_field(p, e, eis, 20)
+        c = LocalFieldCtx(p, e, eis, 20)
         form = orthogonal_form(c, 2)
         strata = unit_digit_strata(CuspidalData(c), form,
                                    TruncationSpec(gamma_depth=4))
         for stratum in strata:
             where = (eis, stratum.label)
-            gamma = TorusElem(stratum.alpha)
-            general = norm_preimage_general(gamma, form)
-            assert norm_preimage(gamma, form) == general, where
+            general = norm_preimage_general(stratum.alpha, form)
+            assert norm_preimage(stratum.alpha, form) == general, where
             x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
             want = general.inverse()
             assert x == want, where
@@ -750,18 +749,57 @@ def test_closed_form_preimage_on_every_torus_stratum():
             for k in (0, 1):
                 assert (x.rows[k][k].normalized().mexp
                         >= want.rows[k][k].normalized().mexp), where
-        minus = TorusElem(-c.one())
+        minus = -c.one()
         general = norm_preimage_general(minus, form)
         assert norm_preimage(minus, form) == general, eis
         assert integrator._preimage_inverse(minus, form) == general.inverse()
-        one = TorusElem(c.one())
-        with pytest.raises(SingularGammaMinusOne):
+        one = c.one()
+        with pytest.raises(NotRegular):
             integrator._preimage_inverse(one, form)
         symp = symplectic_form(c, 2)
         assert form.split and not symp.split
-        for gamma in (one, minus, TorusElem(c.from_int(3))):
+        for alpha in (one, minus, c.from_int(3)):
             with pytest.raises(DomainError, match="split orthogonal form"):
-                integrator._preimage_inverse(gamma, symp)
+                integrator._preimage_inverse(alpha, symp)
+
+
+# every function that takes alpha, called on (data, form, alpha); the
+# last two name the stratum "here"
+ALPHA_ENTRY_POINTS = {
+    "norm_preimage": lambda data, form, a: norm_preimage(a, form),
+    "_preimage_inverse":
+        lambda data, form, a: integrator._preimage_inverse(a, form),
+    "discriminant_report":
+        lambda data, form, a: discriminant_report(form, a, "here"),
+    "support_scan": lambda data, form, a: support_scan(data, form, a),
+    "regular_preimage":
+        lambda data, form, a: regular_preimage(form, a, "here"),
+    "orbit_weight_integral":
+        lambda data, form, a: orbit_weight_integral(data, form, a, range(2),
+                                                    "here"),
+}
+
+
+@pytest.mark.parametrize("entry", list(ALPHA_ENTRY_POINTS))
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+def test_alpha_zero_and_one_are_refused_on_every_entry_point(mk, entry):
+    """alpha = 0 raises Singular("inverse of zero") and alpha = 1
+    NotRegular on every function that takes alpha.  `regular_preimage`,
+    and `orbit_weight_integral` through it, name the stratum at alpha = 1
+    and at alpha = -1; the others say that gamma - 1 is singular."""
+    c = mk()
+    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    call = ALPHA_ENTRY_POINTS[entry]
+    with pytest.raises(Singular, match="^inverse of zero$"):
+        call(data, form, c.zero())
+    if entry in ("regular_preimage", "orbit_weight_integral"):
+        for alpha in (c.one(), -c.one()):
+            with pytest.raises(NotRegular,
+                               match="^gamma must be regular at here$"):
+                call(data, form, alpha)
+    else:
+        with pytest.raises(NotRegular, match="^gamma - 1 is singular$"):
+            call(data, form, c.one())
 
 
 def test_grouped_psi_k_equals_per_record_sum():
@@ -771,7 +809,7 @@ def test_grouped_psi_k_equals_per_record_sum():
     the record's y."""
     ks = range(0, 5)
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS[:3]:
-        c = make_field(p, e, eis, 20)
+        c = LocalFieldCtx(p, e, eis, 20)
         data, form = CuspidalData(c), orthogonal_form(c, 2)
         units = square_class_reps(c).card_units
         nonzero = 0
@@ -786,7 +824,7 @@ def test_grouped_psi_k_equals_per_record_sum():
                 for k in ks:
                     w = oracle.class_weight_from_delta(r.i - r.j, units, k)
                     want[k] = want[k] + f_avg.scale(r.weight * w)
-            got = orbit_weight_integral(data, form, TorusElem(stratum.alpha),
+            got = orbit_weight_integral(data, form, stratum.alpha,
                                         ks, stratum.label)
             assert got == want, (eis, stratum.label)
             nonzero += sum(not v.is_zero() for v in got.values())
@@ -802,7 +840,7 @@ def test_per_stratum_sums_to_values(p, e, eis, integrand, depth, ud, k_max):
     totals; `per_stratum` reads each stratum's own pair when read.  For
     every k the per-stratum shares sum to c_k exactly, and some are
     nonzero."""
-    c = make_field(p, e, eis, 24)
+    c = LocalFieldCtx(p, e, eis, 24)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=k_max)
     table = assemble_coefficients(integrand(c), orthogonal_form(c, 2), trunc)
     nonzero = 0
@@ -843,7 +881,7 @@ def test_pair_equals_the_generic_chain(field):
     (a, b) equals the oracle's fit, closed form and series inverse on the
     printed c_k at k_max 4..10.  Every odd-p table of `CuspidalData` is
     0, so there the zero regime is what is compared."""
-    c = make_field(*field, 20)
+    c = LocalFieldCtx(*field, 20)
     form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=3, unit_depth=1, k_max=10)
     for data in (CuspidalData(c), IntegralIndicator(c)):
@@ -882,9 +920,9 @@ def test_negative_delta_total_raises():
         assemble_coefficients(NonIntegralIndicator(c), form, trunc)
     with pytest.raises(DomainError, match=want):
         orbit_weight_integral(NonIntegralIndicator(c), form,
-                              TorusElem(c.pi(2)), range(3), "noncompact-pi^2")
+                              c.pi(2), range(3), "noncompact-pi^2")
     psi = orbit_weight_integral(IntegralIndicator(c), form,
-                                TorusElem(c.pi(2)), range(3))
+                                c.pi(2), range(3))
     assert all(v.is_zero() for v in psi.values())
     assemble_coefficients(IntegralIndicator(c), form, trunc)
 
@@ -901,7 +939,7 @@ def test_class_weight_once_per_run(monkeypatch):
         return pair(*args)
 
     monkeypatch.setattr(integrator, "_pair", counting)
-    c = make_field(2, 2, (-2, 0, 1), 30)
+    c = LocalFieldCtx(2, 2, (-2, 0, 1), 30)
     trunc = TruncationSpec(gamma_depth=8, k_max=8, unit_depth=3)
     table = assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
     assert len(calls) == 1 and len(calls[0][0]) > 1
@@ -931,7 +969,7 @@ def test_pipeline_never_calls_general_matrix_algebra(monkeypatch, p, e, eis,
             return _method(*args)
 
         monkeypatch.setattr(Mat, name, counting)
-    c = make_field(p, e, eis, precision)
+    c = LocalFieldCtx(p, e, eis, precision)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
     assemble_coefficients(data, form, trunc)
@@ -964,7 +1002,7 @@ def test_torus_strata_read_their_closed_forms(monkeypatch, p, e, eis,
             "twisted_discriminant", twisted.twisted_discriminant))
     monkeypatch.setattr(CuspidalData, "_kappa_average_coset", counted(
         "coset", CuspidalData._kappa_average_coset))
-    c = make_field(p, e, eis, precision)
+    c = LocalFieldCtx(p, e, eis, precision)
     trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
     assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
     assert calls["twisted_discriminant"] == 0
@@ -1001,7 +1039,7 @@ def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
     for name in ("support_prefilter", "kappa_average"):
         monkeypatch.setattr(CuspidalData, name,
                             counted(name, getattr(CuspidalData, name)))
-    c = make_field(p, e, eis, precision)
+    c = LocalFieldCtx(p, e, eis, precision)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
     table = assemble_coefficients(data, form, trunc)
@@ -1015,8 +1053,7 @@ def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
     assert all(totals == {} for *_, totals in table.stratum_totals)
     assert rg_term(data, form, trunc).is_zero()
     for spec in ("-1+pi", "-1+pi*u", "-1+pi^2", "2", "pi"):
-        gamma = TorusElem(parse_elem(c, spec))
-        psi = orbit_weight_integral(data, form, gamma, range(3))
+        psi = orbit_weight_integral(data, form, parse_elem(c, spec), range(3))
         assert all(v.is_zero() for v in psi.values())
     assert calls == Counter() and records == []
 
@@ -1026,7 +1063,7 @@ def test_trace_guard_without_the_walk():
     K-average vanishes and no level is walked, but the trace x0 + x1 of
     the sign1-e5 stratum is still summed, reads past its validity, and
     raises, naming the stratum."""
-    c = make_field(5, 1, (-5, 1), 4)
+    c = LocalFieldCtx(5, 1, (-5, 1), 4)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     assert data.kappa_vanishes(form)
     trunc = TruncationSpec(gamma_depth=5, k_max=8, unit_depth=2)
@@ -1124,7 +1161,7 @@ def test_class_strata_match_the_unit_digit_oracle(monkeypatch, field, depth):
     class of v mod pi^m gives the c_k, per-e increments and rg_term of
     one stratum per unit-digit tuple exactly, and the oracle's
     per-tuple totals agree within each class."""
-    c = make_field(*field, 20)
+    c = LocalFieldCtx(*field, 20)
     for ud in (1, 2, 3):
         trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=2)
         for data in (CuspidalData(c), IntegralIndicator(c)):
@@ -1137,7 +1174,7 @@ def test_digits_seen_is_sharp_on_a_residue_mean(monkeypatch):
     c_k, increments and rg_term at unit_depth 1 and 2, and the rule is
     not vacuous: at e = 1 the per-tuple totals differ between the classes
     mod pi on both signs, so no coarser cut would do."""
-    c = make_field(5, 1, (-5, 1), 18)
+    c = LocalFieldCtx(5, 1, (-5, 1), 18)
     data = ResidueMean(c)
     form = orthogonal_form(c, 2)
     assert [integrator._digits_seen(data, form, e, 2) for e in (1, 2, 3)] \

@@ -8,46 +8,50 @@ from twirl.errors import (DomainError, NotEisenstein, PrecisionExhausted,
                           PrecisionTooSmall, Singular)
 from twirl.localfield import (Elem, LocalFieldCtx, SquareClassSet,
                               _pi_power_poly, additive_char,
-                              card_unit_square_classes, is_square, make_field,
-                              parse_elem, square_class_reps, unit_digit_tuples)
+                              card_unit_square_classes, is_square, parse_elem,
+                              square_class_reps, unit_digit_tuples)
 
 from newton_inverse import poly_inv_newton
 
 
 def ctx5(n=18):
-    return make_field(5, 1, (-5, 1), n)
+    return LocalFieldCtx(5, 1, (-5, 1), n)
 
 
 def ctx2(n=24):
-    return make_field(2, 2, (-2, 0, 1), n)
+    return LocalFieldCtx(2, 2, (-2, 0, 1), n)
 
 
-def test_make_field_examples():
+def test_field_examples():
+    """The constructor checks and builds the field; the coefficients may
+    be any sequence."""
     assert ctx5(12).from_int(5).val == 1
-    c = make_field(2, 2, (-2, 0, 1), 14)
+    assert LocalFieldCtx(5, 1, [-5, 1], 12) == ctx5(12)
+    assert LocalFieldCtx(5, 1, [-5, 1], 12).eisenstein == (-5, 1)
+    c = LocalFieldCtx(2, 2, (-2, 0, 1), 14)
     assert c.from_int(2).val == 2  # 2 in pi^2
-    c1 = make_field(2, 1, (-2, 1), 14)
+    c1 = LocalFieldCtx(2, 1, (-2, 1), 14)
     assert c1.from_int(2).val == 1
 
 
 def test_one_is_the_stored_form_of_from_int_1():
     """`one()` builds the constant directly; it stores what from_int(1)
     stores, at e = 1, 2 and 3."""
-    for c in (ctx5(), ctx2(), make_field(2, 3, (-2, 0, 0, 1), 14)):
+    for c in (ctx5(), ctx2(), LocalFieldCtx(2, 3, (-2, 0, 0, 1), 14)):
         one, ref = c.one(), c.from_int(1)
         assert ((one.vbase, one.coeffs, one.mexp, one._norm)
                 == (ref.vbase, ref.coeffs, ref.mexp, ref._norm))
 
 
-def test_make_field_errors():
+def test_field_errors():
     with pytest.raises(NotEisenstein):
-        make_field(4, 1, (-4, 1), 12)  # not prime
+        LocalFieldCtx(4, 1, (-4, 1), 12)  # not prime
     with pytest.raises(NotEisenstein):
-        make_field(5, 2, (-25, 0, 1), 12)  # constant term valuation 2
+        LocalFieldCtx(5, 2, (-25, 0, 1), 12)  # constant term valuation 2
     with pytest.raises(NotEisenstein):
-        make_field(5, 2, (-5, 1, 1), 12)  # middle coefficient not divisible
+        LocalFieldCtx(5, 2, (-5, 1, 1), 12)  # middle coefficient not divisible
     with pytest.raises(PrecisionTooSmall):
-        make_field(5, 2, (-5, 5, 1), 5)
+        LocalFieldCtx(5, 2, (-5, 5, 1), 5)
 
 
 def test_ord_examples():
@@ -85,7 +89,7 @@ def test_middle_coefficient_arithmetic(p, e, eis):
     p (b1 + b2 pi + ...)): the middle terms carry the factor p.  The
     integer p, built as 1 + ... + 1, is pi * (p / pi) and from_int(p);
     products and sums undo exactly."""
-    c = make_field(p, e, eis, 20)
+    c = LocalFieldCtx(p, e, eis, 20)
     ps = c.zero()
     for _ in range(p):
         ps = ps + c.one()
@@ -129,7 +133,7 @@ def test_inverse_and_division():
 def test_poly_inv_pow_matches_newton(p, precision):
     """At e = 1 `poly_inv` is one `pow` mod p^M; it returns the same
     unique inverse as the Newton route on random units."""
-    c = make_field(p, 1, (-p, 1), precision)
+    c = LocalFieldCtx(p, 1, (-p, 1), precision)
     rng = random.Random(p * 100 + precision)
     for _ in range(40):
         u = c.random_unit(rng).coeffs
@@ -143,7 +147,7 @@ def test_divide_matches_stepwise_at_e1(p, eis):
     """At e = 1 `Elem._divide(t)` is one division by p^t and one product
     with (p/pi)^t; as an `Elem` it equals t steps of `poly_div_pi`, on
     random unit parts of valuation s >= t at every validity up to M."""
-    c = make_field(p, 1, eis, 18)
+    c = LocalFieldCtx(p, 1, eis, 18)
     rng = random.Random(p * 10 + eis[0])
     for _ in range(300):
         s = rng.randrange(0, 12)
@@ -169,7 +173,7 @@ def test_poly_inv_matches_newton(p, eis):
     """`poly_inv` (the linear solve at e >= 2, `pow` at e = 1) returns
     the unique inverse mod p^M that Newton's iteration finds, on random
     units; a non-unit raises Singular."""
-    c = make_field(p, len(eis) - 1, eis, 24)
+    c = LocalFieldCtx(p, len(eis) - 1, eis, 24)
     one = (1,) + (0,) * (c.e - 1)
     rng = random.Random(p * 1000 + sum(eis))
     for _ in range(300):
@@ -188,7 +192,7 @@ def test_divide_matches_stepwise_at_e2_e3(p, eis):
     `Elem` it equals t steps of `poly_div_pi`, coefficients and tracked
     validity, on random unit parts times pi^v, v >= t, at every validity
     up to M."""
-    c = make_field(p, len(eis) - 1, eis, 18)
+    c = LocalFieldCtx(p, len(eis) - 1, eis, 18)
     rng = random.Random(p * 10 + len(eis))
     for _ in range(300):
         v = rng.randrange(0, 3 * c.e * 4)
@@ -213,7 +217,7 @@ def test_divide_matches_stepwise_at_e2_e3(p, eis):
 def test_card_unit_square_classes_closed_form(p, e, eis):
     """|O^x/(O^x)^2| is 2 at odd p and 2^(e + 1) at p = 2: the count of
     unit representatives that `square_class_reps` enumerates."""
-    c = make_field(p, e, eis, 24)
+    c = LocalFieldCtx(p, e, eis, 24)
     assert card_unit_square_classes(c) == square_class_reps(c).card_units
     assert card_unit_square_classes(c) == (2 if p != 2 else 2 ** (e + 1))
 
@@ -221,7 +225,7 @@ def test_card_unit_square_classes_closed_form(p, e, eis):
 @pytest.mark.parametrize("p, eis", [(2, (-2, 0, 1)), (2, (-2, 0, 0, 1)),
                                     (3, (-3, 1)), (5, (-5, 1))])
 def test_ord2_is_the_valuation_of_2(p, eis):
-    c = make_field(p, len(eis) - 1, eis, 24)
+    c = LocalFieldCtx(p, len(eis) - 1, eis, 24)
     assert c.ord2 == c.from_int(2).val
 
 
@@ -248,7 +252,7 @@ def test_is_square_refuses_digits_past_the_validity():
 def test_square_class_reps_at_full_validity(eis, unit_digits):
     """The unit representatives, by their digits at the Hensel level."""
     p = 2 if eis[0] == -2 else 5
-    c = make_field(p, len(eis) - 1, eis, 24)
+    c = LocalFieldCtx(p, len(eis) - 1, eis, 24)
     scs = square_class_reps(c)
     level = len(unit_digits[0])     # 2 ord(2) + 1
     assert [u.unit_digits(level) for u in scs.unit_reps] == unit_digits
@@ -260,7 +264,7 @@ def test_poly_pow_matches_repeated_products(monkeypatch, eis):
     """u^k by binary powering equals k products with u, for k = 0..9 at
     e = 2 and e = 3, and squares only between bits: bit_length(k) - 1
     squarings and popcount(k) products."""
-    c = make_field(2, len(eis) - 1, eis, 24)
+    c = LocalFieldCtx(2, len(eis) - 1, eis, 24)
     u = c.random_unit(random.Random(5)).coeffs
     want = c.one().coeffs
     products = []
@@ -301,7 +305,7 @@ def _square_class_reps_all_pairs(c):
 def test_square_class_reps_match_all_pairs(eis):
     """Comparing each unit residue with the representatives found so far
     gives the all-pairs loop's representatives, in the same order."""
-    c = make_field(2, len(eis) - 1, eis, 24)
+    c = LocalFieldCtx(2, len(eis) - 1, eis, 24)
     scs = square_class_reps(c)
     reps = _square_class_reps_all_pairs(c)
     assert [u._key() for u in scs.unit_reps] == [u._key() for u in reps]
@@ -580,7 +584,7 @@ def test_parse_elem_integer_factor_matches_from_rational(tok):
     """An integer factor goes through `from_int` without `Fraction`, and
     gives the element `from_rational(Fraction(tok))` gives, slot for slot,
     at p = 2, 5 and 7."""
-    for c in (ctx2(), ctx5(), make_field(7, 1, (-7, 1), 18)):
+    for c in (ctx2(), ctx5(), LocalFieldCtx(7, 1, (-7, 1), 18)):
         got, want = parse_elem(c, tok), c.from_rational(Fraction(tok))
         assert got == want
         assert ([getattr(got, s) for s in got.__slots__]
@@ -604,7 +608,7 @@ def test_parse_elem_refuses_a_term_beyond_the_window():
         assert str(info.value) == (
             f"term {lost!r} lies beyond the 26 digits pi^{lo} .. "
             f"pi^{lo + 25} that precision 18 keeps"), text
-    c2 = make_field(2, 2, (-2, 0, 1), 30)
+    c2 = LocalFieldCtx(2, 2, (-2, 0, 1), 30)
     assert parse_elem(c2, "1+pi^40") == c2.one() + c2.pi(40)
 
 
@@ -633,6 +637,25 @@ def test_kernel_results_are_reduced(mk):
                   (x + y).normalized(), (x - y).normalized(), x.inverse()):
             assert z.coeffs == Elem(c, z.vbase, z.coeffs, z._norm,
                                     z.mexp).coeffs
+
+
+def test_elements_of_two_fields_are_never_equal():
+    """x^2 - 2 and x^2 + 2 store pi, pi^2 and 2 with the same digits of
+    the same p and e, but pi^2 is 2 in one field and -2 in the other:
+    elements of two fields never compare equal, and elements of one
+    field (an equal context built twice included) compare as before."""
+    a = LocalFieldCtx(2, 2, (-2, 0, 1), 30)
+    b = LocalFieldCtx(2, 2, (2, 0, 1), 30)
+    assert not a.pi() == b.pi()
+    assert not a.pi() * a.pi() == b.pi() * b.pi()
+    assert not a.from_int(2) == b.from_int(2)
+    assert a.zero() != b.zero()
+    twin = LocalFieldCtx(2, 2, (-2, 0, 1), 30)
+    assert twin is not a and twin == a
+    assert a.pi() == twin.pi() and a.zero() == twin.zero()
+    assert a.pi() * a.pi() == twin.from_int(2) == a.from_int(2)
+    assert b.pi() * b.pi() == b.from_int(-2)
+    assert a.pi() * a.pi() != a.from_int(-2)
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])

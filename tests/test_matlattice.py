@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twirl.errors import Singular
-from twirl.localfield import is_square, make_field
+from twirl.localfield import LocalFieldCtx, is_square
 from twirl.matlattice import (GroupForm, Mat, antidiag_u, antidiag_w, mat_ord,
                               orthogonal_form, symplectic_form, vdash)
 
@@ -12,11 +12,11 @@ from weights_oracle import delta
 
 
 def ctx5():
-    return make_field(5, 1, (-5, 1), 18)
+    return LocalFieldCtx(5, 1, (-5, 1), 18)
 
 
 def ctx2():
-    return make_field(2, 2, (-2, 0, 1), 24)
+    return LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 
 
 def eps(g, form):

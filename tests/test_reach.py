@@ -9,6 +9,7 @@ runs in some CLI run of `reach_profile.py`, or is in `KEPT` with its
 reason."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -95,14 +96,13 @@ KEPT = {
     "matlattice.Mat.__neg__": _VALUE,
     "matlattice.Mat.__repr__": _VALUE,
     "matlattice.Mat.__sub__": _VALUE,
-    "matlattice.Mat._gauss": "(b) det at n = 4, and the symplectic vdash "
+    "matlattice.Mat._gauss": "(b) det at n != 2, and the symplectic vdash "
                              "through Mat.inverse",
     "matlattice.Mat.column": _VALUE,
     "matlattice.Mat.from_ints": _VALUE,
     "matlattice.Mat.inverse": "(b) the symplectic vdash, and the tests' "
                               "S(gamma)^(-1)",
     "matlattice.Mat.zero": _VALUE,
-    "twisted.TorusElem.matrix": _VALUE,
     "matlattice.antidiag_u": "(c) the symplectic form",
     "matlattice.symplectic_form": "(c) which the orthogonal-only closed "
                                   "forms must refuse",
@@ -119,6 +119,23 @@ def test_every_src_function_runs_or_is_kept():
     from reach_profile import never_called
 
     assert sorted(never_called()) == sorted(KEPT)
+
+
+def test_digests_print_one_record_per_run(tmp_path):
+    """`python tests/reach_profile.py --digests` prints one JSON record
+    per run of `_runs`, and a second call, in process, gives the same
+    lines."""
+    from reach_profile import _runs, digests
+
+    script = pathlib.Path(__file__).with_name("reach_profile.py")
+    first = subprocess.run([sys.executable, str(script), "--digests"],
+                           check=True, capture_output=True, text=True,
+                           timeout=300).stdout.splitlines()
+    second = [json.dumps(r, sort_keys=True) for r in digests()]
+    assert first == second
+    assert len(first) == len(_runs(tmp_path))
+    assert [json.loads(line)["argv"][0] for line in first] == \
+        [argv[0] for argv in _runs(tmp_path)]
 
 
 def test_package_init_imports_nothing():

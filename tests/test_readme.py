@@ -22,4 +22,4 @@ def test_ini_block_loads(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text(block)
     cfg = cli.RunConfig.load(str(path))
-    assert (cfg.ctx.p, cfg.regime) == (2, "even")
+    assert (cfg.ctx.p, cfg.ctx.e) == (2, 2)

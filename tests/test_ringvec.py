@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twirl.localfield import make_field
+from twirl.localfield import LocalFieldCtx
 from twirl.ringvec import iter_gl2
 
 from kappa_oracle import OracleRing, _gl2_chunks
@@ -18,7 +18,7 @@ def test_iter_gl2_rows(p, e, eis, level):
     """`iter_gl2` (level 1) and the oracle's `_gl2_chunks` (higher
     levels) yield each element of GL_2(O/pi^level) once, with a unit
     determinant, in strictly increasing lexicographic digit-index order."""
-    ctx = make_field(p, e, eis, 16)
+    ctx = LocalFieldCtx(p, e, eis, 16)
     ring = OracleRing(ctx, max(level, 2))
     index = {tuple(r): i for i, r in enumerate(ring.from_digit_grid(level))}
     keys = []
@@ -52,7 +52,7 @@ def test_gl2_fp_chunks_match_the_digit_grid(monkeypatch, p, e, eis):
             return fn(*args)
         return wrapper
 
-    ring = OracleRing(make_field(p, e, eis, 16), 2)
+    ring = OracleRing(LocalFieldCtx(p, e, eis, 16), 2)
     grid = list(_gl2_chunks(1, ring))
     monkeypatch.setattr(ringvec, "_gl2_fp_chunks",
                         counted(1, ringvec._gl2_fp_chunks))

@@ -13,12 +13,12 @@ from twirl.cyclotomic import CharacterValue
 from twirl.errors import DomainError
 from twirl.integrator import (_preimage_inverse, orbit_strata,
                               orbit_weight_integral)
-from twirl.localfield import make_field, parse_elem
+from twirl.localfield import LocalFieldCtx, parse_elem
 from twirl.matlattice import Mat, orthogonal_form, symplectic_form, vdash
 from twirl.supercuspidal import (CuspidalData, _classify_regime, _coset_counts,
                                  _support_mod_pi, level_character, member,
                                  pass_table, pi_e_inverse_power, support_scan)
-from twirl.twisted import TorusElem, norm_preimage
+from twirl.twisted import norm_preimage
 
 from coset_walk import coset_strata
 from kappa_oracle import (OracleRing, _count_f, _f_on_residues, _gl2_chunks,
@@ -36,19 +36,19 @@ def pi_e_matrix(ctx):
 
 
 def ctx5():
-    return make_field(5, 1, (-5, 1), 18)
+    return LocalFieldCtx(5, 1, (-5, 1), 18)
 
 
 def ctx2():
-    return make_field(2, 2, (-2, 0, 1), 24)
+    return LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 
 
 def ctx3():
-    return make_field(3, 1, (-3, 1), 12)
+    return LocalFieldCtx(3, 1, (-3, 1), 12)
 
 
 def ctx7():
-    return make_field(7, 1, (-7, 1), 12)
+    return LocalFieldCtx(7, 1, (-7, 1), 12)
 
 
 def ctx2_e1():
@@ -57,7 +57,7 @@ def ctx2_e1():
     the carry (N div p)(p/pi mod pi) of the pass move an exponent: at odd
     p no exponent is read (every row spreads), and at e >= 2 p/pi is 0
     mod pi."""
-    return make_field(2, 1, (-2, 1), 12)
+    return LocalFieldCtx(2, 1, (-2, 1), 12)
 
 
 def rand_i1(c, rng):
@@ -97,7 +97,7 @@ def test_member_filtration():
 
 def test_data_requires_deep_two():
     with pytest.raises(DomainError):
-        CuspidalData(make_field(2, 1, (-2, 1), 14))
+        CuspidalData(LocalFieldCtx(2, 1, (-2, 1), 14))
     CuspidalData(ctx5())  # odd p fine with e = 1
 
 
@@ -203,7 +203,7 @@ def test_kappa_average_matches_bruteforce():
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     alpha = c.one() + c.pi(2)
-    x = norm_preimage(TorusElem(alpha), form).inverse()
+    x = norm_preimage(alpha, form).inverse()
     from twirl.matlattice import a_e, n_b
 
     def brute(y, level):
@@ -243,7 +243,7 @@ def test_kappa_average_level_stability():
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     alpha = c.one() + c.pi(2)
-    y = norm_preimage(TorusElem(alpha), form).inverse().shift(2)
+    y = norm_preimage(alpha, form).inverse().shift(2)
     v2 = kappa_average_oracle(data, y, 2)
     assert v2 == kappa_average_oracle(data, y, 3)
     assert v2 == kappa_average_oracle(data, y, 4)
@@ -276,11 +276,11 @@ def test_kappa_average_matches_oracle_on_live_strata(mk, specs):
     data = _RecordingData(c)
     live = []
     for spec in specs:
-        gamma = TorusElem(parse_elem(c, spec))
-        x = _preimage_inverse(gamma, form)
+        alpha = parse_elem(c, spec)
+        x = _preimage_inverse(alpha, form)
         live += [(r, coset_y(r, x)) for r in orbit_strata(data, form, x)
                  if r.dead is None]
-        orbit_weight_integral(data, form, gamma, range(1))
+        orbit_weight_integral(data, form, alpha, range(1))
     assert live
     assert data.seen == ([] if data.kappa_vanishes(form)
                          else [r.key for r, _y in live])
@@ -476,7 +476,7 @@ def test_coset_counts_match_oracles_at_e_above_one(p, e, eis):
     0 over x^3 - 2, x^2 + 2x - 2 and x^2 - 3 though N carries.  The pass
     is held to the unfiltered coset enumeration on 100 y of each parity,
     and to the GL_2(O/pi^2) enumeration on the first 10."""
-    c = make_field(p, e, eis, 20)
+    c = LocalFieldCtx(p, e, eis, 20)
     ring = OracleRing(c, 2)
     rng = random.Random(37)
     for parity in (0, 1):
@@ -732,7 +732,7 @@ def test_kappa_average_rejects_symplectic_form():
     with pytest.raises(DomainError):
         data.kappa_vanishes(sf)
     with pytest.raises(DomainError):
-        support_scan(data, sf, TorusElem(parse_elem(c, "-1+pi")))
+        support_scan(data, sf, parse_elem(c, "-1+pi"))
 
 
 def test_kappa_average_conjugation_invariance():
@@ -741,7 +741,7 @@ def test_kappa_average_conjugation_invariance():
     form = orthogonal_form(c, 2)
     rng = random.Random(4)
     alpha = c.one() + c.pi(3)
-    y = norm_preimage(TorusElem(alpha), form).inverse().shift(3)
+    y = norm_preimage(alpha, form).inverse().shift(3)
     for _ in range(5):
         kap = random_integral(c, 2, rng, unit_det=True)
         y2 = kap * y * vdash(kap, form)
@@ -758,7 +758,7 @@ def test_kappa_congruence_sharpness():
         kap = random_integral(c2, 2, rng, unit_det=True)
         t = (kap * vdash(kap, form2)).scale(kap.det().inverse())
         assert member(t, "I2")
-    c1 = make_field(2, 1, (-2, 1), 14)
+    c1 = LocalFieldCtx(2, 1, (-2, 1), 14)
     form1 = orthogonal_form(c1, 2)
     witness = Mat.from_ints(c1, [[1, 0], [1, 1]])
     t = (witness * vdash(witness, form1)).scale(witness.det().inverse())
@@ -770,13 +770,13 @@ def test_support_scan_regimes():
     d5 = CuspidalData(c5)
     f5 = orthogonal_form(c5, 2)
     for spec in ("pi", "pi^2", "pi^-1", "2", "1+pi"):
-        rep = support_scan(d5, f5, TorusElem(parse_elem(c5, spec)))
+        rep = support_scan(d5, f5, parse_elem(c5, spec))
         assert rep.witness is None, spec
-    rep = support_scan(d5, f5, TorusElem(parse_elem(c5, "-1+pi")))
+    rep = support_scan(d5, f5, parse_elem(c5, "-1+pi"))
     assert rep.witness is not None
     c2 = ctx2()
     rep2 = support_scan(CuspidalData(c2), orthogonal_form(c2, 2),
-                        TorusElem(parse_elem(c2, "1+pi^2")))
+                        parse_elem(c2, "1+pi^2"))
     assert rep2.witness is not None
     assert rep2.witness["i"] == 2
     j = rep2.to_json()
@@ -792,7 +792,7 @@ def test_support_scan_makes_no_kappa_average_call(monkeypatch):
                         lambda self, y, form: calls.append(y))
     for c, spec in ((ctx2(), "1+pi^2"), (ctx5(), "-1+pi")):
         rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
-                           TorusElem(parse_elem(c, spec)))
+                           parse_elem(c, spec))
         assert rep.witness is not None, spec
     assert calls == []
 
@@ -815,7 +815,7 @@ def test_support_scan_golden_bytes(mk, spec):
     "1+pi" one record for each of its two dead b levels."""
     c = mk()
     rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
-                       TorusElem(parse_elem(c, spec)))
+                       parse_elem(c, spec))
     text = json.dumps(rep.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SCAN_SHA256[mk, spec]
 
@@ -823,25 +823,25 @@ def test_support_scan_golden_bytes(mk, spec):
 def test_support_scan_raises_on_short_b_window():
     """alpha = 1 + pi^4 forces b levels up to 4, and the scan reads every
     one of them without finding a witness."""
-    c = make_field(5, 1, (-5, 1), 30)
+    c = LocalFieldCtx(5, 1, (-5, 1), 30)
     rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
-                       TorusElem(parse_elem(c, "1+pi^4")))
+                       parse_elem(c, "1+pi^4"))
     assert rep.witness is None
-    assert max(s.b_level for s in rep.strata) == 4
+    assert max(s.j for s in rep.strata) == 4
 
 
 def test_support_scan_deep_alpha_reads_levels():
     """alpha = 1 + pi^8 at p = 5 forces b levels up to 8 on i = 8, and
     every level is dead: the scan returns the 9 level records of
     `orbit_strata` (a per-coset walk visits 5^8 cosets)."""
-    c = make_field(5, 1, (-5, 1), 40)
+    c = LocalFieldCtx(5, 1, (-5, 1), 40)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
-    gamma = TorusElem(parse_elem(c, "1+pi^8"))
-    rep = support_scan(data, form, gamma)
-    x = norm_preimage(gamma, form).inverse()
+    alpha = parse_elem(c, "1+pi^8")
+    rep = support_scan(data, form, alpha)
+    x = norm_preimage(alpha, form).inverse()
     assert len(rep.strata) == len(orbit_strata(data, form, x)) == 9
     assert rep.witness is None
-    assert [s.b_level for s in rep.strata] == list(range(9))
+    assert [s.j for s in rep.strata] == list(range(9))
 
 
 def _random_scan_alphas(c):
@@ -869,16 +869,16 @@ def test_support_scan_randomized_regimes():
     form = orthogonal_form(c, 2)
     for alphas in _random_scan_alphas(c):
         for alpha in alphas:
-            assert support_scan(d, form, TorusElem(alpha)).witness is None
+            assert support_scan(d, form, alpha).witness is None
 
 
-def _coset_scan(data, form, gamma):
+def _coset_scan(data, form, alpha):
     """The per-coset scan: every coset of `coset_strata` in lexicographic
     order, each live one settled by the GL_2(O/pi^2) enumeration
     `kappa_witness_oracle`, up to the first witness.  Returns (regime,
     witness, kappa_level, [(coset, verdict)]) with the cosets visited
     before the witness."""
-    x = norm_preimage(gamma, form).inverse()
+    x = norm_preimage(alpha, form).inverse()
     visited, witness, kappa_level = [], None, 0
     for c in coset_strata(data, form, x):
         if c.dead is not None:
@@ -891,7 +891,7 @@ def _coset_scan(data, form, gamma):
                    "kappa": kap.to_digit_lists(4),
                    "value": data.f(gw * x * vdash(gw, form)).to_json()}
         break
-    regime = _classify_regime(data.ctx, gamma.alpha)
+    regime = _classify_regime(data.ctx, alpha)
     if witness is not None:
         regime += "-witness"
     elif regime == "alpha-unit-even":
@@ -920,21 +920,37 @@ def test_scan_matches_coset_scan():
     (`support_scan`), so the first live coset ends both scans."""
     for c, alpha in _scan_cases():
         data, form = CuspidalData(c), orthogonal_form(c, 2)
-        gamma = TorusElem(alpha)
         where = (c.p, str(alpha))
-        rep = support_scan(data, form, gamma)
-        regime, witness, kappa_level, visited = _coset_scan(data, form, gamma)
+        rep = support_scan(data, form, alpha)
+        regime, witness, kappa_level, visited = _coset_scan(data, form, alpha)
         assert (rep.regime, rep.witness, rep.kappa_level) == \
             (regime, witness, kappa_level), where
-        x = norm_preimage(gamma, form).inverse()
+        x = norm_preimage(alpha, form).inverse()
         records = orbit_strata(data, form, x)
-        assert [(s.i, s.b_level, s.b_digits) for s in rep.strata] == \
+        assert [(s.i, s.j, s.digits) for s in rep.strata] == \
             [(r.i, r.j, r.digits) for r in records[:len(rep.strata)]], where
         assert sum(r.weight for r in records) == \
             sum(1 for _ in coset_strata(data, form, x)), where
         for cos, verdict in visited:
-            assert [s.verdict for s in rep.strata
-                    if (s.i, s.b_level) == (cos.i, cos.j)] == [verdict], where
+            assert [s.dead for s in rep.strata
+                    if (s.i, s.j) == (cos.i, cos.j)] == [verdict], where
+
+
+def test_scan_strata_are_the_leading_walk_records():
+    """A scan keeps the `orbit_strata` records it read as they are: its
+    strata are the leading records of the walk on the same alpha, as
+    `Coset` tuples, every one dead but a last live one, which holds the
+    witness."""
+    for c, alpha in _scan_cases():
+        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        where = (c.p, str(alpha))
+        rep = support_scan(data, form, alpha)
+        records = orbit_strata(data, form, _preimage_inverse(alpha, form))
+        assert [tuple(s) for s in rep.strata] == \
+            [tuple(r) for r in records[:len(rep.strata)]], where
+        assert all(s.dead is not None for s in rep.strata[:-1]), where
+        assert (rep.strata[-1].dead is None) == \
+            (rep.witness is not None), where
 
 
 def _witness_cases():
@@ -945,7 +961,7 @@ def _witness_cases():
     rng = random.Random(41)
     for p, eis in ((3, (-3, 1)), (7, (-7, 1)), (2, (-2, 0, 0, 1)),
                    (2, (-2, 2, 1)), (2, (2, 0, 1)), (5, (-5, 0, 1))):
-        c = make_field(p, len(eis) - 1, eis, 24)
+        c = LocalFieldCtx(p, len(eis) - 1, eis, 24)
         for sign, e, _ in itertools.product((1, -1), (1, 2, 3), range(2)):
             alpha = c.one() + c.random_unit(rng).shift(e)
             cases.append((c, alpha if sign > 0 else -alpha))
@@ -962,9 +978,9 @@ def test_kappa_witness_matches_gl2_enumeration():
     for c, alpha in cases:
         data, form = CuspidalData(c), orthogonal_form(c, 2)
         for r in orbit_strata(data, form,
-                              _preimage_inverse(TorusElem(alpha), form)):
+                              _preimage_inverse(alpha, form)):
             if r.dead is None:
-                y = coset_y(r, _preimage_inverse(TorusElem(alpha), form))
+                y = coset_y(r, _preimage_inverse(alpha, form))
                 want = kappa_witness_oracle(data, y).to_digit_lists(4)
                 got = supercuspidal._kappa_witness(data, r.key)
                 assert got.to_digit_lists(4) == want, (c.p, str(alpha), r.i)
@@ -990,8 +1006,8 @@ def test_support_scan_witness_reads_gl2_fp_once(monkeypatch, mk, spec):
     monkeypatch.setattr(supercuspidal, "iter_gl2", counted)
     c = mk()
     rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
-                       TorusElem(parse_elem(c, spec)))
-    live = [s for s in rep.strata if s.verdict == "witness"]
+                       parse_elem(c, spec))
+    live = [s for s in rep.strata if s.dead is None]
     assert len(reads) == len(live)
     assert len(live) == (rep.witness is not None) == (spec != "1+pi")
 
@@ -1016,7 +1032,7 @@ def test_odd_det_valuation_strata_are_dead(mk):
         if not (a.is_zero() or a == c.one() or a == -c.one()):
             alphas.append(a)
     for alpha in alphas:
-        x = norm_preimage(TorusElem(alpha), form).inverse()
+        x = norm_preimage(alpha, form).inverse()
         for cos in coset_strata(data, form, x):
             if cos.y.det().val % 2:
                 assert cos.dead is not None, alpha
@@ -1024,7 +1040,7 @@ def test_odd_det_valuation_strata_are_dead(mk):
             if r.dead is None:
                 assert not data.f(coset_y(r, x)).is_zero(), alpha
                 live += 1
-        levels.add(support_scan(data, form, TorusElem(alpha)).kappa_level)
+        levels.add(support_scan(data, form, alpha).kappa_level)
     assert levels == {0, 2} and live
 
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from twirl.errors import (DomainError, PrecisionExhausted, Singular,
-                          SingularGammaMinusOne)
-from twirl.localfield import make_field
+from twirl.errors import (DomainError, NotRegular, PrecisionExhausted,
+                          Singular)
+from twirl.localfield import LocalFieldCtx
 from twirl.matlattice import Mat, orthogonal_form, symplectic_form, vdash
-from twirl.twisted import (TorusElem, is_eps_symmetric, norm_preimage,
+from twirl.twisted import (is_eps_symmetric, norm_preimage,
                            twisted_discriminant)
 
 from random_mats import random_mat
@@ -15,11 +15,11 @@ from twisted_oracles import norm_preimage_general, twisted_discriminant_oracle
 
 
 def ctx5():
-    return make_field(5, 1, (-5, 1), 18)
+    return LocalFieldCtx(5, 1, (-5, 1), 18)
 
 
 def ctx2():
-    return make_field(2, 2, (-2, 0, 1), 24)
+    return LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 
 
 def regular_alpha(c, rng):
@@ -33,16 +33,16 @@ def test_norm_preimage_split_form():
     c = ctx5()
     form = orthogonal_form(c, 2)
     alpha = c.from_int(3)
-    s = norm_preimage(TorusElem(alpha), form)
+    s = norm_preimage(alpha, form)
     assert s == Mat.diag(c, [alpha - c.one(), alpha.inverse() - c.one()])
     # alpha = -1: S = diag(-2, -2)
-    s2 = norm_preimage(TorusElem(-c.one()), form)
+    s2 = norm_preimage(-c.one(), form)
     assert s2 == Mat.diag(c, [c.from_int(-2), c.from_int(-2)])
-    with pytest.raises(SingularGammaMinusOne):
-        norm_preimage(TorusElem(c.one()), form)
-    # alpha = 0 is no torus element: refused where gamma is built
+    with pytest.raises(NotRegular, match="gamma - 1 is singular"):
+        norm_preimage(c.one(), form)
+    # alpha = 0 is no torus element
     with pytest.raises(Singular, match="inverse of zero"):
-        TorusElem(c.zero())
+        norm_preimage(c.zero(), form)
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
@@ -55,11 +55,10 @@ def test_norm_preimage_closed_form_is_general_route(mk):
     assert form.split
     rng = random.Random(9)
     for alpha in [-c.one()] + [regular_alpha(c, rng) for _ in range(40)]:
-        gamma = TorusElem(alpha)
-        assert norm_preimage(gamma, form) == norm_preimage_general(gamma, form)
+        assert norm_preimage(alpha, form) == norm_preimage_general(alpha, form)
     for route in (norm_preimage, norm_preimage_general):
-        with pytest.raises(SingularGammaMinusOne):
-            route(TorusElem(c.one()), form)
+        with pytest.raises(NotRegular):
+            route(c.one(), form)
 
 
 def anisotropic_block(c):
@@ -76,13 +75,13 @@ def test_non_split_form_takes_general_route(mk):
     w J^(-1) (gamma - 1), which is not the diagonal closed form on the
     non-split block."""
     c = mk()
-    gamma = TorusElem(c.from_int(3))
+    alpha = c.from_int(3)
     block = orthogonal_form(c, 2, anisotropic_block(c))
     for form in (orthogonal_form(c, 4), symplectic_form(c, 2), block):
         assert not form.split
         with pytest.raises(DomainError, match="split orthogonal form"):
-            norm_preimage(gamma, form)
-    assert not norm_preimage_general(gamma, block).rows[0][1].is_zero()
+            norm_preimage(alpha, form)
+    assert not norm_preimage_general(alpha, block).rows[0][1].is_zero()
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
@@ -92,9 +91,10 @@ def test_nu_of_norm(mk):
     form = orthogonal_form(c, 2)
     rng = random.Random(0)
     for _ in range(50):
-        gamma = TorusElem(regular_alpha(c, rng))
-        s = norm_preimage(gamma, form)
-        assert vdash(s.inverse(), form) * s == -gamma.matrix()
+        alpha = regular_alpha(c, rng)
+        s = norm_preimage(alpha, form)
+        gamma = Mat.diag(c, [alpha, alpha.inverse()])
+        assert vdash(s.inverse(), form) * s == -gamma
 
 
 def test_eps_symmetry_preserved():
@@ -169,8 +169,8 @@ def test_twisted_discriminant_routes(mk):
     form = orthogonal_form(c, 2)
     rng = random.Random(3)
     for _ in range(25):
-        gamma = TorusElem(regular_alpha(c, rng))
-        si = norm_preimage(gamma, form).inverse()
+        a = regular_alpha(c, rng)
+        si = norm_preimage(a, form).inverse()
         r1 = twisted_discriminant(si, form)
         r2 = twisted_discriminant_oracle(si, form)
         assert r1.kernel_dim == 1 == r2.kernel_dim
@@ -178,7 +178,6 @@ def test_twisted_discriminant_routes(mk):
         assert r1.ord_value == r2.ord_value
         assert r1.charpoly_lowterm == r2.charpoly_lowterm
         # closed formula |D_eps| = |2| |alpha-1|^2 / |alpha|
-        a = gamma.alpha
         want = c.from_int(2).val + 2 * (a - c.one()).val - a.val
         assert r1.ord_value == want
 
@@ -193,7 +192,7 @@ def test_discriminant_stratum_constancy():
     for _ in range(60):
         a = regular_alpha(c, rng)
         key = ((a - c.one()).val, (a + c.one()).val, a.val)
-        si = norm_preimage(TorusElem(a), form).inverse()
+        si = norm_preimage(a, form).inverse()
         got = twisted_discriminant(si, form).ord_value
         if key in seen:
             assert seen[key] == got
@@ -206,8 +205,7 @@ def test_twisted_centralizer_small():
     c = ctx5()
     form = orthogonal_form(c, 2)
     rng = random.Random(5)
-    gamma = TorusElem(c.from_int(2))
-    rep = twisted_centralizer_sample(gamma, form, 3, 500, rng)
+    rep = twisted_centralizer_sample(c.from_int(2), form, 3, 500, rng)
     assert rep.all_in_torus
     # one leaf per point diag(t, t^(-1)) of the torus mod pi^m, t a unit
     p, m = c.p, rep.depth

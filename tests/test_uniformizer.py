@@ -6,7 +6,7 @@ import pytest
 
 from twirl.integrator import (TruncationSpec, assemble_coefficients,
                               discriminant_report)
-from twirl.localfield import make_field
+from twirl.localfield import LocalFieldCtx
 from twirl.matlattice import orthogonal_form
 from twirl.supercuspidal import CuspidalData
 
@@ -32,7 +32,7 @@ PINS = {
 
 
 def _reading(p, e, precision, eis, integrand):
-    ctx = make_field(p, e, eis, precision)
+    ctx = LocalFieldCtx(p, e, eis, precision)
     form = orthogonal_form(ctx, 2)
     table = assemble_coefficients(integrand(ctx), form, TRUNC)
     report = discriminant_report(form, ctx.from_int(3), "alpha = 3")

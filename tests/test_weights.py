@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twirl.localfield import make_field, square_class_reps
+from twirl.localfield import LocalFieldCtx, square_class_reps
 from twirl.matlattice import Mat, antidiag_w, mat_ord, orthogonal_form, vdash
 
 from random_mats import random_integral, random_mat
@@ -11,11 +11,11 @@ from weights_oracle import (WeightQuery, delta_vector, scaling_block,
 
 
 def ctx5():
-    return make_field(5, 1, (-5, 1), 18)
+    return LocalFieldCtx(5, 1, (-5, 1), 18)
 
 
 def ctx2():
-    return make_field(2, 2, (-2, 0, 1), 24)
+    return LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 
 
 def test_closed_form_examples():

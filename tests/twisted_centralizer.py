@@ -62,14 +62,15 @@ def _solve_mod_p(rows, rhs, p):
     return part, basis
 
 
-def twisted_centralizer_sample(gamma, form, m: int, trials: int,
+def twisted_centralizer_sample(alpha, form, m: int, trials: int,
                                rng) -> CentralizerReport:
-    """Enumerate the solution tree of g X g^vdash = X (X = S(gamma)^(-1))
-    modulo pi^m by level-one brute force plus linear lifting, then sample
-    solutions and test membership in the diagonal torus mod pi^(m-1)."""
-    ctx = gamma.ctx
+    """Enumerate the solution tree of g X g^vdash = X (X = S(gamma)^(-1),
+    gamma = diag(alpha, alpha^(-1))) modulo pi^m by level-one brute force
+    plus linear lifting, then sample solutions and test membership in the
+    diagonal torus mod pi^(m-1)."""
+    ctx = alpha.ctx
     p = ctx.p
-    x = norm_preimage(gamma, form).inverse()
+    x = norm_preimage(alpha, form).inverse()
     xt = x.shift(max(0, -min(0, mat_ord(x))))  # integral rescaling
     n = form.n
     basis = []

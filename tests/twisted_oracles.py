@@ -9,18 +9,19 @@ the split orthogonal form (`norm_preimage`, `twisted_discriminant`), and
 the tests hold the two routes equal.
 """
 
-from twirl.errors import NotRegular, SingularGammaMinusOne
-from twirl.localfield import INF, LocalFieldCtx
+from twirl.errors import NotRegular
+from twirl.localfield import INF, Elem, LocalFieldCtx
 from twirl.matlattice import GroupForm, Mat, vdash
-from twirl.twisted import DiscriminantReport, TorusElem
+from twirl.twisted import DiscriminantReport
 
 
-def norm_preimage_general(gamma: TorusElem, form: GroupForm) -> Mat:
-    """S(gamma) = w J^(-1) (gamma - 1) by `Mat` products, for any form."""
-    ctx = gamma.ctx
-    gm = gamma.matrix() - Mat.identity(ctx, form.n)
+def norm_preimage_general(alpha: Elem, form: GroupForm) -> Mat:
+    """S(gamma) = w J^(-1) (gamma - 1) by `Mat` products, for any form,
+    gamma = diag(alpha, alpha^(-1))."""
+    ctx = alpha.ctx
+    gm = Mat.diag(ctx, [alpha, alpha.inverse()]) - Mat.identity(ctx, form.n)
     if gm.det().val is INF:
-        raise SingularGammaMinusOne("gamma - 1 is singular")
+        raise NotRegular("gamma - 1 is singular")
     return form.w * form.J.inverse() * gm
 
 
