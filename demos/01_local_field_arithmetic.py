@@ -33,8 +33,8 @@ print("ord(2) =", F2.from_int(2).val, " (2 sits in the square of the ideal)")
 # square classes: 4 for odd p, 16 for this 2-adic field
 for ctx in (F5, F2):
     scs = square_class_reps(ctx)
-    print(f"p={ctx.p}: |F*/F*^2| = {scs.card_field}, "
-          f"|O*/O*^2| = {scs.card_units}")
+    print(f"p={ctx.p}: |F*/F*^2| = {len(scs.reps)}, "
+          f"|O*/O*^2| = {len(scs.unit_reps)}")
     assert is_square(scs.reps[0])
 
 # the additive character with kernel exactly the maximal ideal

@@ -29,7 +29,7 @@ print("factorization c_k == (4k+1) c_0 (b == 4a):",
       table.b == table.a.scale(4))
 
 rep = residue_report(table.a, table.b, table.ks, n=2, q=ctx.q)
-print("report regime:", rep.regime)
+print("report regime:", rep["regime"])
 
 # the K-average cancels even though the support is met: look at one stratum
 from twirl.integrator import orbit_strata

@@ -13,7 +13,7 @@ from twirl.integrator import (TruncationSpec, assemble_coefficients,
                               coefficient_A_B)
 from twirl.localfield import LocalFieldCtx
 from twirl.matlattice import orthogonal_form
-from twirl.residue import residue_report
+from twirl.residue import laurent_at_zero, residue_report
 from twirl.supercuspidal import CuspidalData
 
 ctx = LocalFieldCtx(2, 2, (-2, 0, 1), 24)
@@ -34,11 +34,11 @@ a, b, incs = coefficient_A_B(data, form, trunc)
 print("\nweight-only shell constants: A =", a, " B =", b)
 
 rep = residue_report(table.a, table.b, table.ks, n=2, q=ctx.q)
-print("\nregime:", rep.regime)
+print("\nregime:", rep["regime"])
 print("c_k = a + b k with a =", table.a, " b =", table.b)
-print("closed form numerator:", [str(c) for c in rep.closed.num[:3]],
-      f"over (1-u)^{rep.closed.pole_power}")
+print("closed form numerator:", [str(table.a), str(table.b - table.a)],
+      "over (1-u)^2")
 print("Laurent data at s = 0:")
-for t in rep.laurent.terms:
-    print(f"  s^{t.s_power}: {t.value} * (ln q)^{t.lnq_power}")
-print("numeric spot check rel. err:", rep.checks["spot_check_rel_err"])
+for m, v in laurent_at_zero(table.a, table.b, 2):
+    print(f"  s^{m}: {v} * (ln q)^{m}")
+print("numeric spot check rel. err:", rep["checks"]["spot_check_rel_err"])

@@ -253,8 +253,7 @@ def cmd_residue(cfg: RunConfig) -> str:
     data = CuspidalData(cfg.ctx)
     form = orthogonal_form(cfg.ctx, 2)
     table = assemble_coefficients(data, form, cfg.trunc)
-    rep = residue_report(table.a, table.b, table.ks, n=2, q=cfg.ctx.q)
-    out = rep.to_json()
+    out = residue_report(table.a, table.b, table.ks, n=2, q=cfg.ctx.q)
     out["metadata"] = table.metadata
     if cfg.ctx.p == 2:
         a, b, incs = coefficient_A_B(data, form, cfg.trunc)

@@ -375,13 +375,12 @@ def orbit_weight_integral(data, form, alpha: Elem, ks,
 @dataclass
 class CoefficientTable:
     """c_k = a + b k for k in `ks`.  `stratum_totals` holds each torus
-    stratum's per-Delta_1 totals, already times 2 vol |D_eps|; (a, b) is
-    the pair of their run-wide sum, and `per_stratum` reads each
-    stratum's own pair."""
+    stratum with its per-Delta_1 totals, already times 2 vol |D_eps|;
+    (a, b) is the pair of their run-wide sum, and `per_stratum` reads
+    each stratum's own pair."""
 
     ks: tuple
-    stratum_totals: list    # (label, e, sign, vol, dict Delta_1 -> CharacterValue)
-    p: int
+    stratum_totals: list    # (TorusStratum, dict Delta_1 -> CharacterValue)
     units: int              # |O^x/(O^x)^2|, read by `_pair`
     a: CharacterValue       # c_0
     b: CharacterValue       # the slope c_(k+1) - c_k
@@ -394,17 +393,16 @@ class CoefficientTable:
 
     @property
     def per_stratum(self):
-        """(label, e, sign, vol, dict k -> CharacterValue) per torus
-        stratum: its share of each c_k."""
-        return [(label, e, sign, vol,
-                 _affine(*_pair(totals, self.p, self.units), self.ks))
-                for label, e, sign, vol, totals in self.stratum_totals]
+        """(TorusStratum, dict k -> CharacterValue) per torus stratum:
+        its share of each c_k."""
+        return [(s, _affine(*_pair(totals, self.a.p, self.units), self.ks))
+                for s, totals in self.stratum_totals]
 
     def per_e_increments(self, k: int = 0):
         agg: dict = {}
-        for _label, e, _sign, _vol, tab in self.per_stratum:
-            if e:
-                agg[e] = tab[k] if e not in agg else agg[e] + tab[k]
+        for s, tab in self.per_stratum:
+            if s.e:
+                agg[s.e] = tab[k] if s.e not in agg else agg[s.e] + tab[k]
         return dict(sorted(agg.items()))
 
     def to_json(self):
@@ -512,8 +510,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
             totals = {d: t.scale(scale) for d, t in totals.items()}
             for d, t in totals.items():
                 run[d] = run[d] + t if d in run else t
-        stratum_totals.append((stratum.label, stratum.e, stratum.sign,
-                               stratum.vol, totals))
+        stratum_totals.append((stratum, totals))
     a, b = _pair(run, ctx.p, units)
     meta = {
         "normalizations": {
@@ -529,7 +526,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
         "gamma_depth": trunc.gamma_depth,
         "unit_depth": trunc.unit_depth,
     }
-    return CoefficientTable(ks, stratum_totals, ctx.p, units, a, b, meta)
+    return CoefficientTable(ks, stratum_totals, units, a, b, meta)
 
 
 def coefficient_A_B(data, form, trunc: TruncationSpec):

@@ -507,19 +507,18 @@ class Elem:
             return 0
         return x.coeffs[0] % self.ctx.p
 
-    def _key(self, cap: int | None = None):
-        """Canonical comparison key: valuation plus the unit digits within
-        the precision-N window, truncated to `cap` coefficient levels."""
+    def _key(self, cap: int):
+        """Comparison key of a nonzero element of one field: valuation
+        plus the unit digits within the precision-N window, truncated to
+        `cap` coefficient levels."""
         x = self.normalized()
-        if x.is_zero():
-            return (self.ctx.p, self.ctx.e, "zero")
         n, e = self.ctx.precision, self.ctx.e
-        levels = x.mexp if cap is None else min(cap, x.mexp)
+        levels = min(cap, x.mexp)
         canon = tuple(
             c % self.ctx._pk[max(0, min(-(-(n - i) // e), levels))]
             for i, c in enumerate(x.coeffs)
         )
-        return (self.ctx.p, self.ctx.e, x.vbase, canon)
+        return (x.vbase, canon)
 
     def __eq__(self, other):
         """Elements of one field are equal when the valuations and the
@@ -607,8 +606,6 @@ class SquareClassSet:
     ctx: LocalFieldCtx
     reps: tuple[Elem, ...]
     unit_reps: tuple[Elem, ...]
-    card_field: int
-    card_units: int
 
 
 def unit_digit_tuples(p: int, n: int) -> list:
@@ -678,9 +675,8 @@ def square_class_reps(ctx: LocalFieldCtx) -> SquareClassSet:
                 reps.append(v)
         unit_reps = tuple(reps)
     pi = ctx.pi()
-    all_reps = tuple(unit_reps) + tuple(u * pi for u in unit_reps)
-    return SquareClassSet(ctx, all_reps, tuple(unit_reps),
-                          2 * len(unit_reps), len(unit_reps))
+    return SquareClassSet(ctx, unit_reps + tuple(u * pi for u in unit_reps),
+                          unit_reps)
 
 
 # -- the additive character ---------------------------------------------------

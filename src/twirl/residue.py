@@ -1,5 +1,5 @@
 """The series sum_k c_k q^(-2nks) in closed form, and its exact Laurent
-data at s = 0.
+data at s = 0, as the JSON report of the pair (a, b).
 
 Every c_k is affine in k: c_k = a + b k, with a = c_0 and b the slope
 (`integrator.CoefficientTable`).  With u = q^(-2ns),
@@ -18,141 +18,82 @@ is therefore
     s^1:  2n a/12 ln q
     s^2:  (2n)^2 b/240 (ln q)^2.
 
-Each coefficient is an exact vector of Q[zeta_p] together with an integer
-power of ln q; ln q is only evaluated numerically inside the
+The report is a function of (a, b) alone: the closed form is the
+numerator (a, b - a) over (1 - u)^2, or (a,) over (1 - u)^0 when
+a = b = 0, and the Laurent term at s^m is an exact vector of Q[zeta_p]
+times (ln q)^m.  ln q is only evaluated numerically inside the
 floating-point spot check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import CharacterValue
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    """N(u) / (1-u)^pole_power, N with CharacterValue coefficients."""
-
-    num: tuple
-    pole_power: int
-
-    def eval_complex(self, u: float):
-        num = sum(c.complex() * u**m for m, c in enumerate(self.num))
-        return num / (1 - u) ** self.pole_power
-
-
-# -- Laurent data at s = 0 ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaurentTerm:
-    s_power: int
-    value: CharacterValue
-    lnq_power: int
-
-
-@dataclass
-class LaurentData:
-    n: int
-    q: int
-    terms: list  # LaurentTerm, ascending s_power
-
-    def eval_float(self, s: float) -> complex:
-        lq = math.log(self.q)
-        return sum(t.value.complex() * lq**t.lnq_power * s**t.s_power
-                   for t in self.terms)
-
-    def to_json(self):
-        return [
-            {"order": -t.s_power, "rational": t.value.to_json(),
-             "lnq_power": t.lnq_power}
-            for t in self.terms
-        ]
-
-
-def laurent_at_zero(a: CharacterValue, b: CharacterValue, n: int,
-                    q: int) -> LaurentData:
+def laurent_at_zero(a: CharacterValue, b: CharacterValue, n: int) -> list:
     """The Laurent series of sum_k (a + b k) q^(-2nks) at s = 0 through
-    s^2, the five terms of the module docstring; a zero term is omitted.
-    The coefficient of z^m, z = 2n ln(q) s, is that of s^m (ln q)^m times
+    s^2, the five terms of the module docstring, as [(m, coefficient of
+    s^m (ln q)^m)] by ascending m; a zero term is omitted.  The
+    coefficient of z^m, z = 2n ln(q) s, is that of s^m (ln q)^m times
     (2n)^m."""
     by_z = ((-2, b), (-1, a),
             (0, a.scale(Fraction(1, 2)) - b.scale(Fraction(1, 12))),
             (1, a.scale(Fraction(1, 12))), (2, b.scale(Fraction(1, 240))))
-    return LaurentData(n, q, [LaurentTerm(m, v.scale(Fraction(2 * n) ** m), m)
-                              for m, v in by_z if not v.is_zero()])
+    return [(m, v.scale(Fraction(2 * n) ** m)) for m, v in by_z
+            if not v.is_zero()]
 
 
-def spot_check(rs: RationalSeries, laur: LaurentData, n: int, q: int) -> float:
-    """Relative error between direct evaluation of the rational function at
-    u = q^(-2ns) and the Laurent approximation, maximized over
-    s in {1e-3, 1e-4}."""
+def spot_check(num, terms, n: int, q: int) -> float:
+    """Relative error between num(u)/(1 - u)^2 at u = q^(-2ns), for the
+    numerator coefficients `num`, and the Laurent `terms`
+    (`laurent_at_zero`), maximized over s in {1e-3, 1e-4}."""
+    lq = math.log(q)
     worst = 0.0
     for s in (1e-3, 1e-4):
         u = q ** (-2 * n * s)
-        direct = rs.eval_complex(u)
-        approx = laur.eval_float(s)
-        err = abs(direct - approx) / max(abs(direct), 1e-30)
-        worst = max(worst, err)
+        direct = (sum(c.complex() * u**m for m, c in enumerate(num))
+                  / (1 - u) ** 2)
+        approx = sum(v.complex() * lq**m * s**m for m, v in terms)
+        worst = max(worst, abs(direct - approx) / max(abs(direct), 1e-30))
     return worst
 
 
-# -- full report ---------------------------------------------------------------------
-
-
-@dataclass
-class ResidueSeries:
-    """The full chain: coefficient table, the polynomial a + b k, closed
-    form, and Laurent data."""
-
-    n: int
-    q: int
-    coeffs: list
-    poly: list
-    closed: RationalSeries
-    laurent: LaurentData
-    regime: str
-    checks: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "regime": self.regime,
-            "k0": 0,  # c_k = a + b k from k = 0 on
-            "poly": [c.to_json() for c in self.poly],
-            "closed_form": {
-                "num": [c.to_json() for c in self.closed.num],
-                # "extra" is the further denominator factor, always 1
-                "den": {"one_minus_u_power": self.closed.pole_power,
-                        "extra": ["1"]},
-            },
-            "laurent": self.laurent.to_json(),
-            "checks": self.checks,
-            "coefficients": [c.to_json() for c in self.coeffs],
-        }
-
-
 def residue_report(a: CharacterValue, b: CharacterValue, ks, n: int,
-                   q: int) -> ResidueSeries:
-    """c_k = a + b k for k in `ks` -> closed form -> Laurent data, with the
-    regime read from (a, b): "zero" when both vanish, "odd-factorized"
-    when c_k = (4k + 1) c_0 (b = 4a), "even-weighted" otherwise.  The
-    checks re-expand the closed form, (k + 1) n0 + k n1 for the
-    numerator n0 + n1 u, against the printed c_k, and compare it with
-    the Laurent data in floating point."""
+                   q: int) -> dict:
+    """The JSON report of c_k = a + b k for k in `ks`: the closed form
+    and the Laurent data at s = 0, with the regime read from (a, b):
+    "zero" when both vanish, "odd-factorized" when c_k = (4k + 1) c_0
+    (b = 4a), "even-weighted" otherwise.  The checks re-expand the
+    closed form, (k + 1) n0 + k n1 for the numerator n0 + n1 u, against
+    the printed c_k, and compare it with the Laurent data in floating
+    point."""
     coeffs = [a + b.scale(k) for k in ks]
     if a.is_zero() and b.is_zero():
-        return ResidueSeries(n, q, coeffs, [a], RationalSeries((a,), 0),
-                             LaurentData(n, q, []), "zero",
-                             {"identically_zero": True})
-    regime = "odd-factorized" if b == a.scale(4) else "even-weighted"
-    rs = RationalSeries((a, b - a), 2)
-    n0, n1 = rs.num
-    ok = all(c == n0.scale(k + 1) + n1.scale(k) for k, c in zip(ks, coeffs))
-    laur = laurent_at_zero(a, b, n, q)
-    err = spot_check(rs, laur, n, q)
-    checks = {"re_expansion_exact": ok, "spot_check_rel_err": err,
-              "spot_check_ok": err <= 1e-6}
-    return ResidueSeries(n, q, coeffs, [a, b], rs, laur, regime, checks)
+        regime, poly, num, pole, terms = "zero", [a], [a], 0, []
+        checks = {"identically_zero": True}
+    else:
+        regime = "odd-factorized" if b == a.scale(4) else "even-weighted"
+        poly, num, pole = [a, b], [a, b - a], 2
+        terms = laurent_at_zero(a, b, n)
+        ok = all(c == num[0].scale(k + 1) + num[1].scale(k)
+                 for k, c in zip(ks, coeffs))
+        err = spot_check(num, terms, n, q)
+        checks = {"re_expansion_exact": ok, "spot_check_rel_err": err,
+                  "spot_check_ok": err <= 1e-6}
+    return {
+        "regime": regime,
+        "k0": 0,  # c_k = a + b k from k = 0 on
+        "poly": [c.to_json() for c in poly],
+        "closed_form": {
+            "num": [c.to_json() for c in num],
+            # "extra" is the further denominator factor, always 1
+            "den": {"one_minus_u_power": pole, "extra": ["1"]},
+        },
+        "laurent": [{"order": -m, "rational": v.to_json(), "lnq_power": m}
+                    for m, v in terms],
+        "checks": checks,
+        "coefficients": [c.to_json() for c in coeffs],
+    }

@@ -21,10 +21,14 @@ body that no run executes (`never_executed`, by `sys.settrace`).
 
     python tests/reach_profile.py --digests
 
-prints instead one JSON line per run (`digests`): its argv with the
-temporary directory as `<tmp>`, its exit code, the sha-256 of its output
-file (null when it wrote none) and its stderr text.  Two trees that
-print the same lines give the same answer on every run."""
+prints instead one JSON line per run of the byte check (`digests`): its
+argv with the temporary directory as `<tmp>`, its exit code, the sha-256
+of its output file (null when it wrote none) and its stderr text.  The
+byte check is wider than the reach runs: every config of `_sweep_configs`
+(the bench configs and further fields, among them configs the CLI
+refuses) at every alpha of `_alphas` and `SWEEP_ALPHAS`, then one record
+per demo, with the sha-256 of its stdout.  Two trees that print the same
+lines give the same answer on every run."""
 
 from __future__ import annotations
 
@@ -46,6 +50,13 @@ WORKLOADS = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))[
 # it); 0, 3/0 and 1 + pi^40 (1 through every bench precision) are errors
 ALPHAS = ("u", "1+pi*u", "1/3", "pi^-1", "-1", "0", "3/0", "1+pi^40")
 SEEDS = range(1, 6)
+# further alphas of the byte check: 1 is not regular; at p = 5, precision
+# 18, alpha - 1 at 1 + pi^24 and alpha + 1 at -1 + pi^25 (read by psik
+# only) lead inside the guard levels, and pi^30 is beyond the kept digits
+SWEEP_ALPHAS = ("1", "2", "pi^2", "1+pi", "-1+pi", "1+pi^3*u", "-1+pi^2*u",
+                "1+pi^24", "-1+pi^25", "1+pi^30")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+CONFIGS = {name: w.config for name, w in sorted(WORKLOADS.items())}
 
 
 def _alphas() -> list:
@@ -55,18 +66,50 @@ def _alphas() -> list:
     return list(dict.fromkeys(seeded)) + list(ALPHAS)
 
 
-def _runs(tmp: pathlib.Path) -> list:
-    """The argv of every run, each with its --config and --out."""
+def _variant(config: str, **values) -> str:
+    """The INI text `config` with the line of each key set to its value."""
+    lines = config.splitlines()
+    for key, value in values.items():
+        [n] = [n for n, line in enumerate(lines)
+               if line.startswith(f"{key} = ")]
+        lines[n] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+def _sweep_configs() -> dict:
+    """{name: INI text} of the byte check: the bench configs, four more
+    uniformizers and fields, and three configs the CLI refuses (a
+    precision below the rule, p = 2 with e = 1, and a regime that is not
+    p's)."""
+    even, odd = CONFIGS["even-p2-residue"], CONFIGS["odd-p5-residue"]
+    return CONFIGS | {
+        "x2+2": _variant(even, eisenstein="2,0,1"),
+        "x2+2x-2": _variant(even, eisenstein="-2,2,1"),
+        "x3-2": _variant(even, e=3, eisenstein="-2,0,0,1"),
+        "x-3": _variant(odd, p=3, eisenstein="-3,1"),
+        "x2-3": _variant(odd, p=3, e=2, eisenstein="-3,0,1"),
+        "p5-precision-15": _variant(odd, precision=15),
+        "p2-e1": _variant(even, e=1, eisenstein="-2,1"),
+        "p5-regime-even": _variant(odd, regime="even"),
+    }
+
+
+def _runs(tmp: pathlib.Path, configs: dict = CONFIGS,
+          alphas: list | None = None) -> list:
+    """The argv of every run, each with its --config and --out: by
+    default on the bench configs at the alphas of `_alphas`."""
     out = str(tmp / "run.out")
+    if alphas is None:
+        alphas = _alphas()
     runs = []
-    for name, w in sorted(WORKLOADS.items()):
+    for name, config in configs.items():
         cfg, csv = tmp / f"{name}.ini", tmp / f"{name}-csv.ini"
-        cfg.write_text(w.config)
-        csv.write_text(w.config + "\n[output]\nformat = csv\n")
+        cfg.write_text(config)
+        csv.write_text(config + "\n[output]\nformat = csv\n")
         for command, path in (("coeffs", cfg), ("coeffs", csv),
                               ("residue", cfg)):
             runs.append([command, "--config", str(path), "--out", out])
-        for alpha in _alphas():
+        for alpha in alphas:
             for command in ("psik", "dtwist", "support-scan"):
                 path = csv if command == "psik" else cfg
                 runs.append([command, "--config", str(path), "--out", out,
@@ -138,16 +181,23 @@ def never_called() -> dict:
             if key not in called}
 
 
+def _sweep_runs(tmp: pathlib.Path) -> list:
+    """The argv of every CLI run of `digests`."""
+    return _runs(tmp, _sweep_configs(), _alphas() + list(SWEEP_ALPHAS))
+
+
 def digests() -> list:
-    """One record per run of `_runs`, in order: {"argv", "exit",
-    "sha256", "stderr"}, the argv with the temporary directory as
-    `<tmp>`.  Each run starts with no output file, so a run that fails
-    has sha256 None."""
+    """One record per run of `_sweep_runs`, in order, then one per demo:
+    {"argv", "exit", "sha256", "stderr"}, the argv with the temporary
+    directory as `<tmp>`.  Each run starts with no output file, so a run
+    that fails has sha256 None.  A demo's argv is ["demo", its file
+    name], its sha256 that of its stdout, and its exit 1 with the
+    exception in stderr when it raises."""
     from twirl import cli
 
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in _runs(pathlib.Path(tmp)):
+        for argv in _sweep_runs(pathlib.Path(tmp)):
             out = pathlib.Path(argv[argv.index("--out") + 1])
             out.unlink(missing_ok=True)
             err = io.StringIO()
@@ -160,6 +210,18 @@ def digests() -> list:
                 "sha256": (hashlib.sha256(out.read_bytes()).hexdigest()
                            if out.exists() else None),
                 "stderr": err.getvalue()})
+    for demo in DEMOS:
+        out, err, code = io.StringIO(), io.StringIO(), 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                runpy.run_path(str(demo), run_name="__main__")
+            except Exception as exc:
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
+        records.append({
+            "argv": ["demo", demo.name], "exit": code,
+            "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": err.getvalue()})
     return records
 
 

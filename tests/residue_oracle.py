@@ -8,7 +8,8 @@ It assumes nothing about c_k: the class weight is applied per
 sum_k k^j u^k with a head correction (`closed_form`), and the Laurent
 data come from inverting the power series of ((1 - e^(-z))/z)^d
 (`laurent_at_zero`).  `residue_report` is the report the library printed
-before c_k = a + b k was used, with the same JSON layout."""
+before c_k = a + b k was used, with the same JSON layout and the start
+k0 of its fit."""
 
 from __future__ import annotations
 
@@ -17,13 +18,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from twirl.cyclotomic import CharacterValue
-from twirl.residue import (LaurentData, LaurentTerm, RationalSeries,
-                           ResidueSeries, spot_check)
 from twirl.residue import residue_report as twirl_report
+from twirl.residue import spot_check
 
 
 class NoStabilization(Exception):
     """Finite differences of the coefficient table never vanish."""
+
+
+@dataclass(frozen=True)
+class RationalSeries:
+    """N(u) / (1-u)^pole_power, N with CharacterValue coefficients."""
+
+    num: tuple
+    pole_power: int
 
 
 # -- the class weight per (Delta_1, k) ---------------------------------------------
@@ -231,11 +239,11 @@ def verify_expansion(rs: RationalSeries, coeffs) -> bool:
 # -- Laurent data at s = 0 ----------------------------------------------------------
 
 
-def laurent_at_zero(rs: RationalSeries, n: int, q: int) -> LaurentData:
+def laurent_at_zero(rs: RationalSeries, n: int) -> list:
     """Substitute u = q^(-2ns) = exp(-z), z = 2n ln(q) s, and expand the
     Laurent series at s = 0 through s^2 by inverting the power series of
-    ((1 - e^(-z))/z)^d.  The s^(-m) coefficient is an exact rational
-    (vector) times (ln q)^(-m)."""
+    ((1 - e^(-z))/z)^d.  Returns [(m, coefficient of s^m (ln q)^m)] by
+    ascending m, zero terms omitted: each an exact rational (vector)."""
     d = rs.pole_power
     count = d + 3
     p = rs.num[0].p
@@ -267,8 +275,8 @@ def laurent_at_zero(rs: RationalSeries, n: int, q: int) -> LaurentData:
             break
         if cv.is_zero():
             continue
-        terms.append(LaurentTerm(spow, cv.scale(Fraction(2 * n) ** spow), spow))
-    return LaurentData(n, q, terms)
+        terms.append((spow, cv.scale(Fraction(2 * n) ** spow)))
+    return terms
 
 
 # -- the report --------------------------------------------------------------------
@@ -287,34 +295,35 @@ def classify_regime(coeffs) -> str:
     return "unclassified"
 
 
-@dataclass
-class OracleReport(ResidueSeries):
-    """A `ResidueSeries` whose fit may start at k0 > 0."""
-
-    k0: int = 0
-
-    def to_json(self):
-        return dict(super().to_json(), k0=self.k0)
-
-
-def residue_report(coeffs, n: int, q: int) -> OracleReport:
+def residue_report(coeffs, n: int, q: int) -> dict:
     """coefficient table -> degree-1 polynomial fit -> closed form ->
-    Laurent data, with the regime classification and exactness checks."""
+    Laurent data, with the regime classification and exactness checks,
+    as the JSON report."""
     regime = classify_regime(coeffs)
     if regime == "zero":
         zero = CharacterValue.zero(coeffs[0].p)
-        return OracleReport(n, q, list(coeffs), [zero],
-                            RationalSeries((zero,), 0), LaurentData(n, q, []),
-                            regime, {"identically_zero": True})
-    poly, k0 = fit_polynomial(coeffs, 1)
-    rs = closed_form(poly, k0, list(coeffs[:k0]))
-    ok = verify_expansion(rs, coeffs)
-    laur = laurent_at_zero(rs, n, q)
-    err = spot_check(rs, laur, n, q)
-    checks = {"re_expansion_exact": ok, "spot_check_rel_err": err,
-              "spot_check_ok": err <= 1e-6}
-    return OracleReport(n, q, list(coeffs), poly, rs, laur, regime, checks,
-                        k0)
+        poly, k0, rs, terms = [zero], 0, RationalSeries((zero,), 0), []
+        checks = {"identically_zero": True}
+    else:
+        poly, k0 = fit_polynomial(coeffs, 1)
+        rs = closed_form(poly, k0, list(coeffs[:k0]))
+        assert rs.pole_power == 2
+        terms = laurent_at_zero(rs, n)
+        err = spot_check(rs.num, terms, n, q)
+        checks = {"re_expansion_exact": verify_expansion(rs, coeffs),
+                  "spot_check_rel_err": err, "spot_check_ok": err <= 1e-6}
+    return {
+        "regime": regime,
+        "k0": k0,
+        "poly": [c.to_json() for c in poly],
+        "closed_form": {"num": [c.to_json() for c in rs.num],
+                        "den": {"one_minus_u_power": rs.pole_power,
+                                "extra": ["1"]}},
+        "laurent": [{"order": -m, "rational": v.to_json(), "lnq_power": m}
+                    for m, v in terms],
+        "checks": checks,
+        "coefficients": [c.to_json() for c in coeffs],
+    }
 
 
 def assert_report_matches(a, b, ks, n, q):
@@ -322,8 +331,8 @@ def assert_report_matches(a, b, ks, n, q):
     report of the printed c_k = a + b k, spot-check bits included.  The
     one difference allowed: when b != 0 the oracle's kernel of k u^k
     appends a zero numerator coefficient, which the pair does not."""
-    got = twirl_report(a, b, ks, n, q).to_json()
-    want = residue_report([a + b.scale(k) for k in ks], n, q).to_json()
+    got = twirl_report(a, b, ks, n, q)
+    want = residue_report([a + b.scale(k) for k in ks], n, q)
     if not b.is_zero():
         assert (want["closed_form"]["num"].pop()
                 == CharacterValue.zero(a.p).to_json())

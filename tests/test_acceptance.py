@@ -34,7 +34,7 @@ import pytest
 
 from twirl.cyclotomic import CharacterValue
 from twirl.integrator import TruncationSpec, assemble_coefficients
-from twirl.localfield import LocalFieldCtx, parse_elem, square_class_reps
+from twirl.localfield import LocalFieldCtx, card_unit_square_classes, parse_elem
 from twirl.matlattice import Mat, antidiag_w, orthogonal_form, vdash
 from twirl.supercuspidal import (CuspidalData, level_character, member,
                                  support_scan)
@@ -165,7 +165,7 @@ def test_criterion_8_odd_factorization():
     c0 = table.values[0]
     for k in table.ks:
         assert table.values[k] == c0.scale(4 * k + 1), k
-    units = square_class_reps(c).card_units
+    units = card_unit_square_classes(c)
     assert c0 == rg_term(data, form, trunc).scale(2 * units)
     assert support_scan(data, form,
                         parse_elem(c, "-1+pi")).witness is not None

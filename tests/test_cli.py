@@ -278,6 +278,7 @@ _TRACE_0 = ("trace x0 + x1 reads 0 at precision 30: x is not regular, or "
             "the precision cannot decide the trace")
 _PI40_LOST = ("term 'pi^40' lies beyond the 26 digits pi^0 .. pi^25 that "
               "precision 18 keeps")
+_PI24_SHIFT = "leading digit beyond tracked validity (shift 24, levels 26)"
 
 
 @pytest.mark.parametrize("workload, command, alpha, err", [
@@ -289,6 +290,12 @@ _PI40_LOST = ("term 'pi^40' lies beyond the 26 digits pi^0 .. pi^25 that "
      "precision 30: kernel dim 3"),
 ] + [("odd-p5-residue", command, "1+pi^40", f"alpha = 1+pi^40: {_PI40_LOST}")
      for command in ("support-scan", "dtwist", "psik")
+] + [("odd-p5-residue", command, "1+pi^24",
+       "twisted discriminant of S(gamma)^(-1) at alpha = 1+pi^24, "
+       f"precision 18: {_PI24_SHIFT}")
+      for command in ("dtwist", "psik")
+] + [("odd-p5-residue", "support-scan", "1+pi^24",
+      f"alpha = 1+pi^24: {_PI24_SHIFT}"),
 ] + [(workload, command, "0", "alpha = 0: inverse of zero")
      for workload in ("even-p2-residue", "odd-p5-residue")
      for command in ("support-scan", "dtwist", "psik")])
@@ -298,8 +305,11 @@ def test_alpha_error_names_the_alpha(tmp_path, capsys, workload, command,
     one `error:` line, exit 1, that names `alpha = <text>` exactly once,
     on the benchmark configs; so is a term the parse cannot keep.  At
     precision 18 (p = 5) pi^40 lies beyond the 26 kept digits of 1 + pi^40,
-    and at p = 2 its trace reads 0 at precision 30; alpha = 0 is not in
-    the torus."""
+    and at p = 2 its trace reads 0 at precision 30; at p = 5, alpha - 1
+    for alpha = 1 + pi^24 leads at pi^24, inside the two guard levels of
+    its 26, so it is not inverted: `psik` and `dtwist` name the stratum
+    of `regular_preimage` and `discriminant_report`, and `support-scan`
+    the alpha; alpha = 0 is not in the torus."""
     cfg = tmp_path / "run.ini"
     cfg.write_text(BENCH_WORKLOADS[workload].config)
     assert cli.main([command, "--config", str(cfg), f"--alpha={alpha}"]) == 1
@@ -308,40 +318,50 @@ def test_alpha_error_names_the_alpha(tmp_path, capsys, workload, command,
     assert out.err.count(f"alpha = {alpha}") == 1
 
 
-@pytest.mark.parametrize("old, new", [
-    ("unit_depth = 2", "unit_depth = 0"),
-    ("unit_depth = 2", "unit_depth = 2\ne_window = -1"),
-    ("unit_depth = 2", "unit_depth = 2\ne_window = 8"),
-    ("unit_depth = 2", "unit_depth = 2\nb_window = 12"),
-    ("unit_depth = 2", "unit_depth = 2\ndedup = true"),
-    ("unit_depth = 2", "unit_depth = 2\nworkers = 1"),
-    ("unit_depth = 2", "unit_depth = 2\ndepth_m = 3"),
-    ("gamma_depth = 2", "gama_depth = 2"),
-    ("k_max = 3", "k_max = eight"),
-    ("regime = even", "regime = banana"),
-    ("regime = even", "regime = odd"),
-    ("gamma_depth = 2", "gamma_depth = 5"),
-    ("precision = 18", "precision = 18\nprec = 40"),
-    ("format = json", "format = json\nfromat = csv"),
-    ("format = json", "format = xml"),
-])
-def test_rejected_pipeline_config(tmp_path, capsys, old, new):
+_UNKNOWN = "unknown [pipeline] keys: "
+
+
+REJECTED = [
+    ("unit_depth = 2", "unit_depth = 0",
+     "pipeline windows out of range: need k_max >= 0, gamma_depth and "
+     "unit_depth >= 1"),
+    ("unit_depth = 2", "unit_depth = 2\ne_window = -1", _UNKNOWN + "e_window"),
+    ("unit_depth = 2", "unit_depth = 2\ne_window = 8", _UNKNOWN + "e_window"),
+    ("unit_depth = 2", "unit_depth = 2\nb_window = 12", _UNKNOWN + "b_window"),
+    ("unit_depth = 2", "unit_depth = 2\ndedup = true", _UNKNOWN + "dedup"),
+    ("unit_depth = 2", "unit_depth = 2\nworkers = 1", _UNKNOWN + "workers"),
+    ("unit_depth = 2", "unit_depth = 2\ndepth_m = 3", _UNKNOWN + "depth_m"),
+    ("gamma_depth = 2", "gama_depth = 2", _UNKNOWN + "gama_depth"),
+    ("k_max = 3", "k_max = eight", "k_max = 'eight' is not an integer"),
+    ("regime = even", "regime = banana",
+     "regime must be even at p = 2, not 'banana'"),
+    ("regime = even", "regime = odd", "regime must be even at p = 2, not 'odd'"),
+    ("gamma_depth = 2", "gamma_depth = 5",
+     "precision 18 below 2*gamma_depth + 2*ord(2) + 6 = 20"),
+    ("precision = 18", "precision = 18\nprec = 40",
+     "unknown [field] keys: prec"),
+    ("format = json", "format = json\nfromat = csv",
+     "unknown [output] keys: fromat"),
+    ("format = json", "format = xml", "format must be json or csv, not 'xml'"),
+    ("e = 2\neisenstein = -2,0,1", "e = 1\neisenstein = -2,1",
+     "even regime requires p = 2 with ramification >= 2"),
+]
+
+
+@pytest.mark.parametrize("old, new, err", REJECTED,
+                         ids=[f"{old}-{new}" for old, new, _ in REJECTED])
+def test_rejected_pipeline_config(tmp_path, capsys, old, new, err):
     """Windows out of range, unknown keys in any section (among them the
     removed [pipeline] keys e_window, b_window and dedup), non-integer
     values, a regime other than the one p selects, a format other than
-    json or csv and a precision below 2*gamma_depth + 2*ord(2) + 6 exit 1
-    before any work; unit_depth = 0 would run with every volume q times
-    too large."""
+    json or csv, a precision below 2*gamma_depth + 2*ord(2) + 6 and
+    p = 2 with e = 1 exit 1 before any work, with one error line;
+    unit_depth = 0 would run with every volume q times too large."""
     p = tmp_path / "bad.ini"
+    assert old in EVEN_CFG
     p.write_text(EVEN_CFG.replace(old, new))
     assert cli.main(["coeffs", "--config", str(p)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    old_key, key = (t.splitlines()[-1].split(" = ")[0] for t in (old, new))
-    section = next(s for s, keys in cli.SECTION_KEYS.items()
-                   if old_key in keys)
-    if key not in cli.SECTION_KEYS[section]:
-        assert f"unknown [{section}] keys: {key}" in err
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("section", ["selftest", "pipline"])

@@ -13,8 +13,9 @@ from twirl.integrator import (TruncationSpec, _delta_totals,
                               discriminant_report, orbit_strata,
                               orbit_weight_integral, regular_preimage,
                               torus_strata)
-from twirl.localfield import (Elem, LocalFieldCtx, parse_elem,
-                              square_class_reps, unit_digit_tuples)
+from twirl.localfield import (Elem, LocalFieldCtx, card_unit_square_classes,
+                              parse_elem, square_class_reps,
+                              unit_digit_tuples)
 from twirl.matlattice import (Mat, a_e, n_b, orthogonal_form, symplectic_form,
                               vdash)
 from twirl.supercuspidal import CuspidalData, support_scan
@@ -64,7 +65,7 @@ def test_torus_strata_volumes():
 
 
 def test_class_weight_from_delta():
-    units = square_class_reps(ctx5()).card_units
+    units = card_unit_square_classes(ctx5())
     assert oracle.class_weight_from_delta(0, units, 1) == 10
     assert oracle.class_weight_from_delta(0, units, 0) == 2
     assert oracle.class_weight_from_delta(-3, units, 1) == 0
@@ -89,11 +90,11 @@ def test_class_weight_matches_counting_oracle(mk):
                 g = n_b(c, b) * a_e(c, i)
                 assert delta(g, 1) == i - j
                 c0, slope = integrator._pair({i - j: one}, c.p,
-                                             scs.card_units)
+                                             len(scs.unit_reps))
                 for k in range(0, 4):
                     want = square_class_weight(g, None, scs, k)
                     assert oracle.class_weight_from_delta(
-                        i - j, scs.card_units, k) == want
+                        i - j, len(scs.unit_reps), k) == want
                     if i >= j:
                         assert c0 + slope.scale(k) == CharacterValue.rational(
                             c.p, want)
@@ -205,10 +206,10 @@ def test_verification_strata_contribute_zero():
     form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=2, k_max=2, unit_depth=2)
     table = assemble_coefficients(data, form, trunc)
-    for label, e, sign, vol, tab in table.per_stratum:
-        if label.startswith("unit-class") or label.startswith("noncompact"):
+    for s, tab in table.per_stratum:
+        if s.label.startswith("unit-class") or s.label.startswith("noncompact"):
             assert all(v.is_zero() for v in tab.values())
-        if label.startswith("sign1-"):  # odd alpha = 1 mod p side vanishes
+        if s.label.startswith("sign1-"):  # odd alpha = 1 mod p side vanishes
             assert all(v.is_zero() for v in tab.values())
 
 
@@ -412,7 +413,7 @@ def test_rg_relation_odd():
     c = ctx5()
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
-    units = square_class_reps(c).card_units
+    units = card_unit_square_classes(c)
     trunc = TruncationSpec(gamma_depth=3, k_max=3, unit_depth=2)
     table = assemble_coefficients(data, form, trunc)
     c0 = table.values[0]
@@ -452,8 +453,7 @@ def test_rg_relation_on_sign_minus_one_strata(p, want):
     trunc = TruncationSpec(gamma_depth=3, unit_depth=2, k_max=4)
     table = assemble_coefficients(data, form, trunc)
     assert table.b != table.a.scale(4)
-    shares = [tab for _label, _e, sign, _vol, tab in table.per_stratum
-              if sign == -1]
+    shares = [tab for s, tab in table.per_stratum if s.sign == -1]
     c_k = {k: sum((tab[k] for tab in shares), CharacterValue.zero(p))
            for k in table.ks}
     assert c_k[0] == CharacterValue.rational(p, want)
@@ -474,8 +474,8 @@ def test_unit_class_strata_live_for_the_indicator(p):
     trunc = TruncationSpec(gamma_depth=3, unit_depth=2, k_max=2)
     for data, live in ((CuspidalData(c), False), (IntegralIndicator(c), True)):
         table = assemble_coefficients(data, form, trunc)
-        units = [totals for label, *_, totals in table.stratum_totals
-                 if label.startswith("unit-class-")]
+        units = [totals for s, totals in table.stratum_totals
+                 if s.label.startswith("unit-class-")]
         assert len(units) == p - 3
         for totals in units:
             assert (set(totals) == {0} and not totals[0].is_zero()) == live
@@ -500,13 +500,13 @@ def test_p2_zero_slope_stratum_by_stratum(eis):
     table = assemble_coefficients(data, form, trunc)
     assert table.b.is_zero() and not table.a.is_zero()
     es = []
-    for label, e, _sign, _vol, totals in table.stratum_totals:
-        if label.startswith("noncompact-"):
-            assert totals == {}, label
+    for s, totals in table.stratum_totals:
+        if s.label.startswith("noncompact-"):
+            assert totals == {}, s.label
             continue
-        assert label == f"sign1-e{e}" and set(totals) == set(range(e + 1))
-        assert sum(totals.values(), CharacterValue.zero(2)).is_zero(), label
-        es.append(e)
+        assert s.label == f"sign1-e{s.e}" and set(totals) == set(range(s.e + 1))
+        assert sum(totals.values(), CharacterValue.zero(2)).is_zero(), s.label
+        es.append(s.e)
     assert sorted(es) == [1, 2, 3, 4, 5]
     for stratum in torus_strata(data, form, trunc):
         if stratum.e:
@@ -811,7 +811,7 @@ def test_grouped_psi_k_equals_per_record_sum():
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS[:3]:
         c = LocalFieldCtx(p, e, eis, 20)
         data, form = CuspidalData(c), orthogonal_form(c, 2)
-        units = square_class_reps(c).card_units
+        units = card_unit_square_classes(c)
         nonzero = 0
         for stratum in unit_digit_strata(data, form,
                                          TruncationSpec(gamma_depth=4)):
@@ -846,7 +846,7 @@ def test_per_stratum_sums_to_values(p, e, eis, integrand, depth, ud, k_max):
     nonzero = 0
     for k in table.ks:
         total = CharacterValue.zero(p)
-        for _label, _e, _sign, _vol, tab in table.per_stratum:
+        for _s, tab in table.per_stratum:
             total = total + tab[k]
             nonzero += not tab[k].is_zero()
         assert total == table.values[k], k
@@ -887,14 +887,14 @@ def test_pair_equals_the_generic_chain(field):
     for data in (CuspidalData(c), IntegralIndicator(c)):
         table = assemble_coefficients(data, form, trunc)
         run = {}
-        for *_, totals in table.stratum_totals:
+        for _s, totals in table.stratum_totals:
             assert min(totals, default=0) >= 0
             for d, t in totals.items():
                 run[d] = run[d] + t if d in run else t
         assert min(run, default=0) == 0
         assert (bool(run) == (type(data) is IntegralIndicator or c.p == 2))
         assert table.values == oracle.weigh(run, c.p, table.ks, table.units)
-        for (*_, totals), (*_, tab) in zip(table.stratum_totals,
+        for (_s, totals), (_s, tab) in zip(table.stratum_totals,
                                            table.per_stratum):
             assert tab == oracle.weigh(totals, c.p, table.ks, table.units)
         for k_max in range(4, 11):
@@ -913,7 +913,7 @@ def test_negative_delta_total_raises():
     c = ctx5()
     form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=1, unit_depth=1, k_max=2)
-    units = square_class_reps(c).card_units
+    units = card_unit_square_classes(c)
     assert oracle.class_weight_from_delta(-1, units, 0) == 0 != -units
     want = "noncompact-pi\\^2: nonzero total at Delta_1 = -1 < 0"
     with pytest.raises(DomainError, match=want):
@@ -1050,7 +1050,7 @@ def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
         assert (len(records), calls["support_prefilter"]) == (54, 11)
         assert calls["kappa_average"] == 51
         return
-    assert all(totals == {} for *_, totals in table.stratum_totals)
+    assert all(totals == {} for _s, totals in table.stratum_totals)
     assert rg_term(data, form, trunc).is_zero()
     for spec in ("-1+pi", "-1+pi*u", "-1+pi^2", "2", "pi"):
         psi = orbit_weight_integral(data, form, parse_elem(c, spec), range(3))
@@ -1140,8 +1140,7 @@ def _same_run(monkeypatch, data, trunc):
         assert fast.per_e_increments(k) == slow.per_e_increments(k), k
     assert fast_rg == slow_rg
     by_class, by_e = defaultdict(set), defaultdict(set)
-    for stratum, (*_, totals) in zip(unit_digit_strata(data, form, trunc),
-                                     slow.stratum_totals):
+    for stratum, totals in slow.stratum_totals:
         if stratum.e:
             m = integrator._digits_seen(data, form, stratum.e,
                                         trunc.unit_depth)

@@ -52,6 +52,12 @@ def test_field_errors():
         LocalFieldCtx(5, 2, (-5, 1, 1), 12)  # middle coefficient not divisible
     with pytest.raises(PrecisionTooSmall):
         LocalFieldCtx(5, 2, (-5, 5, 1), 5)
+    with pytest.raises(NotEisenstein,
+                       match="^polynomial degree must equal the ramification "
+                             "degree$"):
+        LocalFieldCtx(5, 1, (-5, 1, 1), 12)
+    with pytest.raises(NotEisenstein, match="^polynomial must be monic$"):
+        LocalFieldCtx(5, 2, (-5, 0, 2), 12)
 
 
 def test_ord_examples():
@@ -218,7 +224,7 @@ def test_card_unit_square_classes_closed_form(p, e, eis):
     """|O^x/(O^x)^2| is 2 at odd p and 2^(e + 1) at p = 2: the count of
     unit representatives that `square_class_reps` enumerates."""
     c = LocalFieldCtx(p, e, eis, 24)
-    assert card_unit_square_classes(c) == square_class_reps(c).card_units
+    assert card_unit_square_classes(c) == len(square_class_reps(c).unit_reps)
     assert card_unit_square_classes(c) == (2 if p != 2 else 2 ** (e + 1))
 
 
@@ -256,7 +262,7 @@ def test_square_class_reps_at_full_validity(eis, unit_digits):
     scs = square_class_reps(c)
     level = len(unit_digits[0])     # 2 ord(2) + 1
     assert [u.unit_digits(level) for u in scs.unit_reps] == unit_digits
-    assert scs.card_field == 2 * len(unit_digits)
+    assert len(scs.reps) == 2 * len(unit_digits)
 
 
 @pytest.mark.parametrize("eis", [(-2, 0, 1), (-2, 0, 0, 1)])
@@ -308,10 +314,11 @@ def test_square_class_reps_match_all_pairs(eis):
     c = LocalFieldCtx(2, len(eis) - 1, eis, 24)
     scs = square_class_reps(c)
     reps = _square_class_reps_all_pairs(c)
-    assert [u._key() for u in scs.unit_reps] == [u._key() for u in reps]
+    assert ([u._key(u.mexp) for u in scs.unit_reps]
+            == [u._key(u.mexp) for u in reps])
     pi = c.pi()
     assert scs == SquareClassSet(c, tuple(reps) + tuple(u * pi for u in reps),
-                                 tuple(reps), 2 * len(reps), len(reps))
+                                 tuple(reps))
 
 
 def test_rational_embedding():
@@ -333,6 +340,19 @@ def test_precision_exhausted_on_deep_cancellation():
     z = (c.one() + c.pi(deep - 1)) - c.one()
     with pytest.raises(PrecisionExhausted):
         z.normalized()
+
+
+def test_divisible_by_refuses_past_the_validity():
+    """(1 + pi^24) - 1 at p = 5, precision 18, is pi^24 held to 26
+    levels: divisibility by pi^24 and pi^25 is decided on the raw
+    representative, and by pi^30 it lies beyond the tracked validity."""
+    c = ctx5()
+    x = (c.one() + c.pi(24)) - c.one()
+    assert x.divisible_by(24) and not x.divisible_by(25)
+    with pytest.raises(PrecisionExhausted,
+                       match="^divisibility by pi\\^30 beyond tracked "
+                             "validity$"):
+        x.divisible_by(30)
 
 
 def _raw_sums(c, rng, count):
@@ -408,8 +428,8 @@ def test_digit_roundtrip_and_str():
 def test_square_classes_odd():
     c = ctx5()
     scs = square_class_reps(c)
-    assert scs.card_units == 2
-    assert scs.card_field == 4
+    assert len(scs.unit_reps) == card_unit_square_classes(c) == 2
+    assert len(scs.reps) == 4
     assert is_square(scs.reps[0])
     rng = random.Random(4)
     # partition: each sampled nonzero element lies in exactly one class
@@ -444,8 +464,8 @@ def test_square_classes_even_by_enumeration():
             if (u / v).residue_digits(level) in squares:
                 seen.add(t2)
     scs = square_class_reps(c)
-    assert scs.card_units == len(classes) == 8
-    assert scs.card_field == 16
+    assert len(scs.unit_reps) == len(classes) == 8
+    assert len(scs.reps) == 16
 
 
 def test_square_class_partition_even():

@@ -123,9 +123,9 @@ def test_every_src_function_runs_or_is_kept():
 
 def test_digests_print_one_record_per_run(tmp_path):
     """`python tests/reach_profile.py --digests` prints one JSON record
-    per run of `_runs`, and a second call, in process, gives the same
-    lines."""
-    from reach_profile import _runs, digests
+    per CLI run of `_sweep_runs`, which holds every run of `_runs`, then
+    one per demo, and a second call, in process, gives the same lines."""
+    from reach_profile import DEMOS, _runs, _sweep_runs, digests
 
     script = pathlib.Path(__file__).with_name("reach_profile.py")
     first = subprocess.run([sys.executable, str(script), "--digests"],
@@ -133,9 +133,11 @@ def test_digests_print_one_record_per_run(tmp_path):
                            timeout=300).stdout.splitlines()
     second = [json.dumps(r, sort_keys=True) for r in digests()]
     assert first == second
-    assert len(first) == len(_runs(tmp_path))
-    assert [json.loads(line)["argv"][0] for line in first] == \
-        [argv[0] for argv in _runs(tmp_path)]
+    runs = _sweep_runs(tmp_path)
+    assert len(runs) == 759
+    assert all(argv in runs for argv in _runs(tmp_path))
+    assert ([json.loads(line)["argv"][0] for line in first]
+            == [argv[0] for argv in runs] + ["demo"] * len(DEMOS))
 
 
 def test_package_init_imports_nothing():

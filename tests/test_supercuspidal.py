@@ -368,6 +368,23 @@ def test_support_mod_pi_keeps_every_row_f_reads(mk, parity):
     assert not (mask & ~keep).any()
 
 
+@pytest.mark.parametrize("mk", [ctx5, ctx2])
+@pytest.mark.parametrize("diag, reason", [
+    ((-1, 0), "not integral"),
+    ((2, 0), "det valuation outside {0,1}"),
+    ((1, 0), "not eps-symmetric mod p"),
+    ((0, 0), None),
+])
+def test_support_prefilter_reasons(mk, diag, reason):
+    """The prefilter's verdict on y = diag(pi^i0, pi^i1), one per reason.
+    The walk forces i into `detval_support`, so it never meets the det
+    valuation 2 of diag(pi^2, 1); a direct call does."""
+    c = mk()
+    y = Mat.diag(c, [c.pi(i) for i in diag])
+    data = CuspidalData(c)
+    assert data.support_prefilter(y, orthogonal_form(c, 2)) == reason
+
+
 def _integral_of_parity(c, rng, parity):
     """A random integral y with ord det y = parity and y00 = y11 mod pi:
     eps-symmetric mod pi, so its K-orbit can meet the support of f."""

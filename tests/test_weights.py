@@ -147,7 +147,7 @@ def test_square_class_weight_examples():
     d1 = delta_vector(g, 1)[0]
     for k in range(0, 3):
         assert (square_class_weight(g, None, scs, k)
-                == scs.card_units * (2 * d1 + 4 * k + 1))
+                == len(scs.unit_reps) * (2 * d1 + 4 * k + 1))
 
 
 def test_omega_signs():
