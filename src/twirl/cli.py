@@ -53,10 +53,12 @@ containers the imports allocated.
 from __future__ import annotations
 
 import gc
-import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import PrecisionExhausted, TwirlError
 from .integrator import (
@@ -183,16 +185,70 @@ def _int(text: str, key: str) -> int:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The bytes of `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`,
+    written in one recursive pass (`_json_write`): `json.dumps` never
+    takes its C encoder when `indent` is set, and its Python encoder
+    makes several calls per value."""
+    out: list = []
+    _json_write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_write(obj, out: list, nl: str) -> None:
+    """Append the JSON text of `obj` to `out` as `json.dumps` with
+    indent=2 and sort_keys=True writes it, `nl` being the newline and
+    indentation of `obj`'s own line.  A str goes through
+    `encode_basestring_ascii`, an int through `int.__repr__`, a finite
+    float through `float.__repr__`, and True, False and None as true,
+    false and null; lists and tuples are arrays, and dicts are objects
+    with their keys sorted.  A key that is not a str, and a value of any
+    other type, raise TypeError, and a NaN or infinite float (which no
+    report holds) ValueError.  The str items of a container, most of a
+    report's values, are written in place, so the pass makes one call per
+    container and per other scalar."""
+    if isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = nl + "  "
+        if isinstance(obj, dict):
+            keys = sorted(obj)
+            # encode_basestring_ascii refuses a key that is not a str
+            items = zip(map(_encode_str, keys), map(obj.__getitem__, keys))
+            sep, colon, end = "{" + inner, ": ", nl + "}"
+        else:
+            items = zip(repeat(""), obj)
+            sep, colon, end = "[" + inner, "", nl + "]"
+        for key, v in items:
+            if isinstance(v, str):
+                out.append(sep + key + colon + _encode_str(v))
+            else:
+                out.append(sep + key + colon)
+                _json_write(v, out, inner)
+            sep = "," + inner
+        out.append(end)
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the float {obj!r} as JSON")
+        out.append(float.__repr__(obj))
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def _coeff_csv(ks, values) -> str:
     """One CSV row per k of the CharacterValue table `values`: its
-    cyclotomic coordinates and a zero q half-power."""
+    cyclotomic coordinates, as `to_json` prints them, and a zero q
+    half-power."""
     p = values[ks[0]].p
     rows = [["k"] + [f"coord{i}" for i in range(p - 1)] + ["q_half_power"]]
-    rows += [[str(k)] + [str(c) for c in values[k].coords] + ["0"]
-             for k in ks]
+    rows += [[str(k)] + values[k].to_json() + ["0"] for k in ks]
     return "".join(",".join(row) + "\n" for row in rows)
 
 

@@ -13,7 +13,11 @@ integrand can see (`torus_strata`): 0 when every K-average vanishes,
 and residue_level - e - s otherwise.  `unit_depth` only caps m, so it
 changes no value: `CuspidalData` reads at most 1 digit of v, and
 `unit_depth` >= 1.  The metadata prints it, and it picks the extra digit
-of the alpha = -1 representative at e = ord 2 (`_stratum_alpha`).
+of the alpha = -1 representative at e = ord 2 (`_stratum_alpha`).  The
+noncompact torus, ord alpha != 0, has no stratum: it adds 0 by the proof
+in `torus_strata`, whose certificate (`_certify_noncompact`) asks the
+integrand's prefilter about a few fixed y once per run, and refuses an
+integrand that cannot certify the region.
 
 One pass per torus stratum gamma = diag(alpha, alpha^(-1)), given as
 alpha: `regular_preimage` gives x = S(gamma)^(-1) (one `Elem` inverse)
@@ -77,16 +81,19 @@ class TorusStratum:
 
 def torus_strata(data, form, trunc: TruncationSpec):
     """Partition of the integration window in T: residue classes of unit
-    alpha away from +-1 (odd p only), refined strata around +-1, and a
-    few non-unit witnesses.  The unit classes add 0 for `CuspidalData`,
-    whose K-averages vanish at odd p, but not for every integrand: at
-    alpha = c, x = diag(1/(c - 1), -c/(c - 1)) is integral of unit
-    determinant, and the indicator of M_2(O) gives `unit-class-c` a
-    nonzero Delta_1 = 0 total at p = 5 and 7.
-    Volumes are exact in the vol(O^x) = 1 measure.  Every alpha is
-    regular by construction: a unit class c in 2 .. p - 2 and a power of
-    pi are not +-1, and `_stratum_alpha` keeps the refined
-    representatives off +-1.
+    alpha away from +-1 (odd p only) and refined strata around +-1.  The
+    noncompact torus, alpha = pi^t u with t != 0 and u a unit, adds 0
+    (proof below), so it has no stratum: `_certify_noncompact` asks the
+    integrand the one fact the proof needs, once per call, and raises
+    DomainError for an integrand that cannot certify it.
+
+    The unit classes add 0 for `CuspidalData`, whose K-averages vanish
+    at odd p, but not for every integrand: at alpha = c, x = diag(1/(c -
+    1), -c/(c - 1)) is integral of unit determinant, and the indicator of
+    M_2(O) gives `unit-class-c` a nonzero Delta_1 = 0 total at p = 5 and
+    7.  Volumes are exact in the vol(O^x) = 1 measure.  Every alpha is
+    regular by construction: a unit class c in 2 .. p - 2 is not +-1, and
+    `_stratum_alpha` keeps the refined representatives off +-1.
 
     Around +-1, alpha = sign (1 + pi^e v) with v a unit and e = 1 ..
     `gamma_depth`; each (sign, e) has volume q^(-e) and one stratum per
@@ -107,7 +114,37 @@ def torus_strata(data, form, trunc: TruncationSpec):
     - b -> c^2 b permutes the cosets of each b-level.
     - f_avg is a K-average that reads y mod pi^level, and the forced
       levels, their b-bounds and |D_eps| depend only on (sign, e).
-    So the stratum totals are the same for every v of the class."""
+    So the stratum totals are the same for every v of the class.
+
+    Why the noncompact torus adds 0.  Let ord alpha = t != 0.
+    - x0 = (alpha - 1)^(-1) and x1 = -alpha x0 (`regular_preimage`).  At
+      t > 0, alpha - 1 = -1 mod pi, so x0 = -1 mod pi and ord x1 = t.  At
+      t < 0, ord x0 = -t and x1 = -1 - x0 = -1 mod pi.  So the valuations
+      of x0 and x1 are {0, |t|}, the unit one is -1 mod pi, and
+      ord det x = |t|.
+    - The trace x0 + x1 is -1, so a forced i has b-levels j <= max(0, i)
+      (`_forced_levels`), and y = pi^i [[x0, b(x0 + x1)], [0, x1]] is
+      integral only if its diagonal is: at i >= 0, where
+      ord det y = 2i + |t|.
+    - Off the integral y the integrand must be 0: `_delta_totals` needs
+      that for c_k = a + b k, and the certificate asks the prefilter to
+      kill a y that is not integral, at each ord det y of
+      `detval_support`.
+    - With `detval_support` within {0, 1}, an integral y has 2i + |t| =
+      1: i = 0 and |t| = 1, so j = 0 and y = x.  That y is diag(-1, 0)
+      (t = 1) or diag(0, -1) (t = -1) mod pi, with ord det y = 1.
+    - The prefilter reads y only through its integrality, ord det y and
+      y mod pi (`CuspidalData.support_prefilter`).  So its verdicts on
+      diag(-1, pi) and diag(pi, -1) are its verdicts on every such y,
+      and its verdict on diag(-pi^-1, pi^(d + 1)) is its verdict on every
+      y of ord det d that is not integral.
+    So the region adds 0 when every K-average vanishes
+    (`data.kappa_vanishes`), and otherwise when `detval_support` lies in
+    {0, 1} and the prefilter gives a reason on each of those patterns.
+    `CuspidalData` kills diag(-1, pi) and diag(pi, -1) as not
+    eps-symmetric mod p, and the indicator of M_2(O) (det support {0})
+    is asked only about a y that is not integral."""
+    _certify_noncompact(data, form)
     ctx = data.ctx
     p, q = ctx.p, ctx.q
     out = []
@@ -115,8 +152,6 @@ def torus_strata(data, form, trunc: TruncationSpec):
     for c in range(2, p - 1):
         out.append(TorusStratum(ctx.from_int(c), Fraction(1, q - 1),
                                 f"unit-class-{c}"))
-    for t in (1, 2, -1):
-        out.append(TorusStratum(ctx.pi(t), Fraction(1), f"noncompact-pi^{t}"))
     ud = trunc.unit_depth
     for sign in signs:
         for e in range(1, trunc.gamma_depth + 1):
@@ -128,6 +163,33 @@ def torus_strata(data, form, trunc: TruncationSpec):
                                         vol, f"sign{sign}-e{e}",
                                         sign=sign, e=e))
     return out
+
+
+def _certify_noncompact(data, form) -> None:
+    """Check that the noncompact torus adds 0 for the integrand, by the
+    proof in `torus_strata`: it does when every K-average vanishes;
+    otherwise `detval_support` must lie in {0, 1}, and
+    `data.support_prefilter` must give a reason on diag(-pi^-1,
+    pi^(d + 1)) for each d of the support and, when 1 is in it, on
+    diag(-1, pi) and diag(pi, -1).  Anything else raises DomainError
+    naming what failed."""
+    if data.kappa_vanishes(form):
+        return
+    support = data.detval_support
+    if not support <= {0, 1}:
+        raise DomainError(f"noncompact torus: det support {sorted(support)} "
+                          "is not within {0, 1}, which its proof needs")
+    ctx = data.ctx
+    one, pi = ctx.one(), ctx.pi(1)
+    patterns = [(f"diag(-pi^-1, pi^{d + 1})", -ctx.pi(-1), ctx.pi(d + 1))
+                for d in sorted(support)]
+    if 1 in support:
+        patterns += [("diag(-1, pi)", -one, pi), ("diag(pi, -1)", pi, -one)]
+    for name, y00, y11 in patterns:
+        if data.support_prefilter(Mat.diag(ctx, [y00, y11]), form) is None:
+            raise DomainError(f"noncompact torus: the support prefilter "
+                              f"keeps y = {name}, so the region cannot be "
+                              "certified to add 0")
 
 
 def _digits_seen(data, form, e: int, cap: int) -> int:
@@ -485,14 +547,17 @@ def _where(label: str, ctx: LocalFieldCtx) -> str:
 
 def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable:
     """The coefficient table c_k of the series sum_k c_k q^(-2nks):
-    c_k = 2 sum over torus strata of vol * |D_eps| * psi_k.  Each stratum
-    builds x = S(gamma)^(-1) and |D_eps| once, in `regular_preimage`, and
-    adds its per-Delta_1 totals (`_delta_totals`), times 2 vol |D_eps|,
-    into one run-wide {Delta_1: total}.  psi_k is linear in those totals,
-    so the run reduces them once to the pair (a, b) of c_k = a + b k
-    (`_pair`).  The trace check of `_forced_levels` is the guard on x,
-    also when no level is walked: a trace the precision cannot decide
-    raises PrecisionExhausted naming the stratum."""
+    c_k = 2 sum over torus strata of vol * |D_eps| * psi_k.  The strata
+    are those of `torus_strata`, which covers the noncompact torus by
+    proof, not by a stratum, and raises DomainError for an integrand that
+    cannot certify it.  Each stratum builds x = S(gamma)^(-1) and |D_eps|
+    once, in `regular_preimage`, and adds its per-Delta_1 totals
+    (`_delta_totals`), times 2 vol |D_eps| = 2 vol q^(-d) as the ratio of
+    two ints, into one run-wide {Delta_1: total}.  psi_k is linear in
+    those totals, so the run reduces them once to the pair (a, b) of
+    c_k = a + b k (`_pair`).  The trace check of `_forced_levels` is the
+    guard on x, also when no level is walked: a trace the precision
+    cannot decide raises PrecisionExhausted naming the stratum."""
     ctx = data.ctx
     units = card_unit_square_classes(ctx)
     ks = tuple(range(0, trunc.k_max + 1))
@@ -506,8 +571,10 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
         if totals:
             # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1);
             # |W(T)| = 1
-            scale = 2 * stratum.vol * Fraction(ctx.q) ** (-dexp)
-            totals = {d: t.scale(scale) for d, t in totals.items()}
+            # 2 vol |D_eps| = 2 vol q^(-dexp), dexp >= 0 as alpha is a unit
+            num, den = stratum.vol.as_integer_ratio()
+            num, den = 2 * num, den * ctx.q ** dexp
+            totals = {d: t.scale(num, den) for d, t in totals.items()}
             for d, t in totals.items():
                 run[d] = run[d] + t if d in run else t
         stratum_totals.append((stratum, totals))
@@ -554,6 +621,7 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
         raise DomainError(f"|D_eps| at {label} is q^-{drep.ord_value}, "
                           f"not q^-(ord 2 + 2e) = q^-{ctx.ord2 + 2 * top}")
     increments = []
+    a = b = 0   # A and B times q^(3 top + ord 2)
     for e in range(1, top + 1):
         # interior shell: b levels j = 0 .. e-1; level j has q^j - q^(j-1)
         # cosets (one coset for j = 0); ord(b) = -j so the weight count is
@@ -564,5 +632,7 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
         scale = q ** (3 * e + ctx.ord2)
         increments.append((e, Fraction(weight, scale),
                            Fraction(4 * sum(counts), scale)))
-    return (sum((a for _, a, _ in increments), Fraction(0)),
-            sum((b for _, _, b in increments), Fraction(0)), increments)
+        a += weight * q ** (3 * (top - e))
+        b += 4 * sum(counts) * q ** (3 * (top - e))
+    den = q ** (3 * top + ctx.ord2)
+    return Fraction(a, den), Fraction(b, den), increments

@@ -28,7 +28,6 @@ floating-point spot check.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .cyclotomic import CharacterValue
 
@@ -39,11 +38,11 @@ def laurent_at_zero(a: CharacterValue, b: CharacterValue, n: int) -> list:
     s^m (ln q)^m)] by ascending m; a zero term is omitted.  The
     coefficient of z^m, z = 2n ln(q) s, is that of s^m (ln q)^m times
     (2n)^m."""
-    by_z = ((-2, b), (-1, a),
-            (0, a.scale(Fraction(1, 2)) - b.scale(Fraction(1, 12))),
-            (1, a.scale(Fraction(1, 12))), (2, b.scale(Fraction(1, 240))))
-    return [(m, v.scale(Fraction(2 * n) ** m)) for m, v in by_z
-            if not v.is_zero()]
+    two_n = 2 * n
+    by_z = ((-2, b), (-1, a), (0, a.scale(1, 2) - b.scale(1, 12)),
+            (1, a.scale(1, 12)), (2, b.scale(1, 240)))
+    return [(m, v.scale(two_n ** max(m, 0), two_n ** max(-m, 0)))
+            for m, v in by_z if not v.is_zero()]
 
 
 def spot_check(num, terms, n: int, q: int) -> float:

@@ -119,7 +119,17 @@ class CuspidalData:
 
     def support_prefilter(self, y: Mat, form: GroupForm) -> str | None:
         """Necessary conditions for some K-twisted conjugate of y to meet
-        the support; returns a reason string when the stratum is dead."""
+        the support; returns a reason string when the stratum is dead.
+        It reads y only through its integrality, ord det y and y mod pi,
+        which the noncompact proof of `integrator.torus_strata` needs.
+
+        The det-valuation reason is kept as the integrand's own contract,
+        though no run reaches it: `orbit_strata` forces i so that ord
+        det y lies in `detval_support` before it asks, and
+        `_certify_noncompact` asks only about y of such ord det.  The
+        proof leans on `detval_support`, and this reason keeps the
+        prefilter true to it for a caller that does not force i first;
+        `test_support_prefilter_reasons` calls it on such a y."""
         if mat_ord(y) < 0:
             return "not integral"
         if y.det().val not in self.detval_support:

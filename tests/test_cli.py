@@ -776,6 +776,48 @@ def test_cold_bench_job_leaves_configparser_and_csv_unloaded(tmp_path, name):
                    timeout=300)
 
 
+@pytest.mark.parametrize("name", ["even-p2-residue", "odd-p5-residue"])
+@pytest.mark.parametrize("command, fmt", [("residue", "json"),
+                                          ("coeffs", "json"),
+                                          ("coeffs", "csv")])
+def test_run_enters_no_json_encoder_and_no_fraction(tmp_path, name, command,
+                                                    fmt):
+    """A `residue` or `coeffs` run on the benchmark's residue configs,
+    under `sys.setprofile`, enters no frame of `json/encoder.py` (the
+    report is written by `_json_dump`), and no `CharacterValue` method
+    calls into `fractions.py` (values are integers over one denominator,
+    and the pipeline scales them by ints).  These are facts of the call
+    graph, not timings."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BENCH_WORKLOADS[name].config
+                   + f"\n[output]\nformat = {fmt}\n")
+    encoder = os.path.join("json", "encoder.py")
+    found = []
+
+    def profile(frame, event, _arg):
+        if event != "call":
+            return
+        path = frame.f_code.co_filename
+        if path.endswith(encoder):
+            found.append(("json", frame.f_code.co_name))
+        elif path.endswith("fractions.py"):
+            caller = frame.f_back
+            while caller.f_code.co_filename.endswith("fractions.py"):
+                caller = caller.f_back
+            if caller.f_code.co_filename.endswith(
+                    os.path.join("twirl", "cyclotomic.py")):
+                found.append((caller.f_code.co_name, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        rc = cli.main([command, "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+    finally:
+        sys.setprofile(None)
+    assert rc == 0
+    assert found == []
+
+
 def test_output_dir_override(odd_cfg, tmp_path, monkeypatch):
     outdir = tmp_path / "outs"
     outdir.mkdir()

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -143,7 +145,8 @@ def test_psi_k_positive_even():
 
 def test_one_norm_preimage_per_torus_stratum(monkeypatch):
     """assemble_coefficients builds x = S(gamma)^(-1) once per torus
-    stratum, by one `Elem` inverse on the split form."""
+    stratum, by one `Elem` inverse on the split form, and for none of the
+    noncompact torus, which has no stratum (`torus_strata`)."""
     c = ctx2()
     trunc = TruncationSpec(gamma_depth=2, k_max=1, unit_depth=2)
     inverses, per_call = [], []
@@ -163,22 +166,25 @@ def test_one_norm_preimage_per_torus_stratum(monkeypatch):
     monkeypatch.setattr(integrator, "_preimage_inverse", counting)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     assemble_coefficients(data, form, trunc)
-    assert per_call == [1] * 5 == [1] * len(torus_strata(data, form, trunc))
+    assert per_call == [1] * 2 == [1] * len(torus_strata(data, form, trunc))
 
 
 @pytest.mark.parametrize("p, e, eis, precision, depth, ud, want, n_records", [
-    pytest.param(5, 1, (-5, 1), 18, 5, 2, 15, 30, id="odd-p5"),
-    pytest.param(2, 2, (-2, 0, 1), 30, 8, 3, 11, 54, id="even-p2"),
+    pytest.param(5, 1, (-5, 1), 18, 5, 2, 12, 27, id="odd-p5"),
+    pytest.param(2, 2, (-2, 0, 1), 30, 8, 3, 8, 51, id="even-p2"),
 ])
 def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
                                          depth, ud, want, n_records):
     """On the even-p2 residue config of the benchmark, the c_k table
     calls the support prefilter once per forced Iwasawa exponent i of
-    each torus stratum: 11 calls on 11 strata, one per e since every
-    unit is 1 mod pi at p = 2 (35 at one stratum per unit-digit tuple).
-    On the odd-p5 config every K-average vanishes and the table makes no
-    call, though `orbit_strata` would walk 15 forced i and write 30
-    records there (54 on even-p2)."""
+    each torus stratum: 8 calls on 8 strata, one per e since every unit
+    is 1 mod pi at p = 2 (32 at one stratum per unit-digit tuple), and
+    4 more, once per run, for the noncompact certificate
+    (`_certify_noncompact`: the two y that are not integral, of ord det
+    0 and 1, and diag(-1, pi), diag(pi, -1)).  On the odd-p5 config
+    every K-average vanishes and the table makes no call, though
+    `orbit_strata` would walk 12 forced i and write 27 records there (51
+    on even-p2)."""
     c = LocalFieldCtx(p, e, eis, precision)
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=8)
@@ -197,7 +203,7 @@ def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
     monkeypatch.setattr(CuspidalData, "support_prefilter", counting)
     assemble_coefficients(data, form, trunc)
     assert forced == want and records == n_records
-    assert len(calls) == (0 if p != 2 else forced)
+    assert len(calls) == (0 if p != 2 else forced + 4)
 
 
 def test_verification_strata_contribute_zero():
@@ -207,7 +213,7 @@ def test_verification_strata_contribute_zero():
     trunc = TruncationSpec(gamma_depth=2, k_max=2, unit_depth=2)
     table = assemble_coefficients(data, form, trunc)
     for s, tab in table.per_stratum:
-        if s.label.startswith("unit-class") or s.label.startswith("noncompact"):
+        if s.label.startswith("unit-class"):
             assert all(v.is_zero() for v in tab.values())
         if s.label.startswith("sign1-"):  # odd alpha = 1 mod p side vanishes
             assert all(v.is_zero() for v in tab.values())
@@ -488,8 +494,8 @@ def test_p2_zero_slope_stratum_by_stratum(eis):
     """Criterion 9b's zero slope, b = 0, pinned where it arises: over
     x^2 - 2 and x^3 - 2 at gamma_depth 5, every sign1-e stratum's totals
     sum to exactly 0 over Delta_1 (they are the raw T_{e,d} rows times
-    2 vol |D_eps| != 0, so each row sum of T_{e,d} is 0 too), and every
-    noncompact stratum is empty; b = 4 units sum_d T_d is then 0.  The
+    2 vol |D_eps| != 0, so each row sum of T_{e,d} is 0 too), and there
+    is no other stratum; b = 4 units sum_d T_d is then 0.  The
     raw rows of `_delta_totals` are pinned exactly, the same at E = 2
     and E = 3: T_1 = {0: -1/3, 1: 1/3}; for e >= 2, T_{e,0} =
     -2^(e-1)/3, T_{e,1} = -2^(e-2)/3, T_{e,d} = 2^(e-1-d) for
@@ -501,9 +507,6 @@ def test_p2_zero_slope_stratum_by_stratum(eis):
     assert table.b.is_zero() and not table.a.is_zero()
     es = []
     for s, totals in table.stratum_totals:
-        if s.label.startswith("noncompact-"):
-            assert totals == {}, s.label
-            continue
         assert s.label == f"sign1-e{s.e}" and set(totals) == set(range(s.e + 1))
         assert sum(totals.values(), CharacterValue.zero(2)).is_zero(), s.label
         es.append(s.e)
@@ -537,10 +540,14 @@ def test_coefficient_A_B():
     assert all(x > y > 0 for x, y in zip(avals, avals[1:]))
     assert all(x > y > 0 for x, y in zip(bvals, bvals[1:]))
     # outside p = 2 with 2 in pi^2 the constants are undefined: a field
-    # outside their domain, not an irregular element
-    for other in (ctx5(), LocalFieldCtx(2, 1, (-2, 1), 24)):
-        with pytest.raises(DomainError):
-            coefficient_A_B(CuspidalData(other), orthogonal_form(other, 2),
+    # outside their domain, not an irregular element.  CuspidalData
+    # refuses p = 2 with e = 1 itself, so the indicator of M_2(O), which
+    # builds there, reaches the e < 2 half of the refusal
+    want = "^weight-only constants require p = 2 with 2 in pi\\^2$"
+    for data in (CuspidalData(ctx5()),
+                 IntegralIndicator(LocalFieldCtx(2, 1, (-2, 1), 24))):
+        with pytest.raises(DomainError, match=want):
+            coefficient_A_B(data, orthogonal_form(data.ctx, 2),
                             TruncationSpec())
 
 
@@ -648,36 +655,41 @@ def test_discriminant_routes_on_every_torus_stratum():
     """The closed-form twisted discriminant against the Berkowitz charpoly
     and the kernel-quotient oracle on every torus stratum of the level
     walk fields and of x^2 + 2 at gamma_depth 4 (both signs at odd p, the
-    verification strata included): equal valuation, kernel dim and exact
-    lowest coefficient, and the integer exponent of `regular_preimage`,
-    ord 2 + 2 ord(alpha - 1) - ord(alpha), equals that valuation.  Every
-    alpha of `torus_strata` is regular by exact zero tests of alpha -+ 1.
-    diag(1, -1) has kernel dim 3 and lowterm 2; a non-diagonal argument
-    and the symplectic twist are refused."""
+    unit classes included), and at the noncompact alpha = pi^t, t = +-1
+    and +-2, which no stratum holds: equal valuation, kernel dim and
+    exact lowest coefficient, and the integer exponent of
+    `regular_preimage`, ord 2 + 2 ord(alpha - 1) - ord(alpha), equals
+    that valuation.  Every alpha of `torus_strata` is regular by exact
+    zero tests of alpha -+ 1.  diag(1, -1) has kernel dim 3 and lowterm
+    2; a non-diagonal argument and the symplectic twist are refused."""
     fields = [f for f, _depth in LEVEL_WALK_FIELDS] + [(2, 2, (2, 0, 1))]
     for p, e, eis in fields:
         c = LocalFieldCtx(p, e, eis, 20)
         form = orthogonal_form(c, 2)
-        signs = set()
-        for stratum in unit_digit_strata(CuspidalData(c), form,
-                                         TruncationSpec(gamma_depth=4)):
-            where = (eis, stratum.label)
-            assert not any((stratum.alpha + c.from_int(t)).normalized()
+        strata = unit_digit_strata(CuspidalData(c), form,
+                                   TruncationSpec(gamma_depth=4))
+        signs = {s.sign for s in strata}
+        alphas = [(s.label, s.alpha) for s in strata]
+        alphas += [(f"pi^{t}", c.pi(t)) for t in (1, 2, -1, -2)]
+        for label, alpha in alphas:
+            where = (eis, label)
+            assert not any((alpha + c.from_int(t)).normalized()
                            .is_zero() for t in (1, -1)), where
-            signs.add(stratum.sign)
-            x = norm_preimage(stratum.alpha, form).inverse()
+            x = norm_preimage(alpha, form).inverse()
             reports = [route(x, form) for route in (
                 twisted_discriminant, twisted_discriminant_charpoly,
                 twisted_discriminant_oracle)]
             closed = reports[0]
             assert closed.kernel_dim == 1 and closed.regular
-            _x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
+            _x, dexp = regular_preimage(form, alpha, label)
             assert dexp == closed.ord_value, where
             for rep in reports[1:]:
                 assert rep.ord_value == closed.ord_value, where
                 assert rep.kernel_dim == closed.kernel_dim, where
                 assert rep.charpoly_lowterm == closed.charpoly_lowterm, where
-        assert signs == ({0, 1} if p == 2 else {0, 1, -1}), eis
+        # sign 0: the unit classes c = 2 .. p - 2, which exist at p >= 5
+        want = {1} if p == 2 else {1, -1} | ({0} if p > 3 else set())
+        assert signs == want, eis
     c = ctx5()
     form = orthogonal_form(c, 2)
     rep = twisted_discriminant(Mat.diag(c, [c.one(), -c.one()]), form)
@@ -908,23 +920,80 @@ def test_negative_delta_total_raises():
     is not integral.  The indicator's prefilter kills that level; without
     its integrality test the total there is nonzero, where the class
     weight is clipped and c_k = a + b k fails (the oracle's c_0 weight is
-    0, not units (2 Delta_1 + 1)).  Both routes raise DomainError naming
-    the stratum instead of printing a wrong digit."""
+    0, not units (2 Delta_1 + 1)).  `orbit_weight_integral` raises
+    DomainError naming the stratum instead of printing a wrong digit.
+    The c_k table walks no noncompact alpha (`torus_strata`); it refuses
+    that integrand up front, as its prefilter keeps the y of ord det 0
+    that is not integral (`_certify_noncompact`)."""
     c = ctx5()
     form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=1, unit_depth=1, k_max=2)
     units = card_unit_square_classes(c)
     assert oracle.class_weight_from_delta(-1, units, 0) == 0 != -units
-    want = "noncompact-pi\\^2: nonzero total at Delta_1 = -1 < 0"
-    with pytest.raises(DomainError, match=want):
-        assemble_coefficients(NonIntegralIndicator(c), form, trunc)
-    with pytest.raises(DomainError, match=want):
+    with pytest.raises(DomainError, match="noncompact-pi\\^2: nonzero total "
+                                          "at Delta_1 = -1 < 0"):
         orbit_weight_integral(NonIntegralIndicator(c), form,
                               c.pi(2), range(3), "noncompact-pi^2")
+    with pytest.raises(DomainError, match="^noncompact torus: the support "
+                       "prefilter keeps y = diag\\(-pi\\^-1, pi\\^1\\), so "
+                       "the region cannot be certified to add 0$"):
+        assemble_coefficients(NonIntegralIndicator(c), form, trunc)
     psi = orbit_weight_integral(IntegralIndicator(c), form,
                                 c.pi(2), range(3))
     assert all(v.is_zero() for v in psi.values())
     assemble_coefficients(IntegralIndicator(c), form, trunc)
+
+
+# p = 2: x^2 - 2, x^3 - 2; p = 3: x^2 + 3x - 3, x - 3; p = 5: x - 5;
+# p = 7: x - 7
+NONCOMPACT_FIELDS = [(2, 2, (-2, 0, 1)), (2, 3, (-2, 0, 0, 1)),
+                     (3, 2, (-3, 3, 1)), (3, 1, (-3, 1)), (5, 1, (-5, 1)),
+                     (7, 1, (-7, 1))]
+
+
+@pytest.mark.parametrize("p, e, eis", NONCOMPACT_FIELDS,
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_noncompact_torus_adds_nothing(p, e, eis):
+    """The proof in `torus_strata`, swept: at alpha = pi^t u for every t in
+    [-6, 6] other than 0 and four seeded units u, every level record of
+    the walk over G/T (`orbit_strata`, asked directly, so also at odd p
+    where the c_k table skips the walk) is dead, and `_delta_totals` is
+    empty, for `CuspidalData` (p = 2 only, where it builds) and the
+    indicator of M_2(O).  Both pass the certificate
+    (`_certify_noncompact`), which the integrand without an integrality
+    test fails."""
+    c = LocalFieldCtx(p, e, eis, 20)
+    form = orthogonal_form(c, 2)
+    rng = random.Random(13)
+    integrands = [IntegralIndicator(c)] + ([CuspidalData(c)] if p == 2
+                                           else [])
+    for data in integrands:
+        integrator._certify_noncompact(data, form)
+        for t in [t for t in range(-6, 7) if t]:
+            for _ in range(4):
+                u = c.random_unit(rng)
+                label = f"pi^{t} u = {u}"
+                x, _dexp = regular_preimage(form, u.shift(t), label)
+                records = orbit_strata(data, form, x)
+                assert all(r.dead is not None for r in records), label
+                assert _delta_totals(data, form, x, label) == {}, label
+    with pytest.raises(DomainError, match="^noncompact torus: the support "
+                                          "prefilter keeps y"):
+        integrator._certify_noncompact(NonIntegralIndicator(c), form)
+
+
+@pytest.mark.parametrize("support", [{0, 2}, {1, 3}, {-1, 0, 1, 2}])
+def test_noncompact_certificate_refuses_a_wider_det_support(support):
+    """An integrand with an ord det y outside {0, 1} in its support meets
+    integral y at |t| >= 2, which the proof in `torus_strata` does not
+    cover: the c_k table refuses it rather than sample the region."""
+    class Wider(IntegralIndicator):
+        detval_support = frozenset(support)
+
+    c = ctx5()
+    want = f"noncompact torus: det support {sorted(support)} is not within"
+    with pytest.raises(DomainError, match="^" + re.escape(want)):
+        torus_strata(Wider(c), orthogonal_form(c, 2), TruncationSpec())
 
 
 def test_class_weight_once_per_run(monkeypatch):
@@ -1018,8 +1087,9 @@ def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
     `orbit_weight_integral` make no `orbit_strata`, `support_prefilter`
     or `kappa_average` call, and every torus stratum keeps an empty
     table.  On the even-p2 config the table walks every torus stratum,
-    one per e (11 strata, 35 at one per unit-digit tuple): 54 records,
-    11 prefilter calls and 51 K-averages."""
+    one per e (8 strata, 32 at one per unit-digit tuple): 51 records,
+    8 prefilter calls of the walk, 4 of the noncompact certificate
+    (`_certify_noncompact`), and 51 K-averages."""
     calls, records = Counter(), []
     walk = integrator.orbit_strata
 
@@ -1043,12 +1113,13 @@ def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
     data, form = CuspidalData(c), orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
     table = assemble_coefficients(data, form, trunc)
+    run = Counter(calls)
     strata = torus_strata(data, form, trunc)
-    assert len(table.stratum_totals) == len(strata) == (11 if p == 2 else 15)
+    assert len(table.stratum_totals) == len(strata) == (8 if p == 2 else 12)
     if p == 2:
-        assert calls["orbit_strata"] == len(strata)
-        assert (len(records), calls["support_prefilter"]) == (54, 11)
-        assert calls["kappa_average"] == 51
+        assert run["orbit_strata"] == len(strata)
+        assert (len(records), run["support_prefilter"]) == (51, 8 + 4)
+        assert run["kappa_average"] == 51
         return
     assert all(totals == {} for _s, totals in table.stratum_totals)
     assert rg_term(data, form, trunc).is_zero()

@@ -81,7 +81,11 @@ KEPT = {
     "localfield.LocalFieldCtx.random_unit": _PERFBENCH,
     "ringvec.ResidueRing.mul": _PERFBENCH,
     "twisted.norm_preimage": _TRACER,
+    "cyclotomic.CharacterValue.__init__": _VALUE,
+    "cyclotomic.CharacterValue.__hash__": _VALUE,
     "cyclotomic.CharacterValue.__mul__": _VALUE,
+    "cyclotomic.CharacterValue.__repr__": _REPR,
+    "cyclotomic.CharacterValue.coords": _VALUE,
     "cyclotomic.CharacterValue.__str__": _VALUE,
     "cyclotomic.CharacterValue.one": _VALUE,
     "cyclotomic.CharacterValue.rational": _VALUE,
