@@ -20,7 +20,7 @@ ctx = LocalFieldCtx(5, 1, (-5, 1), 18)
 form = orthogonal_form(ctx, 2)
 
 alpha = ctx.from_int(3)
-s = norm_preimage(alpha, form)
+s = norm_preimage(alpha)
 print("S(gamma) for alpha = 3:", s)
 gamma = Mat.diag(ctx, [alpha, alpha.inverse()])
 print("nu(S(gamma)) == -gamma:", vdash(s.inverse(), form) * s == -gamma)
@@ -32,7 +32,7 @@ for alpha_desc, alpha in [
     ("close to -1", -ctx.one() + ctx.pi(3)),
     ("noncompact", ctx.pi(1)),
 ]:
-    si = norm_preimage(alpha, form).inverse()
-    r = twisted_discriminant(si, form)
+    si = norm_preimage(alpha).inverse()
+    r = twisted_discriminant(si.rows[0][0], si.rows[1][1])
     print(f"  {alpha_desc:24s} ord = {r.ord_value:3d}  kernel = "
           f"{r.kernel_dim}")

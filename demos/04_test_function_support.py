@@ -9,13 +9,12 @@ of the remaining compact directions.
 """
 
 from twirl.localfield import LocalFieldCtx, parse_elem
-from twirl.matlattice import Mat, orthogonal_form
+from twirl.matlattice import Mat
 from twirl.supercuspidal import (CuspidalData, level_character, member,
                                  support_scan)
 
 ctx2 = LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 data2 = CuspidalData(ctx2)
-form2 = orthogonal_form(ctx2, 2)
 
 # the level character on the standard unipotent
 m = Mat.from_ints(ctx2, [[1, 1], [0, 1]])
@@ -24,17 +23,16 @@ print("character value:", level_character(m))
 
 print("\nsupport scans (p = 2, pi^2 = 2):")
 for spec in ("1+pi^2", "1+pi", "pi", "pi^-1"):
-    rep = support_scan(data2, form2, parse_elem(ctx2, spec))
+    rep = support_scan(data2, parse_elem(ctx2, spec))
     tag = "none" if rep.witness is None else "witness"
     print(f"  alpha = {spec:8s} -> {tag:8s} ({rep.regime}, "
           f"level records read: {len(rep.strata)})")
 
 ctx5 = LocalFieldCtx(5, 1, (-5, 1), 18)
 data5 = CuspidalData(ctx5)
-form5 = orthogonal_form(ctx5, 2)
 print("\nsupport scans (p = 5):")
 for spec in ("pi", "2", "1+pi", "-1+pi"):
-    rep = support_scan(data5, form5, parse_elem(ctx5, spec))
+    rep = support_scan(data5, parse_elem(ctx5, spec))
     tag = "none" if rep.witness is None else "witness"
     print(f"  alpha = {spec:8s} -> {tag:8s} ({rep.regime})")
 print("\nonly alpha = -1 mod p survives at odd p; every unit survives at p = 2")

@@ -9,16 +9,14 @@ values sweep all p-th roots of unity uniformly).
 
 from twirl.integrator import TruncationSpec, assemble_coefficients
 from twirl.localfield import LocalFieldCtx
-from twirl.matlattice import orthogonal_form
 from twirl.residue import residue_report
 from twirl.supercuspidal import CuspidalData
 
 ctx = LocalFieldCtx(5, 1, (-5, 1), 18)
 data = CuspidalData(ctx)
-form = orthogonal_form(ctx, 2)
 trunc = TruncationSpec(gamma_depth=3, k_max=6, unit_depth=2)
 
-table = assemble_coefficients(data, form, trunc)
+table = assemble_coefficients(data, trunc)
 print("coefficients c_k:")
 for k in table.ks:
     print(f"  c_{k} =", table.values[k])
@@ -36,9 +34,9 @@ from twirl.integrator import orbit_strata
 from twirl.twisted import norm_preimage
 
 alpha = -ctx.one() + ctx.pi(1)
-x = norm_preimage(alpha, form).inverse()
+x = norm_preimage(alpha).inverse()
 # x is integral of unit determinant, so the walk has one record, at y = x
-[record] = orbit_strata(data, form, x)
+[record] = orbit_strata(data, x.rows[0][0], x.rows[1][1])
 print("\nsample K-average at alpha = -1+pi:",
-      data.kappa_average(record.key, form),
+      data.kappa_average(record.key),
       "(supported on a third of K, values uniform over the fifth roots)")

@@ -12,16 +12,14 @@ explicit in (a, b).
 from twirl.integrator import (TruncationSpec, assemble_coefficients,
                               coefficient_A_B)
 from twirl.localfield import LocalFieldCtx
-from twirl.matlattice import orthogonal_form
 from twirl.residue import laurent_at_zero, residue_report
 from twirl.supercuspidal import CuspidalData
 
 ctx = LocalFieldCtx(2, 2, (-2, 0, 1), 24)
 data = CuspidalData(ctx)
-form = orthogonal_form(ctx, 2)
 trunc = TruncationSpec(gamma_depth=6, k_max=8, unit_depth=3)
 
-table = assemble_coefficients(data, form, trunc)
+table = assemble_coefficients(data, trunc)
 print("coefficients c_k:")
 for k in table.ks:
     print(f"  c_{k} =", table.values[k])
@@ -30,7 +28,7 @@ print("\nper-shell increments of c_0 (geometric decay):")
 for e, inc in table.per_e_increments(0).items():
     print(f"  depth {e}: {inc}")
 
-a, b, incs = coefficient_A_B(data, form, trunc)
+a, b, incs = coefficient_A_B(data, trunc)
 print("\nweight-only shell constants: A =", a, " B =", b)
 
 rep = residue_report(table.a, table.b, table.ks, n=2, q=ctx.q)

@@ -69,7 +69,6 @@ from .integrator import (
     orbit_weight_integral,
 )
 from .localfield import LocalFieldCtx, parse_elem
-from .matlattice import orthogonal_form
 from .residue import residue_report
 from .supercuspidal import CuspidalData, support_scan
 # unused; tracer lookup points of perfbench/spans.py
@@ -274,32 +273,25 @@ def _run_at_alpha(cmd, cfg: RunConfig, alpha_text: str) -> str:
 def cmd_dtwist(cfg: RunConfig, alpha, alpha_text: str) -> str:
     # x0 + x1 = -1 for every gamma != 1, so a report of kernel dim 3 is a
     # digit the precision could not decide, and it raises
-    rep = discriminant_report(orthogonal_form(cfg.ctx, 2), alpha,
-                              f"alpha = {alpha_text}")
+    rep = discriminant_report(alpha, f"alpha = {alpha_text}")
     out = rep.to_json()
     out["alpha"] = alpha_text
     return _json_dump(out)
 
 
 def cmd_support_scan(cfg: RunConfig, alpha, _alpha_text: str) -> str:
-    form = orthogonal_form(cfg.ctx, 2)
-    data = CuspidalData(cfg.ctx)
-    return _json_dump(support_scan(data, form, alpha).to_json())
+    return _json_dump(support_scan(CuspidalData(cfg.ctx), alpha).to_json())
 
 
 def cmd_psik(cfg: RunConfig, alpha, alpha_text: str) -> str:
-    form = orthogonal_form(cfg.ctx, 2)
-    data = CuspidalData(cfg.ctx)
     ks = range(0, cfg.trunc.k_max + 1)
-    table = orbit_weight_integral(data, form, alpha, ks,
+    table = orbit_weight_integral(CuspidalData(cfg.ctx), alpha, ks,
                                   f"alpha = {alpha_text}")
     return _coeff_csv(ks, table)
 
 
 def cmd_coeffs(cfg: RunConfig) -> str:
-    data = CuspidalData(cfg.ctx)
-    form = orthogonal_form(cfg.ctx, 2)
-    table = assemble_coefficients(data, form, cfg.trunc)
+    table = assemble_coefficients(CuspidalData(cfg.ctx), cfg.trunc)
     if cfg.out_format == "csv":
         return _coeff_csv(table.ks, table.values)
     return _json_dump(table.to_json())
@@ -307,12 +299,11 @@ def cmd_coeffs(cfg: RunConfig) -> str:
 
 def cmd_residue(cfg: RunConfig) -> str:
     data = CuspidalData(cfg.ctx)
-    form = orthogonal_form(cfg.ctx, 2)
-    table = assemble_coefficients(data, form, cfg.trunc)
+    table = assemble_coefficients(data, cfg.trunc)
     out = residue_report(table.a, table.b, table.ks, n=2, q=cfg.ctx.q)
     out["metadata"] = table.metadata
     if cfg.ctx.p == 2:
-        a, b, incs = coefficient_A_B(data, form, cfg.trunc)
+        a, b, incs = coefficient_A_B(data, cfg.trunc)
         out["weight_only_constants"] = {
             "A": str(a),
             "B": str(b),

@@ -1,5 +1,15 @@
 """Stratified exact evaluation of twisted orbital integrals, the weighted
-coefficient integrals, and the coefficient series c_k.
+coefficient integrals, and the coefficient series c_k, for the split
+orthogonal twist of GL_2: the chain's one twist, which no function takes
+as an argument.
+
+An integrand has three attributes and two methods: `detval_support`
+(the ord det of its support), `residue_level` (f reads its argument mod
+pi^level), the bool `kappa_vanishes` (every K-average is 0),
+`support_prefilter(y00, y11)` (a reason string when no K-twisted
+conjugate of y = diag(y00, y11) meets the support, else None) and
+`kappa_average(key)` (the K-average at `Coset.key`).  `CuspidalData` is
+the paper's; the tests add the indicator of M_2(O).
 
 Quotient measure on G/T (G = GL_2): Iwasawa strata kappa n_b a_i with
 vol(K) = 1 and each coset b + O carrying mass 1, which is the G-invariant
@@ -20,19 +30,18 @@ integrand's prefilter about a few fixed y once per run, and refuses an
 integrand that cannot certify the region.
 
 One pass per torus stratum gamma = diag(alpha, alpha^(-1)), given as
-alpha: `regular_preimage` gives x = S(gamma)^(-1) (one `Elem` inverse)
-and |D_eps(gamma)| as an integer read off ord(alpha - 1) and ord(alpha),
-`orbit_strata` the (i, j) levels of G/T in closed form (one prefilter
-call per forced i) with the K-average key of each live class of b, and
-`_delta_totals` sums weight * K-average of f over those classes per
-Delta_1 = i - j >= 0.  There the closed
-square-class weight is units (2 Delta_1 + 1 + 4k), so a table
-{Delta_1: T} gives c_k = a + b k with a = units sum (2 Delta_1 + 1) T
-and b = 4 units sum T (`_pair`):
-`assemble_coefficients` adds the scaled per-Delta_1 totals of every
-stratum into one run-wide table and reduces it to that pair once per
-run.  `support_scan` takes x the same way and reads the same level
-records: one walk of G/T in the library.
+alpha: `regular_preimage` gives the entries (x0, x1) of the diagonal
+x = S(gamma)^(-1) (one `Elem` inverse) and |D_eps(gamma)| as an integer
+read off ord(alpha - 1) and ord(alpha), `orbit_strata` the (i, j)
+levels of G/T in closed form (one prefilter call per forced i) with the
+K-average key of each live class of b, and `_delta_totals` sums weight
+* K-average of f over those classes per Delta_1 = i - j >= 0.  There
+the closed square-class weight is units (2 Delta_1 + 1 + 4k), so a
+table {Delta_1: T} gives c_k = a + b k with a = units sum (2 Delta_1 +
+1) T and b = 4 units sum T (`_pair`): `assemble_coefficients` adds the
+scaled per-Delta_1 totals of every stratum into one run-wide table and
+reduces it to that pair once per run.  `support_scan` takes x the same
+way and reads the same level records: one walk of G/T in the library.
 
 An integrand whose K-averages all vanish (`kappa_vanishes`: `CuspidalData`
 at odd p) walks no levels: `_delta_totals` runs only the trace guard of
@@ -49,7 +58,6 @@ from .cyclotomic import CharacterValue
 from .errors import DomainError, NotRegular, PrecisionExhausted, Singular
 from .localfield import (Elem, INF, LocalFieldCtx, card_unit_square_classes,
                          unit_digit_tuples)
-from .matlattice import Mat
 from .twisted import twisted_discriminant
 # unused; tracer lookup points of perfbench/spans.py
 from .matlattice import vdash
@@ -79,7 +87,7 @@ class TorusStratum:
     e: int = 0
 
 
-def torus_strata(data, form, trunc: TruncationSpec):
+def torus_strata(data, trunc: TruncationSpec):
     """Partition of the integration window in T: residue classes of unit
     alpha away from +-1 (odd p only) and refined strata around +-1.  The
     noncompact torus, alpha = pi^t u with t != 0 and u a unit, adds 0
@@ -144,7 +152,7 @@ def torus_strata(data, form, trunc: TruncationSpec):
     `CuspidalData` kills diag(-1, pi) and diag(pi, -1) as not
     eps-symmetric mod p, and the indicator of M_2(O) (det support {0})
     is asked only about a y that is not integral."""
-    _certify_noncompact(data, form)
+    _certify_noncompact(data)
     ctx = data.ctx
     p, q = ctx.p, ctx.q
     out = []
@@ -155,7 +163,7 @@ def torus_strata(data, form, trunc: TruncationSpec):
     ud = trunc.unit_depth
     for sign in signs:
         for e in range(1, trunc.gamma_depth + 1):
-            classes = unit_digit_tuples(p, _digits_seen(data, form, e, ud))
+            classes = unit_digit_tuples(p, _digits_seen(data, e, ud))
             vol = Fraction(1, q ** e * len(classes))
             for digits in classes:
                 v = ctx.from_digits(0, digits) if digits else ctx.one()
@@ -165,7 +173,7 @@ def torus_strata(data, form, trunc: TruncationSpec):
     return out
 
 
-def _certify_noncompact(data, form) -> None:
+def _certify_noncompact(data) -> None:
     """Check that the noncompact torus adds 0 for the integrand, by the
     proof in `torus_strata`: it does when every K-average vanishes;
     otherwise `detval_support` must lie in {0, 1}, and
@@ -173,7 +181,7 @@ def _certify_noncompact(data, form) -> None:
     pi^(d + 1)) for each d of the support and, when 1 is in it, on
     diag(-1, pi) and diag(pi, -1).  Anything else raises DomainError
     naming what failed."""
-    if data.kappa_vanishes(form):
+    if data.kappa_vanishes:
         return
     support = data.detval_support
     if not support <= {0, 1}:
@@ -186,13 +194,13 @@ def _certify_noncompact(data, form) -> None:
     if 1 in support:
         patterns += [("diag(-1, pi)", -one, pi), ("diag(pi, -1)", pi, -one)]
     for name, y00, y11 in patterns:
-        if data.support_prefilter(Mat.diag(ctx, [y00, y11]), form) is None:
+        if data.support_prefilter(y00, y11) is None:
             raise DomainError(f"noncompact torus: the support prefilter "
                               f"keeps y = {name}, so the region cannot be "
                               "certified to add 0")
 
 
-def _digits_seen(data, form, e: int, cap: int) -> int:
+def _digits_seen(data, e: int, cap: int) -> int:
     """m, the digits of v in alpha = sign (1 + pi^e v) that the stratum
     totals of the integrand read, capped at `cap` (`unit_depth`): 0 when
     every K-average vanishes (`data.kappa_vanishes`), and otherwise
@@ -201,7 +209,7 @@ def _digits_seen(data, form, e: int, cap: int) -> int:
     ord det x = -2 ord(alpha - 1), so the forced i are t/2 + ord(alpha - 1)
     over the even t of `data.detval_support` (`_forced_levels`), and s is
     the least such t/2; with no even t no level is forced, and m = 0."""
-    if data.kappa_vanishes(form):
+    if data.kappa_vanishes:
         return 0
     halves = [t // 2 for t in data.detval_support if t % 2 == 0]
     if not halves:
@@ -248,31 +256,27 @@ class Coset(NamedTuple):
     dead: str | None
 
 
-def _forced_levels(data, x: Mat):
+def _forced_levels(data, x0: Elem, x1: Elem):
     """The trace x0 + x1 of x = diag(x0, x1), normalized, and the Iwasawa
     exponents i that the det-valuation support of f forces, each with its
     b-level bound: y = pi^i [[x0, b(x0 + x1)], [0, x1]], so an integral y
     forces j <= jmax = max(0, i + ord(x0 + x1)).  A zero trace raises: x
     is not regular (its orbital integral diverges) or, for x = S(gamma)^(-1)
     whose trace is -1, the precision could not decide the sum."""
-    (x0, x01), (x10, x1) = x.rows
-    if not (x01.is_zero() and x10.is_zero()):
-        raise ValueError("orbit strata require a diagonal argument")
-    # ord det x = ord x0 + ord x1, x being diagonal
-    d = x0.val + x1.val
+    d = x0.val + x1.val  # ord det x
     if d == INF:
         raise NotRegular("singular argument")
     trace = (x0 + x1).normalized()
     if trace.is_zero():
         raise PrecisionExhausted(
-            f"trace x0 + x1 reads 0 at precision {x.ctx.precision}: x is "
+            f"trace x0 + x1 reads 0 at precision {x0.ctx.precision}: x is "
             "not regular, or the precision cannot decide the trace")
     forced = [(target - d) // 2 for target in sorted(data.detval_support)
               if (target - d) % 2 == 0]
     return trace, [(i, max(0, i + trace.vbase)) for i in forced]
 
 
-def orbit_strata(data, form, x: Mat):
+def orbit_strata(data, x0: Elem, x1: Elem):
     """The (i, j) levels of G/T for the integrand f(g x g^vdash), x =
     diag(x0, x1), as a list of `Coset` records, one per dead level and
     one per live class of b.
@@ -307,19 +311,17 @@ def orbit_strata(data, form, x: Mat):
     a digit the precision cannot decide raises here, as it does when the
     key is read off y as a `Mat` (the tests' `kappa_key`;
     `test_undecidable_discriminant_raises`)."""
-    if form.kind != "orthogonal":
-        raise DomainError("the closed form of y needs the orthogonal twist")
     ctx = data.ctx
     q, level = ctx.q, data.residue_level
-    trace, levels = _forced_levels(data, x)
+    trace, levels = _forced_levels(data, x0, x1)
     t = trace.vbase
     unit = trace.shift(-t)
     t_digits: dict = {}     # m -> the first m digits of t'
     zeros = (0,) * level
     out = []
     for i, jmax in levels:
-        y00, y11 = x.rows[0][0].shift(i), x.rows[1][1].shift(i)
-        dead = data.support_prefilter(Mat.diag(ctx, [y00, y11]), form)
+        y00, y11 = x0.shift(i), x1.shift(i)
+        dead = data.support_prefilter(y00, y11)
         diagonal = None
         if dead is None and y00.val >= 0 and y11.val >= 0:
             diagonal = (y00.residue_digits(level), y11.residue_digits(level),
@@ -365,7 +367,7 @@ def _y01_digits(ctx: LocalFieldCtx, u: int, b: tuple, t: tuple) -> tuple:
 # -- the integrals ----------------------------------------------------------------
 
 
-def _delta_totals(data, form, x: Mat, label: str) -> dict:
+def _delta_totals(data, x0: Elem, x1: Elem, label: str) -> dict:
     """{Delta_1: sum of weight * f_avg} over the live orbit strata of x =
     S(gamma)^(-1) at the torus stratum `label`, f_avg the integrand's
     K-average at the record's key (`Coset`); a zero average adds no
@@ -383,13 +385,13 @@ def _delta_totals(data, form, x: Mat, label: str) -> dict:
     PrecisionExhausted of the trace guard names it too."""
     by_delta: dict = {}
     try:
-        if data.kappa_vanishes(form):
-            _forced_levels(data, x)
+        if data.kappa_vanishes:
+            _forced_levels(data, x0, x1)
             return by_delta
-        for s in orbit_strata(data, form, x):
+        for s in orbit_strata(data, x0, x1):
             if s.dead is not None:
                 continue
-            f_avg = data.kappa_average(s.key, form)
+            f_avg = data.kappa_average(s.key)
             if not f_avg.is_zero():
                 d, t = s.i - s.j, f_avg.scale(s.weight)
                 by_delta[d] = by_delta[d] + t if d in by_delta else t
@@ -420,17 +422,16 @@ def _affine(a: CharacterValue, b: CharacterValue, ks) -> dict:
     return {k: a + b.scale(k) for k in ks}
 
 
-def orbit_weight_integral(data, form, alpha: Elem, ks,
-                          label: str = "gamma"):
+def orbit_weight_integral(data, alpha: Elem, ks, label: str = "gamma"):
     """psi_k(gamma) = integral over G/T of f(g S(gamma)^(-1) g^vdash) W_k(g)
     for each k in ks, as {k: CharacterValue}, read off the pair of the
     per-Delta_1 totals (`_pair`).  gamma must be regular: x comes from
     `regular_preimage`, whose exact zero tests of alpha -+ 1 raise
     NotRegular naming `label`, and a trace x0 + x1 the precision cannot
     decide raises PrecisionExhausted naming it."""
-    x, _dexp = regular_preimage(form, alpha, label)
+    (x0, x1), _dexp = regular_preimage(alpha, label)
     units = card_unit_square_classes(data.ctx)
-    by_delta = _delta_totals(data, form, x, label)
+    by_delta = _delta_totals(data, x0, x1, label)
     return _affine(*_pair(by_delta, data.ctx.p, units), ks)
 
 
@@ -475,30 +476,27 @@ class CoefficientTable:
         }
 
 
-def _preimage_inverse(alpha: Elem, form) -> Mat:
-    """x = S(gamma)^(-1) on the split form, where S(gamma) = diag(alpha - 1,
-    alpha^(-1) - 1) (`norm_preimage`): x0 = (alpha - 1)^(-1) is one `Elem`
-    inverse, and x1 = (alpha^(-1) - 1)^(-1) = alpha/(1 - alpha) = -alpha x0,
-    a product (the sum -(1 + x0) can lose a validity level).  Every alpha
-    path of the library runs here, and here alpha = 0 raises Singular,
-    alpha = 1 NotRegular, and any other form DomainError."""
+def _preimage_inverse(alpha: Elem):
+    """The entries (x0, x1) of x = S(gamma)^(-1), where S(gamma) =
+    diag(alpha - 1, alpha^(-1) - 1) (`norm_preimage`): x0 = (alpha - 1)^(-1)
+    is one `Elem` inverse, and x1 = (alpha^(-1) - 1)^(-1) = alpha/(1 -
+    alpha) = -alpha x0, a product (the sum -(1 + x0) can lose a validity
+    level).  Every alpha path of the library runs here, and here alpha = 0
+    raises Singular and alpha = 1 NotRegular."""
     if alpha.is_zero():
         raise Singular("inverse of zero")
-    if not form.split:
-        raise DomainError("the closed-form S(gamma)^(-1) needs the split "
-                          "orthogonal form")
     s0 = (alpha - alpha.ctx.one()).normalized()
     if s0.is_zero():
         raise NotRegular("gamma - 1 is singular")
     x0 = s0.inverse()
-    return Mat.diag(alpha.ctx, [x0, -(alpha * x0)])
+    return x0, -(alpha * x0)
 
 
-def regular_preimage(form, alpha: Elem, label: str):
-    """x = S(gamma)^(-1) for gamma = diag(alpha, alpha^(-1)) on the split
-    form, and the exponent d with |D_eps(gamma)| = q^(-d).  gamma must be
-    regular: alpha = 1 (refused by `_preimage_inverse`) or -1 raises
-    NotRegular naming the stratum.  Any other form raises DomainError.
+def regular_preimage(alpha: Elem, label: str):
+    """The entries (x0, x1) of x = S(gamma)^(-1) for gamma = diag(alpha,
+    alpha^(-1)), and the exponent d with |D_eps(gamma)| = q^(-d).  gamma
+    must be regular: alpha = 1 (refused by `_preimage_inverse`) or -1
+    raises NotRegular naming the stratum.
 
     x0 = (alpha - 1)^(-1) and x1 = -alpha x0 (`_preimage_inverse`), so
     the trace x0 + x1 is -1 exactly and the lowest coefficient of the
@@ -512,17 +510,17 @@ def regular_preimage(form, alpha: Elem, label: str):
     try:
         if (alpha + ctx.one()).normalized().is_zero():
             raise NotRegular
-        x = _preimage_inverse(alpha, form)
+        x = _preimage_inverse(alpha)
     except NotRegular:
         raise NotRegular(f"gamma must be regular at {label}") from None
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"{_where(label, ctx)}: {exc}") from exc
     # ord(alpha - 1) = -ord(x0), x0 normalized by the inverse
-    dexp = ctx.ord2 - 2 * x.rows[0][0].vbase - alpha.val
+    dexp = ctx.ord2 - 2 * x[0].vbase - alpha.val
     return x, dexp
 
 
-def discriminant_report(form, alpha: Elem, label: str):
+def discriminant_report(alpha: Elem, label: str):
     """The `twisted_discriminant` report of x = S(gamma)^(-1)
     (`_preimage_inverse`, which refuses alpha = 0 and 1), for `dtwist` and
     `coefficient_A_B`, which walk no (i, j) levels: the report is their
@@ -531,8 +529,7 @@ def discriminant_report(form, alpha: Elem, label: str):
     naming `label`."""
     where = _where(label, alpha.ctx)
     try:
-        x = _preimage_inverse(alpha, form)
-        drep = twisted_discriminant(x, form)
+        drep = twisted_discriminant(*_preimage_inverse(alpha))
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"{where}: {exc}") from exc
     if not drep.regular:
@@ -545,7 +542,7 @@ def _where(label: str, ctx: LocalFieldCtx) -> str:
             f"precision {ctx.precision}")
 
 
-def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable:
+def assemble_coefficients(data, trunc: TruncationSpec) -> CoefficientTable:
     """The coefficient table c_k of the series sum_k c_k q^(-2nks):
     c_k = 2 sum over torus strata of vol * |D_eps| * psi_k.  The strata
     are those of `torus_strata`, which covers the noncompact torus by
@@ -563,9 +560,9 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
     ks = tuple(range(0, trunc.k_max + 1))
     run: dict = {}
     stratum_totals = []
-    for stratum in torus_strata(data, form, trunc):
-        x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
-        totals = _delta_totals(data, form, x, stratum.label)
+    for stratum in torus_strata(data, trunc):
+        (x0, x1), dexp = regular_preimage(stratum.alpha, stratum.label)
+        totals = _delta_totals(data, x0, x1, stratum.label)
         # an empty table needs no scale: every stratum's, when the
         # K-averages vanish (`kappa_vanishes`)
         if totals:
@@ -596,7 +593,7 @@ def assemble_coefficients(data, form, trunc: TruncationSpec) -> CoefficientTable
     return CoefficientTable(ks, stratum_totals, units, a, b, meta)
 
 
-def coefficient_A_B(data, form, trunc: TruncationSpec):
+def coefficient_A_B(data, trunc: TruncationSpec):
     """The weight-only constants of the even-residue-characteristic series:
     A integrates (2[e + ord b] + 1) over the interior shell strata, B is 4
     times the shell volume integral, both against |D_eps| on the unit torus
@@ -615,7 +612,7 @@ def coefficient_A_B(data, form, trunc: TruncationSpec):
     q = ctx.q
     top = trunc.gamma_depth
     label = f"1+pi^{top}"
-    drep = discriminant_report(form, _stratum_alpha(ctx, 1, top, ctx.one(), 1),
+    drep = discriminant_report(_stratum_alpha(ctx, 1, top, ctx.one(), 1),
                                label)
     if drep.ord_value != ctx.ord2 + 2 * top:
         raise DomainError(f"|D_eps| at {label} is q^-{drep.ord_value}, "

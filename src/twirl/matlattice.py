@@ -4,7 +4,7 @@ transpose, and the Iwasawa factors n_b and a_e of GL_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import Singular
 from .localfield import INF, Elem, LocalFieldCtx
@@ -162,20 +162,6 @@ class Mat:
         return f"Mat[{body}]"
 
 
-# -- valuations ----------------------------------------------------------------
-
-
-def mat_ord(x: Mat):
-    """ord(X) = min over entries; -log_q of the max-entry norm."""
-    best = INF
-    for r in x.rows:
-        for a in r:
-            v = a.val
-            if v < best:
-                best = v
-    return best
-
-
 # -- forms and the twisted transpose -------------------------------------------
 
 
@@ -198,14 +184,11 @@ def antidiag_u(ctx: LocalFieldCtx, n: int) -> Mat:
 
 @dataclass(frozen=True)
 class GroupForm:
-    """The form J defining the twisted transpose and the group H.  Its
-    size n is J.n and w is `antidiag_w(n)`, both derived.  `split` is
-    decided once: the 2x2 orthogonal form with J = w, where w J^(-1) = 1,
-    the one form on which `norm_preimage` is defined."""
+    """The form J defining the twisted transpose and the group H; its
+    size is J.n."""
 
     kind: str  # "orthogonal" | "symplectic"
     J: Mat
-    split: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         jt = self.J.transpose()
@@ -219,17 +202,6 @@ class GroupForm:
             raise ValueError(f"unknown form kind {self.kind!r}")
         if self.J.det().val is INF:
             raise Singular("form matrix must be invertible")
-        object.__setattr__(self, "split", self.kind == "orthogonal"
-                           and self.n == 2 and self.J == self.w)
-
-    @property
-    def n(self) -> int:
-        return self.J.n
-
-    @property
-    def w(self) -> Mat:
-        """The antidiagonal `antidiag_w(n)`; `vdash` relies on it."""
-        return antidiag_w(self.J.ctx, self.n)
 
 
 def orthogonal_form(ctx: LocalFieldCtx, n: int, lam: Mat | None = None) -> GroupForm:

@@ -17,9 +17,8 @@ from .cyclotomic import CharacterValue
 from .errors import DomainError
 from .integrator import _preimage_inverse, orbit_strata
 from .localfield import INF, Elem, LocalFieldCtx, additive_char
-from .matlattice import GroupForm, Mat, a_e, mat_ord, n_b, vdash
+from .matlattice import Mat, a_e, n_b, orthogonal_form, vdash
 from .ringvec import ResidueRing, iter_gl2
-from .twisted import is_eps_symmetric
 from .twisted import norm_preimage  # unused; a tracer lookup point of perfbench/spans.py
 
 
@@ -39,10 +38,12 @@ def member(g: Mat, level: str) -> bool:
     one = ctx.one()
     a, b = g.rows[0]
     c, d = g.rows[1]
-    if level == "K":
-        return mat_ord(g) >= 0 and g.det().val == 0
-    if level == "I0":
-        return (mat_ord(g) >= 0 and a.val == 0 and d.val == 0 and c.val >= 1)
+    if level in ("K", "I0"):
+        if min(a.val, b.val, c.val, d.val) < 0:  # not integral
+            return False
+        if level == "K":
+            return g.det().val == 0
+        return a.val == 0 and d.val == 0 and c.val >= 1
     if level == "I1":
         return ((a - one).val >= 1 and b.val >= 0 and c.val >= 1
                 and (d - one).val >= 1)
@@ -73,13 +74,17 @@ def level_character(g: Mat) -> CharacterValue:
 class CuspidalData:
     """Inducing data: E = F(sqrt(pi)) embedded via pi_E = [[0,1],[pi,0]],
     inducing compact fixed to I_1, central character trivial.  For p = 2 the
-    construction requires 2 in pi^2, i.e. ramification degree >= 2."""
+    construction requires 2 in pi^2, i.e. ramification degree >= 2.
+    `kappa_vanishes` is p != 2: at odd p every K-average is 0, by the
+    argument in `kappa_average`, and the integrator reads it to skip the
+    G/T levels whose K-averages it would only add as 0."""
 
     ctx: LocalFieldCtx
 
     def __post_init__(self):
         if self.ctx.p == 2 and self.ctx.e < 2:
             raise DomainError("even residue characteristic needs 2 in pi^2")
+        self.kappa_vanishes = self.ctx.p != 2
         self._avg_cache: dict = {}
         self._table: PassTable | None = None
 
@@ -117,11 +122,16 @@ class CuspidalData:
     # f reads its argument only mod pi^residue_level (`kappa_average`)
     residue_level = 2
 
-    def support_prefilter(self, y: Mat, form: GroupForm) -> str | None:
-        """Necessary conditions for some K-twisted conjugate of y to meet
-        the support; returns a reason string when the stratum is dead.
-        It reads y only through its integrality, ord det y and y mod pi,
-        which the noncompact proof of `integrator.torus_strata` needs.
+    def support_prefilter(self, y00: Elem, y11: Elem) -> str | None:
+        """Necessary conditions for some K-twisted conjugate of y =
+        diag(y00, y11) to meet the support; returns a reason string when
+        the stratum is dead.  The runtime asks only about diagonal y
+        (b = 0 in `orbit_strata`, and the patterns of
+        `_certify_noncompact`).  It reads y only through its integrality,
+        ord det y = ord y00 + ord y11 and y mod pi, which the noncompact
+        proof of `integrator.torus_strata` needs: y is eps-symmetric mod
+        pi when y11 - y00 is 0 mod pi, the one pair of entries the
+        orthogonal vdash moves.
 
         The det-valuation reason is kept as the integrand's own contract,
         though no run reaches it: `orbit_strata` forces i so that ord
@@ -130,26 +140,18 @@ class CuspidalData:
         proof leans on `detval_support`, and this reason keeps the
         prefilter true to it for a caller that does not force i first;
         `test_support_prefilter_reasons` calls it on such a y."""
-        if mat_ord(y) < 0:
+        v0, v1 = y00.val, y11.val
+        if v0 < 0 or v1 < 0:
             return "not integral"
-        if y.det().val not in self.detval_support:
+        if v0 + v1 not in self.detval_support:
             return "det valuation outside {0,1}"
-        if not is_eps_symmetric(y, form, mod_level=1):
+        if not (y11 - y00).divisible_by(1):
             return "not eps-symmetric mod p"
         return None
 
     # -- exact averaged evaluation over K --------------------------------------
 
-    def kappa_vanishes(self, form: GroupForm) -> bool:
-        """Whether `kappa_average(y, form)` is 0 for every y: at odd p,
-        by the argument in `kappa_average`.  The integrator reads it to
-        skip the G/T levels whose K-averages it would only add as 0."""
-        if form.kind != "orthogonal":
-            raise DomainError("kappa_average implements the orthogonal twist "
-                              f"only, not {form.kind!r}")
-        return self.ctx.p != 2
-
-    def kappa_average(self, key, form: GroupForm) -> CharacterValue:
+    def kappa_average(self, key) -> CharacterValue:
         """Exact integral over kappa in K = GL_2(O) of f(kappa y kappa^vdash)
         with vol(K) = 1, for integral y and the orthogonal twist, at the
         key of y: the digit tuples of its entries mod pi^residue_level
@@ -228,7 +230,7 @@ class CuspidalData:
         GL_2(F_p) rows of `_pass_table`.  The test oracle
         `kappa_average_oracle` (`tests/kappa_oracle.py`) enumerates all of
         GL_2(O/pi^level) instead, and the tests hold the two equal."""
-        if self.kappa_vanishes(form):
+        if self.kappa_vanishes:
             return CharacterValue.zero(self.ctx.p)
         got = self._avg_cache.get(key)
         if got is None:
@@ -425,8 +427,7 @@ def _classify_regime(ctx: LocalFieldCtx, alpha: Elem) -> str:
     return "alpha-unit-even"
 
 
-def support_scan(data: CuspidalData, form: GroupForm,
-                 alpha: Elem) -> ScanReport:
+def support_scan(data: CuspidalData, alpha: Elem) -> ScanReport:
     """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^t) != 0.
 
     Reads, and keeps as `ScanReport.strata`, the (i, j) level records of
@@ -451,12 +452,14 @@ def support_scan(data: CuspidalData, form: GroupForm,
     y = [[r, z], [0, r]] mod pi with r != 0.  That passes f's support
     test at parity 0 (`_support_mod_pi`), so f(y) != 0 and kappa = 1 is a
     witness.  `kappa_level` is `data.residue_level`, the level mod which
-    kappa is the first witness, once a live stratum was scanned, else 0."""
+    kappa is the first witness, once a live stratum was scanned, else 0.
+    The witness `value` is f(g x g^vdash) by `Mat` products, the one
+    evaluation of f in a run, under `orthogonal_form(ctx, 2)`."""
     ctx = data.ctx
-    x = _preimage_inverse(alpha, form)
+    x0, x1 = _preimage_inverse(alpha)
     regime = _classify_regime(ctx, alpha)
     strata, witness, kappa_level = [], None, 0
-    for c in orbit_strata(data, form, x):
+    for c in orbit_strata(data, x0, x1):
         strata.append(c)
         if c.dead is not None:
             continue
@@ -464,12 +467,13 @@ def support_scan(data: CuspidalData, form: GroupForm,
         kap = _kappa_witness(data, c.key)
         g0 = n_b(ctx, ctx.from_digits(-c.j, c.digits)) * a_e(ctx, c.i)
         gw = kap * g0
+        y = gw * Mat.diag(ctx, [x0, x1]) * vdash(gw, orthogonal_form(ctx, 2))
         witness = {
             "i": c.i,
             "b_level": c.j,
             "b": list(c.digits) + [0] * (c.j - len(c.digits)),
             "kappa": kap.to_digit_lists(4),
-            "value": data.f(gw * x * vdash(gw, form)).to_json(),
+            "value": data.f(y).to_json(),
         }
         break
     if witness is None and regime == "alpha-unit-even":

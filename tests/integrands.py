@@ -4,7 +4,6 @@ unit determinant, nonzero at odd p where every K-average of
 integrality test."""
 
 from twirl.cyclotomic import CharacterValue
-from twirl.matlattice import mat_ord
 
 
 class IntegralIndicator:
@@ -12,25 +11,24 @@ class IntegralIndicator:
     determinant; K-twisted-conjugation invariant, so its K-average is a
     membership bit.  Like `CuspidalData`, it takes the K-average at the
     key of y (`integrator.Coset.key`), which it does not read: the
-    prefilter has already settled the bit."""
+    prefilter has already settled the bit.  Its prefilter reads y =
+    diag(y00, y11), as the walk asks it."""
 
     detval_support = frozenset((0,))
     residue_level = 2
+    kappa_vanishes = False
 
     def __init__(self, ctx):
         self.ctx = ctx
 
-    def support_prefilter(self, y, form):
-        if mat_ord(y) < 0:
+    def support_prefilter(self, y00, y11):
+        if y00.val < 0 or y11.val < 0:
             return "not integral"
-        if y.det().val != 0:
+        if y00.val + y11.val != 0:
             return "wrong determinant"
         return None
 
-    def kappa_vanishes(self, form):
-        return False
-
-    def kappa_average(self, key, form):
+    def kappa_average(self, key):
         return CharacterValue.one(self.ctx.p)
 
 
@@ -41,5 +39,5 @@ class NonIntegralIndicator(IntegralIndicator):
     pi^level, it is nonzero off the integral y, where `orbit_strata`
     gives no key (None)."""
 
-    def support_prefilter(self, y, form):
-        return "wrong determinant" if y.det().val != 0 else None
+    def support_prefilter(self, y00, y11):
+        return "wrong determinant" if y00.val + y11.val != 0 else None

@@ -121,11 +121,10 @@ def kappa_key(y: Mat, level: int) -> tuple:
     return residue_key(y, level), y.det().val % 2
 
 
-def coset_y(c, x: Mat) -> Mat:
+def coset_y(c, x0: Elem, x1: Elem) -> Mat:
     """y = pi^i [[x0, b(x0 + x1)], [0, x1]] of the `orbit_strata` record
-    c for the diagonal argument x, at b = pi^(-j) digits."""
-    ctx = x.ctx
-    (x0, _), (_, x1) = x.rows
+    c for the argument x = diag(x0, x1), at b = pi^(-j) digits."""
+    ctx = x0.ctx
     y01 = ctx.from_digits(c.i - c.j, c.digits) * (x0 + x1).normalized()
     return Mat(ctx, [[x0.shift(c.i), y01], [ctx.zero(), x1.shift(c.i)]])
 

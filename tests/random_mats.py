@@ -1,8 +1,14 @@
-"""Seeded random matrices over F for the tests."""
+"""Seeded random matrices over F, and the matrix valuation `mat_ord`,
+for the tests."""
 
 from twirl.errors import PrecisionExhausted
 from twirl.localfield import INF
 from twirl.matlattice import Mat
+
+
+def mat_ord(x: Mat):
+    """ord(X) = min over entries; -log_q of the max-entry norm."""
+    return min(a.val for r in x.rows for a in r)
 
 
 def random_mat(ctx, n: int, rng, vmin: int = -2, vmax: int = 3,

@@ -11,12 +11,12 @@ from fractions import Fraction
 from twirl import integrator
 from twirl.cyclotomic import CharacterValue
 from twirl.integrator import regular_preimage
-from twirl.matlattice import mat_ord
+from twirl.matlattice import Mat
 
 from kappa_oracle import kappa_key
 
 
-def rg_term(data, form, trunc) -> CharacterValue:
+def rg_term(data, trunc) -> CharacterValue:
     """Integral over the strata with e != 0 of vol |D_eps(gamma)| times
     the K-average of f(kappa S(gamma)^(-1) kappa^vdash).  Every stratum
     builds x (the regularity checks of `regular_preimage`); x is averaged
@@ -25,15 +25,16 @@ def rg_term(data, form, trunc) -> CharacterValue:
     (`data.kappa_vanishes`)."""
     ctx = data.ctx
     acc = CharacterValue.zero(ctx.p)
-    for stratum in integrator.torus_strata(data, form, trunc):
+    for stratum in integrator.torus_strata(data, trunc):
         if not stratum.e:
             continue
-        x, dexp = regular_preimage(form, stratum.alpha, stratum.label)
-        if (data.kappa_vanishes(form) or mat_ord(x) < 0
-                or x.det().val != 0):
+        (x0, x1), dexp = regular_preimage(stratum.alpha, stratum.label)
+        if (data.kappa_vanishes or x0.val < 0 or x1.val < 0
+                or x0.val + x1.val != 0):
             continue
-        if data.support_prefilter(x, form) is not None:
+        if data.support_prefilter(x0, x1) is not None:
             continue
-        favg = data.kappa_average(kappa_key(x, data.residue_level), form)
+        x = Mat.diag(ctx, [x0, x1])
+        favg = data.kappa_average(kappa_key(x, data.residue_level))
         acc = acc + favg.scale(stratum.vol * Fraction(ctx.q) ** (-dexp))
     return acc

@@ -101,16 +101,16 @@ def test_criterion_5_twisted_centralizer():
     one Random(10)), the solution tree has one leaf per point of the
     torus mod pi^4, and the twisted discriminant reports kernel dim 1."""
     c = ctx5()
-    form = orthogonal_form(c, 2)
     rng = random.Random(10)
     p, m = c.p, 4
     two, three = c.from_int(2), c.from_int(3)
     for alpha in (two, two + c.pi(1), three, three + c.pi(1), two - c.pi(2)):
-        rep = twisted_centralizer_sample(alpha, form, m, 2000, rng)
+        rep = twisted_centralizer_sample(alpha, m, 2000, rng)
         assert rep.all_in_torus, alpha
         assert rep.tree_leaves == (p - 1) * p ** (m - 1), alpha
-        x = norm_preimage(alpha, form).inverse()
-        assert twisted_discriminant(x, form).kernel_dim == 1, alpha
+        x = norm_preimage(alpha).inverse()
+        assert twisted_discriminant(x.rows[0][0],
+                                    x.rows[1][1]).kernel_dim == 1, alpha
 
 
 def test_criterion_6_character_suite():
@@ -159,16 +159,15 @@ def test_criterion_8_odd_factorization():
     twisted conjugate of S(gamma)^(-1) meets C at alpha = -1 + pi)."""
     t0 = time.perf_counter()
     c = ctx5()
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    data = CuspidalData(c)
     trunc = TruncationSpec(gamma_depth=5, k_max=6, unit_depth=2)
-    table = assemble_coefficients(data, form, trunc)
+    table = assemble_coefficients(data, trunc)
     c0 = table.values[0]
     for k in table.ks:
         assert table.values[k] == c0.scale(4 * k + 1), k
     units = card_unit_square_classes(c)
-    assert c0 == rg_term(data, form, trunc).scale(2 * units)
-    assert support_scan(data, form,
-                        parse_elem(c, "-1+pi")).witness is not None
+    assert c0 == rg_term(data, trunc).scale(2 * units)
+    assert support_scan(data, parse_elem(c, "-1+pi")).witness is not None
     assert time.perf_counter() - t0 <= 300
 
 
@@ -180,8 +179,7 @@ def even_pipeline_summary():
     from there."""
     ctx = LocalFieldCtx(2, 2, (-2, 0, 1), 24)
     trunc = TruncationSpec(gamma_depth=6, k_max=8, unit_depth=3)
-    table = assemble_coefficients(CuspidalData(ctx), orthogonal_form(ctx, 2),
-                                  trunc)
+    table = assemble_coefficients(CuspidalData(ctx), trunc)
     vals = [table.values[k] for k in table.ks]
     d2 = [vals[k + 2] - vals[k + 1].scale(2) + vals[k]
           for k in range(len(vals) - 2)]

@@ -937,7 +937,6 @@ def test_coeff_csv_matches_csv_writer(tmp_path, p):
     bytes: on the coeffs table of a small config at p and on a seeded
     table with negative and fractional coordinates and k past 9."""
     from twirl.integrator import assemble_coefficients
-    from twirl.matlattice import orthogonal_form
     from twirl.supercuspidal import CuspidalData
 
     cfg_path = tmp_path / "cfg.ini"
@@ -946,8 +945,7 @@ def test_coeff_csv_matches_csv_writer(tmp_path, p):
                             p=p, e=1, eis=f"{-p},1", n=16, regime="odd",
                             depth=2, ud=1).replace("k_max = 8", "k_max = 3"))
     cfg = cli.RunConfig.load(str(cfg_path))
-    table = assemble_coefficients(CuspidalData(cfg.ctx),
-                                  orthogonal_form(cfg.ctx, 2), cfg.trunc)
+    table = assemble_coefficients(CuspidalData(cfg.ctx), cfg.trunc)
     assert cli._coeff_csv(table.ks, table.values) == \
         _csv_writer_text(table.ks, table.values)
     rng = random.Random(p)

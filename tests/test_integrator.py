@@ -18,18 +18,18 @@ from twirl.integrator import (TruncationSpec, _delta_totals,
 from twirl.localfield import (Elem, LocalFieldCtx, card_unit_square_classes,
                               parse_elem, square_class_reps,
                               unit_digit_tuples)
-from twirl.matlattice import (Mat, a_e, n_b, orthogonal_form, symplectic_form,
-                              vdash)
+from twirl.matlattice import Mat, a_e, n_b, orthogonal_form, vdash
 from twirl.supercuspidal import CuspidalData, support_scan
 from twirl.twisted import norm_preimage, twisted_discriminant
 
 from coset_walk import coset_strata
 from integrands import IntegralIndicator, NonIntegralIndicator
 from kappa_oracle import coset_y, kappa_average_oracle, kappa_key
+from random_mats import mat_ord
 import residue_oracle as oracle
 from rg_oracle import rg_term
 import twisted_oracles
-from twisted_oracles import (norm_preimage_general,
+from twisted_oracles import (is_eps_symmetric, norm_preimage_general,
                              twisted_discriminant_charpoly,
                              twisted_discriminant_oracle)
 from unit_digit_strata import unit_digit_strata, unit_digits
@@ -51,11 +51,10 @@ def test_torus_strata_volumes():
     m = residue_level - e = 2 - e, capped at unit_depth, for the
     indicator of M_2(O).  Each class representative has its own digits."""
     c = ctx5()
-    form = orthogonal_form(c, 2)
     for ud in (1, 2, 3):
         trunc = TruncationSpec(gamma_depth=4, unit_depth=ud)
         for data in (CuspidalData(c), IntegralIndicator(c)):
-            strata = [s for s in torus_strata(data, form, trunc) if s.e]
+            strata = [s for s in torus_strata(data, trunc) if s.e]
             for sign in (1, -1):
                 for e in range(1, 5):
                     m = (0 if isinstance(data, CuspidalData)
@@ -105,9 +104,8 @@ def test_class_weight_matches_counting_oracle(mk):
 def test_orbit_strata_shape_even():
     c = ctx2()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
-    x = norm_preimage(c.one() + c.pi(3), form).inverse()
-    strata = orbit_strata(data, form, x)
+    strata = orbit_strata(data, *integrator._preimage_inverse(c.one()
+                                                              + c.pi(3)))
     live = [s for s in strata if not s.dead]
     assert {s.i for s in live} == {3}
     assert {s.j for s in live} == {0, 1, 2, 3}
@@ -118,27 +116,24 @@ def test_orbit_strata_shape_even():
     # interior strata away from the two deepest levels average to 1
     for s in live:
         if s.j <= s.i - 2:
-            assert data.kappa_average(s.key, form) == CharacterValue.one(2)
+            assert data.kappa_average(s.key) == CharacterValue.one(2)
 
 
 def test_psi_k_vanishing_regimes():
     c = ctx5()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
     for spec in ("pi", "2"):
         alpha = parse_elem(c, spec)
-        table = orbit_weight_integral(data, form, alpha, range(3))
+        table = orbit_weight_integral(data, alpha, range(3))
         assert all(table[k].is_zero() for k in range(3))
     with pytest.raises(NotRegular):
-        orbit_weight_integral(data, form, c.one(), range(2))
+        orbit_weight_integral(data, c.one(), range(2))
 
 
 def test_psi_k_positive_even():
     c = ctx2()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
-    table = orbit_weight_integral(
-        data, form, c.one() + c.pi(2), range(4))
+    table = orbit_weight_integral(data, c.one() + c.pi(2), range(4))
     for k in range(4):
         assert table[k].rational_part() > 0
 
@@ -156,17 +151,17 @@ def test_one_norm_preimage_per_torus_stratum(monkeypatch):
         inverses.append(self)
         return real_inverse(self)
 
-    def counting(alpha, form):
+    def counting(alpha):
         before = len(inverses)
-        x = real_preimage(alpha, form)
+        x = real_preimage(alpha)
         per_call.append(len(inverses) - before)
         return x
 
     monkeypatch.setattr(Elem, "inverse", counting_inverse)
     monkeypatch.setattr(integrator, "_preimage_inverse", counting)
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
-    assemble_coefficients(data, form, trunc)
-    assert per_call == [1] * 2 == [1] * len(torus_strata(data, form, trunc))
+    data = CuspidalData(c)
+    assemble_coefficients(data, trunc)
+    assert per_call == [1] * 2 == [1] * len(torus_strata(data, trunc))
 
 
 @pytest.mark.parametrize("p, e, eis, precision, depth, ud, want, n_records", [
@@ -186,22 +181,22 @@ def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
     `orbit_strata` would walk 12 forced i and write 27 records there (51
     on even-p2)."""
     c = LocalFieldCtx(p, e, eis, precision)
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    data = CuspidalData(c)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=8)
     forced = records = 0
-    for stratum in torus_strata(data, form, trunc):
-        x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
-        forced += len(integrator._forced_levels(data, x)[1])
-        records += len(orbit_strata(data, form, x))
+    for stratum in torus_strata(data, trunc):
+        x, _drep = regular_preimage(stratum.alpha, stratum.label)
+        forced += len(integrator._forced_levels(data, *x)[1])
+        records += len(orbit_strata(data, *x))
     calls = []
     real = CuspidalData.support_prefilter
 
-    def counting(self, y, form):
-        calls.append(y)
-        return real(self, y, form)
+    def counting(self, y00, y11):
+        calls.append((y00, y11))
+        return real(self, y00, y11)
 
     monkeypatch.setattr(CuspidalData, "support_prefilter", counting)
-    assemble_coefficients(data, form, trunc)
+    assemble_coefficients(data, trunc)
     assert forced == want and records == n_records
     assert len(calls) == (0 if p != 2 else forced + 4)
 
@@ -209,9 +204,8 @@ def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
 def test_verification_strata_contribute_zero():
     c = ctx5()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=2, k_max=2, unit_depth=2)
-    table = assemble_coefficients(data, form, trunc)
+    table = assemble_coefficients(data, trunc)
     for s, tab in table.per_stratum:
         if s.label.startswith("unit-class"):
             assert all(v.is_zero() for v in tab.values())
@@ -247,16 +241,16 @@ def test_level_walk_matches_coset_walk():
     is 0, so there the key counts carry the check."""
     for (p, e, eis), depth in LEVEL_WALK_FIELDS:
         c = LocalFieldCtx(p, e, eis, 20)
-        q, form = c.q, orthogonal_form(c, 2)
-        strata = unit_digit_strata(CuspidalData(c), form,
+        q = c.q
+        strata = unit_digit_strata(CuspidalData(c),
                                    TruncationSpec(gamma_depth=depth,
                                                   unit_depth=1))
         for data in (CuspidalData(c), IntegralIndicator(c)):
             for stratum in strata:
                 where = (eis, type(data).__name__, stratum.label)
-                x = norm_preimage(stratum.alpha, form).inverse()
-                full = _by_level(coset_strata(data, form, x))
-                fast = _by_level(orbit_strata(data, form, x))
+                x = integrator._preimage_inverse(stratum.alpha)
+                full = _by_level(coset_strata(data, *x))
+                fast = _by_level(orbit_strata(data, *x))
                 assert full.keys() == fast.keys(), where
                 for (i, j), cosets in full.items():
                     records = fast[i, j]
@@ -269,7 +263,7 @@ def test_level_walk_matches_coset_walk():
                     y_at = {r.digits: r.y for r in cosets}
                     for r in records:
                         pad = (0,) * (j - len(r.digits))
-                        assert coset_y(r, x) == y_at[r.digits + pad], where
+                        assert coset_y(r, *x) == y_at[r.digits + pad], where
                     if verdicts != {None}:
                         continue
                     lvl = data.residue_level
@@ -278,10 +272,10 @@ def test_level_walk_matches_coset_walk():
                     for r in cosets:
                         key = kappa_key(r.y, lvl)
                         keys_full[key] += 1
-                        want = want + data.kappa_average(key, form)
+                        want = want + data.kappa_average(key)
                     for r in records:
                         keys_fast[r.key] += r.weight
-                        got = got + data.kappa_average(r.key, form).scale(
+                        got = got + data.kappa_average(r.key).scale(
                             r.weight)
                     assert keys_fast == keys_full, where
                     assert got == want, where
@@ -303,16 +297,14 @@ def test_record_key_matches_the_coset_walk(field, depth):
     `kappa_average_oracle` at y."""
     p, e, eis = field
     c = LocalFieldCtx(p, e, eis, 20)
-    form = orthogonal_form(c, 2)
     data = CuspidalData(c) if p == 2 else IntegralIndicator(c)
     averaged = set()
     cosets = 0
-    for stratum in unit_digit_strata(data, form,
-                                     TruncationSpec(gamma_depth=depth,
-                                                    unit_depth=1)):
-        x = norm_preimage(stratum.alpha, form).inverse()
-        live = [r for r in orbit_strata(data, form, x) if r.dead is None]
-        for cos in coset_strata(data, form, x):
+    for stratum in unit_digit_strata(data, TruncationSpec(gamma_depth=depth,
+                                                          unit_depth=1)):
+        x = integrator._preimage_inverse(stratum.alpha)
+        live = [r for r in orbit_strata(data, *x) if r.dead is None]
+        for cos in coset_strata(data, *x):
             if cos.dead is not None:
                 continue
             [r] = [r for r in live if (r.i, r.j) == (cos.i, cos.j)
@@ -322,7 +314,7 @@ def test_record_key_matches_the_coset_walk(field, depth):
             cosets += 1
             if p == 2 and key not in averaged:
                 averaged.add(key)
-                assert data.kappa_average(key, form) == \
+                assert data.kappa_average(key) == \
                     kappa_average_oracle(data, cos.y, 2), (eis, key)
     assert cosets and (p != 2 or len(averaged) > 1)
 
@@ -330,8 +322,9 @@ def test_record_key_matches_the_coset_walk(field, depth):
 def test_prefilter_verdict_is_one_per_forced_i():
     """On every torus stratum of the level-walk fields, for `CuspidalData`
     and the indicator of M_2(O), the support prefilter gives one verdict
-    on the y of every level j of a forced i (y by the `Mat` product at
-    the first and last b of the level), and `orbit_strata`, which calls
+    on the diagonal of the y of every level j of a forced i (y by the
+    `Mat` product at the first and last b of the level), and
+    `orbit_strata`, which calls
     it once per i, records that verdict on every level of i.  Both
     integrands have live i with more than one level (at p = 2 only, for
     `CuspidalData`)."""
@@ -339,30 +332,62 @@ def test_prefilter_verdict_is_one_per_forced_i():
     for (p, e, eis), depth in LEVEL_WALK_FIELDS:
         c = LocalFieldCtx(p, e, eis, 20)
         form = orthogonal_form(c, 2)
-        strata = unit_digit_strata(CuspidalData(c), form,
+        strata = unit_digit_strata(CuspidalData(c),
                                    TruncationSpec(gamma_depth=depth,
                                                   unit_depth=1))
         for data in (CuspidalData(c), IntegralIndicator(c)):
             name = type(data).__name__
             for stratum in strata:
                 where = (eis, name, stratum.label)
-                x, _drep = regular_preimage(form, stratum.alpha,
+                x, _drep = regular_preimage(stratum.alpha,
                                             stratum.label)
                 recorded = defaultdict(set)
-                for r in orbit_strata(data, form, x):
+                for r in orbit_strata(data, *x):
                     recorded[r.i].add(r.dead)
-                for i, jmax in integrator._forced_levels(data, x)[1]:
+                for i, jmax in integrator._forced_levels(data, *x)[1]:
                     verdicts = set()
                     for j in range(0, jmax + 1):
                         tuples = unit_digit_tuples(p, j)
                         for digits in {tuples[0], tuples[-1]}:
                             g0 = n_b(c, c.from_digits(-j, digits)) * a_e(c, i)
-                            y = g0 * x * vdash(g0, form)
-                            verdicts.add(data.support_prefilter(y, form))
+                            y = g0 * Mat.diag(c, x) * vdash(g0, form)
+                            verdicts.add(data.support_prefilter(y.rows[0][0],
+                                                                y.rows[1][1]))
                     assert len(verdicts) == 1, (where, i)
                     assert recorded[i] == verdicts, (where, i)
                     live_deep[name] += jmax > 0 and verdicts == {None}
     assert live_deep["CuspidalData"] and live_deep["IntegralIndicator"]
+
+
+def test_support_prefilter_reads_the_diagonal_as_the_oracles_do():
+    """On seeded y = diag(y00, y11) over the level-walk fields, the
+    prefilter's verdict is the one the `Mat` route gives: "not integral"
+    when an entry of y has negative valuation, the det reason when ord
+    det y lies outside `detval_support`, and the eps reason when the
+    general-form oracle `is_eps_symmetric` finds y not eps-symmetric mod
+    pi under the split orthogonal form.  Every verdict occurs."""
+    seen = set()
+    for (p, e, eis), _depth in LEVEL_WALK_FIELDS:
+        c = LocalFieldCtx(p, e, eis, 20)
+        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        rng = random.Random(31 * p + e)
+        for n in range(80):
+            y00 = c.random_elem(rng, -1, 2)
+            y11 = (y00 + c.random_elem(rng, 1, 3) if n % 2
+                   else c.random_elem(rng, -1, 2))
+            y = Mat.diag(c, [y00, y11])
+            if mat_ord(y) < 0:
+                want = "not integral"
+            elif y.det().val not in data.detval_support:
+                want = "det valuation outside {0,1}"
+            elif not is_eps_symmetric(y, form, mod_level=1):
+                want = "not eps-symmetric mod p"
+            else:
+                want = None
+            assert data.support_prefilter(y00, y11) == want, (eis, y)
+            seen.add(want)
+    assert seen == {"not integral", "det valuation outside {0,1}",
+                    "not eps-symmetric mod p", None}
 
 
 def test_zero_trace_raises():
@@ -370,16 +395,15 @@ def test_zero_trace_raises():
     instead of reading the b levels as unbounded (a precision-starved
     x = S(gamma)^(-1), whose trace is -1, reads the same way)."""
     c = ctx5()
-    form = orthogonal_form(c, 2)
-    x = Mat.diag(c, [c.one(), -c.one()])
+    x = (c.one(), -c.one())
     for data in (CuspidalData(c), IntegralIndicator(c)):
         with pytest.raises(PrecisionExhausted, match="trace"):
-            next(coset_strata(data, form, x))
+            next(coset_strata(data, *x))
         with pytest.raises(PrecisionExhausted, match="precision 18"):
-            orbit_strata(data, form, x)
+            orbit_strata(data, *x)
         # CuspidalData walks no level at p = 5, and still checks the trace
         with pytest.raises(PrecisionExhausted, match="^x: .*precision 18"):
-            integrator._delta_totals(data, form, x, "x")
+            integrator._delta_totals(data, *x, "x")
 
 
 def test_orbital_twisted_indicator():
@@ -388,24 +412,22 @@ def test_orbital_twisted_indicator():
     representative stays integral, counted independently from the column
     valuations."""
     c = ctx5()
-    form = orthogonal_form(c, 2)
     f = IntegralIndicator(c)
     alpha = c.from_int(2)
-    delta = norm_preimage(alpha, form).inverse()
-    assert twisted_discriminant(delta, form).regular
+    delta = integrator._preimage_inverse(alpha)
+    assert twisted_discriminant(*delta).regular
     got = CharacterValue.zero(5)
-    for s in orbit_strata(f, form, delta):
+    for s in orbit_strata(f, *delta):
         if s.dead is None:
-            got = got + f.kappa_average(s.key, form).scale(s.weight)
+            got = got + f.kappa_average(s.key).scale(s.weight)
     # independent count: i = 0 forced by det; Y integral iff
     # ord(b) + ord(trace) >= 0, so only the b in O class survives
-    tr = delta.rows[0][0] + delta.rows[1][1]
+    tr = delta[0] + delta[1]
     expected_cosets = 1 + sum(
         (5 ** j - 5 ** (j - 1)) for j in range(1, tr.val + 1))
     assert got == CharacterValue.rational(5, expected_cosets)
     # diag(1, -1) has a three-dimensional twisted centralizer Lie algebra
-    singular = Mat.diag(c, [c.one(), -c.one()])
-    assert twisted_discriminant(singular, form).kernel_dim == 3
+    assert twisted_discriminant(c.one(), -c.one()).kernel_dim == 3
 
 
 def test_rg_relation_odd():
@@ -418,23 +440,22 @@ def test_rg_relation_odd():
     relations check)."""
     c = ctx5()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
     units = card_unit_square_classes(c)
     trunc = TruncationSpec(gamma_depth=3, k_max=3, unit_depth=2)
-    table = assemble_coefficients(data, form, trunc)
+    table = assemble_coefficients(data, trunc)
     c0 = table.values[0]
-    assert c0 == rg_term(data, form, trunc).scale(2 * units)
+    assert c0 == rg_term(data, trunc).scale(2 * units)
     for k in table.ks:
         assert table.values[k] == c0.scale(4 * k + 1)
     for p, precision, depth, ud in ((3, 18, 5, 2), (5, 18, 5, 2),
                                     (7, 12, 3, 1)):
         c = LocalFieldCtx(p, 1, (-p, 1), precision)
-        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        data = CuspidalData(c)
         live = 0
         trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud)
-        for stratum in unit_digit_strata(data, form, trunc):
-            x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
-            for r in orbit_strata(data, form, x):
+        for stratum in unit_digit_strata(data, trunc):
+            x, _drep = regular_preimage(stratum.alpha, stratum.label)
+            for r in orbit_strata(data, *x):
                 if r.dead is None:
                     assert (stratum.sign, r.i, r.j) == (-1, 0, 0), (
                         p, stratum.label, r.i, r.j)
@@ -455,15 +476,15 @@ def test_rg_relation_on_sign_minus_one_strata(p, want):
     table does not factor: its sign 1 strata have live records at
     Delta_1 > 0, and b != 4a."""
     c = LocalFieldCtx(p, 1, (-p, 1), 18)
-    data, form = IntegralIndicator(c), orthogonal_form(c, 2)
+    data = IntegralIndicator(c)
     trunc = TruncationSpec(gamma_depth=3, unit_depth=2, k_max=4)
-    table = assemble_coefficients(data, form, trunc)
+    table = assemble_coefficients(data, trunc)
     assert table.b != table.a.scale(4)
     shares = [tab for s, tab in table.per_stratum if s.sign == -1]
     c_k = {k: sum((tab[k] for tab in shares), CharacterValue.zero(p))
            for k in table.ks}
     assert c_k[0] == CharacterValue.rational(p, want)
-    assert c_k[0] == rg_term(data, form, trunc).scale(2 * table.units)
+    assert c_k[0] == rg_term(data, trunc).scale(2 * table.units)
     for k in table.ks:
         assert c_k[k] == c_k[0].scale(4 * k + 1), k
 
@@ -476,10 +497,9 @@ def test_unit_class_strata_live_for_the_indicator(p):
     determinant, so the indicator of M_2(O) gives each `unit-class-c` a
     nonzero total at Delta_1 = 0 alone."""
     c = LocalFieldCtx(p, 1, (-p, 1), 18)
-    form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=3, unit_depth=2, k_max=2)
     for data, live in ((CuspidalData(c), False), (IntegralIndicator(c), True)):
-        table = assemble_coefficients(data, form, trunc)
+        table = assemble_coefficients(data, trunc)
         units = [totals for s, totals in table.stratum_totals
                  if s.label.startswith("unit-class-")]
         assert len(units) == p - 3
@@ -501,9 +521,9 @@ def test_p2_zero_slope_stratum_by_stratum(eis):
     -2^(e-1)/3, T_{e,1} = -2^(e-2)/3, T_{e,d} = 2^(e-1-d) for
     2 <= d < e, and T_{e,e} = 1."""
     c = LocalFieldCtx(2, len(eis) - 1, eis, 24)
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    data = CuspidalData(c)
     trunc = TruncationSpec(gamma_depth=5, k_max=2)
-    table = assemble_coefficients(data, form, trunc)
+    table = assemble_coefficients(data, trunc)
     assert table.b.is_zero() and not table.a.is_zero()
     es = []
     for s, totals in table.stratum_totals:
@@ -511,10 +531,10 @@ def test_p2_zero_slope_stratum_by_stratum(eis):
         assert sum(totals.values(), CharacterValue.zero(2)).is_zero(), s.label
         es.append(s.e)
     assert sorted(es) == [1, 2, 3, 4, 5]
-    for stratum in torus_strata(data, form, trunc):
+    for stratum in torus_strata(data, trunc):
         if stratum.e:
-            x, _dexp = regular_preimage(form, stratum.alpha, stratum.label)
-            raw = _delta_totals(data, form, x, stratum.label)
+            x, _dexp = regular_preimage(stratum.alpha, stratum.label)
+            raw = _delta_totals(data, *x, stratum.label)
             assert raw == _p2_raw_row(stratum.e), stratum.label
 
 
@@ -532,8 +552,7 @@ def _p2_raw_row(e):
 def test_coefficient_A_B():
     c = ctx2()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
-    a, b, incs = coefficient_A_B(data, form, TruncationSpec(gamma_depth=5))
+    a, b, incs = coefficient_A_B(data, TruncationSpec(gamma_depth=5))
     assert a > 0 and b > 0
     avals = [ai for _, ai, _ in incs]
     bvals = [bi for _, _, bi in incs]
@@ -547,8 +566,7 @@ def test_coefficient_A_B():
     for data in (CuspidalData(ctx5()),
                  IntegralIndicator(LocalFieldCtx(2, 1, (-2, 1), 24))):
         with pytest.raises(DomainError, match=want):
-            coefficient_A_B(data, orthogonal_form(data.ctx, 2),
-                            TruncationSpec())
+            coefficient_A_B(data, TruncationSpec())
 
 
 def test_coefficient_A_B_makes_one_report(monkeypatch):
@@ -560,20 +578,18 @@ def test_coefficient_A_B_makes_one_report(monkeypatch):
     reports = []
     report = integrator.discriminant_report
 
-    def counted(form, alpha, label):
+    def counted(alpha, label):
         reports.append(label)
-        return report(form, alpha, label)
+        return report(alpha, label)
 
     monkeypatch.setattr(integrator, "discriminant_report", counted)
     c = ctx2()
-    form = orthogonal_form(c, 2)
-    a, b, incs = coefficient_A_B(CuspidalData(c), form,
-                                 TruncationSpec(gamma_depth=5))
+    a, b, incs = coefficient_A_B(CuspidalData(c), TruncationSpec(gamma_depth=5))
     assert reports == ["1+pi^5"]
     q = Fraction(c.q)
     for e, a_inc, b_inc in incs:
         alpha = c.one() + c.pi(e)
-        deps = q ** -report(form, alpha, f"1+pi^{e}").ord_value
+        deps = q ** -report(alpha, f"1+pi^{e}").ord_value
         shell = [1] + [c.q ** j - c.q ** (j - 1) for j in range(1, e)]
         assert a_inc == q ** -e * deps * sum(
             n * (2 * (e - j) + 1) for j, n in enumerate(shell))
@@ -581,16 +597,14 @@ def test_coefficient_A_B_makes_one_report(monkeypatch):
     assert (a, b) == (sum(i[1] for i in incs), sum(i[2] for i in incs))
     low = LocalFieldCtx(2, 2, (-2, 0, 1), 12)
     with pytest.raises(PrecisionExhausted, match=r"1\+pi\^12,"):
-        coefficient_A_B(CuspidalData(low), orthogonal_form(low, 2),
-                        TruncationSpec(gamma_depth=12))
+        coefficient_A_B(CuspidalData(low), TruncationSpec(gamma_depth=12))
 
 
 def test_even_pipeline_affine_and_positive_constant():
     c = ctx2()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=4, k_max=5, unit_depth=3)
-    table = assemble_coefficients(data, form, trunc)
+    table = assemble_coefficients(data, trunc)
     vals = [table.values[k] for k in table.ks]
     assert vals[0].rational_part() > 0
     d2 = [vals[k + 2] - vals[k + 1].scale(2) + vals[k]
@@ -607,18 +621,16 @@ def test_central_torus_stratum_raises():
     c = LocalFieldCtx(2, 2, (2, 0, 1), 24)
     central = c.one() + c.pi(2)
     assert central == -c.one()
-    form = orthogonal_form(c, 2)
     with pytest.raises(NotRegular, match="sign1-e2"):
-        regular_preimage(form, central, "sign1-e2")
+        regular_preimage(central, "sign1-e2")
     trunc = TruncationSpec(gamma_depth=3, unit_depth=3, k_max=2)
-    reps = [s.alpha for s in torus_strata(CuspidalData(c), form, trunc)
+    reps = [s.alpha for s in torus_strata(CuspidalData(c), trunc)
             if s.label == "sign1-e2"]
     assert central not in reps and central + c.pi(5) in reps
     twin = LocalFieldCtx(2, 2, (-2, 0, 1), 24)
     got, want = [
-        (assemble_coefficients(CuspidalData(f), orthogonal_form(f, 2),
-                               trunc).values,
-         coefficient_A_B(CuspidalData(f), orthogonal_form(f, 2), trunc))
+        (assemble_coefficients(CuspidalData(f), trunc).values,
+         coefficient_A_B(CuspidalData(f), trunc))
         for f in (c, twin)]
     assert got == want
 
@@ -633,7 +645,7 @@ def test_undecidable_discriminant_raises(precision, depth, label):
     c = LocalFieldCtx(2, 2, (-2, 0, 1), precision)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=1, k_max=2)
     with pytest.raises(PrecisionExhausted, match=label):
-        assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
+        assemble_coefficients(CuspidalData(c), trunc)
 
 
 def test_closed_form_decides_former_undecidable_inputs():
@@ -644,8 +656,7 @@ def test_closed_form_decides_former_undecidable_inputs():
     outs = set()
     for precision in (16, 18, 30):
         c = LocalFieldCtx(2, 2, (-2, 0, 1), precision)
-        table = assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2),
-                                      trunc)
+        table = assemble_coefficients(CuspidalData(c), trunc)
         outs.add(json.dumps(table.to_json()["values"], sort_keys=True))
         assert table.values[0].to_json() == ["20791/32768"]
     assert len(outs) == 1
@@ -661,12 +672,12 @@ def test_discriminant_routes_on_every_torus_stratum():
     `regular_preimage`, ord 2 + 2 ord(alpha - 1) - ord(alpha), equals
     that valuation.  Every alpha of `torus_strata` is regular by exact
     zero tests of alpha -+ 1.  diag(1, -1) has kernel dim 3 and lowterm
-    2; a non-diagonal argument and the symplectic twist are refused."""
+    2."""
     fields = [f for f, _depth in LEVEL_WALK_FIELDS] + [(2, 2, (2, 0, 1))]
     for p, e, eis in fields:
         c = LocalFieldCtx(p, e, eis, 20)
         form = orthogonal_form(c, 2)
-        strata = unit_digit_strata(CuspidalData(c), form,
+        strata = unit_digit_strata(CuspidalData(c),
                                    TruncationSpec(gamma_depth=4))
         signs = {s.sign for s in strata}
         alphas = [(s.label, s.alpha) for s in strata]
@@ -675,15 +686,14 @@ def test_discriminant_routes_on_every_torus_stratum():
             where = (eis, label)
             assert not any((alpha + c.from_int(t)).normalized()
                            .is_zero() for t in (1, -1)), where
-            x = norm_preimage(alpha, form).inverse()
+            x = norm_preimage(alpha).inverse()
+            closed = twisted_discriminant(x.rows[0][0], x.rows[1][1])
             reports = [route(x, form) for route in (
-                twisted_discriminant, twisted_discriminant_charpoly,
-                twisted_discriminant_oracle)]
-            closed = reports[0]
+                twisted_discriminant_charpoly, twisted_discriminant_oracle)]
             assert closed.kernel_dim == 1 and closed.regular
-            _x, dexp = regular_preimage(form, alpha, label)
+            _x, dexp = regular_preimage(alpha, label)
             assert dexp == closed.ord_value, where
-            for rep in reports[1:]:
+            for rep in reports:
                 assert rep.ord_value == closed.ord_value, where
                 assert rep.kernel_dim == closed.kernel_dim, where
                 assert rep.charpoly_lowterm == closed.charpoly_lowterm, where
@@ -691,15 +701,9 @@ def test_discriminant_routes_on_every_torus_stratum():
         want = {1} if p == 2 else {1, -1} | ({0} if p > 3 else set())
         assert signs == want, eis
     c = ctx5()
-    form = orthogonal_form(c, 2)
-    rep = twisted_discriminant(Mat.diag(c, [c.one(), -c.one()]), form)
+    rep = twisted_discriminant(c.one(), -c.one())
     assert (rep.kernel_dim, rep.regular) == (3, False)
     assert rep.charpoly_lowterm == c.from_int(2)
-    with pytest.raises(ValueError):
-        twisted_discriminant(Mat.from_ints(c, [[1, 1], [0, 2]]), form)
-    with pytest.raises(DomainError):
-        twisted_discriminant(Mat.diag(c, [c.one(), c.from_int(2)]),
-                             symplectic_form(c, 2))
 
 
 def test_pipeline_never_calls_the_charpoly(monkeypatch):
@@ -723,17 +727,16 @@ def test_pipeline_never_calls_the_charpoly(monkeypatch):
     calls = []
     closed = integrator.twisted_discriminant
 
-    def counting(delta, form):
-        calls.append(delta)
-        return closed(delta, form)
+    def counting(x0, x1):
+        calls.append((x0, x1))
+        return closed(x0, x1)
 
     monkeypatch.setattr(integrator, "twisted_discriminant", counting)
     c = ctx2()
-    form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=3, k_max=1, unit_depth=2)
-    assemble_coefficients(CuspidalData(c), form, trunc)
+    assemble_coefficients(CuspidalData(c), trunc)
     assert calls == []
-    coefficient_A_B(CuspidalData(c), form, trunc)
+    coefficient_A_B(CuspidalData(c), trunc)
     assert len(calls) == 1
 
 
@@ -743,52 +746,41 @@ def test_closed_form_preimage_on_every_torus_stratum():
     `regular_preimage` (x0 = (alpha - 1)^(-1), x1 = -alpha x0) equals its
     `Mat.inverse`, with at least the general route's tracked validity:
     the closed form loses no digits.  alpha = 1 raises NotRegular on the
-    split closed form, and a non-split form (the symplectic one) raises
-    DomainError at every alpha."""
+    closed form."""
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS:
         c = LocalFieldCtx(p, e, eis, 20)
         form = orthogonal_form(c, 2)
-        strata = unit_digit_strata(CuspidalData(c), form,
+        strata = unit_digit_strata(CuspidalData(c),
                                    TruncationSpec(gamma_depth=4))
         for stratum in strata:
             where = (eis, stratum.label)
             general = norm_preimage_general(stratum.alpha, form)
-            assert norm_preimage(stratum.alpha, form) == general, where
-            x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
+            assert norm_preimage(stratum.alpha) == general, where
+            x, _drep = regular_preimage(stratum.alpha, stratum.label)
             want = general.inverse()
-            assert x == want, where
-            assert x.rows[0][1].is_zero() and x.rows[1][0].is_zero()
+            assert Mat.diag(c, x) == want, where
             for k in (0, 1):
-                assert (x.rows[k][k].normalized().mexp
+                assert (x[k].normalized().mexp
                         >= want.rows[k][k].normalized().mexp), where
         minus = -c.one()
         general = norm_preimage_general(minus, form)
-        assert norm_preimage(minus, form) == general, eis
-        assert integrator._preimage_inverse(minus, form) == general.inverse()
-        one = c.one()
+        assert norm_preimage(minus) == general, eis
+        assert Mat.diag(c, integrator._preimage_inverse(minus)) \
+            == general.inverse()
         with pytest.raises(NotRegular):
-            integrator._preimage_inverse(one, form)
-        symp = symplectic_form(c, 2)
-        assert form.split and not symp.split
-        for alpha in (one, minus, c.from_int(3)):
-            with pytest.raises(DomainError, match="split orthogonal form"):
-                integrator._preimage_inverse(alpha, symp)
+            integrator._preimage_inverse(c.one())
 
 
-# every function that takes alpha, called on (data, form, alpha); the
-# last two name the stratum "here"
+# every function that takes alpha, called on (data, alpha); the last two
+# name the stratum "here"
 ALPHA_ENTRY_POINTS = {
-    "norm_preimage": lambda data, form, a: norm_preimage(a, form),
-    "_preimage_inverse":
-        lambda data, form, a: integrator._preimage_inverse(a, form),
-    "discriminant_report":
-        lambda data, form, a: discriminant_report(form, a, "here"),
-    "support_scan": lambda data, form, a: support_scan(data, form, a),
-    "regular_preimage":
-        lambda data, form, a: regular_preimage(form, a, "here"),
+    "norm_preimage": lambda data, a: norm_preimage(a),
+    "_preimage_inverse": lambda data, a: integrator._preimage_inverse(a),
+    "discriminant_report": lambda data, a: discriminant_report(a, "here"),
+    "support_scan": lambda data, a: support_scan(data, a),
+    "regular_preimage": lambda data, a: regular_preimage(a, "here"),
     "orbit_weight_integral":
-        lambda data, form, a: orbit_weight_integral(data, form, a, range(2),
-                                                    "here"),
+        lambda data, a: orbit_weight_integral(data, a, range(2), "here"),
 }
 
 
@@ -800,18 +792,18 @@ def test_alpha_zero_and_one_are_refused_on_every_entry_point(mk, entry):
     and `orbit_weight_integral` through it, name the stratum at alpha = 1
     and at alpha = -1; the others say that gamma - 1 is singular."""
     c = mk()
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    data = CuspidalData(c)
     call = ALPHA_ENTRY_POINTS[entry]
     with pytest.raises(Singular, match="^inverse of zero$"):
-        call(data, form, c.zero())
+        call(data, c.zero())
     if entry in ("regular_preimage", "orbit_weight_integral"):
         for alpha in (c.one(), -c.one()):
             with pytest.raises(NotRegular,
                                match="^gamma must be regular at here$"):
-                call(data, form, alpha)
+                call(data, alpha)
     else:
         with pytest.raises(NotRegular, match="^gamma - 1 is singular$"):
-            call(data, form, c.one())
+            call(data, c.one())
 
 
 def test_grouped_psi_k_equals_per_record_sum():
@@ -822,21 +814,20 @@ def test_grouped_psi_k_equals_per_record_sum():
     ks = range(0, 5)
     for (p, e, eis), _depth in LEVEL_WALK_FIELDS[:3]:
         c = LocalFieldCtx(p, e, eis, 20)
-        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        data = CuspidalData(c)
         units = card_unit_square_classes(c)
         nonzero = 0
-        for stratum in unit_digit_strata(data, form,
-                                         TruncationSpec(gamma_depth=4)):
-            x, _drep = regular_preimage(form, stratum.alpha, stratum.label)
+        for stratum in unit_digit_strata(data, TruncationSpec(gamma_depth=4)):
+            x, _drep = regular_preimage(stratum.alpha, stratum.label)
             want = {k: CharacterValue.zero(p) for k in ks}
-            for r in orbit_strata(data, form, x):
+            for r in orbit_strata(data, *x):
                 if r.dead is not None:
                     continue
-                f_avg = data.kappa_average(r.key, form)
+                f_avg = data.kappa_average(r.key)
                 for k in ks:
                     w = oracle.class_weight_from_delta(r.i - r.j, units, k)
                     want[k] = want[k] + f_avg.scale(r.weight * w)
-            got = orbit_weight_integral(data, form, stratum.alpha,
+            got = orbit_weight_integral(data, stratum.alpha,
                                         ks, stratum.label)
             assert got == want, (eis, stratum.label)
             nonzero += sum(not v.is_zero() for v in got.values())
@@ -854,7 +845,7 @@ def test_per_stratum_sums_to_values(p, e, eis, integrand, depth, ud, k_max):
     nonzero."""
     c = LocalFieldCtx(p, e, eis, 24)
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=k_max)
-    table = assemble_coefficients(integrand(c), orthogonal_form(c, 2), trunc)
+    table = assemble_coefficients(integrand(c), trunc)
     nonzero = 0
     for k in table.ks:
         total = CharacterValue.zero(p)
@@ -871,8 +862,7 @@ def test_indicator_coefficients_pinned():
     scale 2 vol |D_eps| and the class weight together."""
     c = ctx5()
     trunc = TruncationSpec(gamma_depth=3, unit_depth=1, k_max=2)
-    table = assemble_coefficients(IntegralIndicator(c), orthogonal_form(c, 2),
-                                  trunc)
+    table = assemble_coefficients(IntegralIndicator(c), trunc)
     assert [table.values[k].rational_part() for k in table.ks] == [
         Fraction(6300498, 1953125), Fraction(30977498, 1953125),
         Fraction(55654498, 1953125)]
@@ -894,10 +884,9 @@ def test_pair_equals_the_generic_chain(field):
     printed c_k at k_max 4..10.  Every odd-p table of `CuspidalData` is
     0, so there the zero regime is what is compared."""
     c = LocalFieldCtx(*field, 20)
-    form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=3, unit_depth=1, k_max=10)
     for data in (CuspidalData(c), IntegralIndicator(c)):
-        table = assemble_coefficients(data, form, trunc)
+        table = assemble_coefficients(data, trunc)
         run = {}
         for _s, totals in table.stratum_totals:
             assert min(totals, default=0) >= 0
@@ -926,22 +915,20 @@ def test_negative_delta_total_raises():
     that integrand up front, as its prefilter keeps the y of ord det 0
     that is not integral (`_certify_noncompact`)."""
     c = ctx5()
-    form = orthogonal_form(c, 2)
     trunc = TruncationSpec(gamma_depth=1, unit_depth=1, k_max=2)
     units = card_unit_square_classes(c)
     assert oracle.class_weight_from_delta(-1, units, 0) == 0 != -units
     with pytest.raises(DomainError, match="noncompact-pi\\^2: nonzero total "
                                           "at Delta_1 = -1 < 0"):
-        orbit_weight_integral(NonIntegralIndicator(c), form,
-                              c.pi(2), range(3), "noncompact-pi^2")
+        orbit_weight_integral(NonIntegralIndicator(c), c.pi(2), range(3),
+                              "noncompact-pi^2")
     with pytest.raises(DomainError, match="^noncompact torus: the support "
                        "prefilter keeps y = diag\\(-pi\\^-1, pi\\^1\\), so "
                        "the region cannot be certified to add 0$"):
-        assemble_coefficients(NonIntegralIndicator(c), form, trunc)
-    psi = orbit_weight_integral(IntegralIndicator(c), form,
-                                c.pi(2), range(3))
+        assemble_coefficients(NonIntegralIndicator(c), trunc)
+    psi = orbit_weight_integral(IntegralIndicator(c), c.pi(2), range(3))
     assert all(v.is_zero() for v in psi.values())
-    assemble_coefficients(IntegralIndicator(c), form, trunc)
+    assemble_coefficients(IntegralIndicator(c), trunc)
 
 
 # p = 2: x^2 - 2, x^3 - 2; p = 3: x^2 + 3x - 3, x - 3; p = 5: x - 5;
@@ -963,23 +950,22 @@ def test_noncompact_torus_adds_nothing(p, e, eis):
     (`_certify_noncompact`), which the integrand without an integrality
     test fails."""
     c = LocalFieldCtx(p, e, eis, 20)
-    form = orthogonal_form(c, 2)
     rng = random.Random(13)
     integrands = [IntegralIndicator(c)] + ([CuspidalData(c)] if p == 2
                                            else [])
     for data in integrands:
-        integrator._certify_noncompact(data, form)
+        integrator._certify_noncompact(data)
         for t in [t for t in range(-6, 7) if t]:
             for _ in range(4):
                 u = c.random_unit(rng)
                 label = f"pi^{t} u = {u}"
-                x, _dexp = regular_preimage(form, u.shift(t), label)
-                records = orbit_strata(data, form, x)
+                x, _dexp = regular_preimage(u.shift(t), label)
+                records = orbit_strata(data, *x)
                 assert all(r.dead is not None for r in records), label
-                assert _delta_totals(data, form, x, label) == {}, label
+                assert _delta_totals(data, *x, label) == {}, label
     with pytest.raises(DomainError, match="^noncompact torus: the support "
                                           "prefilter keeps y"):
-        integrator._certify_noncompact(NonIntegralIndicator(c), form)
+        integrator._certify_noncompact(NonIntegralIndicator(c))
 
 
 @pytest.mark.parametrize("support", [{0, 2}, {1, 3}, {-1, 0, 1, 2}])
@@ -993,7 +979,7 @@ def test_noncompact_certificate_refuses_a_wider_det_support(support):
     c = ctx5()
     want = f"noncompact torus: det support {sorted(support)} is not within"
     with pytest.raises(DomainError, match="^" + re.escape(want)):
-        torus_strata(Wider(c), orthogonal_form(c, 2), TruncationSpec())
+        torus_strata(Wider(c), TruncationSpec())
 
 
 def test_class_weight_once_per_run(monkeypatch):
@@ -1010,7 +996,7 @@ def test_class_weight_once_per_run(monkeypatch):
     monkeypatch.setattr(integrator, "_pair", counting)
     c = LocalFieldCtx(2, 2, (-2, 0, 1), 30)
     trunc = TruncationSpec(gamma_depth=8, k_max=8, unit_depth=3)
-    table = assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
+    table = assemble_coefficients(CuspidalData(c), trunc)
     assert len(calls) == 1 and len(calls[0][0]) > 1
     assert (table.a, table.b) == pair(*calls[0])
 
@@ -1039,11 +1025,11 @@ def test_pipeline_never_calls_general_matrix_algebra(monkeypatch, p, e, eis,
 
         monkeypatch.setattr(Mat, name, counting)
     c = LocalFieldCtx(p, e, eis, precision)
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    data = CuspidalData(c)
     trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
-    assemble_coefficients(data, form, trunc)
+    assemble_coefficients(data, trunc)
     if p == 2:
-        coefficient_A_B(data, form, trunc)
+        coefficient_A_B(data, trunc)
     assert calls == Counter()
     Mat.diag(c, [c.one(), c.from_int(3)]).inverse()
     assert calls == Counter(inverse=1)
@@ -1073,7 +1059,7 @@ def test_torus_strata_read_their_closed_forms(monkeypatch, p, e, eis,
         "coset", CuspidalData._kappa_average_coset))
     c = LocalFieldCtx(p, e, eis, precision)
     trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
-    assemble_coefficients(CuspidalData(c), orthogonal_form(c, 2), trunc)
+    assemble_coefficients(CuspidalData(c), trunc)
     assert calls["twisted_discriminant"] == 0
     assert (calls["coset"] > 0) == (p == 2)
 
@@ -1110,11 +1096,11 @@ def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
         monkeypatch.setattr(CuspidalData, name,
                             counted(name, getattr(CuspidalData, name)))
     c = LocalFieldCtx(p, e, eis, precision)
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    data = CuspidalData(c)
     trunc = TruncationSpec(gamma_depth=depth, k_max=8, unit_depth=ud)
-    table = assemble_coefficients(data, form, trunc)
+    table = assemble_coefficients(data, trunc)
     run = Counter(calls)
-    strata = torus_strata(data, form, trunc)
+    strata = torus_strata(data, trunc)
     assert len(table.stratum_totals) == len(strata) == (8 if p == 2 else 12)
     if p == 2:
         assert run["orbit_strata"] == len(strata)
@@ -1122,9 +1108,9 @@ def test_vanishing_k_averages_walk_no_levels(monkeypatch, p, e, eis,
         assert run["kappa_average"] == 51
         return
     assert all(totals == {} for _s, totals in table.stratum_totals)
-    assert rg_term(data, form, trunc).is_zero()
+    assert rg_term(data, trunc).is_zero()
     for spec in ("-1+pi", "-1+pi*u", "-1+pi^2", "2", "pi"):
-        psi = orbit_weight_integral(data, form, parse_elem(c, spec), range(3))
+        psi = orbit_weight_integral(data, parse_elem(c, spec), range(3))
         assert all(v.is_zero() for v in psi.values())
     assert calls == Counter() and records == []
 
@@ -1135,11 +1121,11 @@ def test_trace_guard_without_the_walk():
     the sign1-e5 stratum is still summed, reads past its validity, and
     raises, naming the stratum."""
     c = LocalFieldCtx(5, 1, (-5, 1), 4)
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
-    assert data.kappa_vanishes(form)
+    data = CuspidalData(c)
+    assert data.kappa_vanishes
     trunc = TruncationSpec(gamma_depth=5, k_max=8, unit_depth=2)
     with pytest.raises(PrecisionExhausted, match="sign1-e5"):
-        assemble_coefficients(data, form, trunc)
+        assemble_coefficients(data, trunc)
 
 
 class ResidueMean(IntegralIndicator):
@@ -1167,7 +1153,7 @@ class ResidueMean(IntegralIndicator):
                          for c1 in units for c2 in units}
         self._cache = {}
 
-    def kappa_average(self, key, form):
+    def kappa_average(self, key):
         digits, _parity = key
         y00, y01, y10, y11 = (t[0] + 5 * t[1] for t in digits)
         if (y00 * y11 - y01 * y10) % 5 == 0:    # ord det y != 0
@@ -1193,9 +1179,7 @@ class ResidueMean(IntegralIndicator):
 def _run(monkeypatch, data, trunc, strata_fn):
     """(c_k table, rg_term) with `strata_fn` as the torus strata."""
     monkeypatch.setattr(integrator, "torus_strata", strata_fn)
-    form = orthogonal_form(data.ctx, 2)
-    return (assemble_coefficients(data, form, trunc),
-            rg_term(data, form, trunc))
+    return assemble_coefficients(data, trunc), rg_term(data, trunc)
 
 
 def _same_run(monkeypatch, data, trunc):
@@ -1203,7 +1187,6 @@ def _same_run(monkeypatch, data, trunc):
     equal c_k, per-e increments and rg_term, and per-tuple totals that
     agree within each class of v mod pi^m.  Returns the oracle's
     per-tuple totals by (sign, e)."""
-    form = orthogonal_form(data.ctx, 2)
     fast, fast_rg = _run(monkeypatch, data, trunc, torus_strata)
     slow, slow_rg = _run(monkeypatch, data, trunc, unit_digit_strata)
     assert fast.values == slow.values
@@ -1213,7 +1196,7 @@ def _same_run(monkeypatch, data, trunc):
     by_class, by_e = defaultdict(set), defaultdict(set)
     for stratum, totals in slow.stratum_totals:
         if stratum.e:
-            m = integrator._digits_seen(data, form, stratum.e,
+            m = integrator._digits_seen(data, stratum.e,
                                         trunc.unit_depth)
             key = (stratum.sign, stratum.e)
             frozen = tuple(sorted(totals.items()))
@@ -1246,8 +1229,7 @@ def test_digits_seen_is_sharp_on_a_residue_mean(monkeypatch):
     mod pi on both signs, so no coarser cut would do."""
     c = LocalFieldCtx(5, 1, (-5, 1), 18)
     data = ResidueMean(c)
-    form = orthogonal_form(c, 2)
-    assert [integrator._digits_seen(data, form, e, 2) for e in (1, 2, 3)] \
+    assert [integrator._digits_seen(data, e, 2) for e in (1, 2, 3)] \
         == [1, 0, 0]
     for ud in (1, 2):
         trunc = TruncationSpec(gamma_depth=2, unit_depth=ud, k_max=2)

@@ -4,10 +4,10 @@ import pytest
 
 from twirl.errors import Singular
 from twirl.localfield import LocalFieldCtx, is_square
-from twirl.matlattice import (GroupForm, Mat, antidiag_u, antidiag_w, mat_ord,
+from twirl.matlattice import (GroupForm, Mat, antidiag_u, antidiag_w,
                               orthogonal_form, symplectic_form, vdash)
 
-from random_mats import random_integral, random_mat
+from random_mats import mat_ord, random_integral, random_mat
 from weights_oracle import delta
 
 
@@ -78,27 +78,26 @@ def test_vdash_is_antidiagonal_transpose(mk, nonsquare):
     for n in (2, 4):
         for lam in (None, anisotropic):
             form = orthogonal_form(c, n, lam)
+            w = antidiag_w(c, n)
             for _ in range(20):
                 g = random_mat(c, n, rng, invertible=False)
-                assert vdash(g, form) == form.w * g.transpose() * form.w
+                assert vdash(g, form) == w * g.transpose() * w
 
 
 @pytest.mark.parametrize("mk,nonsquare", [(ctx2, 3), (ctx5, 2)])
 @pytest.mark.parametrize("n", [2, 4])
 def test_group_form_derives_n_and_w(mk, nonsquare, n):
-    """A `GroupForm` is built from its kind and J alone: n is J.n and w is
-    `antidiag_w(n)`, for the split and the anisotropic orthogonal block
-    and for the symplectic form.  Only the split 2x2 orthogonal form is
-    `split`."""
+    """A `GroupForm` is built from its kind and J alone, for the split and
+    the anisotropic orthogonal block and for the symplectic form: its size
+    n is J.n, and the split orthogonal J is w = `antidiag_w(n)`."""
     c = mk()
     anisotropic = Mat.diag(c, [c.one(), -c.from_int(nonsquare)])
     forms = [orthogonal_form(c, n), orthogonal_form(c, n, anisotropic),
              symplectic_form(c, n)]
     for form in forms:
-        assert form.n == form.J.n == n
-        assert form.w == antidiag_w(c, n)
+        assert form.J.n == n
         assert form == GroupForm(form.kind, form.J)
-    assert [f.split for f in forms] == [n == 2, False, False]
+    assert orthogonal_form(c, n).J == antidiag_w(c, n)
     assert symplectic_form(c, n).J == antidiag_u(c, n)
 
 
@@ -146,8 +145,8 @@ def test_delta_left_k_invariance():
 def _three_block_form(form):
     """The 3n x 3n form [[0, 0, C], [0, J, 0], [C, 0, 0]] of the paper's
     classical group, C = w (orthogonal) or C = J (symplectic)."""
-    c, n = form.J.ctx, form.n
-    corner = form.w if form.kind == "orthogonal" else form.J
+    c, n = form.J.ctx, form.J.n
+    corner = antidiag_w(c, n) if form.kind == "orthogonal" else form.J
     big = Mat.zero(c, 3 * n)
     for r in range(n):
         for s in range(n):

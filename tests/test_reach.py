@@ -19,9 +19,9 @@ import twirl
 
 # oracle -> the fast path it checks
 ORACLES = {
-    "symplectic_form": "the orthogonal-only closed forms "
-                       "(twisted_discriminant, orbit_strata), which must "
-                       "refuse the paper's symplectic case",
+    "symplectic_form": "the paper's symplectic twist, under which the "
+                       "tests hold f(k y k^vdash) = 1 at y = 1, the value a "
+                       "symplectic K-average must reproduce",
 }
 
 
@@ -108,11 +108,35 @@ KEPT = {
                               "S(gamma)^(-1)",
     "matlattice.Mat.zero": _VALUE,
     "matlattice.antidiag_u": "(c) the symplectic form",
-    "matlattice.symplectic_form": "(c) which the orthogonal-only closed "
-                                  "forms must refuse",
+    "matlattice.symplectic_form": "(c) the tests' symplectic twist",
     "integrator.CoefficientTable.per_stratum": "(d)",
     "integrator.CoefficientTable.per_e_increments": "(d)",
 }
+
+
+def test_the_chain_takes_no_form():
+    """The split orthogonal twist of GL_2 is a fact of the chain, not an
+    argument: no function of `cli`, `integrator`, `supercuspidal` or
+    `twisted` has a parameter named `form`, and no module but
+    `matlattice`, whose `vdash` and `GroupForm` are the form's home,
+    reads a `.kind` or `.split` attribute (a call such as `str.split`
+    is not a read of the form)."""
+    trees = _modules()
+    params = sorted(f"{mod}:{node.lineno}"
+                    for mod in ("cli", "integrator", "supercuspidal",
+                                "twisted")
+                    for node in ast.walk(trees[mod])
+                    if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                    and "form" in [a.arg for a in node.args.args
+                                   + node.args.kwonlyargs])
+    assert params == []
+    reads = []
+    for mod, tree in trees.items():
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        reads += [f"{mod}:{node.lineno}" for node in ast.walk(tree)
+                  if mod != "matlattice" and isinstance(node, ast.Attribute)
+                  and node.attr in ("kind", "split") and id(node) not in called]
+    assert reads == []
 
 
 def test_every_src_function_runs_or_is_kept():

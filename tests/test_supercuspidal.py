@@ -60,6 +60,20 @@ def ctx2_e1():
     return LocalFieldCtx(2, 1, (-2, 1), 12)
 
 
+# e = 1 fields with p/pi = 1/2, 1/2 and 1/3, so 2, 3 and 2 mod pi, where
+# the carry of the pass is not the plain N div p that it is over x - p
+def ctx3_x6():
+    return LocalFieldCtx(3, 1, (-6, 1), 12)
+
+
+def ctx5_x10():
+    return LocalFieldCtx(5, 1, (-10, 1), 12)
+
+
+def ctx5_x15():
+    return LocalFieldCtx(5, 1, (-15, 1), 12)
+
+
 def rand_i1(c, rng):
     return Mat(c, [[c.one() + c.random_elem(rng, 1, 4), c.random_elem(rng, 0, 3)],
                    [c.random_elem(rng, 1, 4), c.one() + c.random_elem(rng, 1, 4)]])
@@ -203,7 +217,7 @@ def test_kappa_average_matches_bruteforce():
     data = CuspidalData(c)
     form = orthogonal_form(c, 2)
     alpha = c.one() + c.pi(2)
-    x = norm_preimage(alpha, form).inverse()
+    x = norm_preimage(alpha).inverse()
     from twirl.matlattice import a_e, n_b
 
     def brute(y, level):
@@ -233,7 +247,7 @@ def test_kappa_average_matches_bruteforce():
         y = g0 * x * vdash(g0, form)
         want = brute(y, 2)
         assert kappa_average_oracle(data, y, 2) == want
-        assert data.kappa_average(kappa_key(y, 2), form) == want
+        assert data.kappa_average(kappa_key(y, 2)) == want
 
 
 def test_kappa_average_level_stability():
@@ -241,13 +255,12 @@ def test_kappa_average_level_stability():
     same exact value (the integrand is right-invariant at level 2)."""
     c = ctx2()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
     alpha = c.one() + c.pi(2)
-    y = norm_preimage(alpha, form).inverse().shift(2)
+    y = norm_preimage(alpha).inverse().shift(2)
     v2 = kappa_average_oracle(data, y, 2)
     assert v2 == kappa_average_oracle(data, y, 3)
     assert v2 == kappa_average_oracle(data, y, 4)
-    assert v2 == data.kappa_average(kappa_key(y, 2), form)
+    assert v2 == data.kappa_average(kappa_key(y, 2))
 
 
 class _RecordingData(CuspidalData):
@@ -257,9 +270,9 @@ class _RecordingData(CuspidalData):
         super().__post_init__()
         self.seen = []
 
-    def kappa_average(self, key, form):
+    def kappa_average(self, key):
         self.seen.append(key)
-        return super().kappa_average(key, form)
+        return super().kappa_average(key)
 
 
 @pytest.mark.parametrize("mk, specs", [
@@ -272,22 +285,21 @@ def test_kappa_average_matches_oracle_on_live_strata(mk, specs):
     those records at p = 2, and over none where every K-average vanishes
     (odd p); each record's key is `kappa_key` of its y."""
     c = mk()
-    form = orthogonal_form(c, 2)
     data = _RecordingData(c)
     live = []
     for spec in specs:
         alpha = parse_elem(c, spec)
-        x = _preimage_inverse(alpha, form)
-        live += [(r, coset_y(r, x)) for r in orbit_strata(data, form, x)
+        x = _preimage_inverse(alpha)
+        live += [(r, coset_y(r, *x)) for r in orbit_strata(data, *x)
                  if r.dead is None]
-        orbit_weight_integral(data, form, alpha, range(1))
+        orbit_weight_integral(data, alpha, range(1))
     assert live
-    assert data.seen == ([] if data.kappa_vanishes(form)
+    assert data.seen == ([] if data.kappa_vanishes
                          else [r.key for r, _y in live])
     fresh = CuspidalData(c)
     for r, y in live:
         assert r.key == kappa_key(y, 2)
-        assert fresh.kappa_average(r.key, form) == \
+        assert fresh.kappa_average(r.key) == \
             kappa_average_oracle(data, y, 2)
 
 
@@ -317,14 +329,13 @@ def test_kappa_average_odd_piece_matches_level_three(mk, count):
     the GL_2(O/pi^3) enumeration."""
     c = mk()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
     rng = random.Random(11)
     ys = [pi_e_matrix(c)]
     while len(ys) < count:
         y = random_integral(c, 2, rng)
         if y.det().val == 1:
             ys.append(y)
-    values = [data.kappa_average(kappa_key(y, 2), form) for y in ys]
+    values = [data.kappa_average(kappa_key(y, 2)) for y in ys]
     assert values == [kappa_average_oracle(data, y, 3) for y in ys]
     if c.p == 2:
         assert values[0] == CharacterValue.rational(2, Fraction(1, 3))
@@ -380,9 +391,8 @@ def test_support_prefilter_reasons(mk, diag, reason):
     The walk forces i into `detval_support`, so it never meets the det
     valuation 2 of diag(pi^2, 1); a direct call does."""
     c = mk()
-    y = Mat.diag(c, [c.pi(i) for i in diag])
     data = CuspidalData(c)
-    assert data.support_prefilter(y, orthogonal_form(c, 2)) == reason
+    assert data.support_prefilter(*(c.pi(i) for i in diag)) == reason
 
 
 def _integral_of_parity(c, rng, parity):
@@ -428,22 +438,31 @@ def _unfiltered_coset_counts(ring, y_res, parity):
     return counts.tolist(), total
 
 
-# parity-1 y over x - p whose counts the carry (N div p)(p/pi mod pi)
-# decides: y1 = 0, so x10/pi is the carry alone, and without it no row
-# passes t = 0 mod pi; with it, (counts, rows) of the pass
-_CARRY_YS = {3: ([[1, 2], [2, 1]], ([36] * 3, 432)),
-             5: ([[1, 2], [3, 1]], ([200] * 5, 12000))}
+# parity-1 y whose counts the carry (N div p)(p/pi mod pi) decides, by
+# Eisenstein polynomial: y1 = 0, so x10/pi is the carry alone; over x - p
+# no row passes t = 0 mod pi without it, and over x - 6, x - 10 and
+# x - 15, where p/pi != 1 mod pi, a carry read as N div p passes rows
+# that the true carry does not.  With it, (counts, rows) of the pass
+_Y3, _Y5 = [[1, 2], [2, 1]], [[1, 2], [3, 1]]
+_CARRY_YS = {(-3, 1): (_Y3, ([36] * 3, 432)),
+             (-6, 1): (_Y3, ([0] * 3, 432)),
+             (-5, 1): (_Y5, ([200] * 5, 12000)),
+             (-10, 1): (_Y5, ([0] * 5, 12000)),
+             (-15, 1): (_Y5, ([0] * 5, 12000))}
 
 
 @pytest.mark.parametrize("mk, count", [(ctx2, 4), (ctx3, 4), (ctx5, 2),
-                                       (ctx7, 1), (ctx2_e1, 4)])
+                                       (ctx7, 1), (ctx2_e1, 4),
+                                       (ctx3_x6, 2), (ctx5_x10, 1),
+                                       (ctx5_x15, 1)])
 def test_coset_counts_match_oracle_counts(mk, count):
     """The filtered coset enumeration, the unfiltered one and the
     GL_2(O/pi^2) enumeration give the same Lambda_1 exponent counts up to
     the factor |ker L_y|.  Means alone cannot see a dropped row at odd p,
     where every K-average is 0.  Over x - 2 (`ctx2_e1`) the carry
-    (N div p)(p/pi mod pi) of the pass moves exponents, and over x - 3
-    and x - 5 it decides which parity-1 rows pass (`_CARRY_YS`)."""
+    (N div p)(p/pi mod pi) of the pass moves exponents, and over x - 3,
+    x - 6, x - 5, x - 10 and x - 15 it decides which parity-1 rows pass
+    (`_CARRY_YS`)."""
     c = mk()
     ring = OracleRing(c, 2)
     rng = random.Random(31)
@@ -453,8 +472,8 @@ def test_coset_counts_match_oracle_counts(mk, count):
             hits += _check_pass(ring, _integral_of_parity(c, rng, parity),
                                 parity)
         assert hits
-    if c.p in _CARRY_YS:
-        rows, want = _CARRY_YS[c.p]
+    if tuple(c.eisenstein) in _CARRY_YS:
+        rows, want = _CARRY_YS[tuple(c.eisenstein)]
         y = Mat.from_ints(c, rows)
         assert y.det().val == 1
         assert _pass_counts(ring, y, 1) == want
@@ -727,13 +746,11 @@ def test_f_depends_on_residue_mod_pi_squared(mk):
     assert nonzero >= 20
 
 
-def test_kappa_average_rejects_symplectic_form():
-    """kappa_average implements the orthogonal twist only.  With the
-    symplectic form k y k^vdash = det(k) y for y = 1, so the true average
-    is 1, while the orthogonal evaluation gives 0.  `kappa_vanishes`,
-    which states that 0, and `support_scan`, whose level records and
-    witness (the kept rows of the K-average pass) assume the orthogonal
-    twist too, refuse as well."""
+def test_symplectic_twist_averages_the_identity_to_one():
+    """`kappa_average` is the K-average of the orthogonal twist.  With the
+    symplectic form k y k^vdash = det(k) y for y = 1, so f(k y k^vdash) =
+    1 on K and the symplectic average is 1, the value a symplectic
+    K-average must reproduce, while the orthogonal one is 0 at p = 3."""
     c = ctx3()
     data = CuspidalData(c)
     y = Mat.identity(c, 2)
@@ -742,14 +759,7 @@ def test_kappa_average_rejects_symplectic_form():
     for _ in range(5):
         kap = random_integral(c, 2, rng, unit_det=True)
         assert data.f(kap * y * vdash(kap, sf)) == CharacterValue.one(3)
-    assert data.kappa_average(kappa_key(y, 2),
-                              orthogonal_form(c, 2)).is_zero()
-    with pytest.raises(DomainError):
-        data.kappa_average(kappa_key(y, 2), sf)
-    with pytest.raises(DomainError):
-        data.kappa_vanishes(sf)
-    with pytest.raises(DomainError):
-        support_scan(data, sf, parse_elem(c, "-1+pi"))
+    assert data.kappa_average(kappa_key(y, 2)).is_zero()
 
 
 def test_kappa_average_conjugation_invariance():
@@ -758,12 +768,12 @@ def test_kappa_average_conjugation_invariance():
     form = orthogonal_form(c, 2)
     rng = random.Random(4)
     alpha = c.one() + c.pi(3)
-    y = norm_preimage(alpha, form).inverse().shift(3)
+    y = norm_preimage(alpha).inverse().shift(3)
     for _ in range(5):
         kap = random_integral(c, 2, rng, unit_det=True)
         y2 = kap * y * vdash(kap, form)
-        assert data.kappa_average(kappa_key(y, 2), form) == \
-            data.kappa_average(kappa_key(y2, 2), form)
+        assert data.kappa_average(kappa_key(y, 2)) == \
+            data.kappa_average(kappa_key(y2, 2))
 
 
 def test_kappa_congruence_sharpness():
@@ -785,15 +795,13 @@ def test_kappa_congruence_sharpness():
 def test_support_scan_regimes():
     c5 = ctx5()
     d5 = CuspidalData(c5)
-    f5 = orthogonal_form(c5, 2)
     for spec in ("pi", "pi^2", "pi^-1", "2", "1+pi"):
-        rep = support_scan(d5, f5, parse_elem(c5, spec))
+        rep = support_scan(d5, parse_elem(c5, spec))
         assert rep.witness is None, spec
-    rep = support_scan(d5, f5, parse_elem(c5, "-1+pi"))
+    rep = support_scan(d5, parse_elem(c5, "-1+pi"))
     assert rep.witness is not None
     c2 = ctx2()
-    rep2 = support_scan(CuspidalData(c2), orthogonal_form(c2, 2),
-                        parse_elem(c2, "1+pi^2"))
+    rep2 = support_scan(CuspidalData(c2), parse_elem(c2, "1+pi^2"))
     assert rep2.witness is not None
     assert rep2.witness["i"] == 2
     j = rep2.to_json()
@@ -806,10 +814,9 @@ def test_support_scan_makes_no_kappa_average_call(monkeypatch):
     witness (p = 2 `1+pi^2`, p = 5 `-1+pi`) computes none."""
     calls = []
     monkeypatch.setattr(CuspidalData, "kappa_average",
-                        lambda self, y, form: calls.append(y))
+                        lambda self, key: calls.append(key))
     for c, spec in ((ctx2(), "1+pi^2"), (ctx5(), "-1+pi")):
-        rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
-                           parse_elem(c, spec))
+        rep = support_scan(CuspidalData(c), parse_elem(c, spec))
         assert rep.witness is not None, spec
     assert calls == []
 
@@ -831,8 +838,7 @@ def test_support_scan_golden_bytes(mk, spec):
     pinned; "pi^2" has a non-integral diagonal on its only stratum, and
     "1+pi" one record for each of its two dead b levels."""
     c = mk()
-    rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
-                       parse_elem(c, spec))
+    rep = support_scan(CuspidalData(c), parse_elem(c, spec))
     text = json.dumps(rep.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SCAN_SHA256[mk, spec]
 
@@ -841,8 +847,7 @@ def test_support_scan_raises_on_short_b_window():
     """alpha = 1 + pi^4 forces b levels up to 4, and the scan reads every
     one of them without finding a witness."""
     c = LocalFieldCtx(5, 1, (-5, 1), 30)
-    rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
-                       parse_elem(c, "1+pi^4"))
+    rep = support_scan(CuspidalData(c), parse_elem(c, "1+pi^4"))
     assert rep.witness is None
     assert max(s.j for s in rep.strata) == 4
 
@@ -852,11 +857,11 @@ def test_support_scan_deep_alpha_reads_levels():
     every level is dead: the scan returns the 9 level records of
     `orbit_strata` (a per-coset walk visits 5^8 cosets)."""
     c = LocalFieldCtx(5, 1, (-5, 1), 40)
-    data, form = CuspidalData(c), orthogonal_form(c, 2)
+    data = CuspidalData(c)
     alpha = parse_elem(c, "1+pi^8")
-    rep = support_scan(data, form, alpha)
-    x = norm_preimage(alpha, form).inverse()
-    assert len(rep.strata) == len(orbit_strata(data, form, x)) == 9
+    rep = support_scan(data, alpha)
+    x = _preimage_inverse(alpha)
+    assert len(rep.strata) == len(orbit_strata(data, *x)) == 9
     assert rep.witness is None
     assert [s.j for s in rep.strata] == list(range(9))
 
@@ -883,21 +888,21 @@ def test_support_scan_randomized_regimes():
     """The three vanishing regimes hold across >= 50 random gamma each."""
     c = ctx5()
     d = CuspidalData(c)
-    form = orthogonal_form(c, 2)
     for alphas in _random_scan_alphas(c):
         for alpha in alphas:
-            assert support_scan(d, form, alpha).witness is None
+            assert support_scan(d, alpha).witness is None
 
 
-def _coset_scan(data, form, alpha):
+def _coset_scan(data, alpha):
     """The per-coset scan: every coset of `coset_strata` in lexicographic
     order, each live one settled by the GL_2(O/pi^2) enumeration
     `kappa_witness_oracle`, up to the first witness.  Returns (regime,
     witness, kappa_level, [(coset, verdict)]) with the cosets visited
     before the witness."""
-    x = norm_preimage(alpha, form).inverse()
+    x = _preimage_inverse(alpha)
+    form = orthogonal_form(data.ctx, 2)
     visited, witness, kappa_level = [], None, 0
-    for c in coset_strata(data, form, x):
+    for c in coset_strata(data, *x):
         if c.dead is not None:
             visited.append((c, c.dead))
             continue
@@ -906,7 +911,8 @@ def _coset_scan(data, form, alpha):
         gw = kap * c.g0
         witness = {"i": c.i, "b_level": c.j, "b": list(c.digits),
                    "kappa": kap.to_digit_lists(4),
-                   "value": data.f(gw * x * vdash(gw, form)).to_json()}
+                   "value": data.f(gw * Mat.diag(data.ctx, x)
+                                   * vdash(gw, form)).to_json()}
         break
     regime = _classify_regime(data.ctx, alpha)
     if witness is not None:
@@ -936,18 +942,18 @@ def test_scan_matches_coset_scan():
     the number of cosets.  Every live class holds a witness
     (`support_scan`), so the first live coset ends both scans."""
     for c, alpha in _scan_cases():
-        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        data = CuspidalData(c)
         where = (c.p, str(alpha))
-        rep = support_scan(data, form, alpha)
-        regime, witness, kappa_level, visited = _coset_scan(data, form, alpha)
+        rep = support_scan(data, alpha)
+        regime, witness, kappa_level, visited = _coset_scan(data, alpha)
         assert (rep.regime, rep.witness, rep.kappa_level) == \
             (regime, witness, kappa_level), where
-        x = norm_preimage(alpha, form).inverse()
-        records = orbit_strata(data, form, x)
+        x = _preimage_inverse(alpha)
+        records = orbit_strata(data, *x)
         assert [(s.i, s.j, s.digits) for s in rep.strata] == \
             [(r.i, r.j, r.digits) for r in records[:len(rep.strata)]], where
         assert sum(r.weight for r in records) == \
-            sum(1 for _ in coset_strata(data, form, x)), where
+            sum(1 for _ in coset_strata(data, *x)), where
         for cos, verdict in visited:
             assert [s.dead for s in rep.strata
                     if (s.i, s.j) == (cos.i, cos.j)] == [verdict], where
@@ -959,10 +965,10 @@ def test_scan_strata_are_the_leading_walk_records():
     `Coset` tuples, every one dead but a last live one, which holds the
     witness."""
     for c, alpha in _scan_cases():
-        data, form = CuspidalData(c), orthogonal_form(c, 2)
+        data = CuspidalData(c)
         where = (c.p, str(alpha))
-        rep = support_scan(data, form, alpha)
-        records = orbit_strata(data, form, _preimage_inverse(alpha, form))
+        rep = support_scan(data, alpha)
+        records = orbit_strata(data, *_preimage_inverse(alpha))
         assert [tuple(s) for s in rep.strata] == \
             [tuple(r) for r in records[:len(rep.strata)]], where
         assert all(s.dead is not None for s in rep.strata[:-1]), where
@@ -993,11 +999,11 @@ def test_kappa_witness_matches_gl2_enumeration():
     assert len(cases) == 96
     live = 0
     for c, alpha in cases:
-        data, form = CuspidalData(c), orthogonal_form(c, 2)
-        for r in orbit_strata(data, form,
-                              _preimage_inverse(alpha, form)):
+        data = CuspidalData(c)
+        x = _preimage_inverse(alpha)
+        for r in orbit_strata(data, *x):
             if r.dead is None:
-                y = coset_y(r, _preimage_inverse(alpha, form))
+                y = coset_y(r, *x)
                 want = kappa_witness_oracle(data, y).to_digit_lists(4)
                 got = supercuspidal._kappa_witness(data, r.key)
                 assert got.to_digit_lists(4) == want, (c.p, str(alpha), r.i)
@@ -1022,8 +1028,7 @@ def test_support_scan_witness_reads_gl2_fp_once(monkeypatch, mk, spec):
 
     monkeypatch.setattr(supercuspidal, "iter_gl2", counted)
     c = mk()
-    rep = support_scan(CuspidalData(c), orthogonal_form(c, 2),
-                       parse_elem(c, spec))
+    rep = support_scan(CuspidalData(c), parse_elem(c, spec))
     live = [s for s in rep.strata if s.dead is None]
     assert len(reads) == len(live)
     assert len(live) == (rep.witness is not None) == (spec != "1+pi")
@@ -1038,7 +1043,6 @@ def test_odd_det_valuation_strata_are_dead(mk):
     finds one."""
     c = mk()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
     rng = random.Random(21)
     levels = set()
     live = 0
@@ -1049,15 +1053,15 @@ def test_odd_det_valuation_strata_are_dead(mk):
         if not (a.is_zero() or a == c.one() or a == -c.one()):
             alphas.append(a)
     for alpha in alphas:
-        x = norm_preimage(alpha, form).inverse()
-        for cos in coset_strata(data, form, x):
+        x = _preimage_inverse(alpha)
+        for cos in coset_strata(data, *x):
             if cos.y.det().val % 2:
                 assert cos.dead is not None, alpha
-        for r in orbit_strata(data, form, x):
+        for r in orbit_strata(data, *x):
             if r.dead is None:
-                assert not data.f(coset_y(r, x)).is_zero(), alpha
+                assert not data.f(coset_y(r, *x)).is_zero(), alpha
                 live += 1
-        levels.add(support_scan(data, form, alpha).kappa_level)
+        levels.add(support_scan(data, alpha).kappa_level)
     assert levels == {0, 2} and live
 
 
@@ -1072,8 +1076,7 @@ def test_kappa_average_vanishes_at_odd_p(mk):
     equal to the full enumeration of `kappa_average_oracle` at p = 3."""
     c = mk()
     data = CuspidalData(c)
-    form = orthogonal_form(c, 2)
-    assert data.kappa_vanishes(form) == (c.p != 2)
+    assert data.kappa_vanishes == (c.p != 2)
     rng = random.Random(23)
     values = {0: [], 1: []}
     want = 20 if c.p == 2 else 5
@@ -1084,7 +1087,7 @@ def test_kappa_average_vanishes_at_odd_p(mk):
             values[parity].append(
                 data._kappa_average_coset(residue_key(y, 2), parity))
             assert values[parity][-1] == data.kappa_average(
-                kappa_key(y, 2), form)
+                kappa_key(y, 2))
             if c.p == 3:
                 assert values[parity][-1] == kappa_average_oracle(data, y, 2)
     values = values[0] + values[1]

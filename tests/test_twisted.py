@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from twirl.errors import (DomainError, NotRegular, PrecisionExhausted,
-                          Singular)
+from twirl.errors import NotRegular, PrecisionExhausted, Singular
 from twirl.localfield import LocalFieldCtx
 from twirl.matlattice import Mat, orthogonal_form, symplectic_form, vdash
-from twirl.twisted import (is_eps_symmetric, norm_preimage,
-                           twisted_discriminant)
+from twirl.twisted import norm_preimage, twisted_discriminant
 
 from random_mats import random_mat
 from twisted_centralizer import twisted_centralizer_sample
-from twisted_oracles import norm_preimage_general, twisted_discriminant_oracle
+from twisted_oracles import (is_eps_symmetric, norm_preimage_general,
+                             twisted_discriminant_oracle)
 
 
 def ctx5():
@@ -31,18 +30,17 @@ def regular_alpha(c, rng):
 
 def test_norm_preimage_split_form():
     c = ctx5()
-    form = orthogonal_form(c, 2)
     alpha = c.from_int(3)
-    s = norm_preimage(alpha, form)
+    s = norm_preimage(alpha)
     assert s == Mat.diag(c, [alpha - c.one(), alpha.inverse() - c.one()])
     # alpha = -1: S = diag(-2, -2)
-    s2 = norm_preimage(-c.one(), form)
+    s2 = norm_preimage(-c.one())
     assert s2 == Mat.diag(c, [c.from_int(-2), c.from_int(-2)])
     with pytest.raises(NotRegular, match="gamma - 1 is singular"):
-        norm_preimage(c.one(), form)
+        norm_preimage(c.one())
     # alpha = 0 is no torus element
     with pytest.raises(Singular, match="inverse of zero"):
-        norm_preimage(c.zero(), form)
+        norm_preimage(c.zero())
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
@@ -52,13 +50,13 @@ def test_norm_preimage_closed_form_is_general_route(mk):
     alpha = 1 is refused on both routes."""
     c = mk()
     form = orthogonal_form(c, 2)
-    assert form.split
     rng = random.Random(9)
     for alpha in [-c.one()] + [regular_alpha(c, rng) for _ in range(40)]:
-        assert norm_preimage(alpha, form) == norm_preimage_general(alpha, form)
-    for route in (norm_preimage, norm_preimage_general):
-        with pytest.raises(NotRegular):
-            route(c.one(), form)
+        assert norm_preimage(alpha) == norm_preimage_general(alpha, form)
+    with pytest.raises(NotRegular):
+        norm_preimage(c.one())
+    with pytest.raises(NotRegular):
+        norm_preimage_general(c.one(), form)
 
 
 def anisotropic_block(c):
@@ -68,20 +66,13 @@ def anisotropic_block(c):
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
 def test_non_split_form_takes_general_route(mk):
-    """Only the split 2x2 orthogonal form is closed-form, and
-    `norm_preimage` refuses every other form with DomainError: the
-    orthogonal form of size 4, the symplectic form and a non-split block
-    lam.  Those take only the general route of the test oracle,
-    w J^(-1) (gamma - 1), which is not the diagonal closed form on the
-    non-split block."""
+    """The closed form of `norm_preimage` is the split 2x2 orthogonal
+    form's.  A non-split block lam takes the general route of the test
+    oracle, w J^(-1) (gamma - 1), which is not diagonal there."""
     c = mk()
-    alpha = c.from_int(3)
     block = orthogonal_form(c, 2, anisotropic_block(c))
-    for form in (orthogonal_form(c, 4), symplectic_form(c, 2), block):
-        assert not form.split
-        with pytest.raises(DomainError, match="split orthogonal form"):
-            norm_preimage(alpha, form)
-    assert not norm_preimage_general(alpha, block).rows[0][1].is_zero()
+    assert not norm_preimage_general(c.from_int(3),
+                                     block).rows[0][1].is_zero()
 
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
@@ -92,7 +83,7 @@ def test_nu_of_norm(mk):
     rng = random.Random(0)
     for _ in range(50):
         alpha = regular_alpha(c, rng)
-        s = norm_preimage(alpha, form)
+        s = norm_preimage(alpha)
         gamma = Mat.diag(c, [alpha, alpha.inverse()])
         assert vdash(s.inverse(), form) * s == -gamma
 
@@ -170,8 +161,8 @@ def test_twisted_discriminant_routes(mk):
     rng = random.Random(3)
     for _ in range(25):
         a = regular_alpha(c, rng)
-        si = norm_preimage(a, form).inverse()
-        r1 = twisted_discriminant(si, form)
+        si = norm_preimage(a).inverse()
+        r1 = twisted_discriminant(si.rows[0][0], si.rows[1][1])
         r2 = twisted_discriminant_oracle(si, form)
         assert r1.kernel_dim == 1 == r2.kernel_dim
         assert r1.regular
@@ -186,14 +177,13 @@ def test_discriminant_stratum_constancy():
     """|D_eps(S(gamma))| depends only on ord(alpha - 1), ord(alpha + 1),
     ord(alpha)."""
     c = ctx5()
-    form = orthogonal_form(c, 2)
     rng = random.Random(4)
     seen = {}
     for _ in range(60):
         a = regular_alpha(c, rng)
         key = ((a - c.one()).val, (a + c.one()).val, a.val)
-        si = norm_preimage(a, form).inverse()
-        got = twisted_discriminant(si, form).ord_value
+        si = norm_preimage(a).inverse()
+        got = twisted_discriminant(si.rows[0][0], si.rows[1][1]).ord_value
         if key in seen:
             assert seen[key] == got
         seen[key] = got
@@ -203,9 +193,8 @@ def test_twisted_centralizer_small():
     """Sampled solutions of g X g^vdash = X mod pi^m, X = S(gamma)^(-1),
     lie in the torus mod pi^(m-1): alpha = 2 at depth 3."""
     c = ctx5()
-    form = orthogonal_form(c, 2)
     rng = random.Random(5)
-    rep = twisted_centralizer_sample(c.from_int(2), form, 3, 500, rng)
+    rep = twisted_centralizer_sample(c.from_int(2), 3, 500, rng)
     assert rep.all_in_torus
     # one leaf per point diag(t, t^(-1)) of the torus mod pi^m, t a unit
     p, m = c.p, rep.depth

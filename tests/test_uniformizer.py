@@ -7,7 +7,6 @@ import pytest
 from twirl.integrator import (TruncationSpec, assemble_coefficients,
                               discriminant_report)
 from twirl.localfield import LocalFieldCtx
-from twirl.matlattice import orthogonal_form
 from twirl.supercuspidal import CuspidalData
 
 from integrands import IntegralIndicator
@@ -33,9 +32,8 @@ PINS = {
 
 def _reading(p, e, precision, eis, integrand):
     ctx = LocalFieldCtx(p, e, eis, precision)
-    form = orthogonal_form(ctx, 2)
-    table = assemble_coefficients(integrand(ctx), form, TRUNC)
-    report = discriminant_report(form, ctx.from_int(3), "alpha = 3")
+    table = assemble_coefficients(integrand(ctx), TRUNC)
+    report = discriminant_report(ctx.from_int(3), "alpha = 3")
     return ((str(table.a), str(table.b)),
             {e: str(v) for e, v in table.per_e_increments().items()},
             report.to_json())

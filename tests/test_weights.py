@@ -3,9 +3,9 @@ import random
 import pytest
 
 from twirl.localfield import LocalFieldCtx, square_class_reps
-from twirl.matlattice import Mat, antidiag_w, mat_ord, orthogonal_form, vdash
+from twirl.matlattice import Mat, antidiag_w, orthogonal_form, vdash
 
-from random_mats import random_integral, random_mat
+from random_mats import mat_ord, random_integral, random_mat
 from weights_oracle import (WeightQuery, delta_vector, scaling_block,
                             square_class_weight, weight_closed, weight_oracle)
 

@@ -5,8 +5,10 @@ the torus, kept as the test oracle behind the kernel dimension 1 that
 import itertools
 from dataclasses import dataclass
 
-from twirl.matlattice import Mat, mat_ord, vdash
+from twirl.matlattice import Mat, orthogonal_form, vdash
 from twirl.twisted import norm_preimage
+
+from random_mats import mat_ord
 
 
 @dataclass
@@ -62,17 +64,19 @@ def _solve_mod_p(rows, rhs, p):
     return part, basis
 
 
-def twisted_centralizer_sample(alpha, form, m: int, trials: int,
+def twisted_centralizer_sample(alpha, m: int, trials: int,
                                rng) -> CentralizerReport:
     """Enumerate the solution tree of g X g^vdash = X (X = S(gamma)^(-1),
     gamma = diag(alpha, alpha^(-1))) modulo pi^m by level-one brute force
     plus linear lifting, then sample solutions and test membership in the
-    diagonal torus mod pi^(m-1)."""
+    diagonal torus mod pi^(m-1).  vdash is the split orthogonal twist,
+    the one `norm_preimage` is taken on."""
     ctx = alpha.ctx
     p = ctx.p
-    x = norm_preimage(alpha, form).inverse()
+    form = orthogonal_form(ctx, 2)
+    x = norm_preimage(alpha).inverse()
     xt = x.shift(max(0, -min(0, mat_ord(x))))  # integral rescaling
-    n = form.n
+    n = form.J.n
     basis = []
     for k in range(n):
         for l in range(n):

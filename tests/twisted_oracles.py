@@ -6,23 +6,44 @@ products, for any form; `twisted_discriminant_charpoly` and
 and form from the operator X -> -delta X^vdash delta^(-1) - X on the
 n^2-dimensional matrix space.  The library takes both in closed form on
 the split orthogonal form (`norm_preimage`, `twisted_discriminant`), and
-the tests hold the two routes equal.
+the tests hold the two routes equal.  `is_eps_symmetric` tests
+X^vdash = X for any form, the oracle of the eps test of
+`CuspidalData.support_prefilter`.
 """
 
 from twirl.errors import NotRegular
 from twirl.localfield import INF, Elem, LocalFieldCtx
-from twirl.matlattice import GroupForm, Mat, vdash
+from twirl.matlattice import GroupForm, Mat, antidiag_w, vdash
 from twirl.twisted import DiscriminantReport
 
 
 def norm_preimage_general(alpha: Elem, form: GroupForm) -> Mat:
     """S(gamma) = w J^(-1) (gamma - 1) by `Mat` products, for any form,
     gamma = diag(alpha, alpha^(-1))."""
-    ctx = alpha.ctx
-    gm = Mat.diag(ctx, [alpha, alpha.inverse()]) - Mat.identity(ctx, form.n)
+    ctx, n = alpha.ctx, form.J.n
+    gm = Mat.diag(ctx, [alpha, alpha.inverse()]) - Mat.identity(ctx, n)
     if gm.det().val is INF:
         raise NotRegular("gamma - 1 is singular")
-    return form.w * form.J.inverse() * gm
+    return antidiag_w(ctx, n) * form.J.inverse() * gm
+
+
+def is_eps_symmetric(x: Mat, form: GroupForm, mod_level: int | None = None) -> bool:
+    """X^vdash = X, exactly or modulo pi^mod_level.  The mod test works on
+    raw representatives (entrywise divisibility), so it never needs to
+    normalize a difference that is exactly zero.  The orthogonal vdash is
+    the permutation (i, j) -> (n-1-j, n-1-i), so only the entries it moves
+    are compared, each pair once in row-major order (one subtraction for
+    a 2x2); the entries it fixes have X^vdash - X exactly 0."""
+    if form.kind != "orthogonal":
+        diffs = (e for r in (vdash(x, form) - x).rows for e in r)
+    else:
+        n, rows = x.n, x.rows
+        diffs = (rows[n - 1 - j][n - 1 - i] - rows[i][j]
+                 for i in range(n) for j in range(n)
+                 if i * n + j < (n - 1 - j) * n + (n - 1 - i))
+    if mod_level is None:
+        return all(d.normalized().is_zero() for d in diffs)
+    return all(d.divisible_by(mod_level) for d in diffs)
 
 
 def charpoly(a, ctx: LocalFieldCtx):

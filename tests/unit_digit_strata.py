@@ -10,13 +10,13 @@ from twirl.integrator import TorusStratum, _stratum_alpha, torus_strata
 from twirl.localfield import unit_digit_tuples
 
 
-def unit_digit_strata(data, form, trunc):
+def unit_digit_strata(data, trunc):
     """The verification strata of `torus_strata`, then alpha = sign (1 +
     pi^e v) for every unit v mod pi^unit_depth, each of volume
     q^(-e) / |(O/pi^unit_depth)^x|."""
     ctx = data.ctx
     p, q = ctx.p, ctx.q
-    out = [s for s in torus_strata(data, form, trunc) if not s.e]
+    out = [s for s in torus_strata(data, trunc) if not s.e]
     ud = trunc.unit_depth
     for sign in ((1,) if p == 2 else (1, -1)):
         for e in range(1, trunc.gamma_depth + 1):

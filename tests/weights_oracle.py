@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 from twirl.errors import Singular
 from twirl.localfield import Elem, INF, SquareClassSet
-from twirl.matlattice import Mat, mat_ord
+from twirl.matlattice import Mat
+
+from random_mats import mat_ord
 
 
 def delta(g: Mat, i: int) -> int:
