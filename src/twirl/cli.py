@@ -56,7 +56,6 @@ import gc
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -75,7 +74,7 @@ from .supercuspidal import CuspidalData, support_scan
 from .twisted import norm_preimage, twisted_discriminant
 
 
-WINDOW_KEYS = tuple(f.name for f in fields(TruncationSpec))
+WINDOW_KEYS = TruncationSpec.__slots__
 PIPELINE_KEYS = frozenset(WINDOW_KEYS + ("regime",))
 FIELD_KEYS = ("p", "e", "eisenstein", "precision")
 SECTION_KEYS = {"field": frozenset(FIELD_KEYS), "pipeline": PIPELINE_KEYS,
@@ -85,12 +84,18 @@ FORMATS = {"dtwist": ("json",), "support-scan": ("json",), "psik": ("csv",),
            "coeffs": ("json", "csv"), "residue": ("json",)}
 
 
-@dataclass
 class RunConfig:
-    ctx: LocalFieldCtx
-    trunc: TruncationSpec
-    out_format: str | None
-    out_path: str | None
+    """A checked config file (`load`): the field, the windows, and the
+    [output] format and path."""
+
+    __slots__ = ("ctx", "trunc", "out_format", "out_path")
+
+    def __init__(self, ctx: LocalFieldCtx, trunc: TruncationSpec,
+                 out_format: str | None, out_path: str | None):
+        self.ctx = ctx
+        self.trunc = trunc
+        self.out_format = out_format
+        self.out_path = out_path
 
     @staticmethod
     def load(path: str) -> "RunConfig":

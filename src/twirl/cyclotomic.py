@@ -16,7 +16,6 @@ the coordinates as `Fraction`s, and `to_json` prints each one as
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add
 
 
@@ -129,7 +128,10 @@ class CharacterValue:
 
     @property
     def coords(self) -> tuple:
-        """The coordinates as `Fraction`s, length p - 1."""
+        """The coordinates as `Fraction`s, length p - 1.  `fractions` is
+        imported here, not by a run: no run reads a coordinate this way."""
+        from fractions import Fraction
+
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __eq__(self, other):
@@ -141,8 +143,11 @@ class CharacterValue:
     def __hash__(self):
         return hash((self.p, self.coords))
 
-    def rational_part(self) -> Fraction:
-        """The value as a rational; raises if a zeta coordinate survives."""
+    def rational_part(self):
+        """The value as a `Fraction`; raises if a zeta coordinate
+        survives.  Like `coords`, it imports `fractions` itself."""
+        from fractions import Fraction
+
         if any(self.nums[1:]):
             raise ValueError(f"value is not rational: {self}")
         return Fraction(self.nums[0], self.den)

@@ -50,8 +50,6 @@ at odd p) walks no levels: `_delta_totals` runs only the trace guard of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import CharacterValue
@@ -64,27 +62,39 @@ from .matlattice import vdash
 from .twisted import norm_preimage
 
 
-@dataclass(frozen=True)
 class TruncationSpec:
     """Finite windows of the pipeline: `k_max` is how many c_k are
     printed (c_k = a + b k for every k), `gamma_depth` bounds the torus
     strata, and `unit_depth` caps the digits of v a torus stratum fixes
-    (`torus_strata`).  The G/T walk needs none (`orbit_strata`).  `gamma_depth` is not proved exhaustive:
-    the torus strata beyond it contribute, and nothing reports that tail
-    yet."""
+    (`torus_strata`).  The G/T walk needs none (`orbit_strata`).
+    `gamma_depth` is not proved exhaustive: the torus strata beyond it
+    contribute, and nothing reports that tail yet.  `__slots__` is the
+    list of windows, which `cli.WINDOW_KEYS` reads as the [pipeline]
+    keys."""
 
-    gamma_depth: int = 5
-    k_max: int = 8
-    unit_depth: int = 2
+    __slots__ = ("gamma_depth", "k_max", "unit_depth")
+
+    def __init__(self, gamma_depth: int = 5, k_max: int = 8,
+                 unit_depth: int = 2):
+        self.gamma_depth = gamma_depth
+        self.k_max = k_max
+        self.unit_depth = unit_depth
 
 
-@dataclass(frozen=True)
 class TorusStratum:
-    alpha: Elem
-    vol: Fraction
-    label: str
-    sign: int = 0
-    e: int = 0
+    """One torus stratum of `torus_strata`: its representative alpha, its
+    volume 1/`vol_den`, its label, and its (sign, e) around +-1 (0 and 0
+    on a unit class)."""
+
+    __slots__ = ("alpha", "vol_den", "label", "sign", "e")
+
+    def __init__(self, alpha: Elem, vol_den: int, label: str, sign: int = 0,
+                 e: int = 0):
+        self.alpha = alpha
+        self.vol_den = vol_den
+        self.label = label
+        self.sign = sign
+        self.e = e
 
 
 def torus_strata(data, trunc: TruncationSpec):
@@ -158,17 +168,16 @@ def torus_strata(data, trunc: TruncationSpec):
     out = []
     signs = (1,) if p == 2 else (1, -1)
     for c in range(2, p - 1):
-        out.append(TorusStratum(ctx.from_int(c), Fraction(1, q - 1),
-                                f"unit-class-{c}"))
+        out.append(TorusStratum(ctx.from_int(c), q - 1, f"unit-class-{c}"))
     ud = trunc.unit_depth
     for sign in signs:
         for e in range(1, trunc.gamma_depth + 1):
             classes = unit_digit_tuples(p, _digits_seen(data, e, ud))
-            vol = Fraction(1, q ** e * len(classes))
+            vol_den = q ** e * len(classes)
             for digits in classes:
                 v = ctx.from_digits(0, digits) if digits else ctx.one()
                 out.append(TorusStratum(_stratum_alpha(ctx, sign, e, v, ud),
-                                        vol, f"sign{sign}-e{e}",
+                                        vol_den, f"sign{sign}-e{e}",
                                         sign=sign, e=e))
     return out
 
@@ -435,19 +444,26 @@ def orbit_weight_integral(data, alpha: Elem, ks, label: str = "gamma"):
     return _affine(*_pair(by_delta, data.ctx.p, units), ks)
 
 
-@dataclass
 class CoefficientTable:
     """c_k = a + b k for k in `ks`.  `stratum_totals` holds each torus
     stratum with its per-Delta_1 totals, already times 2 vol |D_eps|;
     (a, b) is the pair of their run-wide sum, and `per_stratum` reads
     each stratum's own pair."""
 
-    ks: tuple
-    stratum_totals: list    # (TorusStratum, dict Delta_1 -> CharacterValue)
-    units: int              # |O^x/(O^x)^2|, read by `_pair`
-    a: CharacterValue       # c_0
-    b: CharacterValue       # the slope c_(k+1) - c_k
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("ks", "stratum_totals", "units", "a", "b", "metadata")
+
+    def __init__(self, ks: tuple,
+                 stratum_totals: list,  # (TorusStratum, {Delta_1: value})
+                 units: int,            # |O^x/(O^x)^2|, read by `_pair`
+                 a: CharacterValue,     # c_0
+                 b: CharacterValue,     # the slope c_(k+1) - c_k
+                 metadata: dict | None = None):
+        self.ks = ks
+        self.stratum_totals = stratum_totals
+        self.units = units
+        self.a = a
+        self.b = b
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def values(self) -> dict:
@@ -569,9 +585,8 @@ def assemble_coefficients(data, trunc: TruncationSpec) -> CoefficientTable:
             # factor 2: T\H^+ has two classes and W_k(g, w) = W_k(g, 1);
             # |W(T)| = 1
             # 2 vol |D_eps| = 2 vol q^(-dexp), dexp >= 0 as alpha is a unit
-            num, den = stratum.vol.as_integer_ratio()
-            num, den = 2 * num, den * ctx.q ** dexp
-            totals = {d: t.scale(num, den) for d, t in totals.items()}
+            den = stratum.vol_den * ctx.q ** dexp
+            totals = {d: t.scale(2, den) for d, t in totals.items()}
             for d, t in totals.items():
                 run[d] = run[d] + t if d in run else t
         stratum_totals.append((stratum, totals))
@@ -597,7 +612,9 @@ def coefficient_A_B(data, trunc: TruncationSpec):
     """The weight-only constants of the even-residue-characteristic series:
     A integrates (2[e + ord b] + 1) over the interior shell strata, B is 4
     times the shell volume integral, both against |D_eps| on the unit torus
-    region.  Returns (A, B, per-e increment list) as exact Fractions.
+    region.  Returns (A, B, [(e, A_e, B_e)] per shell e), each constant
+    an exact rational as a p = 2 `CharacterValue`, whose `str` is that of
+    the `Fraction`.
 
     On the stratum alpha = 1 + pi^e, |D_eps| = q^-(ord 2 + 2e), the
     exponent of `regular_preimage` at ord(alpha - 1) = e and ord alpha = 0.
@@ -627,9 +644,14 @@ def coefficient_A_B(data, trunc: TruncationSpec):
         weight = sum(n * (2 * (e - j) + 1) for j, n in enumerate(counts))
         # vol(1 + pi^e O) |D_eps| = q^-e q^-(ord 2 + 2e)
         scale = q ** (3 * e + ctx.ord2)
-        increments.append((e, Fraction(weight, scale),
-                           Fraction(4 * sum(counts), scale)))
+        increments.append((e, _rational(weight, scale),
+                           _rational(4 * sum(counts), scale)))
         a += weight * q ** (3 * (top - e))
         b += 4 * sum(counts) * q ** (3 * (top - e))
     den = q ** (3 * top + ctx.ord2)
-    return Fraction(a, den), Fraction(b, den), increments
+    return _rational(a, den), _rational(b, den), increments
+
+
+def _rational(num: int, den: int) -> CharacterValue:
+    """num/den, den > 0, as a value of Q[zeta_2] = Q."""
+    return CharacterValue.rational(2, num).scale(1, den)

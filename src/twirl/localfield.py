@@ -18,8 +18,7 @@ valuation is actually demanded).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from operator import add, neg
 
 from .errors import (
     DomainError,
@@ -52,32 +51,27 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
 class LocalFieldCtx:
     """Immutable description of F, checked on construction: prime p,
     ramification degree e, Eisenstein polynomial (coefficients
     constant-to-leading, any sequence), and the pi-adic working
-    precision N >= 2e + 2.  q = p (prime residue field)."""
+    precision N >= 2e + 2.  q = p (prime residue field).  Two contexts
+    are equal when (p, e, eisenstein, precision) are; the derived slots
+    take no part.  Assignment to a slot raises AttributeError."""
 
-    p: int
-    e: int
-    eisenstein: tuple[int, ...]
-    precision: int
-    # derived, excluded from equality
-    q: int = field(init=False, compare=False)
-    ord2: int = field(init=False, compare=False)           # ord_pi(2)
-    coeff_exp: int = field(init=False, compare=False)      # M
-    coeff_mod: int = field(init=False, compare=False)      # p^M
-    _red: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
-    _p_over_pi: tuple[int, ...] = field(init=False, compare=False)
-    _p_unit: tuple[int, ...] = field(init=False, compare=False)     # p / pi^e
-    _pk: tuple[int, ...] = field(init=False, compare=False)         # p^0 .. p^M
-    # per-field tables, filled on demand: pi^k, (p / pi^e)^s, the digits
-    # of `integrator._y01_digits` and the squares of `_square_residues`
-    _memo: dict = field(init=False, compare=False)
+    __slots__ = (
+        "p", "e", "eisenstein", "precision",
+        # derived: q, ord_pi(2), M, p^M, x^(e+j) reduced, p / pi, p / pi^e
+        # and p^0 .. p^M
+        "q", "ord2", "coeff_exp", "coeff_mod", "_red", "_p_over_pi",
+        "_p_unit", "_pk",
+        # per-field tables, filled on demand: pi^k, (p / pi^e)^s, the
+        # digits of `integrator._y01_digits` and the squares of
+        # `_square_residues`
+        "_memo")
 
-    def __post_init__(self):
-        p, e, coeffs, n = self.p, self.e, tuple(self.eisenstein), self.precision
+    def __init__(self, p: int, e: int, eisenstein, precision: int):
+        coeffs, n = tuple(eisenstein), precision
         if not _is_prime(p):
             raise NotEisenstein(f"p = {p} is not prime")
         if e < 1 or len(coeffs) != e + 1:
@@ -90,6 +84,9 @@ class LocalFieldCtx:
             raise NotEisenstein("middle coefficients must be divisible by p")
         if n < 2 * e + 2:
             raise PrecisionTooSmall(f"precision {n} < 2e+2 = {2 * e + 2}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "precision", n)
         object.__setattr__(self, "eisenstein", coeffs)
         object.__setattr__(self, "q", p)
         object.__setattr__(self, "ord2", e if p == 2 else 0)
@@ -148,7 +145,7 @@ class LocalFieldCtx:
                     c = ui * vj
                     for t in range(e):
                         out[t] += c * r[t]
-        return tuple(c % pm for c in out)
+        return tuple(map(pm.__rmod__, out))
 
     def poly_ord(self, u: tuple[int, ...]):
         """pi-adic valuation of a unit-part polynomial, or INF if it is
@@ -163,15 +160,14 @@ class LocalFieldCtx:
 
     def poly_div_pi(self, u: tuple[int, ...]) -> tuple[int, ...]:
         """Exact division of a polynomial of valuation >= 1 by pi."""
-        e, p, pm = self.e, self.p, self.coeff_mod
+        p, pm = self.p, self.coeff_mod
         if u[0] % p != 0:
             raise ValueError("not divisible by pi")
-        out = [u[i + 1] if i + 1 < e else 0 for i in range(e)]
+        out = (*u[1:], 0)
         c = u[0] // p
         if c:
-            for t in range(e):
-                out[t] += c * self._p_over_pi[t]
-        return tuple(x % pm for x in out)
+            out = map(add, out, map(c.__mul__, self._p_over_pi))
+        return tuple(map(pm.__rmod__, out))
 
     def poly_inv(self, u: tuple[int, ...],
                  pm: int | None = None) -> tuple[int, ...]:
@@ -234,10 +230,9 @@ class LocalFieldCtx:
                                _unit_power_poly(self, v))
         return _elem(self, self.e * v, coeffs, True, self.coeff_exp)
 
-    def from_rational(self, r: Fraction | int) -> "Elem":
-        r = Fraction(r)
-        if r == 0:
-            return self.zero()
+    def from_rational(self, r) -> "Elem":
+        """The rational r, read through `r.numerator` and `r.denominator`:
+        an int, or a `Fraction`."""
         return self.from_int(r.numerator) / self.from_int(r.denominator)
 
     def pi_poly(self) -> tuple[int, ...]:
@@ -269,6 +264,18 @@ class LocalFieldCtx:
     def random_elem(self, rng, vmin: int = -3, vmax: int = 6) -> "Elem":
         return _elem(self, rng.randrange(vmin, vmax + 1),
                      self.random_unit(rng).coeffs, True, self.coeff_exp)
+
+    def __eq__(self, other):
+        if type(other) is not LocalFieldCtx:
+            return NotImplemented
+        return ((self.p, self.e, self.eisenstein, self.precision)
+                == (other.p, other.e, other.eisenstein, other.precision))
+
+    def __hash__(self):
+        return hash((self.p, self.e, self.eisenstein, self.precision))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __repr__(self):
         return f"LocalFieldCtx(p={self.p}, e={self.e}, N={self.precision})"
@@ -322,14 +329,14 @@ class Elem:
         m = self.mexp - (t + ctx.e - 1) // ctx.e
         mod = ctx._pk[max(m, 0)]
         ps = ctx._pk[s]
-        u = tuple(c // ps for c in self.coeffs)
+        u = tuple(map(ps.__rfloordiv__, self.coeffs))
         if not r:
             return ctx.poly_mul(u, _unit_power_poly(ctx, s), mod), m
         if s:
             u = ctx.poly_mul(u, _unit_power_poly(ctx, s))
         for _ in range(r):
             u = ctx.poly_div_pi(u)
-        return tuple(c % mod for c in u), m
+        return tuple(map(mod.__rmod__, u)), m
 
     def _settle(self) -> "Elem":
         """Re-center so the unit part has valuation 0 (exact); never raises.
@@ -338,7 +345,7 @@ class Elem:
         if self._norm:
             return self
         ctx = self.ctx
-        if self.is_zero():
+        if not any(self.coeffs):
             return _elem(ctx, 0, self.coeffs, True, self.mexp)
         t = ctx.poly_ord(self.coeffs)
         if t >= self._capacity():
@@ -383,7 +390,7 @@ class Elem:
     def val(self):
         """pi-adic valuation; INF for the exact zero."""
         x = self.normalized()
-        if x.is_zero():
+        if not any(x.coeffs):
             return INF
         return x.vbase
 
@@ -391,10 +398,11 @@ class Elem:
 
     def __add__(self, other: "Elem") -> "Elem":
         ctx = self.ctx
-        a, b = self._settle(), other._settle()
-        if a.is_zero():
+        a = self if self._norm else self._settle()
+        b = other if other._norm else other._settle()
+        if not any(a.coeffs):
             return b
-        if b.is_zero():
+        if not any(b.coeffs):
             return a
         if a.vbase > b.vbase:
             a, b = b, a
@@ -409,7 +417,7 @@ class Elem:
         if ctx.e == 1:
             s = ((a.coeffs[0] + u[0]) % mod,)
         else:
-            s = tuple((x + y) % mod for x, y in zip(a.coeffs, u))
+            s = tuple(map(mod.__rmod__, map(add, a.coeffs, u)))
         return _elem(ctx, a.vbase, s, False, m)
 
     def __neg__(self) -> "Elem":
@@ -418,7 +426,7 @@ class Elem:
         if ctx.e == 1:
             u = ((-self.coeffs[0]) % mod,)
         else:
-            u = tuple((-c) % mod for c in self.coeffs)
+            u = tuple(map(mod.__rmod__, map(neg, self.coeffs)))
         return _elem(ctx, self.vbase, u, self._norm, self.mexp)
 
     def __sub__(self, other: "Elem") -> "Elem":
@@ -426,8 +434,9 @@ class Elem:
 
     def __mul__(self, other: "Elem") -> "Elem":
         ctx = self.ctx
-        a, b = self._settle(), other._settle()
-        if a.is_zero() or b.is_zero():
+        a = self if self._norm else self._settle()
+        b = other if other._norm else other._settle()
+        if not (any(a.coeffs) and any(b.coeffs)):
             return ctx.zero()
         m = min(a.mexp, b.mexp)
         return _elem(ctx, a.vbase + b.vbase,
@@ -599,13 +608,16 @@ def _unit_power_poly(ctx: LocalFieldCtx, s: int) -> tuple[int, ...]:
 # -- square classes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SquareClassSet:
     """Representatives for F^x / (F^x)^2 and O^x / (O^x)^2."""
 
-    ctx: LocalFieldCtx
-    reps: tuple[Elem, ...]
-    unit_reps: tuple[Elem, ...]
+    __slots__ = ("ctx", "reps", "unit_reps")
+
+    def __init__(self, ctx: LocalFieldCtx, reps: tuple[Elem, ...],
+                 unit_reps: tuple[Elem, ...]):
+        self.ctx = ctx
+        self.reps = reps
+        self.unit_reps = unit_reps
 
 
 def unit_digit_tuples(p: int, n: int) -> list:
@@ -722,7 +734,7 @@ def parse_elem(ctx: LocalFieldCtx, text: str) -> Elem:
             if not int(den):
                 raise DomainError(f"zero denominator in element factor "
                                   f"{tok!r}")
-            return ctx.from_rational(Fraction(tok))
+            return ctx.from_int(int(num)) / ctx.from_int(int(den))
         raise DomainError(f"cannot parse element factor {tok!r}")
 
     # split on + but keep leading minus attached to the first factor, and

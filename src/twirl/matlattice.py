@@ -4,8 +4,6 @@ transpose, and the Iwasawa factors n_b and a_e of GL_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import Singular
 from .localfield import INF, Elem, LocalFieldCtx
 
@@ -182,26 +180,26 @@ def antidiag_u(ctx: LocalFieldCtx, n: int) -> Mat:
     return Mat(ctx, rows)
 
 
-@dataclass(frozen=True)
 class GroupForm:
     """The form J defining the twisted transpose and the group H; its
-    size is J.n."""
+    size is J.n.  `kind` is "orthogonal" or "symplectic"."""
 
-    kind: str  # "orthogonal" | "symplectic"
-    J: Mat
+    __slots__ = ("kind", "J")
 
-    def __post_init__(self):
-        jt = self.J.transpose()
-        if self.kind == "orthogonal":
-            if not jt == self.J:
+    def __init__(self, kind: str, J: Mat):
+        jt = J.transpose()
+        if kind == "orthogonal":
+            if not jt == J:
                 raise ValueError("orthogonal form must be symmetric")
-        elif self.kind == "symplectic":
-            if not jt == -self.J:
+        elif kind == "symplectic":
+            if not jt == -J:
                 raise ValueError("symplectic form must be antisymmetric")
         else:
-            raise ValueError(f"unknown form kind {self.kind!r}")
-        if self.J.det().val is INF:
+            raise ValueError(f"unknown form kind {kind!r}")
+        if J.det().val is INF:
             raise Singular("form matrix must be invertible")
+        self.kind = kind
+        self.J = J
 
 
 def orthogonal_form(ctx: LocalFieldCtx, n: int, lam: Mat | None = None) -> GroupForm:

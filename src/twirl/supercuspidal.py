@@ -10,7 +10,6 @@ the character value is Lambda_1(b + c/pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cyclotomic import CharacterValue
@@ -70,7 +69,6 @@ def level_character(g: Mat) -> CharacterValue:
     return additive_char(arg)
 
 
-@dataclass
 class CuspidalData:
     """Inducing data: E = F(sqrt(pi)) embedded via pi_E = [[0,1],[pi,0]],
     inducing compact fixed to I_1, central character trivial.  For p = 2 the
@@ -79,12 +77,13 @@ class CuspidalData:
     argument in `kappa_average`, and the integrator reads it to skip the
     G/T levels whose K-averages it would only add as 0."""
 
-    ctx: LocalFieldCtx
+    __slots__ = ("ctx", "kappa_vanishes", "_avg_cache", "_table")
 
-    def __post_init__(self):
-        if self.ctx.p == 2 and self.ctx.e < 2:
+    def __init__(self, ctx: LocalFieldCtx):
+        if ctx.p == 2 and ctx.e < 2:
             raise DomainError("even residue characteristic needs 2 in pi^2")
-        self.kappa_vanishes = self.ctx.p != 2
+        self.ctx = ctx
+        self.kappa_vanishes = ctx.p != 2
         self._avg_cache: dict = {}
         self._table: PassTable | None = None
 
@@ -390,17 +389,20 @@ def _coset_counts(table: PassTable, digits, parity: int):
 # -- support scanning ----------------------------------------------------------
 
 
-@dataclass
 class ScanReport:
     """`strata` holds the `orbit_strata` records `support_scan` read, in
     order, the last one live when it found a witness; `to_json` prints
     a record's j as `b_level`, its digits as `b` and `dead or "witness"`
     as its verdict."""
 
-    regime: str
-    witness: dict | None
-    strata: list
-    kappa_level: int
+    __slots__ = ("regime", "witness", "strata", "kappa_level")
+
+    def __init__(self, regime: str, witness: dict | None, strata: list,
+                 kappa_level: int):
+        self.regime = regime
+        self.witness = witness
+        self.strata = strata
+        self.kappa_level = kappa_level
 
     def to_json(self):
         return {

@@ -5,8 +5,6 @@ diagonal x = diag(x0, x1) as its two entries."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotRegular
 from .localfield import INF, Elem
 from .matlattice import Mat
@@ -27,7 +25,6 @@ def norm_preimage(alpha: Elem) -> Mat:
     return Mat.diag(ctx, [s0, s1])
 
 
-@dataclass(frozen=True)
 class DiscriminantReport:
     """The twisted discriminant D_eps(delta): the determinant of the
     operator X -> -delta X^vdash delta^(-1) - X induced on the quotient of
@@ -38,10 +35,14 @@ class DiscriminantReport:
     D_eps(delta) up to sign, and |D_eps(delta)| = q^(-ord_value).
     `regular` means kernel_dim = n/2: the twisted centralizer is a torus."""
 
-    ord_value: int
-    kernel_dim: int
-    charpoly_lowterm: Elem
-    regular: bool
+    __slots__ = ("ord_value", "kernel_dim", "charpoly_lowterm", "regular")
+
+    def __init__(self, ord_value: int, kernel_dim: int,
+                 charpoly_lowterm: Elem, regular: bool):
+        self.ord_value = ord_value
+        self.kernel_dim = kernel_dim
+        self.charpoly_lowterm = charpoly_lowterm
+        self.regular = regular
 
     def to_json(self):
         return {

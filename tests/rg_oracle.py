@@ -36,5 +36,6 @@ def rg_term(data, trunc) -> CharacterValue:
             continue
         x = Mat.diag(ctx, [x0, x1])
         favg = data.kappa_average(kappa_key(x, data.residue_level))
-        acc = acc + favg.scale(stratum.vol * Fraction(ctx.q) ** (-dexp))
+        acc = acc + favg.scale(Fraction(1, stratum.vol_den)
+                                * Fraction(ctx.q) ** (-dexp))
     return acc

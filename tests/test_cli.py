@@ -1,6 +1,7 @@
 import configparser
 import csv
 import gc
+import inspect
 import io
 import json
 import os
@@ -11,7 +12,6 @@ import runpy
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -421,9 +421,16 @@ def test_output_format_is_honoured_or_refused(tmp_path, capsys, command,
 
 def test_pipeline_keys_are_truncation_fields():
     """Every [pipeline] key but regime is a TruncationSpec field, which
-    the pipeline reads, and every field has a key."""
-    assert cli.PIPELINE_KEYS == ({"regime"}
-                                 | {f.name for f in fields(TruncationSpec)})
+    the pipeline reads, and every field has a key: the windows are the
+    class's `__slots__`, and its constructor takes each by that name, in
+    that order, with the documented defaults."""
+    assert cli.WINDOW_KEYS == TruncationSpec.__slots__
+    assert cli.PIPELINE_KEYS == {"regime"} | set(TruncationSpec.__slots__)
+    params = inspect.signature(TruncationSpec).parameters
+    assert tuple(params) == TruncationSpec.__slots__
+    spec = TruncationSpec()
+    assert {k: getattr(spec, k) for k in cli.WINDOW_KEYS} == {
+        k: v.default for k, v in params.items()}
 
 
 @pytest.mark.parametrize("case, err", [

@@ -60,7 +60,8 @@ def test_torus_strata_volumes():
                     m = (0 if isinstance(data, CuspidalData)
                          else min(ud, max(0, 2 - e)))
                     here = [s for s in strata if s.sign == sign and s.e == e]
-                    assert sum(s.vol for s in here) == Fraction(1, 5 ** e)
+                    assert (sum(Fraction(1, s.vol_den) for s in here)
+                            == Fraction(1, 5 ** e))
                     assert len(here) == len(unit_digit_tuples(5, m))
                     assert len({unit_digits(s, m) for s in here}) == len(here)
 
@@ -319,13 +320,17 @@ def test_record_key_matches_the_coset_walk(field, depth):
     assert cosets and (p != 2 or len(averaged) > 1)
 
 
-def test_prefilter_verdict_is_one_per_forced_i():
+def test_orbit_strata_copies_the_prefilter_verdict_to_every_level():
     """On every torus stratum of the level-walk fields, for `CuspidalData`
-    and the indicator of M_2(O), the support prefilter gives one verdict
-    on the diagonal of the y of every level j of a forced i (y by the
-    `Mat` product at the first and last b of the level), and
-    `orbit_strata`, which calls
-    it once per i, records that verdict on every level of i.  Both
+    and the indicator of M_2(O), `orbit_strata`, which calls the support
+    prefilter once per forced i, records on every level j of i the
+    verdict that the prefilter gives on the diagonal of that level's y
+    (y by the `Mat` product at the first and last b of the level).
+
+    That the prefilter gives one verdict per i holds by construction: it
+    reads only (y00, y11), and y00 = pi^i x0, y11 = pi^i x1 at every b
+    of a forced i.  The first assertion only restates that; the check is
+    the second, that the walk copies the verdict to every level.  Both
     integrands have live i with more than one level (at p = 2 only, for
     `CuspidalData`)."""
     live_deep = Counter()
@@ -549,10 +554,27 @@ def _p2_raw_row(e):
     return {d: CharacterValue.rational(2, t) for d, t in row.items()}
 
 
+def _A_B_rationals(data, trunc):
+    """`coefficient_A_B` with each constant, a p = 2 `CharacterValue`,
+    read as a `Fraction`."""
+    a, b, incs = coefficient_A_B(data, trunc)
+    return (a.rational_part(), b.rational_part(),
+            [(e, ai.rational_part(), bi.rational_part())
+             for e, ai, bi in incs])
+
+
 def test_coefficient_A_B():
+    """A, B and every per-shell increment are positive p = 2
+    `CharacterValue`s, whose `str` is that of the `Fraction`, and the
+    increments fall with e."""
     c = ctx2()
     data = CuspidalData(c)
-    a, b, incs = coefficient_A_B(data, TruncationSpec(gamma_depth=5))
+    values = coefficient_A_B(data, TruncationSpec(gamma_depth=5))
+    for v in values[:2] + tuple(x for _e, ai, bi in values[2]
+                                for x in (ai, bi)):
+        assert type(v) is CharacterValue and v.p == 2
+        assert str(v) == str(v.rational_part())
+    a, b, incs = _A_B_rationals(data, TruncationSpec(gamma_depth=5))
     assert a > 0 and b > 0
     avals = [ai for _, ai, _ in incs]
     bvals = [bi for _, _, bi in incs]
@@ -584,7 +606,7 @@ def test_coefficient_A_B_makes_one_report(monkeypatch):
 
     monkeypatch.setattr(integrator, "discriminant_report", counted)
     c = ctx2()
-    a, b, incs = coefficient_A_B(CuspidalData(c), TruncationSpec(gamma_depth=5))
+    a, b, incs = _A_B_rationals(CuspidalData(c), TruncationSpec(gamma_depth=5))
     assert reports == ["1+pi^5"]
     q = Fraction(c.q)
     for e, a_inc, b_inc in incs:

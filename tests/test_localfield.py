@@ -6,7 +6,7 @@ import pytest
 from twirl.cyclotomic import CharacterValue
 from twirl.errors import (DomainError, NotEisenstein, PrecisionExhausted,
                           PrecisionTooSmall, Singular)
-from twirl.localfield import (Elem, LocalFieldCtx, SquareClassSet,
+from twirl.localfield import (Elem, LocalFieldCtx,
                               _pi_power_poly, additive_char,
                               card_unit_square_classes, is_square, parse_elem,
                               square_class_reps, unit_digit_tuples)
@@ -32,6 +32,24 @@ def test_field_examples():
     assert c.from_int(2).val == 2  # 2 in pi^2
     c1 = LocalFieldCtx(2, 1, (-2, 1), 14)
     assert c1.from_int(2).val == 1
+
+
+def test_field_context_is_a_value():
+    """Two contexts are equal, and hash alike, exactly when (p, e,
+    eisenstein, precision) agree, whatever their derived slots and
+    tables hold; a context equals nothing else, and refuses assignment."""
+    a, b = ctx5(12), ctx5(12)
+    b.from_int(3).inverse()     # fills b's per-field tables only
+    a._memo["probe"] = 1
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    for other in (ctx5(13), LocalFieldCtx(5, 1, (-10, 1), 12),
+                  LocalFieldCtx(5, 2, (-5, 0, 1), 12), ctx2()):
+        assert a != other
+    assert a != (5, 1, (-5, 1), 12)
+    for name in ("p", "precision", "_memo", "new"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 7)
+    assert (a.p, a.precision) == (5, 12)
 
 
 def test_one_is_the_stored_form_of_from_int_1():
@@ -317,8 +335,8 @@ def test_square_class_reps_match_all_pairs(eis):
     assert ([u._key(u.mexp) for u in scs.unit_reps]
             == [u._key(u.mexp) for u in reps])
     pi = c.pi()
-    assert scs == SquareClassSet(c, tuple(reps) + tuple(u * pi for u in reps),
-                                 tuple(reps))
+    assert (scs.ctx, scs.reps, scs.unit_reps) == (
+        c, tuple(reps) + tuple(u * pi for u in reps), tuple(reps))
 
 
 def test_rational_embedding():
@@ -609,6 +627,21 @@ def test_parse_elem_integer_factor_matches_from_rational(tok):
         assert got == want
         assert ([getattr(got, s) for s in got.__slots__]
                 == [getattr(want, s) for s in want.__slots__])
+
+
+@pytest.mark.parametrize("tok", ["3/7", "-6/4", "50/2", "0/3", "-0/9",
+                                 "12/18", "007/014"])
+def test_parse_elem_fraction_factor_matches_from_rational(tok):
+    """An a/b factor is parsed as from_int(a) / from_int(b), with no
+    `Fraction` and no gcd: a factor common to a and b cancels exactly, so
+    it gives the element `from_rational(Fraction(tok))` gives, slot for
+    slot once both are normalized, at p = 2, 3, 5 and 7."""
+    for c in (ctx2(), ctx5(), LocalFieldCtx(3, 1, (-3, 1), 18),
+              LocalFieldCtx(7, 1, (-7, 1), 18)):
+        got = parse_elem(c, tok).normalized()
+        want = c.from_rational(Fraction(tok)).normalized()
+        assert ([getattr(got, s) for s in got.__slots__]
+                == [getattr(want, s) for s in want.__slots__]), (c, tok)
 
 
 def test_parse_elem_refuses_a_term_beyond_the_window():

@@ -96,7 +96,8 @@ def test_group_form_derives_n_and_w(mk, nonsquare, n):
              symplectic_form(c, n)]
     for form in forms:
         assert form.J.n == n
-        assert form == GroupForm(form.kind, form.J)
+        again = GroupForm(form.kind, form.J)
+        assert (again.kind, again.J) == (form.kind, form.J)
     assert orthogonal_form(c, n).J == antidiag_w(c, n)
     assert symplectic_form(c, n).J == antidiag_u(c, n)
 

@@ -71,7 +71,8 @@ def test_every_public_name_is_reached_or_an_oracle():
 # The functions of `src/twirl` that no run of `reach_profile` calls, each
 # with why it stays.  (a) perfbench reads it; (b) a method of a value type
 # that the tests, oracles or demos call; (c) the paper's symplectic case;
-# (d) read by the per-stratum tables the p = 2 closed form will print.
+# (d) read by the per-stratum tables the p = 2 closed form will print;
+# (e) a guard against a misuse that no run makes.
 _PERFBENCH = "(a) perfbench/job.py probes it"
 _TRACER = "(a) a lookup point of perfbench/spans.py"
 _VALUE = "(b) the tests, oracles or demos call it"
@@ -86,16 +87,19 @@ KEPT = {
     "cyclotomic.CharacterValue.__mul__": _VALUE,
     "cyclotomic.CharacterValue.__repr__": _REPR,
     "cyclotomic.CharacterValue.coords": _VALUE,
-    "cyclotomic.CharacterValue.__str__": _VALUE,
     "cyclotomic.CharacterValue.one": _VALUE,
-    "cyclotomic.CharacterValue.rational": _VALUE,
     "cyclotomic.CharacterValue.rational_part": _VALUE,
     "localfield.Elem.__hash__": _VALUE,
     "localfield.Elem.__init__": _VALUE,
     "localfield.Elem.__pow__": _VALUE,
     "localfield.Elem.__repr__": _REPR,
     "localfield.Elem.__str__": _VALUE,
+    "localfield.LocalFieldCtx.__eq__": _VALUE,
+    "localfield.LocalFieldCtx.__hash__": _VALUE,
     "localfield.LocalFieldCtx.__repr__": _VALUE,
+    "localfield.LocalFieldCtx.__setattr__": "(e) a field context refuses "
+                                            "assignment",
+    "localfield.LocalFieldCtx.from_rational": _VALUE,
     "matlattice.Mat.__add__": _VALUE,
     "matlattice.Mat.__neg__": _VALUE,
     "matlattice.Mat.__repr__": _VALUE,
@@ -187,6 +191,33 @@ def test_localfield_loads_without_numpy():
                          capture_output=True, text=True, timeout=60,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == str(["twirl", "twirl.errors", "twirl.localfield"])
+
+
+def test_cold_cli_import_loads_nothing_outside_twirl():
+    """In a fresh interpreter that has loaded what a benchmark job loads
+    first (its own `from __future__` line, numpy and json), `import
+    twirl.cli` adds no module outside `twirl` but the built-in `gc`: no
+    `fractions` (with `decimal`), no `dataclasses`.  And no class of
+    `twirl` is a dataclass, whose decorator would compile generated
+    methods at import."""
+    code = ("from __future__ import annotations\n"
+            "import json, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import twirl.cli\n"
+            "added = sorted(set(sys.modules) - before)\n"
+            "classes = [f'{m}.{k}' for m in added if m.startswith('twirl')\n"
+            "           for k, v in vars(sys.modules[m]).items()\n"
+            "           if isinstance(v, type)\n"
+            "           and hasattr(v, '__dataclass_fields__')]\n"
+            "print(json.dumps([added, classes]))\n")
+    src = str(pathlib.Path(twirl.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    added, classes = json.loads(out)
+    assert [m for m in added if m.split(".")[0] != "twirl"] == ["gc"]
+    assert "twirl.cli" in added
+    assert classes == []
 
 
 def test_no_module_level_cache():

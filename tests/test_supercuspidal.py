@@ -266,8 +266,8 @@ def test_kappa_average_level_stability():
 class _RecordingData(CuspidalData):
     """Records the key of every y the pipeline averages over."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, ctx):
+        super().__init__(ctx)
         self.seen = []
 
     def kappa_average(self, key):

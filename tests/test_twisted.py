@@ -89,6 +89,12 @@ def test_nu_of_norm(mk):
 
 
 def test_eps_symmetry_preserved():
+    """The oracle `is_eps_symmetric` (`tests/twisted_oracles.py`), which
+    no library code shares, finds x eps-symmetric when its diagonal
+    entries agree, and keeps that verdict under x -> g x g^vdash.  The
+    library's own eps test is the support prefilter's y11 - y00, held to
+    this oracle by
+    `test_support_prefilter_reads_the_diagonal_as_the_oracles_do`."""
     c = ctx5()
     form = orthogonal_form(c, 2)
     rng = random.Random(2)
@@ -104,6 +110,10 @@ def test_eps_symmetry_preserved():
 
 
 def test_eps_symmetry_mod_level():
+    """The oracle `is_eps_symmetric` reads eps-symmetry mod pi^level: a
+    difference of pi between the diagonal entries passes at level 1 and
+    fails at level 2.  Like `test_eps_symmetry_preserved`, it tests the
+    oracle, not library code."""
     c = ctx5()
     form = orthogonal_form(c, 2)
     x = Mat(c, [[c.one(), c.zero()], [c.zero(), c.one() + c.pi(1)]])
@@ -128,10 +138,13 @@ def _outcome(route, x, form, mod_level):
 
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
 def test_pairwise_eps_symmetry_matches_vdash_route(mk):
-    """The pairwise test gives the vdash route's verdict, exactly and mod
-    pi^1..3, on random, eps-symmetric and perturbed eps-symmetric 2x2 and
-    4x4 matrices, under the split and non-split orthogonal forms and the
-    symplectic form."""
+    """The pairwise test of the oracle `is_eps_symmetric` gives the vdash
+    route's verdict, exactly and mod pi^1..3, on random, eps-symmetric
+    and perturbed eps-symmetric 2x2 and 4x4 matrices, under the split and
+    non-split orthogonal forms and the symplectic form.  Both routes are
+    test code: the pairwise orthogonal branch is shared by no library
+    code, so this holds the oracle to `vdash`, not the library's eps test
+    (the prefilter's y11 - y00)."""
     c = mk()
     rng = random.Random(10)
     verdicts = set()

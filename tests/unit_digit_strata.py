@@ -4,8 +4,6 @@ classes of v mod pi^m that the integrand sees; m = `unit_depth` gives
 these strata.  The same signature as `torus_strata`, so a test can put
 it in its place; the integrand does not choose the strata here."""
 
-from fractions import Fraction
-
 from twirl.integrator import TorusStratum, _stratum_alpha, torus_strata
 from twirl.localfield import unit_digit_tuples
 
@@ -23,8 +21,8 @@ def unit_digit_strata(data, trunc):
             for digits in unit_digit_tuples(p, ud):
                 alpha = _stratum_alpha(ctx, sign, e,
                                        ctx.from_digits(0, digits), ud)
-                vol = Fraction(1, q ** (e + ud - 1) * (q - 1))
-                out.append(TorusStratum(alpha, vol, f"sign{sign}-e{e}",
+                vol_den = q ** (e + ud - 1) * (q - 1)
+                out.append(TorusStratum(alpha, vol_den, f"sign{sign}-e{e}",
                                         sign=sign, e=e))
     return out
 
