@@ -4,8 +4,8 @@ f is the matrix coefficient of a compactly induced representation of
 GL_2(F), cut off to C = O_E^x I_1 {1, pi_E} for E = F(sqrt pi).  The scan
 asks: for which torus parameters alpha does some g make
 f(g S(gamma)^(-1) g^t) nonzero?  The answer is decided by determinant
-parities, integrality windows, symmetry filters, and an exact enumeration
-of the remaining compact directions.
+parities, integrality windows and symmetry filters; where they leave a
+class alive, kappa = [[0, 1], [1, 0]] is a witness, with f = 1.
 """
 
 from twirl.localfield import LocalFieldCtx, parse_elem

@@ -254,8 +254,7 @@ class Coset(NamedTuple):
     K-average of f reads of the argument y = g0 x g0^vdash: the digit
     tuples of the entries of y mod pi^level and the parity of ord det y,
     read off the record (`orbit_strata`).  It is None on a dead record,
-    and on a live one whose y is not integral; `support_scan`'s witness
-    reads it too."""
+    and on a live one whose y is not integral."""
 
     i: int
     j: int

@@ -16,7 +16,8 @@ from .cyclotomic import CharacterValue
 from .errors import DomainError
 from .integrator import _preimage_inverse, orbit_strata
 from .localfield import INF, Elem, LocalFieldCtx, additive_char
-from .matlattice import Mat, a_e, n_b, orthogonal_form, vdash
+from .matlattice import Mat
+from .matlattice import vdash  # unused; a tracer lookup point of perfbench/spans.py
 from .ringvec import ResidueRing, iter_gl2
 from .twisted import norm_preimage  # unused; a tracer lookup point of perfbench/spans.py
 
@@ -49,14 +50,6 @@ def member(g: Mat, level: str) -> bool:
     if level == "I2":
         return ((a - one).val >= 2 and b.val >= 1 and c.val >= 2
                 and (d - one).val >= 2)
-    if level == "C0":
-        for r in range(1, ctx.p):
-            s = ctx.from_int(r).inverse()
-            if member(g.scale(s), "I1"):
-                return True
-        return False
-    if level == "C":
-        return member(g, "C0") or member(pi_e_inverse_power(ctx, 1) * g, "C0")
     raise ValueError(f"unknown level {level!r}")
 
 
@@ -105,13 +98,13 @@ class CuspidalData:
                 return level_character(h)
         return CharacterValue.zero(ctx.p)
 
-    def in_support(self, g: Mat) -> bool:
-        d = g.det()
-        return d.val in (0, 1) and member(g, "C")
-
     def f(self, g: Mat) -> CharacterValue:
-        """f = psi * 1_C, C = O_E^x I_1 {1, pi_E}."""
-        if not self.in_support(g):
+        """f = psi * 1_C, C = O_E^x I_1 {1, pi_E} = C_0 u pi_E C_0 with
+        C_0 = F_p^x I_1: psi where ord det g is 0 or 1, and 0 elsewhere.
+        At j = ord det g, psi searches for r with pi_E^(-j) g / r in I_1,
+        the membership test of C_0 (j = 0) or pi_E C_0 (j = 1), so
+        1_C(g) = [ord det g in {0, 1}] [psi(g) != 0]."""
+        if g.det().val not in self.detval_support:
             return CharacterValue.zero(self.ctx.p)
         return self.psi(g)
 
@@ -226,7 +219,7 @@ class CuspidalData:
         parity of ord det y, which is the key: the G/T walk reads it off
         each `orbit_strata` record without building y.  A miss runs the
         pass in plain integers on the digits of the key, over the
-        GL_2(F_p) rows of `_pass_table`.  The test oracle
+        GL_2(F_p) rows of the integrand's `PassTable`.  The test oracle
         `kappa_average_oracle` (`tests/kappa_oracle.py`) enumerates all of
         GL_2(O/pi^level) instead, and the tests hold the two equal."""
         if self.kappa_vanishes:
@@ -237,18 +230,14 @@ class CuspidalData:
             self._avg_cache[key] = got
         return got
 
-    def _pass_table(self) -> PassTable:
-        """The integrand's `PassTable`, which each of its K-average
-        passes reads, built on the first pass."""
+    def _kappa_average_coset(self, digits, parity: int) -> CharacterValue:
+        """The pass `_coset_counts` for the y whose entries have the
+        digit tuples `digits` mod pi^2, over the integrand's `PassTable`,
+        which the first pass builds and every later one reads."""
         if self._table is None:
             self._table = pass_table(ResidueRing(self.ctx,
                                                  self.residue_level))
-        return self._table
-
-    def _kappa_average_coset(self, digits, parity: int) -> CharacterValue:
-        """The pass `_coset_counts` for the y whose entries have the
-        digit tuples `digits` mod pi^2."""
-        counts, total = _coset_counts(self._pass_table(), digits, parity)
+        counts, total = _coset_counts(self._table, digits, parity)
         return CharacterValue.from_exponent_counts(self.ctx.p, counts, total)
 
 
@@ -299,7 +288,7 @@ def _kept_rows(table: PassTable, digits, parity: int):
     with T_k the 4 x 4 matrix of v -> k v k^vdash on v = (v00, v01, v10,
     v11); N = T_k y0 is the integer vector of the first digits y0, X = N
     mod pi, and the row is kept when N mod p passes `_support_mod_pi`.  A
-    kept row is (k, T_k, N)."""
+    kept row is (T_k, N)."""
     p = table.p
     y00, y01, y10, y11 = (z[0] for z in digits)
     kept = []
@@ -309,7 +298,7 @@ def _kept_rows(table: PassTable, digits, parity: int):
         n = [u0 * y00 + u1 * y01 + u2 * y10 + u3 * y11
              for u0, u1, u2, u3 in t]
         if _support_mod_pi([v % p for v in n], parity):
-            kept.append(((a, b, c, d), t, n))
+            kept.append((t, n))
     return kept
 
 
@@ -368,7 +357,7 @@ def _coset_counts(table: PassTable, digits, parity: int):
     size = p ** _rank_mod_p(span, p)
     counts = [0] * p
     spread = 0
-    for _k, t, x in _kept_rows(table, digits, parity):
+    for t, x in _kept_rows(table, digits, parity):
         if parity:
             r = x[1] % p
             if (div_pi(t[2], x[2]) - r) % p:
@@ -430,75 +419,61 @@ def _classify_regime(ctx: LocalFieldCtx, alpha: Elem) -> str:
 
 
 def support_scan(data: CuspidalData, alpha: Elem) -> ScanReport:
-    """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^t) != 0.
+    """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^vdash) != 0.
 
     Reads, and keeps as `ScanReport.strata`, the (i, j) level records of
     `integrator.orbit_strata`, the walk the pipeline integrates over: the
     det-valuation support forces i, integrality bounds the b level j, a
     dead level is one record with the prefilter's reason, and a live level
     is one record per class of b that y mod pi^`data.residue_level` sees.
-    A live class is settled by `_kappa_witness`, the first kappa mod pi^2
-    with f != 0, which stands for all of K (f reads its argument mod pi^2,
-    see `CuspidalData.kappa_average`) and reads y only mod pi^2, the same
-    for every coset of the class.  The class representative (the first
-    digits of b, then zeros) is the lexicographically first coset of its
-    class, so the first witness is the lexicographic one; its `b` is
-    padded with zeros to `b_level` digits.
+    The first live record ends the scan with the witness below, which is
+    proved here, so a scan evaluates neither f nor a K-average.
 
-    Every live class holds a witness, so the first live class ends the
-    scan.  A live record has an integral, upper-triangular y =
-    pi^i [[x0, b(x0 + x1)], [0, x1]] with ord det y in {0, 1} and
-    y00 = y11 mod p (the prefilter).  Both diagonal entries are
-    integral, so ord det y = 1 would make their valuations 0 and 1 and
-    y00 - y11 a unit.  Hence ord det y = 0, both are units, and
-    y = [[r, z], [0, r]] mod pi with r != 0.  That passes f's support
-    test at parity 0 (`_support_mod_pi`), so f(y) != 0 and kappa = 1 is a
-    witness.  `kappa_level` is `data.residue_level`, the level mod which
-    kappa is the first witness, once a live stratum was scanned, else 0.
-    The witness `value` is f(g x g^vdash) by `Mat` products, the one
-    evaluation of f in a run, under `orthogonal_form(ctx, 2)`."""
+    - The first live record.  A live record has an integral,
+      upper-triangular y = pi^i [[x0, b(x0 + x1)], [0, x1]] with ord det
+      y in {0, 1} and y00 = y11 mod p (the prefilter).  Both diagonal
+      entries are integral, so ord det y = 1 would make their valuations
+      0 and 1 and y00 - y11 a unit.  Hence ord det y = 0, both are units,
+      and y = [[r, z], [0, r]] mod pi with r != 0 passes f's support test
+      at parity 0 (`_support_mod_pi`): every live class holds a witness,
+      and the first ends the scan.  The prefilter reads only the
+      diagonal, so at a forced i its verdict holds for every j, and
+      `orbit_strata` lists j = 0 first, as one class with b = 0.  So the
+      first live record has j = 0, b = () and y = diag(y00, y11) with
+      y00 = y11 != 0 mod pi.
+    - Kappa.  f reads its argument mod pi^2 (`CuspidalData.kappa_average`),
+      so the first kappa mod pi^2 with f(kappa y kappa^vdash) != 0, in the
+      digit order of GL_2(O/pi^2), stands for all of K.  At parity 0 f's
+      support test is `_support_mod_pi`, which reads kappa mod pi only,
+      and f is a root of unity on its support; the order lists the
+      single-digit lifts first, so the witness is the lift of the first
+      row of GL_2(F_p) that passes.  The first row of GL_2(F_p) in
+      lexicographic order is w = [[0, 1], [1, 0]], and w^vdash = w, so
+      w y w^vdash = diag(y11, y00), which passes.  So kappa = w, whatever
+      p and e; its entries are printed as `Mat.to_digit_lists(4)` prints
+      them, (None, ()) for 0 and (0, (1, 0, 0, 0)) for 1.
+    - The value.  diag(y11, y00) / r lies in I_1 for r = y11 mod pi, so
+      f(diag(y11, y00)) = Lambda_1(0) = 1 = zeta_p^0.
+
+    The tests hold this witness to the per-coset scan, which enumerates
+    GL_2(O/pi^2) and evaluates f by `Mat` products.  `kappa_level` is
+    `data.residue_level`, the level mod which kappa is the first witness,
+    once a live stratum was scanned, else 0."""
     ctx = data.ctx
     x0, x1 = _preimage_inverse(alpha)
     regime = _classify_regime(ctx, alpha)
     strata, witness, kappa_level = [], None, 0
     for c in orbit_strata(data, x0, x1):
         strata.append(c)
-        if c.dead is not None:
-            continue
-        kappa_level = data.residue_level
-        kap = _kappa_witness(data, c.key)
-        g0 = n_b(ctx, ctx.from_digits(-c.j, c.digits)) * a_e(ctx, c.i)
-        gw = kap * g0
-        y = gw * Mat.diag(ctx, [x0, x1]) * vdash(gw, orthogonal_form(ctx, 2))
-        witness = {
-            "i": c.i,
-            "b_level": c.j,
-            "b": list(c.digits) + [0] * (c.j - len(c.digits)),
-            "kappa": kap.to_digit_lists(4),
-            "value": data.f(y).to_json(),
-        }
-        break
-    if witness is None and regime == "alpha-unit-even":
-        regime_out = "even-none"
-    elif witness is None:
-        regime_out = regime
-    else:
-        regime_out = regime + "-witness"
-    return ScanReport(regime_out, witness, strata, kappa_level)
-
-
-def _kappa_witness(data: CuspidalData, key) -> Mat:
-    """The first kappa mod pi^2 (in the digit order of GL_2(O/pi^2)) with
-    f(kappa y kappa^vdash) != 0, for the y of a live `orbit_strata`
-    record, given by the record's key: the first row of GL_2(F_p) that
-    the K-average pass keeps at parity 0 (`_kept_rows`), lifted.  Every
-    live record has ord det y = 0 (`support_scan`); at parity 0 f's
-    support test is `_support_mod_pi`, which reads kappa mod pi only, and
-    f is a root of unity on its support.  That order lists the
-    single-digit lifts first, so the first witness mod pi^2 is the lift
-    of the first kept row; kappa = 1 is kept, so that row exists."""
-    ctx = data.ctx
-    digits, _parity = key
-    kept = _kept_rows(data._pass_table(), digits, 0)
-    a, b, c, d = (ctx.from_int(z) for z in kept[0][0])
-    return Mat(ctx, [[a, b], [c, d]])
+        if c.dead is None:
+            kappa_level = data.residue_level
+            zero, one = (None, ()), (0, (1, 0, 0, 0))
+            witness = {"i": c.i, "b_level": 0, "b": [],
+                       "kappa": [[zero, one], [one, zero]],
+                       "value": CharacterValue.root(ctx.p, 0).to_json()}
+            break
+    if witness is not None:
+        regime += "-witness"
+    elif regime == "alpha-unit-even":
+        regime = "even-none"
+    return ScanReport(regime, witness, strata, kappa_level)

@@ -77,10 +77,10 @@ def _variant(config: str, **values) -> str:
 
 
 def _sweep_configs() -> dict:
-    """{name: INI text} of the byte check: the bench configs, four more
-    uniformizers and fields, and three configs the CLI refuses (a
-    precision below the rule, p = 2 with e = 1, and a regime that is not
-    p's)."""
+    """{name: INI text} of the byte check: the bench configs, six more
+    uniformizers and fields (p = 11 among them, where GL_2(F_p) has
+    13,200 rows), and three configs the CLI refuses (a precision below
+    the rule, p = 2 with e = 1, and a regime that is not p's)."""
     even, odd = CONFIGS["even-p2-residue"], CONFIGS["odd-p5-residue"]
     return CONFIGS | {
         "x2+2": _variant(even, eisenstein="2,0,1"),
@@ -88,6 +88,7 @@ def _sweep_configs() -> dict:
         "x3-2": _variant(even, e=3, eisenstein="-2,0,0,1"),
         "x-3": _variant(odd, p=3, eisenstein="-3,1"),
         "x2-3": _variant(odd, p=3, e=2, eisenstein="-3,0,1"),
+        "x-11": _variant(odd, p=11, eisenstein="-11,1"),
         "p5-precision-15": _variant(odd, precision=15),
         "p2-e1": _variant(even, e=1, eisenstein="-2,1"),
         "p5-regime-even": _variant(odd, regime="even"),

@@ -22,6 +22,14 @@ ORACLES = {
     "symplectic_form": "the paper's symplectic twist, under which the "
                        "tests hold f(k y k^vdash) = 1 at y = 1, the value a "
                        "symplectic K-average must reproduce",
+    "orthogonal_form": "the split form J = w of the matrix twist "
+                       "g -> J tg J^(-1), which the oracles apply by `vdash` "
+                       "and hold the closed-form twists of `integrator`, "
+                       "`twisted` and `support_scan` to",
+    "n_b": "the Iwasawa factor n_b of the per-coset walk "
+           "(`tests/coset_walk.py`), the oracle of `orbit_strata`",
+    "a_e": "the Iwasawa factor a_i of the per-coset walk "
+           "(`tests/coset_walk.py`), the oracle of `orbit_strata`",
 }
 
 
@@ -72,16 +80,21 @@ def test_every_public_name_is_reached_or_an_oracle():
 # with why it stays.  (a) perfbench reads it; (b) a method of a value type
 # that the tests, oracles or demos call; (c) the paper's symplectic case;
 # (d) read by the per-stratum tables the p = 2 closed form will print;
-# (e) a guard against a misuse that no run makes.
+# (e) a guard against a misuse that no run makes; (f) the paper's
+# pointwise test function f = psi 1_C, which `support_scan` and the
+# K-average pass state in closed form.
 _PERFBENCH = "(a) perfbench/job.py probes it"
 _TRACER = "(a) a lookup point of perfbench/spans.py"
 _VALUE = "(b) the tests, oracles or demos call it"
 _REPR = "(b) pytest prints it in the report of a failing assertion"
+_POINTWISE = ("(f) the paper's pointwise test function, the reference of "
+              "the pass and the witness, and demo 04's vocabulary")
 KEPT = {
     "localfield.LocalFieldCtx.random_elem": _PERFBENCH,
     "localfield.LocalFieldCtx.random_unit": _PERFBENCH,
     "ringvec.ResidueRing.mul": _PERFBENCH,
     "twisted.norm_preimage": _TRACER,
+    "matlattice.vdash": _TRACER,
     "cyclotomic.CharacterValue.__init__": _VALUE,
     "cyclotomic.CharacterValue.__hash__": _VALUE,
     "cyclotomic.CharacterValue.__mul__": _VALUE,
@@ -101,18 +114,40 @@ KEPT = {
                                             "assignment",
     "localfield.LocalFieldCtx.from_rational": _VALUE,
     "matlattice.Mat.__add__": _VALUE,
+    "matlattice.Mat.__eq__": _VALUE,
+    "matlattice.Mat.__init__": _VALUE,
+    "matlattice.Mat.__mul__": _VALUE,
     "matlattice.Mat.__neg__": _VALUE,
     "matlattice.Mat.__repr__": _VALUE,
     "matlattice.Mat.__sub__": _VALUE,
     "matlattice.Mat._gauss": "(b) det at n != 2, and the symplectic vdash "
                              "through Mat.inverse",
     "matlattice.Mat.column": _VALUE,
+    "matlattice.Mat.det": _VALUE,
+    "matlattice.Mat.diag": _VALUE,
     "matlattice.Mat.from_ints": _VALUE,
+    "matlattice.Mat.identity": _VALUE,
     "matlattice.Mat.inverse": "(b) the symplectic vdash, and the tests' "
                               "S(gamma)^(-1)",
+    "matlattice.Mat.scale": _VALUE,
+    "matlattice.Mat.shift": _VALUE,
+    "matlattice.Mat.to_digit_lists": _VALUE,
+    "matlattice.Mat.transpose": _VALUE,
     "matlattice.Mat.zero": _VALUE,
+    "matlattice.GroupForm.__init__": "(b) the oracles' forms, orthogonal "
+                                     "and symplectic",
+    "matlattice.a_e": _VALUE,
+    "matlattice.antidiag_w": "(b) the block of the oracles' orthogonal form",
+    "matlattice.n_b": _VALUE,
+    "matlattice.orthogonal_form": _VALUE,
     "matlattice.antidiag_u": "(c) the symplectic form",
     "matlattice.symplectic_form": "(c) the tests' symplectic twist",
+    "localfield.additive_char": _POINTWISE,
+    "supercuspidal.CuspidalData.f": _POINTWISE,
+    "supercuspidal.CuspidalData.psi": _POINTWISE,
+    "supercuspidal.level_character": _POINTWISE,
+    "supercuspidal.member": _POINTWISE,
+    "supercuspidal.pi_e_inverse_power": _POINTWISE,
     "integrator.CoefficientTable.per_stratum": "(d)",
     "integrator.CoefficientTable.per_e_increments": "(d)",
 }
@@ -147,10 +182,24 @@ def test_every_src_function_runs_or_is_kept():
     """Every function of `src/twirl` runs in some CLI run of
     `tests/reach_profile.py`, or is in `KEPT` with its reason: a function
     only the tests call lives in `tests/`, and a kept one that starts to
-    run, or stops being kept, fails here."""
-    from reach_profile import never_called
+    run, or stops being kept, fails here.  No run enters `matlattice` or
+    the pointwise f: the chain passes a diagonal x as its two entries,
+    the K-average pass reads digit tuples, and `support_scan`'s witness
+    is proved, so matrices and the paper's f serve the tests, the oracles
+    and the demos alone."""
+    from reach_profile import _package, definitions, never_called
 
-    assert sorted(never_called()) == sorted(KEPT)
+    never = never_called()
+    assert sorted(never) == sorted(KEPT)
+    pointwise = {"localfield.additive_char", "supercuspidal.member",
+                 "supercuspidal.level_character",
+                 "supercuspidal.pi_e_inverse_power",
+                 "supercuspidal.CuspidalData.psi",
+                 "supercuspidal.CuspidalData.f"}
+    names = {name for name, _lines in definitions(_package()).values()}
+    assert pointwise <= names
+    wanted = pointwise | {n for n in names if n.startswith("matlattice.")}
+    assert sorted(wanted - set(never)) == []
 
 
 def test_digests_print_one_record_per_run(tmp_path):
@@ -166,7 +215,7 @@ def test_digests_print_one_record_per_run(tmp_path):
     second = [json.dumps(r, sort_keys=True) for r in digests()]
     assert first == second
     runs = _sweep_runs(tmp_path)
-    assert len(runs) == 759
+    assert len(runs) == 828
     assert all(argv in runs for argv in _runs(tmp_path))
     assert ([json.loads(line)["argv"][0] for line in first]
             == [argv[0] for argv in runs] + ["demo"] * len(DEMOS))

@@ -2,18 +2,19 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from twirl import supercuspidal
+from twirl import matlattice, supercuspidal
 from twirl.cyclotomic import CharacterValue
 from twirl.errors import DomainError
 from twirl.integrator import (_preimage_inverse, orbit_strata,
                               orbit_weight_integral)
-from twirl.localfield import LocalFieldCtx, parse_elem
+from twirl.localfield import LocalFieldCtx, additive_char, parse_elem
 from twirl.matlattice import Mat, orthogonal_form, symplectic_form, vdash
 from twirl.supercuspidal import (CuspidalData, _classify_regime, _coset_counts,
                                  _support_mod_pi, level_character, member,
@@ -93,8 +94,10 @@ def test_pi_e_square():
 
 def test_member_filtration():
     c = ctx2()
+    data = CuspidalData(c)
     one = Mat.identity(c, 2)
-    for lv in ("I2", "I1", "I0", "K", "C0", "C"):
+    pe = pi_e_matrix(c)
+    for lv in ("I2", "I1", "I0", "K"):
         assert member(one, lv)
     m = Mat.from_ints(c, [[1, 1], [0, 1]])
     assert member(m, "I1") and not member(m, "I2")
@@ -102,11 +105,64 @@ def test_member_filtration():
     for _ in range(60):
         h = rand_i1(c, rng)
         assert member(h, "I1") and member(h, "I0") and member(h, "K")
-        # O_E^x times I_1 stays in C0
+        # O_E^x I_1 {1, pi_E} is the support of f
         a = c.random_unit(rng)
         b = c.random_elem(rng, 0, 3)
         u = Mat(c, [[a, b], [b.shift(1), a]])  # a + b pi_E
-        assert member(u * h, "C0")
+        assert not data.f(u * h).is_zero()
+        assert not data.f(pe * u * h).is_zero()
+
+
+def _in_c0(g):
+    """g in C_0 = F_p^x I_1: g / r lies in I_1 for some r = 1..p-1."""
+    ctx = g.ctx
+    return any(member(g.scale(ctx.from_int(r).inverse()), "I1")
+               for r in range(1, ctx.p))
+
+
+def _in_support(g):
+    """g in C = O_E^x I_1 {1, pi_E} = C_0 u pi_E C_0, by membership tests
+    alone: the reference of the support of `CuspidalData.f`, which reads
+    it off psi."""
+    return (g.det().val in (0, 1)
+            and (_in_c0(g) or _in_c0(pi_e_inverse_power(g.ctx, 1) * g)))
+
+
+@pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
+def test_f_is_psi_times_the_support_indicator(mk):
+    """f(g) = psi(g) 1_C(g), with 1_C the membership route `_in_support`,
+    on seeded g: points of E^x I_1 (psi != 0) at every ord det from -1 to
+    3, and diag(pi^s, pi^k) m for random integral m, integral at every
+    ord det from 0 to 3 and not integral at every one from -1 to 3."""
+    c = mk()
+    data = CuspidalData(c)
+    rng = random.Random(31)
+    pe = pi_e_matrix(c)
+    wanted = ([(d, "E^x I_1") for d in range(-1, 4)]
+              + [(d, "integral") for d in range(0, 4)]
+              + [(d, "not integral") for d in range(-1, 4)])
+    seen = Counter()
+    while min(seen[w] for w in wanted) < 4:
+        if rng.random() < 0.5:
+            u = c.random_unit(rng)
+            g = Mat.diag(c, [u, u]) * rand_i1(c, rng)
+            if rng.random() < 0.5:
+                g = pe * g
+            g = g.scale(c.one().shift(rng.randrange(-1, 2)))
+            kind = "E^x I_1"
+        else:
+            g = Mat.diag(c, [c.pi(rng.randrange(-1, 1)),
+                             c.pi(rng.randrange(0, 3))]) \
+                * random_integral(c, 2, rng)
+            integral = min(a.val for r in g.rows for a in r) >= 0
+            kind = "integral" if integral else "not integral"
+        d = g.det().val
+        seen[d, kind] += 1
+        want = data.psi(g) if _in_support(g) else CharacterValue.zero(c.p)
+        assert data.f(g) == want, (d, kind)
+        if kind == "E^x I_1":
+            assert not data.psi(g).is_zero()
+            assert _in_support(g) == (d in (0, 1))
 
 
 def test_data_requires_deep_two():
@@ -809,9 +865,9 @@ def test_support_scan_regimes():
 
 
 def test_support_scan_makes_no_kappa_average_call(monkeypatch):
-    """The scan settles each live class by `_kappa_witness` alone: the
-    level records it reads carry no K-average, so a scan that reaches a
-    witness (p = 2 `1+pi^2`, p = 5 `-1+pi`) computes none."""
+    """The scan ends at the first live class with a witness in closed
+    form: the level records it reads carry no K-average, so a scan that
+    reaches a witness (p = 2 `1+pi^2`, p = 5 `-1+pi`) computes none."""
     calls = []
     monkeypatch.setattr(CuspidalData, "kappa_average",
                         lambda self, key: calls.append(key))
@@ -940,8 +996,13 @@ def test_scan_matches_coset_scan():
     witness carries the verdict of its dead level record; the scan's
     records are the leading `orbit_strata` records, whose weights sum to
     the number of cosets.  Every live class holds a witness
-    (`support_scan`), so the first live coset ends both scans."""
-    for c, alpha in _scan_cases():
+    (`support_scan`), so the first live coset ends both scans.  The
+    per-coset scan finds its kappa by enumerating GL_2(O/pi^2) and its
+    value by `Mat` products, so this holds the closed-form witness on
+    the 96 `_witness_cases`, over every field family there."""
+    cases = _witness_cases()
+    assert len(cases) == 96
+    for c, alpha in cases:
         data = CuspidalData(c)
         where = (c.p, str(alpha))
         rep = support_scan(data, alpha)
@@ -992,33 +1053,41 @@ def _witness_cases():
 
 
 def test_kappa_witness_matches_gl2_enumeration():
-    """The witness read off the kept rows of GL_2(F_p) equals the
-    GL_2(O/pi^2) enumeration `kappa_witness_oracle`, digit for digit, on
-    every live `orbit_strata` record of the 96 `_witness_cases`."""
+    """The closed form of `support_scan`'s witness, record by record: on
+    the first live `orbit_strata` record of each of the 96
+    `_witness_cases`, j = 0 and b = (), the GL_2(O/pi^2) enumeration
+    `kappa_witness_oracle` gives w = [[0, 1], [1, 0]], and the pointwise f
+    at w y w^vdash is 1."""
     cases = _witness_cases()
     assert len(cases) == 96
     live = 0
     for c, alpha in cases:
         data = CuspidalData(c)
         x = _preimage_inverse(alpha)
-        for r in orbit_strata(data, *x):
-            if r.dead is None:
-                y = coset_y(r, *x)
-                want = kappa_witness_oracle(data, y).to_digit_lists(4)
-                got = supercuspidal._kappa_witness(data, r.key)
-                assert got.to_digit_lists(4) == want, (c.p, str(alpha), r.i)
-                live += 1
-    assert live >= 100
+        first = next((r for r in orbit_strata(data, *x) if r.dead is None),
+                     None)
+        if first is None:
+            continue
+        where = (c.p, str(alpha))
+        assert (first.j, first.digits) == (0, ()), where
+        y = coset_y(first, *x)
+        w = Mat.from_ints(c, [[0, 1], [1, 0]])
+        assert kappa_witness_oracle(data, y) == w, where
+        assert data.f(w * y * vdash(w, orthogonal_form(c, 2))) == \
+            CharacterValue.one(c.p), where
+        live += 1
+    assert live == 57
 
 
 @pytest.mark.parametrize("mk, spec", [(ctx2, "1+pi^2"), (ctx3, "-1+pi"),
                                       (ctx5, "-1+pi"), (ctx5, "1+pi")])
-def test_support_scan_witness_reads_gl2_fp_once(monkeypatch, mk, spec):
-    """A scan reads GL_2(F_p) from `iter_gl2` once, into the integrand's
-    `PassTable`, for the live record it settles, and never GL_2(O/pi^2):
-    its witness is the first kept row of the K-average pass (f is
-    evaluated row by row only in the test oracle).  A scan that finds no
-    live record (p = 5 `1+pi`) reads nothing."""
+def test_support_scan_reads_no_gl2_and_no_pointwise_f(monkeypatch, mk,
+                                                      spec):
+    """A scan calls `iter_gl2` zero times, and enters no `matlattice`
+    function and no part of the pointwise f (`psi`, `f`, `member`,
+    `level_character`, `pi_e_inverse_power`, `additive_char`): its
+    witness is proved (`support_scan`), whether it finds one (the first
+    three) or not (p = 5 `1+pi`)."""
     reads = []
     gl2 = supercuspidal.iter_gl2
 
@@ -1027,11 +1096,26 @@ def test_support_scan_witness_reads_gl2_fp_once(monkeypatch, mk, spec):
         return gl2(ring)
 
     monkeypatch.setattr(supercuspidal, "iter_gl2", counted)
+    pointwise = {fn.__code__ for fn in (
+        CuspidalData.psi, CuspidalData.f, member, level_character,
+        pi_e_inverse_power, additive_char)}
+    entered = []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and (code in pointwise or code.co_filename
+                                == matlattice.__file__):
+            entered.append(code.co_name)
+
     c = mk()
-    rep = support_scan(CuspidalData(c), parse_elem(c, spec))
-    live = [s for s in rep.strata if s.dead is None]
-    assert len(reads) == len(live)
-    assert len(live) == (rep.witness is not None) == (spec != "1+pi")
+    data, alpha = CuspidalData(c), parse_elem(c, spec)
+    sys.setprofile(profile)
+    try:
+        rep = support_scan(data, alpha)
+    finally:
+        sys.setprofile(None)
+    assert (reads, entered) == ([], [])
+    assert (rep.witness is not None) == (spec != "1+pi")
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
@@ -1039,8 +1123,8 @@ def test_odd_det_valuation_strata_are_dead(mk):
     """y = pi^i [[x0, b(x0 + x1)], [0, x1]] with ord det y = 1 has y00 - y11
     a unit, so the prefilter kills every such coset, and a scan only ever
     seeks kappa at parity 0.  Every live `orbit_strata` record then has
-    f(y) != 0, so kappa = 1 is a witness and `_kappa_witness` always
-    finds one."""
+    f(y) != 0, so kappa = 1 is a witness and every live class holds one
+    (`support_scan`)."""
     c = mk()
     data = CuspidalData(c)
     rng = random.Random(21)

@@ -1,6 +1,6 @@
-"""The support-scan witness by enumerating GL_2(O/pi^2), kept as the test
-oracle of `supercuspidal._kappa_witness`, which reads the witness off the
-kept rows of GL_2(F_p)."""
+"""The support-scan kappa by enumerating GL_2(O/pi^2), the test oracle
+of the closed form w = [[0, 1], [1, 0]] that `supercuspidal.support_scan`
+proves."""
 
 import numpy as np
 
