@@ -24,15 +24,15 @@ print("character value:", level_character(m))
 print("\nsupport scans (p = 2, pi^2 = 2):")
 for spec in ("1+pi^2", "1+pi", "pi", "pi^-1"):
     rep = support_scan(data2, parse_elem(ctx2, spec))
-    tag = "none" if rep.witness is None else "witness"
-    print(f"  alpha = {spec:8s} -> {tag:8s} ({rep.regime}, "
-          f"level records read: {len(rep.strata)})")
+    tag = "none" if rep["witness"] is None else "witness"
+    print(f"  alpha = {spec:8s} -> {tag:8s} ({rep['regime']}, "
+          f"level records read: {len(rep['strata_searched'])})")
 
 ctx5 = LocalFieldCtx(5, 1, (-5, 1), 18)
 data5 = CuspidalData(ctx5)
 print("\nsupport scans (p = 5):")
 for spec in ("pi", "2", "1+pi", "-1+pi"):
     rep = support_scan(data5, parse_elem(ctx5, spec))
-    tag = "none" if rep.witness is None else "witness"
-    print(f"  alpha = {spec:8s} -> {tag:8s} ({rep.regime})")
+    tag = "none" if rep["witness"] is None else "witness"
+    print(f"  alpha = {spec:8s} -> {tag:8s} ({rep['regime']})")
 print("\nonly alpha = -1 mod p survives at odd p; every unit survives at p = 2")

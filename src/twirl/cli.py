@@ -285,7 +285,7 @@ def cmd_dtwist(cfg: RunConfig, alpha, alpha_text: str) -> str:
 
 
 def cmd_support_scan(cfg: RunConfig, alpha, _alpha_text: str) -> str:
-    return _json_dump(support_scan(CuspidalData(cfg.ctx), alpha).to_json())
+    return _json_dump(support_scan(CuspidalData(cfg.ctx), alpha))
 
 
 def cmd_psik(cfg: RunConfig, alpha, alpha_text: str) -> str:

@@ -50,8 +50,6 @@ at odd p) walks no levels: `_delta_totals` runs only the trace guard of
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .cyclotomic import CharacterValue
 from .errors import DomainError, NotRegular, PrecisionExhausted, Singular
 from .localfield import (Elem, INF, LocalFieldCtx, card_unit_square_classes,
@@ -245,7 +243,7 @@ def _stratum_alpha(ctx: LocalFieldCtx, sign: int, e: int, v: Elem,
 # -- level strata of G/T ---------------------------------------------------------
 
 
-class Coset(NamedTuple):
+class Coset:
     """One record of `orbit_strata`: the (i, b) coset strata g0 = n_b a_i
     of G/T (b of level j, so Delta_1(g0) = i - j) whose b start with
     `digits` (all of level j on a dead level, one class of b on a live
@@ -256,12 +254,16 @@ class Coset(NamedTuple):
     read off the record (`orbit_strata`).  It is None on a dead record,
     and on a live one whose y is not integral."""
 
-    i: int
-    j: int
-    digits: tuple
-    weight: int
-    key: tuple | None
-    dead: str | None
+    __slots__ = ("i", "j", "digits", "weight", "key", "dead")
+
+    def __init__(self, i: int, j: int, digits: tuple, weight: int,
+                 key: tuple | None, dead: str | None):
+        self.i = i
+        self.j = j
+        self.digits = digits
+        self.weight = weight
+        self.key = key
+        self.dead = dead
 
 
 def _forced_levels(data, x0: Elem, x1: Elem):

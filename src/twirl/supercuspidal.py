@@ -10,8 +10,6 @@ the character value is Lambda_1(b + c/pi).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .cyclotomic import CharacterValue
 from .errors import DomainError
 from .integrator import _preimage_inverse, orbit_strata
@@ -262,14 +260,17 @@ def _support_mod_pi(x, parity: int):
     return (x00 != 0) & (x10 == 0) & (x11 == x00)
 
 
-class PassTable(NamedTuple):
+class PassTable:
     """What the K-average pass reads of O/pi^2, in plain ints: p, p/pi
     mod pi (0 unless e = 1), and the digit rows (a, b, c, d) of GL_2(F_p)
     in the order of `iter_gl2`."""
 
-    p: int
-    pop: int
-    rows: list
+    __slots__ = ("p", "pop", "rows")
+
+    def __init__(self, p: int, pop: int, rows: list):
+        self.p = p
+        self.pop = pop
+        self.rows = rows
 
 
 def pass_table(ring: ResidueRing) -> PassTable:
@@ -344,7 +345,15 @@ def _coset_counts(table: PassTable, digits, parity: int):
     the row of T_k for V10; parity 1: mu_k, the sum of the rows for V00
     and V11) vanishes on the span of W = Im L_y, and |W|/p to every
     exponent otherwise.  The exponent is s/r mod p; s needs the entries
-    X/pi mod pi, T_k y1 + (N div p)(p/pi mod pi) (`div_pi`)."""
+    X/pi mod pi, T_k y1 + (N div p)(p/pi mod pi) (`div_pi`).
+
+    A CLI run reaches only parity 0 with no spread.  Every live
+    `orbit_strata` record has ord det y = 0, by `support_scan`'s
+    argument, so every key a run passes has parity 0; and the pass runs
+    only at p = 2 (`kappa_vanishes`), where h vanishes on W for every
+    kept row (`CuspidalData.kappa_average`).  The parity-1 body and the
+    spread serve the pass's contract on any integral y, at any p, which
+    the tests hold to the enumeration of `tests/kappa_oracle.py`."""
     p, pop = table.p, table.pop
     y1 = [z[1] for z in digits]
 
@@ -378,34 +387,6 @@ def _coset_counts(table: PassTable, digits, parity: int):
 # -- support scanning ----------------------------------------------------------
 
 
-class ScanReport:
-    """`strata` holds the `orbit_strata` records `support_scan` read, in
-    order, the last one live when it found a witness; `to_json` prints
-    a record's j as `b_level`, its digits as `b` and `dead or "witness"`
-    as its verdict."""
-
-    __slots__ = ("regime", "witness", "strata", "kappa_level")
-
-    def __init__(self, regime: str, witness: dict | None, strata: list,
-                 kappa_level: int):
-        self.regime = regime
-        self.witness = witness
-        self.strata = strata
-        self.kappa_level = kappa_level
-
-    def to_json(self):
-        return {
-            "regime": self.regime,
-            "witness": self.witness,
-            "strata_searched": [
-                {"i": s.i, "b_level": s.j, "b": list(s.digits),
-                 "verdict": s.dead or "witness"}
-                for s in self.strata
-            ],
-            "kappa_level": self.kappa_level,
-        }
-
-
 def _classify_regime(ctx: LocalFieldCtx, alpha: Elem) -> str:
     v = alpha.val
     if v != 0:
@@ -418,16 +399,20 @@ def _classify_regime(ctx: LocalFieldCtx, alpha: Elem) -> str:
     return "alpha-unit-even"
 
 
-def support_scan(data: CuspidalData, alpha: Elem) -> ScanReport:
-    """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^vdash) != 0.
+def support_scan(data: CuspidalData, alpha: Elem) -> dict:
+    """Search for g = kappa n_b a_i with f(g S(gamma)^(-1) g^vdash) != 0,
+    and return the report: `regime`, `witness`, `strata_searched` and
+    `kappa_level`.
 
-    Reads, and keeps as `ScanReport.strata`, the (i, j) level records of
-    `integrator.orbit_strata`, the walk the pipeline integrates over: the
-    det-valuation support forces i, integrality bounds the b level j, a
-    dead level is one record with the prefilter's reason, and a live level
-    is one record per class of b that y mod pi^`data.residue_level` sees.
-    The first live record ends the scan with the witness below, which is
-    proved here, so a scan evaluates neither f nor a K-average.
+    Reads the (i, j) level records of `integrator.orbit_strata`, the walk
+    the pipeline integrates over: the det-valuation support forces i,
+    integrality bounds the b level j, a dead level is one record with the
+    prefilter's reason, and a live level is one record per class of b
+    that y mod pi^`data.residue_level` sees.  `strata_searched` lists each
+    record read, in order, as its i, its j as `b_level`, its digits as
+    `b` and `dead or "witness"` as its verdict.  The first live record
+    ends the scan with the witness below, which is proved here, so a scan
+    evaluates neither f nor a K-average.
 
     - The first live record.  A live record has an integral,
       upper-triangular y = pi^i [[x0, b(x0 + x1)], [0, x1]] with ord det
@@ -462,9 +447,10 @@ def support_scan(data: CuspidalData, alpha: Elem) -> ScanReport:
     ctx = data.ctx
     x0, x1 = _preimage_inverse(alpha)
     regime = _classify_regime(ctx, alpha)
-    strata, witness, kappa_level = [], None, 0
+    searched, witness, kappa_level = [], None, 0
     for c in orbit_strata(data, x0, x1):
-        strata.append(c)
+        searched.append({"i": c.i, "b_level": c.j, "b": list(c.digits),
+                         "verdict": c.dead or "witness"})
         if c.dead is None:
             kappa_level = data.residue_level
             zero, one = (None, ()), (0, (1, 0, 0, 0))
@@ -476,4 +462,5 @@ def support_scan(data: CuspidalData, alpha: Elem) -> ScanReport:
         regime += "-witness"
     elif regime == "alpha-unit-even":
         regime = "even-none"
-    return ScanReport(regime, witness, strata, kappa_level)
+    return {"regime": regime, "witness": witness,
+            "strata_searched": searched, "kappa_level": kappa_level}

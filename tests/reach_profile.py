@@ -32,9 +32,9 @@ lines give the same answer on every run."""
 
 from __future__ import annotations
 
-import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import pathlib
@@ -42,6 +42,7 @@ import random
 import runpy
 import sys
 import tempfile
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))[
@@ -120,25 +121,56 @@ def _runs(tmp: pathlib.Path, configs: dict = CONFIGS,
 
 def definitions(pkg: pathlib.Path) -> dict:
     """{(file, first line): (module.qualname, lines)} of every function,
-    method and nested function defined in `pkg`; the first line is that
-    of the first decorator, as in the function's code object."""
+    method and nested function of the package in directory `pkg`, read
+    off the code objects the interpreter loaded, so that the keys are
+    those a profiler sees even when a file changes on disk after its
+    import.  Each module of the package is imported, and its functions
+    and the methods of its classes (a property's getter, setter and
+    deleter, and the function of a static or class method, included) are
+    walked with the code objects nested in them whose name does not start
+    with `<` (a comprehension, lambda or generator expression belongs to
+    its function).  The first line is that of the first decorator, and
+    `lines` runs from there to the last line of the body."""
     out = {}
 
-    def walk(node, prefix, path, module):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = prefix + child.name
-                first = min([child.lineno]
-                            + [d.lineno for d in child.decorator_list])
-                out[(path, first)] = (f"{module}.{name}",
-                                      child.end_lineno - first + 1)
-                walk(child, name + ".<locals>.", path, module)
-            elif isinstance(child, ast.ClassDef):
-                walk(child, prefix + child.name + ".", path, module)
+    def add(code, module):
+        if code.co_name.startswith("<"):
+            return
+        out[(code.co_filename, code.co_firstlineno)] = (
+            f"{module}.{code.co_qualname}",
+            _last_line(code) - code.co_firstlineno + 1)
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                add(const, module)
+
+    def walk(namespace, module, home):
+        for value in vars(namespace).values():
+            if isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            if isinstance(value, property):
+                for fn in (value.fget, value.fset, value.fdel):
+                    if isinstance(fn, types.FunctionType):
+                        add(fn.__code__, module)
+            elif isinstance(value, types.FunctionType):
+                if value.__module__ == home:
+                    add(value.__code__, module)
+            elif isinstance(value, type) and value.__module__ == home:
+                walk(value, module, home)
 
     for path in sorted(pkg.glob("*.py")):
-        walk(ast.parse(path.read_text()), "", str(path), path.stem)
+        name = pkg.name if path.stem == "__init__" else \
+            f"{pkg.name}.{path.stem}"
+        walk(importlib.import_module(name), path.stem, name)
     return out
+
+
+def _last_line(code) -> int:
+    """The last source line of `code` and of the code nested in it."""
+    return max([code.co_firstlineno]
+               + [end for _s, end, _c, _e in code.co_positions()
+                  if end is not None]
+               + [_last_line(const) for const in code.co_consts
+                  if isinstance(const, types.CodeType)])
 
 
 def _package() -> pathlib.Path:

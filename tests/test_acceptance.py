@@ -167,7 +167,7 @@ def test_criterion_8_odd_factorization():
         assert table.values[k] == c0.scale(4 * k + 1), k
     units = card_unit_square_classes(c)
     assert c0 == rg_term(data, trunc).scale(2 * units)
-    assert support_scan(data, parse_elem(c, "-1+pi")).witness is not None
+    assert support_scan(data, parse_elem(c, "-1+pi"))["witness"] is not None
     assert time.perf_counter() - t0 <= 300
 
 

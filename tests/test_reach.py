@@ -9,6 +9,7 @@ runs in some CLI run of `reach_profile.py`, or is in `KEPT` with its
 reason."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -202,6 +203,52 @@ def test_every_src_function_runs_or_is_kept():
     assert sorted(wanted - set(never)) == []
 
 
+PROBE = """\
+def f():
+    return 1
+
+
+class C:
+    @property
+    def g(self):
+        def h():
+            return [x for x in ()]
+        return h
+
+    @staticmethod
+    def s():
+        return 2
+"""
+
+
+def test_definitions_read_the_loaded_code(tmp_path, monkeypatch):
+    """`definitions` keys a function by the code the interpreter loaded,
+    as `never_called` does, not by its file on disk: a line prepended to
+    a module after its import moves no first line and renames nothing,
+    so an edit during a run cannot make a called function look uncalled.
+    The comprehension is its function's, and the nested h is its own."""
+    from reach_profile import definitions
+
+    pkg = tmp_path / "reach_probe"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(PROBE)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    for name in ("reach_probe", "reach_probe.mod"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    importlib.import_module("reach_probe.mod")
+    want = [(1, "mod.f", 2), (6, "mod.C.g", 5), (8, "mod.C.g.<locals>.h", 2),
+            (12, "mod.C.s", 3)]
+
+    def read():
+        return sorted((first, name, lines) for (_file, first), (name, lines)
+                      in definitions(pkg).items())
+
+    assert read() == want
+    (pkg / "mod.py").write_text("# a new first line\n" + PROBE)
+    assert read() == want
+
+
 def test_digests_print_one_record_per_run(tmp_path):
     """`python tests/reach_profile.py --digests` prints one JSON record
     per CLI run of `_sweep_runs`, which holds every run of `_runs`, then
@@ -247,8 +294,9 @@ def test_cold_cli_import_loads_nothing_outside_twirl():
     first (its own `from __future__` line, numpy and json), `import
     twirl.cli` adds no module outside `twirl` but the built-in `gc`: no
     `fractions` (with `decimal`), no `dataclasses`.  And no class of
-    `twirl` is a dataclass, whose decorator would compile generated
-    methods at import."""
+    `twirl` is built by generated code: none is a dataclass, whose
+    decorator compiles generated methods at import, and none subclasses
+    `tuple`, as a `NamedTuple` does, whose class is built the same way."""
     code = ("from __future__ import annotations\n"
             "import json, sys, numpy\n"
             "before = set(sys.modules)\n"
@@ -257,7 +305,8 @@ def test_cold_cli_import_loads_nothing_outside_twirl():
             "classes = [f'{m}.{k}' for m in added if m.startswith('twirl')\n"
             "           for k, v in vars(sys.modules[m]).items()\n"
             "           if isinstance(v, type)\n"
-            "           and hasattr(v, '__dataclass_fields__')]\n"
+            "           and (hasattr(v, '__dataclass_fields__')\n"
+            "                or issubclass(v, tuple))]\n"
             "print(json.dumps([added, classes]))\n")
     src = str(pathlib.Path(twirl.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], check=True,

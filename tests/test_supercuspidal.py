@@ -16,9 +16,10 @@ from twirl.integrator import (_preimage_inverse, orbit_strata,
                               orbit_weight_integral)
 from twirl.localfield import LocalFieldCtx, additive_char, parse_elem
 from twirl.matlattice import Mat, orthogonal_form, symplectic_form, vdash
-from twirl.supercuspidal import (CuspidalData, _classify_regime, _coset_counts,
-                                 _support_mod_pi, level_character, member,
-                                 pass_table, pi_e_inverse_power, support_scan)
+from twirl.supercuspidal import (CuspidalData, PassTable, _classify_regime,
+                                 _coset_counts, _support_mod_pi,
+                                 level_character, member, pass_table,
+                                 pi_e_inverse_power, support_scan)
 from twirl.twisted import norm_preimage
 
 from coset_walk import coset_strata
@@ -375,7 +376,7 @@ def test_pass_table_rows_follow_iter_gl2(mk):
     table = pass_table(ring)
     assert table.rows == rows
     assert len(rows) == (p * p - 1) * (p * p - p)
-    assert table._fields == ("p", "pop", "rows")
+    assert PassTable.__slots__ == ("p", "pop", "rows")
     assert (table.p, table.pop) == (p, int(c.e == 1))
 
 
@@ -853,15 +854,14 @@ def test_support_scan_regimes():
     d5 = CuspidalData(c5)
     for spec in ("pi", "pi^2", "pi^-1", "2", "1+pi"):
         rep = support_scan(d5, parse_elem(c5, spec))
-        assert rep.witness is None, spec
+        assert rep["witness"] is None, spec
     rep = support_scan(d5, parse_elem(c5, "-1+pi"))
-    assert rep.witness is not None
+    assert rep["witness"] is not None
     c2 = ctx2()
     rep2 = support_scan(CuspidalData(c2), parse_elem(c2, "1+pi^2"))
-    assert rep2.witness is not None
-    assert rep2.witness["i"] == 2
-    j = rep2.to_json()
-    assert j["regime"].endswith("witness")
+    assert rep2["witness"] is not None
+    assert rep2["witness"]["i"] == 2
+    assert rep2["regime"].endswith("witness")
 
 
 def test_support_scan_makes_no_kappa_average_call(monkeypatch):
@@ -873,7 +873,7 @@ def test_support_scan_makes_no_kappa_average_call(monkeypatch):
                         lambda self, key: calls.append(key))
     for c, spec in ((ctx2(), "1+pi^2"), (ctx5(), "-1+pi")):
         rep = support_scan(CuspidalData(c), parse_elem(c, spec))
-        assert rep.witness is not None, spec
+        assert rep["witness"] is not None, spec
     assert calls == []
 
 
@@ -895,7 +895,7 @@ def test_support_scan_golden_bytes(mk, spec):
     "1+pi" one record for each of its two dead b levels."""
     c = mk()
     rep = support_scan(CuspidalData(c), parse_elem(c, spec))
-    text = json.dumps(rep.to_json(), sort_keys=True)
+    text = json.dumps(rep, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SCAN_SHA256[mk, spec]
 
 
@@ -904,8 +904,8 @@ def test_support_scan_raises_on_short_b_window():
     one of them without finding a witness."""
     c = LocalFieldCtx(5, 1, (-5, 1), 30)
     rep = support_scan(CuspidalData(c), parse_elem(c, "1+pi^4"))
-    assert rep.witness is None
-    assert max(s.j for s in rep.strata) == 4
+    assert rep["witness"] is None
+    assert max(s["b_level"] for s in rep["strata_searched"]) == 4
 
 
 def test_support_scan_deep_alpha_reads_levels():
@@ -917,9 +917,10 @@ def test_support_scan_deep_alpha_reads_levels():
     alpha = parse_elem(c, "1+pi^8")
     rep = support_scan(data, alpha)
     x = _preimage_inverse(alpha)
-    assert len(rep.strata) == len(orbit_strata(data, *x)) == 9
-    assert rep.witness is None
-    assert [s.j for s in rep.strata] == list(range(9))
+    searched = rep["strata_searched"]
+    assert len(searched) == len(orbit_strata(data, *x)) == 9
+    assert rep["witness"] is None
+    assert [s["b_level"] for s in searched] == list(range(9))
 
 
 def _random_scan_alphas(c):
@@ -946,7 +947,7 @@ def test_support_scan_randomized_regimes():
     d = CuspidalData(c)
     for alphas in _random_scan_alphas(c):
         for alpha in alphas:
-            assert support_scan(d, alpha).witness is None
+            assert support_scan(d, alpha)["witness"] is None
 
 
 def _coset_scan(data, alpha):
@@ -994,7 +995,7 @@ def test_scan_matches_coset_scan():
     """The level-record scan against the per-coset scan: the same
     witness, regime and kappa level; every coset visited before the
     witness carries the verdict of its dead level record; the scan's
-    records are the leading `orbit_strata` records, whose weights sum to
+    entries are the leading `orbit_strata` records, whose weights sum to
     the number of cosets.  Every live class holds a witness
     (`support_scan`), so the first live coset ends both scans.  The
     per-coset scan finds its kappa by enumerating GL_2(O/pi^2) and its
@@ -1007,34 +1008,41 @@ def test_scan_matches_coset_scan():
         where = (c.p, str(alpha))
         rep = support_scan(data, alpha)
         regime, witness, kappa_level, visited = _coset_scan(data, alpha)
-        assert (rep.regime, rep.witness, rep.kappa_level) == \
+        assert (rep["regime"], rep["witness"], rep["kappa_level"]) == \
             (regime, witness, kappa_level), where
         x = _preimage_inverse(alpha)
         records = orbit_strata(data, *x)
-        assert [(s.i, s.j, s.digits) for s in rep.strata] == \
-            [(r.i, r.j, r.digits) for r in records[:len(rep.strata)]], where
+        searched = rep["strata_searched"]
+        assert [(s["i"], s["b_level"], tuple(s["b"])) for s in searched] == \
+            [(r.i, r.j, r.digits) for r in records[:len(searched)]], where
         assert sum(r.weight for r in records) == \
             sum(1 for _ in coset_strata(data, *x)), where
         for cos, verdict in visited:
-            assert [s.dead for s in rep.strata
-                    if (s.i, s.j) == (cos.i, cos.j)] == [verdict], where
+            assert [s["verdict"] for s in searched
+                    if (s["i"], s["b_level"]) == (cos.i, cos.j)] == \
+                [verdict], where
 
 
 def test_scan_strata_are_the_leading_walk_records():
-    """A scan keeps the `orbit_strata` records it read as they are: its
-    strata are the leading records of the walk on the same alpha, as
-    `Coset` tuples, every one dead but a last live one, which holds the
-    witness."""
+    """A scan lists the `orbit_strata` records it read as they are: its
+    entries are the leading records of the walk on the same alpha, each
+    with the record's i, j (`b_level`), digits (`b`) and prefilter
+    reason (`verdict`, "witness" on a live record), every one dead but a
+    last live one, which holds the witness.  The scan keeps no record,
+    so a record's `weight` and `key` are checked by the walk tests."""
     for c, alpha in _scan_cases():
         data = CuspidalData(c)
         where = (c.p, str(alpha))
         rep = support_scan(data, alpha)
         records = orbit_strata(data, *_preimage_inverse(alpha))
-        assert [tuple(s) for s in rep.strata] == \
-            [tuple(r) for r in records[:len(rep.strata)]], where
-        assert all(s.dead is not None for s in rep.strata[:-1]), where
-        assert (rep.strata[-1].dead is None) == \
-            (rep.witness is not None), where
+        searched = rep["strata_searched"]
+        assert [(s["i"], s["b_level"], tuple(s["b"]), s["verdict"])
+                for s in searched] == \
+            [(r.i, r.j, r.digits, r.dead or "witness")
+             for r in records[:len(searched)]], where
+        assert all(s["verdict"] != "witness" for s in searched[:-1]), where
+        assert (searched[-1]["verdict"] == "witness") == \
+            (rep["witness"] is not None), where
 
 
 def _witness_cases():
@@ -1115,7 +1123,7 @@ def test_support_scan_reads_no_gl2_and_no_pointwise_f(monkeypatch, mk,
     finally:
         sys.setprofile(None)
     assert (reads, entered) == ([], [])
-    assert (rep.witness is not None) == (spec != "1+pi")
+    assert (rep["witness"] is not None) == (spec != "1+pi")
 
 
 @pytest.mark.parametrize("mk", [ctx2, ctx3, ctx5])
@@ -1145,7 +1153,7 @@ def test_odd_det_valuation_strata_are_dead(mk):
             if r.dead is None:
                 assert not data.f(coset_y(r, *x)).is_zero(), alpha
                 live += 1
-        levels.add(support_scan(data, alpha).kappa_level)
+        levels.add(support_scan(data, alpha)["kappa_level"])
     assert levels == {0, 2} and live
 
 
