@@ -39,10 +39,15 @@ other than the one p selects ("even" at p = 2 with e >= 2, "odd" at odd
 p).  The `regime` key is only checked: the regime is p's, and at p = 2
 the residue report adds the weight-only constants.  The G/T walk has no
 window, and `support-scan` reads the same (i, j) levels as the pipeline.
-Exit codes: 0 success, 1 a config or run error, 2 a usage error.  A run
-error of `dtwist`, `psik` or `support-scan` names `alpha = <text>` once
-(`_run_at_alpha`).  Only TWIRL_OUTPUT_DIR is read from the environment;
-it overrides output dirs.
+Exit codes: 0 success, 1 a config or run error, 2 a usage error.  An
+exit-1 line is `error: <place>: <reason>`: the library raises only the
+reason, and the place is added once, by the code that knows it.  Every
+error of `dtwist`, `psik` and `support-scan`, the parse of `--alpha`
+included, gets `alpha = <text>` (`_run_at_alpha`); a run error of
+`coeffs` and `residue` gets the torus stratum's label
+(`assemble_coefficients`) or `1+pi^<gamma_depth>` (`coefficient_A_B`).
+Only TWIRL_OUTPUT_DIR is read from the environment; it overrides output
+dirs.
 
 `main` first calls `gc.freeze()`: the loaded modules leave the cyclic
 collector's generations, so a collection inside a run scans only the
@@ -59,7 +64,7 @@ import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .errors import PrecisionExhausted, TwirlError
+from .errors import TwirlError
 from .integrator import (
     TruncationSpec,
     assemble_coefficients,
@@ -257,29 +262,19 @@ def _coeff_csv(ks, values) -> str:
 
 
 def _run_at_alpha(cmd, cfg: RunConfig, alpha_text: str) -> str:
-    """`cmd(cfg, alpha, alpha_text)` on the parsed `--alpha`.  An error
-    whose message does not name `alpha = <text>` already gets it in
-    front, so every error line of the run names the alpha once; an error
-    of the parse names the factor it refuses, and one whose term the
-    precision cannot keep names the alpha too."""
-    label = f"alpha = {alpha_text}"
+    """`cmd(cfg, alpha, alpha_text)` on the parsed `--alpha`.  The library
+    raises only the reason, so every error of the parse or the run gets
+    `alpha = <text>` in front here, and its line names the alpha once."""
     try:
-        alpha = parse_elem(cfg.ctx, alpha_text)
-    except PrecisionExhausted as exc:
-        raise TwirlError(f"{label}: {exc}") from exc
-    try:
-        return cmd(cfg, alpha, alpha_text)
+        return cmd(cfg, parse_elem(cfg.ctx, alpha_text), alpha_text)
     except TwirlError as exc:
-        if label in str(exc):
-            raise
-        raise TwirlError(f"{label}: {exc}") from exc
+        raise TwirlError(f"alpha = {alpha_text}: {exc}") from exc
 
 
 def cmd_dtwist(cfg: RunConfig, alpha, alpha_text: str) -> str:
     # x0 + x1 = -1 for every gamma != 1, so a report of kernel dim 3 is a
     # digit the precision could not decide, and it raises
-    rep = discriminant_report(alpha, f"alpha = {alpha_text}")
-    out = rep.to_json()
+    out = discriminant_report(alpha).to_json()
     out["alpha"] = alpha_text
     return _json_dump(out)
 
@@ -288,10 +283,9 @@ def cmd_support_scan(cfg: RunConfig, alpha, _alpha_text: str) -> str:
     return _json_dump(support_scan(CuspidalData(cfg.ctx), alpha))
 
 
-def cmd_psik(cfg: RunConfig, alpha, alpha_text: str) -> str:
+def cmd_psik(cfg: RunConfig, alpha, _alpha_text: str) -> str:
     ks = range(0, cfg.trunc.k_max + 1)
-    table = orbit_weight_integral(CuspidalData(cfg.ctx), alpha, ks,
-                                  f"alpha = {alpha_text}")
+    table = orbit_weight_integral(CuspidalData(cfg.ctx), alpha, ks)
     return _coeff_csv(ks, table)
 
 

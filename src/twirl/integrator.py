@@ -51,7 +51,8 @@ at odd p) walks no levels: `_delta_totals` runs only the trace guard of
 from __future__ import annotations
 
 from .cyclotomic import CharacterValue
-from .errors import DomainError, NotRegular, PrecisionExhausted, Singular
+from .errors import (DomainError, NotRegular, PrecisionExhausted,
+                     Singular, TwirlError)
 from .localfield import (Elem, INF, LocalFieldCtx, card_unit_square_classes,
                          unit_digit_tuples)
 from .twisted import twisted_discriminant
@@ -377,13 +378,12 @@ def _y01_digits(ctx: LocalFieldCtx, u: int, b: tuple, t: tuple) -> tuple:
 # -- the integrals ----------------------------------------------------------------
 
 
-def _delta_totals(data, x0: Elem, x1: Elem, label: str) -> dict:
+def _delta_totals(data, x0: Elem, x1: Elem) -> dict:
     """{Delta_1: sum of weight * f_avg} over the live orbit strata of x =
-    S(gamma)^(-1) at the torus stratum `label`, f_avg the integrand's
-    K-average at the record's key (`Coset`); a zero average adds no
-    entry.  When every K-average vanishes (`data.kappa_vanishes`) no level
-    is walked: the table is empty, and only the trace guard of
-    `_forced_levels` runs on x.
+    S(gamma)^(-1), f_avg the integrand's K-average at the record's key
+    (`Coset`); a zero average adds no entry.  When every K-average
+    vanishes (`data.kappa_vanishes`) no level is walked: the table is
+    empty, and only the trace guard of `_forced_levels` runs on x.
 
     Every Delta_1 of the table is >= 0, and `_pair` relies on it.
     x0 + x1 = -1, so jmax = max(0, i) (`_forced_levels`): Delta_1 = i - j
@@ -391,27 +391,23 @@ def _delta_totals(data, x0: Elem, x1: Elem, label: str) -> dict:
     as their sum is -1, so y = pi^i x is not integral; an integrand reads
     y only mod pi^`residue_level`, so it is 0 there.  Such a live record
     has no key (None); an integrand that averages it anyway to a nonzero
-    total at Delta_1 < 0 raises DomainError naming the stratum.  A
-    PrecisionExhausted of the trace guard names it too."""
+    total at Delta_1 < 0 raises DomainError."""
     by_delta: dict = {}
-    try:
-        if data.kappa_vanishes:
-            _forced_levels(data, x0, x1)
-            return by_delta
-        for s in orbit_strata(data, x0, x1):
-            if s.dead is not None:
-                continue
-            f_avg = data.kappa_average(s.key)
-            if not f_avg.is_zero():
-                d, t = s.i - s.j, f_avg.scale(s.weight)
-                by_delta[d] = by_delta[d] + t if d in by_delta else t
-    except PrecisionExhausted as exc:
-        raise PrecisionExhausted(f"{label}: {exc}") from exc
+    if data.kappa_vanishes:
+        _forced_levels(data, x0, x1)
+        return by_delta
+    for s in orbit_strata(data, x0, x1):
+        if s.dead is not None:
+            continue
+        f_avg = data.kappa_average(s.key)
+        if not f_avg.is_zero():
+            d, t = s.i - s.j, f_avg.scale(s.weight)
+            by_delta[d] = by_delta[d] + t if d in by_delta else t
     for d, total in by_delta.items():
         if d < 0 and not total.is_zero():
-            raise DomainError(f"{label}: nonzero total at Delta_1 = {d} < 0; "
-                              "c_k = a + b k needs an integrand that is 0 "
-                              "off the integral y")
+            raise DomainError(f"nonzero total at Delta_1 = {d} < 0; c_k = "
+                              "a + b k needs an integrand that is 0 off the "
+                              "integral y")
     return by_delta
 
 
@@ -432,16 +428,16 @@ def _affine(a: CharacterValue, b: CharacterValue, ks) -> dict:
     return {k: a + b.scale(k) for k in ks}
 
 
-def orbit_weight_integral(data, alpha: Elem, ks, label: str = "gamma"):
+def orbit_weight_integral(data, alpha: Elem, ks):
     """psi_k(gamma) = integral over G/T of f(g S(gamma)^(-1) g^vdash) W_k(g)
     for each k in ks, as {k: CharacterValue}, read off the pair of the
     per-Delta_1 totals (`_pair`).  gamma must be regular: x comes from
     `regular_preimage`, whose exact zero tests of alpha -+ 1 raise
-    NotRegular naming `label`, and a trace x0 + x1 the precision cannot
-    decide raises PrecisionExhausted naming it."""
-    (x0, x1), _dexp = regular_preimage(alpha, label)
+    NotRegular, and a trace x0 + x1 the precision cannot decide raises
+    PrecisionExhausted."""
+    (x0, x1), _dexp = regular_preimage(alpha)
     units = card_unit_square_classes(data.ctx)
-    by_delta = _delta_totals(data, x0, x1, label)
+    by_delta = _delta_totals(data, x0, x1)
     return _affine(*_pair(by_delta, data.ctx.p, units), ks)
 
 
@@ -509,11 +505,11 @@ def _preimage_inverse(alpha: Elem):
     return x0, -(alpha * x0)
 
 
-def regular_preimage(alpha: Elem, label: str):
+def regular_preimage(alpha: Elem):
     """The entries (x0, x1) of x = S(gamma)^(-1) for gamma = diag(alpha,
     alpha^(-1)), and the exponent d with |D_eps(gamma)| = q^(-d).  gamma
     must be regular: alpha = 1 (refused by `_preimage_inverse`) or -1
-    raises NotRegular naming the stratum.
+    raises NotRegular.
 
     x0 = (alpha - 1)^(-1) and x1 = -alpha x0 (`_preimage_inverse`), so
     the trace x0 + x1 is -1 exactly and the lowest coefficient of the
@@ -521,42 +517,29 @@ def regular_preimage(alpha: Elem, label: str):
     -2 (alpha - 1)^2/alpha: d = ord 2 + 2 ord(alpha - 1) - ord(alpha), an
     integer read off alpha.  No digit of the trace enters d;
     `_forced_levels` sums the trace and raises PrecisionExhausted when it
-    reads 0, and a digit of alpha - 1 the precision cannot decide raises
-    here, naming the stratum.  `discriminant_report` skips the -1 test."""
+    reads 0, and a digit of alpha -+ 1 the precision cannot decide raises
+    here.  `discriminant_report` skips the -1 test."""
     ctx = alpha.ctx
-    try:
-        if (alpha + ctx.one()).normalized().is_zero():
-            raise NotRegular
-        x = _preimage_inverse(alpha)
-    except NotRegular:
-        raise NotRegular(f"gamma must be regular at {label}") from None
-    except PrecisionExhausted as exc:
-        raise PrecisionExhausted(f"{_where(label, ctx)}: {exc}") from exc
+    if (alpha + ctx.one()).normalized().is_zero():
+        raise NotRegular("gamma + 1 is singular")
+    x = _preimage_inverse(alpha)
     # ord(alpha - 1) = -ord(x0), x0 normalized by the inverse
     dexp = ctx.ord2 - 2 * x[0].vbase - alpha.val
     return x, dexp
 
 
-def discriminant_report(alpha: Elem, label: str):
+def discriminant_report(alpha: Elem):
     """The `twisted_discriminant` report of x = S(gamma)^(-1)
     (`_preimage_inverse`, which refuses alpha = 0 and 1), for `dtwist` and
     `coefficient_A_B`, which walk no (i, j) levels: the report is their
     check on the trace x0 + x1 = -1.  A trace that reads 0 (kernel dim 3)
-    or a digit the precision cannot decide raises PrecisionExhausted
-    naming `label`."""
-    where = _where(label, alpha.ctx)
-    try:
-        drep = twisted_discriminant(*_preimage_inverse(alpha))
-    except PrecisionExhausted as exc:
-        raise PrecisionExhausted(f"{where}: {exc}") from exc
+    or a digit the precision cannot decide raises PrecisionExhausted."""
+    drep = twisted_discriminant(*_preimage_inverse(alpha))
     if not drep.regular:
-        raise PrecisionExhausted(f"{where}: kernel dim {drep.kernel_dim}")
+        raise PrecisionExhausted(
+            f"twisted discriminant of S(gamma)^(-1) has kernel dim "
+            f"{drep.kernel_dim} at precision {alpha.ctx.precision}")
     return drep
-
-
-def _where(label: str, ctx: LocalFieldCtx) -> str:
-    return (f"twisted discriminant of S(gamma)^(-1) at {label}, "
-            f"precision {ctx.precision}")
 
 
 def assemble_coefficients(data, trunc: TruncationSpec) -> CoefficientTable:
@@ -571,15 +554,19 @@ def assemble_coefficients(data, trunc: TruncationSpec) -> CoefficientTable:
     those totals, so the run reduces them once to the pair (a, b) of
     c_k = a + b k (`_pair`).  The trace check of `_forced_levels` is the
     guard on x, also when no level is walked: a trace the precision
-    cannot decide raises PrecisionExhausted naming the stratum."""
+    cannot decide raises PrecisionExhausted.  An error of a stratum is
+    raised again as its own type, with the stratum's label in front."""
     ctx = data.ctx
     units = card_unit_square_classes(ctx)
     ks = tuple(range(0, trunc.k_max + 1))
     run: dict = {}
     stratum_totals = []
     for stratum in torus_strata(data, trunc):
-        (x0, x1), dexp = regular_preimage(stratum.alpha, stratum.label)
-        totals = _delta_totals(data, x0, x1, stratum.label)
+        try:
+            (x0, x1), dexp = regular_preimage(stratum.alpha)
+            totals = _delta_totals(data, x0, x1)
+        except TwirlError as exc:
+            raise type(exc)(f"{stratum.label}: {exc}") from exc
         # an empty table needs no scale: every stratum's, when the
         # K-averages vanish (`kappa_vanishes`)
         if totals:
@@ -621,19 +608,21 @@ def coefficient_A_B(data, trunc: TruncationSpec):
     exponent of `regular_preimage` at ord(alpha - 1) = e and ord alpha = 0.
     One `discriminant_report`, at the deepest e = gamma_depth, checks the
     trace x0 + x1 = -1 there: a digit the precision cannot decide raises
-    PrecisionExhausted naming that stratum, and the deepest stratum is the
-    first to lose one.  A report whose exponent is not ord 2 + 2e raises
-    DomainError."""
+    PrecisionExhausted with `1+pi^<gamma_depth>` in front, and the deepest
+    stratum is the first to lose one.  A report whose exponent is not
+    ord 2 + 2e raises DomainError."""
     ctx = data.ctx
     if ctx.p != 2 or ctx.e < 2:
         raise DomainError("weight-only constants require p = 2 with 2 in pi^2")
     q = ctx.q
     top = trunc.gamma_depth
-    label = f"1+pi^{top}"
-    drep = discriminant_report(_stratum_alpha(ctx, 1, top, ctx.one(), 1),
-                               label)
+    place = f"1+pi^{top}"
+    try:
+        drep = discriminant_report(_stratum_alpha(ctx, 1, top, ctx.one(), 1))
+    except TwirlError as exc:
+        raise type(exc)(f"{place}: {exc}") from exc
     if drep.ord_value != ctx.ord2 + 2 * top:
-        raise DomainError(f"|D_eps| at {label} is q^-{drep.ord_value}, "
+        raise DomainError(f"|D_eps| at {place} is q^-{drep.ord_value}, "
                           f"not q^-(ord 2 + 2e) = q^-{ctx.ord2 + 2 * top}")
     increments = []
     a = b = 0   # A and B times q^(3 top + ord 2)

@@ -474,11 +474,10 @@ class Elem:
     # -- observations --------------------------------------------------------
 
     def unit_digits(self, count: int) -> tuple[int, ...]:
-        """First `count` base-p digits of the unit part."""
+        """First `count` base-p digits of the unit part.  Every caller
+        tests for zero first."""
         x = self.normalized()
         ctx = self.ctx
-        if x.is_zero():
-            return (0,) * count
         if count > ctx.e * (x.mexp - 1):
             raise PrecisionExhausted(
                 f"{count} digits requested, validity {x.mexp} levels"

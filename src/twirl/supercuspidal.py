@@ -253,7 +253,9 @@ def _support_mod_pi(x, parity: int):
     entries (x00, x01, x10, x11) of X mod pi (ints, or arrays for a mask):
     it holds wherever f is nonzero (the mask of the oracle's
     `_f_on_residues`).  Parity 0 needs x00 != 0, x10 = 0 and x11 = x00;
-    parity 1 needs x00 = x10 = x11 = 0 and x01 != 0."""
+    parity 1 needs x00 = x10 = x11 = 0 and x01 != 0.  The parity-1 return
+    runs only in the tests: every key a CLI run passes has parity 0, for
+    the reason `_coset_counts` gives."""
     x00, x01, x10, x11 = x
     if parity:
         return (x00 == 0) & (x10 == 0) & (x11 == 0) & (x01 != 0)
@@ -439,6 +441,14 @@ def support_scan(data: CuspidalData, alpha: Elem) -> dict:
       them, (None, ()) for 0 and (0, (1, 0, 0, 0)) for 1.
     - The value.  diag(y11, y00) / r lies in I_1 for r = y11 mod pi, so
       f(diag(y11, y00)) = Lambda_1(0) = 1 = zeta_p^0.
+    - Every unit alpha at p = 2 has a witness, so its regime is
+      `alpha-unit-even-witness`.  The residue field is F_2, so alpha != 1
+      has t = ord(alpha - 1) >= 1, and ord det x = -2t, so the support's
+      ord det 0 forces i = t.
+      There y00 = pi^t x0 and y11 = -alpha y00 are units, and y11 - y00 =
+      -(alpha + 1) y00 lies in pi O, as alpha + 1 = (alpha - 1) + 2.  So
+      y is integral of ord det 0 and y11 = y00 mod pi: the prefilter
+      keeps it, and the record (t, 0) is live.
 
     The tests hold this witness to the per-coset scan, which enumerates
     GL_2(O/pi^2) and evaluates f by `Mat` products.  `kappa_level` is
@@ -460,7 +470,5 @@ def support_scan(data: CuspidalData, alpha: Elem) -> dict:
             break
     if witness is not None:
         regime += "-witness"
-    elif regime == "alpha-unit-even":
-        regime = "even-none"
     return {"regime": regime, "witness": witness,
             "strata_searched": searched, "kappa_level": kappa_level}

@@ -28,7 +28,7 @@ def rg_term(data, trunc) -> CharacterValue:
     for stratum in integrator.torus_strata(data, trunc):
         if not stratum.e:
             continue
-        (x0, x1), dexp = regular_preimage(stratum.alpha, stratum.label)
+        (x0, x1), dexp = regular_preimage(stratum.alpha)
         if (data.kappa_vanishes or x0.val < 0 or x1.val < 0
                 or x0.val + x1.val != 0):
             continue

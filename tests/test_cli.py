@@ -132,8 +132,8 @@ def test_dtwist_decides_alpha_pm1_exactly(tmp_path, capsys, alpha, code,
                     + "".join(f"{k},0,0,0,0,0\n" for k in range(4))),
     ("1+pi^12", 1, "error: alpha = 1+pi^12: trace x0 + x1 reads 0 at "
                    "precision 12"),
-    ("1", 1, "error: gamma must be regular at alpha = 1\n"),
-    ("-1", 1, "error: gamma must be regular at alpha = -1\n"),
+    ("1", 1, "error: alpha = 1: gamma - 1 is singular\n"),
+    ("-1", 1, "error: alpha = -1: gamma + 1 is singular\n"),
 ], ids=["-1+pi^12", "1+pi^12", "1", "-1"])
 def test_psik_decides_alpha_pm1_exactly(tmp_path, capsys, alpha, code, text):
     """psik decides regularity by the exact zero tests of alpha -+ 1, not
@@ -265,13 +265,14 @@ def test_bad_config_exit_code(tmp_path):
     for regime in ("odd", "even")])
 def test_zero_denominator_alpha_exit_code(request, capsys, command, cfg):
     """An `n/0` factor in `--alpha` prints one `error:` line naming the
-    factor and exits 1, at p = 5 and p = 2; it was a ZeroDivisionError
-    traceback out of `cli.main`."""
+    alpha and the factor and exits 1, at p = 5 and p = 2; it was a
+    ZeroDivisionError traceback out of `cli.main`."""
     path = request.getfixturevalue(cfg)
     assert cli.main([command, "--config", path, "--alpha=1+pi*3/0"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: zero denominator in element factor '3/0'\n"
+    assert out.err == ("error: alpha = 1+pi*3/0: zero denominator in "
+                       "element factor '3/0'\n")
 
 
 _TRACE_0 = ("trace x0 + x1 reads 0 at precision 30: x is not regular, or "
@@ -281,21 +282,42 @@ _PI40_LOST = ("term 'pi^40' lies beyond the 26 digits pi^0 .. pi^25 that "
 _PI24_SHIFT = "leading digit beyond tracked validity (shift 24, levels 26)"
 
 
+@pytest.mark.parametrize("alpha, reason", [
+    ("1", "gamma - 1 is singular"),
+    ("1+pi^24", _PI24_SHIFT),
+    ("-1", "gamma + 1 is singular"),
+])
+def test_each_failure_reads_the_same_under_every_subcommand(
+        odd_cfg, odd_csv_cfg, capsys, alpha, reason):
+    """The library raises the reason and `_run_at_alpha` names the alpha,
+    so a failure prints one line under every subcommand that refuses it,
+    at p = 5 and precision 18.  alpha = 1 is not regular, and alpha - 1
+    at 1 + pi^24 leads inside the guard levels.  alpha = -1 is refused by
+    `psik` alone (gamma + 1 is singular): `dtwist` and `support-scan`
+    exit 0 on it."""
+    got = {}
+    for command in ("psik", "dtwist", "support-scan"):
+        cfg = odd_csv_cfg if command == "psik" else odd_cfg
+        code = cli.main([command, "--config", cfg, f"--alpha={alpha}"])
+        got[command] = (code, capsys.readouterr().err)
+    refused = ["psik"] if alpha == "-1" else list(got)
+    for command, (code, err) in got.items():
+        assert (code, err) == ((1, f"error: alpha = {alpha}: {reason}\n")
+                               if command in refused else (0, "")), command
+
+
 @pytest.mark.parametrize("workload, command, alpha, err", [
     ("even-p2-residue", "support-scan", "1+pi^40",
      f"alpha = 1+pi^40: {_TRACE_0}"),
     ("even-p2-residue", "psik", "1+pi^40", f"alpha = 1+pi^40: {_TRACE_0}"),
     ("even-p2-residue", "dtwist", "1+pi^40",
-     "twisted discriminant of S(gamma)^(-1) at alpha = 1+pi^40, "
-     "precision 30: kernel dim 3"),
+     "alpha = 1+pi^40: twisted discriminant of S(gamma)^(-1) has kernel "
+     "dim 3 at precision 30"),
 ] + [("odd-p5-residue", command, "1+pi^40", f"alpha = 1+pi^40: {_PI40_LOST}")
      for command in ("support-scan", "dtwist", "psik")
 ] + [("odd-p5-residue", command, "1+pi^24",
-       "twisted discriminant of S(gamma)^(-1) at alpha = 1+pi^24, "
-       f"precision 18: {_PI24_SHIFT}")
-      for command in ("dtwist", "psik")
-] + [("odd-p5-residue", "support-scan", "1+pi^24",
-      f"alpha = 1+pi^24: {_PI24_SHIFT}"),
+       f"alpha = 1+pi^24: {_PI24_SHIFT}")
+      for command in ("dtwist", "psik", "support-scan")
 ] + [(workload, command, "0", "alpha = 0: inverse of zero")
      for workload in ("even-p2-residue", "odd-p5-residue")
      for command in ("support-scan", "dtwist", "psik")])
@@ -307,9 +329,8 @@ def test_alpha_error_names_the_alpha(tmp_path, capsys, workload, command,
     precision 18 (p = 5) pi^40 lies beyond the 26 kept digits of 1 + pi^40,
     and at p = 2 its trace reads 0 at precision 30; at p = 5, alpha - 1
     for alpha = 1 + pi^24 leads at pi^24, inside the two guard levels of
-    its 26, so it is not inverted: `psik` and `dtwist` name the stratum
-    of `regular_preimage` and `discriminant_report`, and `support-scan`
-    the alpha; alpha = 0 is not in the torus."""
+    its 26, so it is not inverted, under every subcommand alike; alpha =
+    0 is not in the torus."""
     cfg = tmp_path / "run.ini"
     cfg.write_text(BENCH_WORKLOADS[workload].config)
     assert cli.main([command, "--config", str(cfg), f"--alpha={alpha}"]) == 1
@@ -321,10 +342,12 @@ def test_alpha_error_names_the_alpha(tmp_path, capsys, workload, command,
 _UNKNOWN = "unknown [pipeline] keys: "
 
 
+_WINDOWS = ("pipeline windows out of range: need k_max >= 0, gamma_depth "
+            "and unit_depth >= 1")
 REJECTED = [
-    ("unit_depth = 2", "unit_depth = 0",
-     "pipeline windows out of range: need k_max >= 0, gamma_depth and "
-     "unit_depth >= 1"),
+    ("unit_depth = 2", "unit_depth = 0", _WINDOWS),
+    ("gamma_depth = 2", "gamma_depth = 0", _WINDOWS),
+    ("k_max = 3", "k_max = -1", _WINDOWS),
     ("unit_depth = 2", "unit_depth = 2\ne_window = -1", _UNKNOWN + "e_window"),
     ("unit_depth = 2", "unit_depth = 2\ne_window = 8", _UNKNOWN + "e_window"),
     ("unit_depth = 2", "unit_depth = 2\nb_window = 12", _UNKNOWN + "b_window"),
@@ -362,6 +385,21 @@ def test_rejected_pipeline_config(tmp_path, capsys, old, new, err):
     p.write_text(EVEN_CFG.replace(old, new))
     assert cli.main(["coeffs", "--config", str(p)]) == 1
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("cfg", [EVEN_CFG, ODD_CFG], ids=["even", "odd"])
+def test_least_windows_load_and_run(tmp_path, capsys, cfg):
+    """gamma_depth = 1, unit_depth = 1 and k_max = 0 are the least windows
+    a config may set: they load, and `coeffs` exits 0 with c_0 alone."""
+    p = tmp_path / "least.ini"
+    p.write_text(cfg.replace("k_max = 3", "k_max = 0")
+                 .replace("gamma_depth = 2", "gamma_depth = 1")
+                 .replace("unit_depth = 2", "unit_depth = 1"))
+    trunc = cli.RunConfig.load(str(p)).trunc
+    assert (trunc.gamma_depth, trunc.unit_depth, trunc.k_max) == (1, 1, 0)
+    assert cli.main(["coeffs", "--config", str(p)]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["ks"] == [0] and out.err == ""
 
 
 @pytest.mark.parametrize("section", ["selftest", "pipline"])

@@ -186,7 +186,7 @@ def test_one_prefilter_call_per_forced_i(monkeypatch, p, e, eis, precision,
     trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud, k_max=8)
     forced = records = 0
     for stratum in torus_strata(data, trunc):
-        x, _drep = regular_preimage(stratum.alpha, stratum.label)
+        x, _drep = regular_preimage(stratum.alpha)
         forced += len(integrator._forced_levels(data, *x)[1])
         records += len(orbit_strata(data, *x))
     calls = []
@@ -344,8 +344,7 @@ def test_orbit_strata_copies_the_prefilter_verdict_to_every_level():
             name = type(data).__name__
             for stratum in strata:
                 where = (eis, name, stratum.label)
-                x, _drep = regular_preimage(stratum.alpha,
-                                            stratum.label)
+                x, _drep = regular_preimage(stratum.alpha)
                 recorded = defaultdict(set)
                 for r in orbit_strata(data, *x):
                     recorded[r.i].add(r.dead)
@@ -407,8 +406,9 @@ def test_zero_trace_raises():
         with pytest.raises(PrecisionExhausted, match="precision 18"):
             orbit_strata(data, *x)
         # CuspidalData walks no level at p = 5, and still checks the trace
-        with pytest.raises(PrecisionExhausted, match="^x: .*precision 18"):
-            integrator._delta_totals(data, *x, "x")
+        with pytest.raises(PrecisionExhausted,
+                           match="^trace x0 \\+ x1 reads 0 at precision 18"):
+            integrator._delta_totals(data, *x)
 
 
 def test_orbital_twisted_indicator():
@@ -459,7 +459,7 @@ def test_rg_relation_odd():
         live = 0
         trunc = TruncationSpec(gamma_depth=depth, unit_depth=ud)
         for stratum in unit_digit_strata(data, trunc):
-            x, _drep = regular_preimage(stratum.alpha, stratum.label)
+            x, _drep = regular_preimage(stratum.alpha)
             for r in orbit_strata(data, *x):
                 if r.dead is None:
                     assert (stratum.sign, r.i, r.j) == (-1, 0, 0), (
@@ -538,8 +538,8 @@ def test_p2_zero_slope_stratum_by_stratum(eis):
     assert sorted(es) == [1, 2, 3, 4, 5]
     for stratum in torus_strata(data, trunc):
         if stratum.e:
-            x, _dexp = regular_preimage(stratum.alpha, stratum.label)
-            raw = _delta_totals(data, *x, stratum.label)
+            x, _dexp = regular_preimage(stratum.alpha)
+            raw = _delta_totals(data, *x)
             assert raw == _p2_raw_row(stratum.e), stratum.label
 
 
@@ -595,30 +595,30 @@ def test_coefficient_A_B_makes_one_report(monkeypatch):
     """`coefficient_A_B` reads |D_eps| = q^-(ord 2 + 2e) in closed form
     and makes one `discriminant_report`, at e = gamma_depth, the first
     stratum to lose a digit: at precision 12 and gamma_depth 12 it raises
-    PrecisionExhausted naming 1+pi^12.  The constants equal the sums of
-    a report per e."""
+    PrecisionExhausted naming 1+pi^12, with the type the report raised.
+    The constants equal the sums of a report per e."""
     reports = []
     report = integrator.discriminant_report
 
-    def counted(alpha, label):
-        reports.append(label)
-        return report(alpha, label)
+    def counted(alpha):
+        reports.append(alpha)
+        return report(alpha)
 
     monkeypatch.setattr(integrator, "discriminant_report", counted)
     c = ctx2()
     a, b, incs = _A_B_rationals(CuspidalData(c), TruncationSpec(gamma_depth=5))
-    assert reports == ["1+pi^5"]
+    assert reports == [c.one() + c.pi(5)]
     q = Fraction(c.q)
     for e, a_inc, b_inc in incs:
         alpha = c.one() + c.pi(e)
-        deps = q ** -report(alpha, f"1+pi^{e}").ord_value
+        deps = q ** -report(alpha).ord_value
         shell = [1] + [c.q ** j - c.q ** (j - 1) for j in range(1, e)]
         assert a_inc == q ** -e * deps * sum(
             n * (2 * (e - j) + 1) for j, n in enumerate(shell))
         assert b_inc == 4 * q ** -e * deps * sum(shell)
     assert (a, b) == (sum(i[1] for i in incs), sum(i[2] for i in incs))
     low = LocalFieldCtx(2, 2, (-2, 0, 1), 12)
-    with pytest.raises(PrecisionExhausted, match=r"1\+pi\^12,"):
+    with pytest.raises(PrecisionExhausted, match=r"^1\+pi\^12: "):
         coefficient_A_B(CuspidalData(low), TruncationSpec(gamma_depth=12))
 
 
@@ -634,18 +634,26 @@ def test_even_pipeline_affine_and_positive_constant():
     assert all(v.is_zero() for v in d2)
 
 
-def test_central_torus_stratum_raises():
+def test_central_torus_stratum_raises(monkeypatch):
     """Over x^2 + 2, 2 = -pi^2, so 1 + pi^2 is -1: `regular_preimage`
-    refuses that central gamma, naming the stratum.  The torus strata
-    and `coefficient_A_B` take 1 + pi^2 + pi^(2 + depth) instead, in the
-    same class mod pi^(2 + depth), and the c_k, A and B come out as over
+    refuses that central gamma, and `assemble_coefficients`, given it as
+    a representative, names the stratum in front of the reason, with the
+    type the reason was raised as.  The torus strata and
+    `coefficient_A_B` take 1 + pi^2 + pi^(2 + depth) instead, in the same
+    class mod pi^(2 + depth), and the c_k, A and B come out as over
     x^2 - 2."""
     c = LocalFieldCtx(2, 2, (2, 0, 1), 24)
     central = c.one() + c.pi(2)
     assert central == -c.one()
-    with pytest.raises(NotRegular, match="sign1-e2"):
-        regular_preimage(central, "sign1-e2")
+    with pytest.raises(NotRegular, match=r"^gamma \+ 1 is singular$"):
+        regular_preimage(central)
     trunc = TruncationSpec(gamma_depth=3, unit_depth=3, k_max=2)
+    with monkeypatch.context() as m:
+        m.setattr(integrator, "_stratum_alpha",
+                  lambda ctx, sign, e, v, depth: ctx.one() + v.shift(e))
+        with pytest.raises(NotRegular,
+                           match=r"^sign1-e2: gamma \+ 1 is singular$"):
+            assemble_coefficients(CuspidalData(c), trunc)
     reps = [s.alpha for s in torus_strata(CuspidalData(c), trunc)
             if s.label == "sign1-e2"]
     assert central not in reps and central + c.pi(5) in reps
@@ -713,7 +721,7 @@ def test_discriminant_routes_on_every_torus_stratum():
             reports = [route(x, form) for route in (
                 twisted_discriminant_charpoly, twisted_discriminant_oracle)]
             assert closed.kernel_dim == 1 and closed.regular
-            _x, dexp = regular_preimage(alpha, label)
+            _x, dexp = regular_preimage(alpha)
             assert dexp == closed.ord_value, where
             for rep in reports:
                 assert rep.ord_value == closed.ord_value, where
@@ -778,7 +786,7 @@ def test_closed_form_preimage_on_every_torus_stratum():
             where = (eis, stratum.label)
             general = norm_preimage_general(stratum.alpha, form)
             assert norm_preimage(stratum.alpha) == general, where
-            x, _drep = regular_preimage(stratum.alpha, stratum.label)
+            x, _drep = regular_preimage(stratum.alpha)
             want = general.inverse()
             assert Mat.diag(c, x) == want, where
             for k in (0, 1):
@@ -793,16 +801,15 @@ def test_closed_form_preimage_on_every_torus_stratum():
             integrator._preimage_inverse(c.one())
 
 
-# every function that takes alpha, called on (data, alpha); the last two
-# name the stratum "here"
+# every function that takes alpha, called on (data, alpha)
 ALPHA_ENTRY_POINTS = {
     "norm_preimage": lambda data, a: norm_preimage(a),
     "_preimage_inverse": lambda data, a: integrator._preimage_inverse(a),
-    "discriminant_report": lambda data, a: discriminant_report(a, "here"),
+    "discriminant_report": lambda data, a: discriminant_report(a),
     "support_scan": lambda data, a: support_scan(data, a),
-    "regular_preimage": lambda data, a: regular_preimage(a, "here"),
+    "regular_preimage": lambda data, a: regular_preimage(a),
     "orbit_weight_integral":
-        lambda data, a: orbit_weight_integral(data, a, range(2), "here"),
+        lambda data, a: orbit_weight_integral(data, a, range(2)),
 }
 
 
@@ -810,22 +817,20 @@ ALPHA_ENTRY_POINTS = {
 @pytest.mark.parametrize("mk", [ctx5, ctx2])
 def test_alpha_zero_and_one_are_refused_on_every_entry_point(mk, entry):
     """alpha = 0 raises Singular("inverse of zero") and alpha = 1
-    NotRegular on every function that takes alpha.  `regular_preimage`,
-    and `orbit_weight_integral` through it, name the stratum at alpha = 1
-    and at alpha = -1; the others say that gamma - 1 is singular."""
+    NotRegular("gamma - 1 is singular") on every function that takes
+    alpha, with the reason alone: the caller names the place.
+    `regular_preimage`, and `orbit_weight_integral` through it, also
+    refuse alpha = -1, as gamma + 1 is singular."""
     c = mk()
     data = CuspidalData(c)
     call = ALPHA_ENTRY_POINTS[entry]
     with pytest.raises(Singular, match="^inverse of zero$"):
         call(data, c.zero())
+    with pytest.raises(NotRegular, match="^gamma - 1 is singular$"):
+        call(data, c.one())
     if entry in ("regular_preimage", "orbit_weight_integral"):
-        for alpha in (c.one(), -c.one()):
-            with pytest.raises(NotRegular,
-                               match="^gamma must be regular at here$"):
-                call(data, alpha)
-    else:
-        with pytest.raises(NotRegular, match="^gamma - 1 is singular$"):
-            call(data, c.one())
+        with pytest.raises(NotRegular, match=r"^gamma \+ 1 is singular$"):
+            call(data, -c.one())
 
 
 def test_grouped_psi_k_equals_per_record_sum():
@@ -840,7 +845,7 @@ def test_grouped_psi_k_equals_per_record_sum():
         units = card_unit_square_classes(c)
         nonzero = 0
         for stratum in unit_digit_strata(data, TruncationSpec(gamma_depth=4)):
-            x, _drep = regular_preimage(stratum.alpha, stratum.label)
+            x, _drep = regular_preimage(stratum.alpha)
             want = {k: CharacterValue.zero(p) for k in ks}
             for r in orbit_strata(data, *x):
                 if r.dead is not None:
@@ -849,8 +854,7 @@ def test_grouped_psi_k_equals_per_record_sum():
                 for k in ks:
                     w = oracle.class_weight_from_delta(r.i - r.j, units, k)
                     want[k] = want[k] + f_avg.scale(r.weight * w)
-            got = orbit_weight_integral(data, stratum.alpha,
-                                        ks, stratum.label)
+            got = orbit_weight_integral(data, stratum.alpha, ks)
             assert got == want, (eis, stratum.label)
             nonzero += sum(not v.is_zero() for v in got.values())
         assert nonzero
@@ -932,7 +936,7 @@ def test_negative_delta_total_raises():
     its integrality test the total there is nonzero, where the class
     weight is clipped and c_k = a + b k fails (the oracle's c_0 weight is
     0, not units (2 Delta_1 + 1)).  `orbit_weight_integral` raises
-    DomainError naming the stratum instead of printing a wrong digit.
+    DomainError instead of printing a wrong digit.
     The c_k table walks no noncompact alpha (`torus_strata`); it refuses
     that integrand up front, as its prefilter keeps the y of ord det 0
     that is not integral (`_certify_noncompact`)."""
@@ -940,10 +944,9 @@ def test_negative_delta_total_raises():
     trunc = TruncationSpec(gamma_depth=1, unit_depth=1, k_max=2)
     units = card_unit_square_classes(c)
     assert oracle.class_weight_from_delta(-1, units, 0) == 0 != -units
-    with pytest.raises(DomainError, match="noncompact-pi\\^2: nonzero total "
-                                          "at Delta_1 = -1 < 0"):
-        orbit_weight_integral(NonIntegralIndicator(c), c.pi(2), range(3),
-                              "noncompact-pi^2")
+    with pytest.raises(DomainError, match="^nonzero total at Delta_1 = -1 "
+                                          "< 0"):
+        orbit_weight_integral(NonIntegralIndicator(c), c.pi(2), range(3))
     with pytest.raises(DomainError, match="^noncompact torus: the support "
                        "prefilter keeps y = diag\\(-pi\\^-1, pi\\^1\\), so "
                        "the region cannot be certified to add 0$"):
@@ -981,10 +984,10 @@ def test_noncompact_torus_adds_nothing(p, e, eis):
             for _ in range(4):
                 u = c.random_unit(rng)
                 label = f"pi^{t} u = {u}"
-                x, _dexp = regular_preimage(u.shift(t), label)
+                x, _dexp = regular_preimage(u.shift(t))
                 records = orbit_strata(data, *x)
                 assert all(r.dead is not None for r in records), label
-                assert _delta_totals(data, *x, label) == {}, label
+                assert _delta_totals(data, *x) == {}, label
     with pytest.raises(DomainError, match="^noncompact torus: the support "
                                           "prefilter keeps y"):
         integrator._certify_noncompact(NonIntegralIndicator(c))

@@ -162,14 +162,8 @@ def test_the_chain_takes_no_form():
     reads a `.kind` or `.split` attribute (a call such as `str.split`
     is not a read of the form)."""
     trees = _modules()
-    params = sorted(f"{mod}:{node.lineno}"
-                    for mod in ("cli", "integrator", "supercuspidal",
-                                "twisted")
-                    for node in ast.walk(trees[mod])
-                    if isinstance(node, (ast.FunctionDef, ast.Lambda))
-                    and "form" in [a.arg for a in node.args.args
-                                   + node.args.kwonlyargs])
-    assert params == []
+    assert _taking(trees, "form", ("cli", "integrator", "supercuspidal",
+                                   "twisted")) == []
     reads = []
     for mod, tree in trees.items():
         called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
@@ -177,6 +171,32 @@ def test_the_chain_takes_no_form():
                   if mod != "matlattice" and isinstance(node, ast.Attribute)
                   and node.attr in ("kind", "split") and id(node) not in called]
     assert reads == []
+
+
+def _taking(trees, name, modules) -> list:
+    """`module:line` of each function or lambda of `modules` that has a
+    parameter `name`."""
+    return sorted(f"{mod}:{node.lineno}" for mod in modules
+                  for node in ast.walk(trees[mod])
+                  if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                  and name in [a.arg for a in node.args.args
+                               + node.args.kwonlyargs])
+
+
+def test_the_chain_takes_no_label():
+    """An error names its place once, where the place is known: the
+    library raises the reason, and `cli._run_at_alpha` and the strata
+    loops of `integrator` add the place.  So no function of
+    `integrator`, `supercuspidal` or `twisted` takes a `label` to put in
+    its messages; the one such parameter is `TorusStratum.__init__`'s,
+    the stratum's own name, which `assemble_coefficients` reads."""
+    trees = _modules()
+    [init] = [node for cls in trees["integrator"].body
+              if isinstance(cls, ast.ClassDef) and cls.name == "TorusStratum"
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    assert _taking(trees, "label", ("integrator", "supercuspidal",
+                                    "twisted")) == [f"integrator:{init.lineno}"]
 
 
 def test_every_src_function_runs_or_is_kept():
@@ -266,6 +286,32 @@ def test_digests_print_one_record_per_run(tmp_path):
     assert all(argv in runs for argv in _runs(tmp_path))
     assert ([json.loads(line)["argv"][0] for line in first]
             == [argv[0] for argv in runs] + ["demo"] * len(DEMOS))
+
+
+GOLDEN = pathlib.Path(__file__).with_name("golden") / "digests.jsonl"
+
+
+def test_digests_match_the_golden_file():
+    """The sweep of `reach_profile.digests` prints the lines of
+    `tests/golden/digests.jsonl`: every CLI run's exit code, stderr and
+    output sha-256, and each demo's stdout hash.  A change that alters
+    any of them regenerates the file (`python tests/reach_profile.py
+    --digests > tests/golden/digests.jsonl`), so its diff names every
+    changed run.  A mismatch lists every changed argv with each field
+    that differs, not only the first.  The file is this platform's: the
+    `residue` reports print floats, so a nonzero residue's bytes carry
+    the last bits of the platform's libm."""
+    from reach_profile import digests
+
+    want = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    got = digests()
+    changed = [f"{' '.join(w['argv'])}: " + ", ".join(
+                   f"{k} {w[k]!r} -> {g[k]!r}" for k in sorted(w)
+                   if w[k] != g.get(k))
+               for w, g in zip(want, got) if w != g]
+    changed += [f"missing: {' '.join(w['argv'])}" for w in want[len(got):]]
+    changed += [f"extra: {' '.join(g['argv'])}" for g in got[len(want):]]
+    assert not changed, "\n".join(changed)
 
 
 def test_package_init_imports_nothing():

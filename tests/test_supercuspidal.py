@@ -14,7 +14,8 @@ from twirl.cyclotomic import CharacterValue
 from twirl.errors import DomainError
 from twirl.integrator import (_preimage_inverse, orbit_strata,
                               orbit_weight_integral)
-from twirl.localfield import LocalFieldCtx, additive_char, parse_elem
+from twirl.localfield import (LocalFieldCtx, additive_char, parse_elem,
+                              unit_digit_tuples)
 from twirl.matlattice import Mat, orthogonal_form, symplectic_form, vdash
 from twirl.supercuspidal import (CuspidalData, PassTable, _classify_regime,
                                  _coset_counts, _support_mod_pi,
@@ -862,6 +863,27 @@ def test_support_scan_regimes():
     assert rep2["witness"] is not None
     assert rep2["witness"]["i"] == 2
     assert rep2["regime"].endswith("witness")
+
+
+@pytest.mark.parametrize("e, eis", [(2, (-2, 0, 1)), (3, (-2, 0, 0, 1))],
+                         ids=["x2-2", "x3-2"])
+def test_every_unit_at_p2_has_a_witness(e, eis):
+    """`support_scan`'s proof that a p = 2 unit alpha != 1 has a witness,
+    swept over every unit mod pi^6 on x^2 - 2 and x^3 - 2: the regime is
+    `alpha-unit-even-witness`, and the witness sits at i = ord(alpha - 1),
+    b = 0.  The per-coset scan, which keeps an `even-none` regime for a
+    unit with no witness, agrees."""
+    c = LocalFieldCtx(2, e, eis, 24)
+    data = CuspidalData(c)
+    for digits in unit_digit_tuples(2, 6):
+        alpha = c.from_digits(0, digits)
+        if alpha == c.one():
+            continue
+        rep = support_scan(data, alpha)
+        assert rep["regime"] == "alpha-unit-even-witness", digits
+        assert rep["witness"]["i"] == (alpha - c.one()).val, digits
+        assert rep["strata_searched"][-1]["b_level"] == 0, digits
+        assert _coset_scan(data, alpha)[0] == rep["regime"], digits
 
 
 def test_support_scan_makes_no_kappa_average_call(monkeypatch):

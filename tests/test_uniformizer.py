@@ -33,7 +33,7 @@ PINS = {
 def _reading(p, e, precision, eis, integrand):
     ctx = LocalFieldCtx(p, e, eis, precision)
     table = assemble_coefficients(integrand(ctx), TRUNC)
-    report = discriminant_report(ctx.from_int(3), "alpha = 3")
+    report = discriminant_report(ctx.from_int(3))
     return ((str(table.a), str(table.b)),
             {e: str(v) for e, v in table.per_e_increments().items()},
             report.to_json())
